@@ -67,7 +67,6 @@ pub mod certify;
 pub mod concurrency;
 pub mod conformance;
 pub mod dataflow;
-pub mod json;
 pub mod range;
 
 pub use audit::{audit_dir, audit_source, AuditReport};

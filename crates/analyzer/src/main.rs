@@ -32,12 +32,13 @@ use aalign_analyzer::certify::{
 use aalign_analyzer::concurrency::{default_concurrency_dirs, scan_dirs, CONCURRENCY_BASELINE};
 use aalign_analyzer::conformance::{run_conformance_pass, ConformancePass, CONFORMANCE_BASELINE};
 use aalign_analyzer::range::analyze_range;
-use aalign_analyzer::{json, verify_dataflow, DataflowReport};
+use aalign_analyzer::{verify_dataflow, DataflowReport};
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::SubstMatrix;
 use aalign_codegen::emit::GapBindings;
 use aalign_codegen::{analyze, parse_program, KernelSpec};
 use aalign_core::conformance::{run_harness, ConformanceReport, HarnessOptions, Mutation};
+use aalign_obs::wire::{obj, JsonValue};
 
 const USAGE: &str = "\
 aalign-analyzer — static verification for AAlign kernels
@@ -187,28 +188,40 @@ fn exit(ok: bool) -> ExitCode {
     }
 }
 
+/// A JSON array of strings.
+fn strings<S: AsRef<str>>(items: impl IntoIterator<Item = S>) -> JsonValue {
+    JsonValue::Array(items.into_iter().map(|s| s.as_ref().into()).collect())
+}
+
+/// The `{"name":…,"ok":false,"error":…}` row of a kernel that failed
+/// before its pass could run.
+fn failed_kernel(name: &str, error: &str) -> JsonValue {
+    obj(vec![
+        ("name", name.into()),
+        ("ok", false.into()),
+        ("error", error.into()),
+    ])
+}
+
 fn cmd_check(args: &[String], as_json: bool) -> Result<ExitCode, String> {
     let (sources, _) = resolve_sources(args)?;
     let mut ok = true;
     let mut kernels = Vec::new();
     for (name, src) in &sources {
         if as_json {
-            let obj = match check_kernel(name, src) {
-                Ok((spec, report)) => json::Obj::new()
-                    .str("name", name)
-                    .bool("ok", true)
-                    .str("label", &spec.label())
-                    .num("tables", report.tables.len() as i64)
-                    .num("dependencies", report.deps.len() as i64),
+            kernels.push(match check_kernel(name, src) {
+                Ok((spec, report)) => obj(vec![
+                    ("name", name.as_str().into()),
+                    ("ok", true.into()),
+                    ("label", spec.label().into()),
+                    ("tables", report.tables.len().into()),
+                    ("dependencies", report.deps.len().into()),
+                ]),
                 Err(msg) => {
                     ok = false;
-                    json::Obj::new()
-                        .str("name", name)
-                        .bool("ok", false)
-                        .str("error", &msg)
+                    failed_kernel(name, &msg)
                 }
-            };
-            kernels.push(obj.build());
+            });
         } else {
             ok &= check_one(name, src);
         }
@@ -216,11 +229,11 @@ fn cmd_check(args: &[String], as_json: bool) -> Result<ExitCode, String> {
     if as_json {
         println!(
             "{}",
-            json::Obj::new()
-                .str("pass", "check")
-                .bool("ok", ok)
-                .raw("kernels", &json::array(kernels))
-                .build()
+            obj(vec![
+                ("pass", "check".into()),
+                ("ok", ok.into()),
+                ("kernels", kernels.into()),
+            ])
         );
     }
     Ok(exit(ok))
@@ -292,13 +305,7 @@ fn cmd_range(args: &[String], as_json: bool) -> Result<ExitCode, String> {
             Err(msg) => {
                 ok = false;
                 if as_json {
-                    kernels.push(
-                        json::Obj::new()
-                            .str("name", name)
-                            .bool("ok", false)
-                            .str("error", &msg)
-                            .build(),
-                    );
+                    kernels.push(failed_kernel(name, &msg));
                 } else {
                     eprintln!("{msg}");
                 }
@@ -314,13 +321,11 @@ fn cmd_range(args: &[String], as_json: bool) -> Result<ExitCode, String> {
                 let fits = !report.overflows_i32();
                 ok &= fits;
                 if as_json {
-                    kernels.push(
-                        json::Obj::new()
-                            .str("name", name)
-                            .bool("ok", fits)
-                            .str("report", &report.to_string())
-                            .build(),
-                    );
+                    kernels.push(obj(vec![
+                        ("name", name.as_str().into()),
+                        ("ok", fits.into()),
+                        ("report", report.to_string().into()),
+                    ]));
                 } else {
                     println!("{report}");
                 }
@@ -328,13 +333,10 @@ fn cmd_range(args: &[String], as_json: bool) -> Result<ExitCode, String> {
             Err(e) => {
                 ok = false;
                 if as_json {
-                    kernels.push(
-                        json::Obj::new()
-                            .str("name", name)
-                            .bool("ok", false)
-                            .str("error", &format!("cannot bind gap constants: {e}"))
-                            .build(),
-                    );
+                    kernels.push(failed_kernel(
+                        name,
+                        &format!("cannot bind gap constants: {e}"),
+                    ));
                 } else {
                     eprintln!("{name}: cannot bind gap constants: {e}");
                 }
@@ -344,11 +346,11 @@ fn cmd_range(args: &[String], as_json: bool) -> Result<ExitCode, String> {
     if as_json {
         println!(
             "{}",
-            json::Obj::new()
-                .str("pass", "range")
-                .bool("ok", ok)
-                .raw("kernels", &json::array(kernels))
-                .build()
+            obj(vec![
+                ("pass", "range".into()),
+                ("ok", ok.into()),
+                ("kernels", kernels.into()),
+            ])
         );
     }
     Ok(exit(ok))
@@ -384,31 +386,23 @@ fn cmd_audit(args: &[String], as_json: bool) -> Result<ExitCode, String> {
 
     if as_json {
         let files = report.files.iter().map(|f| {
-            json::Obj::new()
-                .str("file", &f.file)
-                .num("unsafe", f.unsafe_count as i64)
-                .build()
+            obj(vec![
+                ("file", f.file.as_str().into()),
+                ("unsafe", f.unsafe_count.into()),
+            ])
         });
-        let findings: Vec<String> = report
-            .findings
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
         println!(
             "{}",
-            json::Obj::new()
-                .str("pass", "audit")
-                .bool("ok", ok)
-                .raw("files", &json::array(files))
-                .raw(
+            obj(vec![
+                ("pass", "audit".into()),
+                ("ok", ok.into()),
+                ("files", JsonValue::Array(files.collect())),
+                (
                     "findings",
-                    &json::string_array(findings.iter().map(String::as_str))
-                )
-                .raw(
-                    "baseline_problems",
-                    &json::string_array(baseline_problems.iter().map(String::as_str))
-                )
-                .build()
+                    strings(report.findings.iter().map(ToString::to_string)),
+                ),
+                ("baseline_problems", strings(&baseline_problems)),
+            ])
         );
         return Ok(exit(ok));
     }
@@ -473,26 +467,18 @@ fn cmd_concurrency(args: &[String], as_json: bool) -> Result<ExitCode, String> {
     ok &= baseline_problems.is_empty();
 
     if as_json {
-        let findings: Vec<String> = report
-            .findings
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
         println!(
             "{}",
-            json::Obj::new()
-                .str("pass", "concurrency")
-                .bool("ok", ok)
-                .num("sites", report.sites.len() as i64)
-                .raw(
+            obj(vec![
+                ("pass", "concurrency".into()),
+                ("ok", ok.into()),
+                ("sites", report.sites.len().into()),
+                (
                     "findings",
-                    &json::string_array(findings.iter().map(String::as_str))
-                )
-                .raw(
-                    "baseline_problems",
-                    &json::string_array(baseline_problems.iter().map(String::as_str))
-                )
-                .build()
+                    strings(report.findings.iter().map(ToString::to_string)),
+                ),
+                ("baseline_problems", strings(&baseline_problems)),
+            ])
         );
         return Ok(exit(ok));
     }
@@ -522,60 +508,52 @@ fn cmd_concurrency(args: &[String], as_json: bool) -> Result<ExitCode, String> {
     Ok(exit(ok))
 }
 
-/// Render one harness report as a JSON object string.
-fn harness_json(h: &ConformanceReport) -> String {
+/// One harness report as a JSON object.
+fn harness_json(h: &ConformanceReport) -> JsonValue {
     let configs = h.configs.iter().map(|c| {
-        let violations = json::string_array(c.violations.iter().map(String::as_str));
-        let mismatches: Vec<String> = c
-            .mismatches
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        json::Obj::new()
-            .str("config", &c.config)
-            .num("pairs", c.pairs as i64)
-            .num("mismatches", c.mismatch_count as i64)
-            .raw(
+        obj(vec![
+            ("config", c.config.as_str().into()),
+            ("pairs", c.pairs.into()),
+            ("mismatches", c.mismatch_count.into()),
+            (
                 "mismatch_samples",
-                &json::string_array(mismatches.iter().map(String::as_str)),
-            )
-            .raw("violations", &violations)
-            .build()
+                strings(c.mismatches.iter().map(ToString::to_string)),
+            ),
+            ("violations", strings(&c.violations)),
+        ])
     });
-    let mut obj = json::Obj::new()
-        .bool("bit_exact", h.is_bit_exact())
-        .num("checks", h.total_checks() as i64)
-        .num("mismatches", h.total_mismatches() as i64)
-        .raw("configs", &json::array(configs));
+    let mut fields = vec![
+        ("bit_exact", h.is_bit_exact().into()),
+        ("checks", h.total_checks().into()),
+        ("mismatches", h.total_mismatches().into()),
+        ("configs", JsonValue::Array(configs.collect())),
+    ];
     if let Some(m) = &h.mutation {
-        obj = obj.str("mutation", m);
+        fields.push(("mutation", m.as_str().into()));
     }
-    obj.build()
+    obj(fields)
 }
 
-/// Render the proof obligations as JSON.
-fn proofs_json(pass: &ConformancePass) -> String {
+/// The proof obligations as a JSON array.
+fn proofs_json(pass: &ConformancePass) -> JsonValue {
     let kernels = pass.proofs.iter().map(|p| {
         let obligations = p.obligations.iter().map(|o| {
-            json::Obj::new()
-                .str("id", o.id)
-                .str("status", o.status.word())
-                .str("claim", &o.claim)
-                .raw(
-                    "premises",
-                    &json::string_array(o.premises.iter().map(String::as_str)),
-                )
-                .str("detail", &o.detail)
-                .build()
+            obj(vec![
+                ("id", o.id.into()),
+                ("status", o.status.word().into()),
+                ("claim", o.claim.as_str().into()),
+                ("premises", strings(&o.premises)),
+                ("detail", o.detail.as_str().into()),
+            ])
         });
-        json::Obj::new()
-            .str("name", &p.kernel)
-            .str("label", &p.label)
-            .bool("discharged", p.is_discharged())
-            .raw("obligations", &json::array(obligations))
-            .build()
+        obj(vec![
+            ("name", p.kernel.as_str().into()),
+            ("label", p.label.as_str().into()),
+            ("discharged", p.is_discharged().into()),
+            ("obligations", JsonValue::Array(obligations.collect())),
+        ])
     });
-    json::array(kernels)
+    JsonValue::Array(kernels.collect())
 }
 
 fn cmd_conformance(args: &[String], as_json: bool) -> Result<ExitCode, String> {
@@ -618,15 +596,15 @@ fn cmd_conformance(args: &[String], as_json: bool) -> Result<ExitCode, String> {
         if as_json {
             println!(
                 "{}",
-                json::Obj::new()
-                    .str("pass", "conformance")
-                    .bool("ok", caught)
-                    .str("mode", "mutation-self-test")
-                    .num("seed", seed as i64)
-                    .str("mutation", mutation.name())
-                    .bool("caught", caught)
-                    .raw("harness", &harness_json(&report))
-                    .build()
+                obj(vec![
+                    ("pass", "conformance".into()),
+                    ("ok", caught.into()),
+                    ("mode", "mutation-self-test".into()),
+                    ("seed", seed.into()),
+                    ("mutation", mutation.name().into()),
+                    ("caught", caught.into()),
+                    ("harness", harness_json(&report)),
+                ])
             );
         } else {
             println!("{}", report.summary());
@@ -668,16 +646,13 @@ fn cmd_conformance(args: &[String], as_json: bool) -> Result<ExitCode, String> {
     if as_json {
         println!(
             "{}",
-            json::Obj::new()
-                .str("pass", "conformance")
-                .bool("ok", ok)
-                .raw("kernels", &proofs_json(&pass))
-                .raw("harness", &harness_json(&pass.harness))
-                .raw(
-                    "baseline_problems",
-                    &json::string_array(baseline_problems.iter().map(String::as_str))
-                )
-                .build()
+            obj(vec![
+                ("pass", "conformance".into()),
+                ("ok", ok.into()),
+                ("kernels", proofs_json(&pass)),
+                ("harness", harness_json(&pass.harness)),
+                ("baseline_problems", strings(&baseline_problems)),
+            ])
         );
         return Ok(exit(ok));
     }
@@ -720,58 +695,64 @@ fn cmd_conformance(args: &[String], as_json: bool) -> Result<ExitCode, String> {
     Ok(exit(ok))
 }
 
-/// Render one certify report as a JSON object string.
-fn certify_json(r: &CertifyReport, src: Option<&str>) -> String {
+/// One certify report as a JSON object.
+fn certify_json(r: &CertifyReport, src: Option<&str>) -> JsonValue {
     let certs = r.certificates.iter().map(|c| {
-        let mut obj = json::Obj::new()
-            .num("lane_bits", i64::from(c.lane_bits))
-            .bool("granted", c.granted)
-            .num("fingerprint", c.fingerprint as i64)
-            .str("summary", &c.summary())
-            .num("t_lo", c.bounds.t_lo)
-            .num("t_hi", c.bounds.t_hi)
-            .num("ul_lo", c.bounds.ul_lo)
-            .num("ul_hi", c.bounds.ul_hi)
-            .num("headroom", c.bounds.headroom);
+        let mut fields = vec![
+            ("lane_bits", c.lane_bits.into()),
+            ("granted", c.granted.into()),
+            ("fingerprint", c.fingerprint.into()),
+            ("summary", c.summary().into()),
+            ("t_lo", c.bounds.t_lo.into()),
+            ("t_hi", c.bounds.t_hi.into()),
+            ("ul_lo", c.bounds.ul_lo.into()),
+            ("ul_hi", c.bounds.ul_hi.into()),
+            ("headroom", c.bounds.headroom.into()),
+        ];
         if let Some(d) = &c.denial {
-            let mut den = json::Obj::new()
-                .str("term", d.term.name())
-                .str("table", d.table)
-                .num("wavefront", d.wavefront as i64)
-                .num("value", d.value)
-                .num("limit", d.limit);
+            let mut den = vec![
+                ("term", d.term.name().into()),
+                ("table", d.table.into()),
+                ("wavefront", d.wavefront.into()),
+                ("value", d.value.into()),
+                ("limit", d.limit.into()),
+            ];
             if let Some(len) = d.max_safe_len {
-                den = den.num("max_safe_len", len as i64);
+                den.push(("max_safe_len", len.into()));
             }
             if let Some(w) = &d.witness {
-                den = den.raw(
+                den.push((
                     "witness",
-                    &json::Obj::new()
-                        .str("query_letter", &(w.query_letter as char).to_string())
-                        .str("subject_letter", &(w.subject_letter as char).to_string())
-                        .num("len", w.len as i64)
-                        .num("min_score", w.min_score)
-                        .build(),
-                );
+                    obj(vec![
+                        ("query_letter", (w.query_letter as char).to_string().into()),
+                        (
+                            "subject_letter",
+                            (w.subject_letter as char).to_string().into(),
+                        ),
+                        ("len", w.len.into()),
+                        ("min_score", w.min_score.into()),
+                    ]),
+                ));
             }
-            obj = obj.raw("denial", &den.build());
+            fields.push(("denial", obj(den)));
         }
-        obj.build()
+        obj(fields)
     });
-    let mut obj = json::Obj::new()
-        .str("label", &r.label)
-        .str("matrix", &r.matrix)
-        .num("max_query", r.max_query as i64)
-        .num("max_subject", r.max_subject as i64)
-        .bool("certifiable", r.is_certifiable())
-        .raw("certificates", &json::array(certs));
+    let mut fields = vec![
+        ("label", r.label.as_str().into()),
+        ("matrix", r.matrix.as_str().into()),
+        ("max_query", r.max_query.into()),
+        ("max_subject", r.max_subject.into()),
+        ("certifiable", r.is_certifiable().into()),
+        ("certificates", JsonValue::Array(certs.collect())),
+    ];
     if let Some(bits) = r.narrowest_granted() {
-        obj = obj.num("narrowest_granted", i64::from(bits));
+        fields.push(("narrowest_granted", bits.into()));
     }
     if let Some(src) = src {
-        obj = obj.str("report", &r.render(src));
+        fields.push(("report", r.render(src).into()));
     }
-    obj.build()
+    obj(fields)
 }
 
 fn cmd_certify(args: &[String], as_json: bool) -> Result<ExitCode, String> {
@@ -842,23 +823,23 @@ fn cmd_certify(args: &[String], as_json: bool) -> Result<ExitCode, String> {
         let ok = !verdicts.is_empty() && verdicts.iter().all(|v| v.rejected);
         if as_json {
             let rows = verdicts.iter().map(|v| {
-                json::Obj::new()
-                    .str("label", &v.label)
-                    .str("matrix", &v.matrix)
-                    .num("lane_bits", i64::from(v.lane_bits))
-                    .bool("rejected", v.rejected)
-                    .build()
+                obj(vec![
+                    ("label", v.label.as_str().into()),
+                    ("matrix", v.matrix.as_str().into()),
+                    ("lane_bits", v.lane_bits.into()),
+                    ("rejected", v.rejected.into()),
+                ])
             });
             println!(
                 "{}",
-                json::Obj::new()
-                    .str("pass", "certify")
-                    .bool("ok", ok)
-                    .str("mode", "mutation-self-test")
-                    .num("seed", seed as i64)
-                    .str("mutation", mutation.name())
-                    .raw("verdicts", &json::array(rows))
-                    .build()
+                obj(vec![
+                    ("pass", "certify".into()),
+                    ("ok", ok.into()),
+                    ("mode", "mutation-self-test".into()),
+                    ("seed", seed.into()),
+                    ("mutation", mutation.name().into()),
+                    ("verdicts", JsonValue::Array(rows.collect())),
+                ])
             );
         } else {
             for v in &verdicts {
@@ -901,13 +882,7 @@ fn cmd_certify(args: &[String], as_json: bool) -> Result<ExitCode, String> {
                 Err(msg) => {
                     ok = false;
                     if as_json {
-                        kernels.push(
-                            json::Obj::new()
-                                .str("name", name)
-                                .bool("ok", false)
-                                .str("error", &msg)
-                                .build(),
-                        );
+                        kernels.push(failed_kernel(name, &msg));
                     } else {
                         eprintln!("{msg}");
                     }
@@ -930,13 +905,10 @@ fn cmd_certify(args: &[String], as_json: bool) -> Result<ExitCode, String> {
                 Err(e) => {
                     ok = false;
                     if as_json {
-                        kernels.push(
-                            json::Obj::new()
-                                .str("name", name)
-                                .bool("ok", false)
-                                .str("error", &format!("cannot bind gap constants: {e}"))
-                                .build(),
-                        );
+                        kernels.push(failed_kernel(
+                            name,
+                            &format!("cannot bind gap constants: {e}"),
+                        ));
                     } else {
                         eprintln!("{name}: cannot bind gap constants: {e}");
                     }
@@ -946,11 +918,11 @@ fn cmd_certify(args: &[String], as_json: bool) -> Result<ExitCode, String> {
         if as_json {
             println!(
                 "{}",
-                json::Obj::new()
-                    .str("pass", "certify")
-                    .bool("ok", ok)
-                    .raw("kernels", &json::array(kernels))
-                    .build()
+                obj(vec![
+                    ("pass", "certify".into()),
+                    ("ok", ok.into()),
+                    ("kernels", kernels.into()),
+                ])
             );
         }
         return Ok(exit(ok));
@@ -971,15 +943,12 @@ fn cmd_certify(args: &[String], as_json: bool) -> Result<ExitCode, String> {
         let reports = pass.reports.iter().map(|r| certify_json(r, None));
         println!(
             "{}",
-            json::Obj::new()
-                .str("pass", "certify")
-                .bool("ok", ok)
-                .raw("configs", &json::array(reports))
-                .raw(
-                    "baseline_problems",
-                    &json::string_array(baseline_problems.iter().map(String::as_str))
-                )
-                .build()
+            obj(vec![
+                ("pass", "certify".into()),
+                ("ok", ok.into()),
+                ("configs", JsonValue::Array(reports.collect())),
+                ("baseline_problems", strings(&baseline_problems)),
+            ])
         );
         return Ok(exit(ok));
     }

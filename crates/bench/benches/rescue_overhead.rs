@@ -15,11 +15,12 @@
 
 use std::time::{Duration, Instant};
 
-use aalign_bench::harness::{gcups, json_f64, print_banner, time_min, write_bench_json, Table};
+use aalign_bench::harness::{gcups, print_banner, time_min, write_bench_json, Table};
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
 use aalign_bio::{SeqDatabase, Sequence};
 use aalign_core::{AlignConfig, Aligner, GapModel, Strategy, WidthPolicy};
+use aalign_obs::wire::{obj, JsonValue};
 use aalign_par::{SearchEngine, SearchOptions};
 
 fn main() {
@@ -44,7 +45,7 @@ fn main() {
     let cells: usize = q.len() * db.sequences().iter().map(Sequence::len).sum::<usize>();
 
     let mut table = Table::new(vec!["path", "GCUPS", "overhead", "rescued"]);
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows: Vec<JsonValue> = Vec::new();
 
     let run = |opts: &SearchOptions| engine.search(&a, &q, &db, opts).unwrap();
     let off = SearchOptions::new().rescue(false);
@@ -88,11 +89,12 @@ fn main() {
             format!("{:+.2}%", oh * 100.0),
             rescued.to_string(),
         ]);
-        rows.push(format!(
-            "{{\"path\":\"{label}\",\"gcups\":{},\"overhead\":{},\"rescued\":{rescued}}}",
-            json_f64(gcups(1, cells, t)),
-            json_f64(oh),
-        ));
+        rows.push(obj(vec![
+            ("path", label.into()),
+            ("gcups", gcups(1, cells, t).into()),
+            ("overhead", oh.into()),
+            ("rescued", rescued.into()),
+        ]));
     }
 
     // Informational: a database where every 20th subject saturates
@@ -111,28 +113,23 @@ fn main() {
         warmup,
         reps,
     );
+    let hot_gcups = gcups(
+        1,
+        wq.len() * hot_db.sequences().iter().map(Sequence::len).sum::<usize>(),
+        t_hot,
+    );
     table.row(vec![
         "rescuing".to_string(),
-        format!(
-            "{:.2}",
-            gcups(
-                1,
-                wq.len() * hot_db.sequences().iter().map(Sequence::len).sum::<usize>(),
-                t_hot
-            )
-        ),
+        format!("{hot_gcups:.2}"),
         "n/a".to_string(),
         hot.metrics.rescued.to_string(),
     ]);
-    rows.push(format!(
-        "{{\"path\":\"rescuing\",\"gcups\":{},\"overhead\":null,\"rescued\":{}}}",
-        json_f64(gcups(
-            1,
-            wq.len() * hot_db.sequences().iter().map(Sequence::len).sum::<usize>(),
-            t_hot
-        )),
-        hot.metrics.rescued,
-    ));
+    rows.push(obj(vec![
+        ("path", "rescuing".into()),
+        ("gcups", hot_gcups.into()),
+        ("overhead", JsonValue::Null),
+        ("rescued", hot.metrics.rescued.into()),
+    ]));
     assert!(hot.metrics.rescued > 0, "the hot database must rescue");
 
     println!("{}", table.render());

@@ -19,13 +19,13 @@ use std::time::Duration;
 
 use aalign_baselines::swps3_like::{Swps3Like, Swps3Scratch};
 use aalign_baselines::SwaphiLike;
-use aalign_bench::harness::{
-    json_f64, json_str, print_banner, run_stats_json, time_min, write_bench_json, Platform, Table,
-};
+use aalign_bench::harness::{print_banner, time_min, write_bench_json, Platform, Table};
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
 use aalign_bio::SeqDatabase;
 use aalign_core::{AlignConfig, AlignScratch, Aligner, GapModel, Strategy, WidthPolicy};
+use aalign_obs::wire::{obj, JsonValue};
+use aalign_par::wire::kernel_to_wire;
 use aalign_par::{search_database, SearchOptions};
 
 fn main() {
@@ -37,7 +37,7 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map_or("BENCH_fig11.json", String::as_str);
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows: Vec<JsonValue> = Vec::new();
     print_banner("Fig. 11 — multithreaded SW-affine vs SWPS3-like / SWAPHI-like");
 
     let db_size = if quick { 300 } else { 2000 };
@@ -139,18 +139,20 @@ fn main() {
             format!("{:.2}x", t_swps3.as_secs_f64() / t_aalign.as_secs_f64()),
             format!("{g:.2}"),
         ]);
-        rows.push(format!(
-            "{{\"panel\":\"cpu\",\"query\":{},\"qlen\":{},\"aalign_s\":{},\
-             \"baseline\":\"swps3-like\",\"baseline_s\":{},\"speedup\":{},\
-             \"gcups\":{},\"kernel\":{}}}",
-            json_str(q.id()),
-            q.len(),
-            json_f64(t_aalign.as_secs_f64()),
-            json_f64(t_swps3.as_secs_f64()),
-            json_f64(t_swps3.as_secs_f64() / t_aalign.as_secs_f64()),
-            json_f64(g),
-            run_stats_json(&kernel),
-        ));
+        rows.push(obj(vec![
+            ("panel", "cpu".into()),
+            ("query", q.id().into()),
+            ("qlen", q.len().into()),
+            ("aalign_s", t_aalign.as_secs_f64().into()),
+            ("baseline", "swps3-like".into()),
+            ("baseline_s", t_swps3.as_secs_f64().into()),
+            (
+                "speedup",
+                (t_swps3.as_secs_f64() / t_aalign.as_secs_f64()).into(),
+            ),
+            ("gcups", g.into()),
+            ("kernel", kernel_to_wire(&kernel)),
+        ]));
     }
     println!("{}", ta.render());
 
@@ -196,18 +198,20 @@ fn main() {
             format!("{:.2}x", t_swaphi.as_secs_f64() / t_aalign.as_secs_f64()),
             format!("{g:.2}"),
         ]);
-        rows.push(format!(
-            "{{\"panel\":\"mic\",\"query\":{},\"qlen\":{},\"aalign_s\":{},\
-             \"baseline\":\"swaphi-like\",\"baseline_s\":{},\"speedup\":{},\
-             \"gcups\":{},\"kernel\":{}}}",
-            json_str(q.id()),
-            q.len(),
-            json_f64(t_aalign.as_secs_f64()),
-            json_f64(t_swaphi.as_secs_f64()),
-            json_f64(t_swaphi.as_secs_f64() / t_aalign.as_secs_f64()),
-            json_f64(g),
-            run_stats_json(&kernel),
-        ));
+        rows.push(obj(vec![
+            ("panel", "mic".into()),
+            ("query", q.id().into()),
+            ("qlen", q.len().into()),
+            ("aalign_s", t_aalign.as_secs_f64().into()),
+            ("baseline", "swaphi-like".into()),
+            ("baseline_s", t_swaphi.as_secs_f64().into()),
+            (
+                "speedup",
+                (t_swaphi.as_secs_f64() / t_aalign.as_secs_f64()).into(),
+            ),
+            ("gcups", g.into()),
+            ("kernel", kernel_to_wire(&kernel)),
+        ]));
     }
     println!("{}", tb.render());
 

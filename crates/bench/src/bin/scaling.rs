@@ -15,7 +15,7 @@ use aalign_bench::harness::{print_banner, time_min, Table};
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
 use aalign_core::{AlignConfig, Aligner, GapModel, Strategy};
-use aalign_par::{search_database, search_database_inter, SearchOptions};
+use aalign_par::{search_database, SearchOptions};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -26,7 +26,7 @@ fn main() {
     let mut rng = seeded_rng(43);
     let query = named_query(&mut rng, 300);
     let cfg = AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62);
-    let aligner = Aligner::new(cfg.clone()).with_strategy(Strategy::Hybrid);
+    let aligner = Aligner::new(cfg).with_strategy(Strategy::Hybrid);
     let max_threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     println!(
         "database: {} seqs / {} residues; query {}; host threads: {max_threads}",
@@ -35,17 +35,11 @@ fn main() {
         query.id()
     );
 
-    let mut table = Table::new(vec![
-        "threads",
-        "intra s",
-        "inter s",
-        "intra GCUPS",
-        "speedup",
-    ]);
+    let mut table = Table::new(vec!["threads", "sweep s", "GCUPS", "speedup"]);
     let mut t1 = None;
     let mut threads = 1usize;
     while threads <= max_threads {
-        let t_intra = time_min(
+        let t_sweep = time_min(
             || {
                 let _ = search_database(
                     &aligner,
@@ -58,29 +52,15 @@ fn main() {
             1,
             if quick { 1 } else { 3 },
         );
-        let t_inter = time_min(
-            || {
-                let _ = search_database_inter(
-                    &cfg,
-                    &query,
-                    &db,
-                    SearchOptions::new().threads(threads).top_n(5),
-                )
-                .unwrap();
-            },
-            1,
-            if quick { 1 } else { 3 },
-        );
-        let base = *t1.get_or_insert(t_intra);
+        let base = *t1.get_or_insert(t_sweep);
         table.row(vec![
             threads.to_string(),
-            format!("{:.3}", t_intra.as_secs_f64()),
-            format!("{:.3}", t_inter.as_secs_f64()),
+            format!("{:.3}", t_sweep.as_secs_f64()),
             format!(
                 "{:.2}",
-                query.len() as f64 * stats.total_residues as f64 / t_intra.as_secs_f64() / 1e9
+                query.len() as f64 * stats.total_residues as f64 / t_sweep.as_secs_f64() / 1e9
             ),
-            format!("{:.2}x", base.as_secs_f64() / t_intra.as_secs_f64()),
+            format!("{:.2}x", base.as_secs_f64() / t_sweep.as_secs_f64()),
         ]);
         threads *= 2;
     }

@@ -9,24 +9,23 @@
 //! Usage: `cargo run --release -p aalign-bench --bin throughput
 //!         [--json] [--out BENCH_throughput.json]`
 
-use aalign_bench::harness::{
-    gcups, json_f64, json_str, print_banner, run_stats_json, time_min, write_bench_json, Table,
-};
+use aalign_bench::harness::{gcups, print_banner, time_min, write_bench_json, Table};
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng};
 use aalign_bio::{Sequence, SubstMatrix};
 use aalign_core::{AlignConfig, AlignScratch, Aligner, GapModel, RunStats, Strategy, WidthPolicy};
+use aalign_obs::wire::{obj, JsonValue};
+use aalign_par::wire::kernel_to_wire;
 use aalign_vec::detect::Isa;
 use rand::RngExt;
 
-fn row_json(backend: &str, strategy: &str, g: f64, stats: &RunStats) -> String {
-    format!(
-        "{{\"backend\":{},\"strategy\":{},\"gcups\":{},\"kernel\":{}}}",
-        json_str(backend),
-        json_str(strategy),
-        json_f64(g),
-        run_stats_json(stats),
-    )
+fn row_json(backend: &str, strategy: &str, g: f64, stats: &RunStats) -> JsonValue {
+    obj(vec![
+        ("backend", backend.into()),
+        ("strategy", strategy.into()),
+        ("gcups", g.into()),
+        ("kernel", kernel_to_wire(stats)),
+    ])
 }
 
 fn main() {
@@ -45,7 +44,7 @@ fn main() {
     let cfg = AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62);
 
     let mut table = Table::new(vec!["backend", "strategy", "GCUPS"]);
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows: Vec<JsonValue> = Vec::new();
 
     // Sequential reference.
     let seq = Aligner::new(cfg.clone()).with_strategy(Strategy::Sequential);

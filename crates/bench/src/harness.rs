@@ -9,7 +9,8 @@
 use std::time::{Duration, Instant};
 
 use aalign_bio::matrices::BLOSUM62;
-use aalign_core::{AlignConfig, AlignKind, GapModel, RunStats};
+use aalign_core::{AlignConfig, AlignKind, GapModel};
+use aalign_obs::wire::{obj, JsonValue};
 use aalign_vec::detect::{Isa, IsaSupport};
 
 /// Time a closure: `warmup` unmeasured runs, then the minimum of
@@ -143,87 +144,36 @@ impl Table {
     }
 }
 
-/// Minimal JSON string escape for the `--json` bench mode (values we
-/// emit are ASCII identifiers and numbers, so only quotes, backslash
-/// and control characters need care — no external deps).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format a float for JSON: finite values as-is, non-finite as 0
-/// (JSON has no NaN/inf; a degenerate measurement is "no signal").
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// The kernel counters as a JSON object.
-pub fn run_stats_json(st: &RunStats) -> String {
-    format!(
-        "{{\"iterate_columns\":{},\"scan_columns\":{},\"switches_to_scan\":{},\
-         \"probes_stayed\":{},\"lazy_iters\":{},\"lazy_sweeps\":{}}}",
-        st.iterate_columns,
-        st.scan_columns,
-        st.switches_to_scan,
-        st.probes_stayed,
-        st.lazy_iters,
-        st.lazy_sweeps,
-    )
-}
-
 /// Host/environment snapshot embedded in every `BENCH_*.json` so a
 /// trajectory across commits can tell machines apart.
-pub fn env_info_json(threads: usize) -> String {
+fn env_info(threads: usize) -> JsonValue {
     let sup = IsaSupport::detect();
-    format!(
-        "{{\"arch\":{},\"os\":{},\"avx2\":{},\"avx512f\":{},\"threads\":{threads},\
-         \"version\":{},\"debug_assertions\":{}}}",
-        json_str(std::env::consts::ARCH),
-        json_str(std::env::consts::OS),
-        sup.avx2,
-        sup.avx512f,
-        json_str(env!("CARGO_PKG_VERSION")),
-        cfg!(debug_assertions),
-    )
+    obj(vec![
+        ("arch", std::env::consts::ARCH.into()),
+        ("os", std::env::consts::OS.into()),
+        ("avx2", sup.avx2.into()),
+        ("avx512f", sup.avx512f.into()),
+        ("threads", threads.into()),
+        ("version", env!("CARGO_PKG_VERSION").into()),
+        ("debug_assertions", cfg!(debug_assertions).into()),
+    ])
 }
 
 /// Write a `BENCH_*.json` document: a self-describing envelope with
-/// the env snapshot and the bench's rows (already-serialized JSON
-/// objects). The machine-readable twin of the markdown tables.
+/// the env snapshot and the bench's rows. The machine-readable twin
+/// of the markdown tables.
 pub fn write_bench_json(
     path: &str,
     bench: &str,
     threads: usize,
-    rows: &[String],
+    rows: &[JsonValue],
 ) -> std::io::Result<()> {
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    doc.push_str(&format!("  \"bench\": {},\n", json_str(bench)));
-    doc.push_str(&format!("  \"env\": {},\n", env_info_json(threads)));
-    doc.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        doc.push_str(&format!("    {row}{sep}\n"));
-    }
-    doc.push_str("  ]\n}\n");
-    std::fs::write(path, doc)?;
+    let doc = obj(vec![
+        ("bench", bench.into()),
+        ("env", env_info(threads)),
+        ("rows", rows.to_vec().into()),
+    ]);
+    std::fs::write(path, doc.render() + "\n")?;
     eprintln!("wrote {} rows to {path}", rows.len());
     Ok(())
 }
@@ -283,32 +233,18 @@ mod tests {
     }
 
     #[test]
-    fn json_helpers_escape_and_stay_finite() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_f64(f64::NAN), "0.0");
-        assert_eq!(json_f64(f64::INFINITY), "0.0");
-        assert_eq!(json_f64(1.25), "1.2500");
-        let st = RunStats::default();
-        let j = run_stats_json(&st);
-        assert!(j.contains("\"iterate_columns\":0"), "{j}");
-        assert!(j.contains("\"lazy_sweeps\":0"), "{j}");
-        let env = env_info_json(4);
-        assert!(env.contains("\"threads\":4"), "{env}");
-        assert!(env.contains("\"arch\":"), "{env}");
-    }
-
-    #[test]
     fn bench_json_document_is_an_envelope() {
         let dir = std::env::temp_dir().join("aalign_bench_json");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_test.json");
-        let rows = vec!["{\"a\":1}".to_string(), "{\"a\":2}".to_string()];
+        let rows = [obj(vec![("a", 1u64.into())]), obj(vec![("a", 2u64.into())])];
         write_bench_json(path.to_str().unwrap(), "test", 2, &rows).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"bench\": \"test\""), "{text}");
-        assert!(text.contains("\"env\":"), "{text}");
-        assert!(text.contains("{\"a\":1},"), "{text}");
-        assert!(text.trim_end().ends_with('}'), "{text}");
+        let doc = JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(doc.get("bench"), Some(&"test".into()));
+        let env = doc.get("env").unwrap();
+        assert_eq!(env.get("threads"), Some(&2u64.into()));
+        assert!(env.get("arch").and_then(JsonValue::as_str).is_some());
+        assert_eq!(doc.get("rows"), Some(&rows.to_vec().into()));
     }
 
     #[test]

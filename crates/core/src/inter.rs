@@ -11,16 +11,21 @@
 //! cost: a per-cell *gather* (each lane needs the matrix score of its
 //! own subject character) plus idle lanes once short subjects finish.
 //!
-//! **Measured honestly** (`ablation_inter` bench): with 32-bit lanes
-//! and the portable scalar gather used here, the gather dominates and
-//! the intra-sequence hybrid is ~2× faster at every subject length on
-//! the development host. Production inter-sequence tools (SWIPE,
-//! SWAPHI's inter mode) win by pairing byte-wide lanes with
-//! SIMD-shuffled score profiles — a further optimization this module
-//! deliberately leaves on the table in favour of width-generic
-//! clarity. The kernel remains valuable as a second, structurally
-//! independent implementation (it cross-checks the striped kernels in
-//! the test suite) and as the base for such an optimization.
+//! **A test oracle, with no product entry point.** Measured with
+//! 32-bit lanes and the portable scalar gather used here, the gather
+//! dominates and the intra-sequence hybrid was ~2× faster at every
+//! subject length on the development host, so the inter-sequence
+//! database sweep that once sat beside `SearchEngine::search` was
+//! removed rather than kept behind a switch. What stays is the
+//! kernel's value as a second, structurally independent
+//! implementation: the conformance harness, the engine's oracle test
+//! and `tests/random_matrix_equivalence.rs` compare the striped
+//! kernels against it score for score. Production inter-sequence
+//! tools (SWIPE, SWAPHI's inter mode) win by pairing byte-wide lanes
+//! with SIMD-shuffled score profiles; if such a byte-lane kernel is
+//! built and earns its place on the benchmark, it re-enters through
+//! `SearchEngine::search`, chosen from the query length the code can
+//! observe — never through a user-set flag.
 //!
 //! Works for all three [`AlignKind`]s and both gap systems, on any
 //! [`SimdEngine`]; results are bit-identical to the scalar reference

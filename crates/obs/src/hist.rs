@@ -227,22 +227,6 @@ impl Histogram {
         let _ = writeln!(out, "{name}_count {}", self.count);
         out
     }
-
-    /// Compact JSON summary object
-    /// (count/sum/max/mean/p50/p90/p99/p999).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
-            self.count,
-            self.sum,
-            self.max,
-            self.mean(),
-            self.p50(),
-            self.p90(),
-            self.p99(),
-            self.p999(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -320,16 +304,6 @@ mod tests {
             .rfind(|l| l.contains("le=\"") && !l.contains("+Inf"))
             .unwrap();
         assert!(last_finite.ends_with(" 3"), "{last_finite}");
-    }
-
-    #[test]
-    fn json_summary_has_all_fields() {
-        let mut h = Histogram::new();
-        h.record(10);
-        let j = h.to_json();
-        for key in ["count", "sum", "max", "mean", "p50", "p90", "p99", "p999"] {
-            assert!(j.contains(&format!("\"{key}\"")), "{key} missing in {j}");
-        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! JSON Lines trace format: one event per line, `"ev"` discriminator.
 //!
-//! The format is deliberately flat — every event serializes to a
-//! single-level object of strings, integers, and booleans — which
-//! keeps both the writer and the parser dependency-free. The parser
-//! is strict (unknown `"ev"` values, missing fields, and malformed
-//! JSON are hard errors) so `read_events` doubles as the trace-file
-//! validator used by CI and by `aalign trace-report`.
+//! The *schema* is deliberately flat — every event serializes to a
+//! single-level object of strings, integers, and booleans — but the
+//! bytes are read and written by the workspace's one JSON codec,
+//! [`crate::wire::JsonValue`]; this module only maps events to and
+//! from field lists. Decoding is strict (unknown `"ev"` values,
+//! missing or mistyped fields, and malformed JSON are hard errors) so
+//! `read_events` doubles as the trace-file validator used by CI and
+//! by `aalign trace-report`.
 //!
 //! Wire names:
 //!
@@ -21,111 +23,99 @@
 //! | `query_end`   | [`TraceEvent::QueryEnd`]  |
 //! | `stage`       | [`TraceEvent::Stage`]     |
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
 use crate::event::{HybridEvent, ProbeOutcome, StageKind, StrategyKind, TraceEvent};
-
-/// Escape a string for inclusion in a JSON string literal.
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
+use crate::wire::{bool_field, i64_field, obj, str_field, u64_field, JsonValue, WireError};
 
 /// Serialize one event to its single-line JSON form (no trailing
 /// newline).
 pub fn event_to_json(event: &TraceEvent) -> String {
-    let mut s = String::with_capacity(96);
-    match event {
-        TraceEvent::QueryBegin { query, subjects } => {
-            s.push_str("{\"ev\":\"query_begin\",\"query\":\"");
-            escape_into(&mut s, query);
-            s.push_str(&format!("\",\"subjects\":{subjects}}}"));
-        }
-        TraceEvent::SpanBegin { span, at_us } => {
-            s.push_str("{\"ev\":\"span_begin\",\"span\":\"");
-            escape_into(&mut s, span);
-            s.push_str(&format!("\",\"at_us\":{at_us}}}"));
-        }
+    let fields: Vec<(&str, JsonValue)> = match event {
+        TraceEvent::QueryBegin { query, subjects } => vec![
+            ("ev", "query_begin".into()),
+            ("query", query.as_str().into()),
+            ("subjects", (*subjects).into()),
+        ],
+        TraceEvent::SpanBegin { span, at_us } => vec![
+            ("ev", "span_begin".into()),
+            ("span", span.as_str().into()),
+            ("at_us", (*at_us).into()),
+        ],
         TraceEvent::SpanEnd {
             span,
             at_us,
             dur_us,
-        } => {
-            s.push_str("{\"ev\":\"span_end\",\"span\":\"");
-            escape_into(&mut s, span);
-            s.push_str(&format!("\",\"at_us\":{at_us},\"dur_us\":{dur_us}}}"));
-        }
+        } => vec![
+            ("ev", "span_end".into()),
+            ("span", span.as_str().into()),
+            ("at_us", (*at_us).into()),
+            ("dur_us", (*dur_us).into()),
+        ],
         TraceEvent::AlignBegin {
             subject,
             len,
             worker,
-        } => {
-            s.push_str(&format!(
-                "{{\"ev\":\"align_begin\",\"subject\":{subject},\"len\":{len},\"worker\":{worker}}}"
-            ));
-        }
-        TraceEvent::Hybrid(h) => {
-            s.push_str(&format!(
-                "{{\"ev\":\"col\",\"column\":{},\"strategy\":\"{}\",\"sweeps\":{},\"switched\":{},\"probe\":\"{}\"}}",
-                h.column,
-                h.strategy.as_str(),
-                h.lazy_sweeps,
-                h.switched,
-                h.probe.as_str(),
-            ));
-        }
+        } => vec![
+            ("ev", "align_begin".into()),
+            ("subject", (*subject).into()),
+            ("len", (*len).into()),
+            ("worker", (*worker).into()),
+        ],
+        TraceEvent::Hybrid(h) => vec![
+            ("ev", "col".into()),
+            ("column", h.column.into()),
+            ("strategy", h.strategy.as_str().into()),
+            ("sweeps", h.lazy_sweeps.into()),
+            ("switched", h.switched.into()),
+            ("probe", h.probe.as_str().into()),
+        ],
         TraceEvent::Rescue {
             subject,
             from_bits,
             to_bits,
-        } => {
-            s.push_str(&format!(
-                "{{\"ev\":\"rescue\",\"subject\":{subject},\"from_bits\":{from_bits},\"to_bits\":{to_bits}}}"
-            ));
-        }
+        } => vec![
+            ("ev", "rescue".into()),
+            ("subject", (*subject).into()),
+            ("from_bits", (*from_bits).into()),
+            ("to_bits", (*to_bits).into()),
+        ],
         TraceEvent::AlignEnd {
             subject,
             score,
             iterate_columns,
             scan_columns,
             dur_us,
-        } => {
-            s.push_str(&format!(
-                "{{\"ev\":\"align_end\",\"subject\":{subject},\"score\":{score},\"iterate_columns\":{iterate_columns},\"scan_columns\":{scan_columns},\"dur_us\":{dur_us}}}"
-            ));
-        }
-        TraceEvent::QueryEnd { at_us, hits } => {
-            s.push_str(&format!(
-                "{{\"ev\":\"query_end\",\"at_us\":{at_us},\"hits\":{hits}}}"
-            ));
-        }
+        } => vec![
+            ("ev", "align_end".into()),
+            ("subject", (*subject).into()),
+            ("score", (*score).into()),
+            ("iterate_columns", (*iterate_columns).into()),
+            ("scan_columns", (*scan_columns).into()),
+            ("dur_us", (*dur_us).into()),
+        ],
+        TraceEvent::QueryEnd { at_us, hits } => vec![
+            ("ev", "query_end".into()),
+            ("at_us", (*at_us).into()),
+            ("hits", (*hits).into()),
+        ],
         TraceEvent::Stage {
             request,
             stage,
             at_us,
             dur_us,
             ref_request,
-        } => {
-            s.push_str(&format!(
-                "{{\"ev\":\"stage\",\"request\":{request},\"stage\":\"{}\",\"at_us\":{at_us},\"dur_us\":{dur_us},\"ref_request\":{ref_request}}}",
-                stage.as_str(),
-            ));
-        }
-    }
-    s
+        } => vec![
+            ("ev", "stage".into()),
+            ("request", (*request).into()),
+            ("stage", stage.as_str().into()),
+            ("at_us", (*at_us).into()),
+            ("dur_us", (*dur_us).into()),
+            ("ref_request", (*ref_request).into()),
+        ],
+    };
+    obj(fields).render()
 }
 
 /// Buffered JSONL writer for trace streams.
@@ -180,7 +170,8 @@ impl<W: Write> TraceWriter<W> {
 /// Why a trace line failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
-    /// The line is not a flat JSON object of the allowed value types.
+    /// The line is not a JSON object (carries the codec's
+    /// [`WireError`] text).
     Malformed(String),
     /// The object has no `"ev"` field or an unknown discriminator.
     UnknownEvent(String),
@@ -205,244 +196,82 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A flat JSON value: the only shapes the trace format uses.
-#[derive(Debug, Clone, PartialEq)]
-enum Flat {
-    Str(String),
-    Int(i64),
-    Bool(bool),
-}
-
-/// Parse a flat JSON object (strings, integers, booleans only).
-fn parse_flat(line: &str) -> Result<BTreeMap<String, Flat>, ParseError> {
-    let bytes = line.as_bytes();
-    let mut pos = 0usize;
-    let err = |why: &str| ParseError::Malformed(why.to_string());
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn parse_string(line: &str, bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-        let malformed = |why: &str| ParseError::Malformed(why.to_string());
-        if *pos >= bytes.len() || bytes[*pos] != b'"' {
-            return Err(malformed("expected string"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            if *pos >= bytes.len() {
-                return Err(malformed("unterminated string"));
-            }
-            match bytes[*pos] {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    if *pos >= bytes.len() {
-                        return Err(malformed("truncated escape"));
-                    }
-                    match bytes[*pos] {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if *pos + 4 >= bytes.len() {
-                                return Err(malformed("truncated \\u escape"));
-                            }
-                            let hex = &line[*pos + 1..*pos + 5];
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| malformed("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| malformed("bad \\u codepoint"))?,
-                            );
-                            *pos += 4;
-                        }
-                        _ => return Err(malformed("unknown escape")),
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Advance over one UTF-8 scalar, not one byte.
-                    let rest = &line[*pos..];
-                    let c = rest.chars().next().ok_or_else(|| malformed("bad utf8"))?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    skip_ws(bytes, &mut pos);
-    if pos >= bytes.len() || bytes[pos] != b'{' {
-        return Err(err("expected object"));
-    }
-    pos += 1;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, &mut pos);
-    if pos < bytes.len() && bytes[pos] == b'}' {
-        pos += 1;
-    } else {
-        loop {
-            skip_ws(bytes, &mut pos);
-            let key = parse_string(line, bytes, &mut pos)?;
-            skip_ws(bytes, &mut pos);
-            if pos >= bytes.len() || bytes[pos] != b':' {
-                return Err(err("expected ':'"));
-            }
-            pos += 1;
-            skip_ws(bytes, &mut pos);
-            let value = if pos < bytes.len() && bytes[pos] == b'"' {
-                Flat::Str(parse_string(line, bytes, &mut pos)?)
-            } else if line[pos..].starts_with("true") {
-                pos += 4;
-                Flat::Bool(true)
-            } else if line[pos..].starts_with("false") {
-                pos += 5;
-                Flat::Bool(false)
-            } else {
-                let start = pos;
-                if pos < bytes.len() && bytes[pos] == b'-' {
-                    pos += 1;
-                }
-                while pos < bytes.len() && bytes[pos].is_ascii_digit() {
-                    pos += 1;
-                }
-                if pos == start {
-                    return Err(err("expected value"));
-                }
-                let n: i64 = line[start..pos]
-                    .parse()
-                    .map_err(|_| err("integer out of range"))?;
-                Flat::Int(n)
-            };
-            map.insert(key, value);
-            skip_ws(bytes, &mut pos);
-            match bytes.get(pos) {
-                Some(b',') => {
-                    pos += 1;
-                }
-                Some(b'}') => {
-                    pos += 1;
-                    break;
-                }
-                _ => return Err(err("expected ',' or '}'")),
-            }
-        }
-    }
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err("trailing garbage after object"));
-    }
-    Ok(map)
-}
-
-fn get_str<'m>(map: &'m BTreeMap<String, Flat>, key: &'static str) -> Result<&'m str, ParseError> {
-    match map.get(key) {
-        Some(Flat::Str(s)) => Ok(s),
-        _ => Err(ParseError::MissingField(key)),
-    }
-}
-
-fn get_u64(map: &BTreeMap<String, Flat>, key: &'static str) -> Result<u64, ParseError> {
-    match map.get(key) {
-        Some(Flat::Int(n)) if *n >= 0 => Ok(*n as u64),
-        _ => Err(ParseError::MissingField(key)),
-    }
-}
-
-fn get_i64(map: &BTreeMap<String, Flat>, key: &'static str) -> Result<i64, ParseError> {
-    match map.get(key) {
-        Some(Flat::Int(n)) => Ok(*n),
-        _ => Err(ParseError::MissingField(key)),
-    }
-}
-
-fn get_bool(map: &BTreeMap<String, Flat>, key: &'static str) -> Result<bool, ParseError> {
-    match map.get(key) {
-        Some(Flat::Bool(b)) => Ok(*b),
-        _ => Err(ParseError::MissingField(key)),
-    }
-}
-
 /// Parse one JSONL trace line back into a [`TraceEvent`].
 pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
-    let map = parse_flat(line)?;
-    let ev = get_str(&map, "ev")
+    let doc = JsonValue::parse(line).map_err(|e| ParseError::Malformed(e.0))?;
+    if doc.as_object().is_none() {
+        return Err(ParseError::Malformed("expected object".to_string()));
+    }
+    let missing = |key: &'static str| move |_: WireError| ParseError::MissingField(key);
+    let text = |key: &'static str| str_field(&doc, key).map_err(missing(key));
+    let uint = |key: &'static str| u64_field(&doc, key).map_err(missing(key));
+    let ev = str_field(&doc, "ev")
         .map_err(|_| ParseError::UnknownEvent("<missing \"ev\" field>".to_string()))?;
     match ev {
         "query_begin" => Ok(TraceEvent::QueryBegin {
-            query: get_str(&map, "query")?.to_string(),
-            subjects: get_u64(&map, "subjects")?,
+            query: text("query")?.to_string(),
+            subjects: uint("subjects")?,
         }),
         "span_begin" => Ok(TraceEvent::SpanBegin {
-            span: get_str(&map, "span")?.to_string(),
-            at_us: get_u64(&map, "at_us")?,
+            span: text("span")?.to_string(),
+            at_us: uint("at_us")?,
         }),
         "span_end" => Ok(TraceEvent::SpanEnd {
-            span: get_str(&map, "span")?.to_string(),
-            at_us: get_u64(&map, "at_us")?,
-            dur_us: get_u64(&map, "dur_us")?,
+            span: text("span")?.to_string(),
+            at_us: uint("at_us")?,
+            dur_us: uint("dur_us")?,
         }),
         "align_begin" => Ok(TraceEvent::AlignBegin {
-            subject: get_u64(&map, "subject")?,
-            len: get_u64(&map, "len")?,
-            worker: get_u64(&map, "worker")?,
+            subject: uint("subject")?,
+            len: uint("len")?,
+            worker: uint("worker")?,
         }),
         "col" => {
-            let strategy_name = get_str(&map, "strategy")?;
+            let strategy_name = text("strategy")?;
             let strategy = StrategyKind::parse(strategy_name)
                 .ok_or_else(|| ParseError::BadValue("strategy", strategy_name.to_string()))?;
-            let probe_name = get_str(&map, "probe")?;
+            let probe_name = text("probe")?;
             let probe = ProbeOutcome::parse(probe_name)
                 .ok_or_else(|| ParseError::BadValue("probe", probe_name.to_string()))?;
-            let sweeps = get_u64(&map, "sweeps")?;
+            let sweeps = uint("sweeps")?;
             Ok(TraceEvent::Hybrid(HybridEvent {
-                column: get_u64(&map, "column")?,
+                column: uint("column")?,
                 strategy,
                 lazy_sweeps: u32::try_from(sweeps)
                     .map_err(|_| ParseError::BadValue("sweeps", sweeps.to_string()))?,
-                switched: get_bool(&map, "switched")?,
+                switched: bool_field(&doc, "switched").map_err(missing("switched"))?,
                 probe,
             }))
         }
         "rescue" => Ok(TraceEvent::Rescue {
-            subject: get_u64(&map, "subject")?,
-            from_bits: get_u64(&map, "from_bits")?,
-            to_bits: get_u64(&map, "to_bits")?,
+            subject: uint("subject")?,
+            from_bits: uint("from_bits")?,
+            to_bits: uint("to_bits")?,
         }),
         "align_end" => Ok(TraceEvent::AlignEnd {
-            subject: get_u64(&map, "subject")?,
-            score: get_i64(&map, "score")?,
-            iterate_columns: get_u64(&map, "iterate_columns")?,
-            scan_columns: get_u64(&map, "scan_columns")?,
-            dur_us: get_u64(&map, "dur_us")?,
+            subject: uint("subject")?,
+            score: i64_field(&doc, "score").map_err(missing("score"))?,
+            iterate_columns: uint("iterate_columns")?,
+            scan_columns: uint("scan_columns")?,
+            dur_us: uint("dur_us")?,
         }),
         "query_end" => Ok(TraceEvent::QueryEnd {
-            at_us: get_u64(&map, "at_us")?,
-            hits: get_u64(&map, "hits")?,
+            at_us: uint("at_us")?,
+            hits: uint("hits")?,
         }),
         "stage" => {
-            let stage_name = get_str(&map, "stage")?;
+            let stage_name = text("stage")?;
             let stage = StageKind::parse(stage_name)
                 .ok_or_else(|| ParseError::BadValue("stage", stage_name.to_string()))?;
             Ok(TraceEvent::Stage {
-                request: get_u64(&map, "request")?,
+                request: uint("request")?,
                 stage,
-                at_us: get_u64(&map, "at_us")?,
-                dur_us: get_u64(&map, "dur_us")?,
-                ref_request: get_u64(&map, "ref_request")?,
+                at_us: uint("at_us")?,
+                dur_us: uint("dur_us")?,
+                ref_request: uint("ref_request")?,
             })
         }
-        other => Ok(Err(ParseError::UnknownEvent(other.to_string()))?),
+        other => Err(ParseError::UnknownEvent(other.to_string())),
     }
 }
 
@@ -542,6 +371,27 @@ mod tests {
     }
 
     #[test]
+    fn emitted_bytes_are_pinned() {
+        // Trace files outlive the binary that wrote them: key order,
+        // escapes and number spelling are a compatibility contract.
+        let want = [
+            r#"{"ev":"query_begin","query":"Q\"1\"\n","subjects":3}"#,
+            r#"{"ev":"span_begin","span":"sweep","at_us":12}"#,
+            r#"{"ev":"align_begin","subject":0,"len":40,"worker":1}"#,
+            r#"{"ev":"col","column":5,"strategy":"scan","sweeps":0,"switched":false,"probe":"returned"}"#,
+            r#"{"ev":"col","column":6,"strategy":"iterate","sweeps":4,"switched":true,"probe":"none"}"#,
+            r#"{"ev":"rescue","subject":0,"from_bits":8,"to_bits":16}"#,
+            r#"{"ev":"align_end","subject":0,"score":-3,"iterate_columns":30,"scan_columns":10,"dur_us":88}"#,
+            r#"{"ev":"span_end","span":"sweep","at_us":100,"dur_us":88}"#,
+            r#"{"ev":"query_end","at_us":101,"hits":3}"#,
+            r#"{"ev":"stage","request":41,"stage":"batch_wait","at_us":207,"dur_us":88,"ref_request":40}"#,
+            r#"{"ev":"stage","request":40,"stage":"sweep","at_us":205,"dur_us":90,"ref_request":0}"#,
+        ];
+        let got: Vec<String> = samples().iter().map(event_to_json).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn writer_then_reader_round_trips_a_stream() {
         let events = samples();
         let mut writer = TraceWriter::new(Vec::new());
@@ -588,6 +438,16 @@ mod tests {
             parse_line("{\"ev\":\"query_end\",\"at_us\":1,\"hits\":0} tail"),
             Err(ParseError::Malformed(_))
         ));
+        // The `\u` corpus of `wire.rs`: an escape straddling a
+        // multibyte char (a slice panic in the flat parser this module
+        // used to carry), a truncated escape, a lone surrogate.
+        for query in ["\\u000\u{e9}", "\\u12", "\\ud83d"] {
+            let line = format!("{{\"ev\":\"query_begin\",\"query\":\"{query}\",\"subjects\":1}}");
+            assert!(
+                matches!(parse_line(&line), Err(ParseError::Malformed(_))),
+                "{line}"
+            );
+        }
     }
 
     #[test]
@@ -598,5 +458,12 @@ mod tests {
         };
         let line = event_to_json(&ev);
         assert_eq!(parse_line(&line).unwrap(), ev);
+        // Standard encoders escape non-BMP characters as surrogate
+        // pairs; those decode here exactly as they do on the wire.
+        let paired = r#"{"ev":"query_begin","query":"\ud83d\ude00","subjects":1}"#;
+        let TraceEvent::QueryBegin { query, .. } = parse_line(paired).unwrap() else {
+            panic!("{paired}");
+        };
+        assert_eq!(query, "\u{1f600}");
     }
 }

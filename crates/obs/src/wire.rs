@@ -1,12 +1,13 @@
 //! Versioned wire representation: a dependency-free JSON document
 //! model shared by every machine-readable surface of the workspace.
 //!
-//! The JSONL trace format ([`crate::jsonl`]) is deliberately flat;
-//! the service and metrics surfaces need *nested* documents (hit
-//! arrays, per-worker breakdowns, histogram buckets), so this module
-//! provides the general tree: [`JsonValue`] with a strict recursive
-//! parser and a canonical renderer. On top of it sit the conventions
-//! every wire document follows:
+//! This is the workspace's only JSON parser, escaper and renderer:
+//! [`JsonValue`] with a strict recursive parser and a canonical
+//! renderer. The service and metrics surfaces use it for *nested*
+//! documents (hit arrays, per-worker breakdowns, histogram buckets),
+//! the flat JSONL trace schema ([`crate::jsonl`]), the analyzer's
+//! `--json` reports and the bench envelopes go through it too. On top
+//! of it sit the conventions every wire document follows:
 //!
 //! * **Versioning** — top-level objects carry
 //!   `"schema_version": `[`SCHEMA_VERSION`] as their first key.
@@ -705,9 +706,12 @@ impl<'a> Parser<'a> {
                 return Ok(JsonValue::UInt(u));
             }
         }
-        text.parse::<f64>()
-            .map(JsonValue::Float)
-            .map_err(|_| self.err("bad number"))
+        // `1e999` parses to infinity, which has no JSON spelling (it
+        // would render as `null`): out of range is an error.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(JsonValue::Float(f)),
+            _ => Err(self.err("bad number")),
+        }
     }
 }
 
@@ -740,6 +744,7 @@ mod tests {
             "nul",
             "{\"a\":1,\"a\":2}",
             "--3",
+            "1e999",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }

@@ -1,10 +1,10 @@
 //! The persistent search engine: a long-lived worker pool behind the
 //! paper's Sec. V-E database sweep.
 //!
-//! The one-shot drivers ([`search_database`](crate::search_database)
-//! and friends) spawn a fresh `thread::scope` per query — fine for
-//! figure replication, wasteful for sustained query traffic. A
-//! [`SearchEngine`] instead spawns its workers **once**; each worker
+//! The one-shot [`search_database`](crate::search_database) builds
+//! and tears down a pool per query — fine for figure replication,
+//! wasteful for sustained query traffic. A [`SearchEngine`] instead
+//! spawns its workers **once**; each worker
 //! permanently owns an [`AlignScratch`], so after the first query the
 //! hot loop of every subsequent query touches no allocator and no
 //! thread-creation syscall. Queries are fed to the pool through the
@@ -55,9 +55,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aalign_bio::{SeqDatabase, Sequence};
-use aalign_core::{
-    AlignConfig, AlignError, AlignScratch, Aligner, PreparedQuery, RunStats, WidthPolicy,
-};
+use aalign_core::{AlignError, AlignScratch, Aligner, PreparedQuery, RunStats, WidthPolicy};
 use aalign_obs::{CollectorSink, Histogram, TraceEvent};
 
 use crate::metrics::{
@@ -67,10 +65,6 @@ use crate::protocol::{ProgressCounters, SharedBatch, WorkIndex};
 use crate::search::{Hit, SearchOptions, SearchReport};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
-
-/// Subjects per inter-sequence batch (one vector's worth; the
-/// length-sorted order keeps batches dense).
-pub(crate) const INTER_BATCH: usize = 16;
 
 /// Microseconds elapsed since `t0`, saturating into `u64`.
 fn elapsed_us(t0: Instant) -> u64 {
@@ -237,7 +231,6 @@ fn spawn_worker(id: usize) -> Worker {
 ///
 /// Construction spawns the worker pool; every
 /// [`search`](SearchEngine::search) /
-/// [`search_inter`](SearchEngine::search_inter) /
 /// [`pipeline`](SearchEngine::pipeline) call reuses it. Dropping the
 /// engine shuts the workers down.
 ///
@@ -285,21 +278,22 @@ impl std::fmt::Debug for SearchEngine {
     }
 }
 
-/// Everything a sweep shares across workers, independent of the
-/// vectorization axis.
+/// Everything one query's sweep shares across workers.
 struct SweepShared<'a> {
-    /// Next work slot (subject index for intra, batch index for
-    /// inter) — the paper's dynamic binding
-    /// ([`WorkIndex`], loom-checked in `tests/loom_work_index.rs`).
+    aligner: &'a Aligner,
+    /// The query profile, built once per query and shared read-only.
+    prepared: &'a PreparedQuery,
+    db: &'a SeqDatabase,
+    /// Database indices, longest subject first: work slot `k` scores
+    /// subject `order[k]`.
+    order: &'a [usize],
+    /// Next work slot — the paper's dynamic binding ([`WorkIndex`],
+    /// loom-checked in `tests/loom_work_index.rs`).
     index: &'a WorkIndex,
     /// Subjects/residues completed across all workers
     /// ([`ProgressCounters`], loom-checked in
     /// `tests/loom_progress.rs`).
     completed: &'a ProgressCounters,
-    /// Number of work slots.
-    total_slots: usize,
-    /// Subjects in the whole sweep (for progress snapshots).
-    subjects_total: usize,
     /// Slots grabbed per atomic fetch.
     shard: usize,
     top_n: usize,
@@ -314,12 +308,11 @@ struct SweepShared<'a> {
     /// Wall-clock deadline, polled at shard boundaries alongside
     /// cancellation.
     deadline: Option<&'a DeadlineGuard>,
-    /// Maps a work slot to the database index reported in
-    /// [`AlignError::WorkerPanicked`] (identity-ish for the intra
-    /// sweep's sorted order; first-of-batch for the inter sweep).
-    db_index_of: &'a (dyn Fn(usize) -> usize + Sync),
-    /// Scripted slot-level faults (stalls, panics), when a plan is
-    /// attached.
+    /// Wider-width retry path for saturated runs, when
+    /// [`SearchOptions::rescue`] is on.
+    ladder: Option<&'a RescueLadder<'a>>,
+    /// Scripted slot-level faults (stalls, panics, forced
+    /// saturation), when a plan is attached.
     #[cfg(feature = "fault-inject")]
     fault: Option<&'a crate::fault::FaultPlan>,
 }
@@ -342,7 +335,7 @@ struct SweepOut {
     worker: WorkerMetrics,
 }
 
-/// Counters a slot-scoring closure feeds during the sweep.
+/// Counters [`SweepShared::score_subject`] feeds during the sweep.
 #[derive(Default)]
 struct Tallies {
     stats: RunStats,
@@ -353,9 +346,9 @@ struct Tallies {
     /// saturated.
     rescue_widths: Histogram,
     /// Pool-local id of the worker running this sweep, stamped by
-    /// [`run_sweep_worker`] so slot closures can tag trace events.
+    /// [`run_sweep_worker`] so trace events can be tagged with it.
     worker_id: usize,
-    /// Per-worker trace buffer: slot closures append complete
+    /// Per-worker trace buffer: each scored subject appends a complete
     /// `AlignBegin` … `AlignEnd` batches; the sweep loop drains it
     /// into the shared collector once per shard.
     sink: CollectorSink,
@@ -451,20 +444,108 @@ impl Collector {
     }
 }
 
-/// Scores one work slot into the collector, returning the
-/// `(subjects, residues)` it completed.
-type SlotFn<'a> = dyn Fn(&mut AlignScratch, usize, &mut Collector, &mut Tallies) -> Result<(usize, usize), AlignError>
-    + Sync
-    + 'a;
+impl SweepShared<'_> {
+    /// Score the subject in work slot `slot` into the collector and
+    /// return its residue count.
+    fn score_subject(
+        &self,
+        scratch: &mut AlignScratch,
+        slot: usize,
+        collector: &mut Collector,
+        tallies: &mut Tallies,
+    ) -> Result<usize, AlignError> {
+        let (aligner, prepared) = (self.aligner, self.prepared);
+        let tracing = self.trace.is_some();
+        let db_index = self.order[slot];
+        let subject = self.db.get(db_index);
+        let t_align = Instant::now();
+        // `col_mark` tracks where the current kernel run's column
+        // events start, so a rescue can drop the discarded run's
+        // columns while keeping the subject's envelope open.
+        let mut col_mark = tallies.sink.events.len();
+        if tracing {
+            // One contiguous batch per subject: envelope plus the
+            // kernel's per-column events, buffered worker-locally.
+            tallies.sink.events.push(TraceEvent::AlignBegin {
+                subject: db_index as u64,
+                len: subject.len() as u64,
+                worker: tallies.worker_id as u64,
+            });
+            col_mark = tallies.sink.events.len();
+        }
+        let mut out = if tracing {
+            aligner.align_prepared_sink(prepared, subject, scratch, &mut tallies.sink)?
+        } else {
+            aligner.align_prepared(prepared, subject, scratch)?
+        };
+        #[cfg(feature = "fault-inject")]
+        if let Some(plan) = self.fault {
+            if plan.should_saturate(slot) {
+                out.saturated = true;
+            }
+        }
+        if out.saturated {
+            // Overflow rescue: the fixed-width run's lanes
+            // saturated (sticky influence test in the kernel);
+            // re-align at each wider width until one holds the
+            // score exactly. The rescued run's result replaces
+            // the saturated one wholesale — stats, trace columns,
+            // and score all describe the kept run.
+            if let Some(ladder) = self.ladder {
+                for &to_bits in RescueLadder::widths_above(out.elem_bits) {
+                    let from_bits = out.elem_bits;
+                    let kit = ladder.kit(to_bits)?;
+                    tallies.rescue_widths.record(u64::from(from_bits));
+                    if tracing {
+                        tallies.sink.events.truncate(col_mark);
+                        tallies.sink.events.push(TraceEvent::Rescue {
+                            subject: db_index as u64,
+                            from_bits: u64::from(from_bits),
+                            to_bits: u64::from(to_bits),
+                        });
+                        col_mark = tallies.sink.events.len();
+                        out = kit.aligner.align_prepared_sink(
+                            &kit.prepared,
+                            subject,
+                            scratch,
+                            &mut tallies.sink,
+                        )?;
+                    } else {
+                        out = kit
+                            .aligner
+                            .align_prepared(&kit.prepared, subject, scratch)?;
+                    }
+                    if !out.saturated {
+                        tallies.rescued += 1;
+                        break;
+                    }
+                }
+            }
+        }
+        if tracing {
+            tallies.sink.events.push(TraceEvent::AlignEnd {
+                subject: db_index as u64,
+                score: i64::from(out.score),
+                iterate_columns: out.stats.iterate_columns as u64,
+                scan_columns: out.stats.scan_columns as u64,
+                dur_us: elapsed_us(t_align),
+            });
+        }
+        tallies.stats.merge(&out.stats);
+        tallies.width_retries += u64::from(out.width_retries);
+        collector.offer(Hit {
+            db_index,
+            len: subject.len(),
+            score: out.score,
+        });
+        Ok(subject.len())
+    }
+}
 
 /// The dispatch loop every worker runs for one query: pull shards off
-/// the atomic index, score each slot via `score_slot`, publish
-/// progress, honor cancellation.
-fn run_sweep_worker(
-    shared: &SweepShared<'_>,
-    state: &mut WorkerState,
-    score_slot: &SlotFn<'_>,
-) -> SweepOut {
+/// the atomic index, score each subject, publish progress, honor
+/// cancellation.
+fn run_sweep_worker(shared: &SweepShared<'_>, state: &mut WorkerState) -> SweepOut {
     let t0 = Instant::now();
     state.queries += 1;
     let mut collector = Collector::new(shared.top_n);
@@ -491,7 +572,7 @@ fn run_sweep_worker(
                 break;
             }
         }
-        let Some((start, end)) = shared.index.claim(shared.shard, shared.total_slots) else {
+        let Some((start, end)) = shared.index.claim(shared.shard, shared.order.len()) else {
             break;
         };
         let mut shard_subjects = 0usize;
@@ -514,13 +595,13 @@ fn run_sweep_worker(
                         panic!("fault-inject: panic scoring slot {slot}");
                     }
                 }
-                score_slot(&mut state.scratch, slot, &mut collector, &mut tallies)
+                shared.score_subject(&mut state.scratch, slot, &mut collector, &mut tallies)
             }));
             match scored {
-                Ok(Ok((s, r))) => {
+                Ok(Ok(residues)) => {
                     latency.record(u64::try_from(t_slot.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                    shard_subjects += s;
-                    shard_residues += r;
+                    shard_subjects += 1;
+                    shard_residues += residues;
                 }
                 Ok(Err(e)) => {
                     err = Some(e);
@@ -534,7 +615,7 @@ fn run_sweep_worker(
                     state.scratch = AlignScratch::new();
                     tallies.sink.events.truncate(batch_mark);
                     soft.push(AlignError::WorkerPanicked {
-                        db_index: (shared.db_index_of)(slot),
+                        db_index: shared.order[slot],
                         payload: payload_string(payload),
                     });
                 }
@@ -552,7 +633,7 @@ fn run_sweep_worker(
         if let Some(progress) = shared.progress {
             progress(&SearchProgress {
                 subjects_done: done,
-                subjects_total: shared.subjects_total,
+                subjects_total: shared.order.len(),
                 residues_done,
             });
         }
@@ -782,17 +863,13 @@ impl SearchEngine {
             .collect()
     }
 
-    /// How many workers a sweep with `slots` work items engages.
-    fn active_for(&self, slots: usize) -> usize {
-        self.threads.min(slots.max(1))
-    }
-
     /// Align `query` against every subject of `db` using the pooled
-    /// workers and the intra-sequence (striped) kernels.
+    /// workers and the striped kernels. This is the workspace's one
+    /// database sweep; every other search entry point calls it.
     ///
     /// `opts.threads` is ignored here — the pool size, fixed at
-    /// construction, governs; the one-shot wrappers consult it when
-    /// sizing their transient engine.
+    /// construction, governs; the one-shot `search_database` consults
+    /// it when sizing its transient engine.
     pub fn search(
         &self,
         aligner: &Aligner,
@@ -827,121 +904,28 @@ impl SearchEngine {
             .deadline
             .and_then(|budget| DeadlineGuard::new(t_total, budget));
         let shared_ctx = (WorkIndex::new(), ProgressCounters::new());
-        let order_ref = &order;
-        let db_index_of = move |slot: usize| order_ref[slot];
+        let ladder = opts.rescue.then(|| RescueLadder::new(aligner, query));
         let shared = SweepShared {
+            aligner,
+            prepared: &prepared,
+            db,
+            order: &order,
             index: &shared_ctx.0,
             completed: &shared_ctx.1,
-            total_slots: order.len(),
-            subjects_total: order.len(),
             shard: opts.shard.max(1),
             top_n: opts.top_n,
             cancel: opts.cancel.as_ref(),
             progress: opts.progress.as_ref(),
             trace: trace.as_ref(),
             deadline: deadline.as_ref(),
-            db_index_of: &db_index_of,
+            ladder: ladder.as_ref(),
             #[cfg(feature = "fault-inject")]
             fault: opts.fault_plan.as_deref(),
         };
-        let order = &order;
-        let prepared = &prepared;
-        let tracing = trace.is_some();
-        let ladder = opts.rescue.then(|| RescueLadder::new(aligner, query));
-        let ladder = ladder.as_ref();
-        #[cfg(feature = "fault-inject")]
-        let fault = opts.fault_plan.as_deref();
-        let score_slot = move |scratch: &mut AlignScratch,
-                               slot: usize,
-                               collector: &mut Collector,
-                               tallies: &mut Tallies|
-              -> Result<(usize, usize), AlignError> {
-            let db_index = order[slot];
-            let subject = db.get(db_index);
-            let t_align = Instant::now();
-            // `col_mark` tracks where the current kernel run's column
-            // events start, so a rescue can drop the discarded run's
-            // columns while keeping the subject's envelope open.
-            let mut col_mark = tallies.sink.events.len();
-            if tracing {
-                // One contiguous batch per subject: envelope plus the
-                // kernel's per-column events, buffered worker-locally.
-                tallies.sink.events.push(TraceEvent::AlignBegin {
-                    subject: db_index as u64,
-                    len: subject.len() as u64,
-                    worker: tallies.worker_id as u64,
-                });
-                col_mark = tallies.sink.events.len();
-            }
-            let mut out = if tracing {
-                aligner.align_prepared_sink(prepared, subject, scratch, &mut tallies.sink)?
-            } else {
-                aligner.align_prepared(prepared, subject, scratch)?
-            };
-            #[cfg(feature = "fault-inject")]
-            if let Some(plan) = fault {
-                if plan.should_saturate(slot) {
-                    out.saturated = true;
-                }
-            }
-            if out.saturated {
-                // Overflow rescue: the fixed-width run's lanes
-                // saturated (sticky influence test in the kernel);
-                // re-align at each wider width until one holds the
-                // score exactly. The rescued run's result replaces
-                // the saturated one wholesale — stats, trace columns,
-                // and score all describe the kept run.
-                if let Some(ladder) = ladder {
-                    for &to_bits in RescueLadder::widths_above(out.elem_bits) {
-                        let from_bits = out.elem_bits;
-                        let kit = ladder.kit(to_bits)?;
-                        tallies.rescue_widths.record(u64::from(from_bits));
-                        if tracing {
-                            tallies.sink.events.truncate(col_mark);
-                            tallies.sink.events.push(TraceEvent::Rescue {
-                                subject: db_index as u64,
-                                from_bits: u64::from(from_bits),
-                                to_bits: u64::from(to_bits),
-                            });
-                            col_mark = tallies.sink.events.len();
-                            out = kit.aligner.align_prepared_sink(
-                                &kit.prepared,
-                                subject,
-                                scratch,
-                                &mut tallies.sink,
-                            )?;
-                        } else {
-                            out = kit
-                                .aligner
-                                .align_prepared(&kit.prepared, subject, scratch)?;
-                        }
-                        if !out.saturated {
-                            tallies.rescued += 1;
-                            break;
-                        }
-                    }
-                }
-            }
-            if tracing {
-                tallies.sink.events.push(TraceEvent::AlignEnd {
-                    subject: db_index as u64,
-                    score: i64::from(out.score),
-                    iterate_columns: out.stats.iterate_columns as u64,
-                    scan_columns: out.stats.scan_columns as u64,
-                    dur_us: elapsed_us(t_align),
-                });
-            }
-            tallies.stats.merge(&out.stats);
-            tallies.width_retries += u64::from(out.width_retries);
-            collector.offer(Hit {
-                db_index,
-                len: subject.len(),
-                score: out.score,
-            });
-            Ok((1, subject.len()))
-        };
 
-        let active = self.active_for(order.len());
+        // One worker per subject at most; an empty database still
+        // engages one so errors surface.
+        let active = self.threads.min(order.len().max(1));
         if let Some(tc) = &trace {
             tc.push(TraceEvent::SpanBegin {
                 span: "sweep".to_string(),
@@ -950,7 +934,7 @@ impl SearchEngine {
         }
         let t_sweep = Instant::now();
         let outs = self.run_on_pool(active, JobFaults::from_options(opts), |state| {
-            run_sweep_worker(&shared, state, &score_slot)
+            run_sweep_worker(&shared, state)
         });
         let sweep = t_sweep.elapsed();
         if let Some(tc) = &trace {
@@ -978,132 +962,6 @@ impl SearchEngine {
                 sweep,
             },
             certified_width,
-            trace,
-        )
-    }
-
-    /// Inter-sequence variant: batches of 16 subjects
-    /// aligned simultaneously, one vector lane each. Hit-identical to
-    /// [`search`](SearchEngine::search); only the vectorization axis
-    /// differs.
-    pub fn search_inter(
-        &self,
-        cfg: &AlignConfig,
-        query: &Sequence,
-        db: &SeqDatabase,
-        opts: &SearchOptions,
-    ) -> Result<SearchReport, AlignError> {
-        let t_total = Instant::now();
-        // The inter-sequence kernel scores 16 subjects per vector and
-        // has no per-column hybrid decisions to report, so a traced
-        // inter sweep carries the query/span framing only.
-        let trace = opts.trace.then(SharedBatch::<TraceEvent>::new);
-        if let Some(tc) = &trace {
-            tc.push(TraceEvent::QueryBegin {
-                query: query.id().to_string(),
-                subjects: db.len() as u64,
-            });
-            tc.push(TraceEvent::SpanBegin {
-                span: "prepare".to_string(),
-                at_us: 0,
-            });
-        }
-        if query.is_empty() {
-            return Err(AlignError::EmptyQuery);
-        }
-        cfg.check_seq(query)?;
-        for s in db.sequences() {
-            cfg.check_seq(s)?;
-        }
-        let prepare = t_total.elapsed();
-        if let Some(tc) = &trace {
-            tc.push(TraceEvent::SpanEnd {
-                span: "prepare".to_string(),
-                at_us: elapsed_us(t_total),
-                dur_us: dur_us(prepare),
-            });
-        }
-
-        let t2 = cfg.table2();
-        let order = db.sorted_by_length_desc();
-        let batches: Vec<&[usize]> = order.chunks(INTER_BATCH).collect();
-        let deadline = opts
-            .deadline
-            .and_then(|budget| DeadlineGuard::new(t_total, budget));
-        let shared_ctx = (WorkIndex::new(), ProgressCounters::new());
-        let batches_ref = &batches;
-        // A panicked inter slot reports its batch's first subject.
-        let db_index_of = move |slot: usize| batches_ref[slot].first().copied().unwrap_or(0);
-        let shared = SweepShared {
-            index: &shared_ctx.0,
-            completed: &shared_ctx.1,
-            total_slots: batches.len(),
-            subjects_total: order.len(),
-            shard: opts.shard.max(1),
-            top_n: opts.top_n,
-            cancel: opts.cancel.as_ref(),
-            progress: opts.progress.as_ref(),
-            trace: trace.as_ref(),
-            deadline: deadline.as_ref(),
-            db_index_of: &db_index_of,
-            #[cfg(feature = "fault-inject")]
-            fault: opts.fault_plan.as_deref(),
-        };
-        let batches = &batches;
-        let score_slot = |_scratch: &mut AlignScratch,
-                          slot: usize,
-                          collector: &mut Collector,
-                          _tallies: &mut Tallies|
-         -> Result<(usize, usize), AlignError> {
-            let batch = batches[slot];
-            let subjects: Vec<&Sequence> = batch.iter().map(|&i| db.get(i)).collect();
-            let scores = aalign_core::inter_align_all(t2, &cfg.matrix, query, &subjects);
-            let mut residues = 0usize;
-            for (&db_index, score) in batch.iter().zip(scores) {
-                let len = db.get(db_index).len();
-                residues += len;
-                collector.offer(Hit {
-                    db_index,
-                    len,
-                    score,
-                });
-            }
-            Ok((batch.len(), residues))
-        };
-
-        let active = self.active_for(batches.len());
-        if let Some(tc) = &trace {
-            tc.push(TraceEvent::SpanBegin {
-                span: "sweep".to_string(),
-                at_us: elapsed_us(t_total),
-            });
-        }
-        let t_sweep = Instant::now();
-        let outs = self.run_on_pool(active, JobFaults::from_options(opts), |state| {
-            run_sweep_worker(&shared, state, &score_slot)
-        });
-        let sweep = t_sweep.elapsed();
-        if let Some(tc) = &trace {
-            tc.push(TraceEvent::SpanEnd {
-                span: "sweep".to_string(),
-                at_us: elapsed_us(t_total),
-                dur_us: dur_us(sweep),
-            });
-        }
-
-        self.finish(
-            query.len(),
-            active,
-            outs,
-            opts.top_n,
-            StageTimes {
-                started: t_total,
-                prepare,
-                sweep,
-            },
-            // The inter path takes a bare config (no aligner), so no
-            // certificate store is in scope to consult.
-            0,
             trace,
         )
     }
@@ -1282,7 +1140,7 @@ mod tests {
     use super::*;
     use aalign_bio::matrices::BLOSUM62;
     use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
-    use aalign_core::{AlignKind, GapModel, Strategy};
+    use aalign_core::{AlignConfig, AlignKind, GapModel, Strategy};
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
@@ -1518,18 +1376,35 @@ mod tests {
     }
 
     #[test]
-    fn inter_engine_matches_intra_engine() {
+    fn engine_matches_the_inter_sequence_oracle() {
+        // `aalign_core::inter` shares no code with the striped
+        // kernels (one lane per subject, no wavefront to repair), so
+        // agreeing with it score for score checks the whole sweep
+        // against a structurally independent implementation.
         let mut rng = seeded_rng(9900);
         let q = named_query(&mut rng, 60);
         let db = swissprot_like_db(9901, 45);
-        let cfg = AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62);
+        let subjects: Vec<&Sequence> = db.sequences().iter().collect();
         let engine = SearchEngine::new(2);
-        let a = Aligner::new(cfg.clone()).with_strategy(Strategy::Hybrid);
-        for top_n in [0usize, 7] {
-            let opts = SearchOptions::new().top_n(top_n);
-            let intra = engine.search(&a, &q, &db, &opts).unwrap();
-            let inter = engine.search_inter(&cfg, &q, &db, &opts).unwrap();
-            assert_eq!(intra.hits, inter.hits, "top_n={top_n}");
+        for kind in [AlignKind::Local, AlignKind::Global, AlignKind::SemiGlobal] {
+            let a = aligner(kind);
+            let cfg = a.config();
+            let scores = aalign_core::inter_align_all(cfg.table2(), &cfg.matrix, &q, &subjects);
+            let mut want: Vec<Hit> = (0..db.len())
+                .map(|i| Hit {
+                    db_index: i,
+                    len: db.get(i).len(),
+                    score: scores[i],
+                })
+                .collect();
+            rank_hits(&mut want);
+            for top_n in [0usize, 7] {
+                let got = engine
+                    .search(&a, &q, &db, &SearchOptions::new().top_n(top_n))
+                    .unwrap();
+                let keep = if top_n == 0 { want.len() } else { top_n };
+                assert_eq!(got.hits, want[..keep], "{kind:?} top_n={top_n}");
+            }
         }
     }
 

@@ -1,10 +1,10 @@
 //! Engine-sharing façade: a cheaply clonable, thread-safe handle to
 //! one [`SearchEngine`].
 //!
-//! The CLI, the batch pipeline, and the `aalign-serve` dispatcher all
-//! construct their engine through this one type, so there is a single
-//! code path from "requested thread count" to "running pool" — the
-//! per-call-site plumbing the one-shot helpers used to duplicate.
+//! The CLI, the one-shot [`search_database`](crate::search_database),
+//! and the `aalign-serve` dispatcher all construct their engine
+//! through this one type, so there is a single code path from
+//! "requested thread count" to "running pool".
 //!
 //! [`EngineHandle`] is `Clone + Send + Sync` (an `Arc` around the
 //! engine, which is itself `Sync`), so a server can hand one clone to
@@ -31,7 +31,7 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use crate::engine::{resolve_threads, SearchEngine, INTER_BATCH};
+use crate::engine::{resolve_threads, SearchEngine};
 
 /// Clonable, `Send + Sync` handle to a shared [`SearchEngine`].
 ///
@@ -54,23 +54,12 @@ impl EngineHandle {
     /// `threads` is resolved (0 = available parallelism) and then
     /// capped at `work_items`, so a one-shot search over a tiny
     /// database never spawns idle workers. This is the construction
-    /// path the one-shot helpers ([`search_database`],
-    /// [`search_pipeline`], …) and the CLI share.
-    ///
-    /// [`search_database`]: crate::search_database
-    /// [`search_pipeline`]: crate::search_pipeline
+    /// path [`search_database`](crate::search_database) and the CLI
+    /// share.
     pub fn transient(threads: usize, work_items: usize) -> Self {
         Self::from(SearchEngine::new(
             resolve_threads(threads).min(work_items.max(1)),
         ))
-    }
-
-    /// Handle sized for a one-shot *inter-sequence* sweep over a
-    /// database of `subjects`: work items are the engine's 16-subject
-    /// lane batches, so the pool is capped at the batch count rather
-    /// than the subject count.
-    pub fn transient_inter(threads: usize, subjects: usize) -> Self {
-        Self::transient(threads, subjects.div_ceil(INTER_BATCH))
     }
 
     /// Borrow the underlying engine (equivalent to deref).
@@ -111,11 +100,6 @@ mod tests {
         assert_eq!(EngineHandle::transient(2, 100).threads(), 2);
         // Empty work still gets one worker (errors must surface).
         assert_eq!(EngineHandle::transient(4, 0).threads(), 1);
-        // Inter mode counts lane batches, not subjects.
-        assert_eq!(
-            EngineHandle::transient_inter(8, INTER_BATCH * 2).threads(),
-            2
-        );
     }
 
     #[test]

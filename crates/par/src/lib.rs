@@ -16,13 +16,14 @@
 //! query. Sweeps honor a [`CancelToken`] and an optional progress
 //! callback, and every report carries [`SearchMetrics`].
 //!
-//! One-shot helpers ([`search_database`], [`search_database_inter`],
-//! [`search_pipeline`]) are thin wrappers that build a transient
-//! engine through the shared [`EngineHandle`] construction path;
-//! results are identical either way. Long-lived consumers (the CLI's
-//! repeated queries, `aalign-serve`) hold an [`EngineHandle`] — a
-//! `Clone + Send + Sync` `Arc` façade over the engine — so every
-//! layer shares one pool through one code path.
+//! There is one sweep — [`SearchEngine::search`] — and everything
+//! else is a caller of it: [`SearchEngine::pipeline`] adds statistics
+//! and traceback on top, and the one-shot [`search_database`] runs it
+//! on a transient engine built through [`EngineHandle::transient`];
+//! results are identical either way. Long-lived consumers
+//! (`aalign-serve`) hold an [`EngineHandle`] — a `Clone + Send +
+//! Sync` `Arc` façade over the engine — so every layer shares one
+//! pool through one code path.
 //!
 //! The [`wire`] module is the versioned JSON wire format for
 //! [`Hit`], [`SearchMetrics`], [`SearchReport`], and
@@ -47,5 +48,5 @@ pub use handle::EngineHandle;
 pub use metrics::{
     CancelToken, ProgressFn, SearchMetrics, SearchProgress, ShardOutcome, WorkerMetrics,
 };
-pub use pipeline::{search_pipeline, PipelineHit, PipelineOptions, PipelineReport};
-pub use search::{search_database, search_database_inter, Hit, SearchOptions, SearchReport};
+pub use pipeline::{PipelineHit, PipelineOptions, PipelineReport};
+pub use search::{search_database, Hit, SearchOptions, SearchReport};

@@ -3,10 +3,8 @@
 //!
 //! Stages:
 //!
-//! 1. **Score sweep** — every subject scored with the SIMD kernels,
-//!    multithreaded: the hybrid intra-sequence kernels by default,
-//!    or the inter-sequence engine when explicitly enabled via
-//!    [`PipelineOptions::inter_threshold`].
+//! 1. **Score sweep** — every subject scored with the hybrid SIMD
+//!    kernels, multithreaded ([`SearchEngine::search`]).
 //! 2. **Statistics** — bit scores and E-values (Karlin–Altschul) for
 //!    the survivors of an E-value cutoff.
 //! 3. **Traceback** — full alignments (rows + CIGAR) for the top
@@ -15,7 +13,7 @@
 //!
 //! Like the raw sweep, the pipeline runs on a [`SearchEngine`]: hold
 //! one and call [`SearchEngine::pipeline`] to serve many queries from
-//! the same worker pool; [`search_pipeline`] is the one-shot wrapper.
+//! the same worker pool.
 
 use aalign_bio::stats::{bit_score, evalue, KarlinParams};
 use aalign_bio::{SeqDatabase, Sequence};
@@ -23,59 +21,35 @@ use aalign_core::traceback::{traceback_align, Alignment};
 use aalign_core::{AlignConfig, AlignError, Aligner, Strategy};
 
 use crate::engine::SearchEngine;
-use crate::handle::EngineHandle;
-use crate::metrics::{CancelToken, ProgressFn, SearchMetrics, SearchProgress};
+use crate::metrics::SearchMetrics;
 use crate::search::SearchOptions;
 
 /// Pipeline tuning, built fluently
-/// (`PipelineOptions::new().threads(4).max_evalue(1e-3)`).
+/// (`PipelineOptions::new().max_evalue(1e-3).traceback_top(3)`).
 ///
 /// `#[non_exhaustive]`: construct through [`PipelineOptions::new`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct PipelineOptions {
-    /// Worker threads for the one-shot wrapper (0 = available
-    /// parallelism); a persistent [`SearchEngine`] uses its pool.
-    pub threads: usize,
+    /// Options of the stage-1 sweep: deadline, progress, trace and
+    /// `top_n` apply to the sweep; its cancellation token is honored
+    /// in every stage.
+    pub search: SearchOptions,
     /// Keep hits with E-value at or below this cutoff.
     pub max_evalue: f64,
     /// Reconstruct alignments for at most this many top hits.
     pub traceback_top: usize,
     /// Statistics parameters (λ, K) for bit scores / E-values.
     pub stats: KarlinParams,
-    /// Mean subject length below which the inter-sequence engine is
-    /// used for the sweep. Defaults to 0 (always intra): with the
-    /// current scalar-gather inter kernel, intra is faster at every
-    /// length (see the `ablation_inter` bench); raise this if you
-    /// swap in a SIMD-gather inter engine.
-    pub inter_threshold: f64,
-    /// Wall-clock budget for the stage-1 sweep (see
-    /// [`SearchOptions::deadline`]); on expiry the pipeline report
-    /// comes back [`partial`](PipelineReport::partial) with the
-    /// completed subjects' statistics.
-    pub deadline: Option<std::time::Duration>,
-    /// Cooperative cancellation, honored in every stage.
-    pub cancel: Option<CancelToken>,
-    /// Sweep progress callback (runs on worker threads).
-    pub progress: Option<ProgressFn>,
-    /// Collect a structured trace of the stage-1 sweep (see
-    /// [`SearchOptions::trace`]); events surface on
-    /// [`PipelineReport::trace_events`].
-    pub trace: bool,
 }
 
 impl Default for PipelineOptions {
     fn default() -> Self {
         Self {
-            threads: 0,
+            search: SearchOptions::new(),
             max_evalue: 10.0,
             traceback_top: 5,
             stats: aalign_bio::stats::BLOSUM62_GAPPED_11_1,
-            inter_threshold: 0.0,
-            deadline: None,
-            cancel: None,
-            progress: None,
-            trace: false,
         }
     }
 }
@@ -86,9 +60,9 @@ impl PipelineOptions {
         Self::default()
     }
 
-    /// Set the worker thread count (0 = available parallelism).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Set the stage-1 sweep options.
+    pub fn search(mut self, search: SearchOptions) -> Self {
+        self.search = search;
         self
     }
 
@@ -108,54 +82,6 @@ impl PipelineOptions {
     pub fn stats(mut self, stats: KarlinParams) -> Self {
         self.stats = stats;
         self
-    }
-
-    /// Use the inter-sequence sweep below this mean subject length.
-    pub fn inter_threshold(mut self, mean_len: f64) -> Self {
-        self.inter_threshold = mean_len;
-        self
-    }
-
-    /// Give the stage-1 sweep a wall-clock budget.
-    pub fn deadline(mut self, budget: std::time::Duration) -> Self {
-        self.deadline = Some(budget);
-        self
-    }
-
-    /// Attach a cancellation token.
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Attach a sweep progress callback (runs on worker threads).
-    pub fn on_progress(
-        mut self,
-        callback: impl Fn(&SearchProgress) + Send + Sync + 'static,
-    ) -> Self {
-        self.progress = Some(std::sync::Arc::new(callback));
-        self
-    }
-
-    /// Collect a structured trace of the stage-1 sweep.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
-        self
-    }
-}
-
-impl std::fmt::Debug for PipelineOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelineOptions")
-            .field("threads", &self.threads)
-            .field("max_evalue", &self.max_evalue)
-            .field("traceback_top", &self.traceback_top)
-            .field("inter_threshold", &self.inter_threshold)
-            .field("deadline", &self.deadline)
-            .field("cancel", &self.cancel.is_some())
-            .field("progress", &self.progress.is_some())
-            .field("trace", &self.trace)
-            .finish()
     }
 }
 
@@ -184,13 +110,11 @@ pub struct PipelineReport {
     pub hits: Vec<PipelineHit>,
     /// Subjects scored in stage 1.
     pub subjects_scored: usize,
-    /// Which sweep engine stage 1 used (`"inter"` / `"intra"`).
-    pub sweep_mode: &'static str,
     /// Stage-1 sweep metrics (times, GCUPS, kernel counters,
     /// per-worker load).
     pub metrics: SearchMetrics,
     /// The stage-1 sweep's structured trace when
-    /// [`PipelineOptions::trace`] was set (empty otherwise).
+    /// [`SearchOptions::trace`] was set (empty otherwise).
     pub trace_events: Vec<aalign_obs::TraceEvent>,
     /// True when the stage-1 sweep did not cover the whole database
     /// (deadline expiry, per-subject panic, or a lost worker); the
@@ -211,21 +135,12 @@ impl SearchEngine {
         opts: &PipelineOptions,
     ) -> Result<PipelineReport, AlignError> {
         // Stage 1: sweep.
-        let mut search_opts = SearchOptions::new();
-        search_opts.cancel = opts.cancel.clone();
-        search_opts.progress = opts.progress.clone();
-        search_opts.trace = opts.trace;
-        search_opts.deadline = opts.deadline;
-        let (report, sweep_mode) = if !db.is_empty() && db.stats().mean_len < opts.inter_threshold {
-            (self.search_inter(cfg, query, db, &search_opts)?, "inter")
-        } else {
-            let aligner = Aligner::new(cfg.clone()).with_strategy(Strategy::Hybrid);
-            (self.search(&aligner, query, db, &search_opts)?, "intra")
-        };
+        let aligner = Aligner::new(cfg.clone()).with_strategy(Strategy::Hybrid);
+        let report = self.search(&aligner, query, db, &opts.search)?;
         let trace_events = report.trace_events;
 
         let cancelled = || -> Result<(), AlignError> {
-            match &opts.cancel {
+            match &opts.search.cancel {
                 Some(token) if token.is_cancelled() => Err(AlignError::Cancelled),
                 _ => Ok(()),
             }
@@ -260,7 +175,6 @@ impl SearchEngine {
         Ok(PipelineReport {
             hits,
             subjects_scored: report.subjects,
-            sweep_mode,
             metrics: report.metrics,
             trace_events,
             partial: report.partial,
@@ -269,28 +183,25 @@ impl SearchEngine {
     }
 }
 
-/// Run the full pipeline on a transient engine (one-shot wrapper over
-/// [`SearchEngine::pipeline`]).
-pub fn search_pipeline(
-    cfg: &AlignConfig,
-    query: &Sequence,
-    db: &SeqDatabase,
-    opts: PipelineOptions,
-) -> Result<PipelineReport, AlignError> {
-    EngineHandle::transient(opts.threads, db.len()).pipeline(cfg, query, db, &opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aalign_bio::matrices::BLOSUM62;
-    use aalign_bio::synth::{
-        named_query, random_protein, seeded_rng, swissprot_like_db, Level, PairSpec,
-    };
+    use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db, Level, PairSpec};
     use aalign_core::GapModel;
+
+    use crate::metrics::CancelToken;
 
     fn cfg() -> AlignConfig {
         AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62)
+    }
+
+    fn pipeline(
+        q: &Sequence,
+        db: &SeqDatabase,
+        opts: PipelineOptions,
+    ) -> Result<PipelineReport, AlignError> {
+        SearchEngine::new(2).pipeline(&cfg(), q, db, &opts)
     }
 
     #[test]
@@ -305,14 +216,12 @@ mod tests {
         seqs.push(planted);
         let db = SeqDatabase::new(seqs);
 
-        let report = search_pipeline(
-            &cfg(),
+        let report = pipeline(
             &q,
             &db,
             PipelineOptions::new().max_evalue(1e-3).traceback_top(2),
         )
         .unwrap();
-        assert_eq!(report.sweep_mode, "intra");
         assert!(!report.hits.is_empty());
         assert_eq!(report.hits[0].id, planted_id);
         assert!(report.hits[0].evalue < 1e-10);
@@ -329,46 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn short_subject_database_takes_the_inter_path() {
-        let mut rng = seeded_rng(779);
-        let q = named_query(&mut rng, 60);
-        let db = SeqDatabase::new(
-            (0..64)
-                .map(|i| random_protein(&mut rng, format!("s{i}"), 40 + i % 20))
-                .collect(),
-        );
-        let report = search_pipeline(
-            &cfg(),
-            &q,
-            &db,
-            PipelineOptions::new()
-                .max_evalue(1e6) // keep everything; we compare scores
-                .traceback_top(0)
-                .inter_threshold(200.0), // opt in to the inter sweep
-        )
-        .unwrap();
-        assert_eq!(report.sweep_mode, "inter");
-        assert_eq!(report.hits.len(), 64);
-        // Scores identical to the intra path.
-        let intra = crate::search::search_database(
-            &Aligner::new(cfg()),
-            &q,
-            &db,
-            crate::search::SearchOptions::new(),
-        )
-        .unwrap();
-        for (a, b) in report.hits.iter().zip(&intra.hits) {
-            assert_eq!(a.score, b.score);
-            assert_eq!(a.db_index, b.db_index);
-        }
-    }
-
-    #[test]
     fn empty_database_yields_empty_report() {
         let mut rng = seeded_rng(780);
         let q = named_query(&mut rng, 30);
-        let report =
-            search_pipeline(&cfg(), &q, &SeqDatabase::default(), PipelineOptions::new()).unwrap();
+        let report = pipeline(&q, &SeqDatabase::default(), PipelineOptions::new()).unwrap();
         assert!(report.hits.is_empty());
         assert_eq!(report.subjects_scored, 0);
     }
@@ -386,8 +259,7 @@ mod tests {
             );
         }
         let db = SeqDatabase::new(seqs);
-        let report = search_pipeline(
-            &cfg(),
+        let report = pipeline(
             &q,
             &db,
             PipelineOptions::new().max_evalue(1e9).traceback_top(3),
@@ -404,8 +276,8 @@ mod tests {
         let db = swissprot_like_db(783, 20);
         let token = CancelToken::new();
         token.cancel();
-        let err =
-            search_pipeline(&cfg(), &q, &db, PipelineOptions::new().cancel(token)).unwrap_err();
+        let opts = PipelineOptions::new().search(SearchOptions::new().cancel(token));
+        let err = pipeline(&q, &db, opts).unwrap_err();
         assert_eq!(err, AlignError::Cancelled);
     }
 

@@ -1,5 +1,6 @@
 //! The dynamic-binding database search: options, reports, and the
-//! one-shot drivers (thin wrappers over [`SearchEngine`](crate::SearchEngine)).
+//! one-shot [`search_database`] (a thin wrapper over
+//! [`SearchEngine`](crate::SearchEngine)).
 
 use aalign_bio::SeqDatabase;
 use aalign_bio::Sequence;
@@ -39,7 +40,7 @@ pub struct Hit {
 #[derive(Clone)]
 #[non_exhaustive]
 pub struct SearchOptions {
-    /// Worker thread count for the one-shot drivers
+    /// Worker thread count for the one-shot [`search_database`]
     /// (0 = available parallelism). A persistent [`SearchEngine`](crate::SearchEngine)
     /// uses its own pool size instead.
     pub threads: usize,
@@ -57,9 +58,9 @@ pub struct SearchOptions {
     /// complete.
     pub progress: Option<ProgressFn>,
     /// Collect a structured trace of the query: engine span framing,
-    /// one `AlignBegin`/`AlignEnd` envelope per subject, and (on the
-    /// intra sweep, with the `trace` feature on) the kernel's
-    /// per-column hybrid decisions. Events surface on
+    /// one `AlignBegin`/`AlignEnd` envelope per subject, and (with
+    /// the `trace` feature on) the kernel's per-column hybrid
+    /// decisions. Events surface on
     /// [`SearchReport::trace_events`]; off by default — untraced
     /// sweeps route the kernels through their no-op-sink
     /// monomorphization.
@@ -260,21 +261,6 @@ pub fn search_database(
     EngineHandle::transient(opts.threads, db.len()).search(aligner, query, db, &opts)
 }
 
-/// Inter-sequence database search (extension): batches of 16
-/// subjects aligned simultaneously, one lane each — the mode that
-/// wins for databases of short sequences. Results are identical to
-/// [`search_database`]; only the vectorization axis differs.
-///
-/// One-shot wrapper over [`SearchEngine::search_inter`](crate::SearchEngine::search_inter).
-pub fn search_database_inter(
-    cfg: &aalign_core::AlignConfig,
-    query: &Sequence,
-    db: &SeqDatabase,
-    opts: SearchOptions,
-) -> Result<SearchReport, AlignError> {
-    EngineHandle::transient_inter(opts.threads, db.len()).search_inter(cfg, query, db, &opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,6 +348,14 @@ mod tests {
     }
 
     #[test]
+    fn alphabet_mismatch_is_rejected() {
+        let q = Sequence::dna("d", b"ACGT").unwrap();
+        let db = swissprot_like_db(603, 4);
+        let err = search_database(&aligner(), &q, &db, SearchOptions::new()).unwrap_err();
+        assert!(matches!(err, AlignError::AlphabetMismatch { .. }));
+    }
+
+    #[test]
     fn empty_database_gives_empty_report() {
         let mut rng = seeded_rng(100);
         let q = named_query(&mut rng, 30);
@@ -397,52 +391,5 @@ mod tests {
         // Rescue is on unless explicitly turned off.
         assert!(SearchOptions::new().rescue);
         assert_eq!(SearchOptions::new().deadline, None);
-    }
-}
-
-#[cfg(test)]
-mod inter_tests {
-    use super::*;
-    use aalign_bio::matrices::BLOSUM62;
-    use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
-    use aalign_core::{AlignConfig, AlignKind, GapModel, Strategy};
-
-    #[test]
-    fn inter_search_equals_intra_search() {
-        let mut rng = seeded_rng(600);
-        let q = named_query(&mut rng, 70);
-        let db = swissprot_like_db(601, 50);
-        for kind in [AlignKind::Local, AlignKind::Global, AlignKind::SemiGlobal] {
-            let cfg = AlignConfig::new(kind, GapModel::affine(-10, -2), &BLOSUM62);
-            let intra = search_database(
-                &Aligner::new(cfg.clone()).with_strategy(Strategy::Hybrid),
-                &q,
-                &db,
-                SearchOptions::new().threads(2),
-            )
-            .unwrap();
-            let inter =
-                search_database_inter(&cfg, &q, &db, SearchOptions::new().threads(2)).unwrap();
-            assert_eq!(intra.hits, inter.hits, "{:?}", kind);
-        }
-    }
-
-    #[test]
-    fn inter_search_empty_db() {
-        let mut rng = seeded_rng(602);
-        let q = named_query(&mut rng, 30);
-        let cfg = AlignConfig::local(GapModel::linear(-2), &BLOSUM62);
-        let report =
-            search_database_inter(&cfg, &q, &SeqDatabase::default(), SearchOptions::new()).unwrap();
-        assert!(report.hits.is_empty());
-    }
-
-    #[test]
-    fn inter_search_rejects_alphabet_mismatch() {
-        let q = Sequence::dna("d", b"ACGT").unwrap();
-        let cfg = AlignConfig::local(GapModel::linear(-2), &BLOSUM62);
-        let db = swissprot_like_db(603, 4);
-        let err = search_database_inter(&cfg, &q, &db, SearchOptions::new()).unwrap_err();
-        assert!(matches!(err, AlignError::AlphabetMismatch { .. }));
     }
 }

@@ -137,7 +137,9 @@ pub fn errors_to_wire(errors: &[AlignError]) -> JsonValue {
     JsonValue::Array(errors.iter().map(error_to_wire).collect())
 }
 
-fn kernel_to_wire(k: &RunStats) -> JsonValue {
+/// Kernel counters as the `"kernel"` object of a metrics document
+/// (the bench envelopes embed the same object per row).
+pub fn kernel_to_wire(k: &RunStats) -> JsonValue {
     obj(vec![
         ("lazy_iters", k.lazy_iters.into()),
         ("lazy_sweeps", k.lazy_sweeps.into()),

@@ -20,7 +20,7 @@ use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
 use aalign_bio::{SeqDatabase, Sequence};
 use aalign_core::{AlignConfig, Aligner, GapModel, Strategy, WidthPolicy};
 use aalign_obs::{TraceEvent, TraceReport};
-use aalign_par::{search_pipeline, PipelineOptions, SearchEngine, SearchOptions};
+use aalign_par::{PipelineOptions, SearchEngine, SearchOptions};
 
 fn cfg() -> AlignConfig {
     AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62)
@@ -152,31 +152,6 @@ fn timelines_reconcile_across_workers_and_shards() {
 }
 
 #[test]
-fn inter_sweep_traces_framing_only() {
-    let mut rng = seeded_rng(3400);
-    let q = named_query(&mut rng, 50);
-    let db = swissprot_like_db(3401, 30);
-    let engine = SearchEngine::new(2);
-    let report = engine
-        .search_inter(&cfg(), &q, &db, &SearchOptions::new().trace(true))
-        .unwrap();
-    assert!(!report.trace_events.is_empty());
-    assert!(
-        report
-            .trace_events
-            .iter()
-            .all(|ev| !matches!(ev, TraceEvent::AlignBegin { .. } | TraceEvent::Hybrid(_))),
-        "the inter kernel has no per-subject trace"
-    );
-    let tr = TraceReport::from_events(&report.trace_events).unwrap();
-    assert!(tr.timelines.is_empty());
-    assert!(
-        tr.reconciled(),
-        "an empty timeline set is trivially reconciled"
-    );
-}
-
-#[test]
 fn empty_database_still_frames_the_query() {
     let mut rng = seeded_rng(3500);
     let q = named_query(&mut rng, 40);
@@ -200,19 +175,19 @@ fn pipeline_forwards_the_sweep_trace() {
     let mut rng = seeded_rng(3600);
     let q = named_query(&mut rng, 80);
     let db = swissprot_like_db(3601, 20);
-    let report = search_pipeline(
-        &cfg(),
-        &q,
-        &db,
-        PipelineOptions::new().max_evalue(1e9).trace(true),
-    )
-    .unwrap();
+    let engine = SearchEngine::new(2);
+    let traced = PipelineOptions::new()
+        .max_evalue(1e9)
+        .search(SearchOptions::new().trace(true));
+    let report = engine.pipeline(&cfg(), &q, &db, &traced).unwrap();
     assert!(!report.trace_events.is_empty());
     let tr = TraceReport::from_events(&report.trace_events).unwrap();
     assert_eq!(tr.timelines.len(), db.len());
     assert!(tr.reconciled());
     // Untraced pipelines stay silent.
-    let silent = search_pipeline(&cfg(), &q, &db, PipelineOptions::new()).unwrap();
+    let silent = engine
+        .pipeline(&cfg(), &q, &db, &PipelineOptions::new())
+        .unwrap();
     assert!(silent.trace_events.is_empty());
 }
 

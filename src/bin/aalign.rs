@@ -76,24 +76,28 @@ const USAGE: &str = "usage:
                  [--open N] [--ext N] [--strategy seq|iterate|scan|hybrid]
                  [--width auto|8|16|32] [--traceback]
   aalign search  --query <fa> --db <fa> [--top N] [--threads N]
-                 [--open N] [--ext N] [--strategy ...] [--inter] [--stats]
+                 [--global|--semi-global] [--linear] [--open N] [--ext N]
+                 [--strategy ...] [--width ...] [--stats]
                  [--trace-out <jsonl>] [--metrics-format text|json|prom]
                  [--timeout MS] [--no-rescue] [--fault-plan <spec>]
   aalign serve   --db <fa> [--addr HOST:PORT] [--stdio] [--threads N]
-                 [--open N] [--ext N] [--strategy ...]
+                 [--global|--semi-global] [--linear] [--open N] [--ext N]
+                 [--strategy ...] [--width ...]
                  [--max-inflight N] [--max-queued N] [--tenant-quota N]
                  [--default-timeout MS] [--drain-timeout MS]
                  [--fault-plan <spec>] [--shards N]
+                 [--shard-fault kill@SHARD[:N]]
   aalign shard-search --query <fa> --db <fa> --shards N [--top N]
-                 [--threads N] [--open N] [--ext N] [--strategy ...]
-                 [--timeout MS] [--metrics-format text|json|prom]
+                 [--threads N] [--global|--semi-global] [--linear]
+                 [--open N] [--ext N] [--strategy ...] [--width ...]
+                 [--timeout MS] [--stats] [--metrics-format text|json|prom]
                  [--shard-fault kill@SHARD[:N]]
   aalign shard-bench [--count N] [--seed N] [--queries N] [--top N]
                  [--shards-list 1,2,4] [--out <json>]
   aalign loadgen --addr HOST:PORT [--concurrency N] [--duration-ms N]
                  [--seed N] [--top N] [--queries N] [--out <json>]
   aalign trace-report --trace <jsonl> [--subjects N]
-  aalign gen-db  --count N [--seed N] [--mean-len N] --out <fa>
+  aalign gen-db  --count N [--seed N] --out <fa>
   aalign codegen --input <file> [--open N] [--ext N] [--out <rs>]
   aalign info";
 
@@ -103,6 +107,28 @@ struct Flags<'a> {
 }
 
 impl<'a> Flags<'a> {
+    /// Wrap the arguments of subcommand `cmd`, rejecting any `--flag`
+    /// its [`USAGE`] entry does not name: a typo or a removed switch
+    /// must fail, not silently run with defaults. Reading the set off
+    /// the usage text keeps help and parser from drifting apart.
+    fn new(cmd: &str, args: &'a [String]) -> Result<Self, String> {
+        let entry = USAGE
+            .split("\n  aalign ")
+            .find(|entry| entry.split_whitespace().next() == Some(cmd))
+            .expect("every subcommand has a usage entry");
+        let known: Vec<&str> = entry
+            .split(|c: char| c != '-' && !c.is_ascii_alphanumeric())
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        match args
+            .iter()
+            .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+        {
+            Some(flag) => Err(format!("unknown flag {flag:?} for {cmd}")),
+            None => Ok(Self { args }),
+        }
+    }
+
     fn get(&self, name: &str) -> Option<&'a str> {
         self.args
             .iter()
@@ -171,7 +197,7 @@ fn build_aligner(flags: &Flags<'_>) -> Result<Aligner, String> {
 }
 
 fn cmd_pair(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new("pair", args)?;
     let query = load_first_seq(flags.get("--query").ok_or("--query required")?)?;
     let subject = load_first_seq(flags.get("--subject").ok_or("--subject required")?)?;
     let aligner = build_aligner(&flags)?;
@@ -195,7 +221,7 @@ fn cmd_pair(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_search(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new("search", args)?;
     let query = load_first_seq(flags.get("--query").ok_or("--query required")?)?;
     let db_path = flags.get("--db").ok_or("--db required")?;
     let f = File::open(db_path).map_err(|e| format!("{db_path}: {e}"))?;
@@ -203,13 +229,6 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("{db_path}: {e}"))?;
     let aligner = build_aligner(&flags)?;
     let trace_out = flags.get("--trace-out");
-    if trace_out.is_some() && flags.has("--inter") {
-        return Err(
-            "--trace-out needs the intra-sequence sweep (the inter kernel has no \
-             per-column trace); drop --inter or --trace-out"
-                .to_string(),
-        );
-    }
     let mut opts = SearchOptions::new()
         .top_n(flags.get_usize("--top", 10)?)
         .trace(trace_out.is_some())
@@ -238,17 +257,9 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     // The CLI shares the server's construction path: an
     // `EngineHandle` sized for this one sweep.
     let threads = flags.get_usize("--threads", 0)?;
-    let report = if flags.has("--inter") {
-        EngineHandle::transient_inter(threads, db.len()).search_inter(
-            aligner.config(),
-            &query,
-            &db,
-            &opts,
-        )
-    } else {
-        EngineHandle::transient(threads, db.len()).search(&aligner, &query, &db, &opts)
-    }
-    .map_err(|e| e.to_string())?;
+    let report = EngineHandle::transient(threads, db.len())
+        .search(&aligner, &query, &db, &opts)
+        .map_err(|e| e.to_string())?;
     if let Some(path) = trace_out {
         let f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
         let mut writer = aalign::obs::TraceWriter::new(std::io::BufWriter::new(f));
@@ -327,7 +338,7 @@ fn warn_partial(report: &aalign::par::SearchReport) {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new("serve", args)?;
     let db_path = flags.get("--db").ok_or("--db required")?;
     let f = File::open(db_path).map_err(|e| format!("{db_path}: {e}"))?;
     let db = aalign::bio::SeqDatabase::from_fasta(BufReader::new(f), &PROTEIN)
@@ -410,7 +421,7 @@ fn child_serve_args(flags: &Flags<'_>) -> Vec<String> {
             extra.push(v.to_string());
         }
     }
-    for flag in ["--linear", "--global", "--semi-global", "--no-rescue"] {
+    for flag in ["--linear", "--global", "--semi-global"] {
         if flags.has(flag) {
             extra.push(flag.to_string());
         }
@@ -457,7 +468,7 @@ fn launch_supervisor(
 /// one — same hit lines, same metrics formats — plus the shard
 /// outcome accounting.
 fn cmd_shard_search(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new("shard-search", args)?;
     let query = load_first_seq(flags.get("--query").ok_or("--query required")?)?;
     let db_path = flags.get("--db").ok_or("--db required")?;
     let f = File::open(db_path).map_err(|e| format!("{db_path}: {e}"))?;
@@ -540,7 +551,7 @@ fn cmd_shard_bench(args: &[String]) -> Result<(), String> {
     use aalign::obs::Histogram;
     use std::time::Instant;
 
-    let flags = Flags { args };
+    let flags = Flags::new("shard-bench", args)?;
     let count = flags.get_usize("--count", 300)?;
     let seed = flags.get_usize("--seed", 42)? as u64;
     let n_queries = flags.get_usize("--queries", 6)?.max(1);
@@ -654,7 +665,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     use std::net::TcpStream;
     use std::time::{Duration, Instant};
 
-    let flags = Flags { args };
+    let flags = Flags::new("loadgen", args)?;
     let addr = flags.get("--addr").ok_or("--addr required")?.to_string();
     let concurrency = flags.get_usize("--concurrency", 4)?.max(1);
     let duration_ms = flags.get_usize("--duration-ms", 2000)? as u64;
@@ -886,7 +897,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
 /// segments, switch/probe counts, and reconciliation against the
 /// counters each `AlignEnd` reported.
 fn cmd_trace_report(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new("trace-report", args)?;
     let path = flags.get("--trace").ok_or("--trace required")?;
     let subjects = flags.get_usize("--subjects", 10)?;
     let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -906,7 +917,7 @@ fn cmd_trace_report(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_gen_db(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new("gen-db", args)?;
     let count = flags.get_usize("--count", 1000)?;
     let seed = flags.get_usize("--seed", 42)? as u64;
     let out_path = flags.get("--out").ok_or("--out required")?;
@@ -922,7 +933,7 @@ fn cmd_gen_db(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_codegen(args: &[String]) -> Result<(), String> {
-    let flags = Flags { args };
+    let flags = Flags::new("codegen", args)?;
     let input = flags.get("--input").ok_or("--input required")?;
     let src = std::fs::read_to_string(input).map_err(|e| format!("{input}: {e}"))?;
     let ast = aalign::codegen::parse_program(&src).map_err(|e| e.to_string())?;

@@ -51,7 +51,7 @@ fn pair_alignment_with_traceback() {
 }
 
 #[test]
-fn gen_db_then_search_pipeline() {
+fn gen_db_then_search() {
     let dir = std::env::temp_dir().join("aalign_cli_search");
     std::fs::create_dir_all(&dir).unwrap();
     let db = dir.join("db.fa");
@@ -70,29 +70,28 @@ fn gen_db_then_search_pipeline() {
     assert!(status.success());
 
     write_fasta(&dir.join("q.fa"), &[("q", "MKVLAARNDWHEAGAWGHEE")]);
-    for mode in [&["--strategy", "hybrid"][..], &["--inter"][..]] {
-        let out = aalign()
-            .args([
-                "search",
-                "--query",
-                dir.join("q.fa").to_str().unwrap(),
-                "--db",
-                db.to_str().unwrap(),
-                "--top",
-                "3",
-            ])
-            .args(mode)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let text = String::from_utf8(out.stdout).unwrap();
-        assert!(text.contains("searched 40 subjects"), "{text}");
-        assert_eq!(text.matches(" bits ").count(), 3, "{text}");
-    }
+    let out = aalign()
+        .args([
+            "search",
+            "--query",
+            dir.join("q.fa").to_str().unwrap(),
+            "--db",
+            db.to_str().unwrap(),
+            "--top",
+            "3",
+            "--strategy",
+            "hybrid",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("searched 40 subjects"), "{text}");
+    assert_eq!(text.matches(" bits ").count(), 3, "{text}");
 }
 
 #[test]
@@ -223,8 +222,11 @@ fn search_trace_out_then_trace_report_round_trip() {
 }
 
 #[test]
-fn search_rejects_trace_out_with_inter() {
-    let dir = std::env::temp_dir().join("aalign_cli_trace_inter");
+fn unknown_flags_are_rejected_not_ignored() {
+    // `--inter` selected a sweep that no longer exists; like any other
+    // unrecognized flag it must fail rather than silently run the
+    // default search.
+    let dir = std::env::temp_dir().join("aalign_cli_unknown_flag");
     std::fs::create_dir_all(&dir).unwrap();
     write_fasta(&dir.join("q.fa"), &[("q", "HEAGAWGHEE")]);
     write_fasta(&dir.join("db.fa"), &[("s", "PAWHEAE")]);
@@ -236,14 +238,12 @@ fn search_rejects_trace_out_with_inter() {
             "--db",
             dir.join("db.fa").to_str().unwrap(),
             "--inter",
-            "--trace-out",
-            dir.join("t.jsonl").to_str().unwrap(),
         ])
         .output()
         .unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("--inter"), "{err}");
+    assert!(err.contains("unknown flag \"--inter\" for search"), "{err}");
 }
 
 #[test]
@@ -294,22 +294,29 @@ fn search_metrics_formats() {
 fn trace_report_rejects_junk_input() {
     let dir = std::env::temp_dir().join("aalign_cli_trace_junk");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("junk.jsonl");
-    std::fs::write(
-        &path,
-        "{\"ev\":\"query_begin\",\"query\":\"q\",\"subjects\":1}\nnot json\n",
-    )
-    .unwrap();
-    let out = aalign()
-        .args(["trace-report", "--trace", path.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        err.contains(":2:"),
-        "parse errors carry line numbers: {err}"
-    );
+    // Plain junk, and a `\u` escape whose hex window straddles a
+    // multibyte character (once a slice panic: exit 101, no message).
+    for (name, junk) in [
+        ("junk.jsonl", "not json"),
+        (
+            "straddle.jsonl",
+            "{\"ev\":\"query_begin\",\"query\":\"\\u000\u{e9}\",\"subjects\":1}",
+        ),
+    ] {
+        let path = dir.join(name);
+        let good = "{\"ev\":\"query_begin\",\"query\":\"q\",\"subjects\":1}";
+        std::fs::write(&path, format!("{good}\n{junk}\n")).unwrap();
+        let out = aalign()
+            .args(["trace-report", "--trace", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(
+            err.contains(&format!("{name}:2: malformed JSON line")),
+            "parse errors are typed and carry line numbers: {err}"
+        );
+    }
 }
 
 #[test]

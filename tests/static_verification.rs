@@ -5,7 +5,8 @@
 //! lint over the concurrent crates, and the kernel conformance layer
 //! (symbolic proof obligations + the bounded-exhaustive differential
 //! harness) — so a change that breaks a static guarantee fails the
-//! main suite, not just the analyzer's.
+//! main suite, not just the analyzer's. A source guard rides along:
+//! one JSON codec, one database sweep.
 
 use aalign_analyzer::audit::{audit_dir, default_vec_src_dir, VEC_BASELINE};
 use aalign_analyzer::concurrency::{default_concurrency_dirs, scan_dirs, CONCURRENCY_BASELINE};
@@ -259,5 +260,63 @@ fn seeded_mutations_are_caught_by_the_harness() {
             "mutation `{}` was NOT caught",
             mutation.name()
         );
+    }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Guard against re-forking what the workspace keeps in one place:
+/// `aalign_obs::wire` is the only JSON escaper (a second one is how
+/// the `\u`-escape panic came back after it was fixed once), and
+/// `SearchEngine::search` is the only database sweep (the
+/// inter-sequence kernel is a test oracle, not a product path).
+#[test]
+fn one_json_codec_and_one_sweep() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let codec = root.join("crates/obs/src/wire.rs");
+    let mut product = Vec::new();
+    rust_sources(&root.join("src"), &mut product);
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        rust_sources(&krate.unwrap().path().join("src"), &mut product);
+    }
+    for path in product.iter().filter(|p| **p != codec) {
+        let text = std::fs::read_to_string(path).unwrap();
+        for needle in ["u{:04x}", "fn escape"] {
+            assert!(
+                !text.contains(needle),
+                "{}: `{needle}` — JSON is escaped in crates/obs/src/wire.rs only",
+                path.display()
+            );
+        }
+    }
+
+    let mut all = Vec::new();
+    for dir in ["crates", "src", "examples"] {
+        rust_sources(&root.join(dir), &mut all);
+    }
+    for path in &all {
+        let text = std::fs::read_to_string(path).unwrap();
+        for needle in [
+            "search_inter",
+            "search_database_inter",
+            "transient_inter",
+            "inter_threshold",
+        ] {
+            assert!(
+                !text.contains(needle),
+                "{}: `{needle}` — SearchEngine::search is the only sweep",
+                path.display()
+            );
+        }
     }
 }
