@@ -18,6 +18,10 @@ fn input(m: usize) -> Vec<i32> {
         .collect()
 }
 
+fn engine_lanes<E: SimdEngine>(_: &E) -> usize {
+    E::LANES
+}
+
 fn bench_scan(c: &mut Criterion) {
     let params = ScanParams {
         init: 0,
@@ -52,10 +56,6 @@ fn bench_scan(c: &mut Criterion) {
                 });
             }};
         }
-        fn engine_lanes<E: SimdEngine>(_: &E) -> usize {
-            E::LANES
-        }
-
         striped_case!("striped-emu16", EmuEngine::<i32, 16>::new());
         #[cfg(target_arch = "x86_64")]
         {
@@ -70,5 +70,112 @@ fn bench_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_scan);
+/// One `wgt_max_scan_striped` call per engine, compiled with the
+/// engine's target features on so its intrinsics inline — as in
+/// `aalign_core::kernel`, and unlike a call from the plain closures
+/// above.
+#[cfg(target_arch = "x86_64")]
+mod native {
+    use aalign_vec::avx2::{Avx2I16, Avx2I8};
+    use aalign_vec::avx512::Avx512I16;
+    use aalign_vec::scan::{wgt_max_scan_striped, ScanParams};
+    use aalign_vec::StripedLayout;
+
+    macro_rules! wrapper {
+        ($name:ident, $engine:ty, $elem:ty, $($feature:literal),+) => {
+            /// # Safety
+            /// The CPU must support the enabled features; holding the
+            /// engine token proves it did when the token was built.
+            $(#[target_feature(enable = $feature)])+
+            pub unsafe fn $name(
+                eng: $engine,
+                layout: StripedLayout,
+                input: &[$elem],
+                out: &mut [$elem],
+                p: ScanParams<$elem>,
+            ) {
+                wgt_max_scan_striped(eng, layout, input, out, p);
+            }
+        };
+    }
+    wrapper!(avx512_i16, Avx512I16, i16, "avx512f", "avx512bw");
+    wrapper!(avx2_i16, Avx2I16, i16, "avx2");
+    wrapper!(avx2_i8, Avx2I8, i8, "avx2");
+}
+
+/// The short-query geometry (`prot_short`'s Q60, `dna_i8`'s 48-nt
+/// reads): one to four segments on the narrow engines, where a scan
+/// call is all cross-lane work and its fixed cost is the whole cost.
+fn bench_scan_short(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablation/wgt_max_scan_short");
+    group
+        .sample_size(20)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(600));
+
+    for m in [48usize, 60] {
+        let linear = input(m);
+        let params = ScanParams {
+            init: 0i16,
+            open: -12,
+            ext: -2,
+        };
+        let linear16: Vec<i16> = linear.iter().map(|&x| x as i16).collect();
+        let mut out = vec![0i16; m];
+        group.bench_with_input(BenchmarkId::new("scalar-i16", m), &m, |b, _| {
+            b.iter(|| wgt_max_scan_scalar(&linear16, params, &mut out));
+        });
+
+        #[cfg(target_arch = "x86_64")]
+        {
+            macro_rules! native_case {
+                ($name:literal, $ctor:expr, $call:path, $elem:ty) => {{
+                    if let Some(eng) = $ctor {
+                        let layout = StripedLayout::new(m, engine_lanes(&eng));
+                        let narrow: Vec<$elem> = linear
+                            .iter()
+                            .map(|&x| x.clamp(-100, 100) as $elem)
+                            .collect();
+                        let p = ScanParams {
+                            init: 0,
+                            open: -12,
+                            ext: -2,
+                        };
+                        let mut striped_in = Vec::new();
+                        layout.stripe(&narrow, <$elem>::MIN, &mut striped_in);
+                        let mut striped_out = vec![0; layout.padded_len()];
+                        group.bench_with_input(BenchmarkId::new($name, m), &m, |b, _| {
+                            // SAFETY: the engine token exists only if its
+                            // constructor detected the wrapper's features.
+                            b.iter(|| unsafe {
+                                $call(eng, layout, &striped_in, &mut striped_out, p);
+                            });
+                        });
+                    }
+                }};
+            }
+            native_case!(
+                "striped-avx512bw-i16x32",
+                aalign_vec::avx512::Avx512I16::new(),
+                native::avx512_i16,
+                i16
+            );
+            native_case!(
+                "striped-avx2-i16x16",
+                aalign_vec::avx2::Avx2I16::new(),
+                native::avx2_i16,
+                i16
+            );
+            native_case!(
+                "striped-avx2-i8x32",
+                aalign_vec::avx2::Avx2I8::new(),
+                native::avx2_i8,
+                i8
+            );
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_scan, bench_scan_short);
 criterion_main!(benches);

@@ -11,8 +11,8 @@
 //! code generator dropping or keeping the asterisked statements.
 
 use aalign_bio::StripedProfile;
-use aalign_vec::scan::{wgt_max_scan_striped, ScanParams};
-use aalign_vec::{SaturationGuard, ScoreElem, SimdEngine, StripedLayout};
+use aalign_vec::scan::cross_lane_carry;
+use aalign_vec::{Ramp, SaturationGuard, ScoreElem, SimdEngine, StripedLayout};
 
 use crate::config::TableII;
 
@@ -47,6 +47,10 @@ impl<T: ScoreElem> Workspace<T> {
             + self.arr_scan.capacity()
     }
 
+    /// Size every buffer to `padded` slots. Contents are left stale:
+    /// [`ColumnEngine::new`] writes the whole column-0 boundary into
+    /// `arr_t1`/`arr_e`, and `arr_t2`/`arr_scan` are scratch that
+    /// every column fills before it reads.
     fn ensure(&mut self, padded: usize) {
         for buf in [
             &mut self.arr_t1,
@@ -54,7 +58,6 @@ impl<T: ScoreElem> Workspace<T> {
             &mut self.arr_e,
             &mut self.arr_scan,
         ] {
-            buf.clear();
             buf.resize(padded, T::ZERO);
         }
     }
@@ -94,8 +97,12 @@ pub struct ColumnEngine<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool
     /// θ = GAP_UP − GAP_UP_EXT, the lazy-loop influence margin.
     v_theta: E::Vec,
     v_zero: E::Vec,
+    v_neg_inf: E::Vec,
     /// k·β, the per-lane chunk weight of the striped layout.
     chunk_ext: E::Elem,
+    /// `set_vector` ramp `l·k·β`, built once: a column's lower-bound
+    /// vector is `chunk_ramp.at(init)`.
+    chunk_ramp: Ramp<E>,
 
     // Running state.
     v_max: E::Vec,
@@ -157,15 +164,26 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
         assert_eq!(layout.lanes, E::LANES, "profile built for another width");
         ws.ensure(layout.padded_len());
 
-        // Column-0 boundary: T_{0,q} ramp (zero for local), no gaps yet.
-        for slot in 0..layout.padded_len() {
-            let q = layout.query_pos_of(slot);
-            ws.arr_t1[slot] = E::Elem::from_i32_sat(t2.init_col(q));
-            ws.arr_e[slot] = E::Elem::NEG_INF;
-        }
-
         let splat_i32 = |x: i32| eng.splat(E::Elem::from_i32_sat(x));
         let chunk_ext = E::Elem::from_i32_sat(t2.gap_up_ext.saturating_mul(layout.segments as i32));
+        let chunk_ramp = Ramp::new(eng, chunk_ext);
+        let v_zero = eng.splat(E::Elem::ZERO);
+        let v_neg_inf = eng.splat(E::Elem::NEG_INF);
+
+        // Column-0 boundary: T_{0,q} ramp (zero for local), no gaps
+        // yet. Segment j holds q = l·k + j in lane l, so its ramp is
+        // the chunk ramp started at T_{0,j}.
+        for j in 0..layout.segments {
+            let off = j * E::LANES;
+            let v_t0 = if LOCAL {
+                v_zero
+            } else {
+                chunk_ramp.at(eng, E::Elem::from_i32_sat(t2.init_col(j)))
+            };
+            eng.store(&mut ws.arr_t1[off..], v_t0);
+            eng.store(&mut ws.arr_e[off..], v_neg_inf);
+        }
+
         let last_slot = layout.slot_of(layout.len - 1);
         let last_seg_off = (last_slot / E::LANES) * E::LANES;
         let last_lane = last_slot % E::LANES;
@@ -194,8 +212,10 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
             v_gap_up: splat_i32(t2.gap_up),
             v_gap_up_ext: splat_i32(t2.gap_up_ext),
             v_theta: splat_i32(t2.gap_up - t2.gap_up_ext),
-            v_zero: eng.splat(E::Elem::ZERO),
+            v_zero,
+            v_neg_inf,
             chunk_ext,
+            chunk_ramp,
             v_max: eng.splat(E::Elem::NEG_INF),
             v_semi,
             semi,
@@ -218,10 +238,14 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
     }
 
     /// Shared first pass: compute `D` and `E` (`L` in the paper) for
-    /// every segment and store the partial `T`. When `WITH_F_BOUND`
-    /// (iterate), a running lower-bound `F` vector is folded in and
-    /// carried segment to segment; the final carry is returned for the
-    /// lazy loop. When not (scan), `F` is ignored entirely.
+    /// every segment and store the partial `T`, carrying the up-gap
+    /// recurrence `F ← max(F + β, T + GAP_UP)` segment to segment and
+    /// returning its final carry. When `WITH_F_BOUND` (iterate) `F`
+    /// starts from the lower-bound ramp and is folded into `T`; the
+    /// carry feeds the lazy loop. When not (scan) `F` starts from −∞,
+    /// sees only the tentative `T`, and each segment's incoming value
+    /// is parked in `arr_scan` — step 1 of `wgt_max_scan` riding the
+    /// same pass.
     #[inline(always)]
     fn first_pass<const WITH_F_BOUND: bool>(&mut self, s_char: u8) -> E::Vec {
         let eng = self.eng;
@@ -241,9 +265,9 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
         let init_t_cur = self.init_t_elem(self.col + 1);
         let mut v_f = if WITH_F_BOUND {
             let f0 = init_t_cur.sat_add(E::Elem::from_i32_sat(self.t2.gap_up));
-            eng.lower_bound(f0, self.chunk_ext)
+            self.chunk_ramp.at(eng, f0)
         } else {
-            eng.splat(E::Elem::NEG_INF)
+            self.v_neg_inf
         };
 
         for j in 0..k {
@@ -269,19 +293,20 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
             let mut v_t = eng.max(v_dia, v_e);
             if WITH_F_BOUND {
                 v_t = eng.max(v_t, v_f);
+            } else {
+                eng.store(&mut self.ws.arr_scan[off..], v_f);
             }
             if LOCAL {
                 v_t = eng.max(v_t, self.v_zero);
             }
             eng.store(&mut self.ws.arr_t2[off..], v_t);
-            if LOCAL {
+            if LOCAL && WITH_F_BOUND {
+                // (A scan column's second pass sees every final T.)
                 self.v_max = eng.max(self.v_max, v_t);
             }
 
-            if WITH_F_BOUND {
-                // F carry to the next query position (next segment).
-                v_f = eng.max(eng.add(v_f, self.v_gap_up_ext), eng.add(v_t, self.v_gap_up));
-            }
+            // F carry to the next query position (next segment).
+            v_f = eng.max(eng.add(v_f, self.v_gap_up_ext), eng.add(v_t, self.v_gap_up));
             v_dia = t_prev;
         }
         v_f
@@ -335,42 +360,39 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
         sweeps
     }
 
-    /// Advance one column with the **striped-scan** strategy (Alg. 3):
-    /// tentative pass, weighted max-scan, correction pass.
+    /// Advance one column with the **striped-scan** strategy (Alg. 3)
+    /// in two passes over the segments: the tentative pass, which also
+    /// runs the scan's within-lane step; then, after the one
+    /// cross-lane step, a pass folding the scan's carry-in, the
+    /// correction and the running maximum together.
     #[inline(always)]
     pub fn scan_column(&mut self, s_char: u8) {
         let eng = self.eng;
         let lanes = E::LANES;
         let k = self.layout.segments;
 
-        let _ = self.first_pass::<false>(s_char);
+        let carries = self.first_pass::<false>(s_char);
 
-        // Weighted max-scan turns the tentative column into the exact
-        // up-gap table U (Alg. 3 ln. 18).
-        let params = ScanParams {
-            init: self.init_t_elem(self.col + 1),
-            open: E::Elem::from_i32_sat(self.t2.gap_up),
-            ext: E::Elem::from_i32_sat(self.t2.gap_up_ext),
-        };
-        wgt_max_scan_striped(
-            eng,
-            self.layout,
-            &self.ws.arr_t2,
-            &mut self.ws.arr_scan,
-            params,
-        );
+        // The boundary cell T_{i,0} enters lane l with l·k extensions
+        // behind it (Alg. 3 ln. 18, the l' = −1 term of the scan).
+        let u0 = self
+            .init_t_elem(self.col + 1)
+            .sat_add(E::Elem::from_i32_sat(self.t2.gap_up));
+        let boundary = self.chunk_ramp.at(eng, u0);
+        let mut carry_in = cross_lane_carry(eng, carries, self.chunk_ext, boundary);
 
-        // Correction pass (Alg. 3 ln. 19–24).
+        // Correction pass (Alg. 3 ln. 19–24): the exact up-gap value U
+        // of segment j is its within-lane scan or the lane's carry-in
+        // j extensions on.
         for j in 0..k {
             let off = j * lanes;
-            let v_t = eng.max(
-                eng.load(&self.ws.arr_t2[off..]),
-                eng.load(&self.ws.arr_scan[off..]),
-            );
+            let v_u = eng.max(eng.load(&self.ws.arr_scan[off..]), carry_in);
+            let v_t = eng.max(eng.load(&self.ws.arr_t2[off..]), v_u);
             eng.store(&mut self.ws.arr_t2[off..], v_t);
             if LOCAL {
                 self.v_max = eng.max(self.v_max, v_t);
             }
+            carry_in = eng.add(carry_in, self.v_gap_up_ext);
         }
         self.scan_columns += 1;
         self.finish_column();

@@ -4,8 +4,9 @@
 //! AVX2 registers are two 128-bit lanes, so the element-wise
 //! `rshift_x_fill` module cannot be a single byte-shift: exactly as the
 //! paper's Fig. 7 describes, it is composed from a cross-lane
-//! `permute2x128`, a per-lane `alignr`, and an insert/blend of the fill
-//! value. The `influence_test` uses `cmpgt` + `movemask` (AVX2 has no
+//! `permute2x128`, a per-lane `alignr`, and a merge of the fill value
+//! (`shift_bytes_up`, shared by the three lane widths and by every
+//! shift distance). The `influence_test` uses `cmpgt` + `movemask` (AVX2 has no
 //! compare-into-mask-register; the paper notes the same workaround).
 //!
 //! # Safety
@@ -64,6 +65,52 @@ unsafe fn swap_low_to_high(v: __m256i) -> __m256i {
     unsafe { _mm256_permute2x128_si256::<0x08>(v, v) }
 }
 
+/// `rshift_x_fill` at byte granularity: bytes move up by `bytes`
+/// positions across the whole register and the vacated low bytes take
+/// those of `fill`; `bytes ≥ 32` returns `fill`.
+///
+/// Each set bit of `bytes` is one Fig. 7 composite — `permute2x128`
+/// (the cross-lane half) feeding a per-lane `alignr` — so a
+/// power-of-two distance, the only kind the log-step scans ask for,
+/// costs one composite plus the fill merge, and a constant `bytes`
+/// folds every branch away. The composite shifts zeros in, which is
+/// why the fill can be merged with an `or`.
+///
+/// # Safety
+/// The caller must guarantee AVX2 is available (every caller is an
+/// engine method, and the engine's constructor verified it).
+#[inline(always)]
+unsafe fn shift_bytes_up(v: __m256i, bytes: usize, fill: __m256i) -> __m256i {
+    if bytes >= 32 {
+        return fill;
+    }
+    // SAFETY: AVX2 availability is the function's own precondition; register-only intrinsics.
+    unsafe {
+        let mut r = v;
+        if bytes & 1 != 0 {
+            r = _mm256_alignr_epi8::<15>(r, swap_low_to_high(r));
+        }
+        if bytes & 2 != 0 {
+            r = _mm256_alignr_epi8::<14>(r, swap_low_to_high(r));
+        }
+        if bytes & 4 != 0 {
+            r = _mm256_alignr_epi8::<12>(r, swap_low_to_high(r));
+        }
+        if bytes & 8 != 0 {
+            r = _mm256_alignr_epi8::<8>(r, swap_low_to_high(r));
+        }
+        if bytes & 16 != 0 {
+            r = swap_low_to_high(r);
+        }
+        let iota = _mm256_setr_epi8(
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23,
+            24, 25, 26, 27, 28, 29, 30, 31,
+        );
+        let vacated = _mm256_cmpgt_epi8(_mm256_set1_epi8(bytes as i8), iota);
+        _mm256_or_si256(r, _mm256_and_si256(fill, vacated))
+    }
+}
+
 impl SimdEngine for Avx2I32 {
     type Elem = i32;
     type Vec = __m256i;
@@ -111,12 +158,13 @@ impl SimdEngine for Avx2I32 {
 
     #[inline(always)]
     fn shift_insert_low(self, v: __m256i, fill: i32) -> __m256i {
+        self.shift_insert_low_n(v, 1, fill)
+    }
+
+    #[inline(always)]
+    fn shift_insert_low_n(self, v: __m256i, n: usize, fill: i32) -> __m256i {
         // SAFETY: AVX2 was verified by the constructor; register-only intrinsics.
-        unsafe {
-            let swap = swap_low_to_high(v);
-            let shifted = _mm256_alignr_epi8::<12>(v, swap);
-            _mm256_blend_epi32::<0x01>(shifted, _mm256_set1_epi32(fill))
-        }
+        unsafe { shift_bytes_up(v, n.min(8) * 4, _mm256_set1_epi32(fill)) }
     }
 
     #[inline(always)]
@@ -173,12 +221,13 @@ impl SimdEngine for Avx2I16 {
 
     #[inline(always)]
     fn shift_insert_low(self, v: __m256i, fill: i16) -> __m256i {
+        self.shift_insert_low_n(v, 1, fill)
+    }
+
+    #[inline(always)]
+    fn shift_insert_low_n(self, v: __m256i, n: usize, fill: i16) -> __m256i {
         // SAFETY: AVX2 was verified by the constructor; register-only intrinsics.
-        unsafe {
-            let swap = swap_low_to_high(v);
-            let shifted = _mm256_alignr_epi8::<14>(v, swap);
-            _mm256_insert_epi16::<0>(shifted, fill)
-        }
+        unsafe { shift_bytes_up(v, n.min(16) * 2, _mm256_set1_epi16(fill)) }
     }
 
     #[inline(always)]
@@ -235,12 +284,13 @@ impl SimdEngine for Avx2I8 {
 
     #[inline(always)]
     fn shift_insert_low(self, v: __m256i, fill: i8) -> __m256i {
+        self.shift_insert_low_n(v, 1, fill)
+    }
+
+    #[inline(always)]
+    fn shift_insert_low_n(self, v: __m256i, n: usize, fill: i8) -> __m256i {
         // SAFETY: AVX2 was verified by the constructor; register-only intrinsics.
-        unsafe {
-            let swap = swap_low_to_high(v);
-            let shifted = _mm256_alignr_epi8::<15>(v, swap);
-            _mm256_insert_epi8::<0>(shifted, fill)
-        }
+        unsafe { shift_bytes_up(v, n.min(32), _mm256_set1_epi8(fill)) }
     }
 
     #[inline(always)]

@@ -90,6 +90,20 @@ impl SimdEngine for Avx512I32 {
     }
 
     #[inline(always)]
+    fn shift_insert_low_n(self, v: __m512i, n: usize, fill: i32) -> __m512i {
+        let n = n.min(16);
+        // SAFETY: AVX-512 was verified by the constructor; register-only intrinsics.
+        unsafe {
+            // One vpermd for any distance: lane i ← lane i−n where the
+            // mask is set, `fill` below it.
+            let iota = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+            let idx = _mm512_sub_epi32(iota, _mm512_set1_epi32(n as i32));
+            let keep = (0xFFFF_u32 << n) as __mmask16;
+            _mm512_mask_permutexvar_epi32(_mm512_set1_epi32(fill), keep, idx, v)
+        }
+    }
+
+    #[inline(always)]
     fn extract_high(self, v: __m512i) -> i32 {
         // SAFETY: AVX-512 was verified by the constructor; register-only intrinsics.
         unsafe {
@@ -173,8 +187,8 @@ mod tests {
 /// IMCI had no sub-32-bit integer lanes (the paper's reason for
 /// restricting MIC to i32); AVX-512BW added them, so modern 512-bit
 /// hosts can run the narrow kernels at twice the lane count. The
-/// element shift uses `vpermw` + a mask blend — a single cross-lane
-/// permute instead of AVX2's permute/alignr/insert chain.
+/// one-lane shift is Fig. 7's composite at 512 bits (`valignq` +
+/// `vpalignr`); every other distance is one masked `vpermw`.
 #[derive(Debug, Clone, Copy)]
 pub struct Avx512I16 {
     _priv: (),
@@ -238,13 +252,34 @@ impl SimdEngine for Avx512I16 {
     fn shift_insert_low(self, v: __m512i, fill: i16) -> __m512i {
         // SAFETY: AVX-512 was verified by the constructor; register-only intrinsics.
         unsafe {
-            // vpermw: lane i ← lane i−1; lane 0 patched in by mask blend.
-            let idx = _mm512_set_epi16(
-                30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10,
-                9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0,
+            // Fig. 7 at 512 bits: `valignq` moves whole 128-bit lanes up
+            // one (fill entering at the bottom), then a per-lane
+            // `alignr` pulls each lane's new low word out of the lane
+            // below. Four cycles, and the fill needs no blend.
+            let lane_below = _mm512_alignr_epi64::<6>(v, _mm512_set1_epi16(fill));
+            _mm512_alignr_epi8::<14>(v, lane_below)
+        }
+    }
+
+    #[inline(always)]
+    fn shift_insert_low_n(self, v: __m512i, n: usize, fill: i16) -> __m512i {
+        if n == 1 {
+            // LLVM lowers the masked permute below, at distance one with
+            // a splat fill, to `vpermw` + `vpinsrw` + `vinserti32x4`.
+            return self.shift_insert_low(v, fill);
+        }
+        let n = n.min(32);
+        // SAFETY: AVX-512 was verified by the constructor; register-only intrinsics.
+        unsafe {
+            // One masked vpermw for any distance: lane i ← lane i−n
+            // where the mask is set, `fill` below it.
+            let iota = _mm512_set_epi16(
+                31, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11,
+                10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0,
             );
-            let shifted = _mm512_permutexvar_epi16(idx, v);
-            _mm512_mask_blend_epi16(0x1, shifted, _mm512_set1_epi16(fill))
+            let idx = _mm512_sub_epi16(iota, _mm512_set1_epi16(n as i16));
+            let keep = (u64::from(u32::MAX) << n) as __mmask32;
+            _mm512_mask_permutexvar_epi16(_mm512_set1_epi16(fill), keep, idx, v)
         }
     }
 

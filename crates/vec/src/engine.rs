@@ -90,34 +90,40 @@ pub trait SimdEngine: Copy + Send + Sync + 'static {
     }
 
     /// Shift lanes up by `n` indices, filling the vacated low lanes:
-    /// `rshift_x_fill(v, n, fill)`. Backends may override with native
-    /// shuffles; the default iterates [`Self::shift_insert_low`].
+    /// `rshift_x_fill(v, n, fill)` — lane `i` receives old lane `i-n`,
+    /// lanes below `n` receive `fill`, and `n ≥ LANES` yields
+    /// `splat(fill)`. Hardware backends do a power-of-two `n` in one
+    /// cross-lane permute plus a fill blend, which is what makes
+    /// [`weighted_scan_max`](Self::weighted_scan_max),
+    /// [`reduce_max`](Self::reduce_max) and [`ramp`](Self::ramp)
+    /// log₂ LANES steps.
+    fn shift_insert_low_n(self, v: Self::Vec, n: usize, fill: Self::Elem) -> Self::Vec;
+
+    /// Lane `l` holds `l · step` — saturating for narrow lanes,
+    /// wrapping for i32, exactly as `l` iterated
+    /// [`ScoreElem::sat_add`]s from zero would. Built by doubling:
+    /// after the round at distance `d`, lane `l` holds
+    /// `min(l, 2d) · step`.
     #[inline(always)]
-    fn shift_insert_low_n(self, v: Self::Vec, n: usize, fill: Self::Elem) -> Self::Vec {
-        let mut v = v;
-        for _ in 0..n.min(Self::LANES) {
-            v = self.shift_insert_low(v, fill);
+    fn ramp(self, step: Self::Elem) -> Self::Vec {
+        let zero = Self::Elem::ZERO;
+        let mut r = self.shift_insert_low(self.splat(step), zero);
+        let mut d = 1usize;
+        while d < Self::LANES {
+            r = self.add(r, self.shift_insert_low_n(r, d, zero));
+            d *= 2;
         }
-        v
+        r
     }
 
     /// The paper's `set_vector(m, i, g)` (Fig. 6): build the striped
     /// lower-bound vector whose lane `l` holds `init + l * step`
     /// (saturating). `step` is typically `k * gap_ext`, the weight of
-    /// one whole lane-chunk of the striped layout.
+    /// one whole lane-chunk of the striped layout. Callers that need
+    /// it once per column keep the [`Ramp`] instead.
     #[inline(always)]
     fn lower_bound(self, init: Self::Elem, step: Self::Elem) -> Self::Vec {
-        // Stack buffer sized for the widest supported engine (i8×64);
-        // only the first LANES slots are read. Keeps the per-column
-        // hot path allocation-free.
-        debug_assert!(Self::LANES <= 64);
-        let mut buf = [Self::Elem::ZERO; 64];
-        let mut acc = init;
-        for slot in buf.iter_mut().take(Self::LANES) {
-            *slot = acc;
-            acc = acc.sat_add(step);
-        }
-        self.load(&buf)
+        Ramp::new(self, step).at(self, init)
     }
 
     /// Inclusive per-vector weighted max-scan across lanes
@@ -130,16 +136,85 @@ pub trait SimdEngine: Copy + Send + Sync + 'static {
     fn weighted_scan_max(self, v: Self::Vec, w: Self::Elem) -> Self::Vec {
         let mut s = v;
         let mut d = 1usize;
-        let mut wd = w;
+        let mut v_wd = self.splat(w);
         while d < Self::LANES {
             let shifted = self.shift_insert_low_n(s, d, Self::Elem::NEG_INF);
-            s = self.max(s, self.add(shifted, self.splat(wd)));
+            s = self.max(s, self.add(shifted, v_wd));
             d *= 2;
-            // wd for the next round is 2 * current distance weight.
-            wd = wd.sat_add(wd);
+            // The next round's distance weight is twice this one's.
+            v_wd = self.add(v_wd, v_wd);
         }
         s
     }
+}
+
+/// `set_vector` with its loop-invariant half hoisted: the `l · step`
+/// ramp is built once (per alignment), after which every
+/// [`at`](Self::at) is one `add(splat(init), ramp)`.
+#[derive(Clone, Copy)]
+pub struct Ramp<E: SimdEngine> {
+    ramp: E::Vec,
+    step: E::Elem,
+    /// Whether `(LANES-1) · step` is representable, i.e. no ramp lane
+    /// saturated.
+    exact: bool,
+}
+
+impl<E: SimdEngine> core::fmt::Debug for Ramp<E> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Ramp")
+            .field("step", &self.step)
+            .field("exact", &self.exact)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<E: SimdEngine> Ramp<E> {
+    /// Build the ramp for `step`.
+    #[inline(always)]
+    pub fn new(eng: E, step: E::Elem) -> Self {
+        let far = step.to_i32().wrapping_mul(E::LANES as i32 - 1);
+        Self {
+            ramp: eng.ramp(step),
+            step,
+            exact: E::Elem::from_i32_sat(far).to_i32() == far,
+        }
+    }
+
+    /// Lane `l` = `init` followed by `l` [`ScoreElem::sat_add`]s of
+    /// `step`, i.e. `clamp(init + l · step)` on narrow lanes.
+    ///
+    /// One saturating add of the ramp gives exactly that unless a ramp
+    /// lane saturated *and* `init` pulls the other way (then the
+    /// clamped lane has forgotten how far past the limit it was); that
+    /// case — never met with gap penalties, where both are ≤ 0 —
+    /// replays the definition.
+    #[inline(always)]
+    pub fn at(&self, eng: E, init: E::Elem) -> E::Vec {
+        let zero = E::Elem::ZERO;
+        let opposed = (init > zero && self.step < zero) || (init < zero && self.step > zero);
+        if self.exact || !opposed {
+            eng.add(eng.splat(init), self.ramp)
+        } else {
+            iterated_lower_bound(eng, init, self.step)
+        }
+    }
+}
+
+/// The definition of `set_vector`, one scalar add per lane.
+#[cold]
+#[inline(never)]
+fn iterated_lower_bound<E: SimdEngine>(eng: E, init: E::Elem, step: E::Elem) -> E::Vec {
+    // Sized for the widest supported engine (i8×64); only the first
+    // LANES slots are read.
+    assert!(E::LANES <= 64);
+    let mut buf = [E::Elem::ZERO; 64];
+    let mut acc = init;
+    for slot in buf.iter_mut().take(E::LANES) {
+        *slot = acc;
+        acc = acc.sat_add(step);
+    }
+    eng.load(&buf)
 }
 
 /// Convenience: load-add in one call (the paper's `add_array`).

@@ -20,7 +20,8 @@
 //!   `i16x32` (AVX-512BW) goes beyond IMCI with native narrow lanes.
 //!
 //! The app-specific modules of Table I are provided on top of the
-//! basic ones: `set_vector` ([`SimdEngine::lower_bound`]),
+//! basic ones: `set_vector` ([`SimdEngine::lower_bound`], hoistable as
+//! a [`Ramp`]),
 //! `rshift_x_fill` ([`SimdEngine::shift_insert_low`]),
 //! `influence_test` ([`SimdEngine::any_gt`]) and `wgt_max_scan`
 //! ([`scan::wgt_max_scan_striped`]).
@@ -55,6 +56,6 @@ pub mod sse41;
 pub use detect::{best_backend, Backend, IsaSupport};
 pub use elem::ScoreElem;
 pub use emu::EmuEngine;
-pub use engine::SimdEngine;
+pub use engine::{Ramp, SimdEngine};
 pub use layout::StripedLayout;
 pub use saturate::SaturationGuard;

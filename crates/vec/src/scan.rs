@@ -23,7 +23,7 @@
 //!   paper Fig. 8, operating directly on striped buffers.
 
 use crate::elem::ScoreElem;
-use crate::engine::SimdEngine;
+use crate::engine::{Ramp, SimdEngine};
 use crate::layout::StripedLayout;
 
 /// Scan parameters: boundary value and the two gap weights.
@@ -90,11 +90,14 @@ pub fn wgt_max_scan_scalar<T: ScoreElem>(input: &[T], p: ScanParams<T>, out: &mu
 /// 1. *inter-vector scan*: one pass over the `k` segments propagates
 ///    the recurrence within each lane chunk, leaving the per-chunk
 ///    exclusive scan in `out` and the per-chunk carries in a register;
-/// 2. *intra-vector scan*: a Kogge–Stone weighted max-scan (weight
-///    `k·ext`) turns the carries into per-lane incoming values, and the
-///    boundary `init` enters through a lower-bound ramp;
+/// 2. *intra-vector scan*: [`cross_lane_carry`] turns the carries into
+///    per-lane incoming values, the boundary `init` entering through
+///    a `set_vector` ramp;
 /// 3. *inter-vector broadcast*: a second pass over the segments folds
 ///    the carries into `out` with weight `ext` per segment.
+///
+/// The striped kernels fuse steps 1 and 3 into their own column passes
+/// and share only step 2; this is the module on its own.
 #[inline(always)]
 pub fn wgt_max_scan_striped<E: SimdEngine>(
     eng: E,
@@ -111,27 +114,24 @@ pub fn wgt_max_scan_striped<E: SimdEngine>(
 
     let v_open = eng.splat(p.open);
     let v_ext = eng.splat(p.ext);
-    let neg_inf = eng.splat(E::Elem::NEG_INF);
+    // The boundary ramp  init + open + (l·k)·ext  (the l' = -1 term of
+    // the definition) does not depend on the input: build it first, so
+    // nothing of the scan is live across it.
+    let chunk_w = mul_small(p.ext, k);
+    let boundary = Ramp::new(eng, chunk_w).at(eng, p.init.sat_add(p.open));
 
     // Step 1: within-lane exclusive scan, segment by segment.
     //   u[0] = -inf;  u[j] = max(u[j-1] + ext, t[j-1] + open)
     // and the carry A = value the chunk would pass to position k.
-    let mut run = neg_inf;
+    let mut run = eng.splat(E::Elem::NEG_INF);
     for j in 0..k {
         eng.store(&mut out[j * lanes..], run);
         let t = eng.load(&input[j * lanes..]);
         run = eng.max(eng.add(run, v_ext), eng.add(t, v_open));
     }
-    let carries = run; // A[l] = carry out of lane l's chunk
 
-    // Step 2: cross-lane exclusive weighted scan of the carries with
-    // per-lane distance weight k·ext, seeded with the boundary ramp
-    //   init + open + (l·k)·ext   (the l' = -1 term of the definition).
-    let chunk_w = mul_small(p.ext, k);
-    let inclusive = eng.weighted_scan_max(carries, chunk_w);
-    let exclusive = eng.shift_insert_low(inclusive, E::Elem::NEG_INF);
-    let boundary = eng.lower_bound(p.init.sat_add(p.open), chunk_w);
-    let mut carry_in = eng.max(exclusive, boundary);
+    // Step 2: the carries cross lanes.
+    let mut carry_in = cross_lane_carry(eng, run, chunk_w, boundary);
 
     // Step 3: fold carries back in: position offset j inside a chunk
     // adds j·ext on top of the chunk's incoming value.
@@ -141,6 +141,24 @@ pub fn wgt_max_scan_striped<E: SimdEngine>(
         eng.store(&mut out[j * lanes..], merged);
         carry_in = eng.add(carry_in, v_ext);
     }
+}
+
+/// Step 2 of Fig. 8, the only cross-lane work of a scan column: a
+/// Kogge–Stone weighted max-scan of the per-chunk `carries` (distance
+/// weight `chunk_w` = `k·ext` per lane, log₂ LANES `rshift_x_fill`s),
+/// made exclusive by one more shift and joined with the `boundary`
+/// term. Lane `l` of the result is the value entering lane `l`'s chunk
+/// at its first query position.
+#[inline(always)]
+pub fn cross_lane_carry<E: SimdEngine>(
+    eng: E,
+    carries: E::Vec,
+    chunk_w: E::Elem,
+    boundary: E::Vec,
+) -> E::Vec {
+    let inclusive = eng.weighted_scan_max(carries, chunk_w);
+    let exclusive = eng.shift_insert_low(inclusive, E::Elem::NEG_INF);
+    eng.max(exclusive, boundary)
 }
 
 /// Saturating small-integer multiply used for chunk weights.

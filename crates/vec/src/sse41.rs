@@ -42,6 +42,41 @@ impl Sse41I16 {
     }
 }
 
+/// `rshift_x_fill` at byte granularity: bytes move up by `bytes`
+/// positions and the vacated low bytes take those of `fill`;
+/// `bytes ≥ 16` returns `fill`. One `pslldq` per set bit of `bytes`
+/// (it shifts zeros in, so the fill is merged with an `or`); a
+/// constant `bytes` folds every branch away.
+///
+/// # Safety
+/// The caller must guarantee SSE4.1 is available (every caller is an
+/// engine method, and the engine's constructor verified it).
+#[inline(always)]
+unsafe fn shift_bytes_up(v: __m128i, bytes: usize, fill: __m128i) -> __m128i {
+    if bytes >= 16 {
+        return fill;
+    }
+    // SAFETY: SSE4.1 availability is the function's own precondition; register-only intrinsics.
+    unsafe {
+        let mut r = v;
+        if bytes & 1 != 0 {
+            r = _mm_slli_si128::<1>(r);
+        }
+        if bytes & 2 != 0 {
+            r = _mm_slli_si128::<2>(r);
+        }
+        if bytes & 4 != 0 {
+            r = _mm_slli_si128::<4>(r);
+        }
+        if bytes & 8 != 0 {
+            r = _mm_slli_si128::<8>(r);
+        }
+        let iota = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let vacated = _mm_cmpgt_epi8(_mm_set1_epi8(bytes as i8), iota);
+        _mm_or_si128(r, _mm_and_si128(fill, vacated))
+    }
+}
+
 impl SimdEngine for Sse41I32 {
     type Elem = i32;
     type Vec = __m128i;
@@ -90,11 +125,13 @@ impl SimdEngine for Sse41I32 {
 
     #[inline(always)]
     fn shift_insert_low(self, v: __m128i, fill: i32) -> __m128i {
+        self.shift_insert_low_n(v, 1, fill)
+    }
+
+    #[inline(always)]
+    fn shift_insert_low_n(self, v: __m128i, n: usize, fill: i32) -> __m128i {
         // SAFETY: SSE4.1 was verified by the constructor; register-only intrinsics.
-        unsafe {
-            let shifted = _mm_slli_si128::<4>(v);
-            _mm_insert_epi32::<0>(shifted, fill)
-        }
+        unsafe { shift_bytes_up(v, n.min(4) * 4, _mm_set1_epi32(fill)) }
     }
 
     #[inline(always)]
@@ -161,11 +198,13 @@ impl SimdEngine for Sse41I16 {
 
     #[inline(always)]
     fn shift_insert_low(self, v: __m128i, fill: i16) -> __m128i {
+        self.shift_insert_low_n(v, 1, fill)
+    }
+
+    #[inline(always)]
+    fn shift_insert_low_n(self, v: __m128i, n: usize, fill: i16) -> __m128i {
         // SAFETY: SSE4.1 was verified by the constructor; register-only intrinsics.
-        unsafe {
-            let shifted = _mm_slli_si128::<2>(v);
-            _mm_insert_epi16::<0>(shifted, fill as i32)
-        }
+        unsafe { shift_bytes_up(v, n.min(8) * 2, _mm_set1_epi16(fill)) }
     }
 
     #[inline(always)]

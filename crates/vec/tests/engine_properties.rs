@@ -3,7 +3,7 @@
 //! its scalar recurrence on arbitrary inputs and geometries.
 
 use aalign_vec::scan::{wgt_max_scan_naive, wgt_max_scan_scalar, wgt_max_scan_striped, ScanParams};
-use aalign_vec::{EmuEngine, SimdEngine, StripedLayout};
+use aalign_vec::{EmuEngine, ScoreElem, SimdEngine, StripedLayout};
 use proptest::prelude::*;
 
 /// Compare one binary op across engines for all lanes.
@@ -34,7 +34,69 @@ macro_rules! cross_check {
         eng.store(&mut got, eng.weighted_scan_max(va, $b[0] % 8 - 7));
         emu.store(&mut want, emu.weighted_scan_max(ea, $b[0] % 8 - 7));
         prop_assert_eq!(&got, &want, "weighted_scan_max");
+
+        // Every distance, not just the powers of two the scans use,
+        // with an arbitrary fill.
+        for d in 0..=$lanes + 1 {
+            eng.store(&mut got, eng.shift_insert_low_n(va, d, $b[1]));
+            emu.store(&mut want, emu.shift_insert_low_n(ea, d, $b[1]));
+            prop_assert_eq!(&got, &want, "shift_insert_low_n d={}", d);
+        }
+
+        // `set_vector` against its definition: `l` iterated sat_adds,
+        // including (init, step) pairs whose ramp saturates.
+        let (init, step) = ($a[0], $b[2]);
+        eng.store(&mut got, eng.lower_bound(init, step));
+        prop_assert_eq!(
+            &got,
+            &iterated_lower_bound(init, step, $lanes),
+            "lower_bound"
+        );
+        eng.store(&mut got, eng.ramp(step));
+        prop_assert_eq!(
+            &got,
+            &iterated_lower_bound(ScoreElem::ZERO, step, $lanes),
+            "ramp"
+        );
     }};
+}
+
+/// The definition `lower_bound` must reproduce bit for bit.
+fn iterated_lower_bound<T: ScoreElem>(init: T, step: T, lanes: usize) -> Vec<T> {
+    let mut acc = init;
+    (0..lanes)
+        .map(|_| {
+            let lane = acc;
+            acc = acc.sat_add(step);
+            lane
+        })
+        .collect()
+}
+
+/// All 256×256 (init, step) pairs on byte lanes: the domain where the
+/// ramp saturates for most steps and both fallback conditions fire.
+#[test]
+fn lower_bound_i8_is_exhaustively_the_iterated_definition() {
+    fn check<E: SimdEngine<Elem = i8>>(eng: E) {
+        let mut got = vec![0i8; E::LANES];
+        for init in i8::MIN..=i8::MAX {
+            for step in i8::MIN..=i8::MAX {
+                eng.store(&mut got, eng.lower_bound(init, step));
+                assert_eq!(
+                    got,
+                    iterated_lower_bound(init, step, E::LANES),
+                    "{} init={init} step={step}",
+                    E::NAME
+                );
+            }
+        }
+    }
+    check(EmuEngine::<i8, 32>::new());
+    check(EmuEngine::<i8, 64>::new());
+    #[cfg(target_arch = "x86_64")]
+    if let Some(eng) = aalign_vec::avx2::Avx2I8::new() {
+        check(eng);
+    }
 }
 
 proptest! {
@@ -169,6 +231,65 @@ proptest! {
             }
             if let Some(eng) = aalign_vec::avx512::Avx512I32::new() {
                 check_engine!(eng, 16);
+            }
+        }
+    }
+
+    /// The narrow engines at the geometry `prot_short` and `dna_i8`
+    /// run: one to three segments, full-range lane values (the scan
+    /// only ever adds penalties ≤ 0, so floor saturation is exact).
+    #[test]
+    fn scan_striped_equals_scalar_narrow(
+        raw in proptest::collection::vec(any::<i16>(), 1..=96),
+        init in any::<i16>(),
+        open in -40i16..=0,
+        ext in -10i16..=-1,
+    ) {
+        fn check<E: SimdEngine>(
+            eng: E,
+            raw: &[i16],
+            (init, open, ext): (i16, i16, i16),
+        ) -> Result<(), TestCaseError> {
+            let narrow = |x: i16| {
+                let x = i32::from(x);
+                E::Elem::from_i32_sat(if E::Elem::BITS == 8 { x >> 8 } else { x })
+            };
+            let input: Vec<E::Elem> = raw.iter().take(3 * E::LANES).map(|&x| narrow(x)).collect();
+            let m = input.len();
+            let p = ScanParams {
+                init: narrow(init),
+                open: E::Elem::from_i32_sat(open.into()),
+                ext: E::Elem::from_i32_sat(ext.into()),
+            };
+            let mut expect = vec![E::Elem::ZERO; m];
+            wgt_max_scan_scalar(&input, p, &mut expect);
+
+            let layout = StripedLayout::new(m, E::LANES);
+            let mut sin = Vec::new();
+            layout.stripe(&input, E::Elem::NEG_INF, &mut sin);
+            let mut sout = vec![E::Elem::ZERO; layout.padded_len()];
+            wgt_max_scan_striped(eng, layout, &sin, &mut sout, p);
+            for q in 0..m {
+                prop_assert_eq!(sout[layout.slot_of(q)], expect[q], "{} q={} m={}", E::NAME, q, m);
+            }
+            Ok(())
+        }
+        let p = (init, open, ext);
+        check(EmuEngine::<i16, 32>::new(), &raw, p)?;
+        check(EmuEngine::<i8, 32>::new(), &raw, p)?;
+        #[cfg(target_arch = "x86_64")]
+        {
+            if let Some(eng) = aalign_vec::avx512::Avx512I16::new() {
+                check(eng, &raw, p)?;
+            }
+            if let Some(eng) = aalign_vec::avx2::Avx2I16::new() {
+                check(eng, &raw, p)?;
+            }
+            if let Some(eng) = aalign_vec::avx2::Avx2I8::new() {
+                check(eng, &raw, p)?;
+            }
+            if let Some(eng) = aalign_vec::sse41::Sse41I16::new() {
+                check(eng, &raw, p)?;
             }
         }
     }

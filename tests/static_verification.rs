@@ -5,8 +5,9 @@
 //! lint over the concurrent crates, and the kernel conformance layer
 //! (symbolic proof obligations + the bounded-exhaustive differential
 //! harness) — so a change that breaks a static guarantee fails the
-//! main suite, not just the analyzer's. A source guard rides along:
-//! one JSON codec, one database sweep.
+//! main suite, not just the analyzer's. Two source guards ride along:
+//! one JSON codec and one database sweep; no per-lane scalar work in a
+//! striped column.
 
 use aalign_analyzer::audit::{audit_dir, default_vec_src_dir, VEC_BASELINE};
 use aalign_analyzer::concurrency::{default_concurrency_dirs, scan_dirs, CONCURRENCY_BASELINE};
@@ -316,6 +317,68 @@ fn one_json_codec_and_one_sweep() {
                 !text.contains(needle),
                 "{}: `{needle}` — SearchEngine::search is the only sweep",
                 path.display()
+            );
+        }
+    }
+}
+
+/// The text of `fn name`'s body in `src` (brace-matched).
+fn fn_body<'a>(src: &'a str, name: &str) -> &'a str {
+    let at = src
+        .find(&format!("fn {name}<"))
+        .or_else(|| src.find(&format!("fn {name}(")))
+        .unwrap_or_else(|| panic!("fn {name} not found"));
+    let open = at + src[at..].find(" {\n").expect("body opens") + 1;
+    let mut depth = 0usize;
+    for (i, c) in src[open..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return &src[open..=open + i];
+                }
+            }
+            _ => {}
+        }
+    }
+    panic!("fn {name}: unbalanced braces");
+}
+
+/// A striped column costs what the paper says it does (Sec. V-A): per
+/// column the only loops are over the `k` segments (plus the lazy
+/// `loop`), never over the lanes of a vector, and `set_vector` is the
+/// ramp hoisted into `ColumnEngine::new` — not a `lower_bound` rebuilt
+/// per column, which is what made a 2-segment column cost 92 ns.
+#[test]
+fn striped_columns_do_no_per_lane_scalar_work() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let columns = std::fs::read_to_string(root.join("crates/core/src/striped/columns.rs")).unwrap();
+    let scan = std::fs::read_to_string(root.join("crates/vec/src/scan.rs")).unwrap();
+    let per_column = [
+        (&columns, "first_pass"),
+        (&columns, "iterate_column"),
+        (&columns, "scan_column"),
+        (&columns, "finish_column"),
+        (&scan, "wgt_max_scan_striped"),
+    ];
+    for (src, name) in per_column {
+        let body = fn_body(src, name);
+        assert!(
+            !body.contains("lower_bound("),
+            "{name}: builds set_vector per column; use the hoisted Ramp"
+        );
+        for line in body.lines().map(str::trim) {
+            let is_loop = line.starts_with("for ") || line.starts_with("while ");
+            assert!(
+                !is_loop || line == "for j in 0..k {",
+                "{name}: `{line}` — a column loops over its k segments only"
+            );
+            assert!(
+                !line.contains(".iter(")
+                    && !line.contains(".iter_mut(")
+                    && !line.contains("LANES]"),
+                "{name}: `{line}` — per-lane scalar work in a column"
             );
         }
     }
