@@ -15,8 +15,8 @@
 //!   way back in, so consumers fail loudly on a future format bump
 //!   instead of misreading fields.
 //! * **Error envelopes** — errors are objects with a stable string
-//!   `"code"` plus a human `"message"` ([`error_envelope`]); typed
-//!   detail fields ride alongside. The CLI and the server emit the
+//!   `"code"` plus a human `"message"`; typed detail fields ride
+//!   alongside. The CLI and the server emit the
 //!   same objects, which is what makes partial-result reporting
 //!   uniform across exit paths.
 //! * **Lossless histograms** — [`histogram_to_wire`] serializes the
@@ -363,18 +363,6 @@ pub fn check_version(v: &JsonValue) -> Result<(), WireError> {
         ))),
         Err(_) => Err(WireError::new("missing schema_version")),
     }
-}
-
-/// Standard versioned error envelope:
-/// `{"schema_version":1,"error":{"code":…,"message":…}}`.
-///
-/// `code` is the stable machine-readable discriminator; `message` is
-/// for humans and carries no stability promise.
-pub fn error_envelope(code: &str, message: &str) -> JsonValue {
-    versioned(vec![(
-        "error",
-        obj(vec![("code", code.into()), ("message", message.into())]),
-    )])
 }
 
 /// Required-field accessor: the object's `key` as a `&JsonValue`.
@@ -785,17 +773,6 @@ mod tests {
         assert!(check_version(&future).is_err());
         let missing = JsonValue::parse("{}").unwrap();
         assert!(check_version(&missing).is_err());
-    }
-
-    #[test]
-    fn error_envelope_shape() {
-        let e = error_envelope("overloaded", "queue full");
-        let rendered = e.render();
-        let back = JsonValue::parse(&rendered).unwrap();
-        check_version(&back).unwrap();
-        let inner = back.get("error").unwrap();
-        assert_eq!(str_field(inner, "code").unwrap(), "overloaded");
-        assert_eq!(str_field(inner, "message").unwrap(), "queue full");
     }
 
     #[test]

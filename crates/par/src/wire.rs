@@ -1,8 +1,9 @@
 //! Versioned wire conversions for the search types: one stable JSON
-//! shape for [`Hit`], [`SearchMetrics`], [`SearchReport`], and
-//! [`AlignError`], shared verbatim by the CLI's `--metrics-format
-//! json`, partial-result reporting on stderr, and the `aalign-serve`
-//! HTTP / JSON-RPC front ends.
+//! shape for [`SearchRequest`], [`Hit`], [`SearchMetrics`],
+//! [`SearchReport`], and [`AlignError`], shared verbatim by the CLI's
+//! `--metrics-format json`, partial-result reporting on stderr, the
+//! `aalign-serve` HTTP / JSON-RPC front ends, and the shard
+//! supervisor's child requests.
 //!
 //! Conventions (see [`aalign_obs::wire`]):
 //!
@@ -38,6 +39,143 @@ use crate::search::{Hit, SearchReport};
 
 fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// One search request, front-end agnostic: what the HTTP and JSON-RPC
+/// front ends decode, and what every client of them (the shard
+/// supervisor, `aalign loadgen`) encodes.
+///
+/// JSON shape (only `query` is required):
+///
+/// ```json
+/// {"query": "MKVLA…", "query_id": "q1", "top_n": 10,
+///  "deadline_ms": 500, "tenant": "teamA", "id": "req-7",
+///  "no_batch": false}
+/// ```
+#[derive(Debug, Clone)]
+#[non_exhaustive]
+pub struct SearchRequest {
+    /// Caller-chosen request id; registers the request for
+    /// cancellation (`cancel` with the same id) and is echoed on the
+    /// response. Must be unique among in-flight requests.
+    pub id: Option<String>,
+    /// Tenant label for per-tenant in-flight quotas.
+    pub tenant: Option<String>,
+    /// Query sequence id (defaults to `"query"`; label only — it
+    /// does not affect batching).
+    pub query_id: String,
+    /// Query residues (protein, one-letter code).
+    pub query: String,
+    /// Keep only the best `top_n` hits (0 = every hit).
+    pub top_n: usize,
+    /// Per-request wall-clock budget in milliseconds. Bounds both
+    /// time queued under admission control and the engine sweep; on
+    /// expiry the response is `partial: true`, never an error.
+    pub deadline_ms: Option<u64>,
+    /// Opt this request out of cross-request batching.
+    pub no_batch: bool,
+}
+
+impl Default for SearchRequest {
+    fn default() -> Self {
+        Self {
+            id: None,
+            tenant: None,
+            query_id: "query".to_string(),
+            query: String::new(),
+            top_n: 0,
+            deadline_ms: None,
+            no_batch: false,
+        }
+    }
+}
+
+impl SearchRequest {
+    /// Request for `query` residues with defaults everywhere else.
+    pub fn new(query: impl Into<String>) -> Self {
+        Self {
+            query: query.into(),
+            ..Self::default()
+        }
+    }
+
+    /// Requested deadline as a [`Duration`].
+    pub fn deadline(&self) -> Option<Duration> {
+        self.deadline_ms.map(Duration::from_millis)
+    }
+
+    /// Decode from a request document (strict: unknown fields are
+    /// ignored, wrong types are errors).
+    pub fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
+        if v.as_object().is_none() {
+            return Err(WireError::new("request must be a JSON object"));
+        }
+        let query = v
+            .get("query")
+            .and_then(|q| q.as_str())
+            .ok_or_else(|| WireError::new("missing string field \"query\""))?
+            .to_string();
+        let opt_str = |key: &str| -> Result<Option<String>, WireError> {
+            match v.get(key) {
+                None | Some(JsonValue::Null) => Ok(None),
+                Some(s) => s
+                    .as_str()
+                    .map(|s| Some(s.to_string()))
+                    .ok_or_else(|| WireError::new(format!("field {key:?} must be a string"))),
+            }
+        };
+        let opt_u64 = |key: &str| -> Result<Option<u64>, WireError> {
+            match v.get(key) {
+                None | Some(JsonValue::Null) => Ok(None),
+                Some(n) => n.as_u64().map(Some).ok_or_else(|| {
+                    WireError::new(format!("field {key:?} must be a non-negative integer"))
+                }),
+            }
+        };
+        let opt_bool = |key: &str| -> Result<bool, WireError> {
+            match v.get(key) {
+                None | Some(JsonValue::Null) => Ok(false),
+                Some(b) => b
+                    .as_bool()
+                    .ok_or_else(|| WireError::new(format!("field {key:?} must be a boolean"))),
+            }
+        };
+        Ok(Self {
+            id: opt_str("id")?,
+            tenant: opt_str("tenant")?,
+            query_id: opt_str("query_id")?.unwrap_or_else(|| "query".to_string()),
+            query,
+            top_n: opt_u64("top_n")?.unwrap_or(0) as usize,
+            deadline_ms: opt_u64("deadline_ms")?,
+            no_batch: opt_bool("no_batch")?,
+        })
+    }
+
+    /// Encode as a request document, the inverse of
+    /// [`from_wire`](Self::from_wire). Fields at their default are
+    /// left out.
+    pub fn to_wire(&self) -> JsonValue {
+        let mut fields: Vec<(&str, JsonValue)> = vec![("query", self.query.as_str().into())];
+        if self.query_id != "query" {
+            fields.push(("query_id", self.query_id.as_str().into()));
+        }
+        if let Some(id) = &self.id {
+            fields.push(("id", id.as_str().into()));
+        }
+        if let Some(t) = &self.tenant {
+            fields.push(("tenant", t.as_str().into()));
+        }
+        if self.top_n > 0 {
+            fields.push(("top_n", self.top_n.into()));
+        }
+        if let Some(ms) = self.deadline_ms {
+            fields.push(("deadline_ms", ms.into()));
+        }
+        if self.no_batch {
+            fields.push(("no_batch", true.into()));
+        }
+        obj(fields)
+    }
 }
 
 /// `{"db_index":…,"len":…,"score":…}` — one database hit.
@@ -331,6 +469,37 @@ pub fn report_from_wire(v: &JsonValue) -> Result<SearchReport, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn request_round_trips() {
+        let mut req = SearchRequest::new("MKVLA");
+        req.id = Some("r1".into());
+        req.tenant = Some("teamA".into());
+        req.top_n = 5;
+        req.deadline_ms = Some(250);
+        req.no_batch = true;
+        let doc = req.to_wire().render();
+        let back = SearchRequest::from_wire(&JsonValue::parse(&doc).unwrap()).unwrap();
+        assert_eq!(back.query, "MKVLA");
+        assert_eq!(back.id.as_deref(), Some("r1"));
+        assert_eq!(back.tenant.as_deref(), Some("teamA"));
+        assert_eq!(back.top_n, 5);
+        assert_eq!(back.deadline_ms, Some(250));
+        assert!(back.no_batch);
+    }
+
+    #[test]
+    fn request_requires_a_query_string() {
+        for doc in [
+            "{}",
+            "{\"query\":7}",
+            "[1]",
+            "{\"query\":\"A\",\"top_n\":\"x\"}",
+        ] {
+            let v = JsonValue::parse(doc).unwrap();
+            assert!(SearchRequest::from_wire(&v).is_err(), "{doc}");
+        }
+    }
 
     #[test]
     fn error_codes_are_stable_and_round_trip() {

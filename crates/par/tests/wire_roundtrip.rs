@@ -15,7 +15,7 @@ use aalign_core::{AlignConfig, AlignError, Aligner, GapModel};
 use aalign_obs::wire::JsonValue;
 use aalign_par::wire::{
     error_to_wire, hit_to_wire, metrics_from_wire, metrics_to_wire, report_from_wire,
-    report_to_wire,
+    report_to_wire, SearchRequest,
 };
 use aalign_par::{search_database, SearchOptions};
 
@@ -220,6 +220,32 @@ fn report_schema_v1_is_pinned() {
         "report schema drifted:\n{rendered}"
     );
     assert!(rendered.contains("\"metrics\":{\"schema_version\":1,"));
+}
+
+/// The request document every client writes (HTTP bodies, JSON-RPC
+/// `search` params, the shard supervisor's child requests): key
+/// names, key order, and which defaults are left out.
+#[test]
+fn request_schema_v1_is_pinned() {
+    assert_eq!(
+        SearchRequest::new("MKVLA").to_wire().render(),
+        "{\"query\":\"MKVLA\"}"
+    );
+    let mut req = SearchRequest::new("MKVLA");
+    req.query_id = "q1".into();
+    req.id = Some("req-7".into());
+    req.tenant = Some("teamA".into());
+    req.top_n = 10;
+    req.deadline_ms = Some(500);
+    req.no_batch = true;
+    let rendered = req.to_wire().render();
+    assert_eq!(
+        rendered,
+        "{\"query\":\"MKVLA\",\"query_id\":\"q1\",\"id\":\"req-7\",\"tenant\":\"teamA\",\
+         \"top_n\":10,\"deadline_ms\":500,\"no_batch\":true}"
+    );
+    let back = SearchRequest::from_wire(&JsonValue::parse(&rendered).unwrap()).unwrap();
+    assert_eq!(back.to_wire().render(), rendered);
 }
 
 #[test]

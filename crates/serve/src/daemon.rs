@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use crate::backend::SearchBackend;
 use crate::dispatch::Dispatcher;
 use crate::http::serve_http;
 use crate::rpc::respond_line;
@@ -125,7 +126,10 @@ pub mod signal {
 /// Run the daemon until a termination signal or shutdown request,
 /// then drain. Returns the process exit code: `0` after a clean
 /// drain, `1` if in-flight requests outlived `drain_timeout`.
-pub fn run_daemon(dispatcher: Arc<Dispatcher>, opts: &DaemonOptions) -> io::Result<i32> {
+pub fn run_daemon<B: SearchBackend + 'static>(
+    dispatcher: Arc<Dispatcher<B>>,
+    opts: &DaemonOptions,
+) -> io::Result<i32> {
     signal::install();
     match opts.front_end {
         FrontEnd::Http => run_http(dispatcher, opts),
@@ -133,7 +137,10 @@ pub fn run_daemon(dispatcher: Arc<Dispatcher>, opts: &DaemonOptions) -> io::Resu
     }
 }
 
-fn run_http(dispatcher: Arc<Dispatcher>, opts: &DaemonOptions) -> io::Result<i32> {
+fn run_http<B: SearchBackend + 'static>(
+    dispatcher: Arc<Dispatcher<B>>,
+    opts: &DaemonOptions,
+) -> io::Result<i32> {
     let listener = TcpListener::bind(&opts.addr)?;
     let addr = listener.local_addr()?;
     // Announced on stdout so scripts (and the CI smoke test) can
@@ -165,7 +172,10 @@ fn run_http(dispatcher: Arc<Dispatcher>, opts: &DaemonOptions) -> io::Result<i32
     Ok(i32::from(!clean))
 }
 
-fn run_stdio(dispatcher: Arc<Dispatcher>, opts: &DaemonOptions) -> io::Result<i32> {
+fn run_stdio<B: SearchBackend>(
+    dispatcher: Arc<Dispatcher<B>>,
+    opts: &DaemonOptions,
+) -> io::Result<i32> {
     // stdout is the RPC channel, so the banner goes to stderr.
     eprintln!("aalign-serve speaking JSON-RPC on stdio");
 
@@ -244,10 +254,10 @@ fn run_stdio(dispatcher: Arc<Dispatcher>, opts: &DaemonOptions) -> io::Result<i3
 /// get typed `draining` refusals once drain has begun), then flush
 /// stdout to completion so the final reply is never truncated by
 /// process exit.
-fn flush_queued(
+fn flush_queued<B: SearchBackend>(
     rx: &mpsc::Receiver<io::Result<String>>,
     out: &mut impl Write,
-    dispatcher: &Dispatcher,
+    dispatcher: &Dispatcher<B>,
 ) -> io::Result<()> {
     while let Ok(Ok(line)) = rx.try_recv() {
         if let Some(response) = respond_line(&line, dispatcher) {
@@ -258,7 +268,7 @@ fn flush_queued(
     out.flush()
 }
 
-fn report_drain(clean: bool, dispatcher: &Dispatcher) {
+fn report_drain<B: SearchBackend>(clean: bool, dispatcher: &Dispatcher<B>) {
     if clean {
         eprintln!("aalign-serve: drained cleanly");
     } else {

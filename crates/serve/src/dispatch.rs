@@ -16,7 +16,7 @@
 //!    [`ServeError::Overloaded`]; nobody waits unboundedly.
 //! 5. **Cross-request batching** — concurrent requests with the same
 //!    query fingerprint (residues + `top_n`) coalesce onto one
-//!    engine sweep. The leader runs; followers wait on the leader's
+//!    backend sweep. The leader runs; followers wait on the leader's
 //!    flight and share its `Arc<SearchReport>`. The coalesced count
 //!    is stamped into the leader's `SearchMetrics::coalesced`.
 //!    Cancellation stays per-request: a follower whose leader was
@@ -31,6 +31,9 @@
 //!    A coalesced follower's `batch_wait` event references the
 //!    leader's request id, so a flight dump reconstructs who rode on
 //!    whose sweep.
+//!
+//! What sweeps is a [`SearchBackend`] — the local engine pool or a
+//! shard supervisor; every gate above applies to both alike.
 //!
 //! Lock order, where it matters: `flights` before any
 //! `Flight::state`; the admission mutex is never held across either;
@@ -48,9 +51,9 @@ use aalign_bio::{SeqDatabase, Sequence};
 use aalign_core::{AlignError, Aligner};
 use aalign_obs::wire::{histogram_to_wire, obj, versioned, JsonValue};
 use aalign_obs::{FlightEvent, FlightRecorder, Histogram, StageKind};
-use aalign_par::{CancelToken, EngineHandle, SearchOptions, SearchReport};
-use aalign_shard::{ShardQuery, Supervisor};
+use aalign_par::{CancelToken, EngineHandle, SearchReport};
 
+use crate::backend::{Local, SearchBackend};
 use crate::wire::{SearchRequest, SearchResponse, ServeError};
 
 /// How often blocked waiters (admission queue, batch followers)
@@ -77,8 +80,9 @@ pub struct DispatcherConfig {
     /// How long a request without a deadline may sit in the
     /// admission queue before it is refused as overloaded.
     pub admission_wait: Duration,
-    /// Chaos harness: a scripted fault plan applied to every request
-    /// the dispatcher runs (worker kills, panics, stalls).
+    /// Chaos harness: a scripted fault plan [`Dispatcher::new`] hands
+    /// to its [`Local`] backend, applied to every sweep (worker kills,
+    /// panics, stalls).
     #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<Arc<aalign_par::FaultPlan>>,
 }
@@ -258,11 +262,11 @@ enum AdmitRefusal {
 
 /// RAII in-flight slot: dropping it releases the slot and wakes both
 /// queued waiters and the drain waiter.
-struct Permit<'a> {
-    d: &'a Dispatcher,
+struct Permit<'a, B> {
+    d: &'a Dispatcher<B>,
 }
 
-impl Drop for Permit<'_> {
+impl<B> Drop for Permit<'_, B> {
     fn drop(&mut self) {
         let mut st = self.d.admit.lock().expect("admission lock poisoned");
         st.inflight -= 1;
@@ -274,12 +278,12 @@ impl Drop for Permit<'_> {
 }
 
 /// RAII tenant-quota slot.
-struct TenantGuard<'a> {
-    d: &'a Dispatcher,
+struct TenantGuard<'a, B> {
+    d: &'a Dispatcher<B>,
     tenant: String,
 }
 
-impl Drop for TenantGuard<'_> {
+impl<B> Drop for TenantGuard<'_, B> {
     fn drop(&mut self) {
         let mut tenants = self.d.tenants.lock().expect("tenant lock poisoned");
         if let Some(n) = tenants.get_mut(&self.tenant) {
@@ -292,12 +296,12 @@ impl Drop for TenantGuard<'_> {
 }
 
 /// RAII cancellation-registry entry.
-struct CancelGuard<'a> {
-    d: &'a Dispatcher,
+struct CancelGuard<'a, B> {
+    d: &'a Dispatcher<B>,
     id: String,
 }
 
-impl Drop for CancelGuard<'_> {
+impl<B> Drop for CancelGuard<'_, B> {
     fn drop(&mut self) {
         self.d
             .cancels
@@ -309,10 +313,8 @@ impl Drop for CancelGuard<'_> {
 
 /// The shared dispatcher. Construct once, wrap in an [`Arc`], and
 /// hand a clone to every front end / connection thread.
-pub struct Dispatcher {
-    engine: EngineHandle,
-    aligner: Aligner,
-    db: SeqDatabase,
+pub struct Dispatcher<B = Local> {
+    backend: Arc<B>,
     cfg: DispatcherConfig,
     admit: Mutex<AdmitState>,
     admit_cv: Condvar,
@@ -326,18 +328,13 @@ pub struct Dispatcher {
     request_seq: AtomicU64,
     flight_rec: FlightRecorder,
     stage_hists: Mutex<StageHists>,
-    /// Sharded backend: when set, searches fan out to the
-    /// supervisor's child processes instead of this process's engine
-    /// pool (which then only serves as a fallback for health
-    /// reporting). Installed with [`Dispatcher::with_shards`].
-    shards: Option<Arc<Supervisor>>,
 }
 
-impl std::fmt::Debug for Dispatcher {
+impl<B: SearchBackend> std::fmt::Debug for Dispatcher<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dispatcher")
-            .field("threads", &self.engine.threads())
-            .field("subjects", &self.db.len())
+            .field("threads", &self.backend.threads())
+            .field("subjects", &self.backend.subjects())
             .field("cfg", &self.cfg)
             .field("draining", &self.is_draining())
             .finish_non_exhaustive()
@@ -345,40 +342,35 @@ impl std::fmt::Debug for Dispatcher {
 }
 
 impl Dispatcher {
-    /// Build a dispatcher over its own engine pool of `threads`
-    /// workers (0 = available parallelism).
+    /// Build a dispatcher over its own [`Local`] engine pool of
+    /// `threads` workers (0 = available parallelism).
     pub fn new(aligner: Aligner, db: SeqDatabase, threads: usize, cfg: DispatcherConfig) -> Self {
-        Self::with_engine(EngineHandle::new(threads), aligner, db, cfg)
+        let local = Local::new(aligner, db, threads);
+        #[cfg(feature = "fault-inject")]
+        let local = Local {
+            fault_plan: cfg.fault_plan.clone(),
+            ..local
+        };
+        Self::with_backend(Arc::new(local), cfg)
     }
 
-    /// Build a dispatcher over an existing shared engine handle —
-    /// the same pool a CLI session or test already holds.
-    ///
-    /// Certificates are loaded at startup: if the aligner does not
-    /// already carry a [certificate store](aalign_core::CertificateStore),
-    /// one is proven here against the database's length bounds, so
-    /// every admitted request runs with statically certified width
-    /// selection and `health()` can report which lane widths are
-    /// proven rescue-free.
-    pub fn with_engine(
-        engine: EngineHandle,
-        aligner: Aligner,
-        db: SeqDatabase,
-        cfg: DispatcherConfig,
-    ) -> Self {
-        let aligner = if aligner.certificates().is_none() && !db.is_empty() {
-            // Queries arrive per request with unknown length; the
-            // subject bound caps them too (longer queries simply fall
-            // outside the certificate and use dynamic ScoreBounds).
-            let max_len = db.stats().max_len;
-            aligner.with_certified_bounds(max_len, max_len)
-        } else {
-            aligner
-        };
+    /// The engine this dispatcher sweeps with.
+    pub fn engine(&self) -> &EngineHandle {
+        &self.backend.engine
+    }
+
+    /// The database being served.
+    pub fn db(&self) -> &SeqDatabase {
+        &self.backend.db
+    }
+}
+
+impl<B: SearchBackend> Dispatcher<B> {
+    /// Build a dispatcher over any backend — a shard supervisor, or a
+    /// test's fake.
+    pub fn with_backend(backend: Arc<B>, cfg: DispatcherConfig) -> Self {
         Self {
-            engine,
-            aligner,
-            db,
+            backend,
             cfg,
             admit: Mutex::new(AdmitState::default()),
             admit_cv: Condvar::new(),
@@ -392,34 +384,7 @@ impl Dispatcher {
             request_seq: AtomicU64::new(0),
             flight_rec: FlightRecorder::new(),
             stage_hists: Mutex::new(StageHists::default()),
-            shards: None,
         }
-    }
-
-    /// Route searches through a shard supervisor instead of the
-    /// local engine pool. Batching/coalescing is bypassed on the
-    /// sharded path — the children already overlap work across
-    /// shards — and caller cancellation takes effect at the
-    /// supervisor's deadline granularity rather than mid-sweep.
-    #[must_use]
-    pub fn with_shards(mut self, sup: Arc<Supervisor>) -> Self {
-        self.shards = Some(sup);
-        self
-    }
-
-    /// The shard supervisor, when this dispatcher runs sharded.
-    pub fn shards(&self) -> Option<&Arc<Supervisor>> {
-        self.shards.as_ref()
-    }
-
-    /// The engine this dispatcher sweeps with.
-    pub fn engine(&self) -> &EngineHandle {
-        &self.engine
-    }
-
-    /// The database being served.
-    pub fn db(&self) -> &SeqDatabase {
-        &self.db
     }
 
     /// Allocate the next request id: dense, unique, never 0. Front
@@ -469,7 +434,7 @@ impl Dispatcher {
 
     /// Run one search request end to end: drain gate, quota,
     /// cancellation registration, admission, then either a fresh
-    /// engine sweep or attachment to an identical in-flight one.
+    /// backend sweep or attachment to an identical in-flight one.
     ///
     /// Failure modes that still produced work — deadline expiry,
     /// fault-injected worker kills — come back as `Ok` responses
@@ -491,13 +456,13 @@ impl Dispatcher {
     ) -> Result<SearchResponse, ServeError> {
         Counters::bump(&self.counters.requests_total);
         let e2e_start = Instant::now();
-        let respawned_before = self.engine.workers_respawned();
+        let respawned_before = self.backend.respawns();
         let outcome = self.search_inner(req, request_id);
         {
             let mut hists = self.stage_hists.lock().expect("stage histograms poisoned");
             hists.e2e.record(dur_ns(e2e_start.elapsed()));
         }
-        if self.engine.workers_respawned() > respawned_before {
+        if self.backend.respawns() > respawned_before {
             self.dump_flight(&format!("worker respawned during request {request_id}"));
         }
         match &outcome {
@@ -555,20 +520,8 @@ impl Dispatcher {
             e2e_start: start,
         };
 
-        let result = if let Some(sup) = &self.shards {
-            // Sharded dispatch: fan out to the supervisor's child
-            // processes. Never batched — the children already
-            // overlap work across shards.
-            let remaining = budget.map(|b| b.saturating_sub(start.elapsed()));
-            self.run_sharded(sup, req, remaining, trace)
-                .map(|report| SearchResponse {
-                    id: req.id.clone(),
-                    request_id: rid,
-                    batched: false,
-                    report,
-                })
-        } else if req.no_batch {
-            // Whatever the queue consumed comes out of the engine's
+        let result = if req.no_batch {
+            // Whatever the queue consumed comes out of the backend's
             // budget, so the end-to-end deadline holds.
             let remaining = budget.map(|b| b.saturating_sub(start.elapsed()));
             self.run_leader(&query, req.top_n, remaining, &cancel, None, trace)
@@ -650,6 +603,7 @@ impl Dispatcher {
             let st = self.admit.lock().expect("admission lock poisoned");
             (st.inflight, st.queued)
         };
+        let backend = self.backend.status();
         versioned(vec![
             (
                 "status",
@@ -657,50 +611,17 @@ impl Dispatcher {
             ),
             ("inflight", inflight.into()),
             ("queued", queued.into()),
-            ("threads", self.engine.threads().into()),
-            ("subjects", self.db.len().into()),
+            ("threads", self.backend.threads().into()),
+            ("subjects", self.backend.subjects().into()),
             // Saturation certificates proven at startup: which lane
             // widths are statically rescue-free for queries/subjects
             // within the database's length bounds.
-            (
-                "certified",
-                match self.aligner.certificates() {
-                    Some(store) => {
-                        let bound = store.certificates().first();
-                        obj(vec![
-                            (
-                                "granted_widths",
-                                JsonValue::Array(
-                                    store
-                                        .granted_widths()
-                                        .into_iter()
-                                        .map(JsonValue::from)
-                                        .collect(),
-                                ),
-                            ),
-                            ("max_query", bound.map_or(0, |c| c.max_query).into()),
-                            ("max_subject", bound.map_or(0, |c| c.max_subject).into()),
-                        ])
-                    }
-                    None => JsonValue::Null,
-                },
-            ),
-            ("queries_served", self.engine.queries_served().into()),
-            ("workers_respawned", self.engine.workers_respawned().into()),
+            ("certified", backend.certified),
+            ("queries_served", backend.queries_served.into()),
+            ("workers_respawned", self.backend.respawns().into()),
             // Shard-supervisor liveness, when this daemon dispatches
             // to child processes (`null` for single-process daemons).
-            (
-                "shards",
-                match &self.shards {
-                    Some(sup) => obj(vec![
-                        ("count", sup.shards().into()),
-                        ("live", sup.shards_live().into()),
-                        ("dead", sup.shards_dead().into()),
-                        ("respawns", sup.respawns().into()),
-                    ]),
-                    None => JsonValue::Null,
-                },
-            ),
+            ("shards", backend.shards),
             (
                 "uptime_ms",
                 (self.started.elapsed().as_millis() as u64).into(),
@@ -758,6 +679,7 @@ impl Dispatcher {
 
     /// Prometheus exposition text for `GET /metrics`.
     pub fn prometheus(&self) -> String {
+        let backend = self.backend.status();
         let mut out = String::new();
         let mut counter = |name: &str, help: &str, v: u64| {
             out.push_str(&format!(
@@ -811,13 +733,13 @@ impl Dispatcher {
         );
         counter(
             "engine_queries_served",
-            "Sweeps completed by the engine pool.",
-            self.engine.queries_served(),
+            "Sweeps completed by the backend.",
+            backend.queries_served,
         );
         counter(
             "engine_workers_respawned",
             "Workers respawned after a panic or kill.",
-            self.engine.workers_respawned(),
+            self.backend.respawns(),
         );
         counter(
             "flight_events_recorded",
@@ -861,36 +783,13 @@ impl Dispatcher {
             }
         }
 
-        // Shard-supervisor liveness, on sharded daemons only. (The
-        // `gauge` closure's borrow of `out` ended at the tenant rows
-        // above, so these are pushed directly.)
-        if let Some(sup) = &self.shards {
-            for (name, help, v) in [
-                (
-                    "shards_total",
-                    "Database shards this daemon dispatches to.",
-                    sup.shards() as u64,
-                ),
-                (
-                    "shards_live",
-                    "Shards with a live child process right now.",
-                    sup.shards_live() as u64,
-                ),
-                (
-                    "shards_dead",
-                    "Shards whose circuit breaker has tripped.",
-                    sup.shards_dead() as u64,
-                ),
-                (
-                    "shard_respawns",
-                    "Shard children respawned after a death.",
-                    sup.respawns(),
-                ),
-            ] {
-                out.push_str(&format!(
-                    "# HELP aalign_serve_{name} {help}\n# TYPE aalign_serve_{name} gauge\naalign_serve_{name} {v}\n"
-                ));
-            }
+        // The backend's own gauges (shard liveness, on sharded daemons).
+        // The `gauge` closure's borrow of `out` ended at the tenant rows
+        // above, so these are pushed directly.
+        for (name, help, v) in backend.gauges {
+            out.push_str(&format!(
+                "# HELP aalign_serve_{name} {help}\n# TYPE aalign_serve_{name} gauge\naalign_serve_{name} {v}\n"
+            ));
         }
 
         // Per-stage latency summaries (seconds, from the nanosecond
@@ -931,7 +830,7 @@ impl Dispatcher {
     fn claim_tenant_slot<'d>(
         &'d self,
         tenant: Option<&str>,
-    ) -> Result<Option<TenantGuard<'d>>, ServeError> {
+    ) -> Result<Option<TenantGuard<'d, B>>, ServeError> {
         let (Some(tenant), quota @ 1..) = (tenant, self.cfg.tenant_quota) else {
             return Ok(None);
         };
@@ -954,7 +853,7 @@ impl Dispatcher {
         &'d self,
         id: Option<&str>,
         token: &CancelToken,
-    ) -> Result<Option<CancelGuard<'d>>, ServeError> {
+    ) -> Result<Option<CancelGuard<'d, B>>, ServeError> {
         let Some(id) = id else { return Ok(None) };
         let mut cancels = self.cancels.lock().expect("cancel registry poisoned");
         match cancels.entry(id.to_string()) {
@@ -979,7 +878,7 @@ impl Dispatcher {
         budget: Option<Duration>,
         start: Instant,
         cancel: &CancelToken,
-    ) -> Result<Permit<'_>, AdmitRefusal> {
+    ) -> Result<Permit<'_, B>, AdmitRefusal> {
         let wait_budget = budget.unwrap_or(self.cfg.admission_wait);
         let mut st = self.admit.lock().expect("admission lock poisoned");
         let mut queued_self = false;
@@ -1093,7 +992,7 @@ impl Dispatcher {
             match existing {
                 None => {
                     // Whatever queueing and following consumed comes
-                    // out of the engine's budget, so the end-to-end
+                    // out of the backend's budget, so the end-to-end
                     // deadline holds.
                     let remaining = budget.map(|b| b.saturating_sub(start.elapsed()));
                     let outcome =
@@ -1132,7 +1031,7 @@ impl Dispatcher {
         }
     }
 
-    /// Run the engine sweep and publish the result to any followers.
+    /// Run the backend sweep and publish the result to any followers.
     /// `key` is the flight-map entry to resolve; `None` for unbatched
     /// requests, which never touch the map.
     fn run_leader(
@@ -1144,16 +1043,8 @@ impl Dispatcher {
         key: Option<u64>,
         trace: TraceCtx,
     ) -> Result<Arc<SearchReport>, ServeError> {
-        let mut opts = SearchOptions::new().top_n(top_n).cancel(cancel.clone());
-        if let Some(d) = remaining {
-            opts = opts.deadline(d);
-        }
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = &self.cfg.fault_plan {
-            opts = opts.fault_plan(Arc::clone(plan));
-        }
         let sweep_started = Instant::now();
-        let mut result = self.engine.search(&self.aligner, query, &self.db, &opts);
+        let mut result = self.backend.search(query, top_n, remaining, cancel);
         self.record_stage(trace.rid, StageKind::Sweep, sweep_started.elapsed(), 0);
         if let Ok(report) = &mut result {
             self.record_stage(trace.rid, StageKind::Merge, report.metrics.merge, 0);
@@ -1193,39 +1084,6 @@ impl Dispatcher {
             coalesced.fetch_add(followers, Ordering::Relaxed);
         }
         shared.map_err(ServeError::Engine)
-    }
-
-    /// Run one query through the shard supervisor. Degradation is
-    /// the supervisor's job (lost shards come back as `partial:
-    /// true` with `ShardLost` errors); this wrapper only adapts the
-    /// request shape and stamps the dispatcher-side stage metrics,
-    /// exactly like [`run_leader`](Self::run_leader) does for local
-    /// sweeps.
-    fn run_sharded(
-        &self,
-        sup: &Supervisor,
-        req: &SearchRequest,
-        remaining: Option<Duration>,
-        trace: TraceCtx,
-    ) -> Result<Arc<SearchReport>, ServeError> {
-        let mut q = ShardQuery::new(req.query.clone())
-            .query_id(req.query_id.clone())
-            .top_n(req.top_n);
-        if let Some(d) = remaining {
-            q = q.deadline(d);
-        }
-        let sweep_started = Instant::now();
-        let mut result = sup.search(&q);
-        self.record_stage(trace.rid, StageKind::Sweep, sweep_started.elapsed(), 0);
-        if let Ok(report) = &mut result {
-            self.record_stage(trace.rid, StageKind::Merge, report.metrics.merge, 0);
-            report.metrics.queue_wait.record(dur_ns(trace.queue_wait));
-            report
-                .metrics
-                .request_e2e
-                .record(dur_ns(trace.e2e_start.elapsed()));
-        }
-        result.map(Arc::new).map_err(ServeError::Engine)
     }
 
     /// Wait for the leader's result, honoring this follower's own
@@ -1282,12 +1140,12 @@ impl Dispatcher {
     }
 
     /// The typed answer for "your deadline expired before any result
-    /// existed": same shape as an engine-side deadline expiry.
+    /// existed": same shape as a backend-side deadline expiry.
     fn expired_partial(&self) -> SearchReport {
         SearchReport {
             hits: Vec::new(),
-            threads_used: self.engine.threads(),
-            subjects: self.db.len(),
+            threads_used: self.backend.threads(),
+            subjects: self.backend.subjects(),
             total_residues: 0,
             metrics: aalign_par::SearchMetrics::default(),
             trace_events: Vec::new(),

@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 use aalign_obs::wire::{versioned, JsonValue};
 use aalign_obs::StageKind;
 
+use crate::backend::SearchBackend;
 use crate::dispatch::Dispatcher;
 use crate::wire::{SearchRequest, ServeError};
 
@@ -54,9 +55,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(20);
 /// Accept connections until `stop` is set, dispatching each on its
 /// own thread. Returns once the accept loop has exited and every
 /// connection thread has been joined — i.e. after drain.
-pub fn serve_http(
+pub fn serve_http<B: SearchBackend + 'static>(
     listener: TcpListener,
-    dispatcher: Arc<Dispatcher>,
+    dispatcher: Arc<Dispatcher<B>>,
     stop: Arc<AtomicBool>,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
@@ -87,7 +88,7 @@ pub fn serve_http(
     Ok(())
 }
 
-fn handle_connection(stream: TcpStream, d: &Dispatcher) -> io::Result<()> {
+fn handle_connection<B: SearchBackend>(stream: TcpStream, d: &Dispatcher<B>) -> io::Result<()> {
     // The listener is non-blocking; this stream must not be.
     stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
@@ -206,7 +207,7 @@ fn parse_search(body: &[u8]) -> Result<SearchRequest, ServeError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| ServeError::BadRequest("request body is not UTF-8".to_string()))?;
     let doc = JsonValue::parse(text).map_err(|e| ServeError::BadRequest(e.to_string()))?;
-    SearchRequest::from_wire(&doc)
+    Ok(SearchRequest::from_wire(&doc)?)
 }
 
 fn parse_cancel(body: &[u8]) -> Result<String, ServeError> {

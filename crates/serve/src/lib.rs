@@ -2,7 +2,9 @@
 //!
 //! A daemon over the persistent search engine: load the database and
 //! build the worker pool once, then answer queries over two front
-//! ends that share one [`Dispatcher`]:
+//! ends that share one [`Dispatcher`], which sweeps through one
+//! [`SearchBackend`] — the local engine pool ([`Local`]) or a shard
+//! supervisor:
 //!
 //! - **HTTP/JSON** ([`http::serve_http`]) — hand-rolled HTTP/1.1
 //!   over `std::net`, one thread per connection, no framework.
@@ -34,12 +36,14 @@
 //! deterministic chaos harness so kill/stall plans can be applied to
 //! a live daemon under test.
 
+pub mod backend;
 pub mod daemon;
 pub mod dispatch;
 pub mod http;
 pub mod rpc;
 pub mod wire;
 
+pub use backend::{BackendStatus, Local, SearchBackend};
 pub use daemon::{run_daemon, DaemonOptions, FrontEnd};
 pub use dispatch::{Dispatcher, DispatcherConfig};
 pub use wire::{SearchRequest, SearchResponse, ServeError};

@@ -22,6 +22,7 @@ use std::time::Instant;
 use aalign_obs::wire::{obj, JsonValue};
 use aalign_obs::StageKind;
 
+use crate::backend::SearchBackend;
 use crate::dispatch::Dispatcher;
 use crate::wire::{SearchRequest, ServeError};
 
@@ -44,7 +45,11 @@ fn rpc_code(e: &ServeError) -> i64 {
 
 /// Serve JSON-RPC over any line-oriented transport until EOF.
 /// Requests are handled sequentially on the calling thread.
-pub fn serve_stdio<R: BufRead, W: Write>(input: R, mut out: W, d: &Dispatcher) -> io::Result<()> {
+pub fn serve_stdio<R: BufRead, W: Write, B: SearchBackend>(
+    input: R,
+    mut out: W,
+    d: &Dispatcher<B>,
+) -> io::Result<()> {
     for line in input.lines() {
         if let Some(response) = respond_line(&line?, d) {
             out.write_all(response.as_bytes())?;
@@ -59,14 +64,14 @@ pub fn serve_stdio<R: BufRead, W: Write>(input: R, mut out: W, d: &Dispatcher) -
 /// otherwise the rendered response object to write back. The daemon
 /// loop uses this directly so reading (worker thread) and handling
 /// (signal-polling main loop) can live on different threads.
-pub fn respond_line(line: &str, d: &Dispatcher) -> Option<String> {
+pub fn respond_line<B: SearchBackend>(line: &str, d: &Dispatcher<B>) -> Option<String> {
     if line.trim().is_empty() {
         return None;
     }
     Some(handle_line(line, d).render())
 }
 
-fn handle_line(line: &str, d: &Dispatcher) -> JsonValue {
+fn handle_line<B: SearchBackend>(line: &str, d: &Dispatcher<B>) -> JsonValue {
     let doc = match JsonValue::parse(line) {
         Ok(doc) => doc,
         Err(e) => {
@@ -85,7 +90,7 @@ fn handle_line(line: &str, d: &Dispatcher) -> JsonValue {
         "search" => {
             let rid = d.next_request_id();
             let parse_started = Instant::now();
-            match SearchRequest::from_wire(&params) {
+            match SearchRequest::from_wire(&params).map_err(ServeError::from) {
                 Ok(req) => {
                     d.record_stage(rid, StageKind::Parse, parse_started.elapsed(), 0);
                     match d.search_traced(&req, rid) {

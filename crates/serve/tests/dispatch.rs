@@ -1,6 +1,11 @@
 //! Dispatcher semantics end to end: batching, admission control,
 //! quotas, cancellation, deadlines, and graceful drain — everything
 //! the front ends rely on, tested without a socket in sight.
+//!
+//! The gates sit above [`SearchBackend`], so the cases that exercise
+//! them (coalescing, leader-cancel isolation, queue expiry, drain)
+//! run twice: over the real [`Local`](aalign_serve::Local) engine and
+//! over a [`Stub`] whose sweep is a timed wait.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -9,10 +14,13 @@ use std::time::{Duration, Instant};
 
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
-use aalign_bio::SeqDatabase;
+use aalign_bio::{SeqDatabase, Sequence};
 use aalign_core::{AlignConfig, AlignError, Aligner, GapModel};
 use aalign_obs::wire::JsonValue;
-use aalign_serve::{Dispatcher, DispatcherConfig, SearchRequest, ServeError};
+use aalign_par::{CancelToken, Hit, SearchMetrics, SearchReport};
+use aalign_serve::{
+    BackendStatus, Dispatcher, DispatcherConfig, SearchBackend, SearchRequest, ServeError,
+};
 
 /// A sweep must outlive the orchestration around it, so tests use a
 /// database big enough that one-thread sweeps take real wall time.
@@ -35,9 +43,88 @@ fn dispatcher(threads: usize, count: usize, cfg: DispatcherConfig) -> Arc<Dispat
     Arc::new(Dispatcher::new(aligner(), db(count), threads, cfg))
 }
 
+/// A backend with no engine behind it: a sweep is a wait of
+/// [`Stub::SWEEP`] that honours the cancel token and the deadline the
+/// way the engine does, then one hit computed from the query alone.
+struct Stub;
+
+impl Stub {
+    const SWEEP: Duration = Duration::from_millis(400);
+
+    fn report(hits: Vec<Hit>, partial: bool) -> SearchReport {
+        SearchReport {
+            hits,
+            threads_used: 1,
+            subjects: 1,
+            total_residues: 0,
+            metrics: SearchMetrics::default(),
+            trace_events: Vec::new(),
+            partial,
+            errors: if partial {
+                vec![AlignError::DeadlineExceeded]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+}
+
+impl SearchBackend for Stub {
+    fn search(
+        &self,
+        query: &Sequence,
+        _top_n: usize,
+        deadline: Option<Duration>,
+        cancel: &CancelToken,
+    ) -> Result<SearchReport, AlignError> {
+        let started = Instant::now();
+        while started.elapsed() < Self::SWEEP {
+            if cancel.is_cancelled() {
+                return Err(AlignError::Cancelled);
+            }
+            if deadline.is_some_and(|d| started.elapsed() >= d) {
+                return Ok(Self::report(Vec::new(), true));
+            }
+            thread::sleep(Duration::from_millis(1));
+        }
+        let score = query.indices().iter().map(|&i| i32::from(i)).sum();
+        let hit = Hit {
+            db_index: 0,
+            len: query.len(),
+            score,
+        };
+        Ok(Self::report(vec![hit], false))
+    }
+
+    fn threads(&self) -> usize {
+        1
+    }
+
+    fn subjects(&self) -> usize {
+        1
+    }
+
+    fn respawns(&self) -> u64 {
+        0
+    }
+
+    fn status(&self) -> BackendStatus {
+        BackendStatus {
+            queries_served: 0,
+            certified: JsonValue::Null,
+            shards: JsonValue::Null,
+            gauges: Vec::new(),
+        }
+    }
+}
+
+fn stub_dispatcher(cfg: DispatcherConfig) -> Arc<Dispatcher<Stub>> {
+    Arc::new(Dispatcher::with_backend(Arc::new(Stub), cfg))
+}
+
 /// Poll until the dispatcher reports at least `n` in-flight requests
 /// (bounded; panics rather than hanging the suite).
-fn wait_inflight(d: &Dispatcher, n: u64) {
+fn wait_inflight<B: SearchBackend>(d: &Dispatcher<B>, n: u64) {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         let inflight = d
@@ -55,7 +142,14 @@ fn wait_inflight(d: &Dispatcher, n: u64) {
 
 #[test]
 fn identical_concurrent_requests_coalesce_onto_one_sweep() {
-    let d = dispatcher(1, BIG_DB, DispatcherConfig::default().max_inflight(8));
+    coalescing_case(|cfg| dispatcher(1, BIG_DB, cfg));
+    coalescing_case(stub_dispatcher);
+}
+
+fn coalescing_case<B: SearchBackend + 'static>(
+    make: impl Fn(DispatcherConfig) -> Arc<Dispatcher<B>>,
+) {
+    let d = make(DispatcherConfig::default().max_inflight(8));
     let q = query_text(1, 150);
 
     // Leader starts a slow sweep…
@@ -160,11 +254,14 @@ fn full_queue_is_refused_immediately_as_overloaded() {
 
 #[test]
 fn deadline_expiring_in_queue_yields_a_partial_report_not_an_error() {
-    let d = dispatcher(
-        1,
-        BIG_DB,
-        DispatcherConfig::default().max_inflight(1).max_queued(4),
-    );
+    queue_expiry_case(|cfg| dispatcher(1, BIG_DB, cfg));
+    queue_expiry_case(stub_dispatcher);
+}
+
+fn queue_expiry_case<B: SearchBackend + 'static>(
+    make: impl Fn(DispatcherConfig) -> Arc<Dispatcher<B>>,
+) {
+    let d = make(DispatcherConfig::default().max_inflight(1).max_queued(4));
     let blocker = {
         let d = Arc::clone(&d);
         let q = query_text(5, 150);
@@ -244,7 +341,14 @@ fn cancellation_by_request_id_stops_an_inflight_search() {
 
 #[test]
 fn cancelling_the_leader_does_not_cancel_coalesced_followers() {
-    let d = dispatcher(1, BIG_DB, DispatcherConfig::default().max_inflight(8));
+    leader_cancel_case(|cfg| dispatcher(1, BIG_DB, cfg));
+    leader_cancel_case(stub_dispatcher);
+}
+
+fn leader_cancel_case<B: SearchBackend + 'static>(
+    make: impl Fn(DispatcherConfig) -> Arc<Dispatcher<B>>,
+) {
+    let d = make(DispatcherConfig::default().max_inflight(8));
     let q = query_text(15, 150);
     let leader = {
         let d = Arc::clone(&d);
@@ -318,10 +422,15 @@ fn invalid_queries_are_bad_requests_not_engine_errors() {
 
 #[test]
 fn graceful_drain_completes_inflight_bit_exact_and_refuses_new() {
-    let d = dispatcher(2, BIG_DB, DispatcherConfig::default());
+    drain_case(|cfg| dispatcher(2, BIG_DB, cfg));
+    drain_case(stub_dispatcher);
+}
+
+fn drain_case<B: SearchBackend + 'static>(make: impl Fn(DispatcherConfig) -> Arc<Dispatcher<B>>) {
+    let d = make(DispatcherConfig::default());
     let q = query_text(12, 150);
     // Reference result from an identical dispatcher, undisturbed.
-    let reference = dispatcher(2, BIG_DB, DispatcherConfig::default())
+    let reference = make(DispatcherConfig::default())
         .search(&SearchRequest::new(q.clone()))
         .unwrap();
 

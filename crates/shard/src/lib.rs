@@ -24,7 +24,7 @@
 //!   breaker, and graceful degradation: the merged report is
 //!   `partial: true` with a [`ShardOutcome`] and one
 //!   `AlignError::ShardLost` naming each uncovered range.
-//! * [`fault`] *(feature `fault-inject`)* — deterministic chaos:
+//! * `fault` *(feature `fault-inject`)* — deterministic chaos:
 //!   SIGKILL a chosen shard's child right after dispatch, so the
 //!   retry/breaker/degradation ladder is testable end to end.
 //!

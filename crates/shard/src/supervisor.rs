@@ -3,7 +3,7 @@
 //!
 //! ## Supervision tree
 //!
-//! One [`Supervisor`] owns N [`ShardSlot`]s; each slot owns at most
+//! One [`Supervisor`] owns N `ShardSlot`s; each slot owns at most
 //! one live [`Worker`] child plus its health history (death
 //! timestamps inside the breaker window, backoff state, respawn
 //! schedule). Every query locks the slots in index order, dispatches
@@ -61,12 +61,17 @@ use aalign_core::retry::Backoff;
 use aalign_core::AlignError;
 use aalign_obs::wire::{obj, JsonValue};
 use aalign_obs::{FlightEvent, FlightRecorder, StageKind};
-use aalign_par::wire::report_from_wire;
-use aalign_par::{rank_hits, SearchMetrics, SearchReport};
+use aalign_par::wire::{report_from_wire, SearchRequest};
+use aalign_par::{rank_hits, CancelToken, SearchMetrics, SearchReport};
 
 #[cfg(feature = "fault-inject")]
 use crate::fault::ShardFaultPlan;
 use crate::worker::{RecvError, Worker, WorkerCommand};
+
+/// How often a wait for a child's reply re-checks the query's
+/// [`CancelToken`]. The wait itself is a blocking receive the reply
+/// wakes, so this bounds cancel latency only.
+const CANCEL_SLICE: Duration = Duration::from_millis(25);
 
 /// Supervisor policy knobs. Construct with [`ShardOptions::new`] and
 /// adjust with the builder methods.
@@ -190,6 +195,9 @@ pub struct ShardQuery {
     /// Wall-clock budget; `None` uses
     /// [`ShardOptions::default_deadline`].
     pub deadline: Option<Duration>,
+    /// Trips to abandon the query mid-fan-out: the search returns
+    /// [`AlignError::Cancelled`] and leaves the children alone.
+    pub cancel: CancelToken,
 }
 
 impl ShardQuery {
@@ -200,6 +208,7 @@ impl ShardQuery {
             query_id: "query".to_string(),
             top_n: 0,
             deadline: None,
+            cancel: CancelToken::new(),
         }
     }
 
@@ -221,6 +230,13 @@ impl ShardQuery {
     #[must_use]
     pub fn query_id(mut self, id: impl Into<String>) -> Self {
         self.query_id = id.into();
+        self
+    }
+
+    /// Share the caller's cancellation token.
+    #[must_use]
+    pub fn cancel(mut self, token: CancelToken) -> Self {
+        self.cancel = token;
         self
     }
 }
@@ -448,7 +464,13 @@ impl Supervisor {
     /// Fan one query out to every live shard and merge. Degrades
     /// rather than fails: shard loss yields `partial: true` plus
     /// [`AlignError::ShardLost`] entries; only whole-query problems
-    /// (empty/invalid query) are `Err`.
+    /// (empty/invalid query, a tripped [`ShardQuery::cancel`]) are
+    /// `Err`.
+    ///
+    /// A cancel is not a fault: no child is killed and nothing counts
+    /// against a breaker. The children finish the abandoned request
+    /// under its own deadline, and their late replies are discarded by
+    /// rpc id, as a retried call's are.
     pub fn search(&self, q: &ShardQuery) -> Result<SearchReport, AlignError> {
         if q.query.is_empty() {
             return Err(AlignError::EmptyQuery);
@@ -488,7 +510,7 @@ impl Supervisor {
         // Phase 2: collect, retrying each lost shard once.
         let mut per_shard = Vec::with_capacity(self.slots.len());
         for ((slot, st), rpc_id) in self.slots.iter().zip(guards.iter_mut()).zip(pending) {
-            per_shard.push(self.collect(slot, st, q, qid, rpc_id, deadline_at, hard_deadline));
+            per_shard.push(self.collect(slot, st, q, qid, rpc_id, deadline_at, hard_deadline)?);
         }
         drop(guards);
 
@@ -534,6 +556,7 @@ impl Supervisor {
 
     /// Collect one shard's answer, taking the retry-once path on
     /// child death. `rpc_id == None` means dispatch already failed.
+    /// `Err` only when the query's cancel token tripped.
     #[allow(clippy::too_many_arguments)]
     fn collect(
         &self,
@@ -544,7 +567,7 @@ impl Supervisor {
         rpc_id: Option<u64>,
         deadline_at: Instant,
         hard_deadline: Instant,
-    ) -> PerShard {
+    ) -> Result<PerShard, AlignError> {
         let mut shard = PerShard {
             index: slot.index,
             start: slot.start,
@@ -554,27 +577,33 @@ impl Supervisor {
             retried: false,
         };
         let Some(mut rpc_id) = rpc_id else {
-            return shard; // failed (unavailable / no budget)
+            return Ok(shard); // failed (unavailable / no budget)
         };
         let mut attempt = 0;
         loop {
+            if q.cancel.is_cancelled() {
+                return Err(AlignError::Cancelled);
+            }
+            let slice_end = hard_deadline.min(Instant::now() + CANCEL_SLICE);
             let outcome = match st.worker.as_mut() {
-                Some(w) => w.recv_matching(rpc_id, hard_deadline),
+                Some(w) => w.recv_matching(rpc_id, slice_end),
                 // Dispatch-time death: fall straight to the retry arm.
                 None => Err(RecvError::Closed),
             };
             match outcome {
+                // Only the slice ran out: look at the token, wait on.
+                Err(RecvError::TimedOut) if slice_end < hard_deadline => {}
                 Ok(doc) => {
                     if let Some(result) = doc.get("result") {
                         if let Ok(report) = report_from_wire(result) {
                             shard.answer = Some(report);
-                            return shard;
+                            return Ok(shard);
                         }
                     }
                     // A JSON-RPC error (or undecodable result) is a
                     // deterministic refusal — no point retrying the
                     // same request on a fresh child.
-                    return shard;
+                    return Ok(shard);
                 }
                 Err(RecvError::TimedOut) => {
                     // No reply even after the grace period: the child
@@ -583,7 +612,7 @@ impl Supervisor {
                     // budget remains for a retry.
                     self.record_death(slot, st, qid);
                     shard.timed_out = true;
-                    return shard;
+                    return Ok(shard);
                 }
                 Err(_) => {
                     // Child died. Retry once on a respawned child,
@@ -592,14 +621,14 @@ impl Supervisor {
                         self.record_death(slot, st, qid);
                     }
                     if attempt >= 1 || !self.ensure_worker(slot, st, deadline_at) {
-                        return shard;
+                        return Ok(shard);
                     }
                     attempt += 1;
                     shard.retried = true;
                     let remaining = deadline_at.saturating_duration_since(Instant::now());
                     if remaining.is_zero() {
                         shard.timed_out = true;
-                        return shard;
+                        return Ok(shard);
                     }
                     st.rpc_seq += 1;
                     rpc_id = st.rpc_seq;
@@ -614,7 +643,7 @@ impl Supervisor {
                         .is_err()
                     {
                         self.record_death(slot, st, qid);
-                        return shard;
+                        return Ok(shard);
                     }
                     self.maybe_inject_kill(slot, st);
                 }
@@ -840,23 +869,14 @@ fn monitor_loop(sup: &Weak<Supervisor>, stop: &Arc<(Mutex<bool>, Condvar)>, peri
 /// The per-shard `search` params: the same [`SearchRequest`] document
 /// the HTTP front end takes, with the supervisor's remaining budget
 /// as the deadline and `q<qid>` as the idempotent request id.
-///
-/// [`SearchRequest`]: ../serve/wire/struct.SearchRequest.html
 fn search_params(q: &ShardQuery, qid: u64, remaining: Duration) -> JsonValue {
-    let request_id = format!("q{qid}");
-    obj(vec![
-        ("query", q.query.as_str().into()),
-        ("query_id", q.query_id.as_str().into()),
-        ("id", request_id.as_str().into()),
-        ("top_n", q.top_n.into()),
-        (
-            "deadline_ms",
-            u64::try_from(remaining.as_millis())
-                .unwrap_or(u64::MAX)
-                .into(),
-        ),
-        ("no_batch", true.into()),
-    ])
+    let mut req = SearchRequest::new(q.query.as_str());
+    req.query_id.clone_from(&q.query_id);
+    req.id = Some(format!("q{qid}"));
+    req.top_n = q.top_n;
+    req.deadline_ms = Some(u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX));
+    req.no_batch = true;
+    req.to_wire()
 }
 
 /// One shard's outcome for one query, pre-merge.

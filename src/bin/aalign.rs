@@ -6,7 +6,6 @@
 //! * `search`       — align a query against a FASTA database, multithreaded
 //! * `serve`        — run the alignment daemon (HTTP/JSON or stdio JSON-RPC)
 //! * `shard-search` — fan a query out over N supervised child processes
-//! * `shard-bench`  — shard-supervisor latency envelope for the perf gate
 //! * `loadgen`      — drive a running daemon and report latency quantiles
 //! * `trace-report` — render the hybrid decision timeline from a trace
 //! * `gen-db`       — generate a synthetic swiss-prot-like database
@@ -50,7 +49,6 @@ fn main() -> ExitCode {
         "search" => cmd_search(rest),
         "serve" => cmd_serve(rest),
         "shard-search" => cmd_shard_search(rest),
-        "shard-bench" => cmd_shard_bench(rest),
         "loadgen" => cmd_loadgen(rest),
         "trace-report" => cmd_trace_report(rest),
         "gen-db" => cmd_gen_db(rest),
@@ -92,8 +90,6 @@ const USAGE: &str = "usage:
                  [--open N] [--ext N] [--strategy ...] [--width ...]
                  [--timeout MS] [--stats] [--metrics-format text|json|prom]
                  [--shard-fault kill@SHARD[:N]]
-  aalign shard-bench [--count N] [--seed N] [--queries N] [--top N]
-                 [--shards-list 1,2,4] [--out <json>]
   aalign loadgen --addr HOST:PORT [--concurrency N] [--duration-ms N]
                  [--seed N] [--top N] [--queries N] [--out <json>]
   aalign trace-report --trace <jsonl> [--subjects N]
@@ -120,13 +116,25 @@ impl<'a> Flags<'a> {
             .split(|c: char| c != '-' && !c.is_ascii_alphanumeric())
             .filter(|word| word.starts_with("--"))
             .collect();
-        match args
+        if let Some(flag) = args
             .iter()
             .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
         {
-            Some(flag) => Err(format!("unknown flag {flag:?} for {cmd}")),
-            None => Ok(Self { args }),
+            return Err(format!("unknown flag {flag:?} for {cmd}"));
         }
+        // The chaos flags are in every build's usage text; only a
+        // `fault-inject` build has the hooks behind them.
+        #[cfg(not(feature = "fault-inject"))]
+        if let Some(flag) = args
+            .iter()
+            .find(|a| ["--fault-plan", "--shard-fault"].contains(&a.as_str()))
+        {
+            return Err(format!(
+                "{flag} needs a build with the `fault-inject` feature \
+                 (cargo build --features fault-inject)"
+            ));
+        }
+        Ok(Self { args })
     }
 
     fn get(&self, name: &str) -> Option<&'a str> {
@@ -162,6 +170,14 @@ fn load_first_seq(path: &str) -> Result<Sequence, String> {
     seqs.into_iter()
         .next()
         .ok_or_else(|| format!("{path}: no sequences"))
+}
+
+/// The protein database `--db` names.
+fn load_db(flags: &Flags<'_>) -> Result<aalign::bio::SeqDatabase, String> {
+    let path = flags.get("--db").ok_or("--db required")?;
+    let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    aalign::bio::SeqDatabase::from_fasta(BufReader::new(f), &PROTEIN)
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 fn build_aligner(flags: &Flags<'_>) -> Result<Aligner, String> {
@@ -223,10 +239,7 @@ fn cmd_pair(args: &[String]) -> Result<(), String> {
 fn cmd_search(args: &[String]) -> Result<(), String> {
     let flags = Flags::new("search", args)?;
     let query = load_first_seq(flags.get("--query").ok_or("--query required")?)?;
-    let db_path = flags.get("--db").ok_or("--db required")?;
-    let f = File::open(db_path).map_err(|e| format!("{db_path}: {e}"))?;
-    let db = aalign::bio::SeqDatabase::from_fasta(BufReader::new(f), &PROTEIN)
-        .map_err(|e| format!("{db_path}: {e}"))?;
+    let db = load_db(&flags)?;
     let aligner = build_aligner(&flags)?;
     let trace_out = flags.get("--trace-out");
     let mut opts = SearchOptions::new()
@@ -237,22 +250,10 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         let ms: u64 = ms.parse().map_err(|_| "--timeout expects milliseconds")?;
         opts = opts.deadline(std::time::Duration::from_millis(ms));
     }
+    #[cfg(feature = "fault-inject")]
     if let Some(spec) = flags.get("--fault-plan") {
-        #[cfg(feature = "fault-inject")]
-        {
-            let plan =
-                aalign::par::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
-            opts = opts.fault_plan(std::sync::Arc::new(plan));
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            let _ = spec;
-            return Err(
-                "--fault-plan needs a build with the `fault-inject` feature \
-                 (cargo build --features fault-inject)"
-                    .to_string(),
-            );
-        }
+        let plan = aalign::par::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
+        opts = opts.fault_plan(std::sync::Arc::new(plan));
     }
     // The CLI shares the server's construction path: an
     // `EngineHandle` sized for this one sweep.
@@ -284,7 +285,19 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
             report.metrics.rescued
         );
     }
-    warn_partial(&report);
+    print_report(&flags, &report, &query, &db)
+}
+
+/// What `search` and `shard-search` print below their header lines:
+/// the partial-result warning, the metrics in the requested format,
+/// and the hit table.
+fn print_report(
+    flags: &Flags<'_>,
+    report: &aalign::par::SearchReport,
+    query: &Sequence,
+    db: &aalign::bio::SeqDatabase,
+) -> Result<(), String> {
+    warn_partial(report);
     match flags.get("--metrics-format") {
         None => {
             if flags.has("--stats") {
@@ -339,10 +352,7 @@ fn warn_partial(report: &aalign::par::SearchReport) {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let flags = Flags::new("serve", args)?;
-    let db_path = flags.get("--db").ok_or("--db required")?;
-    let f = File::open(db_path).map_err(|e| format!("{db_path}: {e}"))?;
-    let db = aalign::bio::SeqDatabase::from_fasta(BufReader::new(f), &PROTEIN)
-        .map_err(|e| format!("{db_path}: {e}"))?;
+    let db = load_db(&flags)?;
     let aligner = build_aligner(&flags)?;
 
     let mut cfg = aalign::serve::DispatcherConfig::default()
@@ -355,22 +365,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|_| "--default-timeout expects milliseconds")?;
         cfg = cfg.default_deadline(std::time::Duration::from_millis(ms));
     }
+    #[cfg(feature = "fault-inject")]
     if let Some(spec) = flags.get("--fault-plan") {
-        #[cfg(feature = "fault-inject")]
-        {
-            let plan =
-                aalign::par::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
-            cfg = cfg.fault_plan(std::sync::Arc::new(plan));
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            let _ = spec;
-            return Err(
-                "--fault-plan needs a build with the `fault-inject` feature \
-                 (cargo build --features fault-inject)"
-                    .to_string(),
-            );
-        }
+        let plan = aalign::par::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
+        cfg = cfg.fault_plan(std::sync::Arc::new(plan));
     }
 
     let drain_ms: u64 = match flags.get("--drain-timeout") {
@@ -390,21 +388,20 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
     let threads = flags.get_usize("--threads", 0)?;
     // `--shards N` turns this daemon into a shard supervisor: the
-    // same front ends, but every search fans out to N child
-    // processes (spawned from this same binary) instead of the local
-    // engine pool.
+    // same front ends and dispatcher, but every sweep fans out to N
+    // child processes (spawned from this same binary, each with
+    // `--threads` workers) instead of a local engine pool.
     let shards = flags.get_usize("--shards", 0)?;
-    let supervisor = if shards > 0 {
-        Some(launch_supervisor(&flags, &db, shards, None)?)
+    let exit = if shards > 0 {
+        let sup = launch_supervisor(&flags, &db, shards, None)?;
+        drop(db); // the children hold the slices
+        let dispatcher = aalign::serve::Dispatcher::with_backend(sup, cfg);
+        aalign::serve::run_daemon(std::sync::Arc::new(dispatcher), &opts)
     } else {
-        None
+        let dispatcher = aalign::serve::Dispatcher::new(aligner, db, threads, cfg);
+        aalign::serve::run_daemon(std::sync::Arc::new(dispatcher), &opts)
     };
-    let mut dispatcher = aalign::serve::Dispatcher::new(aligner, db, threads, cfg);
-    if let Some(sup) = supervisor {
-        dispatcher = dispatcher.with_shards(sup);
-    }
-    let dispatcher = std::sync::Arc::new(dispatcher);
-    match aalign::serve::run_daemon(dispatcher, &opts).map_err(|e| e.to_string())? {
+    match exit.map_err(|e| e.to_string())? {
         0 => Ok(()),
         _ => Err("drain timeout expired with requests still in flight".to_string()),
     }
@@ -443,22 +440,11 @@ fn launch_supervisor(
     if let Some(d) = deadline {
         sopts = sopts.default_deadline(d);
     }
+    #[cfg(feature = "fault-inject")]
     if let Some(spec) = flags.get("--shard-fault") {
-        #[cfg(feature = "fault-inject")]
-        {
-            let plan: aalign::shard::ShardFaultPlan =
-                spec.parse().map_err(|e| format!("--shard-fault: {e}"))?;
-            sopts = sopts.fault(plan);
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            let _ = spec;
-            return Err(
-                "--shard-fault needs a build with the `fault-inject` feature \
-                 (cargo build --features fault-inject)"
-                    .to_string(),
-            );
-        }
+        let plan: aalign::shard::ShardFaultPlan =
+            spec.parse().map_err(|e| format!("--shard-fault: {e}"))?;
+        sopts = sopts.fault(plan);
     }
     aalign::shard::Supervisor::launch(db, cmd, sopts).map_err(|e| e.to_string())
 }
@@ -470,10 +456,7 @@ fn launch_supervisor(
 fn cmd_shard_search(args: &[String]) -> Result<(), String> {
     let flags = Flags::new("shard-search", args)?;
     let query = load_first_seq(flags.get("--query").ok_or("--query required")?)?;
-    let db_path = flags.get("--db").ok_or("--db required")?;
-    let f = File::open(db_path).map_err(|e| format!("{db_path}: {e}"))?;
-    let db = aalign::bio::SeqDatabase::from_fasta(BufReader::new(f), &PROTEIN)
-        .map_err(|e| format!("{db_path}: {e}"))?;
+    let db = load_db(&flags)?;
     let shards = flags.get_usize("--shards", 2)?;
     let deadline = match flags.get("--timeout") {
         None => None,
@@ -506,150 +489,9 @@ fn cmd_shard_search(args: &[String]) -> Result<(), String> {
         so.retried,
         sup.respawns()
     );
-    warn_partial(&report);
-    match flags.get("--metrics-format") {
-        None => {
-            if flags.has("--stats") {
-                print!("{}", report.metrics.summary());
-            }
-        }
-        Some("text") => print!("{}", report.metrics.summary()),
-        Some("json") => println!("{}", report.metrics.to_json()),
-        Some("prom") => print!("{}", report.metrics.to_prometheus()),
-        Some(other) => {
-            return Err(format!(
-                "unknown metrics format {other:?} (expected text, json, or prom)"
-            ))
-        }
-    }
-    let stats_params = aalign::bio::stats::BLOSUM62_GAPPED_11_1;
-    for (rank, hit) in report.hits.iter().enumerate() {
-        let bits = aalign::bio::stats::bit_score(hit.score, stats_params);
-        let ev = aalign::bio::stats::evalue(bits, query.len(), report.total_residues);
-        println!(
-            "{:>3}. {:<24} len {:>6}  score {:>6}  bits {:>7.1}  E {:.2e}",
-            rank + 1,
-            db.id(hit.db_index),
-            hit.len,
-            hit.score,
-            bits,
-            ev
-        );
-    }
+    print_report(&flags, &report, &query, &db)?;
     if !sup.shutdown() {
         eprintln!("warning: dirty drain — a shard child outlived the grace period");
-    }
-    Ok(())
-}
-
-/// Latency envelope for the shard supervisor: run a deterministic
-/// query mix at each shard count and emit the same versioned bench
-/// document shape `loadgen` emits, for CI's perf gate
-/// (`results/BENCH_shard.json`).
-fn cmd_shard_bench(args: &[String]) -> Result<(), String> {
-    use aalign::obs::wire::{obj, versioned, JsonValue};
-    use aalign::obs::Histogram;
-    use std::time::Instant;
-
-    let flags = Flags::new("shard-bench", args)?;
-    let count = flags.get_usize("--count", 300)?;
-    let seed = flags.get_usize("--seed", 42)? as u64;
-    let n_queries = flags.get_usize("--queries", 6)?.max(1);
-    let top_n = flags.get_usize("--top", 5)?;
-    let shard_list: Vec<usize> = flags
-        .get("--shards-list")
-        .unwrap_or("1,2,4")
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| format!("--shards-list: {s:?} is not a number"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    let db = swissprot_like_db(seed, count);
-    let mut rng = aalign::bio::synth::seeded_rng(seed ^ 0x5eed);
-    let queries: Vec<String> = (0..n_queries)
-        .map(|i| {
-            let len = 40 + (i % 4) * 15;
-            String::from_utf8(aalign::bio::synth::named_query(&mut rng, len).text()).unwrap()
-        })
-        .collect();
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-
-    let mut rows = Vec::new();
-    for &n in &shard_list {
-        // One engine thread per child keeps the envelope stable on
-        // small CI runners; the sharding itself is what's measured.
-        let cmd = aalign::shard::WorkerCommand::serve_stdio(
-            &exe,
-            &["--threads".to_string(), "1".to_string()],
-        );
-        let sup = aalign::shard::Supervisor::launch(&db, cmd, aalign::shard::ShardOptions::new(n))
-            .map_err(|e| format!("shards={n}: {e}"))?;
-        // Warm-up: first query pays child startup caches.
-        let _ = sup.search(&aalign::shard::ShardQuery::new(queries[0].clone()).top_n(top_n));
-        let mut hist = Histogram::new();
-        let mut partial = 0u64;
-        let started = Instant::now();
-        for q in &queries {
-            let t0 = Instant::now();
-            let report = sup
-                .search(&aalign::shard::ShardQuery::new(q.clone()).top_n(top_n))
-                .map_err(|e| format!("shards={n}: {e}"))?;
-            hist.record(u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
-            partial += u64::from(report.partial);
-        }
-        let elapsed = started.elapsed().as_secs_f64();
-        let rps = queries.len() as f64 / elapsed.max(1e-9);
-        if partial > 0 {
-            return Err(format!(
-                "shards={n}: {partial} of {} bench queries came back partial",
-                queries.len()
-            ));
-        }
-        let source = format!("shards_{n}");
-        rows.push(obj(vec![
-            ("source", source.as_str().into()),
-            ("count", hist.count().into()),
-            ("p50_us", hist.p50().into()),
-            ("p99_us", hist.p99().into()),
-            ("p999_us", hist.p999().into()),
-            ("max_us", hist.max_value().into()),
-            ("throughput_rps", rps.into()),
-        ]));
-        eprintln!(
-            "shards={n}: {} queries, p50 {}µs p99 {}µs, {:.1} req/s",
-            hist.count(),
-            hist.p50(),
-            hist.p99(),
-            rps
-        );
-        if !sup.shutdown() {
-            eprintln!("warning: shards={n}: dirty drain");
-        }
-    }
-
-    let doc = versioned(vec![
-        ("bench", "shard_search".into()),
-        (
-            "env",
-            obj(vec![
-                ("db_count", count.into()),
-                ("seed", seed.into()),
-                ("queries", n_queries.into()),
-                ("top_n", top_n.into()),
-            ]),
-        ),
-        ("rows", JsonValue::Array(rows)),
-    ]);
-    let rendered = doc.render();
-    match flags.get("--out") {
-        Some(path) => {
-            std::fs::write(path, rendered + "\n").map_err(|e| format!("{path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        None => println!("{rendered}"),
     }
     Ok(())
 }
@@ -735,7 +577,9 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
             while Instant::now() < deadline {
                 let q = &pool[i % pool.len()];
                 i += 1;
-                let body = format!("{{\"query\":\"{q}\",\"top_n\":{top_n}}}");
+                let mut req = aalign::serve::SearchRequest::new(q.as_str());
+                req.top_n = top_n;
+                let body = req.to_wire().render();
                 let t0 = Instant::now();
                 let outcome = http(&addr, "POST", "/v1/search", &body);
                 let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);

@@ -6,15 +6,27 @@
 //! These tests spawn real `aalign serve --stdio` child processes via
 //! `CARGO_BIN_EXE_aalign`, so they exercise the whole stack: wire
 //! protocol, readiness pings, retry/backoff, merge, drain.
+//!
+//! The cross-door cases put the same dispatcher over the local engine
+//! and over a supervisor, behind both front ends, and hold every door
+//! to the library's answer.
 
-use std::sync::mpsc;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use aalign::bio::matrices::BLOSUM62;
 use aalign::bio::synth::{named_query, seeded_rng, swissprot_like_db};
 use aalign::bio::{SeqDatabase, Sequence};
+use aalign::core::AlignError;
+use aalign::obs::wire::JsonValue;
 use aalign::par::{EngineHandle, Hit, SearchOptions};
+use aalign::serve::{
+    http, rpc, Dispatcher, DispatcherConfig, SearchBackend, SearchRequest, ServeError,
+};
 use aalign::shard::{ShardOptions, ShardQuery, Supervisor, WorkerCommand};
 use aalign::{AlignConfig, Aligner, GapModel, Strategy};
 
@@ -48,7 +60,6 @@ fn reference_hits(db: &SeqDatabase, query_text: &str, top_n: usize) -> Vec<Hit> 
 
 /// Run `f` on its own thread and fail loudly if it wedges — the
 /// "never hangs" half of every chaos pin.
-#[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
 fn with_watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = mpsc::channel();
     let handle = thread::spawn(move || {
@@ -111,10 +122,206 @@ fn shard_ranges_partition_the_database_contiguously() {
     assert!(sup.shutdown());
 }
 
+/// The hits of a response document, in order.
+fn wire_hits(report: &JsonValue) -> Vec<Hit> {
+    let hits = report.get("hits").and_then(JsonValue::as_array).unwrap();
+    hits.iter()
+        .map(|h| aalign::par::wire::hit_from_wire(h).unwrap())
+        .collect()
+}
+
+/// One `search` through the stdio JSON-RPC door; the `result` object.
+fn search_over_stdio<B: SearchBackend>(d: &Dispatcher<B>, req: &SearchRequest) -> JsonValue {
+    let line = format!(
+        "{{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"search\",\"params\":{}}}",
+        req.to_wire().render()
+    );
+    let reply = rpc::respond_line(&line, d).expect("a request line gets a reply");
+    let reply = JsonValue::parse(&reply).unwrap();
+    reply
+        .get("result")
+        .cloned()
+        .unwrap_or_else(|| panic!("stdio search failed: {}", reply.render()))
+}
+
+/// One `POST /v1/search` through the HTTP door; the response body.
+fn search_over_http<B: SearchBackend + 'static>(
+    d: &Arc<Dispatcher<B>>,
+    req: &SearchRequest,
+) -> JsonValue {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let server = {
+        let (d, stop) = (Arc::clone(d), Arc::clone(&stop));
+        thread::spawn(move || http::serve_http(listener, d, stop))
+    };
+    let body = req.to_wire().render();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write!(
+        stream,
+        "POST /v1/search HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    stop.store(true, Ordering::Release);
+    server.join().unwrap().unwrap();
+    assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+    let (_, payload) = response.split_once("\r\n\r\n").unwrap();
+    JsonValue::parse(payload).unwrap()
+}
+
+/// Both front ends of one dispatcher answer `req` with exactly
+/// `expected`; returns the two response documents.
+fn assert_both_doors<B: SearchBackend + 'static>(
+    d: &Arc<Dispatcher<B>>,
+    req: &SearchRequest,
+    expected: &[Hit],
+    door: &str,
+) -> [JsonValue; 2] {
+    let docs = [search_over_http(d, req), search_over_stdio(d, req)];
+    for (doc, front) in docs.iter().zip(["http", "stdio"]) {
+        assert_eq!(
+            doc.get("partial").and_then(JsonValue::as_bool),
+            Some(false),
+            "{door} over {front}"
+        );
+        assert_eq!(wire_hits(doc), expected, "{door} over {front}");
+    }
+    docs
+}
+
+/// ROADMAP aim 3: one query, every front door, bit-identical hits
+/// (score, `db_index`, tie order) — the library sweep is the
+/// reference; the dispatcher over the local engine and over N shards
+/// must match it through HTTP and through stdio.
+#[test]
+fn one_query_gives_bit_identical_hits_through_every_front_door() {
+    with_watchdog(240, || {
+        let db = swissprot_like_db(23, 60);
+        let mut rng = seeded_rng(5);
+        let q = String::from_utf8(named_query(&mut rng, 55).text()).unwrap();
+        let mut req = SearchRequest::new(q.as_str());
+        req.top_n = 5;
+        let expected = reference_hits(&db, &q, 5);
+        assert_eq!(expected.len(), 5);
+
+        let local = Arc::new(Dispatcher::new(
+            reference_aligner(),
+            db.clone(),
+            1,
+            DispatcherConfig::default(),
+        ));
+        assert_both_doors(&local, &req, &expected, "local");
+
+        for shards in [1u64, 2] {
+            let sup =
+                Supervisor::launch(&db, worker_cmd(), ShardOptions::new(shards as usize)).unwrap();
+            let sharded = Arc::new(Dispatcher::with_backend(
+                Arc::clone(&sup),
+                DispatcherConfig::default(),
+            ));
+            let door = format!("{shards} shard(s)");
+            for doc in assert_both_doors(&sharded, &req, &expected, &door) {
+                let ok = doc
+                    .get("metrics")
+                    .and_then(|m| m.get("shards"))
+                    .and_then(|s| s.get("ok"))
+                    .and_then(JsonValue::as_u64);
+                assert_eq!(ok, Some(shards), "{door}");
+            }
+            // Health describes the backend that swept, not an idle pool.
+            let health = sharded.health();
+            assert_eq!(
+                health.get("queries_served").and_then(JsonValue::as_u64),
+                Some(2)
+            );
+            assert_eq!(
+                health.get("threads").and_then(JsonValue::as_u64),
+                Some(shards)
+            );
+            let count = health.get("shards").and_then(|s| s.get("count"));
+            assert_eq!(count.and_then(JsonValue::as_u64), Some(shards));
+            assert!(sup.shutdown(), "healthy children must drain cleanly");
+        }
+    });
+}
+
+/// Poll (bounded) until `ready` holds.
+fn wait_until(what: &str, ready: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !ready() {
+        assert!(Instant::now() < deadline, "never saw: {what}");
+        thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A sharded request takes the dispatcher's one path, so it coalesces
+/// and cancels exactly like a local one — and a cancel is not a
+/// fault: no child dies, the next query is whole.
+#[test]
+fn sharded_dispatcher_coalesces_and_cancels_like_a_local_one() {
+    with_watchdog(240, || {
+        // Big enough that a fan-out outlives the orchestration below
+        // (hundreds of milliseconds), whichever profile built the
+        // children.
+        let db = swissprot_like_db(19, if cfg!(debug_assertions) { 600 } else { 12_000 });
+        let mut rng = seeded_rng(3);
+        let q = String::from_utf8(named_query(&mut rng, 200).text()).unwrap();
+        let sup = Supervisor::launch(&db, worker_cmd(), ShardOptions::new(2)).unwrap();
+        let d = Arc::new(Dispatcher::with_backend(
+            Arc::clone(&sup),
+            DispatcherConfig::default(),
+        ));
+        let search = |req: SearchRequest| {
+            let d = Arc::clone(&d);
+            thread::spawn(move || d.search(&req))
+        };
+
+        // Two identical requests: the second arrives once the first is
+        // inside the supervisor and rides on its fan-out.
+        let leader = search(SearchRequest::new(q.as_str()));
+        wait_until("the leader's fan-out", || sup.queries_served() == 1);
+        let follower = search(SearchRequest::new(q.as_str()));
+        let (leader, follower) = (
+            leader.join().unwrap().unwrap(),
+            follower.join().unwrap().unwrap(),
+        );
+        assert!(!leader.batched && follower.batched);
+        assert_eq!(leader.report.metrics.coalesced, 1);
+        assert!(Arc::ptr_eq(&leader.report, &follower.report));
+        assert_eq!(sup.queries_served(), 1, "one fan-out served both");
+
+        // Cancel by request id while the children are computing.
+        let mut victim = SearchRequest::new(q.as_str());
+        victim.id = Some("victim".to_string());
+        let victim = search(victim);
+        wait_until("the victim's fan-out", || sup.queries_served() == 2);
+        d.cancel("victim").unwrap();
+        assert_eq!(
+            victim.join().unwrap().unwrap_err(),
+            ServeError::Engine(AlignError::Cancelled)
+        );
+
+        // The abandoned children were left alone: the next query is
+        // complete and bit-exact, and nobody was respawned.
+        let mut later = SearchRequest::new(q.as_str());
+        later.top_n = 7;
+        let later = d.search(&later).unwrap();
+        assert!(!later.report.partial, "{:?}", later.report.errors);
+        assert_eq!(later.report.metrics.shards.ok, 2);
+        assert_eq!(later.report.hits, reference_hits(&db, &q, 7));
+        assert_eq!(sup.respawns(), 0, "a cancel is not a fault");
+        assert_eq!(sup.shards_live(), 2);
+        assert!(sup.shutdown());
+    });
+}
+
 #[cfg(feature = "fault-inject")]
 mod chaos {
     use super::*;
-    use aalign::core::AlignError;
     use aalign::shard::ShardFaultPlan;
 
     /// A shard whose child is SIGKILLed on every dispatch (retry

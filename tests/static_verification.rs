@@ -276,6 +276,25 @@ fn rust_sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     }
 }
 
+/// What ships: the facade's `src/` and every crate's `src/`.
+fn product_sources(root: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut product = Vec::new();
+    rust_sources(&root.join("src"), &mut product);
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        rust_sources(&krate.unwrap().path().join("src"), &mut product);
+    }
+    product
+}
+
+/// Every Rust file of the workspace outside the root `tests/`.
+fn all_sources(root: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut all = Vec::new();
+    for dir in ["crates", "src", "examples"] {
+        rust_sources(&root.join(dir), &mut all);
+    }
+    all
+}
+
 /// Guard against re-forking what the workspace keeps in one place:
 /// `aalign_obs::wire` is the only JSON escaper (a second one is how
 /// the `\u`-escape panic came back after it was fixed once), and
@@ -285,11 +304,7 @@ fn rust_sources(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
 fn one_json_codec_and_one_sweep() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let codec = root.join("crates/obs/src/wire.rs");
-    let mut product = Vec::new();
-    rust_sources(&root.join("src"), &mut product);
-    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
-        rust_sources(&krate.unwrap().path().join("src"), &mut product);
-    }
+    let product = product_sources(root);
     for path in product.iter().filter(|p| **p != codec) {
         let text = std::fs::read_to_string(path).unwrap();
         for needle in ["u{:04x}", "fn escape"] {
@@ -301,10 +316,7 @@ fn one_json_codec_and_one_sweep() {
         }
     }
 
-    let mut all = Vec::new();
-    for dir in ["crates", "src", "examples"] {
-        rust_sources(&root.join(dir), &mut all);
-    }
+    let all = all_sources(root);
     for path in &all {
         let text = std::fs::read_to_string(path).unwrap();
         for needle in [
@@ -316,6 +328,52 @@ fn one_json_codec_and_one_sweep() {
             assert!(
                 !text.contains(needle),
                 "{}: `{needle}` — SearchEngine::search is the only sweep",
+                path.display()
+            );
+        }
+    }
+}
+
+/// One seam, one request schema: the dispatcher reaches what sweeps
+/// through `SearchBackend` alone (a sharded fork in it is how sharded
+/// daemons lost coalescing and cancellation), and the request document
+/// is written and read in `aalign_par::wire` only — a client spelling
+/// the keys by hand is a second encoder.
+#[test]
+fn one_backend_seam_and_one_request_schema() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dispatch = std::fs::read_to_string(root.join("crates/serve/src/dispatch.rs")).unwrap();
+    for needle in ["Supervisor", "ShardQuery", "aalign_shard"] {
+        assert!(
+            !dispatch.contains(needle),
+            "dispatch.rs names `{needle}`; adapt backends in crates/serve/src/backend.rs"
+        );
+    }
+
+    let product = product_sources(root);
+    let request_codecs: Vec<_> = product
+        .iter()
+        .filter(|path| {
+            let text = std::fs::read_to_string(path).unwrap();
+            // Unit-test modules close their file; needles there are
+            // assertions about the document, not writers of it.
+            let shipped = text.split("#[cfg(test)]").next().unwrap();
+            shipped.contains("\"deadline_ms\"")
+        })
+        .collect();
+    assert_eq!(
+        request_codecs,
+        [&root.join("crates/par/src/wire.rs")],
+        "the request document is encoded and decoded by SearchRequest only"
+    );
+
+    let all = all_sources(root);
+    for path in &all {
+        let text = std::fs::read_to_string(path).unwrap();
+        for needle in ["run_sharded", "with_shards"] {
+            assert!(
+                !text.contains(needle),
+                "{}: `{needle}` — a sharded request takes the dispatcher's one path",
                 path.display()
             );
         }
