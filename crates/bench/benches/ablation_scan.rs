@@ -7,10 +7,13 @@
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 
+use aalign_vec::detect::Isa;
 use aalign_vec::scan::{wgt_max_scan_scalar, wgt_max_scan_striped, ScanParams};
-use aalign_vec::{EmuEngine, SimdEngine, StripedLayout};
+use aalign_vec::{
+    resolve, with_engine, DispatchElem, EngineFn, IsaSupport, ScoreElem, SimdEngine, StripedLayout,
+};
 
 fn input(m: usize) -> Vec<i32> {
     (0..m)
@@ -18,8 +21,55 @@ fn input(m: usize) -> Vec<i32> {
         .collect()
 }
 
-fn engine_lanes<E: SimdEngine>(_: &E) -> usize {
-    E::LANES
+/// One `wgt_max_scan_striped` call, run through `with_engine` so it is
+/// compiled with the engine's target features on and its intrinsics
+/// inline — as in `aalign_core::kernel`.
+struct ScanOnce<'a, T: ScoreElem> {
+    layout: StripedLayout,
+    input: &'a [T],
+    out: &'a mut [T],
+    params: ScanParams<T>,
+}
+
+impl<T: ScoreElem> EngineFn<T> for ScanOnce<'_, T> {
+    type Out = ();
+
+    #[inline(always)]
+    fn call<E: SimdEngine<Elem = T>>(self, eng: E) {
+        wgt_max_scan_striped(eng, self.layout, self.input, self.out, self.params);
+    }
+}
+
+/// Bench the striped scan of `linear` on the engine each pin resolves
+/// to on this host; rows are named after the engine that really ran.
+fn striped_cases<T: DispatchElem>(
+    group: &mut BenchmarkGroup<'_>,
+    pins: &[Isa],
+    linear: &[T],
+    params: ScanParams<T>,
+) {
+    let m = linear.len();
+    for &pin in pins {
+        let backend = resolve(IsaSupport::detect(), Some(pin), T::BITS);
+        let layout = StripedLayout::new(m, backend.lanes());
+        let mut striped_in = Vec::new();
+        layout.stripe(linear, T::NEG_INF, &mut striped_in);
+        let mut striped_out = vec![T::ZERO; layout.padded_len()];
+        let id = BenchmarkId::new(format!("striped-{}", backend.name()), m);
+        group.bench_with_input(id, &m, |b, _| {
+            b.iter(|| {
+                with_engine(
+                    backend,
+                    ScanOnce {
+                        layout,
+                        input: &striped_in,
+                        out: &mut striped_out,
+                        params,
+                    },
+                );
+            });
+        });
+    }
 }
 
 fn bench_scan(c: &mut Criterion) {
@@ -40,67 +90,10 @@ fn bench_scan(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scalar", m), &m, |b, _| {
             b.iter(|| wgt_max_scan_scalar(&linear, params, &mut out));
         });
-
-        // Striped versions per engine.
-        macro_rules! striped_case {
-            ($name:literal, $eng:expr) => {{
-                let eng = $eng;
-                let layout = StripedLayout::new(m, engine_lanes(&eng));
-                let mut striped_in = Vec::new();
-                layout.stripe(&linear, i32::MIN / 4, &mut striped_in);
-                let mut striped_out = vec![0i32; layout.padded_len()];
-                group.bench_with_input(BenchmarkId::new($name, m), &m, |b, _| {
-                    b.iter(|| {
-                        wgt_max_scan_striped(eng, layout, &striped_in, &mut striped_out, params)
-                    })
-                });
-            }};
-        }
-        striped_case!("striped-emu16", EmuEngine::<i32, 16>::new());
-        #[cfg(target_arch = "x86_64")]
-        {
-            if let Some(eng) = aalign_vec::avx2::Avx2I32::new() {
-                striped_case!("striped-avx2", eng);
-            }
-            if let Some(eng) = aalign_vec::avx512::Avx512I32::new() {
-                striped_case!("striped-avx512", eng);
-            }
-        }
+        let pins = [Isa::Emulated, Isa::Avx2, Isa::Avx512];
+        striped_cases(&mut group, &pins, &linear, params);
     }
     group.finish();
-}
-
-/// One `wgt_max_scan_striped` call per engine, compiled with the
-/// engine's target features on so its intrinsics inline — as in
-/// `aalign_core::kernel`, and unlike a call from the plain closures
-/// above.
-#[cfg(target_arch = "x86_64")]
-mod native {
-    use aalign_vec::avx2::{Avx2I16, Avx2I8};
-    use aalign_vec::avx512::Avx512I16;
-    use aalign_vec::scan::{wgt_max_scan_striped, ScanParams};
-    use aalign_vec::StripedLayout;
-
-    macro_rules! wrapper {
-        ($name:ident, $engine:ty, $elem:ty, $($feature:literal),+) => {
-            /// # Safety
-            /// The CPU must support the enabled features; holding the
-            /// engine token proves it did when the token was built.
-            $(#[target_feature(enable = $feature)])+
-            pub unsafe fn $name(
-                eng: $engine,
-                layout: StripedLayout,
-                input: &[$elem],
-                out: &mut [$elem],
-                p: ScanParams<$elem>,
-            ) {
-                wgt_max_scan_striped(eng, layout, input, out, p);
-            }
-        };
-    }
-    wrapper!(avx512_i16, Avx512I16, i16, "avx512f", "avx512bw");
-    wrapper!(avx2_i16, Avx2I16, i16, "avx2");
-    wrapper!(avx2_i8, Avx2I8, i8, "avx2");
 }
 
 /// The short-query geometry (`prot_short`'s Q60, `dna_i8`'s 48-nt
@@ -126,53 +119,15 @@ fn bench_scan_short(c: &mut Criterion) {
             b.iter(|| wgt_max_scan_scalar(&linear16, params, &mut out));
         });
 
-        #[cfg(target_arch = "x86_64")]
-        {
-            macro_rules! native_case {
-                ($name:literal, $ctor:expr, $call:path, $elem:ty) => {{
-                    if let Some(eng) = $ctor {
-                        let layout = StripedLayout::new(m, engine_lanes(&eng));
-                        let narrow: Vec<$elem> = linear
-                            .iter()
-                            .map(|&x| x.clamp(-100, 100) as $elem)
-                            .collect();
-                        let p = ScanParams {
-                            init: 0,
-                            open: -12,
-                            ext: -2,
-                        };
-                        let mut striped_in = Vec::new();
-                        layout.stripe(&narrow, <$elem>::MIN, &mut striped_in);
-                        let mut striped_out = vec![0; layout.padded_len()];
-                        group.bench_with_input(BenchmarkId::new($name, m), &m, |b, _| {
-                            // SAFETY: the engine token exists only if its
-                            // constructor detected the wrapper's features.
-                            b.iter(|| unsafe {
-                                $call(eng, layout, &striped_in, &mut striped_out, p);
-                            });
-                        });
-                    }
-                }};
-            }
-            native_case!(
-                "striped-avx512bw-i16x32",
-                aalign_vec::avx512::Avx512I16::new(),
-                native::avx512_i16,
-                i16
-            );
-            native_case!(
-                "striped-avx2-i16x16",
-                aalign_vec::avx2::Avx2I16::new(),
-                native::avx2_i16,
-                i16
-            );
-            native_case!(
-                "striped-avx2-i8x32",
-                aalign_vec::avx2::Avx2I8::new(),
-                native::avx2_i8,
-                i8
-            );
-        }
+        let narrow16: Vec<i16> = linear.iter().map(|&x| x.clamp(-100, 100) as i16).collect();
+        striped_cases(&mut group, &[Isa::Avx512, Isa::Avx2], &narrow16, params);
+        let narrow8: Vec<i8> = linear.iter().map(|&x| x.clamp(-100, 100) as i8).collect();
+        let params8 = ScanParams {
+            init: 0i8,
+            open: -12,
+            ext: -2,
+        };
+        striped_cases(&mut group, &[Isa::Avx2], &narrow8, params8);
     }
     group.finish();
 }

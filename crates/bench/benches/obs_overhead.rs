@@ -1,6 +1,6 @@
 //! Guard bench: tracing must be free when no sink is listening.
 //!
-//! The kernel's once-per-alignment dispatch (`run_generic` in
+//! The kernel's once-per-alignment dispatch (`Aligner::attempt` in
 //! `aalign-core`) routes disabled sinks to the `NullSink`
 //! monomorphization, which is bit-for-bit the pre-observability
 //! kernel — no per-column virtual calls, no branches. This bench

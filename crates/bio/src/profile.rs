@@ -11,18 +11,19 @@
 //! Padding slots hold [`ScoreElem::NEG_INF`] so padded positions can
 //! never contribute a winning score.
 
-use aalign_vec::{ScoreElem, StripedLayout};
+use aalign_vec::{AlignedBuf, ScoreElem, StripedLayout};
 
 use crate::matrices::SubstMatrix;
 use crate::seq::Sequence;
 
 /// A striped query profile at score element type `T`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StripedProfile<T> {
     layout: StripedLayout,
     alphabet_size: usize,
-    /// `alphabet_size` stripes of `layout.padded_len()` scores each.
-    data: Vec<T>,
+    /// `alphabet_size` stripes of `layout.padded_len()` scores each,
+    /// the first on a cache line, so every segment is register-aligned.
+    data: AlignedBuf<T>,
     max_matrix_score: i32,
     min_matrix_score: i32,
 }
@@ -45,7 +46,8 @@ impl<T: ScoreElem> StripedProfile<T> {
         let layout = StripedLayout::new(query.len(), lanes);
         let n = matrix.size();
         let padded = layout.padded_len();
-        let mut data = vec![T::NEG_INF; n * padded];
+        let mut data = AlignedBuf::new();
+        data.resize(n * padded, T::NEG_INF);
         for a in 0..n as u8 {
             let row = matrix.row(a);
             let stripe = &mut data[a as usize * padded..(a as usize + 1) * padded];

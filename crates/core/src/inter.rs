@@ -32,7 +32,7 @@
 //! per lane (property-tested).
 
 use aalign_bio::{Sequence, SubstMatrix};
-use aalign_vec::{ScoreElem, SimdEngine};
+use aalign_vec::{resolve, with_engine, EngineFn, IsaSupport, ScoreElem, SimdEngine};
 
 use crate::config::{AlignKind, TableII};
 
@@ -243,64 +243,39 @@ pub fn inter_align_all(
     query: &Sequence,
     subjects: &[&Sequence],
 ) -> Vec<i32> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if let Some(eng) = aalign_vec::avx512::Avx512I32::new() {
-            // SAFETY: engine construction proves avx512f.
-            return unsafe { inter_all_avx512(eng, t2, matrix, query, subjects) };
-        }
-        if let Some(eng) = aalign_vec::avx2::Avx2I32::new() {
-            // SAFETY: engine construction proves avx2.
-            return unsafe { inter_all_avx2(eng, t2, matrix, query, subjects) };
-        }
-    }
-    inter_all_generic(
-        aalign_vec::EmuEngine::<i32, 16>::new(),
-        t2,
-        matrix,
-        query,
-        subjects,
+    let backend = resolve(IsaSupport::detect(), None, 32);
+    with_engine(
+        backend,
+        InterAll {
+            t2,
+            matrix,
+            query,
+            subjects,
+        },
     )
 }
 
-#[inline(always)]
-fn inter_all_generic<E: SimdEngine<Elem = i32>>(
-    eng: E,
+/// [`inter_align_all`]'s body, batching by the engine's lane count.
+struct InterAll<'a> {
     t2: TableII,
-    matrix: &SubstMatrix,
-    query: &Sequence,
-    subjects: &[&Sequence],
-) -> Vec<i32> {
-    let mut ws = InterWorkspace::new();
-    let mut out = Vec::with_capacity(subjects.len());
-    for chunk in subjects.chunks(E::LANES) {
-        out.extend(inter_align_batch(eng, t2, matrix, query, chunk, &mut ws).scores);
+    matrix: &'a SubstMatrix,
+    query: &'a Sequence,
+    subjects: &'a [&'a Sequence],
+}
+
+impl EngineFn<i32> for InterAll<'_> {
+    type Out = Vec<i32>;
+
+    #[inline(always)]
+    fn call<E: SimdEngine<Elem = i32>>(self, eng: E) -> Vec<i32> {
+        let mut ws = InterWorkspace::new();
+        let mut out = Vec::with_capacity(self.subjects.len());
+        for chunk in self.subjects.chunks(E::LANES) {
+            let batch = inter_align_batch(eng, self.t2, self.matrix, self.query, chunk, &mut ws);
+            out.extend(batch.scores);
+        }
+        out
     }
-    out
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn inter_all_avx512(
-    eng: aalign_vec::avx512::Avx512I32,
-    t2: TableII,
-    matrix: &SubstMatrix,
-    query: &Sequence,
-    subjects: &[&Sequence],
-) -> Vec<i32> {
-    inter_all_generic(eng, t2, matrix, query, subjects)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn inter_all_avx2(
-    eng: aalign_vec::avx2::Avx2I32,
-    t2: TableII,
-    matrix: &SubstMatrix,
-    query: &Sequence,
-    subjects: &[&Sequence],
-) -> Vec<i32> {
-    inter_all_generic(eng, t2, matrix, query, subjects)
 }
 
 #[cfg(test)]

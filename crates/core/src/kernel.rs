@@ -1,22 +1,17 @@
 //! Strategy/backend/width dispatch and the public [`Aligner`] API.
 //!
 //! This is AAlign's "re-link against the platform's vector modules"
-//! step done at runtime: the aligner resolves an ISA (AVX-512 →
-//! AVX2 → SSE4.1 → emulated), an element width (with automatic
-//! i16 → i32 overflow fallback, the SWPS3 escape hatch), and a
-//! strategy (sequential / striped-iterate / striped-scan / hybrid),
-//! then runs the monomorphized kernel for that combination.
+//! step done at runtime: the aligner resolves an engine per element
+//! width from [`aalign_vec::dispatch`]'s table (AVX-512 → AVX2 →
+//! SSE4.1 → emulated, with automatic i16 → i32 overflow fallback, the
+//! SWPS3 escape hatch) and a strategy (sequential / striped-iterate /
+//! striped-scan / hybrid), then runs one striped attempt through
+//! [`with_engine`] — the monomorphized kernel for that combination.
 
-// The dispatch chain threads the same fixed tuple (engine, profile,
-// subject, scoring, strategy, policy, workspace, sink) through every
-// monomorphized layer; bundling it into a struct would only move the
-// eight names behind a dot.
-#![allow(clippy::too_many_arguments)]
-
-use aalign_bio::{Sequence, StripedProfile};
+use aalign_bio::{Sequence, StripedProfile, SubstMatrix};
 use aalign_obs::{CollectorSink, NullSink, TraceSink};
 use aalign_vec::detect::{Isa, IsaSupport};
-use aalign_vec::{EmuEngine, SimdEngine};
+use aalign_vec::{resolve, with_engine, Backend, DispatchElem, EngineFn, ScoreElem, SimdEngine};
 
 use std::sync::Arc;
 
@@ -245,82 +240,6 @@ impl AlignOutput {
     }
 }
 
-/// A resolved (ISA, element width, lane count) choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BackendChoice {
-    isa: Isa,
-    bits: u32,
-    lanes: usize,
-}
-
-impl BackendChoice {
-    fn name(&self) -> String {
-        format!("{}/i{}x{}", self.isa.name(), self.bits, self.lanes)
-    }
-}
-
-/// Resolve the backend for a width: the preferred ISA if it supports
-/// the width and is present, otherwise falling back to the widest
-/// available, otherwise to the emulated engine *with the preferred
-/// register shape* (so "MIC" experiments keep 512-bit geometry on
-/// hosts without AVX-512).
-fn resolve_backend(pref: Option<Isa>, bits: u32) -> BackendChoice {
-    let sup = IsaSupport::detect();
-    let native = |isa: Isa| BackendChoice {
-        isa,
-        bits,
-        lanes: (isa.bits() / bits) as usize,
-    };
-    let emulate_shape = |shape_bits: u32| BackendChoice {
-        isa: Isa::Emulated,
-        bits,
-        lanes: (shape_bits / bits) as usize,
-    };
-    match pref {
-        Some(Isa::Avx512) => {
-            // 32-bit needs avx512f; 16-bit additionally avx512bw
-            // (beyond IMCI, which had no narrow lanes).
-            let native_ok =
-                (bits == 32 && sup.avx512f) || (bits == 16 && sup.avx512f && sup.avx512bw);
-            if native_ok {
-                native(Isa::Avx512)
-            } else {
-                // No native engine for this width; emulate the
-                // 512-bit shape.
-                emulate_shape(512)
-            }
-        }
-        Some(Isa::Avx2) => {
-            if sup.avx2 {
-                native(Isa::Avx2)
-            } else {
-                emulate_shape(256)
-            }
-        }
-        Some(Isa::Sse41) => {
-            if sup.sse41 && bits >= 16 {
-                native(Isa::Sse41)
-            } else {
-                emulate_shape(128)
-            }
-        }
-        Some(Isa::Emulated) => emulate_shape(512),
-        None => {
-            let avx512_ok =
-                (bits == 32 && sup.avx512f) || (bits == 16 && sup.avx512f && sup.avx512bw);
-            if avx512_ok {
-                native(Isa::Avx512)
-            } else if sup.avx2 {
-                native(Isa::Avx2)
-            } else if sup.sse41 && bits >= 16 {
-                native(Isa::Sse41)
-            } else {
-                emulate_shape(256)
-            }
-        }
-    }
-}
-
 /// Outcome of one striped run at one width.
 struct StrategyOutcome {
     result: KernelResult,
@@ -328,150 +247,79 @@ struct StrategyOutcome {
     probes_stayed: usize,
 }
 
-#[inline(always)]
-fn run_generic_sink<E: SimdEngine, const L: bool, const A: bool, S: TraceSink>(
-    eng: E,
-    prof: &StripedProfile<E::Elem>,
-    subject: &[u8],
+/// One striped run of one subject at one element width: the
+/// computation [`with_engine`] instantiates per engine. Everything
+/// from [`call`](EngineFn::call) down to the engine methods is
+/// `#[inline(always)]`, so each (engine × `LOCAL` × `AFFINE` ×
+/// strategy) is one fully inlined function compiled with the engine's
+/// target features — the artifact the paper's code generator emits.
+///
+/// The sink is a type parameter: a disabled sink runs the
+/// [`NullSink`] instantiation (bit-for-bit the pre-observability
+/// kernel — no per-column calls, no branches), which is what the
+/// `obs_overhead` bench holds to <1% overhead.
+struct Attempt<'a, T: ScoreElem, S: TraceSink> {
+    prof: &'a StripedProfile<T>,
+    subject: &'a [u8],
     t2: TableII,
     strategy: Strategy,
     policy: HybridPolicy,
-    ws: &mut Workspace<E::Elem>,
-    sink: &mut S,
-) -> StrategyOutcome {
-    match strategy {
-        Strategy::StripedIterate => StrategyOutcome {
-            result: iterate_align_sink::<E, L, A, S>(eng, prof, subject, t2, ws, sink),
-            switches_to_scan: 0,
-            probes_stayed: 0,
-        },
-        Strategy::StripedScan => StrategyOutcome {
-            result: scan_align_sink::<E, L, A, S>(eng, prof, subject, t2, ws, sink),
-            switches_to_scan: 0,
-            probes_stayed: 0,
-        },
-        Strategy::Hybrid => {
-            let rep =
-                hybrid_align_sink::<E, L, A, S>(eng, prof, subject, t2, policy, ws, false, sink);
-            StrategyOutcome {
-                result: rep.result,
-                switches_to_scan: rep.switches_to_scan,
-                probes_stayed: rep.probes_stayed,
-            }
+    ws: &'a mut Workspace<T>,
+    sink: &'a mut S,
+}
+
+impl<T: ScoreElem, S: TraceSink> EngineFn<T> for Attempt<'_, T, S> {
+    type Out = StrategyOutcome;
+
+    /// Turn the `LOCAL`/`AFFINE` runtime flags into const parameters.
+    #[inline(always)]
+    fn call<E: SimdEngine<Elem = T>>(self, eng: E) -> StrategyOutcome {
+        match (self.t2.local, self.t2.affine) {
+            (true, true) => self.run::<E, true, true>(eng),
+            (true, false) => self.run::<E, true, false>(eng),
+            (false, true) => self.run::<E, false, true>(eng),
+            (false, false) => self.run::<E, false, false>(eng),
         }
-        Strategy::Sequential => unreachable!("sequential handled before dispatch"),
     }
 }
 
-/// The once-per-alignment trace dispatch: disabled sinks route to the
-/// [`NullSink`] monomorphization (bit-for-bit the pre-observability
-/// kernel — no per-column virtual calls, no branches), enabled sinks
-/// take the dynamically dispatched instantiation.
-#[inline(always)]
-fn run_generic<E: SimdEngine, const L: bool, const A: bool>(
-    eng: E,
-    prof: &StripedProfile<E::Elem>,
-    subject: &[u8],
-    t2: TableII,
-    strategy: Strategy,
-    policy: HybridPolicy,
-    ws: &mut Workspace<E::Elem>,
-    sink: &mut dyn TraceSink,
-) -> StrategyOutcome {
-    if sink.enabled() {
-        run_generic_sink::<E, L, A, _>(
-            eng,
+impl<T: ScoreElem, S: TraceSink> Attempt<'_, T, S> {
+    #[inline(always)]
+    fn run<E: SimdEngine<Elem = T>, const L: bool, const A: bool>(self, eng: E) -> StrategyOutcome {
+        let Attempt {
             prof,
             subject,
             t2,
             strategy,
             policy,
             ws,
-            &mut &mut *sink,
-        )
-    } else {
-        run_generic_sink::<E, L, A, _>(eng, prof, subject, t2, strategy, policy, ws, &mut NullSink)
-    }
-}
-
-/// Dispatch the `LOCAL`/`AFFINE` const parameters from runtime flags.
-#[inline(always)]
-fn run_bools<E: SimdEngine>(
-    eng: E,
-    prof: &StripedProfile<E::Elem>,
-    subject: &[u8],
-    t2: TableII,
-    strategy: Strategy,
-    policy: HybridPolicy,
-    ws: &mut Workspace<E::Elem>,
-    sink: &mut dyn TraceSink,
-) -> StrategyOutcome {
-    match (t2.local, t2.affine) {
-        (true, true) => {
-            run_generic::<E, true, true>(eng, prof, subject, t2, strategy, policy, ws, sink)
-        }
-        (true, false) => {
-            run_generic::<E, true, false>(eng, prof, subject, t2, strategy, policy, ws, sink)
-        }
-        (false, true) => {
-            run_generic::<E, false, true>(eng, prof, subject, t2, strategy, policy, ws, sink)
-        }
-        (false, false) => {
-            run_generic::<E, false, false>(eng, prof, subject, t2, strategy, policy, ws, sink)
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod tf_wrappers {
-    //! `#[target_feature]` wrappers: compiling the whole column loop
-    //! with the feature enabled lets the engine's intrinsics inline.
-    //! Soundness: callers only reach these after constructing the
-    //! engine token, which proves the feature was detected.
-    use super::*;
-    use aalign_vec::avx2::{Avx2I16, Avx2I32, Avx2I8};
-    use aalign_vec::avx512::Avx512I32;
-    use aalign_vec::sse41::{Sse41I16, Sse41I32};
-
-    macro_rules! tf_wrapper {
-        ($name:ident, $feature:literal, $engine:ty, $elem:ty) => {
-            #[target_feature(enable = $feature)]
-            pub unsafe fn $name(
-                eng: $engine,
-                prof: &StripedProfile<$elem>,
-                subject: &[u8],
-                t2: TableII,
-                strategy: Strategy,
-                policy: HybridPolicy,
-                ws: &mut Workspace<$elem>,
-                sink: &mut dyn TraceSink,
-            ) -> StrategyOutcome {
-                run_bools(eng, prof, subject, t2, strategy, policy, ws, sink)
-            }
+            sink,
+        } = self;
+        let only = |result| StrategyOutcome {
+            result,
+            switches_to_scan: 0,
+            probes_stayed: 0,
         };
+        match strategy {
+            Strategy::StripedIterate => only(iterate_align_sink::<E, L, A, S>(
+                eng, prof, subject, t2, ws, sink,
+            )),
+            Strategy::StripedScan => only(scan_align_sink::<E, L, A, S>(
+                eng, prof, subject, t2, ws, sink,
+            )),
+            Strategy::Hybrid => {
+                let rep = hybrid_align_sink::<E, L, A, S>(
+                    eng, prof, subject, t2, policy, ws, false, sink,
+                );
+                StrategyOutcome {
+                    result: rep.result,
+                    switches_to_scan: rep.switches_to_scan,
+                    probes_stayed: rep.probes_stayed,
+                }
+            }
+            Strategy::Sequential => unreachable!("sequential handled before dispatch"),
+        }
     }
-
-    tf_wrapper!(run_avx512_i32, "avx512f", Avx512I32, i32);
-
-    #[target_feature(enable = "avx512f")]
-    #[target_feature(enable = "avx512bw")]
-    pub unsafe fn run_avx512_i16(
-        eng: aalign_vec::avx512::Avx512I16,
-        prof: &StripedProfile<i16>,
-        subject: &[u8],
-        t2: TableII,
-        strategy: Strategy,
-        policy: HybridPolicy,
-        ws: &mut Workspace<i16>,
-        sink: &mut dyn TraceSink,
-    ) -> StrategyOutcome {
-        run_bools(eng, prof, subject, t2, strategy, policy, ws, sink)
-    }
-    tf_wrapper!(run_avx2_i32, "avx2", Avx2I32, i32);
-    tf_wrapper!(run_avx2_i16, "avx2", Avx2I16, i16);
-    tf_wrapper!(run_avx2_i8, "avx2", Avx2I8, i8);
-    tf_wrapper!(run_sse41_i32, "sse4.1", Sse41I32, i32);
-    tf_wrapper!(run_sse41_i16, "sse4.1", Sse41I16, i16);
 }
 
 /// Scratch buffers reusable across alignments (one per thread).
@@ -501,215 +349,20 @@ impl AlignScratch {
     }
 }
 
-fn run_width_i32(
-    choice: BackendChoice,
-    prof: &StripedProfile<i32>,
-    subject: &[u8],
-    t2: TableII,
-    strategy: Strategy,
-    policy: HybridPolicy,
-    ws: &mut Workspace<i32>,
-    sink: &mut dyn TraceSink,
-) -> StrategyOutcome {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use aalign_vec::avx2::Avx2I32;
-        use aalign_vec::avx512::Avx512I32;
-        use aalign_vec::sse41::Sse41I32;
-        match choice.isa {
-            Isa::Avx512 => {
-                if let Some(eng) = Avx512I32::new() {
-                    // SAFETY: engine construction proves avx512f.
-                    return unsafe {
-                        tf_wrappers::run_avx512_i32(
-                            eng, prof, subject, t2, strategy, policy, ws, sink,
-                        )
-                    };
-                }
-            }
-            Isa::Avx2 => {
-                if let Some(eng) = Avx2I32::new() {
-                    // SAFETY: engine construction proves avx2.
-                    return unsafe {
-                        tf_wrappers::run_avx2_i32(
-                            eng, prof, subject, t2, strategy, policy, ws, sink,
-                        )
-                    };
-                }
-            }
-            Isa::Sse41 => {
-                if let Some(eng) = Sse41I32::new() {
-                    // SAFETY: engine construction proves sse4.1.
-                    return unsafe {
-                        tf_wrappers::run_sse41_i32(
-                            eng, prof, subject, t2, strategy, policy, ws, sink,
-                        )
-                    };
-                }
-            }
-            Isa::Emulated => {}
-        }
-    }
-    match choice.lanes {
-        4 => run_bools(
-            EmuEngine::<i32, 4>::new(),
-            prof,
-            subject,
-            t2,
-            strategy,
-            policy,
-            ws,
-            sink,
-        ),
-        8 => run_bools(
-            EmuEngine::<i32, 8>::new(),
-            prof,
-            subject,
-            t2,
-            strategy,
-            policy,
-            ws,
-            sink,
-        ),
-        _ => run_bools(
-            EmuEngine::<i32, 16>::new(),
-            prof,
-            subject,
-            t2,
-            strategy,
-            policy,
-            ws,
-            sink,
-        ),
-    }
+/// One width of a prepared query: the engine that will run it and the
+/// profile striped for that engine's lane count.
+#[derive(Debug)]
+struct Prepared<T> {
+    backend: Backend,
+    prof: StripedProfile<T>,
 }
 
-fn run_width_i16(
-    choice: BackendChoice,
-    prof: &StripedProfile<i16>,
-    subject: &[u8],
-    t2: TableII,
-    strategy: Strategy,
-    policy: HybridPolicy,
-    ws: &mut Workspace<i16>,
-    sink: &mut dyn TraceSink,
-) -> StrategyOutcome {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use aalign_vec::avx2::Avx2I16;
-        use aalign_vec::avx512::Avx512I16;
-        use aalign_vec::sse41::Sse41I16;
-        match choice.isa {
-            Isa::Avx512 => {
-                if let Some(eng) = Avx512I16::new() {
-                    // SAFETY: engine construction proves avx512f+bw.
-                    return unsafe {
-                        tf_wrappers::run_avx512_i16(
-                            eng, prof, subject, t2, strategy, policy, ws, sink,
-                        )
-                    };
-                }
-            }
-            Isa::Avx2 => {
-                if let Some(eng) = Avx2I16::new() {
-                    // SAFETY: engine construction proves avx2.
-                    return unsafe {
-                        tf_wrappers::run_avx2_i16(
-                            eng, prof, subject, t2, strategy, policy, ws, sink,
-                        )
-                    };
-                }
-            }
-            Isa::Sse41 => {
-                if let Some(eng) = Sse41I16::new() {
-                    // SAFETY: engine construction proves sse4.1.
-                    return unsafe {
-                        tf_wrappers::run_sse41_i16(
-                            eng, prof, subject, t2, strategy, policy, ws, sink,
-                        )
-                    };
-                }
-            }
-            _ => {}
+impl<T: ScoreElem> Prepared<T> {
+    fn build(backend: Backend, query: &Sequence, matrix: &SubstMatrix) -> Self {
+        Self {
+            backend,
+            prof: StripedProfile::build(query, matrix, backend.lanes()),
         }
-    }
-    match choice.lanes {
-        8 => run_bools(
-            EmuEngine::<i16, 8>::new(),
-            prof,
-            subject,
-            t2,
-            strategy,
-            policy,
-            ws,
-            sink,
-        ),
-        32 => run_bools(
-            EmuEngine::<i16, 32>::new(),
-            prof,
-            subject,
-            t2,
-            strategy,
-            policy,
-            ws,
-            sink,
-        ),
-        _ => run_bools(
-            EmuEngine::<i16, 16>::new(),
-            prof,
-            subject,
-            t2,
-            strategy,
-            policy,
-            ws,
-            sink,
-        ),
-    }
-}
-
-fn run_width_i8(
-    choice: BackendChoice,
-    prof: &StripedProfile<i8>,
-    subject: &[u8],
-    t2: TableII,
-    strategy: Strategy,
-    policy: HybridPolicy,
-    ws: &mut Workspace<i8>,
-    sink: &mut dyn TraceSink,
-) -> StrategyOutcome {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use aalign_vec::avx2::Avx2I8;
-        if choice.isa == Isa::Avx2 {
-            if let Some(eng) = Avx2I8::new() {
-                // SAFETY: engine construction proves avx2.
-                return unsafe {
-                    tf_wrappers::run_avx2_i8(eng, prof, subject, t2, strategy, policy, ws, sink)
-                };
-            }
-        }
-    }
-    match choice.lanes {
-        64 => run_bools(
-            EmuEngine::<i8, 64>::new(),
-            prof,
-            subject,
-            t2,
-            strategy,
-            policy,
-            ws,
-            sink,
-        ),
-        _ => run_bools(
-            EmuEngine::<i8, 32>::new(),
-            prof,
-            subject,
-            t2,
-            strategy,
-            policy,
-            ws,
-            sink,
-        ),
     }
 }
 
@@ -719,9 +372,9 @@ fn run_width_i8(
 pub struct PreparedQuery {
     query_id: String,
     query_len: usize,
-    p8: Option<(BackendChoice, StripedProfile<i8>)>,
-    p16: Option<(BackendChoice, StripedProfile<i16>)>,
-    p32: Option<(BackendChoice, StripedProfile<i32>)>,
+    p8: Option<Prepared<i8>>,
+    p16: Option<Prepared<i16>>,
+    p32: Option<Prepared<i32>>,
 }
 
 impl PreparedQuery {
@@ -943,27 +596,14 @@ impl Aligner {
         if self.strategy == Strategy::Sequential {
             return Ok(pq);
         }
+        let sup = IsaSupport::detect();
+        let matrix = &self.cfg.matrix;
         for bits in self.width_plan(query.len()) {
-            let choice = resolve_backend(self.isa, bits);
+            let backend = resolve(sup, self.isa, bits);
             match bits {
-                8 => {
-                    pq.p8 = Some((
-                        choice,
-                        StripedProfile::build(query, &self.cfg.matrix, choice.lanes),
-                    ));
-                }
-                16 => {
-                    pq.p16 = Some((
-                        choice,
-                        StripedProfile::build(query, &self.cfg.matrix, choice.lanes),
-                    ));
-                }
-                _ => {
-                    pq.p32 = Some((
-                        choice,
-                        StripedProfile::build(query, &self.cfg.matrix, choice.lanes),
-                    ));
-                }
+                8 => pq.p8 = Some(Prepared::build(backend, query, matrix)),
+                16 => pq.p16 = Some(Prepared::build(backend, query, matrix)),
+                _ => pq.p32 = Some(Prepared::build(backend, query, matrix)),
             }
         }
         Ok(pq)
@@ -1006,101 +646,30 @@ impl Aligner {
             "Strategy::Sequential has no prepared form; use align()"
         );
 
-        let t2 = self.cfg.table2();
-        let mut retries = 0u32;
-        let mut last: Option<(StrategyOutcome, BackendChoice, u32)> = None;
-
         // Per-attempt event buffering: each width attempt records into
         // `buf`, which is cleared on retry so only the kept attempt's
         // columns reach the caller's sink (after the loop).
         let tracing = sink.enabled();
         let mut buf = CollectorSink::new();
-        let mut null = NullSink;
 
-        let attempts: Vec<u32> = [
-            pq.p16.as_ref().map(|_| 16u32),
-            pq.p32.as_ref().map(|_| 32u32),
-            pq.p8.as_ref().map(|_| 8u32),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
+        let mut retries = 0u32;
+        let mut last: Option<(StrategyOutcome, Backend)> = None;
         // Attempt order: narrow before wide. i8 participates when
         // explicitly requested (Fixed8) or when a width certificate
         // proved it rescue-free for this query (Auto ladder).
-        let mut order = attempts;
-        order.sort_unstable();
-
-        for bits in order {
-            // Auto policy: don't waste a narrow attempt that the
-            // per-subject bound already rules out.
-            if self.width == WidthPolicy::Auto
-                && bits < 32
-                && !self.narrow_ok(bits, pq.query_len, subject.len())
-            {
+        let m = pq.query_len;
+        for bits in [8u32, 16, 32] {
+            let buf = tracing.then_some(&mut buf);
+            let attempt = match bits {
+                8 => self.attempt(pq.p8.as_ref(), m, subject, &mut scratch.ws8, buf),
+                16 => self.attempt(pq.p16.as_ref(), m, subject, &mut scratch.ws16, buf),
+                _ => self.attempt(pq.p32.as_ref(), m, subject, &mut scratch.ws32, buf),
+            };
+            let Some(outcome) = attempt else {
                 continue;
-            }
-            let policy = self
-                .hybrid
-                .unwrap_or_else(|| HybridPolicy::for_lanes(self.lanes_for(pq, bits)));
-            let attempt_sink: &mut dyn TraceSink = if tracing {
-                buf.events.clear();
-                &mut buf
-            } else {
-                &mut null
             };
-            let (outcome, choice) = match bits {
-                8 => {
-                    let (choice, prof) = pq.p8.as_ref().unwrap();
-                    (
-                        run_width_i8(
-                            *choice,
-                            prof,
-                            subject.indices(),
-                            t2,
-                            self.strategy,
-                            policy,
-                            &mut scratch.ws8,
-                            attempt_sink,
-                        ),
-                        *choice,
-                    )
-                }
-                16 => {
-                    let (choice, prof) = pq.p16.as_ref().unwrap();
-                    (
-                        run_width_i16(
-                            *choice,
-                            prof,
-                            subject.indices(),
-                            t2,
-                            self.strategy,
-                            policy,
-                            &mut scratch.ws16,
-                            attempt_sink,
-                        ),
-                        *choice,
-                    )
-                }
-                _ => {
-                    let (choice, prof) = pq.p32.as_ref().unwrap();
-                    (
-                        run_width_i32(
-                            *choice,
-                            prof,
-                            subject.indices(),
-                            t2,
-                            self.strategy,
-                            policy,
-                            &mut scratch.ws32,
-                            attempt_sink,
-                        ),
-                        *choice,
-                    )
-                }
-            };
-            let saturated = outcome.result.saturated;
-            last = Some((outcome, choice, bits));
+            let saturated = outcome.0.result.saturated;
+            last = Some(outcome);
             if !saturated {
                 break;
             }
@@ -1115,12 +684,12 @@ impl Aligner {
             }
         }
 
-        let (outcome, choice, bits) = last.expect("width plan is never empty");
+        let (outcome, backend) = last.expect("width plan is never empty");
         Ok(AlignOutput {
             score: outcome.result.score,
             strategy: self.strategy,
-            backend: choice.name(),
-            elem_bits: bits,
+            backend: backend.name(),
+            elem_bits: backend.bits(),
             width_retries: retries.saturating_sub(u32::from(outcome.result.saturated)),
             saturated: outcome.result.saturated,
             stats: RunStats {
@@ -1134,12 +703,55 @@ impl Aligner {
         })
     }
 
-    fn lanes_for(&self, pq: &PreparedQuery, bits: u32) -> usize {
-        match bits {
-            8 => pq.p8.as_ref().map_or(32, |(c, _)| c.lanes),
-            16 => pq.p16.as_ref().map_or(16, |(c, _)| c.lanes),
-            _ => pq.p32.as_ref().map_or(8, |(c, _)| c.lanes),
+    /// Run one width of the plan, or `None` when the query was not
+    /// prepared at it or — under `Auto` — the per-subject bound
+    /// already rules the narrow attempt out. With `buf` the attempt's
+    /// column events replace whatever an earlier attempt left there.
+    fn attempt<T: DispatchElem>(
+        &self,
+        prepared: Option<&Prepared<T>>,
+        query_len: usize,
+        subject: &Sequence,
+        ws: &mut Workspace<T>,
+        buf: Option<&mut CollectorSink>,
+    ) -> Option<(StrategyOutcome, Backend)> {
+        let p = prepared?;
+        if self.width == WidthPolicy::Auto
+            && T::BITS < 32
+            && !self.narrow_ok(T::BITS, query_len, subject.len())
+        {
+            return None;
         }
+        let outcome = match buf {
+            Some(buf) => {
+                buf.events.clear();
+                self.run_on(p, subject, ws, buf)
+            }
+            None => self.run_on(p, subject, ws, &mut NullSink),
+        };
+        Some((outcome, p.backend))
+    }
+
+    /// One [`Attempt`] on `p`'s engine, its column events going to `sink`.
+    fn run_on<T: DispatchElem, S: TraceSink>(
+        &self,
+        p: &Prepared<T>,
+        subject: &Sequence,
+        ws: &mut Workspace<T>,
+        sink: &mut S,
+    ) -> StrategyOutcome {
+        let attempt = Attempt {
+            prof: &p.prof,
+            subject: subject.indices(),
+            t2: self.cfg.table2(),
+            strategy: self.strategy,
+            policy: self
+                .hybrid
+                .unwrap_or_else(|| HybridPolicy::for_lanes(p.backend.lanes())),
+            ws,
+            sink,
+        };
+        with_engine(p.backend, attempt)
     }
 
     /// Align one query against many subjects, preparing the query

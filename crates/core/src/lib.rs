@@ -21,12 +21,19 @@
 //!   [`aalign_vec::SimdEngine`].
 //! * [`inter`] — inter-sequence vectorization (one lane per subject;
 //!   extension).
-//! * [`kernel`] — runtime dispatch (ISA × element width × strategy)
-//!   and the public [`Aligner`] API.
+//! * [`kernel`] — runtime dispatch (element width × strategy, on the
+//!   engine [`aalign_vec::dispatch`] resolves) and the public
+//!   [`Aligner`] API.
 //! * [`traceback`] — scalar alignment-path reconstruction (an
 //!   extension; the paper reports scores only).
 //! * [`retry`] — capped exponential backoff with deterministic
 //!   jitter, shared by every supervisor/retry loop above this crate.
+//!
+//! No engine type is named here and nothing is `unsafe`: every
+//! target-feature entry lives in `aalign-vec`, behind
+//! [`aalign_vec::with_engine`], under the audit lint.
+
+#![forbid(unsafe_code)]
 
 pub mod banded;
 pub mod certify;

@@ -12,7 +12,7 @@
 
 use aalign_bio::StripedProfile;
 use aalign_vec::scan::cross_lane_carry;
-use aalign_vec::{Ramp, SaturationGuard, ScoreElem, SimdEngine, StripedLayout};
+use aalign_vec::{AlignedBuf, Ramp, SaturationGuard, ScoreElem, SimdEngine, StripedLayout};
 
 use crate::config::TableII;
 
@@ -20,46 +20,38 @@ use crate::config::TableII;
 /// alignments to avoid reallocating in database-search loops.
 #[derive(Debug, Default)]
 pub struct Workspace<T> {
-    arr_t1: Vec<T>,
-    arr_t2: Vec<T>,
-    arr_e: Vec<T>,
-    arr_scan: Vec<T>,
+    /// `arr_T1 | arr_T2 | arr_L | arr_scan` in one line-aligned block:
+    /// where the columns sit against line and page boundaries, and
+    /// against each other, is the same in every run (DESIGN §5b).
+    cols: AlignedBuf<T>,
 }
 
 impl<T: ScoreElem> Workspace<T> {
     /// Fresh, empty workspace.
     pub fn new() -> Self {
         Self {
-            arr_t1: Vec::new(),
-            arr_t2: Vec::new(),
-            arr_e: Vec::new(),
-            arr_scan: Vec::new(),
+            cols: AlignedBuf::new(),
         }
     }
 
-    /// Total elements currently reserved across the four column
-    /// buffers — the scratch-reuse observability hook behind
+    /// Total elements currently reserved for the four column buffers
+    /// — the scratch-reuse observability hook behind
     /// [`AlignScratch::reserved_bytes`](crate::AlignScratch::reserved_bytes).
     pub fn reserved_elems(&self) -> usize {
-        self.arr_t1.capacity()
-            + self.arr_t2.capacity()
-            + self.arr_e.capacity()
-            + self.arr_scan.capacity()
+        self.cols.capacity()
     }
 
-    /// Size every buffer to `padded` slots. Contents are left stale:
-    /// [`ColumnEngine::new`] writes the whole column-0 boundary into
-    /// `arr_t1`/`arr_e`, and `arr_t2`/`arr_scan` are scratch that
-    /// every column fills before it reads.
-    fn ensure(&mut self, padded: usize) {
-        for buf in [
-            &mut self.arr_t1,
-            &mut self.arr_t2,
-            &mut self.arr_e,
-            &mut self.arr_scan,
-        ] {
-            buf.resize(padded, T::ZERO);
-        }
+    /// The buffers `[arr_t1, arr_t2, arr_e, arr_scan]`, `padded` slots
+    /// each. Contents are left stale: [`ColumnEngine::new`] writes the
+    /// whole column-0 boundary into `arr_t1`/`arr_e`, and
+    /// `arr_t2`/`arr_scan` are scratch that every column fills before
+    /// it reads.
+    fn columns(&mut self, padded: usize) -> [&mut [T]; 4] {
+        self.cols.resize(4 * padded, T::ZERO);
+        let (t1, rest) = self.cols.split_at_mut(padded);
+        let (t2, rest) = rest.split_at_mut(padded);
+        let (e, scan) = rest.split_at_mut(padded);
+        [t1, t2, e, scan]
     }
 }
 
@@ -85,7 +77,12 @@ pub struct KernelResult {
 pub struct ColumnEngine<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> {
     eng: E,
     prof: &'a StripedProfile<E::Elem>,
-    ws: &'a mut Workspace<E::Elem>,
+    /// The workspace's columns (`arr_e` is the paper's `arr_L`);
+    /// `arr_t1` and `arr_t2` trade places after every column.
+    arr_t1: &'a mut [E::Elem],
+    arr_t2: &'a mut [E::Elem],
+    arr_e: &'a mut [E::Elem],
+    arr_scan: &'a mut [E::Elem],
     layout: StripedLayout,
     t2: TableII,
 
@@ -162,7 +159,7 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
         debug_assert_eq!(t2.affine, AFFINE, "gap/constant mismatch");
         let layout = prof.layout();
         assert_eq!(layout.lanes, E::LANES, "profile built for another width");
-        ws.ensure(layout.padded_len());
+        let [arr_t1, arr_t2, arr_e, arr_scan] = ws.columns(layout.padded_len());
 
         let splat_i32 = |x: i32| eng.splat(E::Elem::from_i32_sat(x));
         let chunk_ext = E::Elem::from_i32_sat(t2.gap_up_ext.saturating_mul(layout.segments as i32));
@@ -180,8 +177,8 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
             } else {
                 chunk_ramp.at(eng, E::Elem::from_i32_sat(t2.init_col(j)))
             };
-            eng.store(&mut ws.arr_t1[off..], v_t0);
-            eng.store(&mut ws.arr_e[off..], v_neg_inf);
+            eng.store(&mut arr_t1[off..], v_t0);
+            eng.store(&mut arr_e[off..], v_neg_inf);
         }
 
         let last_slot = layout.slot_of(layout.len - 1);
@@ -197,14 +194,17 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
         let v_semi = if semi {
             // The boundary column participates (subject may be
             // consumed entirely by the free prefix).
-            eng.load(&ws.arr_t1[last_seg_off..])
+            eng.load(&arr_t1[last_seg_off..])
         } else {
             eng.splat(E::Elem::NEG_INF)
         };
         Self {
             eng,
             prof,
-            ws,
+            arr_t1,
+            arr_t2,
+            arr_e,
+            arr_scan,
             layout,
             t2,
             v_gap_left: splat_i32(t2.gap_left),
@@ -256,7 +256,7 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
         // Diagonal carry: previous column's last segment, lanes moved
         // up one, boundary value T_{col,0} entering lane 0.
         let mut v_dia = eng.shift_insert_low(
-            eng.load(&self.ws.arr_t1[(k - 1) * lanes..]),
+            eng.load(&self.arr_t1[(k - 1) * lanes..]),
             self.init_t_elem(self.col),
         );
 
@@ -270,19 +270,29 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
             self.v_neg_inf
         };
 
-        for j in 0..k {
-            let off = j * lanes;
-            let t_prev = eng.load(&self.ws.arr_t1[off..]);
-            v_dia = eng.add(v_dia, eng.load(&prof[off..]));
+        // One register-wide chunk of every buffer per segment. Zipped,
+        // the loop has one counter and no bounds check; indexing the
+        // five slices by `j·lanes` costs five of each, and LLVM then
+        // keeps the loop-carried `v_f` on the stack.
+        let segments = self
+            .arr_t1
+            .chunks_exact(lanes)
+            .zip(prof.chunks_exact(lanes))
+            .zip(self.arr_t2.chunks_exact_mut(lanes))
+            .zip(self.arr_e.chunks_exact_mut(lanes))
+            .zip(self.arr_scan.chunks_exact_mut(lanes));
+        for ((((t1, p), t2), e_seg), scan) in segments {
+            let t_prev = eng.load(t1);
+            v_dia = eng.add(v_dia, eng.load(p));
 
             // E (arr_L): horizontal gap from the previous column.
             let v_e = if AFFINE {
-                let e_prev = eng.load(&self.ws.arr_e[off..]);
+                let e_prev = eng.load(e_seg);
                 let e = eng.max(
                     eng.add(e_prev, self.v_gap_left_ext),
                     eng.add(t_prev, self.v_gap_left),
                 );
-                eng.store(&mut self.ws.arr_e[off..], e);
+                eng.store(e_seg, e);
                 e
             } else {
                 // Linear: E = T_prev + β' (T ≥ E makes the E chain
@@ -294,12 +304,12 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
             if WITH_F_BOUND {
                 v_t = eng.max(v_t, v_f);
             } else {
-                eng.store(&mut self.ws.arr_scan[off..], v_f);
+                eng.store(scan, v_f);
             }
             if LOCAL {
                 v_t = eng.max(v_t, self.v_zero);
             }
-            eng.store(&mut self.ws.arr_t2[off..], v_t);
+            eng.store(t2, v_t);
             if LOCAL && WITH_F_BOUND {
                 // (A scan column's second pass sees every final T.)
                 self.v_max = eng.max(self.v_max, v_t);
@@ -331,14 +341,14 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
         let mut j = 0usize;
         loop {
             let off = j * lanes;
-            let v_t = eng.load(&self.ws.arr_t2[off..]);
+            let v_t = eng.load(&self.arr_t2[off..]);
             // Influence iff vF > T + θ (covers both "improves T" and
             // "improves the next F beyond the open path").
             if !eng.any_gt(v_f, eng.add(v_t, self.v_theta)) {
                 break;
             }
             let v_t = eng.max(v_t, v_f);
-            eng.store(&mut self.ws.arr_t2[off..], v_t);
+            eng.store(&mut self.arr_t2[off..], v_t);
             if LOCAL {
                 self.v_max = eng.max(self.v_max, v_t);
             }
@@ -369,7 +379,6 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
     pub fn scan_column(&mut self, s_char: u8) {
         let eng = self.eng;
         let lanes = E::LANES;
-        let k = self.layout.segments;
 
         let carries = self.first_pass::<false>(s_char);
 
@@ -384,11 +393,14 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
         // Correction pass (Alg. 3 ln. 19–24): the exact up-gap value U
         // of segment j is its within-lane scan or the lane's carry-in
         // j extensions on.
-        for j in 0..k {
-            let off = j * lanes;
-            let v_u = eng.max(eng.load(&self.ws.arr_scan[off..]), carry_in);
-            let v_t = eng.max(eng.load(&self.ws.arr_t2[off..]), v_u);
-            eng.store(&mut self.ws.arr_t2[off..], v_t);
+        let segments = self
+            .arr_scan
+            .chunks_exact(lanes)
+            .zip(self.arr_t2.chunks_exact_mut(lanes));
+        for (scan, t2) in segments {
+            let v_u = eng.max(eng.load(scan), carry_in);
+            let v_t = eng.max(eng.load(t2), v_u);
+            eng.store(t2, v_t);
             if LOCAL {
                 self.v_max = eng.max(self.v_max, v_t);
             }
@@ -400,10 +412,10 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
 
     #[inline(always)]
     fn finish_column(&mut self) {
-        core::mem::swap(&mut self.ws.arr_t1, &mut self.ws.arr_t2);
+        core::mem::swap(&mut self.arr_t1, &mut self.arr_t2);
         self.col += 1;
         if self.semi {
-            let last = self.eng.load(&self.ws.arr_t1[self.last_seg_off..]);
+            let last = self.eng.load(&self.arr_t1[self.last_seg_off..]);
             self.v_semi = self.eng.max(self.v_semi, last);
         }
         // Sticky saturation: local alignments carry their running max
@@ -448,7 +460,7 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
             // Global: the score sits at query position m-1 of the last
             // column (arr_t1 after the final swap).
             let slot = self.layout.slot_of(self.layout.len - 1);
-            let fin = self.ws.arr_t1[slot];
+            let fin = self.arr_t1[slot];
             // Saturation on either end invalidates a global score.
             let sat = aalign_vec::elem::near_saturation(fin, headroom)
                 || fin.to_i32() <= E::Elem::NEG_INF.to_i32() + headroom;

@@ -116,7 +116,6 @@ impl SimdEngine for Avx2I32 {
     type Vec = __m256i;
 
     const LANES: usize = 8;
-    const NAME: &'static str = "avx2/i32x8";
 
     #[inline(always)]
     fn splat(self, x: i32) -> __m256i {
@@ -179,7 +178,6 @@ impl SimdEngine for Avx2I16 {
     type Vec = __m256i;
 
     const LANES: usize = 16;
-    const NAME: &'static str = "avx2/i16x16";
 
     #[inline(always)]
     fn splat(self, x: i16) -> __m256i {
@@ -242,7 +240,6 @@ impl SimdEngine for Avx2I8 {
     type Vec = __m256i;
 
     const LANES: usize = 32;
-    const NAME: &'static str = "avx2/i8x32";
 
     #[inline(always)]
     fn splat(self, x: i8) -> __m256i {

@@ -40,7 +40,6 @@ impl SimdEngine for Avx512I32 {
     type Vec = __m512i;
 
     const LANES: usize = 16;
-    const NAME: &'static str = "avx512/i32x16";
 
     #[inline(always)]
     fn splat(self, x: i32) -> __m512i {
@@ -208,7 +207,6 @@ impl SimdEngine for Avx512I16 {
     type Vec = __m512i;
 
     const LANES: usize = 32;
-    const NAME: &'static str = "avx512bw/i16x32";
 
     #[inline(always)]
     fn splat(self, x: i16) -> __m512i {

@@ -1,11 +1,10 @@
-//! Runtime ISA detection and backend selection.
+//! Runtime ISA detection.
 //!
 //! The paper re-links kernels against a platform-specific module set
 //! at build time; we do the equivalent at runtime. [`IsaSupport`]
-//! reports what the host offers, [`Backend`] names a concrete
-//! (ISA, element-width) engine, and [`best_backend`] picks the widest
-//! available engine for a requested element width — preferring the
-//! 512-bit engine (the paper's "many-core" shape) when present.
+//! reports what the host offers and [`Isa`] names a register family;
+//! which engine that makes for a requested element width — and the
+//! door to it — is [`crate::dispatch`].
 
 /// Vector ISAs an engine can be built on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -49,12 +48,21 @@ pub struct IsaSupport {
     pub avx2: bool,
     /// AVX-512 Foundation (i32 ops).
     pub avx512f: bool,
-    /// AVX-512 Byte/Word (i8/i16 ops) — not required by any kernel
-    /// here (IMCI had no sub-32-bit lanes either) but reported.
+    /// AVX-512 Byte/Word (i8/i16 ops) — beyond IMCI, which had no
+    /// sub-32-bit lanes; with `avx512f` it gives the 32-lane i16
+    /// engine, the default i16 engine on a host that has both.
     pub avx512bw: bool,
 }
 
 impl IsaSupport {
+    /// A host with no vector ISA: every engine is the portable one.
+    pub const NONE: Self = Self {
+        sse41: false,
+        avx2: false,
+        avx512f: false,
+        avx512bw: false,
+    };
+
     /// Probe the current CPU.
     pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
@@ -68,93 +76,9 @@ impl IsaSupport {
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            Self {
-                sse41: false,
-                avx2: false,
-                avx512f: false,
-                avx512bw: false,
-            }
+            Self::NONE
         }
     }
-
-    /// Best available ISA, widest first.
-    pub fn best(self) -> Isa {
-        if self.avx512f {
-            Isa::Avx512
-        } else if self.avx2 {
-            Isa::Avx2
-        } else if self.sse41 {
-            Isa::Sse41
-        } else {
-            Isa::Emulated
-        }
-    }
-}
-
-/// A concrete engine choice: ISA plus score element width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Backend {
-    pub isa: Isa,
-    /// Element width in bits (8, 16 or 32).
-    pub elem_bits: u32,
-}
-
-impl Backend {
-    /// Lane count this backend runs.
-    pub fn lanes(self) -> usize {
-        match self.isa {
-            // The emulated engine mirrors the 512-bit shape so that it
-            // exercises the same segment geometry as the widest ISA.
-            Isa::Emulated => (512 / self.elem_bits) as usize,
-            isa => (isa.bits() / self.elem_bits) as usize,
-        }
-    }
-}
-
-impl core::fmt::Display for Backend {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "{}/i{}x{}",
-            self.isa.name(),
-            self.elem_bits,
-            self.lanes()
-        )
-    }
-}
-
-/// Pick the best backend for the requested element width on this host.
-///
-/// 32-bit elements prefer AVX-512 (the "many-core" 512-bit shape);
-/// 8/16-bit elements prefer AVX2, since IMCI-style 512-bit engines do
-/// not offer narrow lanes (and the paper only uses i32 on MIC).
-pub fn best_backend(elem_bits: u32) -> Backend {
-    let sup = IsaSupport::detect();
-    let isa = match elem_bits {
-        32 => sup.best(),
-        16 => {
-            if sup.avx512f && sup.avx512bw {
-                Isa::Avx512
-            } else if sup.avx2 {
-                Isa::Avx2
-            } else if sup.sse41 {
-                Isa::Sse41
-            } else {
-                Isa::Emulated
-            }
-        }
-        8 => {
-            if sup.avx2 {
-                Isa::Avx2
-            } else if sup.sse41 {
-                Isa::Sse41
-            } else {
-                Isa::Emulated
-            }
-        }
-        other => panic!("unsupported element width: {other} bits"),
-    };
-    Backend { isa, elem_bits }
 }
 
 #[cfg(test)]
@@ -168,43 +92,5 @@ mod tests {
         if sup.avx2 {
             assert!(sup.sse41);
         }
-        let _ = sup.best();
-    }
-
-    #[test]
-    fn backend_lane_math() {
-        let b = Backend {
-            isa: Isa::Avx2,
-            elem_bits: 16,
-        };
-        assert_eq!(b.lanes(), 16);
-        let b = Backend {
-            isa: Isa::Avx512,
-            elem_bits: 32,
-        };
-        assert_eq!(b.lanes(), 16);
-        let b = Backend {
-            isa: Isa::Sse41,
-            elem_bits: 32,
-        };
-        assert_eq!(b.lanes(), 4);
-    }
-
-    #[test]
-    fn best_backend_returns_usable_widths() {
-        for bits in [8, 16, 32] {
-            let b = best_backend(bits);
-            assert!(b.lanes().is_power_of_two());
-            assert!(b.lanes() >= 4);
-        }
-    }
-
-    #[test]
-    fn display_format() {
-        let b = Backend {
-            isa: Isa::Avx2,
-            elem_bits: 32,
-        };
-        assert_eq!(b.to_string(), "avx2/i32x8");
     }
 }

@@ -38,7 +38,6 @@ impl<T: ScoreElem, const LANES: usize> SimdEngine for EmuEngine<T, LANES> {
     type Vec = [T; LANES];
 
     const LANES: usize = LANES;
-    const NAME: &'static str = "emu";
 
     #[inline(always)]
     fn splat(self, x: T) -> [T; LANES] {

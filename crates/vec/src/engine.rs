@@ -45,9 +45,6 @@ pub trait SimdEngine: Copy + Send + Sync + 'static {
     /// Number of lanes in [`Self::Vec`].
     const LANES: usize;
 
-    /// Human-readable backend name (e.g. `"avx2/i16x16"`).
-    const NAME: &'static str;
-
     /// Broadcast a scalar to every lane.
     fn splat(self, x: Self::Elem) -> Self::Vec;
 

@@ -20,6 +20,10 @@
 //!   above it is entirely padding. Since values only flow toward
 //!   higher query positions within a column, padding garbage can
 //!   never reach a real position.
+//!
+//! [`AlignedBuf`] is where such columns (and the query profile's
+//! stripes) live in memory: on a cache-line boundary, so that no
+//! vector access straddles a line or a page.
 
 /// Geometry of a striped column: query length, lane count, segment
 /// count and padded length.
@@ -115,9 +119,132 @@ impl StripedLayout {
     }
 }
 
+/// Bytes in a cache line; also the widest register any engine loads.
+pub const CACHE_LINE: usize = 64;
+
+/// A growable buffer whose first element sits on a [`CACHE_LINE`]
+/// boundary, so that no register-aligned vector access into it
+/// straddles a line or a page. A bare `Vec` promises 16 bytes, and
+/// where its 64-byte loads then fall depends on the allocation history
+/// of the process: the same binary ran the same sweep 17–40 % slower in
+/// the runs whose scratch crossed a page (DESIGN §5b).
+///
+/// Safe code: a `Vec` one line longer than asked for and a window into
+/// it at the pointer's `align_offset`.
+///
+/// ```
+/// use aalign_vec::layout::{AlignedBuf, CACHE_LINE};
+/// let mut buf = AlignedBuf::new();
+/// buf.resize(96, 0i16);
+/// assert_eq!(buf.len(), 96);
+/// assert_eq!(buf.as_ptr().align_offset(CACHE_LINE), 0);
+/// ```
+#[derive(Debug, Default)]
+pub struct AlignedBuf<T> {
+    raw: Vec<T>,
+    /// The window is `raw[start..start + len]`.
+    start: usize,
+    len: usize,
+}
+
+impl<T: Copy> AlignedBuf<T> {
+    /// An empty buffer; allocates nothing.
+    pub const fn new() -> Self {
+        Self {
+            raw: Vec::new(),
+            start: 0,
+            len: 0,
+        }
+    }
+
+    /// Make the buffer `len` elements long. It allocates only to grow,
+    /// and growing does **not** carry the contents along (the window
+    /// may start elsewhere in the new allocation): elements never
+    /// written read as `fill`, the rest as an earlier use left them.
+    pub fn resize(&mut self, len: usize, fill: T) {
+        let slack = CACHE_LINE / core::mem::size_of::<T>();
+        if self.raw.len() < len + slack {
+            self.raw.resize(len + slack, fill);
+        }
+        // `align_offset` may decline to answer (`usize::MAX`); the
+        // window then starts at the allocation: slower, never wrong.
+        let start = self.raw.as_ptr().align_offset(CACHE_LINE);
+        self.start = if start <= slack { start } else { 0 };
+        self.len = len;
+    }
+
+    /// Elements the allocation can hold, slack included.
+    pub fn capacity(&self) -> usize {
+        self.raw.capacity()
+    }
+}
+
+impl<T> core::ops::Deref for AlignedBuf<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        &self.raw[self.start..self.start + self.len]
+    }
+}
+
+impl<T> core::ops::DerefMut for AlignedBuf<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.raw[self.start..self.start + self.len]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn filled<T: Copy>(len: usize, fill: T) -> AlignedBuf<T> {
+        let mut buf = AlignedBuf::new();
+        buf.resize(len, fill);
+        buf
+    }
+
+    fn on_a_line<T>(buf: &AlignedBuf<T>) -> bool {
+        buf.as_ptr().align_offset(CACHE_LINE) == 0
+    }
+
+    #[test]
+    fn aligned_buf_starts_on_a_line_at_every_size() {
+        // Odd sizes on purpose: small allocations are the ones malloc
+        // hands out at 16 mod 64.
+        let mut held = Vec::new();
+        for len in [0usize, 1, 31, 64, 65, 200, 1024, 5000] {
+            let b8 = filled(len, 1i8);
+            let b16 = filled(len, 2i16);
+            let b32 = filled(len, 3i32);
+            assert!(
+                on_a_line(&b8) && on_a_line(&b16) && on_a_line(&b32),
+                "len {len}"
+            );
+            assert_eq!((b8.len(), b16.len(), b32.len()), (len, len, len));
+            assert!(b16.iter().all(|&x| x == 2));
+            held.push((b8, b16, b32));
+        }
+    }
+
+    #[test]
+    fn aligned_buf_grows_without_reallocating_when_it_fits() {
+        let mut buf = filled(256, 0i32);
+        let (at, cap) = (buf.as_ptr(), buf.capacity());
+        buf[255] = 9;
+        buf.resize(16, 0);
+        assert_eq!(buf.len(), 16);
+        buf.resize(256, 0);
+        assert_eq!((buf.as_ptr(), buf.capacity()), (at, cap));
+        assert_eq!(
+            buf[255], 9,
+            "shrinking and regrowing in place keeps stale data"
+        );
+        buf.resize(4096, -1);
+        assert!(on_a_line(&buf));
+        assert_eq!(buf.len(), 4096);
+    }
 
     #[test]
     fn fig4_example_20_elements_5_vectors() {

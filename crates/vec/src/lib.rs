@@ -29,7 +29,10 @@
 //! Backends whose instructions may be absent at runtime expose
 //! fallible constructors (`Option<Self>`), so every constructed engine
 //! value is a proof that its ISA is available; the intrinsic calls
-//! inside are sound by construction.
+//! inside are sound by construction. Callers do not construct them:
+//! [`dispatch`] holds the one table of engines, [`resolve`] picks a row
+//! for a host and [`with_engine`] runs a generic computation on it
+//! inside the engine's `#[target_feature]` context.
 //!
 //! Every `unsafe` in this crate carries a `// SAFETY:` comment and
 //! interior unsafe operations must be re-asserted even inside `unsafe
@@ -39,6 +42,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod detect;
+pub mod dispatch;
 pub mod elem;
 pub mod emu;
 pub mod engine;
@@ -53,9 +57,10 @@ pub mod avx512;
 #[cfg(target_arch = "x86_64")]
 pub mod sse41;
 
-pub use detect::{best_backend, Backend, IsaSupport};
+pub use detect::IsaSupport;
+pub use dispatch::{resolve, with_engine, Backend, DispatchElem, EngineFn};
 pub use elem::ScoreElem;
 pub use emu::EmuEngine;
 pub use engine::{Ramp, SimdEngine};
-pub use layout::StripedLayout;
+pub use layout::{AlignedBuf, StripedLayout};
 pub use saturate::SaturationGuard;

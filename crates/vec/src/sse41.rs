@@ -82,7 +82,6 @@ impl SimdEngine for Sse41I32 {
     type Vec = __m128i;
 
     const LANES: usize = 4;
-    const NAME: &'static str = "sse4.1/i32x4";
 
     #[inline(always)]
     fn splat(self, x: i32) -> __m128i {
@@ -156,7 +155,6 @@ impl SimdEngine for Sse41I16 {
     type Vec = __m128i;
 
     const LANES: usize = 8;
-    const NAME: &'static str = "sse4.1/i16x8";
 
     #[inline(always)]
     fn splat(self, x: i16) -> __m128i {

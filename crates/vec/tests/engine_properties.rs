@@ -2,9 +2,36 @@
 //! to the emulated oracle, and the striped weighted max-scan equals
 //! its scalar recurrence on arbitrary inputs and geometries.
 
+use aalign_vec::detect::Isa;
 use aalign_vec::scan::{wgt_max_scan_naive, wgt_max_scan_scalar, wgt_max_scan_striped, ScanParams};
-use aalign_vec::{EmuEngine, ScoreElem, SimdEngine, StripedLayout};
+use aalign_vec::{
+    resolve, with_engine, Backend, EmuEngine, EngineFn, IsaSupport, ScoreElem, SimdEngine,
+    StripedLayout,
+};
 use proptest::prelude::*;
+
+/// Every engine this host can run `bits`-wide lanes on: the rows
+/// `resolve` gives it under each pin, and those of a host with no SIMD
+/// at all (the portable shapes).
+fn host_rows(bits: u32) -> Vec<Backend> {
+    let pins = [
+        None,
+        Some(Isa::Emulated),
+        Some(Isa::Sse41),
+        Some(Isa::Avx2),
+        Some(Isa::Avx512),
+    ];
+    let mut rows = Vec::new();
+    for sup in [IsaSupport::detect(), IsaSupport::NONE] {
+        for pin in pins {
+            let row = resolve(sup, pin, bits);
+            if !rows.contains(&row) {
+                rows.push(row);
+            }
+        }
+    }
+    rows
+}
 
 /// Compare one binary op across engines for all lanes.
 macro_rules! cross_check {
@@ -77,25 +104,28 @@ fn iterated_lower_bound<T: ScoreElem>(init: T, step: T, lanes: usize) -> Vec<T> 
 /// ramp saturates for most steps and both fallback conditions fire.
 #[test]
 fn lower_bound_i8_is_exhaustively_the_iterated_definition() {
-    fn check<E: SimdEngine<Elem = i8>>(eng: E) {
-        let mut got = vec![0i8; E::LANES];
-        for init in i8::MIN..=i8::MAX {
-            for step in i8::MIN..=i8::MAX {
-                eng.store(&mut got, eng.lower_bound(init, step));
-                assert_eq!(
-                    got,
-                    iterated_lower_bound(init, step, E::LANES),
-                    "{} init={init} step={step}",
-                    E::NAME
-                );
+    struct Check(Backend);
+    impl EngineFn<i8> for Check {
+        type Out = ();
+
+        #[inline(always)]
+        fn call<E: SimdEngine<Elem = i8>>(self, eng: E) {
+            let mut got = vec![0i8; E::LANES];
+            for init in i8::MIN..=i8::MAX {
+                for step in i8::MIN..=i8::MAX {
+                    eng.store(&mut got, eng.lower_bound(init, step));
+                    assert_eq!(
+                        got,
+                        iterated_lower_bound(init, step, E::LANES),
+                        "{} init={init} step={step}",
+                        self.0.name()
+                    );
+                }
             }
         }
     }
-    check(EmuEngine::<i8, 32>::new());
-    check(EmuEngine::<i8, 64>::new());
-    #[cfg(target_arch = "x86_64")]
-    if let Some(eng) = aalign_vec::avx2::Avx2I8::new() {
-        check(eng);
+    for row in host_rows(8) {
+        with_engine(row, Check(row));
     }
 }
 
@@ -245,52 +275,51 @@ proptest! {
         open in -40i16..=0,
         ext in -10i16..=-1,
     ) {
-        fn check<E: SimdEngine>(
-            eng: E,
-            raw: &[i16],
-            (init, open, ext): (i16, i16, i16),
-        ) -> Result<(), TestCaseError> {
-            let narrow = |x: i16| {
-                let x = i32::from(x);
-                E::Elem::from_i32_sat(if E::Elem::BITS == 8 { x >> 8 } else { x })
-            };
-            let input: Vec<E::Elem> = raw.iter().take(3 * E::LANES).map(|&x| narrow(x)).collect();
-            let m = input.len();
-            let p = ScanParams {
-                init: narrow(init),
-                open: E::Elem::from_i32_sat(open.into()),
-                ext: E::Elem::from_i32_sat(ext.into()),
-            };
-            let mut expect = vec![E::Elem::ZERO; m];
-            wgt_max_scan_scalar(&input, p, &mut expect);
-
-            let layout = StripedLayout::new(m, E::LANES);
-            let mut sin = Vec::new();
-            layout.stripe(&input, E::Elem::NEG_INF, &mut sin);
-            let mut sout = vec![E::Elem::ZERO; layout.padded_len()];
-            wgt_max_scan_striped(eng, layout, &sin, &mut sout, p);
-            for q in 0..m {
-                prop_assert_eq!(sout[layout.slot_of(q)], expect[q], "{} q={} m={}", E::NAME, q, m);
-            }
-            Ok(())
+        struct Check<'a> {
+            row: Backend,
+            raw: &'a [i16],
+            params: (i16, i16, i16),
         }
-        let p = (init, open, ext);
-        check(EmuEngine::<i16, 32>::new(), &raw, p)?;
-        check(EmuEngine::<i8, 32>::new(), &raw, p)?;
-        #[cfg(target_arch = "x86_64")]
-        {
-            if let Some(eng) = aalign_vec::avx512::Avx512I16::new() {
-                check(eng, &raw, p)?;
+        impl<T: ScoreElem> EngineFn<T> for Check<'_> {
+            type Out = Result<(), TestCaseError>;
+
+            #[inline(always)]
+            fn call<E: SimdEngine<Elem = T>>(self, eng: E) -> Self::Out {
+                let narrow = |x: i16| {
+                    let x = i32::from(x);
+                    T::from_i32_sat(if T::BITS == 8 { x >> 8 } else { x })
+                };
+                let input: Vec<T> = self.raw.iter().take(3 * E::LANES).map(|&x| narrow(x)).collect();
+                let m = input.len();
+                let (init, open, ext) = self.params;
+                let p = ScanParams {
+                    init: narrow(init),
+                    open: T::from_i32_sat(open.into()),
+                    ext: T::from_i32_sat(ext.into()),
+                };
+                let mut expect = vec![T::ZERO; m];
+                wgt_max_scan_scalar(&input, p, &mut expect);
+
+                let layout = StripedLayout::new(m, E::LANES);
+                let mut sin = Vec::new();
+                layout.stripe(&input, T::NEG_INF, &mut sin);
+                let mut sout = vec![T::ZERO; layout.padded_len()];
+                wgt_max_scan_striped(eng, layout, &sin, &mut sout, p);
+                for q in 0..m {
+                    prop_assert_eq!(
+                        sout[layout.slot_of(q)], expect[q],
+                        "{} q={} m={}", self.row.name(), q, m
+                    );
+                }
+                Ok(())
             }
-            if let Some(eng) = aalign_vec::avx2::Avx2I16::new() {
-                check(eng, &raw, p)?;
-            }
-            if let Some(eng) = aalign_vec::avx2::Avx2I8::new() {
-                check(eng, &raw, p)?;
-            }
-            if let Some(eng) = aalign_vec::sse41::Sse41I16::new() {
-                check(eng, &raw, p)?;
-            }
+        }
+        let params = (init, open, ext);
+        for row in host_rows(16) {
+            with_engine::<i16, _>(row, Check { row, raw: &raw, params })?;
+        }
+        for row in host_rows(8) {
+            with_engine::<i8, _>(row, Check { row, raw: &raw, params })?;
         }
     }
 

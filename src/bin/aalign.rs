@@ -814,9 +814,11 @@ fn cmd_info() -> Result<(), String> {
     println!("  avx512bw : {}", sup.avx512bw);
     println!();
     for bits in [8u32, 16, 32] {
+        // The row the aligner itself resolves (no ISA pin), so this is
+        // what `pair --width {bits}` reports running on.
         println!(
             "  best backend for i{bits}: {}",
-            aalign::vec::best_backend(bits)
+            aalign::vec::resolve(sup, None, bits).name()
         );
     }
     println!("\nplatform mapping (paper): CPU = avx2 (256-bit), MIC = avx512/i32x16 (512-bit)");

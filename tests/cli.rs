@@ -21,6 +21,40 @@ fn info_reports_isa_support() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("vector ISA support"));
     assert!(text.contains("best backend for i32"));
+
+    // `info` names the engines the aligner runs, not a second opinion:
+    // each width's line equals what `pair --width N` reports.
+    let dir = std::env::temp_dir().join("aalign_cli_info");
+    std::fs::create_dir_all(&dir).unwrap();
+    write_fasta(&dir.join("q.fa"), &[("q", "HEAGAWGHEE")]);
+    write_fasta(&dir.join("s.fa"), &[("s", "PAWHEAE")]);
+    for bits in ["8", "16", "32"] {
+        let named = text
+            .lines()
+            .find_map(|l| {
+                l.trim()
+                    .strip_prefix(&format!("best backend for i{bits}: "))
+            })
+            .unwrap_or_else(|| panic!("no i{bits} line in {text}"));
+        let out = aalign()
+            .args([
+                "pair",
+                "--query",
+                dir.join("q.fa").to_str().unwrap(),
+                "--subject",
+                dir.join("s.fa").to_str().unwrap(),
+                "--width",
+                bits,
+            ])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let pair = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            pair.contains(&format!(" on {named}, i{bits},")),
+            "info says {named}, pair --width {bits} says: {pair}"
+        );
+    }
 }
 
 #[test]

@@ -52,16 +52,36 @@ proptest! {
 
         for strat in [AlignStrategy::StripedIterate, AlignStrategy::StripedScan, AlignStrategy::Hybrid] {
             for isa in [Isa::Emulated, Isa::Sse41, Isa::Avx2, Isa::Avx512] {
-                let out = Aligner::new(cfg.clone())
-                    .with_strategy(strat)
-                    .with_isa(isa)
-                    .with_width(WidthPolicy::Fixed32)
-                    .align(&q, &s)
-                    .unwrap();
-                prop_assert_eq!(
-                    out.score, want,
-                    "strategy {:?} isa {:?} backend {}", strat, isa, out.backend
-                );
+                for width in [WidthPolicy::Fixed8, WidthPolicy::Fixed16, WidthPolicy::Fixed32] {
+                    let out = Aligner::new(cfg.clone())
+                        .with_strategy(strat)
+                        .with_isa(isa)
+                        .with_width(width)
+                        .align(&q, &s)
+                        .unwrap();
+                    prop_assert!(
+                        !out.saturated || width != WidthPolicy::Fixed32,
+                        "strategy {:?} isa {:?} backend {}", strat, isa, out.backend
+                    );
+                    // A narrow lane may saturate, and says so — reliably
+                    // for local alignments (a per-column guard on the
+                    // running maximum). Global and semi-global runs
+                    // check only the final cell, so a clamp on the way
+                    // can go unreported (Fixed8, semi-global, linear −6:
+                    // GEDICVHQHGDRRKEHCPFKCDYLLATIYL vs TLFLGRH gives
+                    // −114 for −119, unflagged; ROADMAP item 2): there a
+                    // narrow score counts only inside the bound `Auto`
+                    // itself requires before it runs the width.
+                    let vouched = !out.saturated
+                        && (kind == AlignKind::Local
+                            || cfg.score_bounds(q.len(), s.len()).fits(out.elem_bits));
+                    if vouched {
+                        prop_assert_eq!(
+                            out.score, want,
+                            "strategy {:?} isa {:?} backend {}", strat, isa, out.backend
+                        );
+                    }
+                }
             }
         }
     }

@@ -380,6 +380,77 @@ fn one_backend_seam_and_one_request_schema() {
     }
 }
 
+/// One engine table, one door: `aalign_vec::dispatch` is the only place
+/// that knows which engines exist and the only place a kernel enters a
+/// `#[target_feature]` context. A private wrapper set elsewhere is how
+/// the workspace came to have twelve of them, two backend resolvers
+/// that disagreed and three spellings of one engine's name.
+#[test]
+fn one_engine_table() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let core_lib = std::fs::read_to_string(root.join("crates/core/src/lib.rs")).unwrap();
+    assert!(
+        core_lib.contains("#![forbid(unsafe_code)]"),
+        "aalign-core reaches engines through aalign_vec::with_engine, without unsafe"
+    );
+
+    let vec_src = root.join("crates/vec/src");
+    for path in product_sources(root) {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let shown = path.display();
+        if path.starts_with(root.join("crates/core/src")) {
+            assert!(
+                !text.contains("#[target_feature"),
+                "{shown}: a #[target_feature] entry outside crates/vec/src escapes the audit lint"
+            );
+        }
+        // `mod tests;` files are `#[cfg(test)]` from their parent.
+        let test_module =
+            path.ends_with("striped/tests.rs") || path.ends_with("striped/semi_tests.rs");
+        if !path.starts_with(&vec_src) && !test_module {
+            let shipped = text.split("#[cfg(test)]").next().unwrap();
+            for engine in ["Avx2I", "Avx512I", "Sse41I"] {
+                assert!(
+                    !shipped.contains(engine),
+                    "{shown}: names an `{engine}…` engine; resolve a Backend and go through with_engine"
+                );
+            }
+        }
+        // The one mistake no test notices: without the forced inline
+        // the body is compiled outside the target-feature entry and
+        // every intrinsic stays behind a call (20–40× slower).
+        for (at, _) in text.match_indices("EngineFn<").filter(|(at, _)| {
+            let line = text[..*at].rsplit('\n').next().unwrap();
+            line.trim_start().starts_with("impl")
+        }) {
+            let block = &text[at..];
+            let call = block
+                .find("fn call<")
+                .expect("an EngineFn impl defines call");
+            assert!(
+                block[..call].trim_end().ends_with("#[inline(always)]"),
+                "{shown}: `impl EngineFn` whose `call` is not #[inline(always)]"
+            );
+        }
+    }
+
+    for path in all_sources(root) {
+        let text = std::fs::read_to_string(&path).unwrap();
+        for needle in [
+            "run_width_",
+            "tf_wrappers",
+            "resolve_backend",
+            "best_backend",
+        ] {
+            assert!(
+                !text.contains(needle),
+                "{}: `{needle}` — aalign_vec::dispatch is the only engine table",
+                path.display()
+            );
+        }
+    }
+}
+
 /// The text of `fn name`'s body in `src` (brace-matched).
 fn fn_body<'a>(src: &'a str, name: &str) -> &'a str {
     let at = src
@@ -404,10 +475,12 @@ fn fn_body<'a>(src: &'a str, name: &str) -> &'a str {
 }
 
 /// A striped column costs what the paper says it does (Sec. V-A): per
-/// column the only loops are over the `k` segments (plus the lazy
-/// `loop`), never over the lanes of a vector, and `set_vector` is the
-/// ramp hoisted into `ColumnEngine::new` — not a `lower_bound` rebuilt
-/// per column, which is what made a 2-segment column cost 92 ns.
+/// column the only loops are over the `k` segments — by index, or over
+/// `segments`, a zip of register-wide `chunks_exact(lanes)` of the
+/// column buffers — (plus the lazy `loop`), never over the lanes of a
+/// vector, and `set_vector` is the ramp hoisted into
+/// `ColumnEngine::new` — not a `lower_bound` rebuilt per column, which
+/// is what made a 2-segment column cost 92 ns.
 #[test]
 fn striped_columns_do_no_per_lane_scalar_work() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -428,9 +501,16 @@ fn striped_columns_do_no_per_lane_scalar_work() {
         );
         for line in body.lines().map(str::trim) {
             let is_loop = line.starts_with("for ") || line.starts_with("while ");
+            let over_segments = line == "for j in 0..k {" || line.ends_with(" in segments {");
             assert!(
-                !is_loop || line == "for j in 0..k {",
+                !is_loop || over_segments,
                 "{name}: `{line}` — a column loops over its k segments only"
+            );
+            assert!(
+                !line.contains("chunks")
+                    || line.contains("chunks_exact(lanes)")
+                    || line.contains("chunks_exact_mut(lanes)"),
+                "{name}: `{line}` — `segments` are whole registers of a buffer"
             );
             assert!(
                 !line.contains(".iter(")
