@@ -4,9 +4,9 @@
 use std::io::{BufReader, Cursor, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
@@ -218,6 +218,66 @@ fn endless_header_stream_gets_a_431_not_memory_growth() {
     stream.read_to_string(&mut response).unwrap();
     assert!(response.starts_with("HTTP/1.1 431"), "{response}");
     server.shutdown();
+}
+
+#[test]
+fn accept_wakes_on_connect() {
+    // A closed-loop client's next connect lands just after the accept
+    // loop found the backlog empty. The loop waits on the descriptor,
+    // so the round trip costs the work in it; a loop that sleeps a
+    // fixed period instead makes these 25 take 25 periods (500 ms).
+    let server = HttpServer::start(dispatcher());
+    let started = Instant::now();
+    for _ in 0..25 {
+        let (status, _) = http(server.addr, "GET", "/v1/health", None);
+        assert_eq!(status, 200);
+    }
+    let took = started.elapsed();
+    server.shutdown();
+    assert!(
+        took < Duration::from_millis(250),
+        "25 sequential round trips took {took:?}"
+    );
+}
+
+#[test]
+fn stop_flag_alone_ends_serve_http() {
+    // No connection is ever made: storing the flag and joining is the
+    // whole shut-down protocol a caller owes the accept loop.
+    let server = HttpServer::start(dispatcher());
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "stop took {took:?}");
+}
+
+#[test]
+fn backlog_is_drained_without_waiting() {
+    // 32 connects land in the backlog together; each is accepted as
+    // soon as the one before it is handed to its thread.
+    const CLIENTS: usize = 32;
+    let server = HttpServer::start(dispatcher());
+    let addr = server.addr;
+    let lined_up = Arc::new(Barrier::new(CLIENTS + 1));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let lined_up = Arc::clone(&lined_up);
+            std::thread::spawn(move || {
+                lined_up.wait();
+                http(addr, "GET", "/v1/health", None).0
+            })
+        })
+        .collect();
+    lined_up.wait();
+    let started = Instant::now();
+    let statuses: Vec<u16> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    let took = started.elapsed();
+    server.shutdown();
+    assert_eq!(statuses, [200; CLIENTS]);
+    assert!(
+        took < Duration::from_millis(250),
+        "{CLIENTS} simultaneous round trips took {took:?}"
+    );
 }
 
 #[test]

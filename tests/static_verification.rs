@@ -5,11 +5,12 @@
 //! lint over the concurrent crates, and the kernel conformance layer
 //! (symbolic proof obligations + the bounded-exhaustive differential
 //! harness) — so a change that breaks a static guarantee fails the
-//! main suite, not just the analyzer's. Two source guards ride along:
-//! one JSON codec and one database sweep; no per-lane scalar work in a
-//! striped column.
+//! main suite, not just the analyzer's. Source guards ride along: one
+//! JSON codec and one database sweep; one backend seam and one request
+//! schema; one engine table; no per-lane scalar work in a striped
+//! column; served requests wait on descriptors, not on the clock.
 
-use aalign_analyzer::audit::{audit_dir, default_vec_src_dir, VEC_BASELINE};
+use aalign_analyzer::audit::{audit_dir, audit_source, default_vec_src_dir, VEC_BASELINE};
 use aalign_analyzer::concurrency::{default_concurrency_dirs, scan_dirs, CONCURRENCY_BASELINE};
 use aalign_analyzer::conformance::{
     builtin_sources, run_conformance_pass, CONFORMANCE_BASELINE, UNJUSTIFIABLE_FIXTURE,
@@ -378,6 +379,53 @@ fn one_backend_seam_and_one_request_schema() {
             );
         }
     }
+}
+
+/// A served request costs its work, not a poll period: the accept loop
+/// parks on the listener's descriptor, so a connection is picked up
+/// when it arrives. With a fixed sleep there instead, every op of a
+/// closed-loop client lasted one period (20 ms around a 2 ms sweep) and
+/// no kernel speed-up could show at the HTTP door. The one foreign call
+/// that does the waiting is declared once and carries its proof; the
+/// atomics beside it are pinned by `concurrent_crates_stay_disciplined`
+/// (`serve/http.rs load Acquire 1`: `stop` is still the only one).
+#[test]
+fn served_requests_wait_on_descriptors() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let serve_src = root.join("crates/serve/src");
+    let http = std::fs::read_to_string(serve_src.join("http.rs")).unwrap();
+    assert!(
+        !fn_body(&http, "serve_http").contains("sleep("),
+        "serve_http sleeps; wait for the listener with wait_readable"
+    );
+
+    let mut sources = Vec::new();
+    rust_sources(&serve_src, &mut sources);
+    let mut declared = 0;
+    for path in &sources {
+        let text = std::fs::read_to_string(path).unwrap();
+        for (at, _) in text.match_indices("fn poll(") {
+            let before = &text[..at];
+            assert!(
+                before.rfind("extern \"C\" {") > before.rfind('}'),
+                "{}: `fn poll(` outside an `extern \"C\"` block",
+                path.display()
+            );
+            declared += 1;
+        }
+    }
+    assert_eq!(
+        declared, 1,
+        "poll(2) is declared once in crates/serve/src, at its only call site"
+    );
+
+    let shipped = http.split("#[cfg(test)]").next().unwrap();
+    let (unsafe_count, findings) = audit_source("crates/serve/src/http.rs", shipped);
+    assert_eq!(
+        unsafe_count, 1,
+        "http.rs: the poll(2) call is its only unsafe"
+    );
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 /// One engine table, one door: `aalign_vec::dispatch` is the only place
