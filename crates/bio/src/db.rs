@@ -15,6 +15,9 @@ use crate::seq::Sequence;
 #[derive(Debug, Clone, Default)]
 pub struct SeqDatabase {
     seqs: Vec<Sequence>,
+    /// Indices of `seqs` by descending length, ties in insertion
+    /// order; computed once, since the sequences never change.
+    by_length: Vec<usize>,
 }
 
 /// Summary statistics of a database.
@@ -31,7 +34,9 @@ pub struct DbStats {
 impl SeqDatabase {
     /// Build from a vector of sequences.
     pub fn new(seqs: Vec<Sequence>) -> Self {
-        Self { seqs }
+        let mut by_length: Vec<usize> = (0..seqs.len()).collect();
+        by_length.sort_by_key(|&i| core::cmp::Reverse(seqs[i].len()));
+        Self { seqs, by_length }
     }
 
     /// Load from FASTA.
@@ -73,11 +78,16 @@ impl SeqDatabase {
 
     /// Indices of all sequences sorted by descending length — the
     /// paper's processing order (longest first keeps the tail of a
-    /// dynamic schedule short).
+    /// dynamic schedule short, and neighbours of like length fill the
+    /// lanes of a batch). The sort is stable — equal lengths keep
+    /// their insertion order — and was done once, at construction.
+    pub fn length_order(&self) -> &[usize] {
+        &self.by_length
+    }
+
+    /// [`length_order`](Self::length_order), copied out.
     pub fn sorted_by_length_desc(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.seqs.len()).collect();
-        idx.sort_by_key(|&i| core::cmp::Reverse(self.seqs[i].len()));
-        idx
+        self.by_length.clone()
     }
 
     /// Summary statistics.
@@ -118,6 +128,25 @@ mod tests {
         let order = d.sorted_by_length_desc();
         let lens: Vec<usize> = order.iter().map(|&i| d.get(i).len()).collect();
         assert_eq!(lens, vec![10, 7, 2]);
+    }
+
+    #[test]
+    fn cached_order_is_a_fresh_stable_sort() {
+        // Plenty of ties: lengths 0..=4 over 40 sequences.
+        let seqs: Vec<Sequence> = (0..40usize)
+            .map(|i| Sequence::protein(format!("s{i}"), &b"HEAG"[..(i * 7) % 5]).unwrap())
+            .collect();
+        let d = SeqDatabase::new(seqs);
+        let mut fresh: Vec<usize> = (0..d.len()).collect();
+        fresh.sort_by_key(|&i| core::cmp::Reverse(d.get(i).len()));
+        assert_eq!(d.length_order(), fresh);
+        assert_eq!(d.sorted_by_length_desc(), fresh);
+        for pair in d.length_order().windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            let (la, lb) = (d.get(a).len(), d.get(b).len());
+            assert!(la > lb || (la == lb && a < b), "ties keep insertion order");
+        }
+        assert!(SeqDatabase::default().length_order().is_empty());
     }
 
     #[test]

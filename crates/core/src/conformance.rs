@@ -40,7 +40,7 @@ use aalign_vec::{EmuEngine, ScoreElem};
 
 use crate::banded::banded_align_certified;
 use crate::config::{AlignConfig, AlignKind, GapModel};
-use crate::inter::{inter_align_batch, InterWorkspace};
+use crate::inter::{inter_align_batch, InterWorkspace, LaneProfile};
 use crate::paradigm::paradigm_dp;
 use crate::striped::{hybrid_align, iterate_align, scan_align, HybridPolicy, Workspace};
 use crate::traceback::traceback_align;
@@ -173,8 +173,8 @@ impl Variant {
 const INTER_LANES: usize = 4;
 
 /// The fixed variant grid: every striped strategy × the width/lane
-/// shapes {i8×2, i16×2, i16×4, i32×4}, the inter kernel at i16 and
-/// i32, certified banded, and traceback. Order is deterministic and
+/// shapes {i8×2, i16×2, i16×4, i32×4}, the inter kernel at i8, i16
+/// and i32, certified banded, and traceback. Order is deterministic and
 /// pinned by `conformance_baseline.txt`.
 pub fn all_variants() -> Vec<Variant> {
     let mut v = Vec::new();
@@ -187,8 +187,9 @@ pub fn all_variants() -> Vec<Variant> {
             v.push(Variant::Striped { strat, bits, lanes });
         }
     }
-    v.push(Variant::Inter { bits: 16 });
-    v.push(Variant::Inter { bits: 32 });
+    for bits in [8u8, 16, 32] {
+        v.push(Variant::Inter { bits });
+    }
     v.push(Variant::Banded);
     v.push(Variant::Traceback);
     v
@@ -745,6 +746,7 @@ fn run_inter_variant(
     report: &mut ConfigReport,
 ) {
     match bits {
+        8 => inter_elem::<i8>(kernel_cfg, queries, subjects, want, stat, report),
         16 => inter_elem::<i16>(kernel_cfg, queries, subjects, want, stat, report),
         32 => inter_elem::<i32>(kernel_cfg, queries, subjects, want, stat, report),
         other => unreachable!("unsupported inter width i{other}"),
@@ -767,9 +769,10 @@ fn inter_elem<T: ScoreElem>(
     let eng = EmuEngine::<T, INTER_LANES>::new();
     let mut ws = InterWorkspace::new();
     for (qi, q) in queries.iter().enumerate() {
+        let prof = LaneProfile::build(q, &kernel_cfg.matrix);
         for (chunk_start, chunk) in subjects.chunks(INTER_LANES).enumerate() {
             let refs: Vec<&Sequence> = chunk.iter().collect();
-            let batch = inter_align_batch(eng, t2, &kernel_cfg.matrix, q, &refs, &mut ws);
+            let batch = inter_align_batch(eng, t2, &prof, &refs, &mut ws);
             for (lane, &got) in batch.scores.iter().enumerate() {
                 let si = chunk_start * INTER_LANES + lane;
                 if batch.saturated[lane] {

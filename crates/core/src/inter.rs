@@ -1,58 +1,129 @@
-//! Inter-sequence vectorization (extension; paper Sec. VI-C).
+//! Inter-sequence vectorization (extension; paper Sec. VI-C): one
+//! lane per subject.
 //!
 //! SWAPHI — the paper's MIC comparator — offers two vectorization
 //! modes: *intra-sequence* (one alignment per vector, the striped
 //! kernels of this crate) and *inter-sequence* (one **lane per
-//! subject**, aligning a query against `LANES` subjects at once).
-//! The paper benchmarks only the intra mode; this module implements
-//! the inter mode as well. Its structural appeal: lanes are
-//! independent alignments, so there are **no wavefront dependencies
-//! to repair** — no lazy loop, no scan, no hybrid. Its structural
-//! cost: a per-cell *gather* (each lane needs the matrix score of its
-//! own subject character) plus idle lanes once short subjects finish.
+//! subject**, aligning a query against `LANES` subjects at once). The
+//! paper benchmarks only the intra mode. Lanes are independent
+//! alignments, so there are **no wavefront dependencies to repair** —
+//! no lazy loop, no scan, no hybrid — and a query too short to fill a
+//! stripe still fills every lane. The costs are structural too: each
+//! cell needs the substitution score of *its own lane's* subject
+//! residue, the batch's residues have to be transposed so that one
+//! vector holds one column of every subject, and a lane whose subject
+//! has ended idles until the longest one is done.
 //!
-//! **A test oracle, with no product entry point.** Measured with
-//! 32-bit lanes and the portable scalar gather used here, the gather
-//! dominates and the intra-sequence hybrid was ~2× faster at every
-//! subject length on the development host, so the inter-sequence
-//! database sweep that once sat beside `SearchEngine::search` was
-//! removed rather than kept behind a switch. What stays is the
-//! kernel's value as a second, structurally independent
-//! implementation: the conformance harness, the engine's oracle test
-//! and `tests/random_matrix_equivalence.rs` compare the striped
-//! kernels against it score for score. Production inter-sequence
-//! tools (SWIPE, SWAPHI's inter mode) win by pairing byte-wide lanes
-//! with SIMD-shuffled score profiles; if such a byte-lane kernel is
-//! built and earns its place on the benchmark, it re-enters through
-//! `SearchEngine::search`, chosen from the query length the code can
-//! observe — never through a user-set flag.
+//! **A strategy of the one sweep.** With the scores gathered by
+//! `m × LANES` scalar stores per column this kernel lost to the
+//! striped hybrid at every subject length and was only a test oracle.
+//! It is now written on [`SimdEngine::lookup32`] — the query is
+//! prepared once as `m` rows of 32 scores ([`LaneProfile`]), a column
+//! of the batch is one vector of residue indices, and a cell's score
+//! is one in-register table lookup (`vpermw`, or two to four `pshufb`)
+//! — and `SearchEngine::search` runs it for short queries on engines
+//! whose lookup is native ([`Aligner::align_batch_prepared`] holds the
+//! rule; EXPERIMENTS.md, "Short queries: lanes per subject", the
+//! numbers). It has no entry point, option or flag of its own. It
+//! stays a second, structurally independent implementation as well:
+//! the conformance harness and `tests/random_matrix_equivalence.rs`
+//! compare it with the scalar reference score for score, and the
+//! engine's sweep tests compare it with the striped kernels.
 //!
 //! Works for all three [`AlignKind`]s and both gap systems, on any
-//! [`SimdEngine`]; results are bit-identical to the scalar reference
-//! per lane (property-tested).
+//! [`SimdEngine`] (an engine without a native lookup runs the portable
+//! gather: correct, and slower than the striped kernels); results are
+//! bit-identical to the scalar reference per lane (property-tested).
+//! Saturation is reported per lane from the *final* score alone, which
+//! is sound for local alignments at any width (the running maximum
+//! sticks at the ceiling) and for global / semi-global ones only
+//! inside [`ScoreBounds::fits`](crate::config::ScoreBounds::fits) —
+//! callers run those narrow nowhere else.
+//!
+//! [`Aligner::align_batch_prepared`]: crate::Aligner::align_batch_prepared
 
-use aalign_bio::{Sequence, SubstMatrix};
-use aalign_vec::{resolve, with_engine, EngineFn, IsaSupport, ScoreElem, SimdEngine};
+use aalign_bio::{Alphabet, Sequence, SubstMatrix};
+use aalign_vec::{
+    resolve, with_engine, AlignedBuf, EngineFn, IsaSupport, ScoreElem, SimdEngine, LOOKUP_ENTRIES,
+};
 
 use crate::config::{AlignKind, TableII};
 
-/// Reusable buffers for [`inter_align_batch`].
-#[derive(Debug, Default)]
-pub struct InterWorkspace<V, T = i32> {
-    h: Vec<V>,
-    e: Vec<V>,
-    /// Per-column lane gather of substitution scores, query-major.
-    scores: Vec<T>,
+/// Columns transposed at a time: the scratch is `LANES × 128` indices
+/// (8 KiB on every 32-lane i16 engine), whatever the subjects' lengths.
+const TILE_COLUMNS: usize = 128;
+
+/// A query prepared for the lane kernel at one element width: row `j`
+/// is the [`LOOKUP_ENTRIES`] scores of query residue `q[j]` against
+/// each subject residue index, the slots past the alphabet holding
+/// `NEG_INF` — a lane whose subject has ended reads the first of them
+/// (the *pad* index) and so can never win.
+#[derive(Debug)]
+pub struct LaneProfile<T> {
+    rows: AlignedBuf<T>,
+    len: usize,
+    alphabet: &'static Alphabet,
+    max_score: i32,
 }
 
-impl<V, T> InterWorkspace<V, T> {
+impl<T: ScoreElem> LaneProfile<T> {
+    /// Build the rows of `query` under `matrix`.
+    ///
+    /// # Panics
+    /// Panics if the query is empty, its alphabet is not the matrix's,
+    /// or the alphabet leaves no spare slot in a 32-entry row.
+    pub fn build(query: &Sequence, matrix: &SubstMatrix) -> Self {
+        let alphabet = matrix.alphabet();
+        assert!(!query.is_empty(), "query must be non-empty");
+        assert!(
+            core::ptr::eq(query.alphabet(), alphabet),
+            "alphabet mismatch"
+        );
+        assert!(
+            alphabet.len() < LOOKUP_ENTRIES,
+            "a {}-letter alphabet leaves no pad slot in a {LOOKUP_ENTRIES}-entry row",
+            alphabet.len()
+        );
+        let mut rows = AlignedBuf::new();
+        rows.resize(query.len() * LOOKUP_ENTRIES, T::NEG_INF);
+        for (row, &q) in rows.chunks_exact_mut(LOOKUP_ENTRIES).zip(query.indices()) {
+            for (residue, slot) in row.iter_mut().take(alphabet.len()).enumerate() {
+                *slot = T::from_i32_sat(matrix.score(residue as u8, q));
+            }
+        }
+        Self {
+            rows,
+            len: query.len(),
+            alphabet,
+            max_score: matrix.max_score(),
+        }
+    }
+}
+
+/// Reusable buffers for [`inter_align_batch`].
+#[derive(Debug, Default)]
+pub struct InterWorkspace<T> {
+    /// `H | E`, one vector per query row plus the boundary row, in one
+    /// line-aligned block.
+    cols: AlignedBuf<T>,
+    /// One tile of the batch's residue indices, transposed: `LANES`
+    /// per column.
+    tile: AlignedBuf<T>,
+}
+
+impl<T: ScoreElem> InterWorkspace<T> {
     /// Fresh workspace.
     pub fn new() -> Self {
         Self {
-            h: Vec::new(),
-            e: Vec::new(),
-            scores: Vec::new(),
+            cols: AlignedBuf::new(),
+            tile: AlignedBuf::new(),
         }
+    }
+
+    /// Elements currently reserved — the hook behind
+    /// [`AlignScratch::reserved_bytes`](crate::AlignScratch::reserved_bytes).
+    pub fn reserved_elems(&self) -> usize {
+        self.cols.capacity() + self.tile.capacity()
     }
 }
 
@@ -68,23 +139,76 @@ pub struct InterBatchResult {
     pub saturated: Vec<bool>,
 }
 
-/// Align `query` against up to `E::LANES` subjects simultaneously,
-/// one lane per subject, at any element width.
+/// Any number of subjects through [`inter_align_batch`], one vector of
+/// `E::LANES` after another: the computation [`with_engine`]
+/// instantiates per engine, for every caller that has a table row
+/// rather than an engine in hand.
+#[derive(Debug)]
+pub struct InterBatches<'a, T> {
+    /// The paradigm constants.
+    pub t2: TableII,
+    /// The prepared query.
+    pub prof: &'a LaneProfile<T>,
+    /// The subjects, best longest first.
+    pub subjects: &'a [&'a Sequence],
+    /// Scratch, reused across vectors and calls.
+    pub ws: &'a mut InterWorkspace<T>,
+}
+
+impl<T: ScoreElem> EngineFn<T> for InterBatches<'_, T> {
+    type Out = InterBatchResult;
+
+    #[inline(always)]
+    fn call<E: SimdEngine<Elem = T>>(self, eng: E) -> InterBatchResult {
+        let mut all = InterBatchResult {
+            scores: Vec::with_capacity(self.subjects.len()),
+            saturated: Vec::with_capacity(self.subjects.len()),
+        };
+        for vector in self.subjects.chunks(E::LANES) {
+            let out = inter_align_batch(eng, self.t2, self.prof, vector, self.ws);
+            all.scores.extend(out.scores);
+            all.saturated.extend(out.saturated);
+        }
+        all
+    }
+}
+
+/// Align the query of `prof` against up to `E::LANES` subjects
+/// simultaneously, one lane per subject, at any element width.
+/// Subjects may come in any order; sorted by length they waste the
+/// fewest lane-columns (every lane runs to the longest subject's end).
+///
+/// Forced inline: the body has to be compiled inside the
+/// target-feature entry [`with_engine`] calls it from.
 ///
 /// # Panics
-/// Panics if `subjects.len() > E::LANES`, the query is empty, or any
-/// sequence uses a different alphabet than `matrix`.
+/// Panics if `subjects.len() > E::LANES` or a subject uses a different
+/// alphabet than the profile.
+#[inline(always)]
 pub fn inter_align_batch<E: SimdEngine>(
     eng: E,
     t2: TableII,
-    matrix: &SubstMatrix,
-    query: &Sequence,
+    prof: &LaneProfile<E::Elem>,
     subjects: &[&Sequence],
-    ws: &mut InterWorkspace<E::Vec, E::Elem>,
+    ws: &mut InterWorkspace<E::Elem>,
+) -> InterBatchResult {
+    if t2.local {
+        batch::<E, true>(eng, t2, prof, subjects, ws)
+    } else {
+        batch::<E, false>(eng, t2, prof, subjects, ws)
+    }
+}
+
+#[inline(always)]
+fn batch<E: SimdEngine, const LOCAL: bool>(
+    eng: E,
+    t2: TableII,
+    prof: &LaneProfile<E::Elem>,
+    subjects: &[&Sequence],
+    ws: &mut InterWorkspace<E::Elem>,
 ) -> InterBatchResult {
     type T<E> = <E as SimdEngine>::Elem;
     let lanes = E::LANES;
-    assert!(!query.is_empty(), "query must be non-empty");
     assert!(
         subjects.len() <= lanes,
         "batch of {} exceeds {lanes} lanes",
@@ -92,132 +216,152 @@ pub fn inter_align_batch<E: SimdEngine>(
     );
     for s in subjects {
         assert!(
-            core::ptr::eq(s.alphabet(), matrix.alphabet())
-                && core::ptr::eq(query.alphabet(), matrix.alphabet()),
+            core::ptr::eq(s.alphabet(), prof.alphabet),
             "alphabet mismatch"
         );
     }
-    let m = query.len();
-    let q = query.indices();
+    let m = prof.len;
     let n_max = subjects.iter().map(|s| s.len()).max().unwrap_or(0);
+    let splat = |x: i32| eng.splat(T::<E>::from_i32_sat(x));
     let neg_inf = eng.splat(T::<E>::NEG_INF);
 
     // Column 0 boundary.
-    ws.h.clear();
-    ws.h.push(eng.splat(T::<E>::from_i32_sat(t2.init_t(0))));
-    ws.h.extend((0..m).map(|j| eng.splat(T::<E>::from_i32_sat(t2.init_col(j)))));
-    ws.e.clear();
-    ws.e.resize(m + 1, neg_inf);
-    ws.scores.resize(m * lanes, T::<E>::ZERO);
+    ws.cols.resize(2 * (m + 1) * lanes, T::<E>::ZERO);
+    let (h, e) = ws.cols.split_at_mut((m + 1) * lanes);
+    eng.store(h, splat(t2.init_t(0)));
+    for (j, h_j) in h[lanes..].chunks_exact_mut(lanes).enumerate() {
+        eng.store(h_j, splat(t2.init_col(j)));
+    }
+    for e_j in e.chunks_exact_mut(lanes) {
+        eng.store(e_j, neg_inf);
+    }
 
-    let v_gl = eng.splat(T::<E>::from_i32_sat(t2.gap_left));
-    let v_gle = eng.splat(T::<E>::from_i32_sat(t2.gap_left_ext));
-    let v_gu = eng.splat(T::<E>::from_i32_sat(t2.gap_up));
-    let v_gue = eng.splat(T::<E>::from_i32_sat(t2.gap_up_ext));
+    let v_gl = splat(t2.gap_left);
+    let v_gle = splat(t2.gap_left_ext);
+    let v_gu = splat(t2.gap_up);
+    let v_gue = splat(t2.gap_up_ext);
     let v_zero = eng.splat(T::<E>::ZERO);
 
+    // The boundary column's last row: final for zero-length subjects
+    // (global) and the i = 0 term of the semi-global maximum.
+    let v_boundary = eng.load(&h[m * lanes..]);
     let mut v_local_max = neg_inf;
-    // Per-lane bookkeeping for global/semi-global result extraction.
-    let mut finals = vec![T::<E>::NEG_INF; subjects.len()];
-    let mut lane_buf = vec![T::<E>::ZERO; lanes];
-    if matches!(t2.kind, AlignKind::Global | AlignKind::SemiGlobal) {
-        // Seed every lane with the boundary column's last-row value:
-        // final for zero-length subjects, the i=0 contribution for
-        // semi-global, overwritten at each lane's end column for
-        // global.
-        eng.store(&mut lane_buf, ws.h[m]);
-        finals.copy_from_slice(&lane_buf[..subjects.len()]);
-    }
+    let mut v_semi = v_boundary;
+    // Global scores sit in each lane's own end column; `next_end` is
+    // the nearest one still ahead, so a column costs one compare.
+    // Sized for the widest supported engine (i8×64).
+    let mut lane_buf = [T::<E>::ZERO; 64];
+    eng.store(&mut lane_buf, v_boundary);
+    let mut finals = lane_buf[..subjects.len()].to_vec();
+    let end_after = |done: usize| {
+        subjects
+            .iter()
+            .map(|s| s.len())
+            .filter(|&n| n > done)
+            .min()
+            .unwrap_or(usize::MAX)
+    };
+    let mut next_end = end_after(0);
 
-    for i in 0..n_max {
-        // Gather this column's substitution scores: lane l needs
-        // matrix[s_l[i]][q[j]]. Finished lanes keep a NEG_INF row so
-        // their garbage can never win (and cannot wrap: the E-path
-        // bounds the per-column decrease).
+    let pad = T::<E>::from_i32(prof.alphabet.len() as i32);
+    // Whole tiles, however short the batch: the scratch has one size.
+    ws.tile.resize(TILE_COLUMNS * lanes, pad);
+    for tile_start in (0..n_max).step_by(TILE_COLUMNS) {
+        // Transpose this tile of the batch: column c of the scratch
+        // holds residue `tile_start + c` of every subject, lanes past
+        // a subject's end (and unused lanes) the pad index.
+        let width = TILE_COLUMNS.min(n_max - tile_start);
+        let tile = &mut ws.tile[..width * lanes];
+        tile.fill(pad);
         for (l, s) in subjects.iter().enumerate() {
-            let idx = s.indices();
-            if i < idx.len() {
-                let row = matrix.row(idx[i]);
-                for (j, &qr) in q.iter().enumerate() {
-                    ws.scores[j * lanes + l] = T::<E>::from_i32_sat(row[qr as usize]);
-                }
-            } else {
-                for j in 0..m {
-                    ws.scores[j * lanes + l] = T::<E>::NEG_INF;
-                }
-            }
-        }
-        // Unused high lanes: keep them frozen at NEG_INF too.
-        for l in subjects.len()..lanes {
-            for j in 0..m {
-                ws.scores[j * lanes + l] = T::<E>::NEG_INF;
+            let residues = s.indices().get(tile_start..).unwrap_or(&[]);
+            for (column, &r) in tile.chunks_exact_mut(lanes).zip(residues) {
+                column[l] = T::<E>::from_i32(i32::from(r));
             }
         }
 
-        let mut h_diag = ws.h[0];
-        let h0 = eng.splat(T::<E>::from_i32_sat(t2.init_t(i + 1)));
-        ws.h[0] = h0;
-        let mut v_f = neg_inf;
-        for j in 1..=m {
-            let e = eng.max(eng.add(ws.e[j], v_gle), eng.add(ws.h[j], v_gl));
-            ws.e[j] = e;
-            v_f = eng.max(eng.add(v_f, v_gue), eng.add(ws.h[j - 1], v_gu));
-            let d = eng.add(h_diag, eng.load(&ws.scores[(j - 1) * lanes..]));
-            let mut v = eng.max(d, eng.max(e, v_f));
-            if t2.local {
-                v = eng.max(v, v_zero);
-            }
-            h_diag = ws.h[j];
-            ws.h[j] = v;
-            if t2.local {
-                v_local_max = eng.max(v_local_max, v);
-            }
-        }
-
-        // Result extraction at each lane's own end column.
-        match t2.kind {
-            AlignKind::Local => {}
-            AlignKind::Global => {
-                eng.store(&mut lane_buf, ws.h[m]);
-                for (l, s) in subjects.iter().enumerate() {
-                    if s.len() == i + 1 {
-                        finals[l] = lane_buf[l];
-                    }
+        for (c, column) in tile.chunks_exact(lanes).enumerate() {
+            let i = tile_start + c;
+            let idx = eng.load(column);
+            let (h_0, h_rows) = h.split_at_mut(lanes);
+            let mut h_diag = eng.load(h_0);
+            let mut h_up = splat(t2.init_t(i + 1));
+            eng.store(h_0, h_up);
+            let mut v_f = neg_inf;
+            let rows = h_rows
+                .chunks_exact_mut(lanes)
+                .zip(e[lanes..].chunks_exact_mut(lanes))
+                .zip(prof.rows.chunks_exact(LOOKUP_ENTRIES));
+            for ((h_j, e_j), scores) in rows {
+                let h_left = eng.load(h_j);
+                let v_e = eng.max(eng.add(eng.load(e_j), v_gle), eng.add(h_left, v_gl));
+                eng.store(e_j, v_e);
+                v_f = eng.max(eng.add(v_f, v_gue), eng.add(h_up, v_gu));
+                let mut v = eng.max(eng.add(h_diag, eng.lookup32(scores, idx)), v_e);
+                if LOCAL {
+                    v = eng.max(v, v_zero);
                 }
+                v = eng.max(v, v_f);
+                if LOCAL {
+                    v_local_max = eng.max(v_local_max, v);
+                }
+                h_diag = h_left;
+                eng.store(h_j, v);
+                h_up = v;
             }
-            AlignKind::SemiGlobal => {
-                eng.store(&mut lane_buf, ws.h[m]);
-                for (l, s) in subjects.iter().enumerate() {
-                    if i < s.len() {
-                        finals[l] = finals[l].max2(lane_buf[l]);
+
+            // `h_up` is now this column's last row. A lane past its
+            // subject's end only decays from its own earlier columns
+            // (pad scores are NEG_INF, gaps cost), so the semi-global
+            // running maximum needs no mask.
+            match t2.kind {
+                AlignKind::Local => {}
+                AlignKind::SemiGlobal => v_semi = eng.max(v_semi, h_up),
+                AlignKind::Global => {
+                    if i + 1 == next_end {
+                        eng.store(&mut lane_buf, h_up);
+                        for (l, s) in subjects.iter().enumerate() {
+                            if s.len() == i + 1 {
+                                finals[l] = lane_buf[l];
+                            }
+                        }
+                        next_end = end_after(i + 1);
                     }
                 }
             }
         }
     }
 
-    let headroom = matrix.max_score().abs().max(t2.gap_up.abs()) + 1;
-    let elems: Vec<T<E>> = match t2.kind {
+    match t2.kind {
         AlignKind::Local => {
             eng.store(&mut lane_buf, v_local_max);
-            subjects
-                .iter()
-                .enumerate()
-                .map(|(l, _)| lane_buf[l].max2(T::<E>::ZERO))
-                .collect()
+            for (fin, &best) in finals.iter_mut().zip(&lane_buf) {
+                *fin = best.max2(T::<E>::ZERO);
+            }
         }
-        AlignKind::Global | AlignKind::SemiGlobal => finals,
-    };
-    let saturated = elems
+        AlignKind::SemiGlobal => {
+            eng.store(&mut lane_buf, v_semi);
+            finals.copy_from_slice(&lane_buf[..subjects.len()]);
+        }
+        AlignKind::Global => {}
+    }
+    // The striped kernels' headroom, so a lane is flagged here exactly
+    // when its striped run would be.
+    let headroom = prof
+        .max_score
+        .abs()
+        .max(t2.gap_up.abs())
+        .max(t2.gap_left.abs())
+        + 1;
+    let saturated = finals
         .iter()
         .map(|&v| {
             aalign_vec::elem::near_saturation(v, headroom)
-                || (t2.kind != AlignKind::Local
-                    && v.to_i32() <= T::<E>::NEG_INF.to_i32() + headroom)
+                || (!LOCAL && v.to_i32() <= T::<E>::NEG_INF.to_i32() + headroom)
         })
         .collect();
     InterBatchResult {
-        scores: elems.iter().map(|v| v.to_i32()).collect(),
+        scores: finals.iter().map(|v| v.to_i32()).collect(),
         saturated,
     }
 }
@@ -246,36 +390,14 @@ pub fn inter_align_all(
     let backend = resolve(IsaSupport::detect(), None, 32);
     with_engine(
         backend,
-        InterAll {
+        InterBatches {
             t2,
-            matrix,
-            query,
+            prof: &LaneProfile::<i32>::build(query, matrix),
             subjects,
+            ws: &mut InterWorkspace::new(),
         },
     )
-}
-
-/// [`inter_align_all`]'s body, batching by the engine's lane count.
-struct InterAll<'a> {
-    t2: TableII,
-    matrix: &'a SubstMatrix,
-    query: &'a Sequence,
-    subjects: &'a [&'a Sequence],
-}
-
-impl EngineFn<i32> for InterAll<'_> {
-    type Out = Vec<i32>;
-
-    #[inline(always)]
-    fn call<E: SimdEngine<Elem = i32>>(self, eng: E) -> Vec<i32> {
-        let mut ws = InterWorkspace::new();
-        let mut out = Vec::with_capacity(self.subjects.len());
-        for chunk in self.subjects.chunks(E::LANES) {
-            let batch = inter_align_batch(eng, self.t2, self.matrix, self.query, chunk, &mut ws);
-            out.extend(batch.scores);
-        }
-        out
-    }
+    .scores
 }
 
 #[cfg(test)]
@@ -311,7 +433,8 @@ mod tests {
             let t2 = cfg.table2();
             let eng = EmuEngine::<i32, 8>::new();
             let mut ws = InterWorkspace::new();
-            let got = inter_align_batch(eng, t2, &BLOSUM62, &q, &refs, &mut ws);
+            let prof = LaneProfile::build(&q, &BLOSUM62);
+            let got = inter_align_batch(eng, t2, &prof, &refs, &mut ws);
             for (l, s) in subjects.iter().enumerate() {
                 let want = paradigm_dp(&cfg, &q, s).score;
                 assert_eq!(got.scores[l], want, "{} lane {l} ({})", cfg.label(), s.id());
@@ -364,8 +487,7 @@ mod tests {
         let got16 = inter_align_batch(
             EmuEngine::<i16, 8>::new(),
             t2,
-            &BLOSUM62,
-            &q,
+            &LaneProfile::build(&q, &BLOSUM62),
             &refs,
             &mut ws16,
         );
@@ -389,8 +511,7 @@ mod tests {
         let got = inter_align_batch(
             EmuEngine::<i16, 8>::new(),
             cfg.table2(),
-            &BLOSUM62,
-            &big,
+            &LaneProfile::build(&big, &BLOSUM62),
             &refs,
             &mut InterWorkspace::new(),
         );
@@ -407,6 +528,7 @@ mod tests {
         let cfg = AlignConfig::local(GapModel::linear(-2), &BLOSUM62);
         let eng = EmuEngine::<i32, 4>::new();
         let mut ws = InterWorkspace::new();
-        let _ = inter_align_batch(eng, cfg.table2(), &BLOSUM62, &q, &refs, &mut ws);
+        let prof = LaneProfile::build(&q, &BLOSUM62);
+        let _ = inter_align_batch(eng, cfg.table2(), &prof, &refs, &mut ws);
     }
 }

@@ -7,6 +7,10 @@
 //! SWPS3 escape hatch) and a strategy (sequential / striped-iterate /
 //! striped-scan / hybrid), then runs one striped attempt through
 //! [`with_engine`] — the monomorphized kernel for that combination.
+//! For a whole vector of subjects at once there is
+//! [`Aligner::align_batch_prepared`]: the lane-per-subject kernel of
+//! [`crate::inter`], run where the rule written on that method says it
+//! wins and declined everywhere else.
 
 use aalign_bio::{Sequence, StripedProfile, SubstMatrix};
 use aalign_obs::{CollectorSink, NullSink, TraceSink};
@@ -16,7 +20,8 @@ use aalign_vec::{resolve, with_engine, Backend, DispatchElem, EngineFn, ScoreEle
 use std::sync::Arc;
 
 use crate::certify::{config_fingerprint, CertificateStore};
-use crate::config::{AlignConfig, TableII};
+use crate::config::{AlignConfig, AlignKind, TableII};
+use crate::inter::{InterBatches, InterWorkspace, LaneProfile};
 use crate::scalar::scalar_column_align;
 use crate::striped::{
     hybrid_align_sink, iterate_align_sink, scan_align_sink, HybridPolicy, KernelResult, Workspace,
@@ -164,6 +169,15 @@ pub struct RunStats {
     pub switches_to_scan: usize,
     /// Hybrid: probes that stayed in iterate.
     pub probes_stayed: usize,
+    /// Subject residues scored lane-per-subject
+    /// ([`Aligner::align_batch_prepared`]) instead of by a striped
+    /// kernel: with `iterate_columns` and `scan_columns` it accounts
+    /// for every residue of a sweep.
+    pub inter_columns: usize,
+    /// Lane-columns those batches computed — longest subject × lanes,
+    /// per vector. `inter_columns / inter_lane_columns` is the fill;
+    /// the rest is padding on subjects that had already ended.
+    pub inter_lane_columns: usize,
 }
 
 impl RunStats {
@@ -184,6 +198,10 @@ impl RunStats {
         self.scan_columns = self.scan_columns.saturating_add(other.scan_columns);
         self.switches_to_scan = self.switches_to_scan.saturating_add(other.switches_to_scan);
         self.probes_stayed = self.probes_stayed.saturating_add(other.probes_stayed);
+        self.inter_columns = self.inter_columns.saturating_add(other.inter_columns);
+        self.inter_lane_columns = self
+            .inter_lane_columns
+            .saturating_add(other.inter_lane_columns);
     }
 }
 
@@ -328,6 +346,10 @@ pub struct AlignScratch {
     ws8: Workspace<i8>,
     ws16: Workspace<i16>,
     ws32: Workspace<i32>,
+    /// The lane-per-subject kernel's columns and transposition tile.
+    lanes8: InterWorkspace<i8>,
+    lanes16: InterWorkspace<i16>,
+    lanes32: InterWorkspace<i32>,
 }
 
 impl AlignScratch {
@@ -343,9 +365,11 @@ impl AlignScratch {
     /// so a persistent worker can report — and a test can assert —
     /// that back-to-back queries pay zero allocation setup.
     pub fn reserved_bytes(&self) -> usize {
-        self.ws8.reserved_elems() * core::mem::size_of::<i8>()
-            + self.ws16.reserved_elems() * core::mem::size_of::<i16>()
-            + self.ws32.reserved_elems() * core::mem::size_of::<i32>()
+        (self.ws8.reserved_elems() + self.lanes8.reserved_elems()) * core::mem::size_of::<i8>()
+            + (self.ws16.reserved_elems() + self.lanes16.reserved_elems())
+                * core::mem::size_of::<i16>()
+            + (self.ws32.reserved_elems() + self.lanes32.reserved_elems())
+                * core::mem::size_of::<i32>()
     }
 }
 
@@ -355,15 +379,78 @@ impl AlignScratch {
 struct Prepared<T> {
     backend: Backend,
     prof: StripedProfile<T>,
+    /// The query's rows for the lane-per-subject kernel, built only
+    /// where [`Aligner::align_batch_prepared`] could choose it.
+    lanes: Option<LaneProfile<T>>,
 }
 
-impl<T: ScoreElem> Prepared<T> {
-    fn build(backend: Backend, query: &Sequence, matrix: &SubstMatrix) -> Self {
+impl<T: DispatchElem> Prepared<T> {
+    /// `lanes`: the aligner and the query admit the lane-per-subject
+    /// kernel; the engine has the last word (its lookup must be native).
+    fn build(backend: Backend, query: &Sequence, matrix: &SubstMatrix, lanes: bool) -> Self {
         Self {
             backend,
             prof: StripedProfile::build(query, matrix, backend.lanes()),
+            lanes: (lanes && with_engine::<T, _>(backend, NativeLookup))
+                .then(|| LaneProfile::build(query, matrix)),
         }
     }
+
+    /// Lanes of a batch at this width, 0 when none can run.
+    fn batch_lanes(&self) -> usize {
+        self.lanes.as_ref().map_or(0, |_| self.backend.lanes())
+    }
+}
+
+/// Does the engine of a table row look scores up with shuffles?
+struct NativeLookup;
+
+impl<T: ScoreElem> EngineFn<T> for NativeLookup {
+    type Out = bool;
+
+    #[inline(always)]
+    fn call<E: SimdEngine<Elem = T>>(self, _eng: E) -> bool {
+        E::NATIVE_LOOKUP
+    }
+}
+
+/// Longest query [`Aligner::align_batch_prepared`] scores lane per
+/// subject. Its advantage over the striped kernels shrinks as stripes
+/// fill: measured on avx512/i16x32 (`calibrate --lanes`;
+/// EXPERIMENTS.md, "Short queries: lanes per subject") it is ×4.0 at
+/// 30 residues, ×2.1 at 60, ×1.8 at 250, ×1.3 at 500 — and ×1.07 at
+/// 1000, inside that host's run-to-run drift.
+pub const LANE_QUERY_CAP: usize = 500;
+
+/// Least share of a batch's lane-columns that must be subject residues
+/// (Σ len / Σ longest × lanes, in percent) for the lanes to be used: a
+/// lane whose subject has ended is paid for to the longest one's end.
+/// Same table: one 32-lane vector breaks even with the per-subject
+/// kernels at a fill of 31–36 % and wins by ×1.2 at 44 %.
+pub const LANE_MIN_FILL_PERCENT: usize = 40;
+
+/// What [`Aligner::align_batch_prepared`] returns when it takes a batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchOutput {
+    /// One score per subject, in input order.
+    pub scores: Vec<i32>,
+    /// True where the lane saturated: that subject's score is not to
+    /// be used, [`Aligner::align_prepared`] has to score it (and
+    /// report the saturation the way it always has).
+    pub saturated: Vec<bool>,
+    /// `inter_columns` and `inter_lane_columns` of the batch.
+    pub stats: RunStats,
+}
+
+/// How one width of the plan answers a batch.
+enum BatchAt {
+    /// Not this width (not prepared, or `Auto` rules it out for the
+    /// batch's longest subject): ask the next wider one.
+    Wider,
+    /// This is the width the per-subject path would run, and lanes
+    /// lose or cannot run at it.
+    Declined,
+    Scored(BatchOutput),
 }
 
 /// A query prepared for repeated alignment: striped profiles built
@@ -386,6 +473,17 @@ impl PreparedQuery {
     /// Query length in residues.
     pub fn query_len(&self) -> usize {
         self.query_len
+    }
+
+    /// Most subjects [`Aligner::align_batch_prepared`] scores in one
+    /// vector for this query — what a sweep rounds its claims to — or
+    /// 0 when it declines every batch (a pinned strategy, a query above
+    /// [`LANE_QUERY_CAP`], no engine with a native lookup).
+    pub fn batch_lanes(&self) -> usize {
+        let p8 = self.p8.as_ref().map_or(0, Prepared::batch_lanes);
+        let p16 = self.p16.as_ref().map_or(0, Prepared::batch_lanes);
+        let p32 = self.p32.as_ref().map_or(0, Prepared::batch_lanes);
+        p8.max(p16).max(p32)
     }
 }
 
@@ -554,8 +652,8 @@ impl Aligner {
                 // with m+n; prune i16 when the query alone rules it
                 // out.
                 let try_narrow = match self.cfg.kind {
-                    crate::config::AlignKind::Local => true,
-                    crate::config::AlignKind::Global | crate::config::AlignKind::SemiGlobal => {
+                    AlignKind::Local => true,
+                    AlignKind::Global | AlignKind::SemiGlobal => {
                         self.narrow_ok(16, query_len, query_len)
                     }
                 };
@@ -598,15 +696,123 @@ impl Aligner {
         }
         let sup = IsaSupport::detect();
         let matrix = &self.cfg.matrix;
+        // The half of the lane-per-subject rule that is known here
+        // (see `align_batch_prepared`).
+        let lanes = self.strategy == Strategy::Hybrid
+            && query.len() <= LANE_QUERY_CAP
+            && matrix.alphabet().len() < aalign_vec::LOOKUP_ENTRIES;
         for bits in self.width_plan(query.len()) {
             let backend = resolve(sup, self.isa, bits);
             match bits {
-                8 => pq.p8 = Some(Prepared::build(backend, query, matrix)),
-                16 => pq.p16 = Some(Prepared::build(backend, query, matrix)),
-                _ => pq.p32 = Some(Prepared::build(backend, query, matrix)),
+                8 => pq.p8 = Some(Prepared::build(backend, query, matrix, lanes)),
+                16 => pq.p16 = Some(Prepared::build(backend, query, matrix, lanes)),
+                _ => pq.p32 = Some(Prepared::build(backend, query, matrix, lanes)),
             }
         }
         Ok(pq)
+    }
+
+    /// Score a batch of subjects — at most
+    /// [`batch_lanes`](PreparedQuery::batch_lanes) of them, longest
+    /// first — one lane per subject ([`crate::inter`]), or decline
+    /// (`Ok(None)`), in which case nothing was computed and
+    /// [`align_prepared`](Self::align_prepared) is the way to score
+    /// them. Scores are the ones `align_prepared` returns, bit for bit.
+    ///
+    /// The batch is taken when all of this holds, and each term is
+    /// something the code observes, never a setting:
+    ///
+    /// * the strategy is the default [`Strategy::Hybrid`] — a pinned
+    ///   strategy names a striped kernel and gets it;
+    /// * the query is at most [`LANE_QUERY_CAP`] residues and the
+    ///   alphabet leaves a pad slot in a 32-entry row — beyond the cap
+    ///   stripes are full and the striped kernels are as fast;
+    /// * the width the per-subject path would run for the batch's
+    ///   *longest* subject — the first of the plan whose bound holds,
+    ///   a forced narrow width only for local alignments or inside the
+    ///   bound, since the lane kernel vouches for a global score by its
+    ///   final cell alone — has an engine whose
+    ///   [`lookup32`](SimdEngine::lookup32) is native;
+    /// * at least [`LANE_MIN_FILL_PERCENT`] of the lane-columns the
+    ///   batch would compute are subject residues.
+    ///
+    /// It emits no column events: a caller tracing a sweep scores per
+    /// subject.
+    pub fn align_batch_prepared(
+        &self,
+        pq: &PreparedQuery,
+        subjects: &[&Sequence],
+        scratch: &mut AlignScratch,
+    ) -> Result<Option<BatchOutput>, AlignError> {
+        for s in subjects {
+            self.check_seq(s)?;
+        }
+        let m = pq.query_len;
+        for bits in [8u32, 16, 32] {
+            let at = match bits {
+                8 => self.batch_at(pq.p8.as_ref(), m, subjects, &mut scratch.lanes8),
+                16 => self.batch_at(pq.p16.as_ref(), m, subjects, &mut scratch.lanes16),
+                _ => self.batch_at(pq.p32.as_ref(), m, subjects, &mut scratch.lanes32),
+            };
+            match at {
+                BatchAt::Wider => {}
+                BatchAt::Declined => break,
+                BatchAt::Scored(out) => return Ok(Some(out)),
+            }
+        }
+        Ok(None)
+    }
+
+    /// One width's answer to [`align_batch_prepared`](Self::align_batch_prepared).
+    fn batch_at<T: DispatchElem>(
+        &self,
+        prepared: Option<&Prepared<T>>,
+        query_len: usize,
+        subjects: &[&Sequence],
+        ws: &mut InterWorkspace<T>,
+    ) -> BatchAt {
+        let Some(p) = prepared else {
+            return BatchAt::Wider;
+        };
+        let longest = subjects.iter().map(|s| s.len()).max().unwrap_or(0);
+        if T::BITS < 32 && !self.narrow_ok(T::BITS, query_len, longest) {
+            if self.width == WidthPolicy::Auto {
+                return BatchAt::Wider;
+            }
+            if self.cfg.kind != AlignKind::Local {
+                return BatchAt::Declined;
+            }
+        }
+        let Some(prof) = p.lanes.as_ref() else {
+            return BatchAt::Declined;
+        };
+        let lanes = p.backend.lanes();
+        let residues: usize = subjects.iter().map(|s| s.len()).sum();
+        let lane_columns: usize = subjects
+            .chunks(lanes)
+            .map(|vector| lanes * vector.iter().map(|s| s.len()).max().unwrap_or(0))
+            .sum();
+        if residues == 0 || residues * 100 < LANE_MIN_FILL_PERCENT * lane_columns {
+            return BatchAt::Declined;
+        }
+        let out = with_engine(
+            p.backend,
+            InterBatches {
+                t2: self.cfg.table2(),
+                prof,
+                subjects,
+                ws,
+            },
+        );
+        BatchAt::Scored(BatchOutput {
+            scores: out.scores,
+            saturated: out.saturated,
+            stats: RunStats {
+                inter_columns: residues,
+                inter_lane_columns: lane_columns,
+                ..RunStats::default()
+            },
+        })
     }
 
     /// Align a prepared query against one subject, reusing `scratch`.
@@ -699,6 +905,7 @@ impl Aligner {
                 scan_columns: outcome.result.scan_columns,
                 switches_to_scan: outcome.switches_to_scan,
                 probes_stayed: outcome.probes_stayed,
+                ..RunStats::default()
             },
         })
     }
@@ -716,19 +923,30 @@ impl Aligner {
         buf: Option<&mut CollectorSink>,
     ) -> Option<(StrategyOutcome, Backend)> {
         let p = prepared?;
-        if self.width == WidthPolicy::Auto
-            && T::BITS < 32
-            && !self.narrow_ok(T::BITS, query_len, subject.len())
-        {
+        // Outside the bound that proves the width: `Auto` skips it.
+        // (A forced narrow *local* run needs no bound — its kernel
+        // watches the running maximum — so none is computed for it.)
+        let outside = T::BITS < 32
+            && (self.width == WidthPolicy::Auto || self.cfg.kind != AlignKind::Local)
+            && !self.narrow_ok(T::BITS, query_len, subject.len());
+        if outside && self.width == WidthPolicy::Auto {
             return None;
         }
-        let outcome = match buf {
+        let mut outcome = match buf {
             Some(buf) => {
                 buf.events.clear();
                 self.run_on(p, subject, ws, buf)
             }
             None => self.run_on(p, subject, ws, &mut NullSink),
         };
+        // A global or semi-global run reports saturation from its
+        // final cell alone, so a clamp on the way — a boundary ramp
+        // hitting the floor, a strong prefix the ceiling — can leave a
+        // wrong score looking sound: a forced narrow width outside the
+        // bound is reported saturated, whatever the final cell says.
+        if outside {
+            outcome.result.saturated = true;
+        }
         Some((outcome, p.backend))
     }
 
@@ -900,6 +1118,48 @@ mod tests {
             .unwrap();
         assert!(out.saturated);
         assert_eq!(out.elem_bits, 16);
+    }
+
+    #[test]
+    fn forced_narrow_non_local_runs_outside_the_bound_are_flagged() {
+        // A global or semi-global kernel checks its final cell only,
+        // and here a cell clamps at the i8 floor on the way: the run
+        // used to return −114, unflagged.
+        let q = Sequence::protein("q", b"GEDICVHQHGDRRKEHCPFKCDYLLATIYL").unwrap();
+        let s = Sequence::protein("s", b"TLFLGRH").unwrap();
+        let cfg = AlignConfig::new(AlignKind::SemiGlobal, GapModel::linear(-6), &BLOSUM62);
+        assert_eq!(paradigm_dp(&cfg, &q, &s).score, -119);
+        assert!(!cfg.score_bounds(q.len(), s.len()).fits(8));
+        for strat in [
+            Strategy::StripedIterate,
+            Strategy::StripedScan,
+            Strategy::Hybrid,
+        ] {
+            let narrow = Aligner::new(cfg.clone())
+                .with_strategy(strat)
+                .with_width(WidthPolicy::Fixed8)
+                .align(&q, &s)
+                .unwrap();
+            assert!(narrow.saturated, "{strat:?}: {}", narrow.score);
+            assert_eq!(narrow.outcome(), AlignOutcome::Saturated);
+            // 16 bits hold it, and say so.
+            let wide = Aligner::new(cfg.clone())
+                .with_strategy(strat)
+                .with_width(WidthPolicy::Fixed16)
+                .align(&q, &s)
+                .unwrap();
+            assert!(!wide.saturated);
+            assert_eq!(wide.score, -119);
+        }
+        // Inside the bound a forced narrow width is trusted as before.
+        let tiny = Sequence::protein("t", b"TLF").unwrap();
+        assert!(cfg.score_bounds(tiny.len(), tiny.len()).fits(8));
+        let out = Aligner::new(cfg.clone())
+            .with_width(WidthPolicy::Fixed8)
+            .align(&tiny, &tiny)
+            .unwrap();
+        assert!(!out.saturated);
+        assert_eq!(out.score, paradigm_dp(&cfg, &tiny, &tiny).score);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! * [`scalar`] — the optimized sequential baseline (Fig. 9).
 //! * [`striped`] — the vector kernels, generic over any
 //!   [`aalign_vec::SimdEngine`].
-//! * [`inter`] — inter-sequence vectorization (one lane per subject;
-//!   extension).
+//! * [`inter`] — inter-sequence vectorization (one lane per subject,
+//!   scores looked up in-register; the sweep's strategy for short
+//!   queries).
 //! * [`kernel`] — runtime dispatch (element width × strategy, on the
 //!   engine [`aalign_vec::dispatch`] resolves) and the public
 //!   [`Aligner`] API.
@@ -56,10 +57,12 @@ pub use certify::{
 };
 pub use config::{AlignConfig, AlignKind, GapModel, ScoreBounds, TableII};
 pub use hirschberg::hirschberg_align;
-pub use inter::{inter_align_all, inter_align_batch, InterBatchResult, InterWorkspace};
+pub use inter::{
+    inter_align_all, inter_align_batch, InterBatchResult, InterBatches, InterWorkspace, LaneProfile,
+};
 pub use kernel::{
-    AlignError, AlignOutcome, AlignOutput, AlignScratch, Aligner, PreparedQuery, RunStats,
-    Strategy, WidthPolicy,
+    AlignError, AlignOutcome, AlignOutput, AlignScratch, Aligner, BatchOutput, PreparedQuery,
+    RunStats, Strategy, WidthPolicy, LANE_MIN_FILL_PERCENT, LANE_QUERY_CAP,
 };
 pub use retry::Backoff;
 pub use striped::{HybridPolicy, HybridReport, KernelResult, StrategyChoice, Workspace};

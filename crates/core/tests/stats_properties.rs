@@ -11,15 +11,18 @@ fn arb_stats() -> impl Strategy<Value = RunStats> {
     (
         (any::<u64>(), any::<u64>(), any::<usize>()),
         (any::<usize>(), any::<usize>(), any::<usize>()),
+        (any::<usize>(), any::<usize>()),
     )
         .prop_map(
-            |((lazy_iters, lazy_sweeps, iterate_columns), rest)| RunStats {
+            |((lazy_iters, lazy_sweeps, iterate_columns), rest, inter)| RunStats {
                 lazy_iters,
                 lazy_sweeps,
                 iterate_columns,
                 scan_columns: rest.0,
                 switches_to_scan: rest.1,
                 probes_stayed: rest.2,
+                inter_columns: inter.0,
+                inter_lane_columns: inter.1,
             },
         )
 }
@@ -50,6 +53,8 @@ proptest! {
             scan_columns: usize::MAX,
             switches_to_scan: usize::MAX,
             probes_stayed: usize::MAX,
+            inter_columns: usize::MAX,
+            inter_lane_columns: usize::MAX,
         };
         let m = merged(&a, &ceiling);
         prop_assert_eq!(m, ceiling);

@@ -11,6 +11,15 @@
 //! same dynamic binding the paper uses: an atomic work index over the
 //! length-sorted database, pulled in configurable shards.
 //!
+//! The sweep has two ways to score what a worker claims: subject by
+//! subject through the striped kernels (`score_subject`), or — for a
+//! short query on an engine with a native score lookup — a whole
+//! vector of subjects at once, one lane each
+//! ([`Aligner::align_batch_prepared`], which holds the rule and
+//! declines everything else). Which one ran is stamped on
+//! [`RunStats`]: `iterate + scan + inter` columns add up to the
+//! database's residues.
+//!
 //! Three engine-grade facilities ride on top:
 //!
 //! * **Streaming top-k** — when [`SearchOptions::top_n`] is set, each
@@ -294,8 +303,14 @@ struct SweepShared<'a> {
     /// ([`ProgressCounters`], loom-checked in
     /// `tests/loom_progress.rs`).
     completed: &'a ProgressCounters,
-    /// Slots grabbed per atomic fetch.
+    /// Slots grabbed per atomic fetch: [`SearchOptions::shard`],
+    /// rounded up to whole vectors when `lanes` is set.
     shard: usize,
+    /// Subjects per lane-per-subject batch, or 0 when every subject
+    /// is scored on its own: the sweep is traced (column events
+    /// describe the striped kernels), the aligner would decline every
+    /// batch, or the database is smaller than one vector.
+    lanes: usize,
     top_n: usize,
     cancel: Option<&'a CancelToken>,
     progress: Option<&'a ProgressFn>,
@@ -542,22 +557,203 @@ impl SweepShared<'_> {
     }
 }
 
+/// What one worker accumulates over a sweep.
+struct WorkerSweep<'a> {
+    collector: Collector,
+    tallies: Tallies,
+    latency: Histogram,
+    /// Per-subject failures the sweep survived.
+    soft: Vec<AlignError>,
+    /// Completed within the current claim.
+    claim_subjects: usize,
+    claim_residues: usize,
+    /// The batch being offered to the lane kernel (kept for its
+    /// allocation).
+    batch: Vec<&'a Sequence>,
+}
+
+impl<'a> WorkerSweep<'a> {
+    /// Score one work slot through `score_subject`, a panic caught at
+    /// the slot boundary. `hooks`: run the fault plan's stall and
+    /// panic for the slot first (not again when a batch already did).
+    fn slot(
+        &mut self,
+        shared: &SweepShared<'a>,
+        scratch: &mut AlignScratch,
+        slot: usize,
+        hooks: bool,
+    ) -> Result<(), AlignError> {
+        let _ = hooks;
+        let t_slot = Instant::now();
+        let batch_mark = self.tallies.sink.events.len();
+        // AssertUnwindSafe: the catch's recovery below discards
+        // everything the panicked slot may have half-written —
+        // fresh scratch, trace batch truncated to the last
+        // complete envelope; the collector and counters only ever
+        // receive finished-subject values.
+        let scored = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(feature = "fault-inject")]
+            if let Some(plan) = shared.fault.filter(|_| hooks) {
+                plan.before_slot(slot);
+            }
+            shared.score_subject(scratch, slot, &mut self.collector, &mut self.tallies)
+        }));
+        match scored {
+            Ok(Ok(residues)) => {
+                self.latency
+                    .record(u64::try_from(t_slot.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                self.claim_subjects += 1;
+                self.claim_residues += residues;
+                Ok(())
+            }
+            Ok(Err(e)) => Err(e),
+            Err(payload) => {
+                // Panic isolation: quarantine the scratch, drop
+                // the subject's partial trace batch, record the
+                // failure, keep sweeping. The subject is *not*
+                // counted as completed.
+                *scratch = AlignScratch::new();
+                self.tallies.sink.events.truncate(batch_mark);
+                self.soft.push(AlignError::WorkerPanicked {
+                    db_index: shared.order[slot],
+                    payload: payload_string(payload),
+                });
+                Ok(())
+            }
+        }
+    }
+
+    /// Score `slots`: as one batch when lanes run and the aligner
+    /// takes it, slot by slot otherwise.
+    fn score(
+        &mut self,
+        shared: &SweepShared<'a>,
+        scratch: &mut AlignScratch,
+        slots: std::ops::Range<usize>,
+    ) -> Result<(), AlignError> {
+        if shared.lanes > 0 && self.batch(shared, scratch, slots.clone())? {
+            return Ok(());
+        }
+        for slot in slots {
+            self.slot(shared, scratch, slot, true)?;
+        }
+        Ok(())
+    }
+
+    /// Offer `slots` — one vector's worth, longest subject first — to
+    /// the lane kernel. `Ok(false)`: not taken, nothing was recorded
+    /// and every slot is still to be scored on its own — the aligner
+    /// declined, or the batch panicked (the per-subject pass then
+    /// names the subject that does, by its database index).
+    ///
+    /// A lane that saturated is scored again through `score_subject`,
+    /// so what a saturating subject reports — `rescued`, the ladder's
+    /// widths, a rescue-off score — is what it always reported.
+    fn batch(
+        &mut self,
+        shared: &SweepShared<'a>,
+        scratch: &mut AlignScratch,
+        slots: std::ops::Range<usize>,
+    ) -> Result<bool, AlignError> {
+        let t_batch = Instant::now();
+        self.batch.clear();
+        self.batch
+            .extend(slots.clone().map(|slot| shared.db.get(shared.order[slot])));
+        let subjects = &self.batch;
+        // AssertUnwindSafe: a panicked batch leaves nothing behind but
+        // its scratch, replaced below; hits and counters are written
+        // after the catch, from a finished batch only.
+        let scored = catch_unwind(AssertUnwindSafe(|| {
+            let out = shared
+                .aligner
+                .align_batch_prepared(shared.prepared, subjects, scratch);
+            // The plan's slot faults, honoured by the batch that took
+            // the slots — a declined one leaves them to the
+            // per-subject pass.
+            #[cfg(feature = "fault-inject")]
+            if let (Some(plan), Ok(Some(_))) = (shared.fault, &out) {
+                slots.clone().for_each(|slot| plan.before_slot(slot));
+            }
+            out
+        }));
+        let out = match scored {
+            Ok(Ok(Some(out))) => out,
+            Ok(Ok(None)) => return Ok(false),
+            Ok(Err(e)) => return Err(e),
+            Err(_) => {
+                *scratch = AlignScratch::new();
+                return Ok(false);
+            }
+        };
+
+        // A lane to score again per subject: it saturated, or the
+        // plan says it did.
+        let redo = |lane: usize, slot: usize| {
+            let _ = slot;
+            #[cfg(feature = "fault-inject")]
+            if shared.fault.is_some_and(|plan| plan.should_saturate(slot)) {
+                return true;
+            }
+            out.saturated[lane]
+        };
+        let mut stats = out.stats;
+        let mut kept = 0usize;
+        for (lane, slot) in slots.clone().enumerate() {
+            let len = self.batch[lane].len();
+            if redo(lane, slot) {
+                // Its residues will be striped columns after all.
+                stats.inter_columns -= len;
+                continue;
+            }
+            self.collector.offer(Hit {
+                db_index: shared.order[slot],
+                len,
+                score: out.scores[lane],
+            });
+            self.claim_residues += len;
+            kept += 1;
+        }
+        self.claim_subjects += kept;
+        self.tallies.stats.merge(&stats);
+        // One latency sample per subject: an equal share of the batch.
+        let share = t_batch.elapsed().as_nanos() / slots.len().max(1) as u128;
+        for _ in 0..kept {
+            self.latency
+                .record(u64::try_from(share).unwrap_or(u64::MAX));
+        }
+        if kept < slots.len() {
+            for (lane, slot) in slots.enumerate() {
+                if redo(lane, slot) {
+                    self.slot(shared, scratch, slot, false)?;
+                }
+            }
+        }
+        Ok(true)
+    }
+}
+
 /// The dispatch loop every worker runs for one query: pull shards off
-/// the atomic index, score each subject, publish progress, honor
-/// cancellation.
-fn run_sweep_worker(shared: &SweepShared<'_>, state: &mut WorkerState) -> SweepOut {
+/// the atomic index, score each claim — by vectors of subjects where
+/// the lane kernel takes them, subject by subject otherwise — publish
+/// progress, honor cancellation.
+fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> SweepOut {
     let t0 = Instant::now();
     state.queries += 1;
-    let mut collector = Collector::new(shared.top_n);
-    let mut tallies = Tallies {
-        worker_id: state.id,
-        ..Tallies::default()
+    let mut sweep = WorkerSweep {
+        collector: Collector::new(shared.top_n),
+        tallies: Tallies {
+            worker_id: state.id,
+            ..Tallies::default()
+        },
+        latency: Histogram::new(),
+        soft: Vec::new(),
+        claim_subjects: 0,
+        claim_residues: 0,
+        batch: Vec::with_capacity(shared.lanes),
     };
-    let mut latency = Histogram::new();
     let mut subjects = 0usize;
     let mut residues = 0usize;
     let mut err = None;
-    let mut soft: Vec<AlignError> = Vec::new();
 
     'sweep: loop {
         if let Some(c) = shared.cancel {
@@ -575,61 +771,31 @@ fn run_sweep_worker(shared: &SweepShared<'_>, state: &mut WorkerState) -> SweepO
         let Some((start, end)) = shared.index.claim(shared.shard, shared.order.len()) else {
             break;
         };
-        let mut shard_subjects = 0usize;
-        let mut shard_residues = 0usize;
-        for slot in start..end {
-            let t_slot = Instant::now();
-            let batch_mark = tallies.sink.events.len();
-            // AssertUnwindSafe: the catch's recovery below discards
-            // everything the panicked slot may have half-written —
-            // fresh scratch, trace batch truncated to the last
-            // complete envelope; the collector and counters only ever
-            // receive finished-subject values.
-            let scored = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(feature = "fault-inject")]
-                if let Some(plan) = shared.fault {
-                    if let Some(pause) = plan.stall_for(slot) {
-                        std::thread::sleep(pause);
-                    }
-                    if plan.should_panic(slot) {
-                        panic!("fault-inject: panic scoring slot {slot}");
-                    }
-                }
-                shared.score_subject(&mut state.scratch, slot, &mut collector, &mut tallies)
-            }));
-            match scored {
-                Ok(Ok(residues)) => {
-                    latency.record(u64::try_from(t_slot.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                    shard_subjects += 1;
-                    shard_residues += residues;
-                }
-                Ok(Err(e)) => {
-                    err = Some(e);
-                    break 'sweep;
-                }
-                Err(payload) => {
-                    // Panic isolation: quarantine the scratch, drop
-                    // the subject's partial trace batch, record the
-                    // failure, keep sweeping. The subject is *not*
-                    // counted as completed.
-                    state.scratch = AlignScratch::new();
-                    tallies.sink.events.truncate(batch_mark);
-                    soft.push(AlignError::WorkerPanicked {
-                        db_index: shared.order[slot],
-                        payload: payload_string(payload),
-                    });
-                }
+        sweep.claim_subjects = 0;
+        sweep.claim_residues = 0;
+        // A vector of subjects at a time, or — without lanes — the claim.
+        let step = if shared.lanes > 0 {
+            shared.lanes
+        } else {
+            end - start
+        };
+        for at in (start..end).step_by(step) {
+            if let Err(e) = sweep.score(shared, &mut state.scratch, at..end.min(at + step)) {
+                err = Some(e);
+                break 'sweep;
             }
         }
         // Publish this shard's completed trace batches in one lock
         // acquisition (a failed shard never publishes its partial
         // batch — the query errors out and the trace is discarded).
         if let Some(trace) = shared.trace {
-            trace.publish(&mut tallies.sink.events);
+            trace.publish(&mut sweep.tallies.sink.events);
         }
-        subjects += shard_subjects;
-        residues += shard_residues;
-        let (done, residues_done) = shared.completed.publish(shard_subjects, shard_residues);
+        subjects += sweep.claim_subjects;
+        residues += sweep.claim_residues;
+        let (done, residues_done) = shared
+            .completed
+            .publish(sweep.claim_subjects, sweep.claim_residues);
         if let Some(progress) = shared.progress {
             progress(&SearchProgress {
                 subjects_done: done,
@@ -640,15 +806,15 @@ fn run_sweep_worker(shared: &SweepShared<'_>, state: &mut WorkerState) -> SweepO
     }
 
     SweepOut {
-        peak_buffered: collector.len(),
-        hits: collector.into_hits(),
-        stats: tallies.stats,
-        width_retries: tallies.width_retries,
-        rescued: tallies.rescued,
-        rescue_widths: tallies.rescue_widths,
-        latency,
+        peak_buffered: sweep.collector.len(),
+        hits: sweep.collector.into_hits(),
+        stats: sweep.tallies.stats,
+        width_retries: sweep.tallies.width_retries,
+        rescued: sweep.tallies.rescued,
+        rescue_widths: sweep.tallies.rescue_widths,
+        latency: sweep.latency,
         err,
-        soft,
+        soft: sweep.soft,
         worker: WorkerMetrics {
             worker_id: state.id,
             queries_on_worker: state.queries,
@@ -899,7 +1065,18 @@ impl SearchEngine {
             });
         }
 
-        let order = db.sorted_by_length_desc();
+        let order = db.length_order();
+        // Lanes per subject where the aligner takes batches, the
+        // sweep is not traced, and the database fills a vector; claims
+        // are then whole vectors.
+        let lanes = match prepared.batch_lanes() {
+            lanes if opts.trace || order.len() < lanes => 0,
+            lanes => lanes,
+        };
+        let shard = match lanes {
+            0 => opts.shard.max(1),
+            lanes => opts.shard.max(1).next_multiple_of(lanes),
+        };
         let deadline = opts
             .deadline
             .and_then(|budget| DeadlineGuard::new(t_total, budget));
@@ -909,10 +1086,11 @@ impl SearchEngine {
             aligner,
             prepared: &prepared,
             db,
-            order: &order,
+            order,
             index: &shared_ctx.0,
             completed: &shared_ctx.1,
-            shard: opts.shard.max(1),
+            shard,
+            lanes,
             top_n: opts.top_n,
             cancel: opts.cancel.as_ref(),
             progress: opts.progress.as_ref(),
@@ -1332,16 +1510,20 @@ mod tests {
             m.per_worker.iter().map(|w| w.residues).sum::<usize>(),
             db_residues
         );
-        // Every subject's columns show up in the kernel mix.
+        // Every subject's columns show up in the kernel mix, whichever
+        // of the two ways the sweep scored it.
+        let k = &m.kernel_stats;
         assert_eq!(
-            m.kernel_stats.iterate_columns + m.kernel_stats.scan_columns,
+            k.iterate_columns + k.scan_columns + k.inter_columns,
             db_residues
         );
+        assert!(k.inter_lane_columns >= k.inter_columns);
         assert!(m.total >= m.sweep);
         for w in &m.per_worker {
             assert!(w.scratch_bytes > 0, "warm worker must hold scratch");
         }
-        // One latency sample per subject, one load sample per worker.
+        // One latency sample per subject (a batch's time shared
+        // out among its subjects), one load sample per worker.
         assert_eq!(m.latency.count(), db.len() as u64);
         assert_eq!(m.worker_load.count(), m.workers() as u64);
         assert_eq!(
@@ -1356,11 +1538,19 @@ mod tests {
     #[test]
     fn scratch_stops_growing_after_warmup() {
         // Zero-allocation reuse: the scratch footprint after query 2
-        // equals the footprint after query 3 (same database).
+        // equals the footprint after query 3 (same database) — the
+        // striped columns and, where vectors of subjects ran lane per
+        // subject, that kernel's columns and transposition tile.
         let mut rng = seeded_rng(9800);
-        let db = swissprot_like_db(9801, 25);
+        // One subject long enough that its vector is mostly padding
+        // and goes through the striped kernels.
+        let mut seqs = swissprot_like_db(9801, 125).sequences().to_vec();
+        seqs.push(named_query(&mut rng, 6000));
+        let db = SeqDatabase::new(seqs);
         let a = aligner(AlignKind::Local);
-        let engine = SearchEngine::new(2);
+        // One worker, so it is the same thread that meets every batch
+        // in every query.
+        let engine = SearchEngine::new(1);
         let q = named_query(&mut rng, 100);
         let footprint = |r: &SearchReport| -> Vec<usize> {
             r.metrics
@@ -1370,31 +1560,37 @@ mod tests {
                 .collect()
         };
         engine.search(&a, &q, &db, &SearchOptions::new()).unwrap();
-        let warm = footprint(&engine.search(&a, &q, &db, &SearchOptions::new()).unwrap());
+        let second = engine.search(&a, &q, &db, &SearchOptions::new()).unwrap();
+        let k = &second.metrics.kernel_stats;
+        assert!(k.iterate_columns + k.scan_columns > 0, "{k:?}");
+        assert_eq!(
+            k.inter_columns > 0,
+            a.prepare(&q).unwrap().batch_lanes() > 0,
+            "{k:?}"
+        );
+        let warm = footprint(&second);
         let again = footprint(&engine.search(&a, &q, &db, &SearchOptions::new()).unwrap());
         assert_eq!(warm, again, "buffers must be retained, not reallocated");
     }
 
     #[test]
     fn engine_matches_the_inter_sequence_oracle() {
-        // `aalign_core::inter` shares no code with the striped
-        // kernels (one lane per subject, no wavefront to repair), so
-        // agreeing with it score for score checks the whole sweep
-        // against a structurally independent implementation.
+        // The sweep scores this database both ways — most vectors lane
+        // per subject, the ragged ones through the striped kernels —
+        // and the lane kernel is what is under test here: the oracle
+        // is the paradigm's dynamic program, which shares code with
+        // neither.
         let mut rng = seeded_rng(9900);
         let q = named_query(&mut rng, 60);
-        let db = swissprot_like_db(9901, 45);
-        let subjects: Vec<&Sequence> = db.sequences().iter().collect();
+        let db = swissprot_like_db(9901, 145);
         let engine = SearchEngine::new(2);
         for kind in [AlignKind::Local, AlignKind::Global, AlignKind::SemiGlobal] {
             let a = aligner(kind);
-            let cfg = a.config();
-            let scores = aalign_core::inter_align_all(cfg.table2(), &cfg.matrix, &q, &subjects);
             let mut want: Vec<Hit> = (0..db.len())
                 .map(|i| Hit {
                     db_index: i,
                     len: db.get(i).len(),
-                    score: scores[i],
+                    score: aalign_core::paradigm::paradigm_dp(a.config(), &q, db.get(i)).score,
                 })
                 .collect();
             rank_hits(&mut want);
@@ -1404,6 +1600,12 @@ mod tests {
                     .unwrap();
                 let keep = if top_n == 0 { want.len() } else { top_n };
                 assert_eq!(got.hits, want[..keep], "{kind:?} top_n={top_n}");
+                let lanes = a.prepare(&q).unwrap().batch_lanes();
+                assert_eq!(
+                    got.metrics.kernel_stats.inter_columns > 0,
+                    lanes > 0,
+                    "{kind:?}: lanes run exactly where the engine has them"
+                );
             }
         }
     }

@@ -171,6 +171,18 @@ impl FaultPlan {
         }
     }
 
+    /// The faults that come before a slot's score: its stall, then
+    /// its panic. Called inside the catch of whatever scores the slot —
+    /// the per-subject pass, or the batch that took it.
+    pub(crate) fn before_slot(&self, slot: usize) {
+        if let Some(pause) = self.stall_for(slot) {
+            std::thread::sleep(pause);
+        }
+        if self.should_panic(slot) {
+            panic!("fault-inject: panic scoring slot {slot}");
+        }
+    }
+
     /// Kill hook, called by the worker *outside* its job-boundary
     /// catch: panics (killing the thread) at most once, on the
     /// matching pool slot.

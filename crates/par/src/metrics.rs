@@ -269,10 +269,12 @@ impl SearchMetrics {
         let k = &self.kernel_stats;
         let _ = writeln!(
             s,
-            "kernel: {} iterate / {} scan columns, {} switches, \
+            "kernel: {} iterate / {} scan / {} inter columns ({} lane-columns), {} switches, \
              {} lazy iters, {} lazy sweeps, {} width retries, {} rescued, peak {} hits buffered",
             k.iterate_columns,
             k.scan_columns,
+            k.inter_columns,
+            k.inter_lane_columns,
             k.switches_to_scan,
             k.lazy_iters,
             k.lazy_sweeps,
@@ -397,6 +399,16 @@ impl SearchMetrics {
             "aalign_kernel_scan_columns_total",
             "Columns processed by striped-scan.",
             k.scan_columns as f64,
+        );
+        gauge(
+            "aalign_kernel_inter_columns_total",
+            "Subject residues scored one lane per subject.",
+            k.inter_columns as f64,
+        );
+        gauge(
+            "aalign_kernel_inter_lane_columns_total",
+            "Lane-columns the lane-per-subject batches computed (residues over this is their fill).",
+            k.inter_lane_columns as f64,
         );
         gauge(
             "aalign_kernel_switches_to_scan_total",

@@ -285,6 +285,8 @@ pub fn kernel_to_wire(k: &RunStats) -> JsonValue {
         ("scan_columns", k.scan_columns.into()),
         ("switches_to_scan", k.switches_to_scan.into()),
         ("probes_stayed", k.probes_stayed.into()),
+        ("inter_columns", k.inter_columns.into()),
+        ("inter_lane_columns", k.inter_lane_columns.into()),
     ])
 }
 
@@ -296,6 +298,8 @@ fn kernel_from_wire(v: &JsonValue) -> Result<RunStats, WireError> {
         scan_columns: u64_field(v, "scan_columns")? as usize,
         switches_to_scan: u64_field(v, "switches_to_scan")? as usize,
         probes_stayed: u64_field(v, "probes_stayed")? as usize,
+        inter_columns: u64_field(v, "inter_columns")? as usize,
+        inter_lane_columns: u64_field(v, "inter_lane_columns")? as usize,
     })
 }
 

@@ -119,6 +119,28 @@ fn saturating_fixed8_pair_is_rescued_bit_exactly() {
     assert_eq!(unrescued.metrics.rescued, 0);
 }
 
+/// A forced narrow width on a semi-global run outside the width's
+/// bound used to come back clamped and unflagged (−114 for −119); it
+/// is reported saturated now, so the ladder recovers the exact score.
+#[test]
+fn forced_narrow_semi_global_subject_is_rescued_to_the_exact_score() {
+    let q = Sequence::protein("q", b"GEDICVHQHGDRRKEHCPFKCDYLLATIYL").unwrap();
+    let db = SeqDatabase::new(vec![Sequence::protein("s", b"TLFLGRH").unwrap()]);
+    let narrow = Aligner::new(AlignConfig::new(
+        aalign_core::AlignKind::SemiGlobal,
+        GapModel::linear(-6),
+        &BLOSUM62,
+    ))
+    .with_width(WidthPolicy::Fixed8);
+    let engine = SearchEngine::new(1);
+    let report = engine
+        .search(&narrow, &q, &db, &SearchOptions::new())
+        .unwrap();
+    assert_eq!(report.hits[0].score, -119);
+    assert_eq!(report.metrics.rescued, 1);
+    assert!(!report.partial);
+}
+
 #[cfg(feature = "fault-inject")]
 mod scripted {
     use super::*;
@@ -277,6 +299,86 @@ mod scripted {
         assert!(report.partial, "the stall must trip the deadline");
         assert!(report.subjects < db.len());
         let want = reference_scores(&a, &q, &db);
+        for hit in &report.hits {
+            assert_eq!(hit.score, want[hit.db_index]);
+        }
+    }
+
+    /// A database large and even enough that every vector of subjects
+    /// is taken lane per subject (where the engine has lanes at all):
+    /// the plan's slot faults are then honoured by the batch.
+    fn even_db(seed: u64, count: usize) -> SeqDatabase {
+        let mut rng = seeded_rng(seed);
+        SeqDatabase::new(
+            (0..count)
+                .map(|i| named_query(&mut rng, 80 + (i * 7) % 40))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn a_batch_honours_the_plans_slot_faults() {
+        quiet_panics();
+        let mut rng = seeded_rng(7900);
+        let q = named_query(&mut rng, 60);
+        let db = even_db(7901, 200);
+        let a = aligner();
+        let engine = SearchEngine::new(2);
+        let order = db.length_order();
+        let want = reference_scores(&a, &q, &db);
+        let plain = engine.search(&a, &q, &db, &SearchOptions::new()).unwrap();
+        let lanes = a.prepare(&q).unwrap().batch_lanes();
+        assert_eq!(plain.metrics.kernel_stats.inter_columns > 0, lanes > 0);
+
+        // A panic in slot 70: exactly that subject is lost, by its
+        // database index, and every other subject of its batch — of
+        // the database — is scored.
+        let plan = Arc::new(FaultPlan::new().panic_on_slot(70));
+        let report = engine
+            .search(&a, &q, &db, &SearchOptions::new().fault_plan(plan))
+            .unwrap();
+        assert!(report.partial);
+        let lost: Vec<usize> = report
+            .errors
+            .iter()
+            .filter_map(|e| match e {
+                AlignError::WorkerPanicked { db_index, .. } => Some(*db_index),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lost, [order[70]]);
+        assert_eq!(report.subjects, db.len() - 1);
+        assert_eq!(report.hits.len(), db.len() - 1);
+        for hit in &report.hits {
+            assert_ne!(hit.db_index, order[70]);
+            assert_eq!(hit.score, want[hit.db_index]);
+        }
+
+        // Two forced saturations inside batches: both lanes go to the
+        // ladder, scores unchanged.
+        let plan = Arc::new(FaultPlan::new().saturate_slot(40).saturate_slot(133));
+        let report = engine
+            .search(&a, &q, &db, &SearchOptions::new().fault_plan(plan))
+            .unwrap();
+        assert_eq!(report.hits, plain.hits);
+        assert_eq!(report.metrics.rescued, 2);
+        assert!(!report.partial);
+
+        // A stall in a batch still trips the deadline into an honest
+        // partial report.
+        let plan = Arc::new(FaultPlan::new().stall_slot(5, Duration::from_millis(60)));
+        let report = SearchEngine::new(1)
+            .search(
+                &a,
+                &q,
+                &db,
+                &SearchOptions::new()
+                    .fault_plan(plan)
+                    .deadline(Duration::from_millis(10)),
+            )
+            .unwrap();
+        assert!(report.partial, "the stall must trip the deadline");
+        assert!(report.subjects < db.len());
         for hit in &report.hits {
             assert_eq!(hit.score, want[hit.db_index]);
         }

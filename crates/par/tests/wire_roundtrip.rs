@@ -98,7 +98,8 @@ fn metrics_schema_v1_is_pinned() {
         "\"prepare_us\":0,\"sweep_us\":0,\"merge_us\":0,\"total_us\":0,",
         "\"cells\":0,\"gcups\":0,",
         "\"kernel\":{\"lazy_iters\":0,\"lazy_sweeps\":0,\"iterate_columns\":0,",
-        "\"scan_columns\":0,\"switches_to_scan\":0,\"probes_stayed\":0},",
+        "\"scan_columns\":0,\"switches_to_scan\":0,\"probes_stayed\":0,",
+        "\"inter_columns\":0,\"inter_lane_columns\":0},",
         "\"width_retries\":0,\"rescued\":0,",
         "\"rescue_width_bits\":{\"count\":0,\"sum\":0,\"max\":0,\"mean\":0,",
         "\"p50\":0,\"p90\":0,\"p99\":0,\"p999\":0,\"buckets\":[]},",

@@ -111,6 +111,29 @@ unsafe fn shift_bytes_up(v: __m256i, bytes: usize, fill: __m256i) -> __m256i {
     }
 }
 
+/// The part of a 32-entry i16 table lookup that quarter `c` — entries
+/// `8c..8c + 8`, 16 bytes — answers: `pshufb` reads a 16-byte table per
+/// 128-bit half, so the quarter is broadcast to both, and writes zero
+/// where the index byte's top bit is set. `bytes` holds each lane's
+/// two byte offsets into the whole table (0..=63); relative to this
+/// quarter they are `bytes − 16c`, and the saturating `+ 0x70` leaves
+/// the top bit clear exactly for 0..=15 (below wraps to ≥ 0xC0, above
+/// reaches ≥ 0x80), so lanes of other quarters come out zero and the
+/// four results can be or-ed.
+///
+/// # Safety
+/// The caller must guarantee AVX2 is available (every caller is an
+/// engine method, and the engine's constructor verified it).
+#[inline(always)]
+unsafe fn lookup_quarter(entries: &[i16; 8], bytes: __m256i, c: i8) -> __m256i {
+    // SAFETY: AVX2 availability is the function's own precondition; the array type guarantees 16 readable bytes for the unaligned load.
+    unsafe {
+        let table = _mm256_broadcastsi128_si256(_mm_loadu_si128(entries.as_ptr().cast()));
+        let offset = _mm256_sub_epi8(bytes, _mm256_set1_epi8(16 * c));
+        _mm256_shuffle_epi8(table, _mm256_adds_epu8(offset, _mm256_set1_epi8(0x70)))
+    }
+}
+
 impl SimdEngine for Avx2I32 {
     type Elem = i32;
     type Vec = __m256i;
@@ -178,6 +201,7 @@ impl SimdEngine for Avx2I16 {
     type Vec = __m256i;
 
     const LANES: usize = 16;
+    const NATIVE_LOOKUP: bool = true;
 
     #[inline(always)]
     fn splat(self, x: i16) -> __m256i {
@@ -233,6 +257,33 @@ impl SimdEngine for Avx2I16 {
         // SAFETY: AVX2 was verified by the constructor; register-only intrinsics.
         unsafe { _mm256_extract_epi16::<15>(v) as i16 }
     }
+
+    #[inline(always)]
+    fn lookup32(self, table: &[i16], idx: __m256i) -> __m256i {
+        assert!(table.len() >= 32);
+        // Entry `i` is bytes `2i` and `2i + 1` of the table: both byte
+        // offsets per lane, then one shuffle per 16-byte quarter.
+        // SAFETY: AVX2 was verified by the constructor; register-only intrinsics, and `lookup_quarter` asks for AVX2 alone.
+        unsafe {
+            let bytes = _mm256_add_epi16(
+                _mm256_mullo_epi16(idx, _mm256_set1_epi16(0x0202)),
+                _mm256_set1_epi16(0x0100),
+            );
+            let entries = |c: usize| -> &[i16; 8] {
+                table[8 * c..8 * c + 8].try_into().expect("eight entries")
+            };
+            _mm256_or_si256(
+                _mm256_or_si256(
+                    lookup_quarter(entries(0), bytes, 0),
+                    lookup_quarter(entries(1), bytes, 1),
+                ),
+                _mm256_or_si256(
+                    lookup_quarter(entries(2), bytes, 2),
+                    lookup_quarter(entries(3), bytes, 3),
+                ),
+            )
+        }
+    }
 }
 
 impl SimdEngine for Avx2I8 {
@@ -240,6 +291,7 @@ impl SimdEngine for Avx2I8 {
     type Vec = __m256i;
 
     const LANES: usize = 32;
+    const NATIVE_LOOKUP: bool = true;
 
     #[inline(always)]
     fn splat(self, x: i8) -> __m256i {
@@ -294,6 +346,25 @@ impl SimdEngine for Avx2I8 {
     fn extract_high(self, v: __m256i) -> i8 {
         // SAFETY: AVX2 was verified by the constructor; register-only intrinsics.
         unsafe { _mm256_extract_epi8::<31>(v) as i8 }
+    }
+
+    #[inline(always)]
+    fn lookup32(self, table: &[i8], idx: __m256i) -> __m256i {
+        assert!(table.len() >= 32);
+        // Entries 0–15 and 16–31 are each broadcast to both 128-bit
+        // halves and read by one `pshufb`, which writes zero where the
+        // index byte's top bit is set: for indices 0..=31, `idx + 0x70`
+        // sets it exactly when `idx ≥ 16` and `idx − 16` exactly when
+        // `idx < 16`, so each shuffle answers for its own half and the
+        // two are or-ed.
+        // SAFETY: AVX2 was verified by the constructor; the assert guarantees 32 elements for the two unaligned 16-element loads.
+        unsafe {
+            let low = _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().cast()));
+            let high = _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().add(16).cast()));
+            let from_low = _mm256_shuffle_epi8(low, _mm256_add_epi8(idx, _mm256_set1_epi8(0x70)));
+            let from_high = _mm256_shuffle_epi8(high, _mm256_sub_epi8(idx, _mm256_set1_epi8(16)));
+            _mm256_or_si256(from_low, from_high)
+        }
     }
 }
 

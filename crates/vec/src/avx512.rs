@@ -40,6 +40,7 @@ impl SimdEngine for Avx512I32 {
     type Vec = __m512i;
 
     const LANES: usize = 16;
+    const NATIVE_LOOKUP: bool = true;
 
     #[inline(always)]
     fn splat(self, x: i32) -> __m512i {
@@ -115,6 +116,19 @@ impl SimdEngine for Avx512I32 {
     fn reduce_max(self, v: __m512i) -> i32 {
         // SAFETY: AVX-512 was verified by the constructor; register-only intrinsics.
         unsafe { _mm512_reduce_max_epi32(v) }
+    }
+
+    #[inline(always)]
+    fn lookup32(self, table: &[i32], idx: __m512i) -> __m512i {
+        assert!(table.len() >= 32);
+        // One two-source `vpermi2d`: index bit 4 picks the register,
+        // bits 0–3 the lane.
+        // SAFETY: AVX-512 was verified by the constructor; the assert guarantees 32 elements for the two unaligned 16-element loads.
+        unsafe {
+            let low = _mm512_loadu_epi32(table.as_ptr());
+            let high = _mm512_loadu_epi32(table.as_ptr().add(16));
+            _mm512_permutex2var_epi32(low, idx, high)
+        }
     }
 }
 
@@ -207,6 +221,7 @@ impl SimdEngine for Avx512I16 {
     type Vec = __m512i;
 
     const LANES: usize = 32;
+    const NATIVE_LOOKUP: bool = true;
 
     #[inline(always)]
     fn splat(self, x: i16) -> __m512i {
@@ -288,6 +303,14 @@ impl SimdEngine for Avx512I16 {
             let hi256 = _mm512_extracti64x4_epi64::<1>(v);
             _mm256_extract_epi16::<15>(hi256) as i16
         }
+    }
+
+    #[inline(always)]
+    fn lookup32(self, table: &[i16], idx: __m512i) -> __m512i {
+        assert!(table.len() >= 32);
+        // The table is one register; one `vpermw` reads it by lane.
+        // SAFETY: AVX-512 was verified by the constructor; the assert guarantees enough elements for the unaligned load.
+        unsafe { _mm512_permutexvar_epi16(idx, _mm512_loadu_epi16(table.as_ptr())) }
     }
 }
 

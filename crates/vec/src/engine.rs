@@ -13,6 +13,10 @@
 //! | `influence_test`   | [`SimdEngine::any_gt`]                |
 //! | `wgt_max_scan`     | [`crate::scan::wgt_max_scan_striped`] |
 //!
+//! One module goes beyond the table: [`SimdEngine::lookup32`], the
+//! in-register score lookup the lane-per-subject kernel is written
+//! on (SSW's and SWIPE's shuffled substitution scores).
+//!
 //! Engines are zero-sized `Copy` tokens. Constructing a token for an
 //! optional ISA (AVX2, AVX-512, SSE4.1) requires a runtime feature
 //! check, so methods can be safe even though they call `unsafe`
@@ -45,6 +49,12 @@ pub trait SimdEngine: Copy + Send + Sync + 'static {
     /// Number of lanes in [`Self::Vec`].
     const LANES: usize;
 
+    /// Whether [`lookup32`](Self::lookup32) is a handful of shuffle
+    /// instructions on this engine (`true`) or the portable per-lane
+    /// gather (`false`). A kernel that does one lookup per cell is only
+    /// worth choosing on an engine that answers `true`.
+    const NATIVE_LOOKUP: bool = false;
+
     /// Broadcast a scalar to every lane.
     fn splat(self, x: Self::Elem) -> Self::Vec;
 
@@ -71,6 +81,30 @@ pub trait SimdEngine: Copy + Send + Sync + 'static {
 
     /// Extract the value in the highest lane.
     fn extract_high(self, v: Self::Vec) -> Self::Elem;
+
+    /// Table lookup by lane: `out[l] = table[idx[l]]` over the first
+    /// [`LOOKUP_ENTRIES`] elements of `table`. Every lane of `idx` must
+    /// hold a value in `0..LOOKUP_ENTRIES`; any other value selects an
+    /// unspecified entry of the table (never memory outside it).
+    ///
+    /// The default is the scalar gather — `LANES` loads and stores —
+    /// which every engine with [`NATIVE_LOOKUP`](Self::NATIVE_LOOKUP)
+    /// replaces by shuffles.
+    ///
+    /// # Panics
+    /// Panics if `table.len() < LOOKUP_ENTRIES`.
+    #[inline(always)]
+    fn lookup32(self, table: &[Self::Elem], idx: Self::Vec) -> Self::Vec {
+        // Sized for the widest supported engine (i8×64).
+        assert!(Self::LANES <= 64);
+        let table = &table[..LOOKUP_ENTRIES];
+        let mut lanes = [Self::Elem::ZERO; 64];
+        self.store(&mut lanes, idx);
+        for lane in lanes.iter_mut().take(Self::LANES) {
+            *lane = table[lane.to_i32() as usize % LOOKUP_ENTRIES];
+        }
+        self.load(&lanes)
+    }
 
     /// Horizontal maximum across lanes. The default is allocation-free
     /// (log₂ LANES shift/max rounds, answer lands in the high lane).
@@ -144,6 +178,11 @@ pub trait SimdEngine: Copy + Send + Sync + 'static {
         s
     }
 }
+
+/// Entries in a [`SimdEngine::lookup32`] table: enough for every
+/// residue alphabet the workspace has (24 protein letters, 5
+/// nucleotides) plus a spare slot, and what one `vpermw` indexes.
+pub const LOOKUP_ENTRIES: usize = 32;
 
 /// `set_vector` with its loop-invariant half hoisted: the `l · step`
 /// ramp is built once (per alignment), after which every
@@ -275,6 +314,17 @@ mod tests {
                 .unwrap();
             assert_eq!(got_l, want, "lane {l}");
         }
+    }
+
+    #[test]
+    fn portable_lookup_is_the_scalar_gather() {
+        let eng = E8::new();
+        let table: Vec<i32> = (0..32).map(|i| 1000 - 7 * i).collect();
+        let idx = [0, 31, 5, 5, 16, 15, 1, 30];
+        let mut out = [0i32; 8];
+        eng.store(&mut out, eng.lookup32(&table, eng.load(&idx)));
+        assert_eq!(out, idx.map(|i| table[i as usize]));
+        const { assert!(!E8::NATIVE_LOOKUP) };
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //! a [`Ramp`]),
 //! `rshift_x_fill` ([`SimdEngine::shift_insert_low`]),
 //! `influence_test` ([`SimdEngine::any_gt`]) and `wgt_max_scan`
-//! ([`scan::wgt_max_scan_striped`]).
+//! ([`scan::wgt_max_scan_striped`]). [`SimdEngine::lookup32`] — a
+//! 32-entry table lookup by lane, `vpermw` / `pshufb` where the engine
+//! says [`SimdEngine::NATIVE_LOOKUP`] — is what the lane-per-subject
+//! kernel reads its substitution scores with.
 //!
 //! Backends whose instructions may be absent at runtime expose
 //! fallible constructors (`Option<Self>`), so every constructed engine
@@ -61,6 +64,6 @@ pub use detect::IsaSupport;
 pub use dispatch::{resolve, with_engine, Backend, DispatchElem, EngineFn};
 pub use elem::ScoreElem;
 pub use emu::EmuEngine;
-pub use engine::{Ramp, SimdEngine};
+pub use engine::{Ramp, SimdEngine, LOOKUP_ENTRIES};
 pub use layout::{AlignedBuf, StripedLayout};
 pub use saturate::SaturationGuard;

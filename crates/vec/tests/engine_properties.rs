@@ -129,8 +129,83 @@ fn lower_bound_i8_is_exhaustively_the_iterated_definition() {
     }
 }
 
+/// `lookup32` of the first `E::LANES` indices, through the door.
+struct Lookup<'a, T> {
+    table: &'a [T],
+    idx: &'a [T],
+}
+
+impl<T: ScoreElem> EngineFn<T> for Lookup<'_, T> {
+    type Out = (Vec<T>, bool);
+
+    #[inline(always)]
+    fn call<E: SimdEngine<Elem = T>>(self, eng: E) -> (Vec<T>, bool) {
+        let mut out = vec![T::ZERO; E::LANES];
+        eng.store(&mut out, eng.lookup32(self.table, eng.load(self.idx)));
+        (out, E::NATIVE_LOOKUP)
+    }
+}
+
+/// Every row this host runs `T`-wide lanes on reads a table exactly as
+/// the definition (`out[l] = table[idx[l]]`) and the portable engine of
+/// its shape do; returns how many of the rows did it with shuffles.
+fn lookup_matches_on_every_row<T: aalign_vec::DispatchElem>(
+    table: &[T],
+    idx: &[u8],
+) -> Result<usize, TestCaseError> {
+    let idx: Vec<T> = idx.iter().map(|&i| T::from_i32(i32::from(i))).collect();
+    let mut native = 0;
+    for row in host_rows(T::BITS) {
+        let want: Vec<T> = idx[..row.lanes()]
+            .iter()
+            .map(|i| table[i.to_i32() as usize])
+            .collect();
+        let (got, shuffled) = with_engine(row, Lookup { table, idx: &idx });
+        prop_assert_eq!(&got, &want, "{}", row.name());
+        // A hardware row against the portable engine of its shape
+        // (what its pin resolves to on a host without the ISA).
+        if row.isa() != Isa::Emulated {
+            let portable = resolve(IsaSupport::NONE, Some(row.isa()), T::BITS);
+            prop_assert_eq!(portable.lanes(), row.lanes());
+            let (emulated, _) = with_engine(portable, Lookup { table, idx: &idx });
+            prop_assert_eq!(
+                &got,
+                &emulated,
+                "{} against {}",
+                row.name(),
+                portable.name()
+            );
+        }
+        native += usize::from(shuffled);
+    }
+    Ok(native)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The lane kernel's primitive, all three widths, every row —
+    /// hardware shuffles and the portable gather alike.
+    #[test]
+    fn lookup32_matches_oracle_on_every_row(
+        table8 in proptest::collection::vec(any::<i8>(), 32),
+        table16 in proptest::collection::vec(any::<i16>(), 32),
+        table32 in proptest::collection::vec(any::<i32>(), 32),
+        idx in proptest::collection::vec(0u8..32, 64),
+    ) {
+        let sup = IsaSupport::detect();
+        let native8 = lookup_matches_on_every_row(&table8, &idx)?;
+        let native16 = lookup_matches_on_every_row(&table16, &idx)?;
+        let native32 = lookup_matches_on_every_row(&table32, &idx)?;
+        // The rows that claim shuffles: avx2/i8x32; avx2/i16x16 and
+        // avx512/i16x32; avx512/i32x16.
+        prop_assert_eq!(native8, usize::from(sup.avx2));
+        prop_assert_eq!(
+            native16,
+            usize::from(sup.avx2) + usize::from(sup.avx512f && sup.avx512bw)
+        );
+        prop_assert_eq!(native32, usize::from(sup.avx512f));
+    }
 
     #[cfg(target_arch = "x86_64")]
     #[test]

@@ -227,6 +227,12 @@ fn cmd_pair(args: &[String]) -> Result<(), String> {
         out.stats.scan_columns,
         out.stats.iterate_columns
     );
+    if out.saturated {
+        println!(
+            "lane-saturated: i{} lanes cannot vouch for this score; rerun with a wider --width",
+            out.elem_bits
+        );
+    }
     if flags.has("--traceback") {
         println!(
             "{}",

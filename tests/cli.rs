@@ -738,6 +738,64 @@ fn search_rescues_a_saturating_subject_at_fixed8() {
     assert!(!text.contains("score   1100"), "{text}");
 }
 
+/// A forced narrow width on a global alignment outside the width's
+/// proven bound: the kernel looks at its final cell only, so the run
+/// is reported saturated wholesale (it used to print 103, unflagged),
+/// and a search rescues it to the exact score.
+#[test]
+fn forced_narrow_global_run_is_flagged_and_rescued() {
+    let dir = std::env::temp_dir().join("aalign_cli_narrow_global");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (q, s) = (
+        "W".repeat(18),
+        format!("{}{}", "W".repeat(12), "P".repeat(6)),
+    );
+    write_fasta(&dir.join("q.fa"), &[("q", q.as_str())]);
+    write_fasta(&dir.join("s.fa"), &[("s", s.as_str())]);
+    let (qpath, spath) = (dir.join("q.fa"), dir.join("s.fa"));
+    let run = |args: &[&str]| {
+        let out = aalign().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let pair = |width: &str| {
+        run(&[
+            "pair",
+            "--query",
+            qpath.to_str().unwrap(),
+            "--subject",
+            spath.to_str().unwrap(),
+            "--global",
+            "--width",
+            width,
+        ])
+    };
+    let narrow = pair("8");
+    assert!(narrow.contains("lane-saturated: i8"), "{narrow}");
+    let wide = pair("32");
+    assert!(wide.contains("score 108"), "{wide}");
+    assert!(!wide.contains("lane-saturated"), "{wide}");
+    let searched = run(&[
+        "search",
+        "--query",
+        qpath.to_str().unwrap(),
+        "--db",
+        spath.to_str().unwrap(),
+        "--global",
+        "--width",
+        "8",
+    ]);
+    assert!(
+        searched.contains("rescued 1 lane-saturated subject"),
+        "{searched}"
+    );
+    assert!(searched.contains("score    108"), "{searched}");
+}
+
 #[test]
 fn fault_plan_flag_requires_the_feature_or_a_valid_spec() {
     let dir = std::env::temp_dir().join("aalign_cli_faultplan");

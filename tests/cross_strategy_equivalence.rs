@@ -63,19 +63,24 @@ proptest! {
                         !out.saturated || width != WidthPolicy::Fixed32,
                         "strategy {:?} isa {:?} backend {}", strat, isa, out.backend
                     );
-                    // A narrow lane may saturate, and says so — reliably
-                    // for local alignments (a per-column guard on the
-                    // running maximum). Global and semi-global runs
-                    // check only the final cell, so a clamp on the way
-                    // can go unreported (Fixed8, semi-global, linear −6:
-                    // GEDICVHQHGDRRKEHCPFKCDYLLATIYL vs TLFLGRH gives
-                    // −114 for −119, unflagged; ROADMAP item 2): there a
-                    // narrow score counts only inside the bound `Auto`
-                    // itself requires before it runs the width.
-                    let vouched = !out.saturated
-                        && (kind == AlignKind::Local
-                            || cfg.score_bounds(q.len(), s.len()).fits(out.elem_bits));
-                    if vouched {
+                    // A narrow lane may saturate, and says so: local
+                    // runs by a per-column guard on the running maximum;
+                    // global and semi-global ones, which look only at
+                    // their final cell, by being flagged wholesale when
+                    // forced narrow outside the bound `Auto` requires
+                    // (a clamp on the way could otherwise go unreported:
+                    // Fixed8, semi-global, linear −6,
+                    // GEDICVHQHGDRRKEHCPFKCDYLLATIYL vs TLFLGRH gave
+                    // −114 for −119). So an unflagged score is the score.
+                    if kind != AlignKind::Local
+                        && !cfg.score_bounds(q.len(), s.len()).fits(out.elem_bits)
+                    {
+                        prop_assert!(
+                            out.saturated,
+                            "strategy {:?} isa {:?} backend {}", strat, isa, out.backend
+                        );
+                    }
+                    if !out.saturated {
                         prop_assert_eq!(
                             out.score, want,
                             "strategy {:?} isa {:?} backend {}", strat, isa, out.backend

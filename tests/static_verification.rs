@@ -299,8 +299,12 @@ fn all_sources(root: &std::path::Path) -> Vec<std::path::PathBuf> {
 /// Guard against re-forking what the workspace keeps in one place:
 /// `aalign_obs::wire` is the only JSON escaper (a second one is how
 /// the `\u`-escape panic came back after it was fixed once), and
-/// `SearchEngine::search` is the only database sweep (the
-/// inter-sequence kernel is a test oracle, not a product path).
+/// `SearchEngine::search` is the only database sweep: the
+/// lane-per-subject kernel is a strategy *of* it — chosen per vector of
+/// subjects by `Aligner::align_batch_prepared`, with no entry point,
+/// option or flag of its own — and there is one such kernel
+/// (`aalign_core::inter`), the only code outside `aalign-vec` that
+/// looks scores up in-register.
 #[test]
 fn one_json_codec_and_one_sweep() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -315,6 +319,20 @@ fn one_json_codec_and_one_sweep() {
                 path.display()
             );
         }
+    }
+
+    let lane_kernel = root.join("crates/core/src/inter.rs");
+    let vec_src = root.join("crates/vec/src");
+    for path in product
+        .iter()
+        .filter(|p| **p != lane_kernel && !p.starts_with(&vec_src))
+    {
+        let text = std::fs::read_to_string(path).unwrap();
+        assert!(
+            !text.contains(".lookup32("),
+            "{}: a second lane kernel — scores are looked up in crates/core/src/inter.rs only",
+            path.display()
+        );
     }
 
     let all = all_sources(root);
