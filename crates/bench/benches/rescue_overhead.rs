@@ -10,28 +10,18 @@
 //! unguarded — what a sweep that actually rescues pays, since that
 //! path is allowed to spend time recovering exact scores.
 //!
-//! Usage: `cargo bench -p aalign-bench --bench rescue_overhead
-//!        [-- --json [--out BENCH_rescue.json]]`
+//! Usage: `cargo bench -p aalign-bench --bench rescue_overhead`
 
 use std::time::{Duration, Instant};
 
-use aalign_bench::harness::{gcups, print_banner, time_min, write_bench_json, Table};
+use aalign_bench::harness::{gcups, print_banner, time_min, Table};
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
 use aalign_bio::{SeqDatabase, Sequence};
 use aalign_core::{AlignConfig, Aligner, GapModel, Strategy, WidthPolicy};
-use aalign_obs::wire::{obj, JsonValue};
 use aalign_par::{SearchEngine, SearchOptions};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_rescue.json", String::as_str);
-
     print_banner("rescue_overhead — saturation check on the non-saturating hot path");
     let mut rng = seeded_rng(7);
     let q = named_query(&mut rng, 400);
@@ -45,7 +35,6 @@ fn main() {
     let cells: usize = q.len() * db.sequences().iter().map(Sequence::len).sum::<usize>();
 
     let mut table = Table::new(vec!["path", "GCUPS", "overhead", "rescued"]);
-    let mut rows: Vec<JsonValue> = Vec::new();
 
     let run = |opts: &SearchOptions| engine.search(&a, &q, &db, opts).unwrap();
     let off = SearchOptions::new().rescue(false);
@@ -89,12 +78,6 @@ fn main() {
             format!("{:+.2}%", oh * 100.0),
             rescued.to_string(),
         ]);
-        rows.push(obj(vec![
-            ("path", label.into()),
-            ("gcups", gcups(1, cells, t).into()),
-            ("overhead", oh.into()),
-            ("rescued", rescued.into()),
-        ]));
     }
 
     // Informational: a database where every 20th subject saturates
@@ -124,12 +107,6 @@ fn main() {
         "n/a".to_string(),
         hot.metrics.rescued.to_string(),
     ]);
-    rows.push(obj(vec![
-        ("path", "rescuing".into()),
-        ("gcups", hot_gcups.into()),
-        ("overhead", JsonValue::Null),
-        ("rescued", hot.metrics.rescued.into()),
-    ]));
     assert!(hot.metrics.rescued > 0, "the hot database must rescue");
 
     println!("{}", table.render());
@@ -137,9 +114,6 @@ fn main() {
         "non-saturating rescue-check overhead: {:+.2}% (budget 1%)",
         overhead * 100.0
     );
-    if json {
-        write_bench_json(out_path, "rescue", 1, &rows).unwrap();
-    }
     assert!(
         overhead < 0.01,
         "the rescue check must cost <1% on a non-saturating sweep, measured {:+.2}%",

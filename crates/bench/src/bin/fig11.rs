@@ -8,36 +8,21 @@
 //! Panel (b): MIC — AAlign (hybrid, i32, 512-bit) vs. SWAPHI-like
 //! (plain iterate, i32). Paper shape: AAlign ≈1.6× from the hybrid.
 //!
-//! Usage: `cargo run --release -p aalign-bench --bin fig11 [--quick]
-//!         [--json] [--out BENCH_fig11.json]`
-//!
-//! `--json` additionally writes a machine-readable `BENCH_fig11.json`
-//! (GCUPS, speedups, per-kernel `RunStats`, env info) for the perf
-//! trajectory.
+//! Usage: `cargo run --release -p aalign-bench --bin fig11 [--quick]`
 
 use std::time::Duration;
 
 use aalign_baselines::swps3_like::{Swps3Like, Swps3Scratch};
 use aalign_baselines::SwaphiLike;
-use aalign_bench::harness::{print_banner, time_min, write_bench_json, Platform, Table};
+use aalign_bench::harness::{print_banner, time_min, Platform, Table};
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
 use aalign_bio::SeqDatabase;
 use aalign_core::{AlignConfig, AlignScratch, Aligner, GapModel, Strategy, WidthPolicy};
-use aalign_obs::wire::{obj, JsonValue};
-use aalign_par::wire::kernel_to_wire;
 use aalign_par::{search_database, SearchOptions};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_fig11.json", String::as_str);
-    let mut rows: Vec<JsonValue> = Vec::new();
+    let quick = std::env::args().any(|a| a == "--quick");
     print_banner("Fig. 11 — multithreaded SW-affine vs SWPS3-like / SWAPHI-like");
 
     let db_size = if quick { 300 } else { 2000 };
@@ -118,11 +103,6 @@ fn main() {
             .with_isa(Platform::Cpu.isa())
             .with_width(WidthPolicy::Auto);
         let opts = || SearchOptions::new().threads(threads).top_n(10);
-        // One untimed pass captures the kernel counters for the row.
-        let kernel = search_database(&aalign, q, db, opts())
-            .unwrap()
-            .metrics
-            .kernel_stats;
         let t_aalign = time_min(
             || {
                 let _ = search_database(&aalign, q, db, opts()).unwrap();
@@ -139,20 +119,6 @@ fn main() {
             format!("{:.2}x", t_swps3.as_secs_f64() / t_aalign.as_secs_f64()),
             format!("{g:.2}"),
         ]);
-        rows.push(obj(vec![
-            ("panel", "cpu".into()),
-            ("query", q.id().into()),
-            ("qlen", q.len().into()),
-            ("aalign_s", t_aalign.as_secs_f64().into()),
-            ("baseline", "swps3-like".into()),
-            ("baseline_s", t_swps3.as_secs_f64().into()),
-            (
-                "speedup",
-                (t_swps3.as_secs_f64() / t_aalign.as_secs_f64()).into(),
-            ),
-            ("gcups", g.into()),
-            ("kernel", kernel_to_wire(&kernel)),
-        ]));
     }
     println!("{}", ta.render());
 
@@ -178,10 +144,6 @@ fn main() {
             .with_isa(Platform::Mic.isa())
             .with_width(WidthPolicy::Fixed32);
         let opts = || SearchOptions::new().threads(threads).top_n(10);
-        let kernel = search_database(&aalign, q, db, opts())
-            .unwrap()
-            .metrics
-            .kernel_stats;
         let t_aalign = time_min(
             || {
                 let _ = search_database(&aalign, q, db, opts()).unwrap();
@@ -198,26 +160,8 @@ fn main() {
             format!("{:.2}x", t_swaphi.as_secs_f64() / t_aalign.as_secs_f64()),
             format!("{g:.2}"),
         ]);
-        rows.push(obj(vec![
-            ("panel", "mic".into()),
-            ("query", q.id().into()),
-            ("qlen", q.len().into()),
-            ("aalign_s", t_aalign.as_secs_f64().into()),
-            ("baseline", "swaphi-like".into()),
-            ("baseline_s", t_swaphi.as_secs_f64().into()),
-            (
-                "speedup",
-                (t_swaphi.as_secs_f64() / t_aalign.as_secs_f64()).into(),
-            ),
-            ("gcups", g.into()),
-            ("kernel", kernel_to_wire(&kernel)),
-        ]));
     }
     println!("{}", tb.render());
-
-    if json {
-        write_bench_json(out_path, "fig11", threads, &rows).expect("write bench json");
-    }
 }
 
 /// Multithreaded SWPS3-like database sweep with the same dynamic

@@ -4,10 +4,10 @@
 //! The paper ran 24 CPU cores / 60 MIC cores; this harness sweeps
 //! 1..=available threads and prints throughput per count, plus the
 //! dynamic-binding load balance (per-thread subject counts would be
-//! equalized by length sorting; we report wall time only). On a
-//! single-core host the sweep degenerates to one row — the point of
-//! the binary is portability of the experiment, as EXPERIMENTS.md
-//! notes.
+//! equalized by length sorting; we report wall time only). The sweep
+//! doubles the count from 1 while it fits the host, so a 2-CPU host
+//! prints two rows; `results/scaling.txt` holds the checked-in run
+//! EXPERIMENTS.md cites.
 //!
 //! Usage: `cargo run --release -p aalign-bench --bin scaling [--quick]`
 

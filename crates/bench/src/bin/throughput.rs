@@ -1,42 +1,19 @@
 //! Quick GCUPS throughput report across backends and strategies.
 //!
 //! Not a paper figure — a development tool for eyeballing the
-//! dispatcher's fast paths on the current host. With `--json` it
-//! also writes `BENCH_throughput.json` (override with `--out`), the
-//! machine-readable perf-trajectory document the ROADMAP calls for:
-//! per-row GCUPS plus the kernel `RunStats`, under an env envelope.
+//! dispatcher's fast paths on the current host.
 //!
-//! Usage: `cargo run --release -p aalign-bench --bin throughput
-//!         [--json] [--out BENCH_throughput.json]`
+//! Usage: `cargo run --release -p aalign-bench --bin throughput`
 
-use aalign_bench::harness::{gcups, print_banner, time_min, write_bench_json, Table};
+use aalign_bench::harness::{gcups, print_banner, time_min, Table};
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng};
 use aalign_bio::{Sequence, SubstMatrix};
-use aalign_core::{AlignConfig, AlignScratch, Aligner, GapModel, RunStats, Strategy, WidthPolicy};
-use aalign_obs::wire::{obj, JsonValue};
-use aalign_par::wire::kernel_to_wire;
+use aalign_core::{AlignConfig, AlignScratch, Aligner, GapModel, Strategy, WidthPolicy};
 use aalign_vec::detect::Isa;
 use rand::RngExt;
 
-fn row_json(backend: &str, strategy: &str, g: f64, stats: &RunStats) -> JsonValue {
-    obj(vec![
-        ("backend", backend.into()),
-        ("strategy", strategy.into()),
-        ("gcups", g.into()),
-        ("kernel", kernel_to_wire(stats)),
-    ])
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_throughput.json", String::as_str);
-
     print_banner("throughput — SW-affine GCUPS per backend/strategy");
     let mut rng = seeded_rng(1);
     let q = named_query(&mut rng, 1000);
@@ -44,7 +21,6 @@ fn main() {
     let cfg = AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62);
 
     let mut table = Table::new(vec!["backend", "strategy", "GCUPS"]);
-    let mut rows: Vec<JsonValue> = Vec::new();
 
     // Sequential reference.
     let seq = Aligner::new(cfg.clone()).with_strategy(Strategy::Sequential);
@@ -61,7 +37,6 @@ fn main() {
         "seq".to_string(),
         format!("{g:.2}"),
     ]);
-    rows.push(row_json("scalar", "seq", g, &RunStats::default()));
 
     for (isa, width) in [
         (Isa::Emulated, WidthPolicy::Fixed32),
@@ -92,7 +67,6 @@ fn main() {
                 strat.short().to_string(),
                 format!("{g:.2}"),
             ]);
-            rows.push(row_json(&out.backend, strat.short(), g, &out.stats));
         }
     }
     println!("{}", table.render());
@@ -144,16 +118,6 @@ fn main() {
             label.to_string(),
             format!("{g:.2}"),
         ]);
-        rows.push(row_json(
-            &out.backend,
-            &format!("dna48/{label}"),
-            g,
-            &out.stats,
-        ));
     }
     println!("{}", dna_table.render());
-
-    if json {
-        write_bench_json(out_path, "throughput", 1, &rows).expect("write bench json");
-    }
 }

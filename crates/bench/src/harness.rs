@@ -10,7 +10,6 @@ use std::time::{Duration, Instant};
 
 use aalign_bio::matrices::BLOSUM62;
 use aalign_core::{AlignConfig, AlignKind, GapModel};
-use aalign_obs::wire::{obj, JsonValue};
 use aalign_vec::detect::{Isa, IsaSupport};
 
 /// Time a closure: `warmup` unmeasured runs, then the minimum of
@@ -144,40 +143,6 @@ impl Table {
     }
 }
 
-/// Host/environment snapshot embedded in every `BENCH_*.json` so a
-/// trajectory across commits can tell machines apart.
-fn env_info(threads: usize) -> JsonValue {
-    let sup = IsaSupport::detect();
-    obj(vec![
-        ("arch", std::env::consts::ARCH.into()),
-        ("os", std::env::consts::OS.into()),
-        ("avx2", sup.avx2.into()),
-        ("avx512f", sup.avx512f.into()),
-        ("threads", threads.into()),
-        ("version", env!("CARGO_PKG_VERSION").into()),
-        ("debug_assertions", cfg!(debug_assertions).into()),
-    ])
-}
-
-/// Write a `BENCH_*.json` document: a self-describing envelope with
-/// the env snapshot and the bench's rows. The machine-readable twin
-/// of the markdown tables.
-pub fn write_bench_json(
-    path: &str,
-    bench: &str,
-    threads: usize,
-    rows: &[JsonValue],
-) -> std::io::Result<()> {
-    let doc = obj(vec![
-        ("bench", bench.into()),
-        ("env", env_info(threads)),
-        ("rows", rows.to_vec().into()),
-    ]);
-    std::fs::write(path, doc.render() + "\n")?;
-    eprintln!("wrote {} rows to {path}", rows.len());
-    Ok(())
-}
-
 /// Standard harness banner: what runs natively, what is emulated.
 pub fn print_banner(figure: &str) {
     println!("# {figure}");
@@ -230,21 +195,6 @@ mod tests {
         for want in ["sw-lin", "sw-aff", "nw-lin", "nw-aff"] {
             assert!(labels.iter().any(|l| l == want), "{want}");
         }
-    }
-
-    #[test]
-    fn bench_json_document_is_an_envelope() {
-        let dir = std::env::temp_dir().join("aalign_bench_json");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
-        let rows = [obj(vec![("a", 1u64.into())]), obj(vec![("a", 2u64.into())])];
-        write_bench_json(path.to_str().unwrap(), "test", 2, &rows).unwrap();
-        let doc = JsonValue::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(doc.get("bench"), Some(&"test".into()));
-        let env = doc.get("env").unwrap();
-        assert_eq!(env.get("threads"), Some(&2u64.into()));
-        assert!(env.get("arch").and_then(JsonValue::as_str).is_some());
-        assert_eq!(doc.get("rows"), Some(&rows.to_vec().into()));
     }
 
     #[test]

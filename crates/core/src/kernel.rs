@@ -462,6 +462,9 @@ pub struct PreparedQuery {
     p8: Option<Prepared<i8>>,
     p16: Option<Prepared<i16>>,
     p32: Option<Prepared<i32>>,
+    /// The query itself: [`Strategy::Sequential`]'s prepared form (it
+    /// builds no profile), `None` for every other strategy.
+    scalar: Option<Sequence>,
 }
 
 impl PreparedQuery {
@@ -690,8 +693,10 @@ impl Aligner {
             p8: None,
             p16: None,
             p32: None,
+            scalar: None,
         };
         if self.strategy == Strategy::Sequential {
+            pq.scalar = Some(query.clone());
             return Ok(pq);
         }
         let sup = IsaSupport::detect();
@@ -846,11 +851,17 @@ impl Aligner {
         sink: &mut dyn TraceSink,
     ) -> Result<AlignOutput, AlignError> {
         self.check_seq(subject)?;
-        assert_ne!(
-            self.strategy,
-            Strategy::Sequential,
-            "Strategy::Sequential has no prepared form; use align()"
-        );
+        if let Some(query) = &pq.scalar {
+            return Ok(AlignOutput {
+                score: scalar_column_align(&self.cfg, query, subject).score,
+                strategy: Strategy::Sequential,
+                backend: "scalar".to_string(),
+                elem_bits: 32,
+                width_retries: 0,
+                saturated: false,
+                stats: RunStats::default(),
+            });
+        }
 
         // Per-attempt event buffering: each width attempt records into
         // `buf`, which is cleared on retry so only the kept attempt's
@@ -982,9 +993,6 @@ impl Aligner {
         query: &Sequence,
         subjects: &[Sequence],
     ) -> Result<Vec<AlignOutput>, AlignError> {
-        if self.strategy == Strategy::Sequential {
-            return subjects.iter().map(|s| self.align(query, s)).collect();
-        }
         let pq = self.prepare(query)?;
         let mut scratch = AlignScratch::new();
         subjects
@@ -1000,18 +1008,6 @@ impl Aligner {
         }
         self.check_seq(query)?;
         self.check_seq(subject)?;
-        if self.strategy == Strategy::Sequential {
-            let r = scalar_column_align(&self.cfg, query, subject);
-            return Ok(AlignOutput {
-                score: r.score,
-                strategy: Strategy::Sequential,
-                backend: "scalar".to_string(),
-                elem_bits: 32,
-                width_retries: 0,
-                saturated: false,
-                stats: RunStats::default(),
-            });
-        }
         let pq = self.prepare(query)?;
         let mut scratch = AlignScratch::new();
         self.align_prepared(&pq, subject, &mut scratch)
@@ -1235,8 +1231,18 @@ mod tests {
             let al = Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62))
                 .with_strategy(strat);
             let many = al.align_many(&q, &subjects).unwrap();
+            let pq = al.prepare(&q).unwrap();
+            let mut scratch = AlignScratch::new();
             for (s, out) in subjects.iter().zip(&many) {
-                assert_eq!(out.score, al.align(&q, s).unwrap().score);
+                assert_eq!(*out, al.align(&q, s).unwrap());
+                assert_eq!(*out, al.align_prepared(&pq, s, &mut scratch).unwrap());
+                assert_eq!(out.score, scalar_column_align(al.config(), &q, s).score);
+            }
+            if strat == Strategy::Sequential {
+                assert_eq!(
+                    (many[0].backend.as_str(), many[0].elem_bits),
+                    ("scalar", 32)
+                );
             }
         }
     }

@@ -1127,7 +1127,7 @@ impl SearchEngine {
         // the aligner proves rescue-free for this query against the
         // *longest* database subject (every shorter subject is then
         // covered too). 0 when no certificate applies.
-        let max_subject = db.sequences().iter().map(Sequence::len).max().unwrap_or(0);
+        let max_subject = order.first().map_or(0, |&i| db.get(i).len());
         let certified_width = aligner.certified_width(query.len(), max_subject);
         self.finish(
             query.len(),

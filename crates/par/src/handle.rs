@@ -2,9 +2,10 @@
 //! one [`SearchEngine`].
 //!
 //! The CLI, the one-shot [`search_database`](crate::search_database),
-//! and the `aalign-serve` dispatcher all construct their engine
-//! through this one type, so there is a single code path from
-//! "requested thread count" to "running pool".
+//! and `aalign-serve`'s local backend (the dispatcher only sees the
+//! `SearchBackend` trait) all construct their engine through this one
+//! type, so there is a single code path from "requested thread count"
+//! to "running pool".
 //!
 //! [`EngineHandle`] is `Clone + Send + Sync` (an `Arc` around the
 //! engine, which is itself `Sync`), so a server can hand one clone to

@@ -49,7 +49,9 @@ pub struct SearchOptions {
     /// storage is `O(threads × top_n)` instead of `O(db)`.
     pub top_n: usize,
     /// Work-items grabbed per atomic fetch (0 or 1 = one at a time,
-    /// the paper's per-subject dynamic binding). Larger shards trade
+    /// the paper's per-subject dynamic binding). Where the sweep scores
+    /// a vector of subjects per lane batch, a claim is rounded up to
+    /// whole vectors (one vector at the default). Larger shards trade
     /// scheduling traffic for tail balance; results are identical.
     pub shard: usize,
     /// Cooperative cancellation token, polled at shard boundaries.
@@ -105,7 +107,8 @@ impl Default for SearchOptions {
 }
 
 impl SearchOptions {
-    /// Default options: all cores, every hit, per-subject binding,
+    /// Default options: all cores, every hit, the smallest claim (one
+    /// subject, or one vector of them — see [`shard`](Self::shard)),
     /// saturation rescue on, no deadline.
     pub fn new() -> Self {
         Self::default()

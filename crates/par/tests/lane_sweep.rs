@@ -5,7 +5,8 @@
 //! A traced sweep never takes a batch (column events describe the
 //! striped kernels), so the same query traced and untraced *is* the
 //! two paths side by side; `Strategy::Sequential` per subject is the
-//! reference both must equal. `inter_columns` says which path ran.
+//! reference both must equal, and goes through the sweep itself too.
+//! `inter_columns` says which path ran.
 
 use rand::RngExt;
 
@@ -113,6 +114,16 @@ fn lanes_and_per_subject_sweeps_agree_with_the_sequential_kernel() {
                     let db = awkward_db(4200 + n as u64, size, is_dna);
                     let residues: usize = db.sequences().iter().map(Sequence::len).sum();
                     let want = reference(&base, q, &db);
+                    // The oracle through the same sweep: every subject
+                    // scored, by neither vector kernel.
+                    let sequential = base.clone().with_strategy(Strategy::Sequential);
+                    let swept = engine
+                        .search(&sequential, q, &db, &SearchOptions::new())
+                        .unwrap();
+                    let ctx = format!("{kind:?} {gap:?} {mode} db={size} sequential");
+                    assert!(!swept.partial, "{ctx}");
+                    assert_eq!(swept.hits, want, "{ctx}");
+                    assert_eq!(columns(&swept), (0, 0), "{ctx}");
                     for pin in [None, Some(Isa::Sse41), Some(Isa::Avx2), Some(Isa::Emulated)] {
                         let aligner =
                             pin.map_or_else(|| base.clone(), |isa| base.clone().with_isa(isa));

@@ -91,7 +91,7 @@ const USAGE: &str = "usage:
                  [--timeout MS] [--stats] [--metrics-format text|json|prom]
                  [--shard-fault kill@SHARD[:N]]
   aalign loadgen --addr HOST:PORT [--concurrency N] [--duration-ms N]
-                 [--seed N] [--top N] [--queries N] [--out <json>]
+                 [--seed N] [--top N] [--queries N]
   aalign trace-report --trace <jsonl> [--subjects N]
   aalign gen-db  --count N [--seed N] --out <fa>
   aalign codegen --input <file> [--open N] [--ext N] [--out <rs>]
@@ -503,10 +503,10 @@ fn cmd_shard_search(args: &[String]) -> Result<(), String> {
 }
 
 /// Drive a running daemon with a deterministic seeded query mix and
-/// emit a `serve_latency` bench envelope: client-side end-to-end
+/// print one JSON document on stdout: client-side end-to-end
 /// quantiles plus the server's lossless stage histograms scraped
-/// from `/v1/health`. The output is what CI's perf gate diffs
-/// against `results/BENCH_serve_latency.json`.
+/// from `/v1/health`. An operator's tool; nothing compares its
+/// output with a stored baseline.
 fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     use aalign::obs::wire::{histogram_from_wire, obj, versioned, JsonValue};
     use aalign::obs::Histogram;
@@ -719,7 +719,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
         ),
         ("rows", rows),
     ]);
-    let rendered = doc.render();
     eprintln!(
         "loadgen: {} sent, {} ok, {} partial, {} batched, {} overloaded, {} errors \
          in {elapsed:.2}s ({throughput:.1} req/s; client p50 {}µs p99 {}µs)",
@@ -732,13 +731,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
         total.hist.p50(),
         total.hist.p99(),
     );
-    match flags.get("--out") {
-        Some(path) => {
-            std::fs::write(path, rendered + "\n").map_err(|e| format!("{path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        None => println!("{rendered}"),
-    }
+    println!("{}", doc.render());
     Ok(())
 }
 

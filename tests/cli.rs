@@ -104,28 +104,37 @@ fn gen_db_then_search() {
     assert!(status.success());
 
     write_fasta(&dir.join("q.fa"), &[("q", "MKVLAARNDWHEAGAWGHEE")]);
-    let out = aalign()
-        .args([
-            "search",
-            "--query",
-            dir.join("q.fa").to_str().unwrap(),
-            "--db",
-            db.to_str().unwrap(),
-            "--top",
-            "3",
-            "--strategy",
-            "hybrid",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("searched 40 subjects"), "{text}");
-    assert_eq!(text.matches(" bits ").count(), 3, "{text}");
+    // Every strategy the usage names goes through the one sweep; `seq`
+    // used to panic per subject there and exit 0 with no hits.
+    let hit_lines = |strategy: &str| {
+        let out = aalign()
+            .args([
+                "search",
+                "--query",
+                dir.join("q.fa").to_str().unwrap(),
+                "--db",
+                db.to_str().unwrap(),
+                "--top",
+                "3",
+                "--strategy",
+                strategy,
+            ])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{strategy}: {err}");
+        assert!(!err.contains("panicked"), "{strategy}: {err}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("searched 40 subjects"), "{text}");
+        let hits: Vec<String> = text
+            .lines()
+            .filter(|l| l.contains(" bits "))
+            .map(str::to_string)
+            .collect();
+        assert_eq!(hits.len(), 3, "{text}");
+        hits
+    };
+    assert_eq!(hit_lines("seq"), hit_lines("hybrid"));
 }
 
 #[test]
@@ -278,6 +287,16 @@ fn unknown_flags_are_rejected_not_ignored() {
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("unknown flag \"--inter\" for search"), "{err}");
+
+    // `loadgen` writes its document to stdout only; the `--out` that fed
+    // the retired perf gate is refused like any other unknown flag.
+    let out = aalign()
+        .args(["loadgen", "--addr", "127.0.0.1:1", "--out", "x.json"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown flag \"--out\" for loadgen"), "{err}");
 }
 
 #[test]
