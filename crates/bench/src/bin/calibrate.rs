@@ -10,21 +10,23 @@
 //!
 //! Its last section measures the sweep's other choice — a vector of
 //! subjects lane per subject, or subject by subject through the
-//! striped hybrid — over query length, batch fill and database size:
-//! the table behind `LANE_QUERY_CAP` and `LANE_MIN_FILL_PERCENT`
+//! striped hybrid — over query length, batch fill, database size and
+//! the share of subjects that saturate the first lane width: the
+//! tables behind `LANE_QUERY_CAP` and `LANE_MIN_FILL_PERCENT`
 //! (`--lanes` prints that section alone).
 //!
 //! Usage: `cargo run --release -p aalign-bench --bin calibrate [--quick] [--lanes]`
 
 use aalign_bench::harness::{print_banner, time_min, Platform, Table};
 use aalign_bio::matrices::BLOSUM62;
-use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db, PairSpec};
+use aalign_bio::synth::{named_query, random_residue, seeded_rng, swissprot_like_db, PairSpec};
 use aalign_bio::Sequence;
 use aalign_core::{
     AlignConfig, AlignScratch, Aligner, GapModel, HybridPolicy, InterBatches, InterWorkspace,
     LaneProfile, Strategy, WidthPolicy, LANE_MIN_FILL_PERCENT, LANE_QUERY_CAP,
 };
-use aalign_vec::{resolve, with_engine, IsaSupport};
+use aalign_vec::{resolve, with_engine, Backend, DispatchElem, IsaSupport};
+use std::time::Duration;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -168,10 +170,11 @@ fn main() {
 struct ThreeWays {
     /// `align_prepared` per subject (the striped hybrid).
     striped: f64,
-    /// The lane kernel on every vector, profile build included.
+    /// The lane kernel at the rule's first width on every vector,
+    /// rows built inside the timing.
     lanes: f64,
     /// `align_batch_prepared` per vector, `align_prepared` for what
-    /// it declines: what a sweep does.
+    /// it declines or flags: what a sweep does.
     rule: f64,
     /// Share of the residues the rule scored lane per subject.
     rule_lane_share: f64,
@@ -179,17 +182,14 @@ struct ThreeWays {
 
 fn three_ways(
     aligner: &Aligner,
+    first: Backend,
     query: &Sequence,
     subjects: &[&Sequence],
     reps: usize,
 ) -> ThreeWays {
-    let cfg = aligner.config();
-    let backend = resolve(IsaSupport::detect(), None, 16);
     let mut scratch = AlignScratch::new();
-    let mut ws = InterWorkspace::new();
     let residues: usize = subjects.iter().map(|s| s.len()).sum();
 
-    let pq = aligner.prepare(query).unwrap();
     let striped = time_min(
         || {
             let pq = aligner.prepare(query).unwrap();
@@ -200,12 +200,71 @@ fn three_ways(
         1,
         reps,
     );
-    let lanes = time_min(
+    // Every vector, whatever the product's rule would say: the side of
+    // the comparison the rule cannot show where it declines.
+    let lanes = match first.bits() {
+        8 => forced_lanes::<i8>(aligner, first, query, subjects, reps),
+        16 => forced_lanes::<i16>(aligner, first, query, subjects, reps),
+        _ => forced_lanes::<i32>(aligner, first, query, subjects, reps),
+    };
+    let mut in_lanes = 0usize;
+    let rule = time_min(
+        || in_lanes = sweep(aligner, query, subjects, &mut scratch),
+        1,
+        reps,
+    );
+    ThreeWays {
+        striped: striped.as_secs_f64(),
+        lanes: lanes.as_secs_f64(),
+        rule: rule.as_secs_f64(),
+        rule_lane_share: in_lanes as f64 / residues.max(1) as f64,
+    }
+}
+
+/// What a sweep does with `subjects`: each vector offered to
+/// `align_batch_prepared`, `align_prepared` for what it declines or
+/// flags. Returns the residues scored in lanes.
+fn sweep(
+    aligner: &Aligner,
+    query: &Sequence,
+    subjects: &[&Sequence],
+    scratch: &mut AlignScratch,
+) -> usize {
+    let pq = aligner.prepare(query).unwrap();
+    let vector = pq.batch_lanes().max(1);
+    let mut in_lanes = 0usize;
+    for batch in subjects.chunks(vector) {
+        // As the sweep: no batches from a database smaller than one
+        // vector.
+        let taken = (pq.batch_lanes() > 0 && subjects.len() >= vector)
+            .then(|| aligner.align_batch_prepared(&pq, batch, scratch).unwrap())
+            .flatten();
+        let redo = |lane: usize| taken.as_ref().is_none_or(|out| out.saturated[lane]);
+        for (lane, s) in batch.iter().enumerate() {
+            if redo(lane) {
+                std::hint::black_box(aligner.align_prepared(&pq, s, scratch).unwrap().score);
+            } else {
+                in_lanes += s.len();
+            }
+        }
+        std::hint::black_box(taken);
+    }
+    in_lanes
+}
+
+/// The lane kernel of `backend` on every vector of `subjects`.
+fn forced_lanes<T: DispatchElem>(
+    aligner: &Aligner,
+    backend: Backend,
+    query: &Sequence,
+    subjects: &[&Sequence],
+    reps: usize,
+) -> Duration {
+    let cfg = aligner.config();
+    let mut ws = InterWorkspace::<T>::new();
+    time_min(
         || {
-            let prof = LaneProfile::<i16>::build(query, &cfg.matrix);
-            // Every vector, whatever the product's rule would say: the
-            // side of the comparison the rule cannot show where it
-            // declines.
+            let prof = LaneProfile::<T>::build(query, &cfg.matrix);
             std::hint::black_box(with_engine(
                 backend,
                 InterBatches {
@@ -218,67 +277,116 @@ fn three_ways(
         },
         1,
         reps,
-    );
-    let vector = pq.batch_lanes().max(1);
-    let mut in_lanes = 0usize;
-    let rule = time_min(
+    )
+}
+
+/// The sweep as it was before byte lanes: each vector at i16 on
+/// `backend` where the fill rule takes it, `align_prepared` for what
+/// it declines or flags.
+fn i16_lanes_first(
+    aligner: &Aligner,
+    backend: Backend,
+    query: &Sequence,
+    subjects: &[&Sequence],
+    reps: usize,
+) -> Duration {
+    let cfg = aligner.config();
+    let mut scratch = AlignScratch::new();
+    let mut ws = InterWorkspace::<i16>::new();
+    let lanes = backend.lanes();
+    time_min(
         || {
             let pq = aligner.prepare(query).unwrap();
-            in_lanes = 0;
-            for batch in subjects.chunks(vector) {
-                // As the sweep: no batches from a database smaller
-                // than one vector.
-                let taken = (pq.batch_lanes() > 0 && subjects.len() >= vector)
-                    .then(|| {
-                        aligner
-                            .align_batch_prepared(&pq, batch, &mut scratch)
-                            .unwrap()
-                    })
-                    .flatten();
-                match taken {
-                    Some(out) => {
-                        in_lanes += out.stats.inter_columns;
-                        std::hint::black_box(out.scores);
-                    }
-                    None => {
-                        for s in batch {
-                            std::hint::black_box(
-                                aligner.align_prepared(&pq, s, &mut scratch).unwrap().score,
-                            );
-                        }
-                    }
+            let prof = LaneProfile::<i16>::build(query, &cfg.matrix);
+            for vector in subjects.chunks(lanes) {
+                let residues: usize = vector.iter().map(|s| s.len()).sum();
+                let longest = vector.iter().map(|s| s.len()).max().unwrap_or(0);
+                let flagged = if residues * 100 >= LANE_MIN_FILL_PERCENT * lanes * longest {
+                    let batch = InterBatches {
+                        t2: cfg.table2(),
+                        prof: &prof,
+                        subjects: vector,
+                        ws: &mut ws,
+                    };
+                    with_engine(backend, batch).saturated
+                } else {
+                    vec![true; vector.len()]
+                };
+                for (s, _) in vector.iter().zip(flagged).filter(|(_, f)| *f) {
+                    std::hint::black_box(aligner.align_prepared(&pq, s, &mut scratch).unwrap());
                 }
             }
         },
         1,
         reps,
-    );
-    ThreeWays {
-        striped: striped.as_secs_f64(),
-        lanes: lanes.as_secs_f64(),
-        rule: rule.as_secs_f64(),
-        rule_lane_share: in_lanes as f64 / residues.max(1) as f64,
-    }
+    )
+}
+
+/// The width the rule runs a batch at first, as a full vector of
+/// `subjects` reports it.
+fn first_width(aligner: &Aligner, query: &Sequence, subjects: &[&Sequence]) -> Option<u32> {
+    let pq = aligner.prepare(query).unwrap();
+    let vector = subjects.get(..pq.batch_lanes())?;
+    let out = aligner
+        .align_batch_prepared(&pq, vector, &mut AlignScratch::new())
+        .unwrap()?;
+    Some(out.bits)
+}
+
+/// `subjects` with a copy of `query` (every tenth residue replaced)
+/// planted in the middle of `percent` % of them, evenly spread over
+/// the database's order.
+fn planted(
+    rng: &mut impl rand::Rng,
+    query: &Sequence,
+    subjects: &[Sequence],
+    percent: usize,
+) -> Vec<Sequence> {
+    subjects
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            if (i + 1) * percent / 100 == i * percent / 100 {
+                return s.clone();
+            }
+            let mut idx = s.indices().to_vec();
+            while idx.len() < query.len() {
+                idx.push(random_residue(rng));
+            }
+            let at = (idx.len() - query.len()) / 2;
+            for (j, &r) in query.indices().iter().enumerate() {
+                idx[at + j] = if j % 10 == 0 { random_residue(rng) } else { r };
+            }
+            Sequence::from_indices(s.id(), s.alphabet(), idx)
+        })
+        .collect()
 }
 
 /// The sweep's choice between lanes per subject and the striped
-/// hybrid, on this host's widest i16 engine (local, BLOSUM62 −10/−2,
-/// `Auto` width): over query length on a Swiss-Prot-like database,
-/// over the fill of one vector, and over database size.
+/// hybrid (local, BLOSUM62 −10/−2, `Auto` width), on the row the rule
+/// tries first: over query length on a Swiss-Prot-like database, over
+/// the fill of one vector, over database size, and over the share of
+/// subjects whose first-pass lane saturates.
 fn lanes_or_stripes(quick: bool) {
-    let backend = resolve(IsaSupport::detect(), None, 16);
-    println!(
-        "## lanes per subject or stripes, on {} (cap {LANE_QUERY_CAP}, least fill {LANE_MIN_FILL_PERCENT} %)",
-        backend.name()
-    );
+    let sup = IsaSupport::detect();
     let aligner = Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62));
-    // Above the cap the product declines; the forced column still
-    // shows what lanes would have done there.
     let reps = if quick { 3 } else { 9 };
     let mut rng = seeded_rng(77);
 
     let db = swissprot_like_db(78, if quick { 256 } else { 1024 });
     let sorted: Vec<&Sequence> = db.length_order().iter().map(|&i| db.get(i)).collect();
+    let q60 = named_query(&mut rng, 60);
+    // A host with no native lookup declines every batch; its rows
+    // still show what the lanes would have done at i16.
+    let first = resolve(
+        sup,
+        None,
+        first_width(&aligner, &q60, &sorted).unwrap_or(16),
+    );
+    println!(
+        "## lanes per subject or stripes, first at {} (cap {LANE_QUERY_CAP} above 8 bits, least fill {LANE_MIN_FILL_PERCENT} %)",
+        first.name()
+    );
     let row = |label: String, w: &ThreeWays| {
         vec![
             label,
@@ -290,11 +398,12 @@ fn lanes_or_stripes(quick: bool) {
             format!("{:.0} %", w.rule_lane_share * 100.0),
         ]
     };
+    let lanes_ms = format!("{} ms", first.name());
     let header = |first: &str| {
         vec![
             first.to_string(),
             "striped ms".to_string(),
-            "lanes ms".to_string(),
+            lanes_ms.clone(),
             "striped/lanes".to_string(),
             "rule ms".to_string(),
             "striped/rule".to_string(),
@@ -307,19 +416,22 @@ fn lanes_or_stripes(quick: bool) {
         sorted.len()
     );
     let mut table = Table::new(header("query"));
-    for m in [30usize, 60, 120, 250, 375, 500, 625, 750, 1000] {
+    for m in [30usize, 60, 120, 250, 375, 500, 625, 750, 1000, 2000, 4000] {
         let q = named_query(&mut rng, m);
-        table.row(row(m.to_string(), &three_ways(&aligner, &q, &sorted, reps)));
+        let reps = if m > 1000 { reps.min(3) } else { reps };
+        table.row(row(
+            m.to_string(),
+            &three_ways(&aligner, first, &q, &sorted, reps),
+        ));
     }
     println!("{}", table.render());
 
     // One vector whose longest subject has 400 residues and whose
     // other lanes share what is left of the fill evenly.
-    let q60 = named_query(&mut rng, 60);
-    let lanes = backend.lanes();
+    let lanes = first.lanes();
     println!("### fill of one {lanes}-lane vector (query 60, longest subject 400)");
     let mut table = Table::new(header("fill"));
-    for percent in [10usize, 20, 30, 35, 40, 45, 50, 60, 80, 100] {
+    for percent in [10usize, 15, 20, 25, 30, 35, 40, 45, 50, 60, 80, 100] {
         let rest = ((400 * lanes * percent / 100).saturating_sub(400) / (lanes - 1)).min(400);
         let subjects: Vec<Sequence> = (0..lanes)
             .map(|l| named_query(&mut rng, if l == 0 { 400 } else { rest }))
@@ -328,7 +440,7 @@ fn lanes_or_stripes(quick: bool) {
         let fill = refs.iter().map(|s| s.len()).sum::<usize>() * 100 / (400 * lanes);
         table.row(row(
             format!("{fill} %"),
-            &three_ways(&aligner, &q60, &refs, reps * 4),
+            &three_ways(&aligner, first, &q60, &refs, reps * 4),
         ));
     }
     println!("{}", table.render());
@@ -343,8 +455,50 @@ fn lanes_or_stripes(quick: bool) {
         let sorted: Vec<&Sequence> = db.length_order().iter().map(|&i| db.get(i)).collect();
         table.row(row(
             count.to_string(),
-            &three_ways(&aligner, &q60, &sorted, reps * 2),
+            &three_ways(&aligner, first, &q60, &sorted, reps * 2),
         ));
+    }
+    println!("{}", table.render());
+
+    // Planted homologs saturate the byte lanes they meet: the rule
+    // walks them on to i16 together, or scores them per subject.
+    let i16_row = resolve(sup, None, 16);
+    println!(
+        "### saturated share (query 60, {} subjects, homologs of the query planted)",
+        sorted.len()
+    );
+    let mut table = Table::new(vec![
+        "homologs",
+        "striped ms",
+        "i16 lanes first ms",
+        "rule ms",
+        "rule / i16 first",
+        "flagged at first width",
+    ]);
+    let seqs = db.sequences().to_vec();
+    for percent in [0usize, 4, 25, 50, 100] {
+        let db = aalign_bio::SeqDatabase::new(planted(&mut rng, &q60, &seqs, percent));
+        let sorted: Vec<&Sequence> = db.length_order().iter().map(|&i| db.get(i)).collect();
+        let w = three_ways(&aligner, first, &q60, &sorted, reps);
+        let parent = i16_lanes_first(&aligner, i16_row, &q60, &sorted, reps).as_secs_f64();
+        let pq = aligner.prepare(&q60).unwrap();
+        let flagged: usize = sorted
+            .chunks(pq.batch_lanes().max(1))
+            .filter_map(|v| {
+                aligner
+                    .align_batch_prepared(&pq, v, &mut AlignScratch::new())
+                    .unwrap()
+            })
+            .map(|out| out.stats.inter_saturated)
+            .sum();
+        table.row(vec![
+            format!("{percent} %"),
+            format!("{:.3}", w.striped * 1e3),
+            format!("{:.3}", parent * 1e3),
+            format!("{:.3}", w.rule * 1e3),
+            format!("{:.2}", w.rule / parent),
+            flagged.to_string(),
+        ]);
     }
     println!("{}", table.render());
 }

@@ -21,11 +21,16 @@
 //! prepared once as `m` rows of 32 scores ([`LaneProfile`]), a column
 //! of the batch is one vector of residue indices, and a cell's score
 //! is one in-register table lookup (`vpermw`, or two to four `pshufb`)
-//! — and `SearchEngine::search` runs it for short queries on engines
-//! whose lookup is native ([`Aligner::align_batch_prepared`] holds the
-//! rule; EXPERIMENTS.md, "Short queries: lanes per subject", the
-//! numbers). It has no entry point, option or flag of its own. It
-//! stays a second, structurally independent implementation as well:
+//! — and `SearchEngine::search` runs it on engines whose lookup is
+//! native ([`Aligner::align_batch_prepared`] holds the rule;
+//! EXPERIMENTS.md, "Short queries: lanes per subject" and "Byte lanes
+//! first", the numbers). A local search scores every batch at 8 bits
+//! first, at any query length — few subjects reach a byte's ceiling,
+//! the SSW / SWIPE observation — and re-runs the lanes that flag
+//! saturation together at 16 bits; wider batches are for queries of
+//! at most `LANE_QUERY_CAP` residues. It has no entry point, option or
+//! flag of its own. It stays a second, structurally independent
+//! implementation as well:
 //! the conformance harness and `tests/random_matrix_equivalence.rs`
 //! compare it with the scalar reference score for score, and the
 //! engine's sweep tests compare it with the striped kernels.
@@ -36,9 +41,10 @@
 //! bit-identical to the scalar reference per lane (property-tested).
 //! Saturation is reported per lane from the *final* score alone, which
 //! is sound for local alignments at any width (the running maximum
-//! sticks at the ceiling) and for global / semi-global ones only
-//! inside [`ScoreBounds::fits`](crate::config::ScoreBounds::fits) —
-//! callers run those narrow nowhere else.
+//! sticks at the ceiling) — what lets a local batch try i8 with no
+//! bound at all — and for global / semi-global ones only inside
+//! [`ScoreBounds::fits`](crate::config::ScoreBounds::fits) — callers
+//! run those narrow nowhere else.
 //!
 //! [`Aligner::align_batch_prepared`]: crate::Aligner::align_batch_prepared
 

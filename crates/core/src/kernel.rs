@@ -178,6 +178,10 @@ pub struct RunStats {
     /// per vector. `inter_columns / inter_lane_columns` is the fill;
     /// the rest is padding on subjects that had already ended.
     pub inter_lane_columns: usize,
+    /// Lanes flagged saturated at their batch's first width — whether
+    /// they then walked on to a wider batch or went to the
+    /// per-subject path.
+    pub inter_saturated: usize,
 }
 
 impl RunStats {
@@ -202,6 +206,7 @@ impl RunStats {
         self.inter_lane_columns = self
             .inter_lane_columns
             .saturating_add(other.inter_lane_columns);
+        self.inter_saturated = self.inter_saturated.saturating_add(other.inter_saturated);
     }
 }
 
@@ -386,13 +391,12 @@ struct Prepared<T> {
 
 impl<T: DispatchElem> Prepared<T> {
     /// `lanes`: the aligner and the query admit the lane-per-subject
-    /// kernel; the engine has the last word (its lookup must be native).
+    /// kernel at this width.
     fn build(backend: Backend, query: &Sequence, matrix: &SubstMatrix, lanes: bool) -> Self {
         Self {
             backend,
             prof: StripedProfile::build(query, matrix, backend.lanes()),
-            lanes: (lanes && with_engine::<T, _>(backend, NativeLookup))
-                .then(|| LaneProfile::build(query, matrix)),
+            lanes: lanes.then(|| lane_rows(backend, query, matrix)).flatten(),
         }
     }
 
@@ -400,6 +404,17 @@ impl<T: DispatchElem> Prepared<T> {
     fn batch_lanes(&self) -> usize {
         self.lanes.as_ref().map_or(0, |_| self.backend.lanes())
     }
+}
+
+/// The query's rows for the lane kernel on `backend`, or `None` when
+/// that engine's lookup is not native (the portable gather loses to the
+/// striped kernels).
+fn lane_rows<T: DispatchElem>(
+    backend: Backend,
+    query: &Sequence,
+    matrix: &SubstMatrix,
+) -> Option<LaneProfile<T>> {
+    with_engine::<T, _>(backend, NativeLookup).then(|| LaneProfile::build(query, matrix))
 }
 
 /// Does the engine of a table row look scores up with shuffles?
@@ -414,31 +429,41 @@ impl<T: ScoreElem> EngineFn<T> for NativeLookup {
     }
 }
 
-/// Longest query [`Aligner::align_batch_prepared`] scores lane per
-/// subject. Its advantage over the striped kernels shrinks as stripes
-/// fill: measured on avx512/i16x32 (`calibrate --lanes`;
-/// EXPERIMENTS.md, "Short queries: lanes per subject") it is ×4.0 at
-/// 30 residues, ×2.1 at 60, ×1.8 at 250, ×1.3 at 500 — and ×1.07 at
-/// 1000, inside that host's run-to-run drift.
+/// Longest query whose batches [`Aligner::align_batch_prepared`] runs
+/// at 16 or 32 bits; byte lanes have no cap. At i16 the lanes' advantage
+/// over the striped kernels shrinks as stripes fill: measured on
+/// avx512/i16x32 (`calibrate --lanes`; EXPERIMENTS.md, "Short queries:
+/// lanes per subject") it is ×4.0 at 30 residues, ×2.1 at 60, ×1.8 at
+/// 250, ×1.3 at 500 — and ×1.07 at 1000, inside that host's run-to-run
+/// drift. An i8 vector costs about half an i16 one: avx2/i8x32 beats
+/// the striped hybrid ×2.3 at 1 000 residues and ×1.9–2.0 at 2 000 and
+/// 4 000 (EXPERIMENTS.md, "Byte lanes first").
 pub const LANE_QUERY_CAP: usize = 500;
 
 /// Least share of a batch's lane-columns that must be subject residues
 /// (Σ len / Σ longest × lanes, in percent) for the lanes to be used: a
 /// lane whose subject has ended is paid for to the longest one's end.
-/// Same table: one 32-lane vector breaks even with the per-subject
-/// kernels at a fill of 31–36 % and wins by ×1.2 at 44 %.
-pub const LANE_MIN_FILL_PERCENT: usize = 40;
+/// Same tables, one 32-lane vector against the per-subject kernels:
+/// at i8 (avx2/i8x32) lanes break even near 10 % and win ×2.1 at 29 %;
+/// at i16 (avx512/i16x32) they break even at 31–36 % and are ×0.95 at
+/// 29 %. One constant serves both widths, so it sits where byte lanes
+/// already win ×2 and an i16 batch loses at most a few percent.
+pub const LANE_MIN_FILL_PERCENT: usize = 30;
 
 /// What [`Aligner::align_batch_prepared`] returns when it takes a batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchOutput {
     /// One score per subject, in input order.
     pub scores: Vec<i32>,
-    /// True where the lane saturated: that subject's score is not to
-    /// be used, [`Aligner::align_prepared`] has to score it (and
-    /// report the saturation the way it always has).
+    /// True where the lane saturated at every width the batch walked:
+    /// that subject's score is not to be used,
+    /// [`Aligner::align_prepared`] has to score it (and report the
+    /// saturation the way it always has).
     pub saturated: Vec<bool>,
-    /// `inter_columns` and `inter_lane_columns` of the batch.
+    /// Element width of the batch's first pass, in bits.
+    pub bits: u32,
+    /// `inter_columns`, `inter_lane_columns` (every pass) and
+    /// `inter_saturated` (the first pass) of the batch.
     pub stats: RunStats,
 }
 
@@ -462,6 +487,11 @@ pub struct PreparedQuery {
     p8: Option<Prepared<i8>>,
     p16: Option<Prepared<i16>>,
     p32: Option<Prepared<i32>>,
+    /// Byte lanes a local `Auto` batch tries before the plan's first
+    /// width (see [`Aligner::align_batch_prepared`]): the i8 row and the
+    /// query's rows for it. Lanes only — the per-subject path never
+    /// runs at 8 bits without a certificate.
+    bytes_first: Option<(Backend, LaneProfile<i8>)>,
     /// The query itself: [`Strategy::Sequential`]'s prepared form (it
     /// builds no profile), `None` for every other strategy.
     scalar: Option<Sequence>,
@@ -479,14 +509,17 @@ impl PreparedQuery {
     }
 
     /// Most subjects [`Aligner::align_batch_prepared`] scores in one
-    /// vector for this query — what a sweep rounds its claims to — or
-    /// 0 when it declines every batch (a pinned strategy, a query above
-    /// [`LANE_QUERY_CAP`], no engine with a native lookup).
+    /// vector for this query — the widest vector of any width its walk
+    /// can reach, what a sweep rounds its claims to — or 0 when it
+    /// declines every batch (a pinned strategy, no engine with a native
+    /// lookup at a reachable width, or a query above
+    /// [`LANE_QUERY_CAP`] with no byte lanes to run).
     pub fn batch_lanes(&self) -> usize {
+        let bytes = self.bytes_first.as_ref().map_or(0, |(b, _)| b.lanes());
         let p8 = self.p8.as_ref().map_or(0, Prepared::batch_lanes);
         let p16 = self.p16.as_ref().map_or(0, Prepared::batch_lanes);
         let p32 = self.p32.as_ref().map_or(0, Prepared::batch_lanes);
-        p8.max(p16).max(p32)
+        bytes.max(p8).max(p16).max(p32)
     }
 }
 
@@ -693,6 +726,7 @@ impl Aligner {
             p8: None,
             p16: None,
             p32: None,
+            bytes_first: None,
             scalar: None,
         };
         if self.strategy == Strategy::Sequential {
@@ -701,18 +735,27 @@ impl Aligner {
         }
         let sup = IsaSupport::detect();
         let matrix = &self.cfg.matrix;
-        // The half of the lane-per-subject rule that is known here
-        // (see `align_batch_prepared`).
+        // The half of the lane-per-subject rule that is known here (see
+        // `align_batch_prepared`): rows are built only at widths its
+        // walk can reach.
         let lanes = self.strategy == Strategy::Hybrid
-            && query.len() <= LANE_QUERY_CAP
             && matrix.alphabet().len() < aalign_vec::LOOKUP_ENTRIES;
-        for bits in self.width_plan(query.len()) {
+        let local_auto = self.cfg.kind == AlignKind::Local && self.width == WidthPolicy::Auto;
+        let lanes_at = |bits: u32| {
+            lanes && (bits == 8 || query.len() <= LANE_QUERY_CAP) && !(local_auto && bits == 32)
+        };
+        let plan = self.width_plan(query.len());
+        for &bits in &plan {
             let backend = resolve(sup, self.isa, bits);
             match bits {
-                8 => pq.p8 = Some(Prepared::build(backend, query, matrix, lanes)),
-                16 => pq.p16 = Some(Prepared::build(backend, query, matrix, lanes)),
-                _ => pq.p32 = Some(Prepared::build(backend, query, matrix, lanes)),
+                8 => pq.p8 = Some(Prepared::build(backend, query, matrix, lanes_at(8))),
+                16 => pq.p16 = Some(Prepared::build(backend, query, matrix, lanes_at(16))),
+                _ => pq.p32 = Some(Prepared::build(backend, query, matrix, lanes_at(32))),
             }
+        }
+        if lanes && local_auto && plan[0] != 8 {
+            let backend = resolve(sup, self.isa, 8);
+            pq.bytes_first = lane_rows(backend, query, matrix).map(|rows| (backend, rows));
         }
         Ok(pq)
     }
@@ -729,17 +772,26 @@ impl Aligner {
     ///
     /// * the strategy is the default [`Strategy::Hybrid`] — a pinned
     ///   strategy names a striped kernel and gets it;
-    /// * the query is at most [`LANE_QUERY_CAP`] residues and the
-    ///   alphabet leaves a pad slot in a 32-entry row — beyond the cap
-    ///   stripes are full and the striped kernels are as fast;
-    /// * the width the per-subject path would run for the batch's
-    ///   *longest* subject — the first of the plan whose bound holds,
-    ///   a forced narrow width only for local alignments or inside the
-    ///   bound, since the lane kernel vouches for a global score by its
-    ///   final cell alone — has an engine whose
-    ///   [`lookup32`](SimdEngine::lookup32) is native;
+    /// * the alphabet leaves a pad slot in a 32-entry row;
+    /// * the width the batch runs at has an engine whose
+    ///   [`lookup32`](SimdEngine::lookup32) is native, and — above 8
+    ///   bits — the query is at most [`LANE_QUERY_CAP`] residues:
+    ///   beyond the cap 16-bit stripes are full and as fast;
     /// * at least [`LANE_MIN_FILL_PERCENT`] of the lane-columns the
     ///   batch would compute are subject residues.
+    ///
+    /// The width is the one the per-subject path would run for the
+    /// batch's *longest* subject — the first of the plan whose bound
+    /// holds, a forced narrow width only for local alignments or inside
+    /// the bound, since the lane kernel vouches for a global score by
+    /// its final cell alone — except that a local `Auto` run whose plan
+    /// does not start at 8 bits goes **first at i8**, bound or no bound:
+    /// a local lane's saturation flag is sound at any width, and few
+    /// subjects reach a byte's ceiling (SSW and SWIPE score that way).
+    /// Lanes flagged there walk on together as one batch through the
+    /// plan's own walk (i16 first); what that batch declines or flags
+    /// comes back flagged in [`BatchOutput::saturated`], for the
+    /// per-subject path to score from its first width as it always has.
     ///
     /// It emits no column events: a caller tracing a sweep scores per
     /// subject.
@@ -752,6 +804,22 @@ impl Aligner {
         for s in subjects {
             self.check_seq(s)?;
         }
+        if let Some((backend, rows)) = &pq.bytes_first {
+            if let Some(out) = self.lanes(*backend, rows, subjects, &mut scratch.lanes8) {
+                return Ok(Some(self.walk_on(pq, subjects, out, scratch)));
+            }
+        }
+        Ok(self.walk(pq, subjects, scratch))
+    }
+
+    /// The plan's walk: the first width that does not pass the batch
+    /// on scores it or declines it.
+    fn walk(
+        &self,
+        pq: &PreparedQuery,
+        subjects: &[&Sequence],
+        scratch: &mut AlignScratch,
+    ) -> Option<BatchOutput> {
         let m = pq.query_len;
         for bits in [8u32, 16, 32] {
             let at = match bits {
@@ -762,13 +830,37 @@ impl Aligner {
             match at {
                 BatchAt::Wider => {}
                 BatchAt::Declined => break,
-                BatchAt::Scored(out) => return Ok(Some(out)),
+                BatchAt::Scored(out) => return Some(out),
             }
         }
-        Ok(None)
+        None
     }
 
-    /// One width's answer to [`align_batch_prepared`](Self::align_batch_prepared).
+    /// Send the lanes a byte pass flagged through [`walk`](Self::walk)
+    /// as one batch, and keep what it scores unflagged.
+    fn walk_on(
+        &self,
+        pq: &PreparedQuery,
+        subjects: &[&Sequence],
+        mut out: BatchOutput,
+        scratch: &mut AlignScratch,
+    ) -> BatchOutput {
+        if out.stats.inter_saturated == 0 {
+            return out;
+        }
+        let flagged: Vec<usize> = (0..subjects.len()).filter(|&l| out.saturated[l]).collect();
+        let again: Vec<&Sequence> = flagged.iter().map(|&l| subjects[l]).collect();
+        if let Some(wider) = self.walk(pq, &again, scratch) {
+            for (k, &l) in flagged.iter().enumerate() {
+                out.scores[l] = wider.scores[k];
+                out.saturated[l] = wider.saturated[k];
+            }
+            out.stats.inter_lane_columns += wider.stats.inter_lane_columns;
+        }
+        out
+    }
+
+    /// One width's answer to [`walk`](Self::walk).
     fn batch_at<T: DispatchElem>(
         &self,
         prepared: Option<&Prepared<T>>,
@@ -788,33 +880,49 @@ impl Aligner {
                 return BatchAt::Declined;
             }
         }
-        let Some(prof) = p.lanes.as_ref() else {
-            return BatchAt::Declined;
-        };
-        let lanes = p.backend.lanes();
+        let scored = p
+            .lanes
+            .as_ref()
+            .and_then(|rows| self.lanes(p.backend, rows, subjects, ws));
+        scored.map_or(BatchAt::Declined, BatchAt::Scored)
+    }
+
+    /// The lane kernel on `backend` for `subjects`, or `None` when they
+    /// fill less than [`LANE_MIN_FILL_PERCENT`] of its lane-columns.
+    fn lanes<T: DispatchElem>(
+        &self,
+        backend: Backend,
+        rows: &LaneProfile<T>,
+        subjects: &[&Sequence],
+        ws: &mut InterWorkspace<T>,
+    ) -> Option<BatchOutput> {
+        let lanes = backend.lanes();
         let residues: usize = subjects.iter().map(|s| s.len()).sum();
         let lane_columns: usize = subjects
             .chunks(lanes)
             .map(|vector| lanes * vector.iter().map(|s| s.len()).max().unwrap_or(0))
             .sum();
         if residues == 0 || residues * 100 < LANE_MIN_FILL_PERCENT * lane_columns {
-            return BatchAt::Declined;
+            return None;
         }
         let out = with_engine(
-            p.backend,
+            backend,
             InterBatches {
                 t2: self.cfg.table2(),
-                prof,
+                prof: rows,
                 subjects,
                 ws,
             },
         );
-        BatchAt::Scored(BatchOutput {
+        let flagged = out.saturated.iter().filter(|&&s| s).count();
+        Some(BatchOutput {
             scores: out.scores,
             saturated: out.saturated,
+            bits: T::BITS,
             stats: RunStats {
                 inter_columns: residues,
                 inter_lane_columns: lane_columns,
+                inter_saturated: flagged,
                 ..RunStats::default()
             },
         })
@@ -1244,6 +1352,90 @@ mod tests {
                     ("scalar", 32)
                 );
             }
+        }
+    }
+
+    /// `count` copies of `q`, every tenth residue replaced (at a
+    /// different phase per copy): each scores far above a byte's
+    /// ceiling against `q`, and far below 16 bits'.
+    fn homologs(rng: &mut impl rand::Rng, q: &Sequence, count: usize) -> Vec<Sequence> {
+        (0..count)
+            .map(|i| {
+                let mut idx = q.indices().to_vec();
+                for j in (i % 10..idx.len()).step_by(10) {
+                    idx[j] = aalign_bio::synth::random_residue(rng);
+                }
+                Sequence::from_indices(format!("h{i}"), q.alphabet(), idx)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn byte_lanes_walk_on_exactly_and_reserve_no_i32_lane_buffer() {
+        let mut rng = seeded_rng(7100);
+        let q = named_query(&mut rng, 60);
+        let batch = homologs(&mut rng, &q, 32);
+        let batch: Vec<&Sequence> = batch.iter().collect();
+        let db = aalign_bio::synth::swissprot_like_db(7101, 96);
+        let sorted: Vec<&Sequence> = db.length_order().iter().map(|&i| db.get(i)).collect();
+        let cfg = AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62);
+        for pin in [
+            None,
+            Some(Isa::Avx2),
+            Some(Isa::Avx512),
+            Some(Isa::Emulated),
+        ] {
+            let mut aligner = Aligner::new(cfg.clone());
+            if let Some(isa) = pin {
+                aligner = aligner.with_isa(isa);
+            }
+            let pq = aligner.prepare(&q).unwrap();
+            assert!(
+                pq.p32.as_ref().is_some_and(|p| p.lanes.is_none()),
+                "{pin:?}"
+            );
+            let mut scratch = AlignScratch::new();
+            let Some(out) = aligner
+                .align_batch_prepared(&pq, &batch, &mut scratch)
+                .unwrap()
+            else {
+                assert_eq!(pq.batch_lanes(), 0, "{pin:?} declined a full vector");
+                continue;
+            };
+            // Every lane comes back exact and unflagged: i16 holds them.
+            for (l, s) in batch.iter().enumerate() {
+                assert!(!out.saturated[l], "{pin:?} lane {l}");
+                assert_eq!(out.scores[l], paradigm_dp(&cfg, &q, s).score, "{pin:?}");
+            }
+            assert_eq!(out.stats.inter_columns, 32 * 60);
+            if pq.bytes_first.is_some() {
+                assert_eq!(out.bits, 8, "{pin:?}");
+                assert_eq!(out.stats.inter_saturated, 32, "{pin:?}: all flagged at i8");
+                // Two passes of the same subjects: lane-columns doubled.
+                assert!(out.stats.inter_lane_columns >= 2 * out.stats.inter_columns);
+            } else {
+                assert_eq!((out.bits, out.stats.inter_saturated), (16, 0), "{pin:?}");
+            }
+
+            // The rest of a sweep on the same scratch: vectors the lanes
+            // take, what they decline or flag per subject.
+            for vector in sorted.chunks(pq.batch_lanes()) {
+                let out = aligner
+                    .align_batch_prepared(&pq, vector, &mut scratch)
+                    .unwrap();
+                for (l, s) in vector.iter().enumerate() {
+                    if out.as_ref().is_none_or(|out| out.saturated[l]) {
+                        aligner.align_prepared(&pq, s, &mut scratch).unwrap();
+                    }
+                }
+            }
+            let warm = scratch.reserved_bytes();
+            scratch.lanes32 = InterWorkspace::new();
+            assert_eq!(
+                scratch.reserved_bytes(),
+                warm,
+                "{pin:?}: a local Auto sweep reserved an i32 lane buffer"
+            );
         }
     }
 

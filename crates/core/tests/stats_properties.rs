@@ -11,7 +11,7 @@ fn arb_stats() -> impl Strategy<Value = RunStats> {
     (
         (any::<u64>(), any::<u64>(), any::<usize>()),
         (any::<usize>(), any::<usize>(), any::<usize>()),
-        (any::<usize>(), any::<usize>()),
+        (any::<usize>(), any::<usize>(), any::<usize>()),
     )
         .prop_map(
             |((lazy_iters, lazy_sweeps, iterate_columns), rest, inter)| RunStats {
@@ -23,6 +23,7 @@ fn arb_stats() -> impl Strategy<Value = RunStats> {
                 probes_stayed: rest.2,
                 inter_columns: inter.0,
                 inter_lane_columns: inter.1,
+                inter_saturated: inter.2,
             },
         )
 }
@@ -55,6 +56,7 @@ proptest! {
             probes_stayed: usize::MAX,
             inter_columns: usize::MAX,
             inter_lane_columns: usize::MAX,
+            inter_saturated: usize::MAX,
         };
         let m = merged(&a, &ceiling);
         prop_assert_eq!(m, ceiling);

@@ -85,6 +85,14 @@ fn dur_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
+/// The narrower of two lane widths, `0` meaning "no lanes ran".
+fn narrower(a: u32, b: u32) -> u32 {
+    match (a, b) {
+        (0, w) | (w, 0) => w,
+        _ => a.min(b),
+    }
+}
+
 /// Resolve a requested thread count (`0` = available parallelism).
 pub(crate) fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
@@ -340,6 +348,7 @@ struct SweepOut {
     width_retries: u64,
     rescued: u64,
     rescue_widths: Histogram,
+    lane_width: u32,
     latency: Histogram,
     /// Sweep-stopping error (cancellation, deadline, or a concrete
     /// alignment failure).
@@ -360,6 +369,8 @@ struct Tallies {
     /// One sample per rescue attempt, keyed by the width (bits) that
     /// saturated.
     rescue_widths: Histogram,
+    /// Narrowest first-pass width of the lane batches taken (0: none).
+    lane_width: u32,
     /// Pool-local id of the worker running this sweep, stamped by
     /// [`run_sweep_worker`] so trace events can be tagged with it.
     worker_id: usize,
@@ -646,9 +657,10 @@ impl<'a> WorkerSweep<'a> {
     /// declined, or the batch panicked (the per-subject pass then
     /// names the subject that does, by its database index).
     ///
-    /// A lane that saturated is scored again through `score_subject`,
-    /// so what a saturating subject reports — `rescued`, the ladder's
-    /// widths, a rescue-off score — is what it always reported.
+    /// A lane still flagged saturated when the batch's walk ends is
+    /// scored again through `score_subject`, so what a saturating
+    /// subject reports — `rescued`, the ladder's widths, a rescue-off
+    /// score — is what it always reported.
     fn batch(
         &mut self,
         shared: &SweepShared<'a>,
@@ -697,6 +709,7 @@ impl<'a> WorkerSweep<'a> {
             out.saturated[lane]
         };
         let mut stats = out.stats;
+        self.tallies.lane_width = narrower(self.tallies.lane_width, out.bits);
         let mut kept = 0usize;
         for (lane, slot) in slots.clone().enumerate() {
             let len = self.batch[lane].len();
@@ -812,6 +825,7 @@ fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> Sw
         width_retries: sweep.tallies.width_retries,
         rescued: sweep.tallies.rescued,
         rescue_widths: sweep.tallies.rescue_widths,
+        lane_width: sweep.tallies.lane_width,
         latency: sweep.latency,
         err,
         soft: sweep.soft,
@@ -1202,6 +1216,7 @@ impl SearchEngine {
         let mut width_retries = 0u64;
         let mut rescued = 0u64;
         let mut rescue_widths = Histogram::new();
+        let mut lane_width = 0u32;
         let mut peak_hits_buffered = 0usize;
         let mut latency = Histogram::new();
         let mut worker_load = Histogram::new();
@@ -1214,6 +1229,7 @@ impl SearchEngine {
             width_retries += out.width_retries;
             rescued += out.rescued;
             rescue_widths.merge(&out.rescue_widths);
+            lane_width = narrower(lane_width, out.lane_width);
             peak_hits_buffered += out.peak_buffered;
             latency.merge(&out.latency);
             worker_load.record(out.worker.residues as u64);
@@ -1266,6 +1282,7 @@ impl SearchEngine {
                 rescued,
                 rescue_widths,
                 certified_width,
+                lane_width,
                 // Batching and admission happen above the engine: a
                 // serving dispatcher stamps the follower count and
                 // the stage-wait histograms post-hoc.
@@ -1519,7 +1536,11 @@ mod tests {
         );
         assert!(k.inter_lane_columns >= k.inter_columns);
         assert!(m.total >= m.sweep);
-        for w in &m.per_worker {
+        // A worker that claimed nothing holds nothing: two whole-vector
+        // claims cover this database, and one worker may take both.
+        let busy: Vec<_> = m.per_worker.iter().filter(|w| w.subjects > 0).collect();
+        assert!(!busy.is_empty());
+        for w in busy {
             assert!(w.scratch_bytes > 0, "warm worker must hold scratch");
         }
         // One latency sample per subject (a batch's time shared

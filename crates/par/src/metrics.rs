@@ -189,6 +189,12 @@ pub struct SearchMetrics {
     /// means the rescue ladder is provably idle at that width —
     /// `rescued` must be 0 whenever the sweep ran at it.
     pub certified_width: u32,
+    /// Element width (in bits) the sweep's lane-per-subject batches
+    /// ran their first pass at — the narrowest, should batches differ —
+    /// or `0` when no batch ran. `8` on a protein sweep means byte
+    /// lanes first; `kernel_stats.inter_saturated` counts the lanes
+    /// that pass flagged.
+    pub lane_width: u32,
     /// Other requests that coalesced onto this query's prepared
     /// profile instead of running their own sweep. Always `0` for
     /// direct engine calls; a serving dispatcher
@@ -222,9 +228,10 @@ pub struct SearchMetrics {
     /// Always empty for direct engine calls; stamped by a serving
     /// dispatcher.
     pub request_e2e: Histogram,
-    /// Log2 histogram of per-work-item sweep latency in nanoseconds
-    /// (one sample per subject on the intra sweep, per batch on the
-    /// inter sweep), merged across workers.
+    /// Log2 histogram of per-subject sweep latency in nanoseconds,
+    /// merged across workers: one sample per subject scored on its
+    /// own, and for a lane-per-subject batch one equal share of the
+    /// batch's time per subject it kept.
     pub latency: Histogram,
     /// Log2 histogram of per-worker residue load: one sample per
     /// participating worker. A tight spread is the dynamic-binding
@@ -269,12 +276,14 @@ impl SearchMetrics {
         let k = &self.kernel_stats;
         let _ = writeln!(
             s,
-            "kernel: {} iterate / {} scan / {} inter columns ({} lane-columns), {} switches, \
-             {} lazy iters, {} lazy sweeps, {} width retries, {} rescued, peak {} hits buffered",
+            "kernel: {} iterate / {} scan / {} inter columns ({} lane-columns, {} lanes \
+             saturated), {} switches, {} lazy iters, {} lazy sweeps, {} width retries, \
+             {} rescued, peak {} hits buffered",
             k.iterate_columns,
             k.scan_columns,
             k.inter_columns,
             k.inter_lane_columns,
+            k.inter_saturated,
             k.switches_to_scan,
             k.lazy_iters,
             k.lazy_sweeps,
@@ -288,6 +297,9 @@ impl SearchMetrics {
                 "certified: i{} proven rescue-free for this query/database",
                 self.certified_width
             );
+        }
+        if self.lane_width > 0 {
+            let _ = writeln!(s, "lanes: batches ran first at i{}", self.lane_width);
         }
         if self.workers_respawned > 0 {
             let _ = writeln!(s, "pool: {} workers respawned", self.workers_respawned);
@@ -411,6 +423,11 @@ impl SearchMetrics {
             k.inter_lane_columns as f64,
         );
         gauge(
+            "aalign_kernel_inter_saturated_total",
+            "Lanes flagged saturated at their batch's first width.",
+            k.inter_saturated as f64,
+        );
+        gauge(
             "aalign_kernel_switches_to_scan_total",
             "Hybrid iterate-to-scan switches.",
             k.switches_to_scan as f64,
@@ -439,6 +456,11 @@ impl SearchMetrics {
             "aalign_certified_width_bits",
             "Narrowest lane width proven rescue-free (0 = no certificate).",
             self.certified_width as f64,
+        );
+        gauge(
+            "aalign_lane_width_bits",
+            "Width the lane-per-subject batches ran first at (0 = no batch ran).",
+            self.lane_width as f64,
         );
         gauge(
             "aalign_coalesced_total",
@@ -535,8 +557,11 @@ mod tests {
     fn shard_outcome_summary_line_is_conditional() {
         let quiet = SearchMetrics::default().summary();
         assert!(!quiet.contains("shards:"), "{quiet}");
+        assert!(!quiet.contains("lanes:"), "{quiet}");
         let m = populated();
         let s = m.summary();
+        assert!(s.contains("(3200 lane-columns, 3 lanes saturated)"), "{s}");
+        assert!(s.contains("lanes: batches ran first at i8"), "{s}");
         assert!(
             s.contains("shards: 3 ok, 1 failed (0 timed out), 1 retried"),
             "{s}"
@@ -579,6 +604,13 @@ mod tests {
             total: Duration::from_millis(4),
             cells: 1_000_000,
             certified_width: 8,
+            lane_width: 8,
+            kernel_stats: RunStats {
+                inter_columns: 3000,
+                inter_lane_columns: 3200,
+                inter_saturated: 3,
+                ..RunStats::default()
+            },
             shards: ShardOutcome {
                 ok: 3,
                 failed: 1,
@@ -631,6 +663,8 @@ mod tests {
             "\"rescued\"",
             "\"rescue_width_bits\"",
             "\"certified_width\"",
+            "\"lane_width\"",
+            "\"inter_saturated\"",
             "\"workers_respawned\"",
             "\"shards\"",
             "\"timed_out\"",
@@ -656,6 +690,8 @@ mod tests {
             "aalign_gcups",
             "aalign_rescued_total",
             "aalign_certified_width_bits 8",
+            "aalign_lane_width_bits 8",
+            "aalign_kernel_inter_saturated_total 3",
             "aalign_coalesced_total",
             "aalign_workers_respawned_total",
             "aalign_shards_ok 3",

@@ -287,6 +287,7 @@ pub fn kernel_to_wire(k: &RunStats) -> JsonValue {
         ("probes_stayed", k.probes_stayed.into()),
         ("inter_columns", k.inter_columns.into()),
         ("inter_lane_columns", k.inter_lane_columns.into()),
+        ("inter_saturated", k.inter_saturated.into()),
     ])
 }
 
@@ -300,6 +301,7 @@ fn kernel_from_wire(v: &JsonValue) -> Result<RunStats, WireError> {
         probes_stayed: u64_field(v, "probes_stayed")? as usize,
         inter_columns: u64_field(v, "inter_columns")? as usize,
         inter_lane_columns: u64_field(v, "inter_lane_columns")? as usize,
+        inter_saturated: optional_u64(v, "inter_saturated")? as usize,
     })
 }
 
@@ -340,6 +342,7 @@ pub fn metrics_to_wire(m: &SearchMetrics) -> JsonValue {
         ("rescued", m.rescued.into()),
         ("rescue_width_bits", histogram_to_wire(&m.rescue_widths)),
         ("certified_width", m.certified_width.into()),
+        ("lane_width", m.lane_width.into()),
         ("coalesced", m.coalesced.into()),
         ("workers_respawned", m.workers_respawned.into()),
         (
@@ -414,6 +417,7 @@ pub fn metrics_from_wire(v: &JsonValue) -> Result<SearchMetrics, WireError> {
         rescued: u64_field(v, "rescued")?,
         rescue_widths: histogram_from_wire(field(v, "rescue_width_bits")?)?,
         certified_width: optional_u64(v, "certified_width")? as u32,
+        lane_width: optional_u64(v, "lane_width")? as u32,
         coalesced: u64_field(v, "coalesced")?,
         workers_respawned: u64_field(v, "workers_respawned")?,
         shards: optional_shards(v)?,

@@ -254,3 +254,147 @@ fn progress_and_cancellation_are_seen_at_claim_boundaries() {
     assert_eq!(err, aalign_core::AlignError::Cancelled);
     assert_eq!(*done.lock().unwrap(), lanes.max(1));
 }
+
+/// `count` subjects of 50–70 residues, `homologs` of them (spread
+/// evenly) copies of `q` with every tenth residue replaced — far above
+/// a byte's ceiling against `q`, far below 16 bits'. Every vector of
+/// the sorted database is full enough for the fill rule, so every lane
+/// runs its batch's first pass.
+fn planted_db(seed: u64, q: &Sequence, count: usize, homologs: usize) -> SeqDatabase {
+    let mut rng = seeded_rng(seed);
+    let seqs = (0..count)
+        .map(|i| {
+            if (i + 1) * homologs / count != i * homologs / count {
+                let mut idx = q.indices().to_vec();
+                for j in (i % 10..idx.len()).step_by(10) {
+                    idx[j] = aalign_bio::synth::random_residue(&mut rng);
+                }
+                Sequence::from_indices(format!("h{i}"), q.alphabet(), idx)
+            } else {
+                let len = rng.random_range(50..=70);
+                random_protein(&mut rng, format!("s{i}"), len)
+            }
+        })
+        .collect();
+    SeqDatabase::new(seqs)
+}
+
+/// Byte lanes first: a local `Auto` sweep scores every vector at i8,
+/// walks the flagged lanes on to i16 together, and hands what that
+/// declines or flags to the per-subject path — which reports what the
+/// traced (per-subject) sweep reports, whatever share saturates.
+#[test]
+fn byte_lanes_first_report_what_the_per_subject_path_reports() {
+    let engine = SearchEngine::new(2);
+    let mut rng = seeded_rng(4500);
+    let q = named_query(&mut rng, 60);
+    let count = 4 * LANES;
+    let base = Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62));
+    let mut byte_lanes_ran = false;
+    for homologs in [0, 1, count / 4, count] {
+        let db = planted_db(4501 + homologs as u64, &q, count, homologs);
+        let residues: usize = db.sequences().iter().map(Sequence::len).sum();
+        let want = reference(&base, &q, &db);
+        for pin in [
+            None,
+            Some(Isa::Avx2),
+            Some(Isa::Avx512),
+            Some(Isa::Emulated),
+        ] {
+            let aligner = pin.map_or_else(|| base.clone(), |isa| base.clone().with_isa(isa));
+            for rescue in [true, false] {
+                let ctx = format!("homologs={homologs} pin={pin:?} rescue={rescue}");
+                let opts = SearchOptions::new().rescue(rescue);
+                let plain = engine.search(&aligner, &q, &db, &opts).unwrap();
+                let traced = engine
+                    .search(&aligner, &q, &db, &opts.clone().trace(true))
+                    .unwrap();
+                assert_eq!(plain.hits, want, "{ctx}");
+                assert_eq!(traced.hits, want, "{ctx}");
+                let (m, t) = (&plain.metrics, &traced.metrics);
+                assert_eq!(m.rescued, t.rescued, "{ctx}");
+                assert_eq!(m.width_retries, t.width_retries, "{ctx}");
+                assert_eq!(m.rescue_widths, t.rescue_widths, "{ctx}");
+                let (striped, inter) = columns(&plain);
+                assert_eq!(striped + inter, residues, "{ctx}");
+
+                // The lanes the first pass flagged: those whose striped
+                // run at the same width saturates.
+                let k = &m.kernel_stats;
+                let flagged = match m.lane_width {
+                    0 => 0,
+                    bits => {
+                        let width = if bits == 8 {
+                            WidthPolicy::Fixed8
+                        } else {
+                            WidthPolicy::Fixed16
+                        };
+                        let striped = aligner.clone().with_width(width);
+                        let flags = db
+                            .sequences()
+                            .iter()
+                            .filter(|s| striped.align(&q, s).unwrap().saturated);
+                        flags.count()
+                    }
+                };
+                assert_eq!(k.inter_saturated, flagged, "{ctx}");
+                assert_eq!(m.lane_width > 0, inter > 0, "{ctx}");
+                if m.lane_width == 8 {
+                    byte_lanes_ran = true;
+                    assert_eq!(flagged, homologs, "{ctx}");
+                    // Walk-on: a quarter or all of them flagged fill
+                    // vectors at i16; one alone goes per subject.
+                    let per_subject = if homologs == 1 { 60 } else { 0 };
+                    assert!(striped <= per_subject, "{ctx}: {striped} striped columns");
+                }
+            }
+        }
+    }
+    if aalign_vec::IsaSupport::detect().avx2 {
+        assert!(byte_lanes_ran, "an AVX2 host runs byte lanes");
+    }
+}
+
+/// The query cap binds lanes wider than 8 bits only: local sweeps run
+/// byte lanes at any query length, global and semi-global ones (no
+/// certificate, so no byte lanes) stop at the cap.
+#[test]
+fn the_query_cap_binds_lanes_wider_than_a_byte() {
+    let engine = SearchEngine::new(2);
+    let mut rng = seeded_rng(4600);
+    let db = SeqDatabase::new(
+        (0..2 * LANES)
+            .map(|i| {
+                let len = rng.random_range(80..=240);
+                random_protein(&mut rng, format!("s{i}"), len)
+            })
+            .collect(),
+    );
+    let native = aalign_vec::IsaSupport::detect().avx2;
+    for m in [480, 520, 1200] {
+        let q = named_query(&mut rng, m);
+        for kind in [AlignKind::Local, AlignKind::Global, AlignKind::SemiGlobal] {
+            let aligner =
+                Aligner::new(AlignConfig::new(kind, GapModel::affine(-10, -2), &BLOSUM62));
+            let ctx = format!("Q{m} {kind:?}");
+            let report = engine
+                .search(&aligner, &q, &db, &SearchOptions::new())
+                .unwrap();
+            assert_eq!(report.hits, reference(&aligner, &q, &db), "{ctx}");
+            let inter = report.metrics.kernel_stats.inter_columns;
+            if kind == AlignKind::Local {
+                assert_eq!(inter > 0, native, "{ctx}");
+                assert_eq!(
+                    report.metrics.lane_width,
+                    if native { 8 } else { 0 },
+                    "{ctx}"
+                );
+            } else if m > aalign_core::LANE_QUERY_CAP {
+                assert_eq!(inter, 0, "{ctx}: no lanes above the cap");
+                assert_eq!(aligner.prepare(&q).unwrap().batch_lanes(), 0, "{ctx}");
+            } else {
+                assert_eq!(inter > 0, native, "{ctx}");
+            }
+        }
+    }
+}

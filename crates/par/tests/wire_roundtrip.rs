@@ -54,6 +54,7 @@ fn real_search_report_round_trips_losslessly() {
     assert_eq!(b.worker_load, m.worker_load);
     assert_eq!(b.rescue_widths, m.rescue_widths);
     assert_eq!(b.certified_width, m.certified_width);
+    assert_eq!(b.lane_width, m.lane_width);
     assert_eq!(b.queue_wait, m.queue_wait);
     assert_eq!(b.batch_wait, m.batch_wait);
     assert_eq!(b.request_e2e, m.request_e2e);
@@ -99,11 +100,11 @@ fn metrics_schema_v1_is_pinned() {
         "\"cells\":0,\"gcups\":0,",
         "\"kernel\":{\"lazy_iters\":0,\"lazy_sweeps\":0,\"iterate_columns\":0,",
         "\"scan_columns\":0,\"switches_to_scan\":0,\"probes_stayed\":0,",
-        "\"inter_columns\":0,\"inter_lane_columns\":0},",
+        "\"inter_columns\":0,\"inter_lane_columns\":0,\"inter_saturated\":0},",
         "\"width_retries\":0,\"rescued\":0,",
         "\"rescue_width_bits\":{\"count\":0,\"sum\":0,\"max\":0,\"mean\":0,",
         "\"p50\":0,\"p90\":0,\"p99\":0,\"p999\":0,\"buckets\":[]},",
-        "\"certified_width\":0,",
+        "\"certified_width\":0,\"lane_width\":0,",
         "\"coalesced\":0,\"workers_respawned\":0,",
         "\"shards\":{\"ok\":0,\"failed\":0,\"retried\":0,\"timed_out\":0},",
         "\"peak_hits_buffered\":0,",
@@ -152,6 +153,20 @@ fn pre_certified_width_documents_still_decode() {
     doc = doc.replace("\"certified_width\":0,", "");
     let back = metrics_from_wire(&JsonValue::parse(&doc).unwrap()).unwrap();
     assert_eq!(back.certified_width, 0);
+}
+
+#[test]
+fn pre_lane_width_documents_still_decode() {
+    // `lane_width` and the kernel's `inter_saturated` were added within
+    // schema v1; absent, both decode as 0 (no lane batch ran).
+    let mut doc = metrics_to_wire(&aalign_par::SearchMetrics::default()).render();
+    for key in ["\"lane_width\":0,", ",\"inter_saturated\":0"] {
+        assert!(doc.contains(key), "{key} not found in {doc}");
+        doc = doc.replace(key, "");
+    }
+    let back = metrics_from_wire(&JsonValue::parse(&doc).unwrap()).unwrap();
+    assert_eq!(back.lane_width, 0);
+    assert_eq!(back.kernel_stats.inter_saturated, 0);
 }
 
 #[test]

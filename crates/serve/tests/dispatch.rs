@@ -4,8 +4,12 @@
 //!
 //! The gates sit above [`SearchBackend`], so the cases that exercise
 //! them (coalescing, leader-cancel isolation, queue expiry, drain)
-//! run twice: over the real [`Local`](aalign_serve::Local) engine and
-//! over a [`Stub`] whose sweep is a timed wait.
+//! run twice: over the real [`Local`] engine and over a [`Stub`] with
+//! no engine at all. A case that needs a sweep in flight holds it open
+//! ([`common::Held`]) until its assertions are made, so none of them
+//! depends on how fast the kernel is.
+
+mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -19,12 +23,10 @@ use aalign_core::{AlignConfig, AlignError, Aligner, GapModel};
 use aalign_obs::wire::JsonValue;
 use aalign_par::{CancelToken, Hit, SearchMetrics, SearchReport};
 use aalign_serve::{
-    BackendStatus, Dispatcher, DispatcherConfig, SearchBackend, SearchRequest, ServeError,
+    BackendStatus, Dispatcher, DispatcherConfig, Local, SearchBackend, SearchRequest, ServeError,
 };
 
-/// A sweep must outlive the orchestration around it, so tests use a
-/// database big enough that one-thread sweeps take real wall time.
-const BIG_DB: usize = 400;
+use common::{wait_inflight, Held};
 
 fn aligner() -> Aligner {
     Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62))
@@ -43,57 +45,41 @@ fn dispatcher(threads: usize, count: usize, cfg: DispatcherConfig) -> Arc<Dispat
     Arc::new(Dispatcher::new(aligner(), db(count), threads, cfg))
 }
 
-/// A backend with no engine behind it: a sweep is a wait of
-/// [`Stub::SWEEP`] that honours the cancel token and the deadline the
-/// way the engine does, then one hit computed from the query alone.
-struct Stub;
-
-impl Stub {
-    const SWEEP: Duration = Duration::from_millis(400);
-
-    fn report(hits: Vec<Hit>, partial: bool) -> SearchReport {
-        SearchReport {
-            hits,
-            threads_used: 1,
-            subjects: 1,
-            total_residues: 0,
-            metrics: SearchMetrics::default(),
-            trace_events: Vec::new(),
-            partial,
-            errors: if partial {
-                vec![AlignError::DeadlineExceeded]
-            } else {
-                Vec::new()
-            },
-        }
-    }
+/// The engine-backed backend the held cases run over.
+fn engine() -> Local {
+    Local::new(aligner(), db(200), 1)
 }
+
+/// A backend with no engine behind it: a sweep is one hit computed
+/// from the query alone, or the cancellation the engine would return.
+struct Stub;
 
 impl SearchBackend for Stub {
     fn search(
         &self,
         query: &Sequence,
         _top_n: usize,
-        deadline: Option<Duration>,
+        _deadline: Option<Duration>,
         cancel: &CancelToken,
     ) -> Result<SearchReport, AlignError> {
-        let started = Instant::now();
-        while started.elapsed() < Self::SWEEP {
-            if cancel.is_cancelled() {
-                return Err(AlignError::Cancelled);
-            }
-            if deadline.is_some_and(|d| started.elapsed() >= d) {
-                return Ok(Self::report(Vec::new(), true));
-            }
-            thread::sleep(Duration::from_millis(1));
+        if cancel.is_cancelled() {
+            return Err(AlignError::Cancelled);
         }
         let score = query.indices().iter().map(|&i| i32::from(i)).sum();
-        let hit = Hit {
-            db_index: 0,
-            len: query.len(),
-            score,
-        };
-        Ok(Self::report(vec![hit], false))
+        Ok(SearchReport {
+            hits: vec![Hit {
+                db_index: 0,
+                len: query.len(),
+                score,
+            }],
+            threads_used: 1,
+            subjects: 1,
+            total_residues: 0,
+            metrics: SearchMetrics::default(),
+            trace_events: Vec::new(),
+            partial: false,
+            errors: Vec::new(),
+        })
     }
 
     fn threads(&self) -> usize {
@@ -118,41 +104,23 @@ impl SearchBackend for Stub {
     }
 }
 
-fn stub_dispatcher(cfg: DispatcherConfig) -> Arc<Dispatcher<Stub>> {
-    Arc::new(Dispatcher::with_backend(Arc::new(Stub), cfg))
-}
-
-/// Poll until the dispatcher reports at least `n` in-flight requests
-/// (bounded; panics rather than hanging the suite).
-fn wait_inflight<B: SearchBackend>(d: &Dispatcher<B>, n: u64) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let inflight = d
-            .health()
-            .get("inflight")
-            .and_then(JsonValue::as_u64)
-            .unwrap();
-        if inflight >= n {
-            return;
-        }
-        assert!(Instant::now() < deadline, "never reached {n} in flight");
-        thread::sleep(Duration::from_millis(5));
-    }
+/// Let requests admitted a moment ago attach to the flight they found
+/// before the test opens it.
+fn let_followers_attach() {
+    thread::sleep(Duration::from_millis(50));
 }
 
 #[test]
 fn identical_concurrent_requests_coalesce_onto_one_sweep() {
-    coalescing_case(|cfg| dispatcher(1, BIG_DB, cfg));
-    coalescing_case(stub_dispatcher);
+    coalescing_case(engine);
+    coalescing_case(|| Stub);
 }
 
-fn coalescing_case<B: SearchBackend + 'static>(
-    make: impl Fn(DispatcherConfig) -> Arc<Dispatcher<B>>,
-) {
-    let d = make(DispatcherConfig::default().max_inflight(8));
+fn coalescing_case<B: SearchBackend + 'static>(backend: impl Fn() -> B) {
+    let (d, held) = Held::dispatcher(backend(), DispatcherConfig::default().max_inflight(8));
     let q = query_text(1, 150);
 
-    // Leader starts a slow sweep…
+    // Leader starts a sweep, held open…
     let leader = {
         let d = Arc::clone(&d);
         let q = q.clone();
@@ -168,6 +136,9 @@ fn coalescing_case<B: SearchBackend + 'static>(
             thread::spawn(move || d.search(&SearchRequest::new(q)).unwrap())
         })
         .collect();
+    wait_inflight(&d, 4);
+    let_followers_attach();
+    held.open();
     let lead = leader.join().unwrap();
     let follows: Vec<_> = followers.into_iter().map(|h| h.join().unwrap()).collect();
 
@@ -223,9 +194,8 @@ fn no_batch_requests_never_coalesce() {
 
 #[test]
 fn full_queue_is_refused_immediately_as_overloaded() {
-    let d = dispatcher(
-        1,
-        BIG_DB,
+    let (d, held) = Held::dispatcher(
+        engine(),
         DispatcherConfig::default().max_inflight(1).max_queued(0),
     );
     let blocker = {
@@ -249,19 +219,21 @@ fn full_queue_is_refused_immediately_as_overloaded() {
     let wire = err.to_wire().render();
     assert!(wire.contains("\"schema_version\":1"), "{wire}");
     assert!(wire.contains("\"code\":\"overloaded\""), "{wire}");
+    held.open();
     blocker.join().unwrap();
 }
 
 #[test]
 fn deadline_expiring_in_queue_yields_a_partial_report_not_an_error() {
-    queue_expiry_case(|cfg| dispatcher(1, BIG_DB, cfg));
-    queue_expiry_case(stub_dispatcher);
+    queue_expiry_case(engine());
+    queue_expiry_case(Stub);
 }
 
-fn queue_expiry_case<B: SearchBackend + 'static>(
-    make: impl Fn(DispatcherConfig) -> Arc<Dispatcher<B>>,
-) {
-    let d = make(DispatcherConfig::default().max_inflight(1).max_queued(4));
+fn queue_expiry_case<B: SearchBackend + 'static>(backend: B) {
+    let (d, held) = Held::dispatcher(
+        backend,
+        DispatcherConfig::default().max_inflight(1).max_queued(4),
+    );
     let blocker = {
         let d = Arc::clone(&d);
         let q = query_text(5, 150);
@@ -278,14 +250,14 @@ fn queue_expiry_case<B: SearchBackend + 'static>(
         .errors
         .iter()
         .any(|e| matches!(e, AlignError::DeadlineExceeded)));
+    held.open();
     blocker.join().unwrap();
 }
 
 #[test]
 fn tenant_quota_fences_noisy_neighbors() {
-    let d = dispatcher(
-        1,
-        BIG_DB,
+    let (d, held) = Held::dispatcher(
+        engine(),
         DispatcherConfig::default().max_inflight(4).tenant_quota(1),
     );
     let blocker = {
@@ -307,10 +279,16 @@ fn tenant_quota_fences_noisy_neighbors() {
         }
     );
 
-    // A different tenant is unaffected.
-    let mut req = SearchRequest::new(query_text(8, 60));
-    req.tenant = Some("quiet".to_string());
-    assert!(d.search(&req).is_ok());
+    // A different tenant is unaffected: admitted beside the noisy one.
+    let quiet = {
+        let d = Arc::clone(&d);
+        let mut req = SearchRequest::new(query_text(8, 60));
+        req.tenant = Some("quiet".to_string());
+        thread::spawn(move || d.search(&req))
+    };
+    wait_inflight(&d, 2);
+    held.open();
+    assert!(quiet.join().unwrap().is_ok());
     blocker.join().unwrap();
 
     // The noisy tenant's slot is released once its request finishes.
@@ -321,7 +299,8 @@ fn tenant_quota_fences_noisy_neighbors() {
 
 #[test]
 fn cancellation_by_request_id_stops_an_inflight_search() {
-    let d = dispatcher(1, BIG_DB, DispatcherConfig::default());
+    // Never opened: the cancel alone lets the held sweep go.
+    let (d, _held) = Held::dispatcher(engine(), DispatcherConfig::default());
     let handle = {
         let d = Arc::clone(&d);
         let mut req = SearchRequest::new(query_text(9, 150));
@@ -341,14 +320,12 @@ fn cancellation_by_request_id_stops_an_inflight_search() {
 
 #[test]
 fn cancelling_the_leader_does_not_cancel_coalesced_followers() {
-    leader_cancel_case(|cfg| dispatcher(1, BIG_DB, cfg));
-    leader_cancel_case(stub_dispatcher);
+    leader_cancel_case(engine());
+    leader_cancel_case(Stub);
 }
 
-fn leader_cancel_case<B: SearchBackend + 'static>(
-    make: impl Fn(DispatcherConfig) -> Arc<Dispatcher<B>>,
-) {
-    let d = make(DispatcherConfig::default().max_inflight(8));
+fn leader_cancel_case<B: SearchBackend + 'static>(backend: B) {
+    let (d, held) = Held::dispatcher(backend, DispatcherConfig::default().max_inflight(8));
     let q = query_text(15, 150);
     let leader = {
         let d = Arc::clone(&d);
@@ -363,15 +340,16 @@ fn leader_cancel_case<B: SearchBackend + 'static>(
         thread::spawn(move || d.search(&SearchRequest::new(q)))
     };
     wait_inflight(&d, 2);
-    // Give the second request a beat to attach to the leader's
-    // flight before the leader is cancelled out from under it.
-    thread::sleep(Duration::from_millis(50));
+    // The second request attaches to the leader's flight before the
+    // leader is cancelled out from under it.
+    let_followers_attach();
     d.cancel("leader").unwrap();
 
     // The cancelled caller gets the cancellation…
     let err = leader.join().unwrap().unwrap_err();
     assert_eq!(err, ServeError::Engine(AlignError::Cancelled));
     // …but the coalesced request re-runs the sweep and completes.
+    held.open();
     let resp = follower.join().unwrap().unwrap();
     assert!(!resp.report.partial, "follower must not inherit the cancel");
     assert!(!resp.report.hits.is_empty());
@@ -388,7 +366,7 @@ fn leader_cancel_case<B: SearchBackend + 'static>(
 
 #[test]
 fn duplicate_inflight_request_ids_are_rejected() {
-    let d = dispatcher(1, BIG_DB, DispatcherConfig::default().max_inflight(4));
+    let (d, held) = Held::dispatcher(engine(), DispatcherConfig::default().max_inflight(4));
     let first = {
         let d = Arc::clone(&d);
         let mut req = SearchRequest::new(query_text(10, 150));
@@ -400,6 +378,7 @@ fn duplicate_inflight_request_ids_are_rejected() {
     req.id = Some("dup".to_string());
     let err = d.search(&req).unwrap_err();
     assert!(matches!(err, ServeError::BadRequest(_)), "{err}");
+    held.open();
     first.join().unwrap();
 
     // After the first resolves, the id is reusable.
@@ -422,15 +401,15 @@ fn invalid_queries_are_bad_requests_not_engine_errors() {
 
 #[test]
 fn graceful_drain_completes_inflight_bit_exact_and_refuses_new() {
-    drain_case(|cfg| dispatcher(2, BIG_DB, cfg));
-    drain_case(stub_dispatcher);
+    drain_case(engine);
+    drain_case(|| Stub);
 }
 
-fn drain_case<B: SearchBackend + 'static>(make: impl Fn(DispatcherConfig) -> Arc<Dispatcher<B>>) {
-    let d = make(DispatcherConfig::default());
+fn drain_case<B: SearchBackend + 'static>(backend: impl Fn() -> B) {
+    let (d, held) = Held::dispatcher(backend(), DispatcherConfig::default());
     let q = query_text(12, 150);
     // Reference result from an identical dispatcher, undisturbed.
-    let reference = make(DispatcherConfig::default())
+    let reference = Dispatcher::with_backend(Arc::new(backend()), DispatcherConfig::default())
         .search(&SearchRequest::new(q.clone()))
         .unwrap();
 
@@ -456,6 +435,7 @@ fn drain_case<B: SearchBackend + 'static>(make: impl Fn(DispatcherConfig) -> Arc
 
     // The in-flight request runs to completion — same hits, bit for
     // bit, as the undisturbed run.
+    held.open();
     let resp = inflight.join().unwrap();
     assert!(!resp.report.partial, "drain must not truncate the sweep");
     assert_eq!(resp.report.hits, reference.report.hits);
@@ -464,7 +444,7 @@ fn drain_case<B: SearchBackend + 'static>(make: impl Fn(DispatcherConfig) -> Arc
 
 #[test]
 fn wait_idle_times_out_while_work_is_still_running() {
-    let d = dispatcher(1, BIG_DB, DispatcherConfig::default());
+    let (d, held) = Held::dispatcher(engine(), DispatcherConfig::default());
     let inflight = {
         let d = Arc::clone(&d);
         let q = query_text(14, 150);
@@ -472,6 +452,7 @@ fn wait_idle_times_out_while_work_is_still_running() {
     };
     wait_inflight(&d, 1);
     assert!(!d.wait_idle(Duration::from_millis(50)));
+    held.open();
     inflight.join().unwrap();
     assert!(d.wait_idle(Duration::from_secs(5)));
 }

@@ -3,12 +3,14 @@
 //! service surfaces — and the guarantee that tracing never changes
 //! a result.
 
+mod common;
+
 use std::io::{BufReader, Cursor, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
@@ -19,7 +21,9 @@ use aalign_obs::wire::{histogram_from_wire, JsonValue};
 use aalign_obs::{StageKind, TraceEvent};
 use aalign_serve::http::serve_http;
 use aalign_serve::rpc::serve_stdio;
-use aalign_serve::{Dispatcher, DispatcherConfig, SearchRequest};
+use aalign_serve::{Dispatcher, DispatcherConfig, Local, SearchRequest};
+
+use common::{wait_inflight, Held};
 
 fn aligner() -> Aligner {
     Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62))
@@ -36,23 +40,6 @@ fn dispatcher(threads: usize, count: usize, cfg: DispatcherConfig) -> Arc<Dispat
 fn query_text(seed: u64, len: usize) -> String {
     let mut rng = seeded_rng(seed);
     String::from_utf8(named_query(&mut rng, len).text()).unwrap()
-}
-
-/// Poll until the dispatcher reports at least `n` in-flight requests.
-fn wait_inflight(d: &Dispatcher, n: u64) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let inflight = d
-            .health()
-            .get("inflight")
-            .and_then(JsonValue::as_u64)
-            .unwrap();
-        if inflight >= n {
-            return;
-        }
-        assert!(Instant::now() < deadline, "never reached {n} in flight");
-        thread::sleep(Duration::from_millis(5));
-    }
 }
 
 #[test]
@@ -105,7 +92,10 @@ fn every_stage_event_carries_its_request_id() {
 
 #[test]
 fn coalesced_followers_reference_the_leaders_sweep() {
-    let d = dispatcher(1, 400, DispatcherConfig::default().max_inflight(8));
+    let (d, held) = Held::dispatcher(
+        Local::new(aligner(), db(200), 1),
+        DispatcherConfig::default().max_inflight(8),
+    );
     let q = query_text(1, 150);
 
     let leader = {
@@ -121,6 +111,10 @@ fn coalesced_followers_reference_the_leaders_sweep() {
             thread::spawn(move || d.search(&SearchRequest::new(q)).unwrap())
         })
         .collect();
+    // Every follower admitted and attached before the sweep may end.
+    wait_inflight(&d, 4);
+    thread::sleep(Duration::from_millis(50));
+    held.open();
     let lead = leader.join().unwrap();
     let follows: Vec<_> = followers.into_iter().map(|h| h.join().unwrap()).collect();
 
@@ -195,21 +189,10 @@ fn health_stages_decode_as_lossless_histograms() {
 
 #[test]
 fn prometheus_has_gauges_and_stage_summaries() {
-    let d = dispatcher(2, 40, DispatcherConfig::default().tenant_quota(4));
-    let mut req = SearchRequest::new(query_text(8, 50));
-    req.tenant = Some("teamA".to_string());
-    d.search(&req).unwrap();
-
-    let text = d.prometheus();
-    assert!(text.contains("# TYPE aalign_serve_inflight gauge"));
-    assert!(text.contains("aalign_serve_inflight 0"));
-    assert!(text.contains("# TYPE aalign_serve_queued gauge"));
-    assert!(text.contains("# TYPE aalign_serve_tenant_inflight gauge"));
-    assert!(text.contains("# TYPE aalign_serve_stage_sweep_seconds summary"));
-    assert!(text.contains("aalign_serve_stage_sweep_seconds_count 1"));
-    assert!(text.contains("aalign_serve_stage_e2e_seconds{quantile=\"0.999\"}"));
-    assert!(text.contains("aalign_serve_flight_events_recorded"));
-
+    let (d, held) = Held::dispatcher(
+        Local::new(aligner(), db(40), 2),
+        DispatcherConfig::default().tenant_quota(4),
+    );
     // A tenant mid-flight shows up in the per-tenant gauge.
     let slow = {
         let d = Arc::clone(&d);
@@ -221,7 +204,18 @@ fn prometheus_has_gauges_and_stage_summaries() {
     assert!(d
         .prometheus()
         .contains("aalign_serve_tenant_inflight{tenant=\"teamB\"} 1"));
+    held.open();
     slow.join().unwrap();
+
+    let text = d.prometheus();
+    assert!(text.contains("# TYPE aalign_serve_inflight gauge"));
+    assert!(text.contains("aalign_serve_inflight 0"));
+    assert!(text.contains("# TYPE aalign_serve_queued gauge"));
+    assert!(text.contains("# TYPE aalign_serve_tenant_inflight gauge"));
+    assert!(text.contains("# TYPE aalign_serve_stage_sweep_seconds summary"));
+    assert!(text.contains("aalign_serve_stage_sweep_seconds_count 1"));
+    assert!(text.contains("aalign_serve_stage_e2e_seconds{quantile=\"0.999\"}"));
+    assert!(text.contains("aalign_serve_flight_events_recorded"));
 }
 
 #[test]

@@ -964,6 +964,11 @@ pub(crate) fn merge_reports(
         // Shards run concurrently: stage walls aggregate as maxima.
         metrics.prepare = metrics.prepare.max(m.prepare);
         metrics.sweep = metrics.sweep.max(m.sweep);
+        // Narrowest first-pass lane width of any shard, 0 for "none ran".
+        metrics.lane_width = match (metrics.lane_width, m.lane_width) {
+            (0, w) | (w, 0) => w,
+            (a, b) => a.min(b),
+        };
         certified = match (certified, m.certified_width) {
             (Some(c), w) if w > 0 => Some(c.min(w)),
             _ => None,
