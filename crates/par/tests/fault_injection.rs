@@ -11,8 +11,10 @@ use std::time::Duration;
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
 use aalign_bio::{SeqDatabase, Sequence};
+use aalign_core::paradigm::paradigm_dp;
 use aalign_core::{AlignConfig, AlignError, Aligner, GapModel, Strategy, WidthPolicy};
-use aalign_par::{SearchEngine, SearchOptions};
+use aalign_obs::{Histogram, TraceEvent};
+use aalign_par::{SearchEngine, SearchOptions, SearchReport};
 
 fn cfg() -> AlignConfig {
     AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62)
@@ -79,6 +81,58 @@ fn no_deadline_leaves_results_unchanged() {
     assert_eq!(plain.subjects, db.len());
 }
 
+const FIXED: [WidthPolicy; 3] = [
+    WidthPolicy::Fixed8,
+    WidthPolicy::Fixed16,
+    WidthPolicy::Fixed32,
+];
+
+/// Subjects rescued, and each rescue step as `(from_bits, to_bits)`.
+type Rescues = (u64, &'static [(u64, u64)]);
+
+/// A histogram holding exactly these samples.
+fn samples(bits: impl IntoIterator<Item = u64>) -> Histogram {
+    let mut h = Histogram::new();
+    bits.into_iter().for_each(|b| h.record(b));
+    h
+}
+
+/// Search untraced and traced, and check every rescue step exactly:
+/// `rescued` subjects, one `rescue_widths` sample per step (the width
+/// it widened from), and one `TraceEvent::Rescue { from_bits, to_bits }`
+/// per step, in stream order — so a ladder that skips or repeats a rung
+/// fails. Returns the untraced report.
+fn assert_rescues(
+    engine: &SearchEngine,
+    a: &Aligner,
+    (q, db): (&Sequence, &SeqDatabase),
+    (rescued, steps): Rescues,
+) -> SearchReport {
+    let report = engine.search(a, q, db, &SearchOptions::new()).unwrap();
+    let traced = engine
+        .search(a, q, db, &SearchOptions::new().trace(true))
+        .unwrap();
+    let from = samples(steps.iter().map(|&(from, _)| from));
+    for r in [&report, &traced] {
+        assert_eq!(r.metrics.rescued, rescued, "{a:?}");
+        assert_eq!(r.metrics.rescue_widths, from, "{a:?}");
+        assert!(!r.partial, "a rescue is recovery, not failure");
+    }
+    assert_eq!(traced.hits, report.hits);
+    let traced_steps: Vec<(u64, u64)> = traced
+        .trace_events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Rescue {
+                from_bits, to_bits, ..
+            } => Some((*from_bits, *to_bits)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(traced_steps, steps, "{a:?}");
+    report
+}
+
 #[test]
 fn saturating_fixed8_pair_is_rescued_bit_exactly() {
     // W·W scores 11 in BLOSUM62, so an all-W self-alignment blows
@@ -87,14 +141,7 @@ fn saturating_fixed8_pair_is_rescued_bit_exactly() {
     let mut seqs = swissprot_like_db(7201, 10).sequences().to_vec();
     seqs.push(w.clone());
     let db = SeqDatabase::new(seqs);
-    let narrow = aligner().with_width(WidthPolicy::Fixed8);
     let engine = SearchEngine::new(2);
-    let report = engine
-        .search(&narrow, &w, &db, &SearchOptions::new())
-        .unwrap();
-    assert!(!report.partial, "a rescue is recovery, not failure");
-    assert!(report.metrics.rescued >= 1, "the W subject must be rescued");
-    assert!(report.metrics.rescue_widths.count() >= 1);
     // The rescued score is the exact wide-width score.
     let exact = aligner()
         .with_width(WidthPolicy::Fixed32)
@@ -103,10 +150,16 @@ fn saturating_fixed8_pair_is_rescued_bit_exactly() {
         .score;
     assert_eq!(exact, 100 * 11);
     let w_index = db.len() - 1;
-    let hit = report.hits.iter().find(|h| h.db_index == w_index).unwrap();
-    assert_eq!(hit.score, exact, "rescue must recover the exact score");
+    // Per starting width: only i8 saturates, and one step to i16 holds.
+    let want: [Rescues; 3] = [(1, &[(8, 16)]), (0, &[]), (0, &[])];
+    for (width, want) in FIXED.into_iter().zip(want) {
+        let report = assert_rescues(&engine, &aligner().with_width(width), (&w, &db), want);
+        let hit = report.hits.iter().find(|h| h.db_index == w_index).unwrap();
+        assert_eq!(hit.score, exact, "rescue must recover the exact score");
+    }
     // Rescue off: the saturated narrow score stays clamped below the
     // true value — proof the rescue path did the recovering.
+    let narrow = aligner().with_width(WidthPolicy::Fixed8);
     let unrescued = engine
         .search(&narrow, &w, &db, &SearchOptions::new().rescue(false))
         .unwrap();
@@ -122,23 +175,36 @@ fn saturating_fixed8_pair_is_rescued_bit_exactly() {
 /// A forced narrow width on a semi-global run outside the width's
 /// bound used to come back clamped and unflagged (−114 for −119); it
 /// is reported saturated now, so the ladder recovers the exact score.
+/// Repeated 200 times the query sinks below 16 bits' floor too, so from
+/// i8 the ladder climbs both rungs.
 #[test]
 fn forced_narrow_semi_global_subject_is_rescued_to_the_exact_score() {
-    let q = Sequence::protein("q", b"GEDICVHQHGDRRKEHCPFKCDYLLATIYL").unwrap();
+    let motif = b"GEDICVHQHGDRRKEHCPFKCDYLLATIYL";
+    let q = Sequence::protein("q", motif).unwrap();
+    let long = Sequence::protein("q200", &motif.repeat(200)).unwrap();
     let db = SeqDatabase::new(vec![Sequence::protein("s", b"TLFLGRH").unwrap()]);
-    let narrow = Aligner::new(AlignConfig::new(
+    let cfg = AlignConfig::new(
         aalign_core::AlignKind::SemiGlobal,
         GapModel::linear(-6),
         &BLOSUM62,
-    ))
-    .with_width(WidthPolicy::Fixed8);
+    );
     let engine = SearchEngine::new(1);
-    let report = engine
-        .search(&narrow, &q, &db, &SearchOptions::new())
-        .unwrap();
-    assert_eq!(report.hits[0].score, -119);
-    assert_eq!(report.metrics.rescued, 1);
-    assert!(!report.partial);
+    let want: [(&Sequence, [Rescues; 3]); 2] = [
+        (&q, [(1, &[(8, 16)]), (0, &[]), (0, &[])]),
+        (
+            &long,
+            [(1, &[(8, 16), (16, 32)]), (1, &[(16, 32)]), (0, &[])],
+        ),
+    ];
+    for (q, per_width) in want {
+        let exact = paradigm_dp(&cfg, q, db.get(0)).score;
+        for (width, want) in FIXED.into_iter().zip(per_width) {
+            let narrow = Aligner::new(cfg.clone()).with_width(width);
+            let report = assert_rescues(&engine, &narrow, (q, &db), want);
+            assert_eq!(report.hits[0].score, exact, "Q{} {width:?}", q.len());
+        }
+    }
+    assert_eq!(paradigm_dp(&cfg, &q, db.get(0)).score, -119);
 }
 
 #[cfg(feature = "fault-inject")]
@@ -261,6 +327,9 @@ mod scripted {
         // wider and lands on the identical score.
         assert_eq!(report.hits, plain.hits, "rescue must not change results");
         assert_eq!(report.metrics.rescued, 2);
+        // Both ran at i16, the first width `Auto` plans, and one step
+        // to i32 each took them back.
+        assert_eq!(report.metrics.rescue_widths, samples([16, 16]));
         assert!(!report.partial);
         // With rescue disabled the forced flag is simply ignored (no
         // ladder, no retries) and scores are unchanged too — the flag
