@@ -187,7 +187,7 @@ pub fn analyze_certify(
     max_subject: usize,
 ) -> Result<CertifyReport, BindError> {
     let config = spec_to_config(spec, bind, matrix)?;
-    let certificates = [8u32, 16, 32]
+    let certificates = aalign_vec::WIDTHS
         .into_iter()
         .map(|bits| certify(&config, max_query, max_subject, bits))
         .collect();

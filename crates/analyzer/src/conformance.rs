@@ -1027,7 +1027,7 @@ fn lazy_f_bound_obligation(spec: &KernelSpec, bounds: Option<&ScoreBounds>) -> O
     let numeric = bounds.map_or_else(
         || "(premise bindings did not bind)".to_string(),
         |b| {
-            let caps = [8u32, 16, 32]
+            let caps = aalign_vec::WIDTHS
                 .iter()
                 .filter(|&&w| b.fits(w))
                 .map(|&w| {

@@ -58,7 +58,7 @@ impl core::fmt::Display for RangeReport {
         writeln!(f, "  T ∈ [{}, {}]", b.t_min, b.t_max)?;
         writeln!(f, "  U, L ∈ [{}, {}]", b.ul_min, b.ul_max)?;
         writeln!(f, "  headroom {}  bias {}", b.headroom, b.bias())?;
-        for bits in [8u32, 16, 32] {
+        for bits in aalign_vec::WIDTHS {
             let verdict = if b.fits(bits) { "ok" } else { "OVERFLOW" };
             writeln!(
                 f,
@@ -84,7 +84,7 @@ pub fn analyze_range(
 ) -> Result<RangeReport, BindError> {
     let config = spec_to_config(spec, bind, matrix)?;
     let bounds = config.score_bounds(max_query, max_subject);
-    let rejected_bits = [8u32, 16, 32]
+    let rejected_bits = aalign_vec::WIDTHS
         .into_iter()
         .filter(|&b| !bounds.fits(b))
         .collect();

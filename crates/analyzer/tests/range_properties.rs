@@ -156,10 +156,10 @@ proptest! {
             );
             // Selection is minimal *and* monotone: every narrower
             // width was rejected, every wider one also fits.
-            for narrower in [8u32, 16, 32].into_iter().filter(|&w| w < bits) {
+            for narrower in aalign_vec::WIDTHS.into_iter().filter(|&w| w < bits) {
                 prop_assert!(report.rejected_bits.contains(&narrower));
             }
-            for wider in [8u32, 16, 32].into_iter().filter(|&w| w > bits) {
+            for wider in aalign_vec::WIDTHS.into_iter().filter(|&w| w > bits) {
                 prop_assert!(b.fits(wider));
             }
         } else {

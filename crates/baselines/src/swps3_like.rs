@@ -5,23 +5,27 @@
 //! 16-bit when saturation is detected. The paper (Sec. VI-C) credits
 //! this for SWPS3 winning on long queries (lower cache pressure) and
 //! losing elsewhere. This reimplementation keeps exactly that
-//! structure: an i8 → i16 → i32 escalation ladder of striped-iterate
-//! kernels with per-level profiles built once per query, running on
-//! the 256-bit CPU engines through the same dispatched fast path as
-//! the main aligner (so the Fig. 11 comparison measures the
-//! *algorithmic* difference, not call overhead).
+//! structure: an i8 → i16 → i32 escalation of striped-iterate kernels
+//! up one query's width ladder (built once per query, one striped
+//! profile per rung), running on the 256-bit CPU engines through the
+//! same dispatched fast path and the same rescue call as the main
+//! search engine (so the Fig. 11 comparison measures the *algorithmic*
+//! difference, not call overhead).
 
 use aalign_bio::{Sequence, SubstMatrix};
 use aalign_core::{
     AlignConfig, AlignError, AlignScratch, Aligner, GapModel, PreparedQuery, Strategy, WidthPolicy,
 };
+use aalign_obs::NullSink;
 use aalign_vec::detect::Isa;
 
 /// A prepared SWPS3-like searcher for one query.
 #[derive(Debug)]
 pub struct Swps3Like {
-    cfg: AlignConfig,
-    levels: Vec<(u32, Aligner, PreparedQuery)>,
+    /// Striped-iterate, pinned to i8 on the AVX2 row.
+    aligner: Aligner,
+    /// The query's width ladder: the i8 rung and the two above it.
+    prepared: PreparedQuery,
 }
 
 /// Outcome of one SWPS3-like alignment.
@@ -40,28 +44,17 @@ impl Swps3Like {
     /// # Panics
     /// Panics if the query is empty.
     pub fn new(query: &Sequence, gap: GapModel, matrix: &SubstMatrix) -> Self {
-        let cfg = AlignConfig::local(gap, matrix);
-        let levels = [
-            (8, WidthPolicy::Fixed8),
-            (16, WidthPolicy::Fixed16),
-            (32, WidthPolicy::Fixed32),
-        ]
-        .into_iter()
-        .map(|(bits, width)| {
-            let aligner = Aligner::new(cfg.clone())
-                .with_strategy(Strategy::StripedIterate)
-                .with_isa(Isa::Avx2)
-                .with_width(width);
-            let prepared = aligner.prepare(query).expect("non-empty validated query");
-            (bits, aligner, prepared)
-        })
-        .collect();
-        Self { cfg, levels }
+        let aligner = Aligner::new(AlignConfig::local(gap, matrix))
+            .with_strategy(Strategy::StripedIterate)
+            .with_isa(Isa::Avx2)
+            .with_width(WidthPolicy::Fixed8);
+        let prepared = aligner.prepare(query).expect("non-empty validated query");
+        Self { aligner, prepared }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &AlignConfig {
-        &self.cfg
+        self.aligner.config()
     }
 
     /// Align one subject: run at 8-bit, escalate on saturation.
@@ -76,36 +69,23 @@ impl Swps3Like {
         subject: &Sequence,
         scratch: &mut Swps3Scratch,
     ) -> Result<Swps3Result, AlignError> {
-        let mut last = Swps3Result {
-            score: 0,
-            bits_used: 8,
-        };
-        for (bits, aligner, prepared) in &self.levels {
-            let out = aligner.align_prepared(prepared, subject, &mut scratch.inner)?;
-            last = Swps3Result {
-                score: out.score,
-                bits_used: *bits,
-            };
-            if !out.saturated {
-                break;
+        let (aligner, pq) = (&self.aligner, &self.prepared);
+        let mut out = aligner.align_prepared(pq, subject, scratch)?;
+        while out.saturated {
+            match aligner.align_wider(pq, subject, out.elem_bits, scratch, &mut NullSink)? {
+                Some(wider) => out = wider,
+                None => break,
             }
         }
-        Ok(last)
+        Ok(Swps3Result {
+            score: out.score,
+            bits_used: out.elem_bits,
+        })
     }
 }
 
-/// Reusable per-thread scratch buffers.
-#[derive(Debug, Default)]
-pub struct Swps3Scratch {
-    inner: AlignScratch,
-}
-
-impl Swps3Scratch {
-    /// Fresh scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+/// Reusable per-thread scratch buffers: the aligner's own.
+pub type Swps3Scratch = AlignScratch;
 
 #[cfg(test)]
 mod tests {

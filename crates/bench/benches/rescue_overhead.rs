@@ -1,14 +1,14 @@
 //! Guard bench: overflow rescue must be free when nothing saturates.
 //!
-//! The engine's rescue path adds exactly two things to a sweep that
-//! never saturates: building the (lazy, empty) `RescueLadder` once
-//! per query, and one `if out.saturated` branch per subject. This
-//! bench *enforces* that budget: it times an engine search over a
-//! non-saturating database with rescue enabled (the default) against
-//! the same search with `rescue(false)` and fails if the enabled
-//! path costs more than 1%. It also reports — informationally,
-//! unguarded — what a sweep that actually rescues pays, since that
-//! path is allowed to spend time recovering exact scores.
+//! The engine's rescue path adds exactly one thing to a sweep that
+//! never saturates: one `out.saturated` branch per subject (it climbs
+//! the rungs `prepare` already built). This bench *enforces* that
+//! budget: it times an engine search over a non-saturating database
+//! with rescue enabled (the default) against the same search with
+//! `rescue(false)` and fails if the enabled path costs more than 1%.
+//! It also reports — informationally, unguarded — what a sweep that
+//! actually rescues pays, since that path is allowed to spend time
+//! recovering exact scores.
 //!
 //! Usage: `cargo bench -p aalign-bench --bench rescue_overhead`
 

@@ -634,7 +634,7 @@ impl CertificateStore {
     /// Run the prover for every lane width over the given bounds.
     pub fn compute(cfg: &AlignConfig, max_query: usize, max_subject: usize) -> Self {
         Self {
-            certs: [8u32, 16, 32]
+            certs: aalign_vec::WIDTHS
                 .into_iter()
                 .map(|bits| certify(cfg, max_query, max_subject, bits))
                 .collect(),
@@ -676,7 +676,7 @@ impl CertificateStore {
 
     /// Narrowest granted width covering `(m, n)`, or 0 when none.
     pub fn narrowest_granted(&self, m: usize, n: usize) -> u32 {
-        [8u32, 16, 32]
+        aalign_vec::WIDTHS
             .into_iter()
             .find(|&bits| self.grants(bits, m, n))
             .unwrap_or(0)
@@ -784,7 +784,7 @@ mod tests {
                     let cfg = AlignConfig::new(kind, gap, matrix);
                     for (m, n) in [(4, 4), (48, 48), (48, 1000), (400, 400), (3000, 3000)] {
                         let bounds = cfg.score_bounds(m, n);
-                        for bits in [8u32, 16, 32] {
+                        for bits in aalign_vec::WIDTHS {
                             if bounds.fits(bits) {
                                 let cert = certify(&cfg, m, n, bits);
                                 assert!(

@@ -386,7 +386,7 @@ impl ScoreBounds {
     /// every intermediate, or `None` when even i32 would wrap — such
     /// a configuration must be rejected, not run.
     pub fn min_lane_bits(&self) -> Option<u32> {
-        [8u32, 16, 32].into_iter().find(|&b| self.fits(b))
+        aalign_vec::WIDTHS.into_iter().find(|&b| self.fits(b))
     }
 
     /// Bias constant for unsigned-arithmetic lanes: shifting every

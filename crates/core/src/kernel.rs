@@ -1,21 +1,24 @@
 //! Strategy/backend/width dispatch and the public [`Aligner`] API.
 //!
 //! This is AAlign's "re-link against the platform's vector modules"
-//! step done at runtime: the aligner resolves an engine per element
-//! width from [`aalign_vec::dispatch`]'s table (AVX-512 → AVX2 →
-//! SSE4.1 → emulated, with automatic i16 → i32 overflow fallback, the
-//! SWPS3 escape hatch) and a strategy (sequential / striped-iterate /
-//! striped-scan / hybrid), then runs one striped attempt through
-//! [`with_engine`] — the monomorphized kernel for that combination.
-//! For a whole vector of subjects at once there is
-//! [`Aligner::align_batch_prepared`]: the lane-per-subject kernel of
-//! [`crate::inter`], run where the rule written on that method says it
-//! wins and declined everywhere else.
+//! step done at runtime: [`Aligner::prepare`] builds the query's width
+//! ladder, one rung per element width on the engine
+//! [`aalign_vec::dispatch`]'s table resolves for it (AVX-512 → AVX2 →
+//! SSE4.1 → emulated), and a strategy (sequential / striped-iterate /
+//! striped-scan / hybrid) runs one striped attempt per rung through
+//! [`with_engine`]. Every width decision walks up that ladder, wider on
+//! saturation (the SWPS3 escape hatch): the `Auto` plan per subject,
+//! the byte lanes first of [`Aligner::align_batch_prepared`] (the
+//! lane-per-subject kernel of [`crate::inter`], run where the rule
+//! written on that method says it wins) and the overflow rescue
+//! ([`Aligner::align_wider`]).
 
 use aalign_bio::{Sequence, StripedProfile, SubstMatrix};
 use aalign_obs::{CollectorSink, NullSink, TraceSink};
 use aalign_vec::detect::{Isa, IsaSupport};
-use aalign_vec::{resolve, with_engine, Backend, DispatchElem, EngineFn, ScoreElem, SimdEngine};
+use aalign_vec::{
+    resolve, with_engine, Backend, DispatchElem, EngineFn, ScoreElem, SimdEngine, WIDTHS,
+};
 
 use std::sync::Arc;
 
@@ -24,7 +27,7 @@ use crate::config::{AlignConfig, AlignKind, TableII};
 use crate::inter::{InterBatches, InterWorkspace, LaneProfile};
 use crate::scalar::scalar_column_align;
 use crate::striped::{
-    hybrid_align_sink, iterate_align_sink, scan_align_sink, HybridPolicy, KernelResult, Workspace,
+    hybrid_align_sink, iterate_align_sink, scan_align_sink, HybridPolicy, HybridReport, Workspace,
 };
 
 /// Vectorization strategy selection.
@@ -56,11 +59,14 @@ impl Strategy {
 /// Score element width selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WidthPolicy {
-    /// Try i16 first (when the score bound allows), retry i32 on
-    /// saturation — the standard production configuration.
+    /// Widen per subject — the standard production configuration: i8
+    /// where an installed certificate proves it, i16 where the score
+    /// bound allows, i32 after a saturated run. A local search's lane
+    /// batches start at i8 regardless ([`Aligner::align_batch_prepared`]).
     #[default]
     Auto,
-    /// Force 8-bit lanes (no fallback; output may report saturation).
+    /// Force 8-bit lanes (no fallback; output may report saturation,
+    /// which [`Aligner::align_wider`] can rescue).
     Fixed8,
     /// Force 16-bit lanes.
     Fixed16,
@@ -229,47 +235,6 @@ pub struct AlignOutput {
     pub stats: RunStats,
 }
 
-/// How an [`AlignOutput`]'s score should be trusted — the tri-state
-/// behind the engine's overflow-rescue decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlignOutcome {
-    /// First width attempt sufficed; the score is exact.
-    Exact,
-    /// A narrow attempt saturated and the aligner's own width plan
-    /// retried wider; the final score is exact.
-    Widened {
-        /// Width escalations taken within the aligner's plan.
-        retries: u32,
-    },
-    /// Every width the policy allowed saturated: the score is a lower
-    /// bound, not the alignment score. Callers wanting the exact value
-    /// must re-run at a wider [`WidthPolicy`] — the search engine's
-    /// overflow rescue does exactly that.
-    Saturated,
-}
-
-impl AlignOutput {
-    /// Classify this result for the widen-and-retry (rescue) logic.
-    pub fn outcome(&self) -> AlignOutcome {
-        if self.saturated {
-            AlignOutcome::Saturated
-        } else if self.width_retries > 0 {
-            AlignOutcome::Widened {
-                retries: self.width_retries,
-            }
-        } else {
-            AlignOutcome::Exact
-        }
-    }
-}
-
-/// Outcome of one striped run at one width.
-struct StrategyOutcome {
-    result: KernelResult,
-    switches_to_scan: usize,
-    probes_stayed: usize,
-}
-
 /// One striped run of one subject at one element width: the
 /// computation [`with_engine`] instantiates per engine. Everything
 /// from [`call`](EngineFn::call) down to the engine methods is
@@ -292,11 +257,11 @@ struct Attempt<'a, T: ScoreElem, S: TraceSink> {
 }
 
 impl<T: ScoreElem, S: TraceSink> EngineFn<T> for Attempt<'_, T, S> {
-    type Out = StrategyOutcome;
+    type Out = HybridReport;
 
     /// Turn the `LOCAL`/`AFFINE` runtime flags into const parameters.
     #[inline(always)]
-    fn call<E: SimdEngine<Elem = T>>(self, eng: E) -> StrategyOutcome {
+    fn call<E: SimdEngine<Elem = T>>(self, eng: E) -> HybridReport {
         match (self.t2.local, self.t2.affine) {
             (true, true) => self.run::<E, true, true>(eng),
             (true, false) => self.run::<E, true, false>(eng),
@@ -308,7 +273,7 @@ impl<T: ScoreElem, S: TraceSink> EngineFn<T> for Attempt<'_, T, S> {
 
 impl<T: ScoreElem, S: TraceSink> Attempt<'_, T, S> {
     #[inline(always)]
-    fn run<E: SimdEngine<Elem = T>, const L: bool, const A: bool>(self, eng: E) -> StrategyOutcome {
+    fn run<E: SimdEngine<Elem = T>, const L: bool, const A: bool>(self, eng: E) -> HybridReport {
         let Attempt {
             prof,
             subject,
@@ -318,10 +283,11 @@ impl<T: ScoreElem, S: TraceSink> Attempt<'_, T, S> {
             ws,
             sink,
         } = self;
-        let only = |result| StrategyOutcome {
+        let only = |result| HybridReport {
             result,
             switches_to_scan: 0,
             probes_stayed: 0,
+            trace: Vec::new(),
         };
         match strategy {
             Strategy::StripedIterate => only(iterate_align_sink::<E, L, A, S>(
@@ -331,14 +297,7 @@ impl<T: ScoreElem, S: TraceSink> Attempt<'_, T, S> {
                 eng, prof, subject, t2, ws, sink,
             )),
             Strategy::Hybrid => {
-                let rep = hybrid_align_sink::<E, L, A, S>(
-                    eng, prof, subject, t2, policy, ws, false, sink,
-                );
-                StrategyOutcome {
-                    result: rep.result,
-                    switches_to_scan: rep.switches_to_scan,
-                    probes_stayed: rep.probes_stayed,
-                }
+                hybrid_align_sink::<E, L, A, S>(eng, prof, subject, t2, policy, ws, false, sink)
             }
             Strategy::Sequential => unreachable!("sequential handled before dispatch"),
         }
@@ -348,13 +307,23 @@ impl<T: ScoreElem, S: TraceSink> Attempt<'_, T, S> {
 /// Scratch buffers reusable across alignments (one per thread).
 #[derive(Debug, Default)]
 pub struct AlignScratch {
-    ws8: Workspace<i8>,
-    ws16: Workspace<i16>,
-    ws32: Workspace<i32>,
-    /// The lane-per-subject kernel's columns and transposition tile.
-    lanes8: InterWorkspace<i8>,
-    lanes16: InterWorkspace<i16>,
-    lanes32: InterWorkspace<i32>,
+    w8: Work<i8>,
+    w16: Work<i16>,
+    w32: Work<i32>,
+}
+
+/// One element type's buffers: the striped kernels' columns, and the
+/// lane-per-subject kernel's columns and transposition tile.
+#[derive(Debug, Default)]
+struct Work<T> {
+    striped: Workspace<T>,
+    lanes: InterWorkspace<T>,
+}
+
+impl<T: ScoreElem> Work<T> {
+    fn reserved_bytes(&self) -> usize {
+        (self.striped.reserved_elems() + self.lanes.reserved_elems()) * core::mem::size_of::<T>()
+    }
 }
 
 impl AlignScratch {
@@ -370,51 +339,155 @@ impl AlignScratch {
     /// so a persistent worker can report — and a test can assert —
     /// that back-to-back queries pay zero allocation setup.
     pub fn reserved_bytes(&self) -> usize {
-        (self.ws8.reserved_elems() + self.lanes8.reserved_elems()) * core::mem::size_of::<i8>()
-            + (self.ws16.reserved_elems() + self.lanes16.reserved_elems())
-                * core::mem::size_of::<i16>()
-            + (self.ws32.reserved_elems() + self.lanes32.reserved_elems())
-                * core::mem::size_of::<i32>()
+        self.w8.reserved_bytes() + self.w16.reserved_bytes() + self.w32.reserved_bytes()
     }
 }
 
-/// One width of a prepared query: the engine that will run it and the
-/// profile striped for that engine's lane count.
+/// One rung of a [`PreparedQuery`]'s width ladder: an engine of the
+/// table and the query's tables for it.
 #[derive(Debug)]
-struct Prepared<T> {
+struct Rung {
     backend: Backend,
-    prof: StripedProfile<T>,
-    /// The query's rows for the lane-per-subject kernel, built only
-    /// where [`Aligner::align_batch_prepared`] could choose it.
+    /// Subjects per lane batch on this rung, 0 without lane rows.
+    batch_lanes: usize,
+    tables: Typed,
+}
+
+/// A rung's tables at its element type.
+#[derive(Debug)]
+enum Typed {
+    I8(Tables<i8>),
+    I16(Tables<i16>),
+    I32(Tables<i32>),
+}
+
+/// The profile striped for the engine's lane count, where the
+/// per-subject path or a rescue runs, and the lane kernel's rows, where
+/// a batch can.
+#[derive(Debug)]
+struct Tables<T> {
+    prof: Option<StripedProfile<T>>,
     lanes: Option<LaneProfile<T>>,
 }
 
-impl<T: DispatchElem> Prepared<T> {
-    /// `lanes`: the aligner and the query admit the lane-per-subject
-    /// kernel at this width.
-    fn build(backend: Backend, query: &Sequence, matrix: &SubstMatrix, lanes: bool) -> Self {
+/// A computation on one rung at its element type, with the scratch's
+/// buffers of that type: what [`Rung::run`] calls.
+trait OnRung {
+    type Out;
+
+    fn on<T: DispatchElem>(self, backend: Backend, t: &Tables<T>, work: &mut Work<T>) -> Self::Out;
+}
+
+impl Rung {
+    /// The query's rung on `backend`, a row for `T`: the striped profile
+    /// if `striped`, the lane rows if `lanes` and the engine's lookup is
+    /// native (the portable gather loses to the striped kernels).
+    fn build<T: DispatchElem>(
+        backend: Backend,
+        query: &Sequence,
+        matrix: &SubstMatrix,
+        striped: bool,
+        lanes: bool,
+        typed: fn(Tables<T>) -> Typed,
+    ) -> Self {
+        let lanes = (lanes && with_engine::<T, _>(backend, NativeLookup))
+            .then(|| LaneProfile::build(query, matrix));
         Self {
             backend,
-            prof: StripedProfile::build(query, matrix, backend.lanes()),
-            lanes: lanes.then(|| lane_rows(backend, query, matrix)).flatten(),
+            batch_lanes: lanes.as_ref().map_or(0, |_| backend.lanes()),
+            tables: typed(Tables {
+                prof: striped.then(|| StripedProfile::build(query, matrix, backend.lanes())),
+                lanes,
+            }),
         }
     }
 
-    /// Lanes of a batch at this width, 0 when none can run.
-    fn batch_lanes(&self) -> usize {
-        self.lanes.as_ref().map_or(0, |_| self.backend.lanes())
+    /// Run `f` on this rung — the one place a rung's element type, and
+    /// with it the scratch's workspaces, is chosen.
+    fn run<F: OnRung>(&self, scratch: &mut AlignScratch, f: F) -> F::Out {
+        match &self.tables {
+            Typed::I8(t) => f.on(self.backend, t, &mut scratch.w8),
+            Typed::I16(t) => f.on(self.backend, t, &mut scratch.w16),
+            Typed::I32(t) => f.on(self.backend, t, &mut scratch.w32),
+        }
     }
 }
 
-/// The query's rows for the lane kernel on `backend`, or `None` when
-/// that engine's lookup is not native (the portable gather loses to the
-/// striped kernels).
-fn lane_rows<T: DispatchElem>(
-    backend: Backend,
-    query: &Sequence,
-    matrix: &SubstMatrix,
-) -> Option<LaneProfile<T>> {
-    with_engine::<T, _>(backend, NativeLookup).then(|| LaneProfile::build(query, matrix))
+/// One subject on a rung's striped profile, or `None` where the rung
+/// has none or `Auto` rules the width out. With `buf` the run's column
+/// events replace whatever an earlier run left there.
+struct OneSubject<'a> {
+    aligner: &'a Aligner,
+    query_len: usize,
+    subject: &'a Sequence,
+    /// Under a pinned width's rules: a pinned policy, or a rescue.
+    pinned: bool,
+    buf: Option<&'a mut CollectorSink>,
+}
+
+impl OnRung for OneSubject<'_> {
+    type Out = Option<HybridReport>;
+
+    fn on<T: DispatchElem>(self, backend: Backend, t: &Tables<T>, work: &mut Work<T>) -> Self::Out {
+        let (aligner, subject, ws) = (self.aligner, self.subject, &mut work.striped);
+        let prof = t.prof.as_ref()?;
+        let outside = !aligner.narrow_ok(T::BITS, self.query_len, subject.len(), self.pinned);
+        if outside && !self.pinned {
+            return None;
+        }
+        let mut outcome = match self.buf {
+            Some(buf) => {
+                buf.events.clear();
+                aligner.run_on(backend, prof, subject, ws, buf)
+            }
+            None => aligner.run_on(backend, prof, subject, ws, &mut NullSink),
+        };
+        // A global or semi-global run checks its final cell alone, and a
+        // clamp on the way can leave a wrong score looking sound.
+        outcome.result.saturated |= outside;
+        Some(outcome)
+    }
+}
+
+/// How one rung answers a batch.
+enum BatchAt {
+    /// Not this rung (a byte pass the fill rule declines, or a width
+    /// `Auto` rules out for the batch's longest subject): ask the next.
+    Wider,
+    /// This is the width the per-subject path would run, and lanes
+    /// lose or cannot run at it.
+    Declined,
+    Scored(BatchOutput),
+    /// Scored on the lane-only byte rung: its flagged lanes walk on.
+    Bytes(BatchOutput),
+}
+
+/// A batch of subjects on one rung of the lane walk.
+struct Batch<'a> {
+    aligner: &'a Aligner,
+    query_len: usize,
+    subjects: &'a [&'a Sequence],
+}
+
+impl OnRung for Batch<'_> {
+    type Out = BatchAt;
+
+    fn on<T: DispatchElem>(self, backend: Backend, t: &Tables<T>, work: &mut Work<T>) -> BatchAt {
+        let (aligner, subjects) = (self.aligner, self.subjects);
+        let mut scored = || aligner.lanes(backend, t.lanes.as_ref()?, subjects, &mut work.lanes);
+        if t.prof.is_none() {
+            return scored().map_or(BatchAt::Wider, BatchAt::Bytes);
+        }
+        let longest = subjects.iter().map(|s| s.len()).max().unwrap_or(0);
+        let pinned = aligner.width != WidthPolicy::Auto;
+        if aligner.narrow_ok(T::BITS, self.query_len, longest, pinned) {
+            scored().map_or(BatchAt::Declined, BatchAt::Scored)
+        } else if pinned {
+            BatchAt::Declined
+        } else {
+            BatchAt::Wider
+        }
+    }
 }
 
 /// Does the engine of a table row look scores up with shuffles?
@@ -467,33 +540,21 @@ pub struct BatchOutput {
     pub stats: RunStats,
 }
 
-/// How one width of the plan answers a batch.
-enum BatchAt {
-    /// Not this width (not prepared, or `Auto` rules it out for the
-    /// batch's longest subject): ask the next wider one.
-    Wider,
-    /// This is the width the per-subject path would run, and lanes
-    /// lose or cannot run at it.
-    Declined,
-    Scored(BatchOutput),
-}
-
-/// A query prepared for repeated alignment: striped profiles built
-/// once per width, shareable across threads (paper Sec. V-E).
+/// A query prepared for repeated alignment: its width ladder, built
+/// once and shareable across threads (paper Sec. V-E).
 #[derive(Debug)]
 pub struct PreparedQuery {
     query_id: String,
     query_len: usize,
-    p8: Option<Prepared<i8>>,
-    p16: Option<Prepared<i16>>,
-    p32: Option<Prepared<i32>>,
-    /// Byte lanes a local `Auto` batch tries before the plan's first
-    /// width (see [`Aligner::align_batch_prepared`]): the i8 row and the
-    /// query's rows for it. Lanes only — the per-subject path never
-    /// runs at 8 bits without a certificate.
-    bytes_first: Option<(Backend, LaneProfile<i8>)>,
+    /// The rungs, narrowest first; every width decision is a position
+    /// on this list. Where a local `Auto` plan starts wider, a lane-only
+    /// i8 rung comes first: the byte lanes a batch tries first. Then the
+    /// policy's striped rungs, with lane rows where the batch walk can
+    /// reach them; above a pinned width they are rescue-only (no lane
+    /// rows), run by [`Aligner::align_wider`] alone.
+    rungs: Vec<Rung>,
     /// The query itself: [`Strategy::Sequential`]'s prepared form (it
-    /// builds no profile), `None` for every other strategy.
+    /// builds no profile and no rung), `None` for every other strategy.
     scalar: Option<Sequence>,
 }
 
@@ -509,17 +570,13 @@ impl PreparedQuery {
     }
 
     /// Most subjects [`Aligner::align_batch_prepared`] scores in one
-    /// vector for this query — the widest vector of any width its walk
+    /// vector for this query — the widest vector of any rung its walk
     /// can reach, what a sweep rounds its claims to — or 0 when it
     /// declines every batch (a pinned strategy, no engine with a native
     /// lookup at a reachable width, or a query above
     /// [`LANE_QUERY_CAP`] with no byte lanes to run).
     pub fn batch_lanes(&self) -> usize {
-        let bytes = self.bytes_first.as_ref().map_or(0, |(b, _)| b.lanes());
-        let p8 = self.p8.as_ref().map_or(0, Prepared::batch_lanes);
-        let p16 = self.p16.as_ref().map_or(0, Prepared::batch_lanes);
-        let p32 = self.p32.as_ref().map_or(0, Prepared::batch_lanes);
-        bytes.max(p8).max(p16).max(p32)
+        self.rungs.iter().map(|r| r.batch_lanes).max().unwrap_or(0)
     }
 }
 
@@ -646,6 +703,9 @@ impl Aligner {
 
     /// Can a `bits`-wide element provably hold every intermediate
     /// value of aligning an `m`-long query to an `n`-long subject?
+    /// A `pinned` (or rescuing) local run always can: its kernel watches
+    /// the running maximum. Else `Auto` passes a failing width over, and
+    /// a pinned global or semi-global run there is reported saturated.
     ///
     /// A covering granted certificate ([`with_certificates`]) answers
     /// first: the prover's cell-level verdict is checked once, ahead
@@ -661,8 +721,8 @@ impl Aligner {
     /// never buffer.
     ///
     /// [`with_certificates`]: Self::with_certificates
-    fn narrow_ok(&self, bits: u32, m: usize, n: usize) -> bool {
-        if bits >= 32 {
+    fn narrow_ok(&self, bits: u32, m: usize, n: usize, pinned: bool) -> bool {
+        if bits >= 32 || (pinned && self.cfg.kind == AlignKind::Local) {
             return true;
         }
         if let Some(store) = self.certs.as_deref() {
@@ -673,48 +733,37 @@ impl Aligner {
         self.cfg.score_bounds(m, n).fits(bits)
     }
 
-    /// Widths the policy wants, in attempt order, given the query.
-    /// (Auto's i16 entry is additionally checked per subject.)
+    /// The striped rungs of the query's ladder, narrowest first: for
+    /// `Auto` the widths it may run (the narrow ones are additionally
+    /// checked per subject), for a pinned width that width and every
+    /// wider one, the rescue's.
     fn width_plan(&self, query_len: usize) -> Vec<u32> {
-        match self.width {
-            WidthPolicy::Fixed8 => vec![8],
-            WidthPolicy::Fixed16 => vec![16],
-            WidthPolicy::Fixed32 => vec![32],
-            WidthPolicy::Auto => {
-                // Local scores are bounded by the *shorter* sequence,
-                // so i16 stays useful for long queries against typical
-                // database subjects — always build it and let the
-                // per-subject check choose. Global magnitudes grow
-                // with m+n; prune i16 when the query alone rules it
-                // out.
-                let try_narrow = match self.cfg.kind {
-                    AlignKind::Local => true,
-                    AlignKind::Global | AlignKind::SemiGlobal => {
-                        self.narrow_ok(16, query_len, query_len)
-                    }
-                };
-                let mut plan = Vec::with_capacity(3);
-                // i8 enters the ladder only with proof: a granted
-                // certificate accepting this query length (subjects
-                // are re-gated per call against the same store).
-                if self
-                    .certs
-                    .as_deref()
-                    .is_some_and(|store| store.grants_for_query(8, query_len))
-                {
-                    plan.push(8);
-                }
-                if try_narrow {
-                    plan.push(16);
-                }
-                plan.push(32);
-                plan
+        let on_ladder = |bits: u32| match self.width {
+            WidthPolicy::Fixed8 => true,
+            WidthPolicy::Fixed16 => bits >= 16,
+            WidthPolicy::Fixed32 => bits == 32,
+            // i8 enters the ladder only with proof: a granted
+            // certificate accepting this query length (subjects are
+            // re-gated per call against the same store).
+            WidthPolicy::Auto if bits == 8 => self
+                .certs
+                .as_deref()
+                .is_some_and(|store| store.grants_for_query(8, query_len)),
+            // Local scores are bounded by the *shorter* sequence, so
+            // i16 stays useful for long queries against typical
+            // database subjects — always build it and let the
+            // per-subject check choose. Global magnitudes grow with
+            // m+n; prune i16 when the query alone rules it out.
+            WidthPolicy::Auto if bits == 16 => {
+                self.cfg.kind == AlignKind::Local || self.narrow_ok(16, query_len, query_len, false)
             }
-        }
+            WidthPolicy::Auto => true,
+        };
+        WIDTHS.into_iter().filter(|&bits| on_ladder(bits)).collect()
     }
 
-    /// Build the profiles for repeated alignment against many
-    /// subjects. Share the result across threads; it is immutable.
+    /// Build the query's width ladder for repeated alignment against
+    /// many subjects. Share the result across threads; it is immutable.
     pub fn prepare(&self, query: &Sequence) -> Result<PreparedQuery, AlignError> {
         if query.is_empty() {
             return Err(AlignError::EmptyQuery);
@@ -723,10 +772,7 @@ impl Aligner {
         let mut pq = PreparedQuery {
             query_id: query.id().to_string(),
             query_len: query.len(),
-            p8: None,
-            p16: None,
-            p32: None,
-            bytes_first: None,
+            rungs: Vec::new(),
             scalar: None,
         };
         if self.strategy == Strategy::Sequential {
@@ -735,27 +781,34 @@ impl Aligner {
         }
         let sup = IsaSupport::detect();
         let matrix = &self.cfg.matrix;
+        let rung = |bits, striped, lanes| {
+            let backend = resolve(sup, self.isa, bits);
+            match bits {
+                8 => Rung::build(backend, query, matrix, striped, lanes, Typed::I8),
+                16 => Rung::build(backend, query, matrix, striped, lanes, Typed::I16),
+                _ => Rung::build(backend, query, matrix, striped, lanes, Typed::I32),
+            }
+        };
         // The half of the lane-per-subject rule that is known here (see
-        // `align_batch_prepared`): rows are built only at widths its
+        // `align_batch_prepared`): rows are built only on rungs its
         // walk can reach.
         let lanes = self.strategy == Strategy::Hybrid
             && matrix.alphabet().len() < aalign_vec::LOOKUP_ENTRIES;
-        let local_auto = self.cfg.kind == AlignKind::Local && self.width == WidthPolicy::Auto;
-        let lanes_at = |bits: u32| {
-            lanes && (bits == 8 || query.len() <= LANE_QUERY_CAP) && !(local_auto && bits == 32)
-        };
+        let auto = self.width == WidthPolicy::Auto;
+        let local_auto = auto && self.cfg.kind == AlignKind::Local;
         let plan = self.width_plan(query.len());
-        for &bits in &plan {
-            let backend = resolve(sup, self.isa, bits);
-            match bits {
-                8 => pq.p8 = Some(Prepared::build(backend, query, matrix, lanes_at(8))),
-                16 => pq.p16 = Some(Prepared::build(backend, query, matrix, lanes_at(16))),
-                _ => pq.p32 = Some(Prepared::build(backend, query, matrix, lanes_at(32))),
-            }
-        }
+        // Byte lanes first: a lane-only i8 rung below a local `Auto`
+        // plan that starts wider.
         if lanes && local_auto && plan[0] != 8 {
-            let backend = resolve(sup, self.isa, 8);
-            pq.bytes_first = lane_rows(backend, query, matrix).map(|rows| (backend, rows));
+            let bytes = rung(8, false, true);
+            pq.rungs.extend((bytes.batch_lanes > 0).then_some(bytes));
+        }
+        for &bits in &plan {
+            // A pinned width's lanes run at that width only.
+            let walked = auto || bits == plan[0];
+            let lanes_at =
+                (bits == 8 || query.len() <= LANE_QUERY_CAP) && !(local_auto && bits == 32);
+            pq.rungs.push(rung(bits, true, lanes && walked && lanes_at));
         }
         Ok(pq)
     }
@@ -788,10 +841,10 @@ impl Aligner {
     /// does not start at 8 bits goes **first at i8**, bound or no bound:
     /// a local lane's saturation flag is sound at any width, and few
     /// subjects reach a byte's ceiling (SSW and SWIPE score that way).
-    /// Lanes flagged there walk on together as one batch through the
-    /// plan's own walk (i16 first); what that batch declines or flags
-    /// comes back flagged in [`BatchOutput::saturated`], for the
-    /// per-subject path to score from its first width as it always has.
+    /// Lanes flagged there walk on together as one batch from the rung
+    /// above (i16 first); what that batch declines or flags comes back
+    /// flagged in [`BatchOutput::saturated`], for the per-subject path
+    /// to score from its first width as it always has.
     ///
     /// It emits no column events: a caller tracing a sweep scores per
     /// subject.
@@ -804,87 +857,49 @@ impl Aligner {
         for s in subjects {
             self.check_seq(s)?;
         }
-        if let Some((backend, rows)) = &pq.bytes_first {
-            if let Some(out) = self.lanes(*backend, rows, subjects, &mut scratch.lanes8) {
-                return Ok(Some(self.walk_on(pq, subjects, out, scratch)));
-            }
-        }
-        Ok(self.walk(pq, subjects, scratch))
+        Ok(self.walk(pq, 0, subjects, scratch))
     }
 
-    /// The plan's walk: the first width that does not pass the batch
-    /// on scores it or declines it.
+    /// The batch's walk up the ladder from rung `from`: the first rung
+    /// that does not pass the batch on scores it or declines it. The
+    /// lanes a byte pass flags walk on together from the rung above it,
+    /// and what that scores replaces them.
     fn walk(
         &self,
         pq: &PreparedQuery,
+        from: usize,
         subjects: &[&Sequence],
         scratch: &mut AlignScratch,
     ) -> Option<BatchOutput> {
-        let m = pq.query_len;
-        for bits in [8u32, 16, 32] {
-            let at = match bits {
-                8 => self.batch_at(pq.p8.as_ref(), m, subjects, &mut scratch.lanes8),
-                16 => self.batch_at(pq.p16.as_ref(), m, subjects, &mut scratch.lanes16),
-                _ => self.batch_at(pq.p32.as_ref(), m, subjects, &mut scratch.lanes32),
+        for (at, rung) in pq.rungs.iter().enumerate().skip(from) {
+            let batch = Batch {
+                aligner: self,
+                query_len: pq.query_len,
+                subjects,
             };
-            match at {
-                BatchAt::Wider => {}
-                BatchAt::Declined => break,
+            let mut out = match rung.run(scratch, batch) {
+                BatchAt::Wider => continue,
+                BatchAt::Declined => return None,
                 BatchAt::Scored(out) => return Some(out),
+                BatchAt::Bytes(out) => out,
+            };
+            let flagged: Vec<usize> = (0..subjects.len()).filter(|&l| out.saturated[l]).collect();
+            let again: Vec<&Sequence> = flagged.iter().map(|&l| subjects[l]).collect();
+            let wider = if again.is_empty() {
+                None
+            } else {
+                self.walk(pq, at + 1, &again, scratch)
+            };
+            if let Some(wider) = wider {
+                for (k, &l) in flagged.iter().enumerate() {
+                    out.scores[l] = wider.scores[k];
+                    out.saturated[l] = wider.saturated[k];
+                }
+                out.stats.inter_lane_columns += wider.stats.inter_lane_columns;
             }
+            return Some(out);
         }
         None
-    }
-
-    /// Send the lanes a byte pass flagged through [`walk`](Self::walk)
-    /// as one batch, and keep what it scores unflagged.
-    fn walk_on(
-        &self,
-        pq: &PreparedQuery,
-        subjects: &[&Sequence],
-        mut out: BatchOutput,
-        scratch: &mut AlignScratch,
-    ) -> BatchOutput {
-        if out.stats.inter_saturated == 0 {
-            return out;
-        }
-        let flagged: Vec<usize> = (0..subjects.len()).filter(|&l| out.saturated[l]).collect();
-        let again: Vec<&Sequence> = flagged.iter().map(|&l| subjects[l]).collect();
-        if let Some(wider) = self.walk(pq, &again, scratch) {
-            for (k, &l) in flagged.iter().enumerate() {
-                out.scores[l] = wider.scores[k];
-                out.saturated[l] = wider.saturated[k];
-            }
-            out.stats.inter_lane_columns += wider.stats.inter_lane_columns;
-        }
-        out
-    }
-
-    /// One width's answer to [`walk`](Self::walk).
-    fn batch_at<T: DispatchElem>(
-        &self,
-        prepared: Option<&Prepared<T>>,
-        query_len: usize,
-        subjects: &[&Sequence],
-        ws: &mut InterWorkspace<T>,
-    ) -> BatchAt {
-        let Some(p) = prepared else {
-            return BatchAt::Wider;
-        };
-        let longest = subjects.iter().map(|s| s.len()).max().unwrap_or(0);
-        if T::BITS < 32 && !self.narrow_ok(T::BITS, query_len, longest) {
-            if self.width == WidthPolicy::Auto {
-                return BatchAt::Wider;
-            }
-            if self.cfg.kind != AlignKind::Local {
-                return BatchAt::Declined;
-            }
-        }
-        let scored = p
-            .lanes
-            .as_ref()
-            .and_then(|rows| self.lanes(p.backend, rows, subjects, ws));
-        scored.map_or(BatchAt::Declined, BatchAt::Scored)
     }
 
     /// The lane kernel on `backend` for `subjects`, or `None` when they
@@ -970,52 +985,77 @@ impl Aligner {
                 stats: RunStats::default(),
             });
         }
+        let pinned = self.width != WidthPolicy::Auto;
+        let out = self.climb(pq, pq.rungs.iter(), pinned, subject, scratch, sink);
+        Ok(out.expect("every ladder has a striped rung"))
+    }
 
-        // Per-attempt event buffering: each width attempt records into
-        // `buf`, which is cleared on retry so only the kept attempt's
-        // columns reach the caller's sink (after the loop).
+    /// One step of an overflow rescue: score `subject` on the first rung
+    /// of `pq`'s ladder wider than `bits` (`None` when there is none),
+    /// under a pinned width's rules whatever the policy — a local run
+    /// needs no bound, a global one outside its bound comes back flagged
+    /// saturated, for the caller to step again from the output's
+    /// `elem_bits`. Column events go to `sink` as in
+    /// [`align_prepared_sink`](Self::align_prepared_sink).
+    pub fn align_wider(
+        &self,
+        pq: &PreparedQuery,
+        subject: &Sequence,
+        bits: u32,
+        scratch: &mut AlignScratch,
+        sink: &mut dyn TraceSink,
+    ) -> Result<Option<AlignOutput>, AlignError> {
+        self.check_seq(subject)?;
+        let wider = pq.rungs.iter().filter(|rung| rung.backend.bits() > bits);
+        Ok(self.climb(pq, wider, true, subject, scratch, sink))
+    }
+
+    /// Run `subject` up `rungs` until a run holds its score — or, when
+    /// `pinned`, once; `None` when no rung ran. Only the kept run's
+    /// column events reach `sink` (each run clears the buffer).
+    fn climb<'r>(
+        &self,
+        pq: &PreparedQuery,
+        rungs: impl Iterator<Item = &'r Rung>,
+        pinned: bool,
+        subject: &Sequence,
+        scratch: &mut AlignScratch,
+        sink: &mut dyn TraceSink,
+    ) -> Option<AlignOutput> {
         let tracing = sink.enabled();
         let mut buf = CollectorSink::new();
-
-        let mut retries = 0u32;
-        let mut last: Option<(StrategyOutcome, Backend)> = None;
-        // Attempt order: narrow before wide. i8 participates when
-        // explicitly requested (Fixed8) or when a width certificate
-        // proved it rescue-free for this query (Auto ladder).
-        let m = pq.query_len;
-        for bits in [8u32, 16, 32] {
-            let buf = tracing.then_some(&mut buf);
-            let attempt = match bits {
-                8 => self.attempt(pq.p8.as_ref(), m, subject, &mut scratch.ws8, buf),
-                16 => self.attempt(pq.p16.as_ref(), m, subject, &mut scratch.ws16, buf),
-                _ => self.attempt(pq.p32.as_ref(), m, subject, &mut scratch.ws32, buf),
+        let mut runs = 0u32;
+        let mut last = None;
+        for rung in rungs {
+            let run = OneSubject {
+                aligner: self,
+                query_len: pq.query_len,
+                subject,
+                pinned,
+                buf: tracing.then_some(&mut buf),
             };
-            let Some(outcome) = attempt else {
+            let Some(outcome) = rung.run(scratch, run) else {
                 continue;
             };
-            let saturated = outcome.0.result.saturated;
-            last = Some(outcome);
-            if !saturated {
+            runs += 1;
+            let saturated = outcome.result.saturated;
+            last = Some((outcome, rung.backend));
+            if !saturated || pinned {
                 break;
             }
-            retries += 1;
         }
-
-        // Forward the kept attempt's column events (saturated retries
-        // were cleared above, so these reconcile with `stats`).
         if tracing {
             for ev in buf.take() {
                 sink.record(ev);
             }
         }
-
-        let (outcome, backend) = last.expect("width plan is never empty");
-        Ok(AlignOutput {
+        let (outcome, backend) = last?;
+        Some(AlignOutput {
             score: outcome.result.score,
             strategy: self.strategy,
             backend: backend.name(),
             elem_bits: backend.bits(),
-            width_retries: retries.saturating_sub(u32::from(outcome.result.saturated)),
+            width_retries: runs - 1,
             saturated: outcome.result.saturated,
             stats: RunStats {
                 lazy_iters: outcome.result.lazy_iters,
@@ -1029,66 +1069,27 @@ impl Aligner {
         })
     }
 
-    /// Run one width of the plan, or `None` when the query was not
-    /// prepared at it or — under `Auto` — the per-subject bound
-    /// already rules the narrow attempt out. With `buf` the attempt's
-    /// column events replace whatever an earlier attempt left there.
-    fn attempt<T: DispatchElem>(
-        &self,
-        prepared: Option<&Prepared<T>>,
-        query_len: usize,
-        subject: &Sequence,
-        ws: &mut Workspace<T>,
-        buf: Option<&mut CollectorSink>,
-    ) -> Option<(StrategyOutcome, Backend)> {
-        let p = prepared?;
-        // Outside the bound that proves the width: `Auto` skips it.
-        // (A forced narrow *local* run needs no bound — its kernel
-        // watches the running maximum — so none is computed for it.)
-        let outside = T::BITS < 32
-            && (self.width == WidthPolicy::Auto || self.cfg.kind != AlignKind::Local)
-            && !self.narrow_ok(T::BITS, query_len, subject.len());
-        if outside && self.width == WidthPolicy::Auto {
-            return None;
-        }
-        let mut outcome = match buf {
-            Some(buf) => {
-                buf.events.clear();
-                self.run_on(p, subject, ws, buf)
-            }
-            None => self.run_on(p, subject, ws, &mut NullSink),
-        };
-        // A global or semi-global run reports saturation from its
-        // final cell alone, so a clamp on the way — a boundary ramp
-        // hitting the floor, a strong prefix the ceiling — can leave a
-        // wrong score looking sound: a forced narrow width outside the
-        // bound is reported saturated, whatever the final cell says.
-        if outside {
-            outcome.result.saturated = true;
-        }
-        Some((outcome, p.backend))
-    }
-
-    /// One [`Attempt`] on `p`'s engine, its column events going to `sink`.
+    /// One [`Attempt`] on `backend`, its column events going to `sink`.
     fn run_on<T: DispatchElem, S: TraceSink>(
         &self,
-        p: &Prepared<T>,
+        backend: Backend,
+        prof: &StripedProfile<T>,
         subject: &Sequence,
         ws: &mut Workspace<T>,
         sink: &mut S,
-    ) -> StrategyOutcome {
+    ) -> HybridReport {
         let attempt = Attempt {
-            prof: &p.prof,
+            prof,
             subject: subject.indices(),
             t2: self.cfg.table2(),
             strategy: self.strategy,
             policy: self
                 .hybrid
-                .unwrap_or_else(|| HybridPolicy::for_lanes(p.backend.lanes())),
+                .unwrap_or_else(|| HybridPolicy::for_lanes(backend.lanes())),
             ws,
             sink,
         };
-        with_engine(p.backend, attempt)
+        with_engine(backend, attempt)
     }
 
     /// Align one query against many subjects, preparing the query
@@ -1245,7 +1246,6 @@ mod tests {
                 .align(&q, &s)
                 .unwrap();
             assert!(narrow.saturated, "{strat:?}: {}", narrow.score);
-            assert_eq!(narrow.outcome(), AlignOutcome::Saturated);
             // 16 bits hold it, and say so.
             let wide = Aligner::new(cfg.clone())
                 .with_strategy(strat)
@@ -1390,10 +1390,12 @@ mod tests {
                 aligner = aligner.with_isa(isa);
             }
             let pq = aligner.prepare(&q).unwrap();
-            assert!(
-                pq.p32.as_ref().is_some_and(|p| p.lanes.is_none()),
-                "{pin:?}"
-            );
+            // The ladder tops out at an i32 rung without lane rows, and
+            // starts — where the engine has native lookups — with a
+            // lane-only i8 rung.
+            let (bottom, top) = (&pq.rungs[0].tables, &pq.rungs.last().unwrap().tables);
+            assert!(matches!(top, Typed::I32(t) if t.lanes.is_none()), "{pin:?}");
+            let byte_rung = matches!(bottom, Typed::I8(t) if t.prof.is_none() && t.lanes.is_some());
             let mut scratch = AlignScratch::new();
             let Some(out) = aligner
                 .align_batch_prepared(&pq, &batch, &mut scratch)
@@ -1408,7 +1410,7 @@ mod tests {
                 assert_eq!(out.scores[l], paradigm_dp(&cfg, &q, s).score, "{pin:?}");
             }
             assert_eq!(out.stats.inter_columns, 32 * 60);
-            if pq.bytes_first.is_some() {
+            if byte_rung {
                 assert_eq!(out.bits, 8, "{pin:?}");
                 assert_eq!(out.stats.inter_saturated, 32, "{pin:?}: all flagged at i8");
                 // Two passes of the same subjects: lane-columns doubled.
@@ -1430,7 +1432,7 @@ mod tests {
                 }
             }
             let warm = scratch.reserved_bytes();
-            scratch.lanes32 = InterWorkspace::new();
+            scratch.w32.lanes = InterWorkspace::new();
             assert_eq!(
                 scratch.reserved_bytes(),
                 warm,

@@ -61,8 +61,8 @@ pub use inter::{
     inter_align_all, inter_align_batch, InterBatchResult, InterBatches, InterWorkspace, LaneProfile,
 };
 pub use kernel::{
-    AlignError, AlignOutcome, AlignOutput, AlignScratch, Aligner, BatchOutput, PreparedQuery,
-    RunStats, Strategy, WidthPolicy, LANE_MIN_FILL_PERCENT, LANE_QUERY_CAP,
+    AlignError, AlignOutput, AlignScratch, Aligner, BatchOutput, PreparedQuery, RunStats, Strategy,
+    WidthPolicy, LANE_MIN_FILL_PERCENT, LANE_QUERY_CAP,
 };
 pub use retry::Backoff;
 pub use striped::{HybridPolicy, HybridReport, KernelResult, StrategyChoice, Workspace};

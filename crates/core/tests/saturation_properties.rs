@@ -96,7 +96,7 @@ proptest! {
         prop_assert!(!b.fits(8) || b.fits(16), "8-bit cleared but 16 refused");
         prop_assert!(!b.fits(16) || b.fits(32), "16-bit cleared but 32 refused");
         let wider = cfg.score_bounds(m * 2, n * 2);
-        for bits in [8u32, 16, 32] {
+        for bits in aalign_vec::WIDTHS {
             prop_assert!(
                 !wider.fits(bits) || b.fits(bits),
                 "doubling the lengths cannot make {bits}-bit lanes safer"

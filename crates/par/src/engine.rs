@@ -53,19 +53,18 @@
 //!   wall clock; on expiry the report comes back `partial` with a
 //!   verified ranking of the subjects that completed.
 //! * **Overflow rescue** — a fixed-width kernel run that saturates
-//!   its lanes is transparently re-aligned at the next wider element
-//!   width ([`SearchOptions::rescue`]).
+//!   its lanes is transparently re-aligned on the next wider rung of
+//!   the query's width ladder ([`SearchOptions::rescue`]).
 
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aalign_bio::{SeqDatabase, Sequence};
-use aalign_core::{AlignError, AlignScratch, Aligner, PreparedQuery, RunStats, WidthPolicy};
-use aalign_obs::{CollectorSink, Histogram, TraceEvent};
+use aalign_core::{AlignError, AlignScratch, Aligner, PreparedQuery, RunStats};
+use aalign_obs::{CollectorSink, Histogram, NullSink, TraceEvent, TraceSink};
 
 use crate::metrics::{
     CancelToken, ProgressFn, SearchMetrics, SearchProgress, ShardOutcome, WorkerMetrics,
@@ -331,9 +330,9 @@ struct SweepShared<'a> {
     /// Wall-clock deadline, polled at shard boundaries alongside
     /// cancellation.
     deadline: Option<&'a DeadlineGuard>,
-    /// Wider-width retry path for saturated runs, when
-    /// [`SearchOptions::rescue`] is on.
-    ladder: Option<&'a RescueLadder<'a>>,
+    /// Re-align saturated runs up the query's width ladder
+    /// ([`SearchOptions::rescue`]).
+    rescue: bool,
     /// Scripted slot-level faults (stalls, panics, forced
     /// saturation), when a plan is attached.
     #[cfg(feature = "fault-inject")]
@@ -344,11 +343,8 @@ struct SweepShared<'a> {
 struct SweepOut {
     hits: Vec<Hit>,
     peak_buffered: usize,
-    stats: RunStats,
-    width_retries: u64,
-    rescued: u64,
-    rescue_widths: Histogram,
-    lane_width: u32,
+    /// The sweep's counters (its trace buffer drained).
+    tallies: Tallies,
     latency: Histogram,
     /// Sweep-stopping error (cancellation, deadline, or a concrete
     /// alignment failure).
@@ -510,43 +506,38 @@ impl SweepShared<'_> {
                 out.saturated = true;
             }
         }
-        if out.saturated {
-            // Overflow rescue: the fixed-width run's lanes
-            // saturated (sticky influence test in the kernel);
-            // re-align at each wider width until one holds the
-            // score exactly. The rescued run's result replaces
-            // the saturated one wholesale — stats, trace columns,
-            // and score all describe the kept run.
-            if let Some(ladder) = self.ladder {
-                for &to_bits in RescueLadder::widths_above(out.elem_bits) {
-                    let from_bits = out.elem_bits;
-                    let kit = ladder.kit(to_bits)?;
-                    tallies.rescue_widths.record(u64::from(from_bits));
-                    if tracing {
-                        tallies.sink.events.truncate(col_mark);
-                        tallies.sink.events.push(TraceEvent::Rescue {
-                            subject: db_index as u64,
-                            from_bits: u64::from(from_bits),
-                            to_bits: u64::from(to_bits),
-                        });
-                        col_mark = tallies.sink.events.len();
-                        out = kit.aligner.align_prepared_sink(
-                            &kit.prepared,
-                            subject,
-                            scratch,
-                            &mut tallies.sink,
-                        )?;
-                    } else {
-                        out = kit
-                            .aligner
-                            .align_prepared(&kit.prepared, subject, scratch)?;
-                    }
-                    if !out.saturated {
-                        tallies.rescued += 1;
-                        break;
-                    }
-                }
+        // Overflow rescue: a saturated run's lanes clamped (sticky
+        // influence test in the kernel), so climb the query's width
+        // ladder from the rung that saturated until a run holds the
+        // score exactly. The kept run replaces the saturated one
+        // wholesale — stats, trace columns and score all describe it,
+        // behind one `Rescue` marker per step.
+        let saturated = out.saturated;
+        while out.saturated && self.rescue {
+            let (from_bits, mark) = (out.elem_bits, tallies.sink.events.len());
+            let sink: &mut dyn TraceSink = if tracing {
+                &mut tallies.sink
+            } else {
+                &mut NullSink
+            };
+            let Some(wider) = aligner.align_wider(prepared, subject, from_bits, scratch, sink)?
+            else {
+                break;
+            };
+            tallies.rescue_widths.record(u64::from(from_bits));
+            if tracing {
+                let step = TraceEvent::Rescue {
+                    subject: db_index as u64,
+                    from_bits: u64::from(from_bits),
+                    to_bits: u64::from(wider.elem_bits),
+                };
+                tallies.sink.events.splice(col_mark..mark, [step]);
+                col_mark += 1;
             }
+            out = wider;
+        }
+        if saturated && !out.saturated {
+            tallies.rescued += 1;
         }
         if tracing {
             tallies.sink.events.push(TraceEvent::AlignEnd {
@@ -821,11 +812,7 @@ fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> Sw
     SweepOut {
         peak_buffered: sweep.collector.len(),
         hits: sweep.collector.into_hits(),
-        stats: sweep.tallies.stats,
-        width_retries: sweep.tallies.width_retries,
-        rescued: sweep.tallies.rescued,
-        rescue_widths: sweep.tallies.rescue_widths,
-        lane_width: sweep.tallies.lane_width,
+        tallies: sweep.tallies,
         latency: sweep.latency,
         err,
         soft: sweep.soft,
@@ -837,66 +824,6 @@ fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> Sw
             busy: t0.elapsed(),
             scratch_bytes: state.scratch.reserved_bytes(),
         },
-    }
-}
-
-/// A wider-width aligner plus its prepared profiles, built lazily on
-/// the first rescue that needs it.
-struct RescueKit {
-    aligner: Aligner,
-    prepared: PreparedQuery,
-}
-
-/// Lazily-built wider-width retry path for saturated fixed-width
-/// runs (the classic widen-and-retry idiom, lifted from the kernel's
-/// Auto ladder up to the engine so even pinned-width sweeps recover).
-///
-/// Kits are built at most once per query, under a mutex, and shared
-/// across workers via `Arc` — the non-saturating hot path never
-/// touches this type beyond one `Option` check.
-struct RescueLadder<'a> {
-    base: &'a Aligner,
-    query: &'a Sequence,
-    w16: Mutex<Option<Arc<RescueKit>>>,
-    w32: Mutex<Option<Arc<RescueKit>>>,
-}
-
-impl<'a> RescueLadder<'a> {
-    fn new(base: &'a Aligner, query: &'a Sequence) -> Self {
-        Self {
-            base,
-            query,
-            w16: Mutex::new(None),
-            w32: Mutex::new(None),
-        }
-    }
-
-    /// Widths to retry at, in order, after a `bits`-wide run
-    /// saturated. 32-bit lanes are the widest the kernels have.
-    fn widths_above(bits: u32) -> &'static [u32] {
-        match bits {
-            8 => &[16, 32],
-            16 => &[32],
-            _ => &[],
-        }
-    }
-
-    /// The kit for `bits`-wide retries, building it on first use.
-    fn kit(&self, bits: u32) -> Result<Arc<RescueKit>, AlignError> {
-        let (slot, width) = if bits == 16 {
-            (&self.w16, WidthPolicy::Fixed16)
-        } else {
-            (&self.w32, WidthPolicy::Fixed32)
-        };
-        let mut guard = slot.lock().expect("rescue ladder mutex");
-        if let Some(kit) = guard.as_ref() {
-            return Ok(Arc::clone(kit));
-        }
-        let aligner = self.base.clone().with_width(width);
-        let prepared = aligner.prepare(self.query)?;
-        let kit = Arc::new(RescueKit { aligner, prepared });
-        *guard = Some(Arc::clone(&kit));
-        Ok(kit)
     }
 }
 
@@ -1095,7 +1022,6 @@ impl SearchEngine {
             .deadline
             .and_then(|budget| DeadlineGuard::new(t_total, budget));
         let shared_ctx = (WorkIndex::new(), ProgressCounters::new());
-        let ladder = opts.rescue.then(|| RescueLadder::new(aligner, query));
         let shared = SweepShared {
             aligner,
             prepared: &prepared,
@@ -1110,7 +1036,7 @@ impl SearchEngine {
             progress: opts.progress.as_ref(),
             trace: trace.as_ref(),
             deadline: deadline.as_ref(),
-            ladder: ladder.as_ref(),
+            rescue: opts.rescue,
             #[cfg(feature = "fault-inject")]
             fault: opts.fault_plan.as_deref(),
         };
@@ -1212,11 +1138,7 @@ impl SearchEngine {
                 at_us: elapsed_us(times.started),
             });
         }
-        let mut kernel_stats = RunStats::default();
-        let mut width_retries = 0u64;
-        let mut rescued = 0u64;
-        let mut rescue_widths = Histogram::new();
-        let mut lane_width = 0u32;
+        let mut sum = Tallies::default();
         let mut peak_hits_buffered = 0usize;
         let mut latency = Histogram::new();
         let mut worker_load = Histogram::new();
@@ -1225,11 +1147,11 @@ impl SearchEngine {
         let mut total_residues = 0usize;
         let mut hits: Vec<Hit> = Vec::with_capacity(results.iter().map(|o| o.hits.len()).sum());
         for mut out in results {
-            kernel_stats.merge(&out.stats);
-            width_retries += out.width_retries;
-            rescued += out.rescued;
-            rescue_widths.merge(&out.rescue_widths);
-            lane_width = narrower(lane_width, out.lane_width);
+            sum.stats.merge(&out.tallies.stats);
+            sum.width_retries += out.tallies.width_retries;
+            sum.rescued += out.tallies.rescued;
+            sum.rescue_widths.merge(&out.tallies.rescue_widths);
+            sum.lane_width = narrower(sum.lane_width, out.tallies.lane_width);
             peak_hits_buffered += out.peak_buffered;
             latency.merge(&out.latency);
             worker_load.record(out.worker.residues as u64);
@@ -1277,12 +1199,12 @@ impl SearchEngine {
                 total: times.started.elapsed(),
                 cells,
                 gcups: SearchMetrics::derive_gcups(cells, times.sweep),
-                kernel_stats,
-                width_retries,
-                rescued,
-                rescue_widths,
+                kernel_stats: sum.stats,
+                width_retries: sum.width_retries,
+                rescued: sum.rescued,
+                rescue_widths: sum.rescue_widths,
                 certified_width,
-                lane_width,
+                lane_width: sum.lane_width,
                 // Batching and admission happen above the engine: a
                 // serving dispatcher stamps the follower count and
                 // the stage-wait histograms post-hoc.

@@ -187,6 +187,9 @@ engine_table! {
     }
 }
 
+/// The element widths the table has engines for, narrowest first.
+pub const WIDTHS: [u32; 3] = [8, 16, 32];
+
 /// The engine that runs `bits`-wide lanes on a host with `sup`, given
 /// an optional ISA pin. Pure: the same inputs name the same row on any
 /// machine.
@@ -202,7 +205,7 @@ engine_table! {
 /// Panics if `bits` is not 8, 16 or 32.
 pub fn resolve(sup: IsaSupport, pin: Option<Isa>, bits: u32) -> Backend {
     assert!(
-        matches!(bits, 8 | 16 | 32),
+        WIDTHS.contains(&bits),
         "unsupported element width: {bits} bits"
     );
     let hardware = |isa: Isa| {
@@ -273,7 +276,7 @@ mod tests {
         for mask in 0..16u8 {
             let sup = support(mask & 1 != 0, mask & 2 != 0, mask & 4 != 0, mask & 8 != 0);
             for pin in PINS {
-                for bits in [8u32, 16, 32] {
+                for bits in WIDTHS {
                     let b = resolve(sup, pin, bits);
                     let ctx = format!("{sup:?} {pin:?} i{bits} -> {}", b.name());
                     assert_eq!(b.bits(), bits, "{ctx}");

@@ -61,7 +61,7 @@ pub mod avx512;
 pub mod sse41;
 
 pub use detect::IsaSupport;
-pub use dispatch::{resolve, with_engine, Backend, DispatchElem, EngineFn};
+pub use dispatch::{resolve, with_engine, Backend, DispatchElem, EngineFn, WIDTHS};
 pub use elem::ScoreElem;
 pub use emu::EmuEngine;
 pub use engine::{Ramp, SimdEngine, LOOKUP_ENTRIES};

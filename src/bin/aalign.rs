@@ -812,7 +812,7 @@ fn cmd_info() -> Result<(), String> {
     println!("  avx512f  : {}", sup.avx512f);
     println!("  avx512bw : {}", sup.avx512bw);
     println!();
-    for bits in [8u32, 16, 32] {
+    for bits in aalign_vec::WIDTHS {
         // The row the aligner itself resolves (no ISA pin), so this is
         // what `pair --width {bits}` reports running on.
         println!(

@@ -7,8 +7,9 @@
 //! harness) — so a change that breaks a static guarantee fails the
 //! main suite, not just the analyzer's. Source guards ride along: one
 //! JSON codec and one database sweep; one backend seam and one request
-//! schema; one engine table; no per-lane scalar work in a striped
-//! column; served requests wait on descriptors, not on the clock.
+//! schema; one engine table; one width ladder; no per-lane scalar work
+//! in a striped column; served requests wait on descriptors, not on
+//! the clock.
 
 use aalign_analyzer::audit::{audit_dir, audit_source, default_vec_src_dir, VEC_BASELINE};
 use aalign_analyzer::concurrency::{default_concurrency_dirs, scan_dirs, CONCURRENCY_BASELINE};
@@ -306,6 +307,25 @@ fn all_sources(root: &std::path::Path) -> Vec<std::path::PathBuf> {
     all
 }
 
+/// No file of `paths` contains any of `needles`; `why` names the one
+/// place the thing lives instead.
+fn assert_absent<'a>(
+    paths: impl IntoIterator<Item = &'a std::path::PathBuf>,
+    needles: &[&str],
+    why: &str,
+) {
+    for path in paths {
+        let text = std::fs::read_to_string(path).unwrap();
+        for needle in needles {
+            assert!(
+                !text.contains(needle),
+                "{}: `{needle}` — {why}",
+                path.display()
+            );
+        }
+    }
+}
+
 /// Guard against re-forking what the workspace keeps in one place:
 /// `aalign_obs::wire` is the only JSON escaper (a second one is how
 /// the `\u`-escape panic came back after it was fixed once), and
@@ -320,47 +340,32 @@ fn one_json_codec_and_one_sweep() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let codec = root.join("crates/obs/src/wire.rs");
     let product = product_sources(root);
-    for path in product.iter().filter(|p| **p != codec) {
-        let text = std::fs::read_to_string(path).unwrap();
-        for needle in ["u{:04x}", "fn escape"] {
-            assert!(
-                !text.contains(needle),
-                "{}: `{needle}` — JSON is escaped in crates/obs/src/wire.rs only",
-                path.display()
-            );
-        }
-    }
+    assert_absent(
+        product.iter().filter(|p| **p != codec),
+        &["u{:04x}", "fn escape"],
+        "JSON is escaped in crates/obs/src/wire.rs only",
+    );
 
     let lane_kernel = root.join("crates/core/src/inter.rs");
     let vec_src = root.join("crates/vec/src");
-    for path in product
-        .iter()
-        .filter(|p| **p != lane_kernel && !p.starts_with(&vec_src))
-    {
-        let text = std::fs::read_to_string(path).unwrap();
-        assert!(
-            !text.contains(".lookup32("),
-            "{}: a second lane kernel — scores are looked up in crates/core/src/inter.rs only",
-            path.display()
-        );
-    }
+    assert_absent(
+        product
+            .iter()
+            .filter(|p| **p != lane_kernel && !p.starts_with(&vec_src)),
+        &[".lookup32("],
+        "a second lane kernel; scores are looked up in crates/core/src/inter.rs only",
+    );
 
-    let all = all_sources(root);
-    for path in &all {
-        let text = std::fs::read_to_string(path).unwrap();
-        for needle in [
+    assert_absent(
+        &all_sources(root),
+        &[
             "search_inter",
             "search_database_inter",
             "transient_inter",
             "inter_threshold",
-        ] {
-            assert!(
-                !text.contains(needle),
-                "{}: `{needle}` — SearchEngine::search is the only sweep",
-                path.display()
-            );
-        }
-    }
+        ],
+        "SearchEngine::search is the only sweep",
+    );
 }
 
 /// One seam, one request schema: the dispatcher reaches what sweeps
@@ -396,17 +401,11 @@ fn one_backend_seam_and_one_request_schema() {
         "the request document is encoded and decoded by SearchRequest only"
     );
 
-    let all = all_sources(root);
-    for path in &all {
-        let text = std::fs::read_to_string(path).unwrap();
-        for needle in ["run_sharded", "with_shards"] {
-            assert!(
-                !text.contains(needle),
-                "{}: `{needle}` — a sharded request takes the dispatcher's one path",
-                path.display()
-            );
-        }
-    }
+    assert_absent(
+        &all_sources(root),
+        &["run_sharded", "with_shards"],
+        "a sharded request takes the dispatcher's one path",
+    );
 }
 
 /// A served request costs its work, not a poll period: the accept loop
@@ -510,17 +509,39 @@ fn one_engine_table() {
         }
     }
 
-    for path in all_sources(root) {
-        let text = std::fs::read_to_string(&path).unwrap();
-        for needle in [
+    assert_absent(
+        &all_sources(root),
+        &[
             "run_width_",
             "tf_wrappers",
             "resolve_backend",
             "best_backend",
-        ] {
+        ],
+        "aalign_vec::dispatch is the only engine table",
+    );
+}
+
+/// One width ladder: every width decision — the `Auto` plan, byte lanes
+/// and their walk-on, a pinned width, the overflow rescue — walks the
+/// rungs a `PreparedQuery` owns. The rescue once grew a second ladder by
+/// re-pinning a clone of the aligner and preparing the query again.
+#[test]
+fn one_width_ladder() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert_absent(
+        &all_sources(root),
+        &["RescueLadder", "RescueKit", "bytes_first", "[8u32, 16, 32]"],
+        "widths are rungs of PreparedQuery's one ladder",
+    );
+    for dir in ["crates/par/src", "crates/serve/src", "crates/shard/src"] {
+        let mut sources = Vec::new();
+        rust_sources(&root.join(dir), &mut sources);
+        for path in sources {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let shipped = text.split("#[cfg(test)]").next().unwrap();
             assert!(
-                !text.contains(needle),
-                "{}: `{needle}` — aalign_vec::dispatch is the only engine table",
+                !shipped.contains("with_width("),
+                "{}: re-pins a width; rescue through Aligner::align_wider",
                 path.display()
             );
         }
