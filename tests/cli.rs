@@ -717,6 +717,93 @@ fn shard_search_cli_degrades_with_exact_uncovered_range_under_kill_plan() {
     assert!(stdout.contains("shards: 3 ok, 1 failed"), "{stdout}");
 }
 
+/// Write `count` subjects from `gen-db --seed 5` into `dir/db.fa` and
+/// a fixed protein query into `dir/q.fa`.
+fn seed5_db_and_query(dir: &std::path::Path, count: &str) {
+    std::fs::create_dir_all(dir).unwrap();
+    assert!(aalign()
+        .args([
+            "gen-db",
+            "--count",
+            count,
+            "--seed",
+            "5",
+            "--out",
+            dir.join("db.fa").to_str().unwrap()
+        ])
+        .status()
+        .unwrap()
+        .success());
+    write_fasta(&dir.join("q.fa"), &[("q", "MKVLAARNDWHEAGAWGHEE")]);
+}
+
+#[test]
+fn search_pool_wider_than_the_database_uses_one_thread_per_subject() {
+    let dir = std::env::temp_dir().join("aalign_cli_threads");
+    seed5_db_and_query(&dir, "3");
+    let run = |threads: &str| {
+        let out = aalign()
+            .args([
+                "search",
+                "--query",
+                dir.join("q.fa").to_str().unwrap(),
+                "--db",
+                dir.join("db.fa").to_str().unwrap(),
+                "--threads",
+                threads,
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let hit_lines = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| l.contains(" bits "))
+            .map(str::to_string)
+            .collect()
+    };
+    let wide = run("64");
+    assert!(wide.contains(" on 3 threads "), "{wide}");
+    let one = run("1");
+    assert_eq!(hit_lines(&wide).len(), 3, "{wide}");
+    assert_eq!(hit_lines(&wide), hit_lines(&one));
+}
+
+#[test]
+fn shard_search_zero_timeout_degrades_every_shard() {
+    let dir = std::env::temp_dir().join("aalign_cli_shard_timeout");
+    seed5_db_and_query(&dir, "40");
+    let out = aalign()
+        .args([
+            "shard-search",
+            "--query",
+            dir.join("q.fa").to_str().unwrap(),
+            "--db",
+            dir.join("db.fa").to_str().unwrap(),
+            "--shards",
+            "2",
+            "--timeout",
+            "0",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("shards: 0 ok, 2 failed"), "{stdout}");
+    for range in ["[0, 20)", "[20, 40)"] {
+        assert!(
+            stderr.contains(&format!("database range {range} is uncovered")),
+            "{stderr}"
+        );
+    }
+}
+
 #[test]
 fn search_rescues_a_saturating_subject_at_fixed8() {
     let dir = std::env::temp_dir().join("aalign_cli_rescue");
