@@ -19,7 +19,7 @@ use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
 use aalign_bio::SeqDatabase;
 use aalign_core::{AlignConfig, AlignScratch, Aligner, GapModel, Strategy, WidthPolicy};
-use aalign_par::{search_database, SearchOptions};
+use aalign_par::{SearchEngine, SearchOptions};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -102,10 +102,11 @@ fn main() {
             .with_strategy(Strategy::Hybrid)
             .with_isa(Platform::Cpu.isa())
             .with_width(WidthPolicy::Auto);
-        let opts = || SearchOptions::new().threads(threads).top_n(10);
         let t_aalign = time_min(
             || {
-                let _ = search_database(&aalign, q, db, opts()).unwrap();
+                let _ = SearchEngine::new(threads)
+                    .search(&aalign, q, db, &SearchOptions::new().top_n(10))
+                    .unwrap();
             },
             warmup,
             reps,
@@ -143,10 +144,11 @@ fn main() {
             .with_strategy(Strategy::Hybrid)
             .with_isa(Platform::Mic.isa())
             .with_width(WidthPolicy::Fixed32);
-        let opts = || SearchOptions::new().threads(threads).top_n(10);
         let t_aalign = time_min(
             || {
-                let _ = search_database(&aalign, q, db, opts()).unwrap();
+                let _ = SearchEngine::new(threads)
+                    .search(&aalign, q, db, &SearchOptions::new().top_n(10))
+                    .unwrap();
             },
             warmup,
             reps,

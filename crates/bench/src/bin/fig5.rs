@@ -14,8 +14,8 @@ use aalign_bench::harness::{print_banner, time_min, Platform, Table};
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, random_protein, seeded_rng};
 use aalign_bio::Sequence;
-use aalign_core::striped::StrategyChoice;
 use aalign_core::{AlignConfig, Aligner, GapModel, HybridPolicy, Strategy, WidthPolicy};
+use aalign_obs::{CollectorSink, StrategyKind, TraceEvent};
 
 fn main() {
     print_banner("Fig. 5 — hybrid switching trace (SW-affine)");
@@ -39,33 +39,37 @@ fn main() {
         probe_stride: 64,
     };
 
-    // Trace via the core hybrid API.
+    // Trace via the core hybrid API: one column event per subject
+    // character.
     let prof = aalign_bio::StripedProfile::<i32>::build(&query, &cfg.matrix, 16);
     let mut ws = aalign_core::Workspace::new();
-    let rep = aalign_core::striped::hybrid_align::<_, true, true>(
+    let mut sink = CollectorSink::new();
+    let rep = aalign_core::striped::hybrid_align_sink::<_, true, true, _>(
         aalign_vec::EmuEngine::<i32, 16>::new(),
         &prof,
         subject.indices(),
         cfg.table2(),
         policy,
         &mut ws,
-        true,
+        &mut sink,
     );
 
     // Aggregate the trace into 100-column bins (like the figure's x axis).
     println!("per-100-column summary (I = iterate cols, S = scan cols, sweeps = lazy sweeps):");
     let mut table = Table::new(vec!["columns", "iterate", "scan", "lazy sweeps"]);
-    for (bin, chunk) in rep.trace.chunks(100).enumerate() {
+    for (bin, chunk) in sink.events.chunks(100).enumerate() {
         let mut it = 0usize;
         let mut sc = 0usize;
         let mut sweeps = 0u64;
         for ev in chunk {
-            match ev {
-                StrategyChoice::Iterate(s) => {
-                    it += 1;
-                    sweeps += u64::from(*s);
+            if let TraceEvent::Hybrid(col) = ev {
+                match col.strategy {
+                    StrategyKind::Iterate => {
+                        it += 1;
+                        sweeps += u64::from(col.lazy_sweeps);
+                    }
+                    StrategyKind::Scan => sc += 1,
                 }
-                StrategyChoice::Scan => sc += 1,
             }
         }
         table.row(vec![

@@ -15,7 +15,7 @@ use aalign_bench::harness::{print_banner, time_min, Table};
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
 use aalign_core::{AlignConfig, Aligner, GapModel, Strategy};
-use aalign_par::{search_database, SearchOptions};
+use aalign_par::{SearchEngine, SearchOptions};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -39,15 +39,14 @@ fn main() {
     let mut t1 = None;
     let mut threads = 1usize;
     while threads <= max_threads {
+        let opts = SearchOptions::new().top_n(5);
+        // The pool is built inside the timed closure: each sample pays
+        // its spawn and teardown, as a one-off search does.
         let t_sweep = time_min(
             || {
-                let _ = search_database(
-                    &aligner,
-                    &query,
-                    &db,
-                    SearchOptions::new().threads(threads).top_n(5),
-                )
-                .unwrap();
+                let _ = SearchEngine::new(threads)
+                    .search(&aligner, &query, &db, &opts)
+                    .unwrap();
             },
             1,
             if quick { 1 } else { 3 },

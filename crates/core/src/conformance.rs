@@ -726,12 +726,10 @@ fn run_hybrid<T: ScoreElem, const LANES: usize>(
     affine: bool,
 ) -> crate::striped::KernelResult {
     let rep = match (local, affine) {
-        (true, true) => hybrid_align::<_, true, true>(eng, prof, subject, t2, policy, ws, false),
-        (true, false) => hybrid_align::<_, true, false>(eng, prof, subject, t2, policy, ws, false),
-        (false, true) => hybrid_align::<_, false, true>(eng, prof, subject, t2, policy, ws, false),
-        (false, false) => {
-            hybrid_align::<_, false, false>(eng, prof, subject, t2, policy, ws, false)
-        }
+        (true, true) => hybrid_align::<_, true, true>(eng, prof, subject, t2, policy, ws),
+        (true, false) => hybrid_align::<_, true, false>(eng, prof, subject, t2, policy, ws),
+        (false, true) => hybrid_align::<_, false, true>(eng, prof, subject, t2, policy, ws),
+        (false, false) => hybrid_align::<_, false, false>(eng, prof, subject, t2, policy, ws),
     };
     rep.result
 }

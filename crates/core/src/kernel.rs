@@ -287,7 +287,6 @@ impl<T: ScoreElem, S: TraceSink> Attempt<'_, T, S> {
             result,
             switches_to_scan: 0,
             probes_stayed: 0,
-            trace: Vec::new(),
         };
         match strategy {
             Strategy::StripedIterate => only(iterate_align_sink::<E, L, A, S>(
@@ -297,7 +296,7 @@ impl<T: ScoreElem, S: TraceSink> Attempt<'_, T, S> {
                 eng, prof, subject, t2, ws, sink,
             )),
             Strategy::Hybrid => {
-                hybrid_align_sink::<E, L, A, S>(eng, prof, subject, t2, policy, ws, false, sink)
+                hybrid_align_sink::<E, L, A, S>(eng, prof, subject, t2, policy, ws, sink)
             }
             Strategy::Sequential => unreachable!("sequential handled before dispatch"),
         }
@@ -1095,7 +1094,7 @@ impl Aligner {
     /// Align one query against many subjects, preparing the query
     /// once and reusing scratch buffers — the right call shape for
     /// anything beyond a handful of subjects (see also
-    /// [`aalign-par`'s `search_database`](https://docs.rs/aalign-par)
+    /// [`aalign-par`'s `SearchEngine::search`](https://docs.rs/aalign-par)
     /// for the multithreaded version).
     pub fn align_many(
         &self,

@@ -65,5 +65,5 @@ pub use kernel::{
     WidthPolicy, LANE_MIN_FILL_PERCENT, LANE_QUERY_CAP,
 };
 pub use retry::Backoff;
-pub use striped::{HybridPolicy, HybridReport, KernelResult, StrategyChoice, Workspace};
+pub use striped::{HybridPolicy, HybridReport, KernelResult, Workspace};
 pub use traceback::{traceback_align, Alignment};

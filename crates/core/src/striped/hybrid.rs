@@ -41,16 +41,7 @@ impl HybridPolicy {
     }
 }
 
-/// Which strategy handled a column (per-column trace for Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StrategyChoice {
-    /// Iterate column with its lazy-sweep count.
-    Iterate(u32),
-    /// Scan column.
-    Scan,
-}
-
-/// Hybrid run report: the kernel result plus the decision trace.
+/// Hybrid run report: the kernel result plus the switch counts.
 #[derive(Debug, Clone)]
 pub struct HybridReport {
     /// The alignment result (identical scores to pure iterate/scan).
@@ -59,12 +50,10 @@ pub struct HybridReport {
     pub switches_to_scan: usize,
     /// Number of probes that returned to iterate.
     pub probes_stayed: usize,
-    /// Optional per-column trace (populated when `trace` is true).
-    pub trace: Vec<StrategyChoice>,
 }
 
-/// Align with the hybrid strategy under `policy`. Set `trace` to
-/// record the per-column decisions (used by the Fig. 5 example).
+/// Align with the hybrid strategy under `policy`. For the per-column
+/// decisions, run [`hybrid_align_sink`] with a collecting sink.
 ///
 /// ```
 /// use aalign_core::striped::{hybrid_align, HybridPolicy, Workspace};
@@ -84,10 +73,9 @@ pub struct HybridReport {
 ///     cfg.table2(),
 ///     HybridPolicy { threshold: 2, probe_stride: 64 },
 ///     &mut ws,
-///     true,
 /// );
 /// assert_eq!(rep.result.score, 17);
-/// assert_eq!(rep.trace.len(), s.len());
+/// assert_eq!(rep.result.iterate_columns + rep.result.scan_columns, s.len());
 /// ```
 #[inline(always)]
 pub fn hybrid_align<E: SimdEngine, const LOCAL: bool, const AFFINE: bool>(
@@ -97,18 +85,8 @@ pub fn hybrid_align<E: SimdEngine, const LOCAL: bool, const AFFINE: bool>(
     t2: TableII,
     policy: HybridPolicy,
     ws: &mut Workspace<E::Elem>,
-    trace: bool,
 ) -> HybridReport {
-    hybrid_align_sink::<E, LOCAL, AFFINE, _>(
-        eng,
-        prof,
-        subject,
-        t2,
-        policy,
-        ws,
-        trace,
-        &mut NullSink,
-    )
+    hybrid_align_sink::<E, LOCAL, AFFINE, _>(eng, prof, subject, t2, policy, ws, &mut NullSink)
 }
 
 /// [`hybrid_align`] with a per-column trace sink: every column emits
@@ -121,7 +99,6 @@ pub fn hybrid_align<E: SimdEngine, const LOCAL: bool, const AFFINE: bool>(
 /// does) the emission sites compile away and this is exactly the
 /// untraced kernel; the `obs_overhead` bench in `crates/bench` guards
 /// that equivalence at <1% measured overhead.
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub fn hybrid_align_sink<E: SimdEngine, const LOCAL: bool, const AFFINE: bool, S: TraceSink>(
     eng: E,
@@ -130,11 +107,9 @@ pub fn hybrid_align_sink<E: SimdEngine, const LOCAL: bool, const AFFINE: bool, S
     t2: TableII,
     policy: HybridPolicy,
     ws: &mut Workspace<E::Elem>,
-    trace: bool,
     sink: &mut S,
 ) -> HybridReport {
     let mut cols = ColumnEngine::<E, LOCAL, AFFINE>::new(eng, prof, t2, ws);
-    let mut events = Vec::new();
     let mut switches_to_scan = 0usize;
     let mut probes_stayed = 0usize;
 
@@ -147,9 +122,6 @@ pub fn hybrid_align_sink<E: SimdEngine, const LOCAL: bool, const AFFINE: bool, S
     while i < n && !cols.saturated() {
         if iterating {
             let sweeps = cols.iterate_column(subject[i]);
-            if trace {
-                events.push(StrategyChoice::Iterate(sweeps));
-            }
             let switched = sweeps > policy.threshold;
             emit_col(
                 sink,
@@ -171,9 +143,6 @@ pub fn hybrid_align_sink<E: SimdEngine, const LOCAL: bool, const AFFINE: bool, S
             let burst_end = (i + policy.probe_stride).min(n);
             while i < burst_end && !cols.saturated() {
                 cols.scan_column(subject[i]);
-                if trace {
-                    events.push(StrategyChoice::Scan);
-                }
                 emit_col(
                     sink,
                     HybridEvent {
@@ -189,9 +158,6 @@ pub fn hybrid_align_sink<E: SimdEngine, const LOCAL: bool, const AFFINE: bool, S
             // …then a probe column decides the next mode.
             if i < n && !cols.saturated() {
                 let sweeps = cols.iterate_column(subject[i]);
-                if trace {
-                    events.push(StrategyChoice::Iterate(sweeps));
-                }
                 let stayed = sweeps <= policy.threshold;
                 emit_col(
                     sink,
@@ -222,6 +188,5 @@ pub fn hybrid_align_sink<E: SimdEngine, const LOCAL: bool, const AFFINE: bool, S
         result: cols.finish(),
         switches_to_scan,
         probes_stayed,
-        trace: events,
     }
 }

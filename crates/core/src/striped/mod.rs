@@ -16,7 +16,7 @@ pub mod iterate;
 pub mod scan;
 
 pub use columns::{ColumnEngine, KernelResult, Workspace};
-pub use hybrid::{hybrid_align, hybrid_align_sink, HybridPolicy, HybridReport, StrategyChoice};
+pub use hybrid::{hybrid_align, hybrid_align_sink, HybridPolicy, HybridReport};
 pub use iterate::{iterate_align, iterate_align_sink};
 pub use scan::{scan_align, scan_align_sink};
 

@@ -69,7 +69,6 @@ fn check_engine<E: SimdEngine<Elem = i32>>(eng: E, q: &Sequence, s: &Sequence, l
                         probe_stride: 3,
                     },
                     &mut ws,
-                    false,
                 )
                 .result
                 .score
@@ -280,6 +279,7 @@ fn iterate_and_scan_agree_on_stats_columns() {
     assert_eq!(sc.lazy_iters, 0);
 }
 
+#[cfg(feature = "trace")]
 #[test]
 fn hybrid_trace_covers_every_column() {
     let mut rng = seeded_rng(13);
@@ -290,7 +290,8 @@ fn hybrid_trace_covers_every_column() {
     let prof = StripedProfile::<i32>::build(&q, &cfg.matrix, 8);
     let mut ws = Workspace::new();
     let eng = EmuEngine::<i32, 8>::new();
-    let rep = hybrid_align::<_, true, true>(
+    let mut sink = aalign_obs::CollectorSink::new();
+    let rep = crate::striped::hybrid_align_sink::<_, true, true, _>(
         eng,
         &prof,
         s.indices(),
@@ -300,9 +301,9 @@ fn hybrid_trace_covers_every_column() {
             probe_stride: 10,
         },
         &mut ws,
-        true,
+        &mut sink,
     );
-    assert_eq!(rep.trace.len(), 95, "one event per subject character");
+    assert_eq!(sink.events.len(), 95, "one event per subject character");
     assert_eq!(rep.result.iterate_columns + rep.result.scan_columns, 95);
 }
 

@@ -10,8 +10,7 @@
 //!   per-column [`HybridEvent`] emitted from the hybrid kernel.
 //! * [`sink`] — the [`TraceSink`] trait with zero-cost-when-disabled
 //!   dispatch. The monomorphized [`NullSink`] compiles every emission
-//!   site away; collectors buffer events per worker and merge them
-//!   through a [`SharedCollector`].
+//!   site away; a [`CollectorSink`] buffers events per worker.
 //! * [`hist`] — fixed-bucket (log2) [`Histogram`]s with saturating,
 //!   associative/commutative merge. No dependencies, `Copy`-free,
 //!   cheap to record into from hot loops.
@@ -51,5 +50,5 @@ pub use flight::{FlightEvent, FlightRecorder};
 pub use hist::Histogram;
 pub use jsonl::{event_to_json, parse_line, read_events, ParseError, TraceWriter};
 pub use report::{StrategySegment, SubjectTimeline, TraceReport};
-pub use sink::{CollectorSink, NullSink, SharedCollector, TraceSink};
+pub use sink::{CollectorSink, NullSink, TraceSink};
 pub use wire::{JsonValue, WireError, SCHEMA_VERSION};

@@ -17,15 +17,14 @@
 //! `bench obs_overhead` guard in `crates/bench` holds that path to
 //! <1% overhead.
 
-use std::sync::{Arc, Mutex};
-
 use crate::event::{HybridEvent, TraceEvent};
 
 /// Receiver of typed trace events.
 ///
 /// Implementations must keep [`record`](TraceSink::record) cheap —
 /// it runs on worker threads between SIMD columns. Buffer locally,
-/// flush in batches (see [`SharedCollector`]).
+/// flush in batches (as the search engine's workers do, one batch per
+/// subject).
 pub trait TraceSink {
     /// Whether this sink wants events at all. Emission sites gate on
     /// this; a constant `false` (as in [`NullSink`]) removes them.
@@ -77,8 +76,8 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
 }
 
 /// An in-memory event buffer. Workers keep one per thread, reuse it
-/// across subjects (`events.clear()` via [`SharedCollector::append`]
-/// drains it), and never contend inside an alignment.
+/// across subjects (publishing a batch drains `events`), and never
+/// contend inside an alignment.
 #[derive(Debug, Default)]
 pub struct CollectorSink {
     /// The buffered events, in emission order.
@@ -102,56 +101,6 @@ impl TraceSink for CollectorSink {
     #[inline]
     fn record(&mut self, event: TraceEvent) {
         self.events.push(event);
-    }
-}
-
-/// A cloneable, thread-safe event collector: the rendezvous between
-/// per-worker [`CollectorSink`] buffers and whoever writes the trace
-/// out. Workers push whole per-subject batches under one lock
-/// acquisition, so events for one subject are always contiguous in
-/// the final stream — the invariant the timeline reconstruction in
-/// [`crate::report`] relies on.
-#[derive(Debug, Clone, Default)]
-pub struct SharedCollector {
-    inner: Arc<Mutex<Vec<TraceEvent>>>,
-}
-
-impl SharedCollector {
-    /// Fresh, empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one event (engine-thread framing: query/span events).
-    pub fn push(&self, event: TraceEvent) {
-        self.inner.lock().expect("trace collector lock").push(event);
-    }
-
-    /// Move a worker's buffered batch in, draining `batch` so its
-    /// allocation is reused for the next subject.
-    pub fn append(&self, batch: &mut Vec<TraceEvent>) {
-        if batch.is_empty() {
-            return;
-        }
-        self.inner
-            .lock()
-            .expect("trace collector lock")
-            .append(batch);
-    }
-
-    /// Events collected so far.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("trace collector lock").len()
-    }
-
-    /// True when nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drain everything collected so far, in arrival order.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.inner.lock().expect("trace collector lock"))
     }
 }
 
@@ -203,27 +152,5 @@ mod tests {
             by_ref.on_hybrid(col(3));
         }
         assert_eq!(sink.events.len(), 1);
-    }
-
-    #[test]
-    fn shared_collector_merges_batches_atomically() {
-        let shared = SharedCollector::new();
-        let clone = shared.clone();
-        let mut batch = vec![
-            TraceEvent::AlignBegin {
-                subject: 9,
-                len: 4,
-                worker: 0,
-            },
-            TraceEvent::Hybrid(col(0)),
-        ];
-        clone.append(&mut batch);
-        assert!(batch.is_empty(), "append drains the worker buffer");
-        shared.push(TraceEvent::QueryEnd { at_us: 10, hits: 1 });
-        assert_eq!(shared.len(), 3);
-        let all = shared.drain();
-        assert_eq!(all.len(), 3);
-        assert!(shared.is_empty());
-        assert!(matches!(all[0], TraceEvent::AlignBegin { subject: 9, .. }));
     }
 }

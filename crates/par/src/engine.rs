@@ -1,15 +1,14 @@
 //! The persistent search engine: a long-lived worker pool behind the
 //! paper's Sec. V-E database sweep.
 //!
-//! The one-shot [`search_database`](crate::search_database) builds
-//! and tears down a pool per query — fine for figure replication,
-//! wasteful for sustained query traffic. A [`SearchEngine`] instead
-//! spawns its workers **once**; each worker
+//! A [`SearchEngine`] spawns its workers **once**; each worker
 //! permanently owns an [`AlignScratch`], so after the first query the
 //! hot loop of every subsequent query touches no allocator and no
 //! thread-creation syscall. Queries are fed to the pool through the
 //! same dynamic binding the paper uses: an atomic work index over the
-//! length-sorted database, pulled in configurable shards.
+//! length-sorted database, claimed one subject at a time — or one
+//! vector of subjects at a time where the sweep scores them lane per
+//! subject.
 //!
 //! The sweep has two ways to score what a worker claims: subject by
 //! subject through the striped kernels (`score_subject`), or — for a
@@ -29,9 +28,9 @@
 //!   are merged and ranked at the end. Results are bit-identical to
 //!   collect-then-sort (the heap order is the final rank order).
 //! * **Cancellation + progress** — a [`CancelToken`] is polled at
-//!   every shard boundary (the query returns
+//!   every claim boundary (the query returns
 //!   [`AlignError::Cancelled`]), and an optional progress callback
-//!   receives completion snapshots as shards finish.
+//!   receives completion snapshots as claims finish.
 //! * **Metrics** — every query produces [`SearchMetrics`]: stage wall
 //!   times, GCUPS, aggregated kernel [`RunStats`], width retries, and
 //!   per-worker load (see [`crate::metrics`]).
@@ -90,16 +89,6 @@ fn narrower(a: u32, b: u32) -> u32 {
         (0, w) | (w, 0) => w,
         _ => a.min(b),
     }
-}
-
-/// Resolve a requested thread count (`0` = available parallelism).
-pub(crate) fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    } else {
-        requested
-    }
-    .max(1)
 }
 
 /// State owned by one pool thread for its whole lifetime.
@@ -204,7 +193,7 @@ impl DeadlineGuard {
         })
     }
 
-    /// Polled at shard boundaries, like cancellation.
+    /// Polled at claim boundaries, like cancellation.
     fn expired(&self) -> bool {
         if self.tripped.is_cancelled() {
             return true;
@@ -310,24 +299,22 @@ struct SweepShared<'a> {
     /// ([`ProgressCounters`], loom-checked in
     /// `tests/loom_progress.rs`).
     completed: &'a ProgressCounters,
-    /// Slots grabbed per atomic fetch: [`SearchOptions::shard`],
-    /// rounded up to whole vectors when `lanes` is set.
-    shard: usize,
     /// Subjects per lane-per-subject batch, or 0 when every subject
     /// is scored on its own: the sweep is traced (column events
     /// describe the striped kernels), the aligner would decline every
-    /// batch, or the database is smaller than one vector.
+    /// batch, or the database is smaller than one vector. A claim on
+    /// the work index is one vector of subjects, or one subject.
     lanes: usize,
     top_n: usize,
     cancel: Option<&'a CancelToken>,
     progress: Option<&'a ProgressFn>,
     /// Destination for trace events when the query runs traced.
-    /// Workers move whole per-subject batches in at shard boundaries,
+    /// Workers move whole per-subject batches in at claim boundaries,
     /// keeping every subject's events contiguous in the final stream
     /// ([`SharedBatch`], loom-checked in `tests/loom_publication.rs`
     /// and `tests/loom_cancel.rs`).
     trace: Option<&'a SharedBatch<TraceEvent>>,
-    /// Wall-clock deadline, polled at shard boundaries alongside
+    /// Wall-clock deadline, polled at claim boundaries alongside
     /// cancellation.
     deadline: Option<&'a DeadlineGuard>,
     /// Re-align saturated runs up the query's width ladder
@@ -372,7 +359,7 @@ struct Tallies {
     worker_id: usize,
     /// Per-worker trace buffer: each scored subject appends a complete
     /// `AlignBegin` … `AlignEnd` batches; the sweep loop drains it
-    /// into the shared collector once per shard.
+    /// into the shared collector once per claim.
     sink: CollectorSink,
 }
 
@@ -736,10 +723,10 @@ impl<'a> WorkerSweep<'a> {
     }
 }
 
-/// The dispatch loop every worker runs for one query: pull shards off
-/// the atomic index, score each claim — by vectors of subjects where
-/// the lane kernel takes them, subject by subject otherwise — publish
-/// progress, honor cancellation.
+/// The dispatch loop every worker runs for one query: pull claims off
+/// the atomic index, score each — a vector of subjects where the lane
+/// kernel takes them, one subject otherwise — publish progress, honor
+/// cancellation.
 fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> SweepOut {
     let t0 = Instant::now();
     state.queries += 1;
@@ -759,7 +746,7 @@ fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> Sw
     let mut residues = 0usize;
     let mut err = None;
 
-    'sweep: loop {
+    loop {
         if let Some(c) = shared.cancel {
             if c.is_cancelled() {
                 err = Some(AlignError::Cancelled);
@@ -772,25 +759,17 @@ fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> Sw
                 break;
             }
         }
-        let Some((start, end)) = shared.index.claim(shared.shard, shared.order.len()) else {
+        let Some((start, end)) = shared.index.claim(shared.lanes.max(1), shared.order.len()) else {
             break;
         };
         sweep.claim_subjects = 0;
         sweep.claim_residues = 0;
-        // A vector of subjects at a time, or — without lanes — the claim.
-        let step = if shared.lanes > 0 {
-            shared.lanes
-        } else {
-            end - start
-        };
-        for at in (start..end).step_by(step) {
-            if let Err(e) = sweep.score(shared, &mut state.scratch, at..end.min(at + step)) {
-                err = Some(e);
-                break 'sweep;
-            }
+        if let Err(e) = sweep.score(shared, &mut state.scratch, start..end) {
+            err = Some(e);
+            break;
         }
-        // Publish this shard's completed trace batches in one lock
-        // acquisition (a failed shard never publishes its partial
+        // Publish this claim's completed trace batches in one lock
+        // acquisition (a failed claim never publishes its partial
         // batch — the query errors out and the trace is discarded).
         if let Some(trace) = shared.trace {
             trace.publish(&mut sweep.tallies.sink.events);
@@ -832,7 +811,10 @@ impl SearchEngine {
     /// available parallelism. This is the only point at which the
     /// engine creates threads — queries reuse them.
     pub fn new(threads: usize) -> Self {
-        let n = resolve_threads(threads);
+        let n = match threads {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+            n => n,
+        };
         Self {
             pool: Mutex::new((0..n).map(spawn_worker).collect()),
             threads: n,
@@ -972,11 +954,12 @@ impl SearchEngine {
 
     /// Align `query` against every subject of `db` using the pooled
     /// workers and the striped kernels. This is the workspace's one
-    /// database sweep; every other search entry point calls it.
+    /// database sweep; [`pipeline`](Self::pipeline) is the only other
+    /// entry point, and it calls this one.
     ///
-    /// `opts.threads` is ignored here — the pool size, fixed at
-    /// construction, governs; the one-shot `search_database` consults
-    /// it when sizing its transient engine.
+    /// The sweep engages `min(pool size, subjects)` workers (one for an
+    /// empty database, so errors surface); build the engine with the
+    /// pool size you want — [`SearchEngine::new`] — and reuse it.
     pub fn search(
         &self,
         aligner: &Aligner,
@@ -1014,10 +997,6 @@ impl SearchEngine {
             lanes if opts.trace || order.len() < lanes => 0,
             lanes => lanes,
         };
-        let shard = match lanes {
-            0 => opts.shard.max(1),
-            lanes => opts.shard.max(1).next_multiple_of(lanes),
-        };
         let deadline = opts
             .deadline
             .and_then(|budget| DeadlineGuard::new(t_total, budget));
@@ -1029,7 +1008,6 @@ impl SearchEngine {
             order,
             index: &shared_ctx.0,
             completed: &shared_ctx.1,
-            shard,
             lanes,
             top_n: opts.top_n,
             cancel: opts.cancel.as_ref(),
@@ -1390,7 +1368,6 @@ mod tests {
             let token = token.clone();
             let seen = Arc::clone(&seen);
             SearchOptions::new()
-                .shard(1)
                 .cancel(token.clone())
                 .on_progress(move |p| {
                     seen.store(p.subjects_done, Ordering::Relaxed);
@@ -1550,24 +1527,6 @@ mod tests {
                     "{kind:?}: lanes run exactly where the engine has them"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn sharded_binding_is_result_invariant() {
-        let mut rng = seeded_rng(9950);
-        let q = named_query(&mut rng, 70);
-        let db = swissprot_like_db(9951, 60);
-        let a = aligner(AlignKind::Local);
-        let engine = SearchEngine::new(4);
-        let want = engine
-            .search(&a, &q, &db, &SearchOptions::new().top_n(10))
-            .unwrap();
-        for shard in [2usize, 7, 64] {
-            let got = engine
-                .search(&a, &q, &db, &SearchOptions::new().top_n(10).shard(shard))
-                .unwrap();
-            assert_eq!(got.hits, want.hits, "shard={shard}");
         }
     }
 }

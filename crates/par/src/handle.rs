@@ -1,11 +1,12 @@
 //! Engine-sharing façade: a cheaply clonable, thread-safe handle to
 //! one [`SearchEngine`].
 //!
-//! The CLI, the one-shot [`search_database`](crate::search_database),
-//! and `aalign-serve`'s local backend (the dispatcher only sees the
-//! `SearchBackend` trait) all construct their engine through this one
-//! type, so there is a single code path from "requested thread count"
-//! to "running pool".
+//! The CLI and `aalign-serve`'s local backend (the dispatcher only
+//! sees the `SearchBackend` trait) both construct their engine through
+//! [`EngineHandle::new`], so there is a single code path from
+//! "requested thread count" to "running pool". The pool size is the
+//! engine's one setting; a sweep engages `min(pool, subjects)` of its
+//! workers.
 //!
 //! [`EngineHandle`] is `Clone + Send + Sync` (an `Arc` around the
 //! engine, which is itself `Sync`), so a server can hand one clone to
@@ -32,7 +33,7 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use crate::engine::{resolve_threads, SearchEngine};
+use crate::engine::SearchEngine;
 
 /// Clonable, `Send + Sync` handle to a shared [`SearchEngine`].
 ///
@@ -48,19 +49,7 @@ impl EngineHandle {
     /// Spin up a pool of `threads` workers (0 = available
     /// parallelism) and wrap it in a shared handle.
     pub fn new(threads: usize) -> Self {
-        Self::from(SearchEngine::new(resolve_threads(threads)))
-    }
-
-    /// Handle sized for a single run over `work_items` work items:
-    /// `threads` is resolved (0 = available parallelism) and then
-    /// capped at `work_items`, so a one-shot search over a tiny
-    /// database never spawns idle workers. This is the construction
-    /// path [`search_database`](crate::search_database) and the CLI
-    /// share.
-    pub fn transient(threads: usize, work_items: usize) -> Self {
-        Self::from(SearchEngine::new(
-            resolve_threads(threads).min(work_items.max(1)),
-        ))
+        Self::from(SearchEngine::new(threads))
     }
 
     /// Borrow the underlying engine (equivalent to deref).
@@ -93,14 +82,6 @@ mod tests {
     fn handle_is_send_sync_and_clonable() {
         fn assert_send_sync<T: Send + Sync + Clone>() {}
         assert_send_sync::<EngineHandle>();
-    }
-
-    #[test]
-    fn transient_caps_pool_at_work_items() {
-        assert_eq!(EngineHandle::transient(8, 3).threads(), 3);
-        assert_eq!(EngineHandle::transient(2, 100).threads(), 2);
-        // Empty work still gets one worker (errors must surface).
-        assert_eq!(EngineHandle::transient(4, 0).threads(), 1);
     }
 
     #[test]

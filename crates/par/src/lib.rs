@@ -16,14 +16,13 @@
 //! query. Sweeps honor a [`CancelToken`] and an optional progress
 //! callback, and every report carries [`SearchMetrics`].
 //!
-//! There is one sweep — [`SearchEngine::search`] — and everything
-//! else is a caller of it: [`SearchEngine::pipeline`] adds statistics
-//! and traceback on top, and the one-shot [`search_database`] runs it
-//! on a transient engine built through [`EngineHandle::transient`];
-//! results are identical either way. Long-lived consumers
-//! (`aalign-serve`) hold an [`EngineHandle`] — a `Clone + Send +
-//! Sync` `Arc` façade over the engine — so every layer shares one
-//! pool through one code path.
+//! There are two entry points and one sweep: [`SearchEngine::search`]
+//! is the sweep, and [`SearchEngine::pipeline`] adds statistics and
+//! traceback on top of it. The pool size is set once, when the engine
+//! is built; a one-off search builds an engine and drops it. Long-lived
+//! consumers (`aalign-serve`) hold an [`EngineHandle`] — a `Clone +
+//! Send + Sync` `Arc` façade over the engine — so every layer shares
+//! one pool through one code path.
 //!
 //! The [`wire`] module is the versioned JSON wire format for
 //! [`Hit`], [`SearchMetrics`], [`SearchReport`], and
@@ -49,4 +48,4 @@ pub use metrics::{
     CancelToken, ProgressFn, SearchMetrics, SearchProgress, ShardOutcome, WorkerMetrics,
 };
 pub use pipeline::{PipelineHit, PipelineOptions, PipelineReport};
-pub use search::{search_database, Hit, SearchOptions, SearchReport};
+pub use search::{Hit, SearchOptions, SearchReport};

@@ -59,7 +59,7 @@ impl CancelToken {
 }
 
 /// Snapshot delivered to a progress callback after each completed
-/// work shard. Callbacks run on worker threads, so they must be
+/// claim. Callbacks run on worker threads, so they must be
 /// `Send + Sync` and should be cheap.
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]

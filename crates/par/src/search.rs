@@ -1,13 +1,9 @@
-//! The dynamic-binding database search: options, reports, and the
-//! one-shot [`search_database`] (a thin wrapper over
-//! [`SearchEngine`](crate::SearchEngine)).
+//! The dynamic-binding database search's options and report; the
+//! sweep itself is [`SearchEngine::search`](crate::SearchEngine::search).
 
-use aalign_bio::SeqDatabase;
-use aalign_bio::Sequence;
-use aalign_core::{AlignError, Aligner};
+use aalign_core::AlignError;
 use aalign_obs::TraceEvent;
 
-use crate::handle::EngineHandle;
 use crate::metrics::{CancelToken, ProgressFn, SearchMetrics, SearchProgress};
 
 /// One database hit.
@@ -15,6 +11,8 @@ use crate::metrics::{CancelToken, ProgressFn, SearchMetrics, SearchProgress};
 /// Stores only plain numbers — no per-hit `String` is allocated in
 /// the sweep's hot loop. Resolve the subject id lazily through the
 /// database: [`SeqDatabase::id`]`(hit.db_index)`.
+///
+/// [`SeqDatabase::id`]: aalign_bio::SeqDatabase::id
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hit {
     /// Index of the subject in the database.
@@ -29,34 +27,28 @@ pub struct Hit {
 ///
 /// ```
 /// use aalign_par::SearchOptions;
-/// let opts = SearchOptions::new().threads(4).top_n(10);
-/// assert_eq!(opts.threads, 4);
+/// let opts = SearchOptions::new().top_n(10);
 /// assert_eq!(opts.top_n, 10);
 /// ```
 ///
+/// What a query asks for, not how the engine runs it: the pool size
+/// is the engine's ([`SearchEngine::new`](crate::SearchEngine::new)),
+/// and each claim is one subject, or one vector of subjects where the
+/// sweep scores them lane per subject.
+///
 /// `#[non_exhaustive]`: construct through [`SearchOptions::new`] so
-/// the engine can grow fields (cancellation, progress, and shard size
+/// the engine can grow fields (cancellation, progress, and deadlines
 /// were added this way) without breaking callers.
 #[derive(Clone)]
 #[non_exhaustive]
 pub struct SearchOptions {
-    /// Worker thread count for the one-shot [`search_database`]
-    /// (0 = available parallelism). A persistent [`SearchEngine`](crate::SearchEngine)
-    /// uses its own pool size instead.
-    pub threads: usize,
     /// Keep only the best `top_n` hits (0 = keep every hit). When
     /// set, workers stream hits through bounded heaps: peak hit
     /// storage is `O(threads × top_n)` instead of `O(db)`.
     pub top_n: usize,
-    /// Work-items grabbed per atomic fetch (0 or 1 = one at a time,
-    /// the paper's per-subject dynamic binding). Where the sweep scores
-    /// a vector of subjects per lane batch, a claim is rounded up to
-    /// whole vectors (one vector at the default). Larger shards trade
-    /// scheduling traffic for tail balance; results are identical.
-    pub shard: usize,
-    /// Cooperative cancellation token, polled at shard boundaries.
+    /// Cooperative cancellation token, polled at claim boundaries.
     pub cancel: Option<CancelToken>,
-    /// Progress callback, invoked (on worker threads) as shards
+    /// Progress callback, invoked (on worker threads) as claims
     /// complete.
     pub progress: Option<ProgressFn>,
     /// Collect a structured trace of the query: engine span framing,
@@ -92,9 +84,7 @@ pub struct SearchOptions {
 impl Default for SearchOptions {
     fn default() -> Self {
         Self {
-            threads: 0,
             top_n: 0,
-            shard: 0,
             cancel: None,
             progress: None,
             trace: false,
@@ -107,28 +97,14 @@ impl Default for SearchOptions {
 }
 
 impl SearchOptions {
-    /// Default options: all cores, every hit, the smallest claim (one
-    /// subject, or one vector of them — see [`shard`](Self::shard)),
-    /// saturation rescue on, no deadline.
+    /// Default options: every hit, saturation rescue on, no deadline.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set the worker thread count (0 = available parallelism).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Keep only the best `top_n` hits (0 = keep every hit).
     pub fn top_n(mut self, top_n: usize) -> Self {
         self.top_n = top_n;
-        self
-    }
-
-    /// Set the dynamic-binding shard size.
-    pub fn shard(mut self, shard: usize) -> Self {
-        self.shard = shard;
         self
     }
 
@@ -178,9 +154,7 @@ impl SearchOptions {
 impl std::fmt::Debug for SearchOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SearchOptions")
-            .field("threads", &self.threads)
             .field("top_n", &self.top_n)
-            .field("shard", &self.shard)
             .field("cancel", &self.cancel.is_some())
             .field("progress", &self.progress.is_some())
             .field("trace", &self.trace)
@@ -227,53 +201,29 @@ pub struct SearchReport {
     pub errors: Vec<AlignError>,
 }
 
-/// Align `query` against every subject in `db` with `aligner`'s
-/// configuration and strategy.
-///
-/// ```
-/// use aalign_par::{search_database, SearchOptions};
-/// use aalign_core::{AlignConfig, Aligner, GapModel};
-/// use aalign_bio::matrices::BLOSUM62;
-/// use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
-///
-/// let mut rng = seeded_rng(1);
-/// let query = named_query(&mut rng, 60);
-/// let db = swissprot_like_db(2, 20);
-/// let aligner = Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62));
-/// let report = search_database(&aligner, &query, &db,
-///     SearchOptions::new().threads(2).top_n(5)).unwrap();
-/// assert_eq!(report.hits.len(), 5);
-/// println!("{}", db.id(report.hits[0].db_index));
-/// ```
-///
-/// The query profile is built once ([`Aligner::prepare`]) and shared;
-/// subjects are processed longest-first via an atomic work index
-/// (the paper's dynamic binding); each worker owns one scratch
-/// buffer set, so the hot loop does not allocate.
-///
-/// This is a one-shot convenience over [`SearchEngine`](crate::SearchEngine): it spins a
-/// transient pool up and down per call. To serve many queries, hold a
-/// [`SearchEngine`](crate::SearchEngine) and call [`SearchEngine::search`](crate::SearchEngine::search) — same results,
-/// zero per-query thread and allocation setup.
-pub fn search_database(
-    aligner: &Aligner,
-    query: &Sequence,
-    db: &SeqDatabase,
-    opts: SearchOptions,
-) -> Result<SearchReport, AlignError> {
-    EngineHandle::transient(opts.threads, db.len()).search(aligner, query, db, &opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SearchEngine;
     use aalign_bio::matrices::BLOSUM62;
     use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db, Level, PairSpec};
-    use aalign_core::{AlignConfig, GapModel, Strategy};
+    use aalign_bio::{SeqDatabase, Sequence};
+    use aalign_core::{AlignConfig, Aligner, GapModel, Strategy};
 
     fn aligner() -> Aligner {
         Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62))
             .with_strategy(Strategy::Hybrid)
+    }
+
+    /// One sweep on a fresh pool of `pool` workers.
+    fn search(
+        pool: usize,
+        a: &Aligner,
+        q: &Sequence,
+        db: &SeqDatabase,
+        opts: &SearchOptions,
+    ) -> Result<SearchReport, AlignError> {
+        SearchEngine::new(pool).search(a, q, db, opts)
     }
 
     #[test]
@@ -282,8 +232,8 @@ mod tests {
         let q = named_query(&mut rng, 80);
         let db = swissprot_like_db(51, 60);
         let a = aligner();
-        let one = search_database(&a, &q, &db, SearchOptions::new().threads(1)).unwrap();
-        let four = search_database(&a, &q, &db, SearchOptions::new().threads(4)).unwrap();
+        let one = search(1, &a, &q, &db, &SearchOptions::new()).unwrap();
+        let four = search(4, &a, &q, &db, &SearchOptions::new()).unwrap();
         assert_eq!(one.hits, four.hits, "thread count must not change results");
         assert_eq!(one.subjects, 60);
         assert_eq!(four.threads_used, 4);
@@ -300,13 +250,7 @@ mod tests {
         let planted_id = planted.id().to_string();
         seqs.push(planted);
         let db = SeqDatabase::new(seqs);
-        let report = search_database(
-            &aligner(),
-            &q,
-            &db,
-            SearchOptions::new().threads(2).top_n(5),
-        )
-        .unwrap();
+        let report = search(2, &aligner(), &q, &db, &SearchOptions::new().top_n(5)).unwrap();
         assert_eq!(report.hits.len(), 5);
         assert_eq!(
             db.id(report.hits[0].db_index),
@@ -321,7 +265,7 @@ mod tests {
         let mut rng = seeded_rng(70);
         let q = named_query(&mut rng, 50);
         let db = swissprot_like_db(71, 25);
-        let report = search_database(&aligner(), &q, &db, SearchOptions::new()).unwrap();
+        let report = search(0, &aligner(), &q, &db, &SearchOptions::new()).unwrap();
         assert_eq!(report.hits.len(), 25);
         // Sorted by score descending.
         for w in report.hits.windows(2) {
@@ -335,7 +279,7 @@ mod tests {
         let q = named_query(&mut rng, 64);
         let db = swissprot_like_db(81, 10);
         let a = aligner();
-        let report = search_database(&a, &q, &db, SearchOptions::new().threads(3)).unwrap();
+        let report = search(3, &a, &q, &db, &SearchOptions::new()).unwrap();
         for hit in &report.hits {
             let direct = a.align(&q, db.get(hit.db_index)).unwrap();
             assert_eq!(hit.score, direct.score, "{}", db.id(hit.db_index));
@@ -346,7 +290,7 @@ mod tests {
     fn empty_query_propagates_error() {
         let q = Sequence::protein("e", b"").unwrap();
         let db = swissprot_like_db(91, 5);
-        let err = search_database(&aligner(), &q, &db, SearchOptions::new()).unwrap_err();
+        let err = search(0, &aligner(), &q, &db, &SearchOptions::new()).unwrap_err();
         assert_eq!(err, AlignError::EmptyQuery);
     }
 
@@ -354,7 +298,7 @@ mod tests {
     fn alphabet_mismatch_is_rejected() {
         let q = Sequence::dna("d", b"ACGT").unwrap();
         let db = swissprot_like_db(603, 4);
-        let err = search_database(&aligner(), &q, &db, SearchOptions::new()).unwrap_err();
+        let err = search(0, &aligner(), &q, &db, &SearchOptions::new()).unwrap_err();
         assert!(matches!(err, AlignError::AlphabetMismatch { .. }));
     }
 
@@ -363,7 +307,7 @@ mod tests {
         let mut rng = seeded_rng(100);
         let q = named_query(&mut rng, 30);
         let db = SeqDatabase::default();
-        let report = search_database(&aligner(), &q, &db, SearchOptions::new()).unwrap();
+        let report = search(0, &aligner(), &q, &db, &SearchOptions::new()).unwrap();
         assert!(report.hits.is_empty());
         assert_eq!(report.subjects, 0);
     }
@@ -372,24 +316,20 @@ mod tests {
     fn options_builder_round_trips() {
         let token = CancelToken::new();
         let opts = SearchOptions::new()
-            .threads(8)
             .top_n(20)
-            .shard(4)
             .cancel(token)
             .on_progress(|_| {})
             .trace(true)
             .rescue(false)
             .deadline(std::time::Duration::from_millis(250));
-        assert_eq!(opts.threads, 8);
         assert_eq!(opts.top_n, 20);
-        assert_eq!(opts.shard, 4);
         assert!(opts.cancel.is_some());
         assert!(opts.progress.is_some());
         assert!(opts.trace);
         assert!(!opts.rescue);
         assert_eq!(opts.deadline, Some(std::time::Duration::from_millis(250)));
         let dbg = format!("{opts:?}");
-        assert!(dbg.contains("threads: 8"), "{dbg}");
+        assert!(dbg.contains("top_n: 20"), "{dbg}");
         assert!(dbg.contains("rescue: false"), "{dbg}");
         // Rescue is on unless explicitly turned off.
         assert!(SearchOptions::new().rescue);

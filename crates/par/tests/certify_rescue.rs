@@ -11,7 +11,7 @@ use aalign_bio::synth::{named_query, random_protein, seeded_rng, swissprot_like_
 use aalign_bio::{matrices::BLOSUM62, SeqDatabase, Sequence, SubstMatrix};
 use aalign_core::certify::{certify, kernel_headroom, lane_cap, CertificateStore};
 use aalign_core::{AlignConfig, Aligner, GapModel, WidthPolicy};
-use aalign_par::{search_database, SearchOptions};
+use aalign_par::{SearchEngine, SearchOptions};
 
 fn random_dna<R: RngExt>(rng: &mut R, id: &str, len: usize) -> Sequence {
     let text: Vec<u8> = (0..len)
@@ -38,17 +38,17 @@ fn certified_i8_dna_search_never_rescues() {
     let aligner = Aligner::new(cfg.clone()).with_certified_bounds(48, 1000);
     let plain = Aligner::new(cfg);
     let mut rng = seeded_rng(900);
+    let (engine, opts) = (SearchEngine::new(2), SearchOptions::new());
     for round in 0..4 {
         let query = random_dna(&mut rng, &format!("q{round}"), 48);
         let db = dna_db(&mut rng, 24, 1000);
-        let opts = || SearchOptions::new().threads(2);
-        let report = search_database(&aligner, &query, &db, opts()).unwrap();
+        let report = engine.search(&aligner, &query, &db, &opts).unwrap();
         assert_eq!(report.metrics.rescued, 0, "round {round}");
         assert!(report.metrics.rescue_widths.is_empty());
         assert_eq!(report.metrics.certified_width, 8, "round {round}");
         // Differential: the certified i8 sweep ranks identically to
         // the uncertified (i16-first) sweep.
-        let want = search_database(&plain, &query, &db, opts()).unwrap();
+        let want = engine.search(&plain, &query, &db, &opts).unwrap();
         assert_eq!(report.hits, want.hits, "round {round}");
         assert_eq!(want.metrics.certified_width, 0, "no store installed");
     }
@@ -70,7 +70,9 @@ fn certified_i16_protein_search_never_rescues() {
         "i16 must be granted"
     );
     let aligner = Aligner::new(cfg).with_certificates(store);
-    let report = search_database(&aligner, &query, &db, SearchOptions::new().threads(2)).unwrap();
+    let report = SearchEngine::new(2)
+        .search(&aligner, &query, &db, &SearchOptions::new())
+        .unwrap();
     assert_eq!(report.metrics.rescued, 0);
     assert_eq!(report.metrics.certified_width, 16);
 }
@@ -108,9 +110,9 @@ fn random_tuples_grant_implies_no_rescue_and_denials_are_witnessed() {
                     });
                 let query = random_dna(&mut rng, "q", max_query);
                 let db = dna_db(&mut rng, 8, max_subject);
-                let report =
-                    search_database(&aligner, &query, &db, SearchOptions::new().threads(1))
-                        .unwrap();
+                let report = SearchEngine::new(1)
+                    .search(&aligner, &query, &db, &SearchOptions::new())
+                    .unwrap();
                 assert_eq!(
                     report.metrics.rescued, 0,
                     "seed {seed}: granted i{} rescued {:?}",
@@ -171,7 +173,9 @@ fn reported_max_safe_len_is_usable() {
     let aligner = Aligner::new(cfg.clone())
         .with_certified_bounds(safe, safe)
         .with_width(WidthPolicy::Fixed8);
-    let report = search_database(&aligner, &query, &db, SearchOptions::new().threads(1)).unwrap();
+    let report = SearchEngine::new(1)
+        .search(&aligner, &query, &db, &SearchOptions::new())
+        .unwrap();
     assert_eq!(report.metrics.rescued, 0);
     assert_eq!(report.metrics.certified_width, 8);
 

@@ -360,7 +360,6 @@ mod scripted {
                 &q,
                 &db,
                 &SearchOptions::new()
-                    .shard(1)
                     .fault_plan(plan)
                     .deadline(Duration::from_millis(5)),
             )

@@ -229,12 +229,11 @@ fn progress_and_cancellation_are_seen_at_claim_boundaries() {
 
     let seen = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&seen);
-    let opts = SearchOptions::new()
-        .shard(3)
-        .on_progress(move |p| sink.lock().unwrap().push(p.subjects_done));
+    let opts =
+        SearchOptions::new().on_progress(move |p| sink.lock().unwrap().push(p.subjects_done));
     let report = engine.search(&aligner, &q, &db, &opts).unwrap();
     assert_eq!(report.subjects, db.len());
-    let claim = if lanes > 0 { lanes } else { 3 };
+    let claim = lanes.max(1);
     let seen = seen.lock().unwrap().clone();
     let want: Vec<usize> = (1..=db.len().div_ceil(claim))
         .map(|k| (k * claim).min(db.len()))

@@ -125,39 +125,28 @@ fn trace_stream_is_a_wellformed_query_envelope() {
 }
 
 #[test]
-fn timelines_reconcile_across_workers_and_shards() {
+fn timelines_reconcile_across_workers() {
     let mut rng = seeded_rng(3300);
     let q = named_query(&mut rng, 110);
     let db = swissprot_like_db(3301, 80);
-    let engine = SearchEngine::new(4);
-    for shard in [1usize, 7] {
-        let report = engine
-            .search(
-                &aligner(),
-                &q,
-                &db,
-                &SearchOptions::new().trace(true).shard(shard),
-            )
-            .unwrap();
-        let tr = TraceReport::from_events(&report.trace_events).unwrap();
-        assert_eq!(tr.timelines.len(), db.len(), "shard={shard}");
-        assert!(tr.reconciled(), "unreconciled: {:?}", tr.unreconciled());
-        // The per-subject column totals partition the database.
-        let cols: u64 = tr
-            .timelines
-            .iter()
-            .map(|t| t.iterate_columns + t.scan_columns)
-            .sum();
-        assert_eq!(cols, report.total_residues as u64);
-        // And agree with the aggregated kernel counters.
-        let iterate: u64 = tr.timelines.iter().map(|t| t.iterate_columns).sum();
-        assert_eq!(
-            iterate, report.metrics.kernel_stats.iterate_columns as u64,
-            "shard={shard}"
-        );
-        let sweeps: u64 = tr.timelines.iter().map(|t| t.lazy_sweeps).sum();
-        assert_eq!(sweeps, report.metrics.kernel_stats.lazy_sweeps);
-    }
+    let report = SearchEngine::new(4)
+        .search(&aligner(), &q, &db, &SearchOptions::new().trace(true))
+        .unwrap();
+    let tr = TraceReport::from_events(&report.trace_events).unwrap();
+    assert_eq!(tr.timelines.len(), db.len());
+    assert!(tr.reconciled(), "unreconciled: {:?}", tr.unreconciled());
+    // The per-subject column totals partition the database.
+    let cols: u64 = tr
+        .timelines
+        .iter()
+        .map(|t| t.iterate_columns + t.scan_columns)
+        .sum();
+    assert_eq!(cols, report.total_residues as u64);
+    // And agree with the aggregated kernel counters.
+    let iterate: u64 = tr.timelines.iter().map(|t| t.iterate_columns).sum();
+    assert_eq!(iterate, report.metrics.kernel_stats.iterate_columns as u64);
+    let sweeps: u64 = tr.timelines.iter().map(|t| t.lazy_sweeps).sum();
+    assert_eq!(sweeps, report.metrics.kernel_stats.lazy_sweeps);
 }
 
 #[test]

@@ -17,7 +17,7 @@ use aalign_par::wire::{
     error_to_wire, hit_to_wire, metrics_from_wire, metrics_to_wire, report_from_wire,
     report_to_wire, SearchRequest,
 };
-use aalign_par::{search_database, SearchOptions};
+use aalign_par::{SearchEngine, SearchOptions};
 
 #[test]
 fn real_search_report_round_trips_losslessly() {
@@ -25,13 +25,9 @@ fn real_search_report_round_trips_losslessly() {
     let query = named_query(&mut rng, 60);
     let db = swissprot_like_db(42, 30);
     let aligner = Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62));
-    let report = search_database(
-        &aligner,
-        &query,
-        &db,
-        SearchOptions::new().threads(2).top_n(10),
-    )
-    .unwrap();
+    let report = SearchEngine::new(2)
+        .search(&aligner, &query, &db, &SearchOptions::new().top_n(10))
+        .unwrap();
 
     let rendered = report_to_wire(&report).render();
     let back = report_from_wire(&JsonValue::parse(&rendered).unwrap()).unwrap();
@@ -77,7 +73,9 @@ fn metrics_to_json_is_exactly_the_wire_document() {
     let query = named_query(&mut rng, 40);
     let db = swissprot_like_db(44, 10);
     let aligner = Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62));
-    let report = search_database(&aligner, &query, &db, SearchOptions::new().threads(1)).unwrap();
+    let report = SearchEngine::new(1)
+        .search(&aligner, &query, &db, &SearchOptions::new())
+        .unwrap();
     assert_eq!(
         report.metrics.to_json(),
         metrics_to_wire(&report.metrics).render(),
@@ -309,13 +307,14 @@ fn partial_deadline_report_renders_like_server_partial() {
     let query = named_query(&mut rng, 50);
     let db = swissprot_like_db(46, 40);
     let aligner = Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62));
-    let report = search_database(
-        &aligner,
-        &query,
-        &db,
-        SearchOptions::new().threads(1).deadline(Duration::ZERO),
-    )
-    .unwrap();
+    let report = SearchEngine::new(1)
+        .search(
+            &aligner,
+            &query,
+            &db,
+            &SearchOptions::new().deadline(Duration::ZERO),
+        )
+        .unwrap();
     assert!(report.partial);
     let wire = report_to_wire(&report);
     assert_eq!(wire.get("partial").and_then(JsonValue::as_bool), Some(true));

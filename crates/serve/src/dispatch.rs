@@ -60,6 +60,10 @@ use crate::wire::{SearchRequest, SearchResponse, ServeError};
 /// re-check cancellation and deadline expiry.
 const WAIT_SLICE: Duration = Duration::from_millis(25);
 
+/// How long a request without a deadline may sit in the admission
+/// queue before it is refused as overloaded.
+const ADMISSION_WAIT: Duration = Duration::from_secs(2);
+
 /// Tuning knobs for a [`Dispatcher`]. Start from
 /// [`DispatcherConfig::default`] and override with the builder
 /// methods.
@@ -77,9 +81,6 @@ pub struct DispatcherConfig {
     /// Deadline applied to requests that do not carry their own
     /// `deadline_ms`.
     pub default_deadline: Option<Duration>,
-    /// How long a request without a deadline may sit in the
-    /// admission queue before it is refused as overloaded.
-    pub admission_wait: Duration,
     /// Chaos harness: a scripted fault plan [`Dispatcher::new`] hands
     /// to its [`Local`] backend, applied to every sweep (worker kills,
     /// panics, stalls).
@@ -94,7 +95,6 @@ impl Default for DispatcherConfig {
             max_queued: 16,
             tenant_quota: 0,
             default_deadline: None,
-            admission_wait: Duration::from_secs(2),
             #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }
@@ -123,12 +123,6 @@ impl DispatcherConfig {
     /// Set the deadline for requests that do not specify one.
     pub fn default_deadline(mut self, d: Duration) -> Self {
         self.default_deadline = Some(d);
-        self
-    }
-
-    /// Set the queue-wait budget for deadline-less requests.
-    pub fn admission_wait(mut self, d: Duration) -> Self {
-        self.admission_wait = d;
         self
     }
 
@@ -872,14 +866,14 @@ impl<B: SearchBackend> Dispatcher<B> {
 
     /// Take an in-flight slot, waiting in the bounded queue if the
     /// budget allows. Never blocks past the request's deadline (or
-    /// `admission_wait` for deadline-less requests).
+    /// [`ADMISSION_WAIT`] for deadline-less requests).
     fn admit(
         &self,
         budget: Option<Duration>,
         start: Instant,
         cancel: &CancelToken,
     ) -> Result<Permit<'_, B>, AdmitRefusal> {
-        let wait_budget = budget.unwrap_or(self.cfg.admission_wait);
+        let wait_budget = budget.unwrap_or(ADMISSION_WAIT);
         let mut st = self.admit.lock().expect("admission lock poisoned");
         let mut queued_self = false;
         loop {

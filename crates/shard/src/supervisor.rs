@@ -73,6 +73,22 @@ use crate::worker::{RecvError, Worker, WorkerCommand};
 /// wakes, so this bounds cancel latency only.
 const CANCEL_SLICE: Duration = Duration::from_millis(25);
 
+/// Query budget when the [`ShardQuery`] carries no deadline.
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Extra wait past a query's deadline for a child's own
+/// `partial: true` reply to cross the pipe before the child is
+/// declared wedged and killed.
+const REQUEST_GRACE: Duration = Duration::from_secs(2);
+
+/// Budget for a spawned child to pass its readiness `health` ping
+/// (the child loads its shard FASTA first).
+const SPAWN_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Graceful-drain budget per child (shutdown RPC + SIGTERM, then
+/// SIGKILL when it expires).
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
 /// Supervisor policy knobs. Construct with [`ShardOptions::new`] and
 /// adjust with the builder methods.
 #[derive(Debug, Clone)]
@@ -80,15 +96,6 @@ const CANCEL_SLICE: Duration = Duration::from_millis(25);
 pub struct ShardOptions {
     /// Number of contiguous shards (clamped to the database size).
     pub shards: usize,
-    /// Query budget when the caller supplies no deadline.
-    pub default_deadline: Duration,
-    /// Extra wait past a query's deadline for a child's own
-    /// `partial: true` reply to cross the pipe before the child is
-    /// declared wedged and killed.
-    pub request_grace: Duration,
-    /// Budget for a spawned child to pass its readiness `health`
-    /// ping (the child loads its shard FASTA first).
-    pub spawn_timeout: Duration,
     /// First respawn backoff delay.
     pub backoff_base: Duration,
     /// Backoff delay cap.
@@ -100,9 +107,6 @@ pub struct ShardOptions {
     pub breaker_deaths: u32,
     /// Sliding window for [`breaker_deaths`](Self::breaker_deaths).
     pub breaker_window: Duration,
-    /// Graceful-drain budget per child (shutdown RPC + SIGTERM, then
-    /// SIGKILL when it expires).
-    pub drain_grace: Duration,
     /// Liveness monitor period (`try_wait` reap + idle `health`
     /// ping + background respawn); `None` disables the monitor
     /// thread — deaths are then detected on the query path only.
@@ -114,32 +118,20 @@ pub struct ShardOptions {
 }
 
 impl ShardOptions {
-    /// Defaults for `shards` shards: 30 s default deadline, 2 s
-    /// grace, 30 s spawn budget, 50 ms → 2 s backoff, breaker at 3
-    /// deaths / 60 s, 5 s drain grace, 1 s heartbeat.
+    /// Defaults for `shards` shards: 50 ms → 2 s backoff, breaker at
+    /// 3 deaths / 60 s, 1 s heartbeat.
     pub fn new(shards: usize) -> Self {
         ShardOptions {
             shards: shards.max(1),
-            default_deadline: Duration::from_secs(30),
-            request_grace: Duration::from_secs(2),
-            spawn_timeout: Duration::from_secs(30),
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
             backoff_seed: 0,
             breaker_deaths: 3,
             breaker_window: Duration::from_secs(60),
-            drain_grace: Duration::from_secs(5),
             heartbeat: Some(Duration::from_secs(1)),
             #[cfg(feature = "fault-inject")]
             fault: None,
         }
-    }
-
-    /// Set the default per-query deadline.
-    #[must_use]
-    pub fn default_deadline(mut self, d: Duration) -> Self {
-        self.default_deadline = d;
-        self
     }
 
     /// Set the respawn backoff policy.
@@ -166,13 +158,6 @@ impl ShardOptions {
         self
     }
 
-    /// Set the graceful-drain budget per child.
-    #[must_use]
-    pub fn drain_grace(mut self, d: Duration) -> Self {
-        self.drain_grace = d;
-        self
-    }
-
     /// Install a deterministic chaos plan.
     #[cfg(feature = "fault-inject")]
     #[must_use]
@@ -192,8 +177,7 @@ pub struct ShardQuery {
     pub query_id: String,
     /// Keep the best `top_n` hits (0 = every hit).
     pub top_n: usize,
-    /// Wall-clock budget; `None` uses
-    /// [`ShardOptions::default_deadline`].
+    /// Wall-clock budget; `None` means 30 s.
     pub deadline: Option<Duration>,
     /// Trips to abandon the query mid-fan-out: the search returns
     /// [`AlignError::Cancelled`] and leaves the children alone.
@@ -201,7 +185,7 @@ pub struct ShardQuery {
 }
 
 impl ShardQuery {
-    /// Query with defaults (every hit, default deadline).
+    /// Query with defaults (every hit, the 30 s default deadline).
     pub fn new(query: impl Into<String>) -> Self {
         ShardQuery {
             query: query.into(),
@@ -307,8 +291,11 @@ impl Supervisor {
     /// Partition `db`, write one FASTA per shard into a fresh temp
     /// directory, spawn one child per shard, and confirm each with a
     /// readiness `health` round trip. Fails fast if any child cannot
-    /// start. Starts the liveness monitor unless
+    /// start within 30 s. Starts the liveness monitor unless
     /// [`ShardOptions::heartbeat`] is `None`.
+    ///
+    /// `opts` is the supervision policy only: a query's time budget
+    /// rides on the query ([`ShardQuery::deadline`], 30 s when unset).
     pub fn launch(
         db: &SeqDatabase,
         cmd: WorkerCommand,
@@ -360,7 +347,7 @@ impl Supervisor {
         });
         for slot in &sup.slots {
             let mut st = slot.state.lock().expect("slot state poisoned");
-            if !sup.spawn_into(slot, &mut st, Instant::now() + sup.opts.spawn_timeout) {
+            if !sup.spawn_into(slot, &mut st, Instant::now() + SPAWN_TIMEOUT) {
                 drop(st);
                 let _ = std::fs::remove_dir_all(&sup.dir);
                 return Err(io::Error::other(format!(
@@ -488,8 +475,8 @@ impl Supervisor {
             stats.queries
         };
         let started = Instant::now();
-        let deadline_at = started + q.deadline.unwrap_or(self.opts.default_deadline);
-        let hard_deadline = deadline_at + self.opts.request_grace;
+        let deadline_at = started + q.deadline.unwrap_or(DEFAULT_DEADLINE);
+        let hard_deadline = deadline_at + REQUEST_GRACE;
 
         // Lock every slot in index order for the whole query: one
         // child serves one request at a time, so responses need no
@@ -687,7 +674,7 @@ impl Supervisor {
             return false;
         };
         st.rpc_seq += 1;
-        let ping_deadline = (begun + self.opts.spawn_timeout).min(deadline_cap);
+        let ping_deadline = (begun + SPAWN_TIMEOUT).min(deadline_cap);
         if w.call(st.rpc_seq, "health", obj(vec![]), ping_deadline)
             .is_err()
         {
@@ -786,7 +773,7 @@ impl Supervisor {
                 }
                 None => {
                     if st.next_respawn_at.is_none_or(|at| Instant::now() >= at)
-                        && !self.spawn_into(slot, &mut st, Instant::now() + self.opts.spawn_timeout)
+                        && !self.spawn_into(slot, &mut st, Instant::now() + SPAWN_TIMEOUT)
                     {
                         self.record_death(slot, &mut st, 0);
                     }
@@ -796,8 +783,8 @@ impl Supervisor {
     }
 
     /// Graceful drain: stop the monitor, send each child a `shutdown`
-    /// RPC plus SIGTERM, reap with [`ShardOptions::drain_grace`],
-    /// SIGKILL stragglers, remove the shard FASTA directory. Returns
+    /// RPC plus SIGTERM, reap with a 5 s grace per child, SIGKILL
+    /// stragglers, remove the shard FASTA directory. Returns
     /// true when every child exited inside the grace period; a dirty
     /// drain auto-dumps the flight ring. Idempotent.
     pub fn shutdown(&self) -> bool {
@@ -826,7 +813,7 @@ impl Supervisor {
                 // mid-request.
                 let _ = w.send_line(&Worker::request_line(st.rpc_seq, "shutdown", obj(vec![])));
                 w.sigterm();
-                if !w.wait_with_grace(self.opts.drain_grace) {
+                if !w.wait_with_grace(DRAIN_GRACE) {
                     w.kill_and_reap();
                     clean = false;
                 }

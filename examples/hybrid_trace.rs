@@ -10,8 +10,9 @@
 use aalign::bio::matrices::BLOSUM62;
 use aalign::bio::synth::{named_query, random_protein, seeded_rng};
 use aalign::bio::{Sequence, StripedProfile};
-use aalign::core::striped::{hybrid_align, StrategyChoice};
+use aalign::core::striped::hybrid_align_sink;
 use aalign::core::{HybridPolicy, Workspace};
+use aalign::obs::{CollectorSink, StrategyKind, TraceEvent};
 use aalign::vec::EmuEngine;
 use aalign::{AlignConfig, GapModel};
 
@@ -35,14 +36,17 @@ fn main() {
     };
     let prof = StripedProfile::<i32>::build(&query, &cfg.matrix, 16);
     let mut ws = Workspace::new();
-    let rep = hybrid_align::<_, true, true>(
+    // The sink records one event per column (with the default `trace`
+    // feature on).
+    let mut sink = CollectorSink::new();
+    let rep = hybrid_align_sink::<_, true, true, _>(
         EmuEngine::<i32, 16>::new(),
         &prof,
         subject.indices(),
         cfg.table2(),
         policy,
         &mut ws,
-        true, // record the per-column trace
+        &mut sink,
     );
 
     println!(
@@ -56,13 +60,16 @@ fn main() {
     // One character per column: '.' cheap iterate, digit = iterate
     // with that many lazy sweeps, 's' = scan column.
     println!("per-column strategy strip (80 columns/row):");
-    let strip: String = rep
-        .trace
+    let strip: String = sink
+        .events
         .iter()
-        .map(|ev| match ev {
-            StrategyChoice::Iterate(0) => '.',
-            StrategyChoice::Iterate(n) => char::from_digit((*n).min(9), 10).unwrap_or('9'),
-            StrategyChoice::Scan => 's',
+        .filter_map(|ev| match ev {
+            TraceEvent::Hybrid(col) => Some(match (col.strategy, col.lazy_sweeps) {
+                (StrategyKind::Iterate, 0) => '.',
+                (StrategyKind::Iterate, n) => char::from_digit(n.min(9), 10).unwrap_or('9'),
+                (StrategyKind::Scan, _) => 's',
+            }),
+            _ => None,
         })
         .collect();
     for (i, chunk) in strip.as_bytes().chunks(80).enumerate() {

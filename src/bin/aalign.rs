@@ -262,9 +262,10 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         opts = opts.fault_plan(std::sync::Arc::new(plan));
     }
     // The CLI shares the server's construction path: an
-    // `EngineHandle` sized for this one sweep.
+    // `EngineHandle` of `--threads` workers, of which the sweep engages
+    // at most one per subject.
     let threads = flags.get_usize("--threads", 0)?;
-    let report = EngineHandle::transient(threads, db.len())
+    let report = EngineHandle::new(threads)
         .search(&aligner, &query, &db, &opts)
         .map_err(|e| e.to_string())?;
     if let Some(path) = trace_out {
@@ -399,7 +400,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // `--threads` workers) instead of a local engine pool.
     let shards = flags.get_usize("--shards", 0)?;
     let exit = if shards > 0 {
-        let sup = launch_supervisor(&flags, &db, shards, None)?;
+        let sup = launch_supervisor(&flags, &db, shards)?;
         drop(db); // the children hold the slices
         let dispatcher = aalign::serve::Dispatcher::with_backend(sup, cfg);
         aalign::serve::run_daemon(std::sync::Arc::new(dispatcher), &opts)
@@ -438,20 +439,18 @@ fn launch_supervisor(
     flags: &Flags<'_>,
     db: &aalign::bio::SeqDatabase,
     shards: usize,
-    deadline: Option<std::time::Duration>,
 ) -> Result<std::sync::Arc<aalign::shard::Supervisor>, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let cmd = aalign::shard::WorkerCommand::serve_stdio(exe, &child_serve_args(flags));
-    let mut sopts = aalign::shard::ShardOptions::new(shards);
-    if let Some(d) = deadline {
-        sopts = sopts.default_deadline(d);
-    }
+    let sopts = aalign::shard::ShardOptions::new(shards);
     #[cfg(feature = "fault-inject")]
-    if let Some(spec) = flags.get("--shard-fault") {
-        let plan: aalign::shard::ShardFaultPlan =
-            spec.parse().map_err(|e| format!("--shard-fault: {e}"))?;
-        sopts = sopts.fault(plan);
-    }
+    let sopts = match flags.get("--shard-fault") {
+        Some(spec) => sopts.fault(
+            spec.parse::<aalign::shard::ShardFaultPlan>()
+                .map_err(|e| format!("--shard-fault: {e}"))?,
+        ),
+        None => sopts,
+    };
     aalign::shard::Supervisor::launch(db, cmd, sopts).map_err(|e| e.to_string())
 }
 
@@ -464,18 +463,15 @@ fn cmd_shard_search(args: &[String]) -> Result<(), String> {
     let query = load_first_seq(flags.get("--query").ok_or("--query required")?)?;
     let db = load_db(&flags)?;
     let shards = flags.get_usize("--shards", 2)?;
-    let deadline = match flags.get("--timeout") {
-        None => None,
-        Some(ms) => Some(std::time::Duration::from_millis(
-            ms.parse().map_err(|_| "--timeout expects milliseconds")?,
-        )),
-    };
-    let sup = launch_supervisor(&flags, &db, shards, deadline)?;
-
     let text = String::from_utf8(query.text()).map_err(|e| format!("query: {e}"))?;
-    let q = aalign::shard::ShardQuery::new(text)
+    let mut q = aalign::shard::ShardQuery::new(text)
         .query_id(query.id())
         .top_n(flags.get_usize("--top", 10)?);
+    if let Some(ms) = flags.get("--timeout") {
+        let ms: u64 = ms.parse().map_err(|_| "--timeout expects milliseconds")?;
+        q = q.deadline(std::time::Duration::from_millis(ms));
+    }
+    let sup = launch_supervisor(&flags, &db, shards)?;
     let report = sup.search(&q).map_err(|e| e.to_string())?;
 
     println!(

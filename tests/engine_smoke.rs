@@ -4,7 +4,7 @@
 
 use aalign::bio::matrices::BLOSUM62;
 use aalign::bio::synth::{named_query, seeded_rng, swissprot_like_db};
-use aalign::par::{search_database, SearchEngine, SearchOptions};
+use aalign::par::{SearchEngine, SearchOptions};
 use aalign::{AlignConfig, Aligner, GapModel, Strategy};
 
 #[test]
@@ -20,9 +20,11 @@ fn engine_serves_back_to_back_queries_from_one_pool() {
         let opts = SearchOptions::new().top_n(5);
         let report = engine.search(&aligner, &query, &db, &opts).unwrap();
 
-        // Hits match the one-shot wrapper bit for bit.
-        let oneshot = search_database(&aligner, &query, &db, opts.clone().threads(2)).unwrap();
-        assert_eq!(report.hits, oneshot.hits);
+        // Hits match a fresh engine's bit for bit.
+        let fresh = SearchEngine::new(2)
+            .search(&aligner, &query, &db, &opts)
+            .unwrap();
+        assert_eq!(report.hits, fresh.hits);
         assert_eq!(report.hits.len(), 5);
 
         // Metrics are populated...

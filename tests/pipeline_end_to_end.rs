@@ -13,7 +13,7 @@ use aalign::bio::SeqDatabase;
 use aalign::codegen::emit::GapBindings;
 use aalign::codegen::{analyze, parse_program, spec_to_config, ALG1_SMITH_WATERMAN_AFFINE};
 use aalign::core::traceback::traceback_align;
-use aalign::par::{search_database, SearchOptions};
+use aalign::par::{SearchEngine, SearchOptions};
 use aalign::AlignScratch;
 use aalign::{AlignConfig, Aligner, GapModel, Strategy};
 
@@ -36,13 +36,9 @@ fn fasta_roundtrip_search_and_traceback() {
     let db = SeqDatabase::new(parsed);
 
     let aligner = Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62));
-    let report = search_database(
-        &aligner,
-        &query,
-        &db,
-        SearchOptions::new().threads(2).top_n(3),
-    )
-    .unwrap();
+    let report = SearchEngine::new(2)
+        .search(&aligner, &query, &db, &SearchOptions::new().top_n(3))
+        .unwrap();
     assert_eq!(db.id(report.hits[0].db_index), planted.id());
 
     // Traceback of the winner reproduces the search score.
@@ -73,9 +69,13 @@ fn codegen_pipeline_drives_database_search() {
     let mut rng = seeded_rng(77);
     let query = named_query(&mut rng, 90);
     let db = swissprot_like_db(78, 30);
-    let opts = SearchOptions::new().threads(2).top_n(0);
-    let a = search_database(&Aligner::new(cfg_text), &query, &db, opts.clone()).unwrap();
-    let b = search_database(&Aligner::new(cfg_hand), &query, &db, opts).unwrap();
+    let (engine, opts) = (SearchEngine::new(2), SearchOptions::new().top_n(0));
+    let a = engine
+        .search(&Aligner::new(cfg_text), &query, &db, &opts)
+        .unwrap();
+    let b = engine
+        .search(&Aligner::new(cfg_hand), &query, &db, &opts)
+        .unwrap();
     assert_eq!(a.hits, b.hits);
 }
 

@@ -47,7 +47,7 @@ fn worker_cmd() -> WorkerCommand {
 
 fn reference_hits(db: &SeqDatabase, query_text: &str, top_n: usize) -> Vec<Hit> {
     let query = Sequence::protein("query", query_text.as_bytes()).unwrap();
-    let report = EngineHandle::transient(1, db.len())
+    let report = EngineHandle::new(1)
         .search(
             &reference_aligner(),
             &query,

@@ -7,9 +7,9 @@
 //! harness) — so a change that breaks a static guarantee fails the
 //! main suite, not just the analyzer's. Source guards ride along: one
 //! JSON codec and one database sweep; one backend seam and one request
-//! schema; one engine table; one width ladder; no per-lane scalar work
-//! in a striped column; served requests wait on descriptors, not on
-//! the clock.
+//! schema; one engine table; one width ladder; one home per setting;
+//! no per-lane scalar work in a striped column; served requests wait
+//! on descriptors, not on the clock.
 
 use aalign_analyzer::audit::{audit_dir, audit_source, default_vec_src_dir, VEC_BASELINE};
 use aalign_analyzer::concurrency::{default_concurrency_dirs, scan_dirs, CONCURRENCY_BASELINE};
@@ -546,6 +546,47 @@ fn one_width_ladder() {
             );
         }
     }
+}
+
+/// One home per setting. A search has two entry points,
+/// `SearchEngine::{search, pipeline}`; the pool size is the engine's
+/// (`SearchEngine::new` / `EngineHandle::new`), a claim is one subject
+/// or one vector of them, and a shard query's budget rides on the
+/// `ShardQuery`. Values no caller set are named constants beside their
+/// one use. Each of these had a second home, or none that was used.
+#[test]
+fn one_home_per_setting() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = all_sources(root);
+    rust_sources(&root.join("tests"), &mut sources);
+    sources.retain(|p| !p.ends_with("tests/static_verification.rs"));
+    assert_absent(
+        &sources,
+        &["search_database", "fn transient", "::transient("],
+        "search through SearchEngine::search on an engine of the size you want",
+    );
+    assert_absent(
+        &sources,
+        &[
+            "admission_wait",
+            "request_grace",
+            "spawn_timeout",
+            "drain_grace",
+        ],
+        "a constant beside its one use in aalign-serve / aalign-shard",
+    );
+    assert_absent(
+        [&root.join("crates/par/src/search.rs")],
+        &[" threads: ", " shard: ", "fn threads(", "fn shard("],
+        "the pool size is the engine's and the claim size is the sweep's",
+    );
+    let mut shard_crate = Vec::new();
+    rust_sources(&root.join("crates/shard/src"), &mut shard_crate);
+    assert_absent(
+        &shard_crate,
+        &["default_deadline"],
+        "a shard query's budget is ShardQuery::deadline",
+    );
 }
 
 /// One measurement system: `benchmark/` (declared by `BENCHMARK.json`)
