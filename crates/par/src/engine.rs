@@ -54,6 +54,8 @@
 //! * **Overflow rescue** — a fixed-width kernel run that saturates
 //!   its lanes is transparently re-aligned on the next wider rung of
 //!   the query's width ladder ([`SearchOptions::rescue`]).
+//!
+//! [`RunStats`]: aalign_core::RunStats
 
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,12 +64,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aalign_bio::{SeqDatabase, Sequence};
-use aalign_core::{AlignError, AlignScratch, Aligner, PreparedQuery, RunStats};
-use aalign_obs::{CollectorSink, Histogram, NullSink, TraceEvent, TraceSink};
+use aalign_core::{AlignError, AlignScratch, Aligner, PreparedQuery};
+use aalign_obs::{CollectorSink, NullSink, TraceEvent, TraceSink};
 
-use crate::metrics::{
-    CancelToken, ProgressFn, SearchMetrics, SearchProgress, ShardOutcome, WorkerMetrics,
-};
+use crate::metrics::{CancelToken, ProgressFn, SearchMetrics, SearchProgress, WorkerMetrics};
 use crate::protocol::{ProgressCounters, SharedBatch, WorkIndex};
 use crate::search::{Hit, SearchOptions, SearchReport};
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -81,14 +81,6 @@ fn elapsed_us(t0: Instant) -> u64 {
 /// Microseconds in `d`, saturating into `u64`.
 fn dur_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-/// The narrower of two lane widths, `0` meaning "no lanes ran".
-fn narrower(a: u32, b: u32) -> u32 {
-    match (a, b) {
-        (0, w) | (w, 0) => w,
-        _ => a.min(b),
-    }
 }
 
 /// State owned by one pool thread for its whole lifetime.
@@ -326,34 +318,15 @@ struct SweepShared<'a> {
     fault: Option<&'a crate::fault::FaultPlan>,
 }
 
-/// Per-worker result of one sweep.
-struct SweepOut {
-    hits: Vec<Hit>,
-    peak_buffered: usize,
-    /// The sweep's counters (its trace buffer drained).
-    tallies: Tallies,
-    latency: Histogram,
-    /// Sweep-stopping error (cancellation, deadline, or a concrete
-    /// alignment failure).
-    err: Option<AlignError>,
-    /// Per-subject failures the sweep survived
-    /// ([`AlignError::WorkerPanicked`]); the sweep kept going.
-    soft: Vec<AlignError>,
-    worker: WorkerMetrics,
-}
+/// One worker's result of one sweep: the report of the subjects it
+/// scored, folded by [`SearchReport::absorb`], and the error that
+/// stopped it early (cancellation, deadline, or a concrete alignment
+/// failure), if one did.
+type WorkerOut = (SearchReport, Option<AlignError>);
 
-/// Counters [`SweepShared::score_subject`] feeds during the sweep.
+/// The trace plumbing [`WorkerSweep::score_subject`] writes through.
 #[derive(Default)]
 struct Tallies {
-    stats: RunStats,
-    width_retries: u64,
-    /// Subjects re-aligned at a wider width after lane saturation.
-    rescued: u64,
-    /// One sample per rescue attempt, keyed by the width (bits) that
-    /// saturated.
-    rescue_widths: Histogram,
-    /// Narrowest first-pass width of the lane batches taken (0: none).
-    lane_width: u32,
     /// Pool-local id of the worker running this sweep, stamped by
     /// [`run_sweep_worker`] so trace events can be tagged with it.
     worker_id: usize,
@@ -453,42 +426,58 @@ impl Collector {
     }
 }
 
-impl SweepShared<'_> {
+/// What one worker accumulates over a sweep.
+struct WorkerSweep<'a> {
+    collector: Collector,
+    tallies: Tallies,
+    /// The worker's counters and per-subject latency samples.
+    metrics: SearchMetrics,
+    /// Per-subject failures the sweep survived
+    /// ([`AlignError::WorkerPanicked`]); the sweep kept going.
+    soft: Vec<AlignError>,
+    /// Completed within the current claim.
+    claim_subjects: usize,
+    claim_residues: usize,
+    /// The batch being offered to the lane kernel (kept for its
+    /// allocation).
+    batch: Vec<&'a Sequence>,
+}
+
+impl<'a> WorkerSweep<'a> {
     /// Score the subject in work slot `slot` into the collector and
     /// return its residue count.
     fn score_subject(
-        &self,
+        &mut self,
+        shared: &SweepShared<'a>,
         scratch: &mut AlignScratch,
         slot: usize,
-        collector: &mut Collector,
-        tallies: &mut Tallies,
     ) -> Result<usize, AlignError> {
-        let (aligner, prepared) = (self.aligner, self.prepared);
-        let tracing = self.trace.is_some();
-        let db_index = self.order[slot];
-        let subject = self.db.get(db_index);
+        let (aligner, prepared) = (shared.aligner, shared.prepared);
+        let tracing = shared.trace.is_some();
+        let db_index = shared.order[slot];
+        let subject = shared.db.get(db_index);
         let t_align = Instant::now();
         // `col_mark` tracks where the current kernel run's column
         // events start, so a rescue can drop the discarded run's
         // columns while keeping the subject's envelope open.
-        let mut col_mark = tallies.sink.events.len();
+        let mut col_mark = self.tallies.sink.events.len();
         if tracing {
             // One contiguous batch per subject: envelope plus the
             // kernel's per-column events, buffered worker-locally.
-            tallies.sink.events.push(TraceEvent::AlignBegin {
+            self.tallies.sink.events.push(TraceEvent::AlignBegin {
                 subject: db_index as u64,
                 len: subject.len() as u64,
-                worker: tallies.worker_id as u64,
+                worker: self.tallies.worker_id as u64,
             });
-            col_mark = tallies.sink.events.len();
+            col_mark = self.tallies.sink.events.len();
         }
         let mut out = if tracing {
-            aligner.align_prepared_sink(prepared, subject, scratch, &mut tallies.sink)?
+            aligner.align_prepared_sink(prepared, subject, scratch, &mut self.tallies.sink)?
         } else {
             aligner.align_prepared(prepared, subject, scratch)?
         };
         #[cfg(feature = "fault-inject")]
-        if let Some(plan) = self.fault {
+        if let Some(plan) = shared.fault {
             if plan.should_saturate(slot) {
                 out.saturated = true;
             }
@@ -500,10 +489,10 @@ impl SweepShared<'_> {
         // wholesale — stats, trace columns and score all describe it,
         // behind one `Rescue` marker per step.
         let saturated = out.saturated;
-        while out.saturated && self.rescue {
-            let (from_bits, mark) = (out.elem_bits, tallies.sink.events.len());
+        while out.saturated && shared.rescue {
+            let (from_bits, mark) = (out.elem_bits, self.tallies.sink.events.len());
             let sink: &mut dyn TraceSink = if tracing {
-                &mut tallies.sink
+                &mut self.tallies.sink
             } else {
                 &mut NullSink
             };
@@ -511,23 +500,23 @@ impl SweepShared<'_> {
             else {
                 break;
             };
-            tallies.rescue_widths.record(u64::from(from_bits));
+            self.metrics.rescue_widths.record(u64::from(from_bits));
             if tracing {
                 let step = TraceEvent::Rescue {
                     subject: db_index as u64,
                     from_bits: u64::from(from_bits),
                     to_bits: u64::from(wider.elem_bits),
                 };
-                tallies.sink.events.splice(col_mark..mark, [step]);
+                self.tallies.sink.events.splice(col_mark..mark, [step]);
                 col_mark += 1;
             }
             out = wider;
         }
         if saturated && !out.saturated {
-            tallies.rescued += 1;
+            self.metrics.rescued += 1;
         }
         if tracing {
-            tallies.sink.events.push(TraceEvent::AlignEnd {
+            self.tallies.sink.events.push(TraceEvent::AlignEnd {
                 subject: db_index as u64,
                 score: i64::from(out.score),
                 iterate_columns: out.stats.iterate_columns as u64,
@@ -535,33 +524,16 @@ impl SweepShared<'_> {
                 dur_us: elapsed_us(t_align),
             });
         }
-        tallies.stats.merge(&out.stats);
-        tallies.width_retries += u64::from(out.width_retries);
-        collector.offer(Hit {
+        self.metrics.kernel_stats.merge(&out.stats);
+        self.metrics.width_retries += u64::from(out.width_retries);
+        self.collector.offer(Hit {
             db_index,
             len: subject.len(),
             score: out.score,
         });
         Ok(subject.len())
     }
-}
 
-/// What one worker accumulates over a sweep.
-struct WorkerSweep<'a> {
-    collector: Collector,
-    tallies: Tallies,
-    latency: Histogram,
-    /// Per-subject failures the sweep survived.
-    soft: Vec<AlignError>,
-    /// Completed within the current claim.
-    claim_subjects: usize,
-    claim_residues: usize,
-    /// The batch being offered to the lane kernel (kept for its
-    /// allocation).
-    batch: Vec<&'a Sequence>,
-}
-
-impl<'a> WorkerSweep<'a> {
     /// Score one work slot through `score_subject`, a panic caught at
     /// the slot boundary. `hooks`: run the fault plan's stall and
     /// panic for the slot first (not again when a batch already did).
@@ -585,11 +557,12 @@ impl<'a> WorkerSweep<'a> {
             if let Some(plan) = shared.fault.filter(|_| hooks) {
                 plan.before_slot(slot);
             }
-            shared.score_subject(scratch, slot, &mut self.collector, &mut self.tallies)
+            self.score_subject(shared, scratch, slot)
         }));
         match scored {
             Ok(Ok(residues)) => {
-                self.latency
+                self.metrics
+                    .latency
                     .record(u64::try_from(t_slot.elapsed().as_nanos()).unwrap_or(u64::MAX));
                 self.claim_subjects += 1;
                 self.claim_residues += residues;
@@ -687,7 +660,6 @@ impl<'a> WorkerSweep<'a> {
             out.saturated[lane]
         };
         let mut stats = out.stats;
-        self.tallies.lane_width = narrower(self.tallies.lane_width, out.bits);
         let mut kept = 0usize;
         for (lane, slot) in slots.clone().enumerate() {
             let len = self.batch[lane].len();
@@ -705,11 +677,19 @@ impl<'a> WorkerSweep<'a> {
             kept += 1;
         }
         self.claim_subjects += kept;
-        self.tallies.stats.merge(&stats);
+        self.metrics.absorb(
+            SearchMetrics {
+                kernel_stats: stats,
+                lane_width: out.bits,
+                ..SearchMetrics::default()
+            },
+            0,
+        );
         // One latency sample per subject: an equal share of the batch.
         let share = t_batch.elapsed().as_nanos() / slots.len().max(1) as u128;
         for _ in 0..kept {
-            self.latency
+            self.metrics
+                .latency
                 .record(u64::try_from(share).unwrap_or(u64::MAX));
         }
         if kept < slots.len() {
@@ -727,7 +707,7 @@ impl<'a> WorkerSweep<'a> {
 /// the atomic index, score each — a vector of subjects where the lane
 /// kernel takes them, one subject otherwise — publish progress, honor
 /// cancellation.
-fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> SweepOut {
+fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> WorkerOut {
     let t0 = Instant::now();
     state.queries += 1;
     let mut sweep = WorkerSweep {
@@ -736,7 +716,7 @@ fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> Sw
             worker_id: state.id,
             ..Tallies::default()
         },
-        latency: Histogram::new(),
+        metrics: SearchMetrics::default(),
         soft: Vec::new(),
         claim_subjects: 0,
         claim_residues: 0,
@@ -788,22 +768,29 @@ fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> Sw
         }
     }
 
-    SweepOut {
-        peak_buffered: sweep.collector.len(),
+    let mut metrics = sweep.metrics;
+    metrics.cells = shared.prepared.query_len() as u64 * residues as u64;
+    metrics.peak_hits_buffered = sweep.collector.len();
+    metrics.worker_load.record(residues as u64);
+    metrics.per_worker.push(WorkerMetrics {
+        worker_id: state.id,
+        queries_on_worker: state.queries,
+        subjects,
+        residues,
+        busy: t0.elapsed(),
+        scratch_bytes: state.scratch.reserved_bytes(),
+    });
+    let report = SearchReport {
         hits: sweep.collector.into_hits(),
-        tallies: sweep.tallies,
-        latency: sweep.latency,
-        err,
-        soft: sweep.soft,
-        worker: WorkerMetrics {
-            worker_id: state.id,
-            queries_on_worker: state.queries,
-            subjects,
-            residues,
-            busy: t0.elapsed(),
-            scratch_bytes: state.scratch.reserved_bytes(),
-        },
-    }
+        threads_used: 1,
+        subjects,
+        total_residues: residues,
+        metrics,
+        trace_events: Vec::new(),
+        partial: !sweep.soft.is_empty(),
+        errors: sweep.soft,
+    };
+    (report, err)
 }
 
 impl SearchEngine {
@@ -1048,8 +1035,6 @@ impl SearchEngine {
         let max_subject = order.first().map_or(0, |&i| db.get(i).len());
         let certified_width = aligner.certified_width(query.len(), max_subject);
         self.finish(
-            query.len(),
-            active,
             outs,
             opts.top_n,
             StageTimes {
@@ -1062,40 +1047,47 @@ impl SearchEngine {
         )
     }
 
-    /// Merge per-worker sweeps into a ranked report with metrics.
+    /// Fold the per-worker reports into one ranked report with metrics.
     ///
     /// Error precedence: a concrete alignment failure fails the whole
     /// query (as does cancellation); everything survivable — lost
     /// workers, per-subject panics, an expired deadline — lands in
     /// [`SearchReport::errors`] with `partial` set, alongside the
     /// valid results of every subject that completed.
-    #[allow(clippy::too_many_arguments)]
     fn finish(
         &self,
-        query_len: usize,
-        active: usize,
-        outs: Vec<Result<SweepOut, AlignError>>,
+        outs: Vec<Result<WorkerOut, AlignError>>,
         top_n: usize,
         times: StageTimes,
         certified_width: u32,
         trace: Option<SharedBatch<TraceEvent>>,
     ) -> Result<SearchReport, AlignError> {
-        let mut errors: Vec<AlignError> = Vec::new();
-        let mut results: Vec<SweepOut> = Vec::with_capacity(outs.len());
+        let mut report = SearchReport {
+            hits: Vec::new(),
+            threads_used: 0,
+            subjects: 0,
+            total_residues: 0,
+            metrics: SearchMetrics::default(),
+            trace_events: Vec::new(),
+            partial: false,
+            errors: Vec::new(),
+        };
+        let active = outs.len();
+        let mut parts = Vec::with_capacity(active);
         for out in outs {
             match out {
-                Ok(out) => results.push(out),
+                Ok(out) => parts.push(out),
                 // WorkerLost: that worker's sweep output is gone, but
                 // the query survives on the other workers' results.
-                Err(lost) => errors.push(lost),
+                Err(lost) => report.errors.push(lost),
             }
         }
         // A concrete failure (bad subject alphabet, …) outranks the
         // cancellations it may have triggered in sibling workers.
         let mut cancelled = false;
         let mut deadline_hit = false;
-        for out in &results {
-            match &out.err {
+        for (_, stop) in &parts {
+            match stop {
                 Some(AlignError::Cancelled) => cancelled = true,
                 Some(AlignError::DeadlineExceeded) => deadline_hit = true,
                 Some(other) => return Err(other.clone()),
@@ -1106,7 +1098,7 @@ impl SearchEngine {
             return Err(AlignError::Cancelled);
         }
         if deadline_hit {
-            errors.push(AlignError::DeadlineExceeded);
+            report.errors.push(AlignError::DeadlineExceeded);
         }
 
         let t_merge = Instant::now();
@@ -1116,94 +1108,45 @@ impl SearchEngine {
                 at_us: elapsed_us(times.started),
             });
         }
-        let mut sum = Tallies::default();
-        let mut peak_hits_buffered = 0usize;
-        let mut latency = Histogram::new();
-        let mut worker_load = Histogram::new();
-        let mut per_worker = Vec::with_capacity(results.len());
-        let mut subjects = 0usize;
-        let mut total_residues = 0usize;
-        let mut hits: Vec<Hit> = Vec::with_capacity(results.iter().map(|o| o.hits.len()).sum());
-        for mut out in results {
-            sum.stats.merge(&out.tallies.stats);
-            sum.width_retries += out.tallies.width_retries;
-            sum.rescued += out.tallies.rescued;
-            sum.rescue_widths.merge(&out.tallies.rescue_widths);
-            sum.lane_width = narrower(sum.lane_width, out.tallies.lane_width);
-            peak_hits_buffered += out.peak_buffered;
-            latency.merge(&out.latency);
-            worker_load.record(out.worker.residues as u64);
-            subjects += out.worker.subjects;
-            total_residues += out.worker.residues;
-            errors.append(&mut out.soft);
-            per_worker.push(out.worker);
-            hits.extend(out.hits);
+        // Workers carry their pool ids and score database indices.
+        for (part, _) in parts {
+            report.absorb(part, 0, 0);
         }
-        rank_hits(&mut hits);
+        rank_hits(&mut report.hits);
         if top_n > 0 {
-            hits.truncate(top_n);
+            report.hits.truncate(top_n);
         }
         let merge = t_merge.elapsed();
-        let partial = !errors.is_empty();
 
         // ORDER: Relaxed — counting only; query results travel
         // through run_on_pool's completion channel, not this counter.
         self.queries_served.fetch_add(1, Ordering::Relaxed);
-        let cells = query_len as u64 * total_residues as u64;
-        let trace_events = match trace {
-            Some(tc) => {
-                tc.push(TraceEvent::SpanEnd {
-                    span: "merge".to_string(),
-                    at_us: elapsed_us(times.started),
-                    dur_us: dur_us(merge),
-                });
-                tc.push(TraceEvent::QueryEnd {
-                    at_us: elapsed_us(times.started),
-                    hits: hits.len() as u64,
-                });
-                tc.drain()
-            }
-            None => Vec::new(),
-        };
-        Ok(SearchReport {
-            hits,
-            threads_used: active,
-            subjects,
-            total_residues,
-            metrics: SearchMetrics {
-                prepare: times.prepare,
-                sweep: times.sweep,
-                merge,
-                total: times.started.elapsed(),
-                cells,
-                gcups: SearchMetrics::derive_gcups(cells, times.sweep),
-                kernel_stats: sum.stats,
-                width_retries: sum.width_retries,
-                rescued: sum.rescued,
-                rescue_widths: sum.rescue_widths,
-                certified_width,
-                lane_width: sum.lane_width,
-                // Batching and admission happen above the engine: a
-                // serving dispatcher stamps the follower count and
-                // the stage-wait histograms post-hoc.
-                coalesced: 0,
-                queue_wait: Histogram::new(),
-                batch_wait: Histogram::new(),
-                request_e2e: Histogram::new(),
-                workers_respawned: self.workers_respawned(),
-                // Sharding happens above the engine too: the shard
-                // supervisor stamps the per-shard outcome on merged
-                // reports.
-                shards: ShardOutcome::default(),
-                peak_hits_buffered,
-                latency,
-                worker_load,
-                per_worker,
-            },
-            trace_events,
-            partial,
-            errors,
-        })
+        if let Some(tc) = trace {
+            tc.push(TraceEvent::SpanEnd {
+                span: "merge".to_string(),
+                at_us: elapsed_us(times.started),
+                dur_us: dur_us(merge),
+            });
+            tc.push(TraceEvent::QueryEnd {
+                at_us: elapsed_us(times.started),
+                hits: report.hits.len() as u64,
+            });
+            report.trace_events = tc.drain();
+        }
+        // What only the engine knows. Batching, admission and sharding
+        // happen above it: a serving dispatcher or the shard supervisor
+        // stamps those fields post-hoc.
+        report.threads_used = active;
+        report.partial = !report.errors.is_empty();
+        let m = &mut report.metrics;
+        m.prepare = times.prepare;
+        m.sweep = times.sweep;
+        m.merge = merge;
+        m.gcups = SearchMetrics::derive_gcups(m.cells, times.sweep);
+        m.certified_width = certified_width;
+        m.workers_respawned = self.workers_respawned();
+        m.total = times.started.elapsed();
+        Ok(report)
     }
 }
 

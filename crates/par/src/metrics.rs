@@ -169,7 +169,8 @@ pub struct SearchMetrics {
     /// Kernel counters aggregated across every alignment of the sweep
     /// (lazy iters/sweeps, iterate/scan column mix, hybrid switches).
     pub kernel_stats: RunStats,
-    /// Total i16→i32 width escalations taken during the sweep.
+    /// Rungs of the width ladder climbed during the sweep, each step
+    /// one escalation (8→16 on a certified plan, 16→32, …).
     pub width_retries: u64,
     /// Subjects whose fixed-width kernel run saturated and were
     /// transparently re-aligned at a wider element width (see
@@ -245,6 +246,64 @@ impl SearchMetrics {
     /// Number of workers that participated in the sweep.
     pub fn workers(&self) -> usize {
         self.per_worker.len()
+    }
+
+    /// The metric half of [`SearchReport::absorb`], and the only merge
+    /// rule either fold uses. `merge`, `total`, `gcups` and `shards`
+    /// describe the fold itself: the folding layer stamps them after.
+    ///
+    /// [`SearchReport::absorb`]: crate::SearchReport::absorb
+    pub(crate) fn absorb(&mut self, part: SearchMetrics, worker_offset: usize) {
+        // Destructured whole, so a new field cannot skip a merge rule.
+        let SearchMetrics {
+            prepare,
+            sweep,
+            merge: _,
+            total: _,
+            cells,
+            gcups: _,
+            kernel_stats,
+            width_retries,
+            rescued,
+            rescue_widths,
+            certified_width,
+            lane_width,
+            coalesced,
+            workers_respawned,
+            shards: _,
+            peak_hits_buffered,
+            queue_wait,
+            batch_wait,
+            request_e2e,
+            latency,
+            worker_load,
+            per_worker,
+        } = part;
+        self.prepare = self.prepare.max(prepare);
+        self.sweep = self.sweep.max(sweep);
+        self.cells += cells;
+        self.kernel_stats.merge(&kernel_stats);
+        self.width_retries += width_retries;
+        self.rescued += rescued;
+        self.rescue_widths.merge(&rescue_widths);
+        self.certified_width = self.certified_width.min(certified_width);
+        self.lane_width = match (self.lane_width, lane_width) {
+            (0, w) | (w, 0) => w,
+            (a, b) => a.min(b),
+        };
+        self.coalesced += coalesced;
+        self.workers_respawned += workers_respawned;
+        self.peak_hits_buffered += peak_hits_buffered;
+        self.queue_wait.merge(&queue_wait);
+        self.batch_wait.merge(&batch_wait);
+        self.request_e2e.merge(&request_e2e);
+        self.latency.merge(&latency);
+        self.worker_load.merge(&worker_load);
+        self.per_worker
+            .extend(per_worker.into_iter().map(|w| WorkerMetrics {
+                worker_id: w.worker_id + worker_offset,
+                ..w
+            }));
     }
 
     /// Billions of DP cell updates per second, guarded: an empty
@@ -444,7 +503,7 @@ impl SearchMetrics {
         );
         gauge(
             "aalign_width_retries_total",
-            "i16-to-i32 width escalations.",
+            "Width-ladder rungs climbed (8-to-16, 16-to-32).",
             self.width_retries as f64,
         );
         gauge(
@@ -644,6 +703,77 @@ mod tests {
         m.worker_load.record(2100);
         m.worker_load.record(1500);
         m
+    }
+
+    #[test]
+    fn absorb_holds_every_merge_rule() {
+        let widths = |lane_width, certified_width| SearchMetrics {
+            lane_width,
+            certified_width,
+            ..SearchMetrics::default()
+        };
+        // 0 is the identity for lane_width; otherwise the narrowest wins.
+        // A part without a certificate forces certified_width to 0.
+        let mut m = widths(0, 16);
+        for (part, lane, certified) in [(16, 16, 16), (0, 16, 16), (8, 8, 16), (16, 8, 16)] {
+            m.absorb(widths(part, 16), 0);
+            assert_eq!((m.lane_width, m.certified_width), (lane, certified));
+        }
+        m.absorb(widths(16, 8), 0);
+        assert_eq!(m.certified_width, 8);
+        m.absorb(widths(16, 0), 0);
+        assert_eq!(m.certified_width, 0);
+        m.absorb(widths(16, 16), 0);
+        assert_eq!(m.certified_width, 0, "0 stays 0");
+
+        let a = populated();
+        let mut b = populated();
+        b.prepare = Duration::from_millis(1);
+        b.sweep = Duration::from_millis(2);
+        b.lane_width = 16;
+        b.certified_width = 16;
+        b.width_retries = 4;
+        b.rescued = 2;
+        b.rescue_widths.record(8);
+        b.coalesced = 3;
+        b.kernel_stats.iterate_columns = 500;
+        b.latency.record(7_000);
+        b.per_worker.truncate(1);
+        // Each part carries its own worker offset, whatever the order;
+        // the fold is seeded to keep the parts' certificates.
+        let fold = |parts: [(&SearchMetrics, usize); 2]| {
+            let mut m = widths(0, u32::MAX);
+            for (part, worker_offset) in parts {
+                m.absorb(part.clone(), worker_offset);
+            }
+            m
+        };
+        let mut ab = fold([(&a, 0), (&b, 2)]);
+        // Walls take the maximum; counters and histograms add.
+        assert_eq!(ab.prepare, b.prepare);
+        assert_eq!(ab.sweep, a.sweep);
+        assert_eq!(ab.cells, 2 * a.cells);
+        assert_eq!(ab.width_retries, 4);
+        assert_eq!(ab.rescued, 2);
+        assert_eq!(ab.coalesced, 3);
+        assert_eq!(ab.kernel_stats.inter_columns, 6000);
+        assert_eq!(ab.kernel_stats.iterate_columns, 500);
+        assert_eq!(ab.latency.count(), 9);
+        assert_eq!(ab.latency.sum(), a.latency.sum() + b.latency.sum());
+        assert_eq!(ab.rescue_widths.count(), 1);
+        assert_eq!(ab.worker_load.sum(), 2 * 3600);
+        assert_eq!((ab.lane_width, ab.certified_width), (8, 8));
+        // per_worker appends, each part's ids moved up by its offset.
+        let ids = |m: &SearchMetrics| -> Vec<usize> {
+            m.per_worker.iter().map(|w| w.worker_id).collect()
+        };
+        assert_eq!(ids(&ab), [0, 1, 2]);
+        // Absorbing [b, a] instead changes only the order of per_worker.
+        let mut ba = fold([(&b, 2), (&a, 0)]);
+        assert_eq!(ids(&ba), [2, 0, 1]);
+        ab.per_worker.sort_by_key(|w| w.worker_id);
+        ba.per_worker.sort_by_key(|w| w.worker_id);
+        assert_eq!(format!("{ab:?}"), format!("{ba:?}"));
     }
 
     #[test]

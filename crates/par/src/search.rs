@@ -201,6 +201,44 @@ pub struct SearchReport {
     pub errors: Vec<AlignError>,
 }
 
+impl SearchReport {
+    /// Fold `part`, one pool worker's or one shard's report, into this
+    /// one: the engine and the shard supervisor both merge through here.
+    /// Counts, counters and histograms add; `lane_width` keeps the
+    /// narrowest non-zero width, `certified_width` the minimum (0, no
+    /// certificate, wins); the `prepare` and `sweep` walls the maximum.
+    /// Hits, errors and `per_worker` append, unranked: a hit's and a
+    /// [`AlignError::WorkerPanicked`]'s `db_index` move up by `db_offset`,
+    /// a worker's and a [`AlignError::WorkerLost`]'s id by `worker_offset`.
+    /// The caller ranks, truncates and stamps its own fields after.
+    ///
+    /// [`AlignError::WorkerPanicked`]: aalign_core::AlignError::WorkerPanicked
+    /// [`AlignError::WorkerLost`]: aalign_core::AlignError::WorkerLost
+    pub fn absorb(&mut self, part: SearchReport, db_offset: usize, worker_offset: usize) {
+        self.hits.extend(part.hits.into_iter().map(|hit| Hit {
+            db_index: hit.db_index + db_offset,
+            ..hit
+        }));
+        self.threads_used += part.threads_used;
+        self.subjects += part.subjects;
+        self.total_residues += part.total_residues;
+        self.metrics.absorb(part.metrics, worker_offset);
+        self.trace_events.extend(part.trace_events);
+        self.partial |= part.partial;
+        self.errors.extend(part.errors.into_iter().map(|e| match e {
+            AlignError::WorkerPanicked { db_index, payload } => AlignError::WorkerPanicked {
+                db_index: db_index + db_offset,
+                payload,
+            },
+            AlignError::WorkerLost { worker_id, payload } => AlignError::WorkerLost {
+                worker_id: worker_id + worker_offset,
+                payload,
+            },
+            other => other,
+        }));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -589,6 +589,34 @@ fn one_home_per_setting() {
     );
 }
 
+/// One fold for partial results: a pool worker and a shard each hand
+/// back a `SearchReport`, and `SearchReport::absorb` is the one place
+/// two of them merge. The engine once folded a private per-worker
+/// struct with its own lane-width rule while the supervisor merged
+/// shard reports field by field with a copy of that rule, and the two
+/// drifted on which worker a lost-worker error names.
+#[test]
+fn one_fold() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert_absent(
+        [&root.join("crates/par/src/engine.rs")],
+        &["struct SweepOut", "fn narrower"],
+        "a worker returns a SearchReport, folded by SearchReport::absorb",
+    );
+    let mut shard_crate = Vec::new();
+    rust_sources(&root.join("crates/shard/src"), &mut shard_crate);
+    assert_absent(
+        &shard_crate,
+        &[
+            "kernel_stats.merge",
+            "rescue_widths.merge",
+            "latency.merge",
+            "worker_load.merge",
+        ],
+        "shard reports merge through SearchReport::absorb",
+    );
+}
+
 /// One measurement system: `benchmark/` (declared by `BENCHMARK.json`)
 /// is the only thing that judges a number. The paper's figures are
 /// regenerated by the `fig*` bins into `results/*.txt`, and the two
