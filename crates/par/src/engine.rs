@@ -67,6 +67,7 @@ use aalign_bio::{SeqDatabase, Sequence};
 use aalign_core::{AlignError, AlignScratch, Aligner, PreparedQuery};
 use aalign_obs::{CollectorSink, NullSink, TraceEvent, TraceSink};
 
+use crate::fault::FaultPlan;
 use crate::metrics::{CancelToken, ProgressFn, SearchMetrics, SearchProgress, WorkerMetrics};
 use crate::protocol::{ProgressCounters, SharedBatch, WorkIndex};
 use crate::search::{Hit, SearchOptions, SearchReport};
@@ -131,38 +132,6 @@ enum JobSlot<O> {
     /// (carrying the stringified payload); the worker thread itself
     /// survived.
     Panicked(String),
-}
-
-/// Job-boundary fault hooks for [`SearchEngine::run_on_pool`]
-/// (compiled to a no-op without the `fault-inject` feature).
-#[derive(Clone, Copy, Default)]
-struct JobFaults<'a> {
-    #[cfg(feature = "fault-inject")]
-    plan: Option<&'a crate::fault::FaultPlan>,
-    _lt: std::marker::PhantomData<&'a ()>,
-}
-
-impl<'a> JobFaults<'a> {
-    fn from_options(opts: &'a SearchOptions) -> Self {
-        let _ = opts;
-        Self {
-            #[cfg(feature = "fault-inject")]
-            plan: opts.fault_plan.as_deref(),
-            _lt: std::marker::PhantomData,
-        }
-    }
-
-    /// Scripted worker kill: fires *outside* the job-boundary catch,
-    /// so the unwind escapes through the worker's receive loop and
-    /// the thread genuinely dies — exercising the supervisor's
-    /// disconnect drain and the pool's respawn path.
-    fn maybe_kill(&self, worker_slot: usize) {
-        let _ = worker_slot;
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = self.plan {
-            plan.maybe_kill(worker_slot);
-        }
-    }
 }
 
 /// Sticky wall-clock deadline shared by one query's workers.
@@ -314,8 +283,7 @@ struct SweepShared<'a> {
     rescue: bool,
     /// Scripted slot-level faults (stalls, panics, forced
     /// saturation), when a plan is attached.
-    #[cfg(feature = "fault-inject")]
-    fault: Option<&'a crate::fault::FaultPlan>,
+    fault: Option<&'a FaultPlan>,
 }
 
 /// One worker's result of one sweep: the report of the subjects it
@@ -476,11 +444,8 @@ impl<'a> WorkerSweep<'a> {
         } else {
             aligner.align_prepared(prepared, subject, scratch)?
         };
-        #[cfg(feature = "fault-inject")]
-        if let Some(plan) = shared.fault {
-            if plan.should_saturate(slot) {
-                out.saturated = true;
-            }
+        if shared.fault.is_some_and(|plan| plan.should_saturate(slot)) {
+            out.saturated = true;
         }
         // Overflow rescue: a saturated run's lanes clamped (sticky
         // influence test in the kernel), so climb the query's width
@@ -544,7 +509,6 @@ impl<'a> WorkerSweep<'a> {
         slot: usize,
         hooks: bool,
     ) -> Result<(), AlignError> {
-        let _ = hooks;
         let t_slot = Instant::now();
         let batch_mark = self.tallies.sink.events.len();
         // AssertUnwindSafe: the catch's recovery below discards
@@ -553,7 +517,6 @@ impl<'a> WorkerSweep<'a> {
         // complete envelope; the collector and counters only ever
         // receive finished-subject values.
         let scored = catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(feature = "fault-inject")]
             if let Some(plan) = shared.fault.filter(|_| hooks) {
                 plan.before_slot(slot);
             }
@@ -633,7 +596,6 @@ impl<'a> WorkerSweep<'a> {
             // The plan's slot faults, honoured by the batch that took
             // the slots — a declined one leaves them to the
             // per-subject pass.
-            #[cfg(feature = "fault-inject")]
             if let (Some(plan), Ok(Some(_))) = (shared.fault, &out) {
                 slots.clone().for_each(|slot| plan.before_slot(slot));
             }
@@ -652,12 +614,7 @@ impl<'a> WorkerSweep<'a> {
         // A lane to score again per subject: it saturated, or the
         // plan says it did.
         let redo = |lane: usize, slot: usize| {
-            let _ = slot;
-            #[cfg(feature = "fault-inject")]
-            if shared.fault.is_some_and(|plan| plan.should_saturate(slot)) {
-                return true;
-            }
-            out.saturated[lane]
+            out.saturated[lane] || shared.fault.is_some_and(|plan| plan.should_saturate(slot))
         };
         let mut stats = out.stats;
         let mut kept = 0usize;
@@ -864,7 +821,7 @@ impl SearchEngine {
     fn run_on_pool<'env, O: Send + 'env>(
         &self,
         active: usize,
-        faults: JobFaults<'_>,
+        fault: Option<&FaultPlan>,
         work: impl Fn(&mut WorkerState) -> O + Sync + 'env,
     ) -> Vec<Result<O, AlignError>> {
         debug_assert!(active >= 1 && active <= self.threads);
@@ -878,7 +835,14 @@ impl SearchEngine {
         for (slot, sender) in senders.iter().enumerate() {
             let done_tx = done_tx.clone();
             let job: Box<dyn FnOnce(&mut WorkerState) + Send + '_> = Box::new(move |state| {
-                faults.maybe_kill(slot);
+                // Scripted worker kill: fires *outside* the
+                // job-boundary catch, so the unwind escapes through
+                // the worker's receive loop and the thread genuinely
+                // dies — exercising the disconnect drain and the
+                // pool's respawn path.
+                if let Some(plan) = fault {
+                    plan.maybe_kill(slot);
+                }
                 // AssertUnwindSafe: on panic the slot records
                 // `Panicked` and the worker's scratch — the only
                 // state a half-finished sweep could corrupt — is
@@ -1002,7 +966,6 @@ impl SearchEngine {
             trace: trace.as_ref(),
             deadline: deadline.as_ref(),
             rescue: opts.rescue,
-            #[cfg(feature = "fault-inject")]
             fault: opts.fault_plan.as_deref(),
         };
 
@@ -1016,7 +979,7 @@ impl SearchEngine {
             });
         }
         let t_sweep = Instant::now();
-        let outs = self.run_on_pool(active, JobFaults::from_options(opts), |state| {
+        let outs = self.run_on_pool(active, opts.fault_plan.as_deref(), |state| {
             run_sweep_worker(&shared, state)
         });
         let sweep = t_sweep.elapsed();

@@ -1,5 +1,4 @@
-//! Deterministic fault injection for the search engine
-//! (`fault-inject` feature, default off).
+//! Deterministic fault injection for the search engine.
 //!
 //! A [`FaultPlan`] scripts where the sweep misbehaves — a panic while
 //! scoring a given slot, a forced lane saturation, a scheduling
@@ -10,9 +9,9 @@
 //! plan replays the same faults on every run, which is what makes
 //! the fault tests deterministic.
 //!
-//! Nothing in this module is compiled into release builds unless the
-//! feature is explicitly enabled, and even then a query without a
-//! plan attached pays only an `Option` check per slot.
+//! A plan is an ordinary runtime option, compiled into every build:
+//! a query without one pays an `Option` check per slot and per
+//! claim, and nothing in the kernels.
 
 use std::fmt;
 use std::time::Duration;

@@ -30,7 +30,6 @@
 //! machine-readable output and the serve front ends.
 
 pub mod engine;
-#[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod handle;
 pub mod metrics;
@@ -41,7 +40,6 @@ pub(crate) mod sync;
 pub mod wire;
 
 pub use engine::{rank_hits, SearchEngine};
-#[cfg(feature = "fault-inject")]
 pub use fault::FaultPlan;
 pub use handle::EngineHandle;
 pub use metrics::{

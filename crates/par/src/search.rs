@@ -75,9 +75,9 @@ pub struct SearchOptions {
     /// ranking of the subjects that *did* complete, never a wrong
     /// score. `None` (the default) never times out.
     pub deadline: Option<std::time::Duration>,
-    /// Scripted faults for this query (`fault-inject` feature only;
-    /// see [`FaultPlan`](crate::FaultPlan)).
-    #[cfg(feature = "fault-inject")]
+    /// Scripted faults for this query (see
+    /// [`FaultPlan`](crate::FaultPlan)). `None` (the default) costs
+    /// one branch per slot and claim, nothing in the kernels.
     pub fault_plan: Option<std::sync::Arc<crate::fault::FaultPlan>>,
 }
 
@@ -90,7 +90,6 @@ impl Default for SearchOptions {
             trace: false,
             rescue: true,
             deadline: None,
-            #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }
     }
@@ -143,8 +142,7 @@ impl SearchOptions {
         self
     }
 
-    /// Attach a scripted fault plan (`fault-inject` feature only).
-    #[cfg(feature = "fault-inject")]
+    /// Attach a scripted fault plan.
     pub fn fault_plan(mut self, plan: std::sync::Arc<crate::fault::FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -160,6 +158,7 @@ impl std::fmt::Debug for SearchOptions {
             .field("trace", &self.trace)
             .field("rescue", &self.rescue)
             .field("deadline", &self.deadline)
+            .field("fault_plan", &self.fault_plan.is_some())
             .finish()
     }
 }
@@ -359,7 +358,8 @@ mod tests {
             .on_progress(|_| {})
             .trace(true)
             .rescue(false)
-            .deadline(std::time::Duration::from_millis(250));
+            .deadline(std::time::Duration::from_millis(250))
+            .fault_plan(std::sync::Arc::new(crate::FaultPlan::new()));
         assert_eq!(opts.top_n, 20);
         assert!(opts.cancel.is_some());
         assert!(opts.progress.is_some());
@@ -369,6 +369,8 @@ mod tests {
         let dbg = format!("{opts:?}");
         assert!(dbg.contains("top_n: 20"), "{dbg}");
         assert!(dbg.contains("rescue: false"), "{dbg}");
+        assert!(dbg.contains("fault_plan: true"), "{dbg}");
+        assert!(format!("{:?}", SearchOptions::new()).contains("fault_plan: false"));
         // Rescue is on unless explicitly turned off.
         assert!(SearchOptions::new().rescue);
         assert_eq!(SearchOptions::new().deadline, None);

@@ -2,9 +2,9 @@
 //! path of the engine's fault model (DESIGN.md §11) from ordinary
 //! `cargo test` runs.
 //!
-//! Deadline and rescue tests run under any feature set; the scripted
-//! faults (panics, kills, forced saturation, stalls) need
-//! `--features fault-inject`.
+//! Deadline and rescue tests need no plan; the scripted faults
+//! (panics, kills, forced saturation, stalls) attach a `FaultPlan`,
+//! which every build compiles in.
 
 use std::time::Duration;
 
@@ -207,7 +207,6 @@ fn forced_narrow_semi_global_subject_is_rescued_to_the_exact_score() {
     assert_eq!(paradigm_dp(&cfg, &q, db.get(0)).score, -119);
 }
 
-#[cfg(feature = "fault-inject")]
 mod scripted {
     use super::*;
     use aalign_par::FaultPlan;

@@ -6,7 +6,6 @@
 //! dispatcher names neither, so admission, coalescing, cancellation
 //! and the health numbers are the same code for both.
 
-#[cfg(feature = "fault-inject")]
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,7 +71,6 @@ pub struct Local {
     pub(crate) aligner: Aligner,
     pub(crate) db: SeqDatabase,
     /// Chaos harness: applied to every sweep.
-    #[cfg(feature = "fault-inject")]
     pub(crate) fault_plan: Option<Arc<aalign_par::FaultPlan>>,
 }
 
@@ -100,7 +98,6 @@ impl Local {
             engine: EngineHandle::new(threads),
             aligner,
             db,
-            #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }
     }
@@ -118,7 +115,6 @@ impl SearchBackend for Local {
         if let Some(d) = deadline {
             opts = opts.deadline(d);
         }
-        #[cfg(feature = "fault-inject")]
         if let Some(plan) = &self.fault_plan {
             opts = opts.fault_plan(Arc::clone(plan));
         }

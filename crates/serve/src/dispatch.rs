@@ -84,7 +84,6 @@ pub struct DispatcherConfig {
     /// Chaos harness: a scripted fault plan [`Dispatcher::new`] hands
     /// to its [`Local`] backend, applied to every sweep (worker kills,
     /// panics, stalls).
-    #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<Arc<aalign_par::FaultPlan>>,
 }
 
@@ -95,7 +94,6 @@ impl Default for DispatcherConfig {
             max_queued: 16,
             tenant_quota: 0,
             default_deadline: None,
-            #[cfg(feature = "fault-inject")]
             fault_plan: None,
         }
     }
@@ -128,7 +126,6 @@ impl DispatcherConfig {
 
     /// Apply a deterministic fault plan to every request (chaos
     /// harness).
-    #[cfg(feature = "fault-inject")]
     pub fn fault_plan(mut self, plan: Arc<aalign_par::FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -339,11 +336,9 @@ impl Dispatcher {
     /// Build a dispatcher over its own [`Local`] engine pool of
     /// `threads` workers (0 = available parallelism).
     pub fn new(aligner: Aligner, db: SeqDatabase, threads: usize, cfg: DispatcherConfig) -> Self {
-        let local = Local::new(aligner, db, threads);
-        #[cfg(feature = "fault-inject")]
         let local = Local {
             fault_plan: cfg.fault_plan.clone(),
-            ..local
+            ..Local::new(aligner, db, threads)
         };
         Self::with_backend(Arc::new(local), cfg)
     }

@@ -32,9 +32,11 @@
 //! fault-injected worker kills produce `partial: true` reports in
 //! the same versioned wire schema the CLI emits
 //! (`aalign_par::wire`); refusals are typed [`ServeError`]
-//! envelopes. The `fault-inject` feature forwards the engine's
-//! deterministic chaos harness so kill/stall plans can be applied to
-//! a live daemon under test.
+//! envelopes. [`DispatcherConfig::fault_plan`] hands the engine's
+//! deterministic chaos harness to every sweep, so kill/stall plans
+//! can be applied to a live daemon under test.
+//!
+//! [`DispatcherConfig::fault_plan`]: dispatch::DispatcherConfig::fault_plan
 
 pub mod backend;
 pub mod daemon;

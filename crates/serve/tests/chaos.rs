@@ -4,7 +4,6 @@
 //!
 //! Every blocking step runs under a watchdog (`recv_timeout`), so a
 //! regression that hangs fails the suite instead of wedging it.
-#![cfg(feature = "fault-inject")]
 
 use std::io::{BufReader, Cursor, Read, Write};
 use std::net::{TcpListener, TcpStream};

@@ -1,5 +1,4 @@
-//! Deterministic chaos for the shard supervisor (feature
-//! `fault-inject`).
+//! Deterministic chaos for the shard supervisor.
 //!
 //! A [`ShardFaultPlan`] names one shard and SIGKILLs its child right
 //! after a query is dispatched to it — after the request line is on

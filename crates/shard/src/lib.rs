@@ -24,7 +24,7 @@
 //!   breaker, and graceful degradation: the merged report is
 //!   `partial: true` with a [`ShardOutcome`] and one
 //!   `AlignError::ShardLost` naming each uncovered range.
-//! * `fault` *(feature `fault-inject`)* — deterministic chaos:
+//! * `fault` — deterministic chaos ([`ShardOptions::fault`]):
 //!   SIGKILL a chosen shard's child right after dispatch, so the
 //!   retry/breaker/degradation ladder is testable end to end.
 //!
@@ -37,12 +37,10 @@
 //! [`ShardOutcome`]: aalign_par::ShardOutcome
 //! [`FlightRecorder`]: aalign_obs::FlightRecorder
 
-#[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod supervisor;
 pub mod worker;
 
-#[cfg(feature = "fault-inject")]
 pub use fault::ShardFaultPlan;
 pub use supervisor::{ShardOptions, ShardQuery, Supervisor};
 pub use worker::WorkerCommand;

@@ -64,7 +64,6 @@ use aalign_obs::{FlightEvent, FlightRecorder, StageKind};
 use aalign_par::wire::{report_from_wire, SearchRequest};
 use aalign_par::{rank_hits, CancelToken, SearchMetrics, SearchReport};
 
-#[cfg(feature = "fault-inject")]
 use crate::fault::ShardFaultPlan;
 use crate::worker::{RecvError, Worker, WorkerCommand};
 
@@ -113,7 +112,6 @@ pub struct ShardOptions {
     pub heartbeat: Option<Duration>,
     /// Deterministic chaos plan (kills a chosen shard's child right
     /// after dispatch).
-    #[cfg(feature = "fault-inject")]
     pub fault: Option<ShardFaultPlan>,
 }
 
@@ -129,7 +127,6 @@ impl ShardOptions {
             breaker_deaths: 3,
             breaker_window: Duration::from_secs(60),
             heartbeat: Some(Duration::from_secs(1)),
-            #[cfg(feature = "fault-inject")]
             fault: None,
         }
     }
@@ -159,7 +156,6 @@ impl ShardOptions {
     }
 
     /// Install a deterministic chaos plan.
-    #[cfg(feature = "fault-inject")]
     #[must_use]
     pub fn fault(mut self, plan: ShardFaultPlan) -> Self {
         self.fault = Some(plan);
@@ -275,8 +271,9 @@ pub struct Supervisor {
     monitor_stop: Arc<(Mutex<bool>, Condvar)>,
     shut: Mutex<bool>,
     total_subjects: usize,
-    #[cfg(feature = "fault-inject")]
-    fault: Mutex<Option<ShardFaultPlan>>,
+    /// The chaos plan's kill budget, when [`ShardOptions::fault`] set
+    /// one.
+    fault: Option<Mutex<ShardFaultPlan>>,
 }
 
 /// Contiguous balanced partition of `len` subjects into `n` ranges
@@ -328,8 +325,7 @@ impl Supervisor {
                 }),
             });
         }
-        #[cfg(feature = "fault-inject")]
-        let fault = Mutex::new(opts.fault.clone());
+        let fault = opts.fault.clone().map(Mutex::new);
         let sup = Arc::new(Supervisor {
             cmd,
             opts,
@@ -342,7 +338,6 @@ impl Supervisor {
             monitor_stop: Arc::new((Mutex::new(false), Condvar::new())),
             shut: Mutex::new(false),
             total_subjects: db.len(),
-            #[cfg(feature = "fault-inject")]
             fault,
         });
         for slot in &sup.slots {
@@ -721,20 +716,20 @@ impl Supervisor {
         }
     }
 
-    #[cfg(feature = "fault-inject")]
+    /// SIGKILL `slot`'s child right after a dispatch when the chaos
+    /// plan says so.
     fn maybe_inject_kill(&self, slot: &ShardSlot, st: &mut SlotState) {
-        let mut plan = self.fault.lock().expect("fault plan poisoned");
-        if let Some(p) = plan.as_mut() {
-            if p.should_kill(slot.index) {
-                if let Some(w) = st.worker.as_mut() {
-                    w.sigkill();
-                }
+        let Some(plan) = &self.fault else { return };
+        if plan
+            .lock()
+            .expect("fault plan poisoned")
+            .should_kill(slot.index)
+        {
+            if let Some(w) = st.worker.as_mut() {
+                w.sigkill();
             }
         }
     }
-
-    #[cfg(not(feature = "fault-inject"))]
-    fn maybe_inject_kill(&self, _slot: &ShardSlot, _st: &mut SlotState) {}
 
     /// One liveness pass: reap dead children, respawn when the
     /// backoff window has passed, and `health`-ping idle children (a

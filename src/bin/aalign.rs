@@ -122,18 +122,6 @@ impl<'a> Flags<'a> {
         {
             return Err(format!("unknown flag {flag:?} for {cmd}"));
         }
-        // The chaos flags are in every build's usage text; only a
-        // `fault-inject` build has the hooks behind them.
-        #[cfg(not(feature = "fault-inject"))]
-        if let Some(flag) = args
-            .iter()
-            .find(|a| ["--fault-plan", "--shard-fault"].contains(&a.as_str()))
-        {
-            return Err(format!(
-                "{flag} needs a build with the `fault-inject` feature \
-                 (cargo build --features fault-inject)"
-            ));
-        }
         Ok(Self { args })
     }
 
@@ -256,7 +244,6 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         let ms: u64 = ms.parse().map_err(|_| "--timeout expects milliseconds")?;
         opts = opts.deadline(std::time::Duration::from_millis(ms));
     }
-    #[cfg(feature = "fault-inject")]
     if let Some(spec) = flags.get("--fault-plan") {
         let plan = aalign::par::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
         opts = opts.fault_plan(std::sync::Arc::new(plan));
@@ -372,7 +359,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|_| "--default-timeout expects milliseconds")?;
         cfg = cfg.default_deadline(std::time::Duration::from_millis(ms));
     }
-    #[cfg(feature = "fault-inject")]
     if let Some(spec) = flags.get("--fault-plan") {
         let plan = aalign::par::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
         cfg = cfg.fault_plan(std::sync::Arc::new(plan));
@@ -442,15 +428,11 @@ fn launch_supervisor(
 ) -> Result<std::sync::Arc<aalign::shard::Supervisor>, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let cmd = aalign::shard::WorkerCommand::serve_stdio(exe, &child_serve_args(flags));
-    let sopts = aalign::shard::ShardOptions::new(shards);
-    #[cfg(feature = "fault-inject")]
-    let sopts = match flags.get("--shard-fault") {
-        Some(spec) => sopts.fault(
-            spec.parse::<aalign::shard::ShardFaultPlan>()
-                .map_err(|e| format!("--shard-fault: {e}"))?,
-        ),
-        None => sopts,
-    };
+    let mut sopts = aalign::shard::ShardOptions::new(shards);
+    if let Some(spec) = flags.get("--shard-fault") {
+        let plan = spec.parse().map_err(|e| format!("--shard-fault: {e}"))?;
+        sopts = sopts.fault(plan);
+    }
     aalign::shard::Supervisor::launch(db, cmd, sopts).map_err(|e| e.to_string())
 }
 

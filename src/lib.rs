@@ -65,8 +65,7 @@ pub mod serve {
 }
 
 /// Fault-tolerant multi-process sharding: the shard supervisor,
-/// worker-child plumbing, and (with `fault-inject`) deterministic
-/// chaos plans.
+/// worker-child plumbing, and deterministic chaos plans.
 pub mod shard {
     pub use aalign_shard::*;
 }

@@ -667,7 +667,6 @@ fn serve_stdio_shutdown_flushes_reply_with_stdin_still_open() {
 /// End-to-end chaos pin at the CLI layer: `shard-search` with an
 /// unlimited kill plan degrades to a partial answer naming the dead
 /// shard's exact uncovered range, and still exits zero.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn shard_search_cli_degrades_with_exact_uncovered_range_under_kill_plan() {
     let dir = std::env::temp_dir().join("aalign_cli_shard_chaos");
@@ -903,31 +902,34 @@ fn forced_narrow_global_run_is_flagged_and_rescued() {
 }
 
 #[test]
-fn fault_plan_flag_requires_the_feature_or_a_valid_spec() {
+fn fault_plan_flag_runs_a_valid_spec_and_rejects_a_bad_one() {
     let dir = std::env::temp_dir().join("aalign_cli_faultplan");
     std::fs::create_dir_all(&dir).unwrap();
     write_fasta(&dir.join("q.fa"), &[("q", "HEAGAWGHEE")]);
     write_fasta(&dir.join("db.fa"), &[("a", "PAWHEAE")]);
-    let out = aalign()
-        .args([
-            "search",
-            "--query",
-            dir.join("q.fa").to_str().unwrap(),
-            "--db",
-            dir.join("db.fa").to_str().unwrap(),
-            "--fault-plan",
-            "panic@0",
-        ])
-        .output()
-        .unwrap();
+    let search = |spec: &str| {
+        aalign()
+            .args([
+                "search",
+                "--query",
+                dir.join("q.fa").to_str().unwrap(),
+                "--db",
+                dir.join("db.fa").to_str().unwrap(),
+                "--fault-plan",
+                spec,
+            ])
+            .output()
+            .unwrap()
+    };
+    // Plan accepted: the scripted panic surfaces as a partial report,
+    // not a crash.
+    let out = search("panic@0");
     let err = String::from_utf8(out.stderr).unwrap();
-    if cfg!(feature = "fault-inject") {
-        // Plan accepted: the scripted panic surfaces as a partial
-        // report, not a crash.
-        assert!(out.status.success(), "{err}");
-        assert!(err.contains("partial results"), "{err}");
-    } else {
-        assert!(!out.status.success());
-        assert!(err.contains("fault-inject"), "{err}");
-    }
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("partial results"), "{err}");
+    // A malformed spec is refused before any search runs.
+    let out = search("explode@0");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(!out.status.success());
+    assert!(err.contains("--fault-plan: unknown fault verb"), "{err}");
 }

@@ -319,7 +319,6 @@ fn sharded_dispatcher_coalesces_and_cancels_like_a_local_one() {
     });
 }
 
-#[cfg(feature = "fault-inject")]
 mod chaos {
     use super::*;
     use aalign::shard::ShardFaultPlan;

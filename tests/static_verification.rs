@@ -617,6 +617,42 @@ fn one_fold() {
     );
 }
 
+/// One build: a fault plan is a runtime option every build compiles
+/// in (`SearchOptions::fault_plan`, `DispatcherConfig::fault_plan`,
+/// `ShardOptions::fault`), so the chaos suites run on every `cargo
+/// test`. A cargo feature that compiled the hooks away doubled the
+/// configurations to cover, and the default one ran none of them.
+#[test]
+fn one_build() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = all_sources(root);
+    rust_sources(&root.join("tests"), &mut sources);
+    sources.retain(|p| !p.ends_with("tests/static_verification.rs"));
+    assert_absent(
+        &sources,
+        &["feature = \"fault-inject\""],
+        "a fault plan is a runtime option, not a build",
+    );
+    for manifest in [
+        "Cargo.toml",
+        "crates/par/Cargo.toml",
+        "crates/serve/Cargo.toml",
+        "crates/shard/Cargo.toml",
+    ] {
+        let text = std::fs::read_to_string(root.join(manifest)).unwrap();
+        let features = text
+            .split("\n[")
+            .find(|table| table.starts_with("features]"))
+            .unwrap_or_default();
+        assert!(
+            !features
+                .lines()
+                .any(|line| line.trim_start().starts_with("fault-inject")),
+            "{manifest}: a `fault-inject` feature is back"
+        );
+    }
+}
+
 /// One measurement system: `benchmark/` (declared by `BENCHMARK.json`)
 /// is the only thing that judges a number. The paper's figures are
 /// regenerated by the `fig*` bins into `results/*.txt`, and the two
