@@ -20,11 +20,12 @@
 use aalign_bench::harness::{print_banner, time_min, Platform, Table};
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, random_residue, seeded_rng, swissprot_like_db, PairSpec};
-use aalign_bio::Sequence;
+use aalign_bio::{SeqDatabase, Sequence};
 use aalign_core::{
     AlignConfig, AlignScratch, Aligner, GapModel, HybridPolicy, InterBatches, InterWorkspace,
-    LaneProfile, Strategy, WidthPolicy, LANE_MIN_FILL_PERCENT, LANE_QUERY_CAP,
+    LaneProfile, RunStats, Strategy, WidthPolicy, LANE_MIN_FILL_PERCENT, LANE_QUERY_CAP,
 };
+use aalign_par::{SearchEngine, SearchOptions};
 use aalign_vec::{resolve, with_engine, Backend, DispatchElem, IsaSupport};
 use std::time::Duration;
 
@@ -170,14 +171,16 @@ fn main() {
 struct ThreeWays {
     /// `align_prepared` per subject (the striped hybrid).
     striped: f64,
-    /// The lane kernel at the rule's first width on every vector,
+    /// The lane kernel at the rule's first width on every subject,
     /// rows built inside the timing.
     lanes: f64,
-    /// `align_batch_prepared` per vector, `align_prepared` for what
-    /// it declines or flags: what a sweep does.
+    /// A one-worker `SearchEngine::search`: the sweep's own claims,
+    /// lanes where the rule takes them, `align_prepared` for the rest.
     rule: f64,
     /// Share of the residues the rule scored lane per subject.
     rule_lane_share: f64,
+    /// Lanes the rule's first passes flagged saturated.
+    rule_flagged: usize,
 }
 
 fn three_ways(
@@ -207,9 +210,18 @@ fn three_ways(
         16 => forced_lanes::<i16>(aligner, first, query, subjects, reps),
         _ => forced_lanes::<i32>(aligner, first, query, subjects, reps),
     };
-    let mut in_lanes = 0usize;
+    let db = SeqDatabase::new(subjects.iter().map(|&s| s.clone()).collect());
+    let engine = SearchEngine::new(1);
+    let opts = SearchOptions::new().top_n(10);
+    let mut stats = RunStats::default();
     let rule = time_min(
-        || in_lanes = sweep(aligner, query, subjects, &mut scratch),
+        || {
+            stats = engine
+                .search(aligner, query, &db, &opts)
+                .unwrap()
+                .metrics
+                .kernel_stats;
+        },
         1,
         reps,
     );
@@ -217,42 +229,13 @@ fn three_ways(
         striped: striped.as_secs_f64(),
         lanes: lanes.as_secs_f64(),
         rule: rule.as_secs_f64(),
-        rule_lane_share: in_lanes as f64 / residues.max(1) as f64,
+        rule_lane_share: stats.inter_columns as f64 / residues.max(1) as f64,
+        rule_flagged: stats.inter_saturated,
     }
 }
 
-/// What a sweep does with `subjects`: each vector offered to
-/// `align_batch_prepared`, `align_prepared` for what it declines or
-/// flags. Returns the residues scored in lanes.
-fn sweep(
-    aligner: &Aligner,
-    query: &Sequence,
-    subjects: &[&Sequence],
-    scratch: &mut AlignScratch,
-) -> usize {
-    let pq = aligner.prepare(query).unwrap();
-    let vector = pq.batch_lanes().max(1);
-    let mut in_lanes = 0usize;
-    for batch in subjects.chunks(vector) {
-        // As the sweep: no batches from a database smaller than one
-        // vector.
-        let taken = (pq.batch_lanes() > 0 && subjects.len() >= vector)
-            .then(|| aligner.align_batch_prepared(&pq, batch, scratch).unwrap())
-            .flatten();
-        let redo = |lane: usize| taken.as_ref().is_none_or(|out| out.saturated[lane]);
-        for (lane, s) in batch.iter().enumerate() {
-            if redo(lane) {
-                std::hint::black_box(aligner.align_prepared(&pq, s, scratch).unwrap().score);
-            } else {
-                in_lanes += s.len();
-            }
-        }
-        std::hint::black_box(taken);
-    }
-    in_lanes
-}
-
-/// The lane kernel of `backend` on every vector of `subjects`.
+/// The lane kernel of `backend` on all of `subjects`, one refilled
+/// batch.
 fn forced_lanes<T: DispatchElem>(
     aligner: &Aligner,
     backend: Backend,
@@ -481,23 +464,13 @@ fn lanes_or_stripes(quick: bool) {
         let sorted: Vec<&Sequence> = db.length_order().iter().map(|&i| db.get(i)).collect();
         let w = three_ways(&aligner, first, &q60, &sorted, reps);
         let parent = i16_lanes_first(&aligner, i16_row, &q60, &sorted, reps).as_secs_f64();
-        let pq = aligner.prepare(&q60).unwrap();
-        let flagged: usize = sorted
-            .chunks(pq.batch_lanes().max(1))
-            .filter_map(|v| {
-                aligner
-                    .align_batch_prepared(&pq, v, &mut AlignScratch::new())
-                    .unwrap()
-            })
-            .map(|out| out.stats.inter_saturated)
-            .sum();
         table.row(vec![
             format!("{percent} %"),
             format!("{:.3}", w.striped * 1e3),
             format!("{:.3}", parent * 1e3),
             format!("{:.3}", w.rule * 1e3),
             format!("{:.2}", w.rule / parent),
-            flagged.to_string(),
+            w.rule_flagged.to_string(),
         ]);
     }
     println!("{}", table.render());

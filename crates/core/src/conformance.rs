@@ -766,20 +766,19 @@ fn inter_elem<T: ScoreElem>(
     .name();
     let eng = EmuEngine::<T, INTER_LANES>::new();
     let mut ws = InterWorkspace::new();
+    // Every subject in one refilled batch: each lane runs subject after
+    // subject, so a score also checks the hand-offs before it.
+    let refs: Vec<&Sequence> = subjects.iter().collect();
     for (qi, q) in queries.iter().enumerate() {
         let prof = LaneProfile::build(q, &kernel_cfg.matrix);
-        for (chunk_start, chunk) in subjects.chunks(INTER_LANES).enumerate() {
-            let refs: Vec<&Sequence> = chunk.iter().collect();
-            let batch = inter_align_batch(eng, t2, &prof, &refs, &mut ws);
-            for (lane, &got) in batch.scores.iter().enumerate() {
-                let si = chunk_start * INTER_LANES + lane;
-                if batch.saturated[lane] {
-                    stat.skipped_saturated += 1;
-                    continue;
-                }
-                stat.checks += 1;
-                record(report, &variant, q, &subjects[si], got, want[qi][si]);
+        let batch = inter_align_batch(eng, t2, &prof, &refs, &mut ws);
+        for (si, &got) in batch.scores.iter().enumerate() {
+            if batch.saturated[si] {
+                stat.skipped_saturated += 1;
+                continue;
             }
+            stat.checks += 1;
+            record(report, &variant, q, &subjects[si], got, want[qi][si]);
         }
     }
 }

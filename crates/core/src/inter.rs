@@ -10,9 +10,22 @@
 //! no lazy loop, no scan, no hybrid — and a query too short to fill a
 //! stripe still fills every lane. The costs are structural too: each
 //! cell needs the substitution score of *its own lane's* subject
-//! residue, the batch's residues have to be transposed so that one
-//! vector holds one column of every subject, and a lane whose subject
-//! has ended idles until the longest one is done.
+//! residue, and the batch's residues have to be transposed so that one
+//! vector holds one column of every lane.
+//!
+//! **Lane refill** (SWIPE). A batch is any number of subjects, not one
+//! vector of them: when a lane's subject ends, the lane hands its score
+//! over and starts the next subject not yet begun, in the very next
+//! column. One schedule (`schedule`) places the subjects — the
+//! lane that frees first, ties to the lower lane — and serves the
+//! transposition, the per-column hand-off flag and the lane-column
+//! count the fill rule weighs. On a hand-off column the ending lanes
+//! are reset to the column-0 state with two adds and a max against a
+//! lane mask, no new engine primitive; every other column runs the row
+//! loop as it always did. Longest first, the lanes idle only at the
+//! batch's very end: a 125-subject shard pads ≈ 1.08 lane-columns per
+//! residue where one vector at a time padded 1.70 (EXPERIMENTS.md,
+//! "Lane refill").
 //!
 //! **A strategy of the one sweep.** With the scores gathered by
 //! `m × LANES` scalar stores per column this kernel lost to the
@@ -47,6 +60,9 @@
 //! run those narrow nowhere else.
 //!
 //! [`Aligner::align_batch_prepared`]: crate::Aligner::align_batch_prepared
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use aalign_bio::{Alphabet, Sequence, SubstMatrix};
 use aalign_vec::{
@@ -145,10 +161,9 @@ pub struct InterBatchResult {
     pub saturated: Vec<bool>,
 }
 
-/// Any number of subjects through [`inter_align_batch`], one vector of
-/// `E::LANES` after another: the computation [`with_engine`]
-/// instantiates per engine, for every caller that has a table row
-/// rather than an engine in hand.
+/// Any number of subjects through [`inter_align_batch`]: the
+/// computation [`with_engine`] instantiates per engine, for every
+/// caller that has a table row rather than an engine in hand.
 #[derive(Debug)]
 pub struct InterBatches<'a, T> {
     /// The paradigm constants.
@@ -157,7 +172,7 @@ pub struct InterBatches<'a, T> {
     pub prof: &'a LaneProfile<T>,
     /// The subjects, best longest first.
     pub subjects: &'a [&'a Sequence],
-    /// Scratch, reused across vectors and calls.
+    /// Scratch, reused across calls.
     pub ws: &'a mut InterWorkspace<T>,
 }
 
@@ -166,30 +181,167 @@ impl<T: ScoreElem> EngineFn<T> for InterBatches<'_, T> {
 
     #[inline(always)]
     fn call<E: SimdEngine<Elem = T>>(self, eng: E) -> InterBatchResult {
-        let mut all = InterBatchResult {
-            scores: Vec::with_capacity(self.subjects.len()),
-            saturated: Vec::with_capacity(self.subjects.len()),
-        };
-        for vector in self.subjects.chunks(E::LANES) {
-            let out = inter_align_batch(eng, self.t2, self.prof, vector, self.ws);
-            all.scores.extend(out.scores);
-            all.saturated.extend(out.saturated);
-        }
-        all
+        inter_align_batch(eng, self.t2, self.prof, self.subjects, self.ws)
     }
 }
 
-/// Align the query of `prof` against up to `E::LANES` subjects
-/// simultaneously, one lane per subject, at any element width.
-/// Subjects may come in any order; sorted by length they waste the
-/// fewest lane-columns (every lane runs to the longest subject's end).
+/// Lanes of the widest supported engine (i8×64): the size of the
+/// kernel's per-lane scratch arrays.
+const MAX_LANES: usize = 64;
+
+/// The refill schedule of `subjects` on `lanes` lanes. Each non-empty
+/// subject, in input order, goes to the lane that frees first — ties
+/// to the lower lane index — and starts in the column where that
+/// lane's previous subject ended; the first `lanes` subjects start in
+/// column 0. `place(subject, lane, start)` sees every placement. The
+/// return is the batch's column count: `lanes ×` it are the
+/// lane-columns the kernel computes. Empty subjects take no lane.
+fn schedule(
+    subjects: &[&Sequence],
+    lanes: usize,
+    mut place: impl FnMut(usize, usize, usize),
+) -> usize {
+    // (free at, lane), the least first.
+    let mut free: BinaryHeap<Reverse<(usize, usize)>> =
+        (0..lanes).map(|lane| Reverse((0, lane))).collect();
+    for (k, s) in subjects.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+        let mut first = free.peek_mut().expect("at least one lane");
+        let Reverse((start, lane)) = *first;
+        place(k, lane, start);
+        *first = Reverse((start + s.len(), lane));
+    }
+    free.into_iter()
+        .map(|Reverse((at, _))| at)
+        .max()
+        .unwrap_or(0)
+}
+
+/// Lane-columns [`inter_align_batch`] computes for `subjects` on an
+/// engine of `lanes` lanes: lanes × the columns of their refill
+/// schedule. What the lanes are paid for, and what
+/// [`LANE_MIN_FILL_PERCENT`](crate::LANE_MIN_FILL_PERCENT) weighs the
+/// subjects' residues against.
+pub(crate) fn lane_columns(subjects: &[&Sequence], lanes: usize) -> usize {
+    lanes * schedule(subjects, lanes, |_, _, _| {})
+}
+
+/// The gap and boundary constants one column's rows read.
+#[derive(Clone, Copy)]
+struct Rows<V> {
+    gl: V,
+    gle: V,
+    gu: V,
+    gue: V,
+    zero: V,
+    neg_inf: V,
+    /// Row 0's column-0 value, and the step from one row's to the next.
+    start: V,
+    start_step: V,
+}
+
+/// The lanes a hand-off column resets: `stop` is `NEG_INF` in them and
+/// 0 in the others, `keep` the other way round.
+#[derive(Clone, Copy)]
+struct Handoff<V> {
+    stop: V,
+    keep: V,
+}
+
+impl<V: Copy> Handoff<V> {
+    /// `x` in the lanes that go on, `start` in the lanes that reset:
+    /// `max(x + stop + stop, start + keep)`. Exact at i8 and i16
+    /// (saturating adds: a resetting lane bottoms out at `MIN`, a kept
+    /// one compares with `MIN`) and at i32 (`NEG_INF = MIN / 4`: the
+    /// two adds stay in range), for every value inside the bounds that
+    /// gate narrow lanes.
+    #[inline(always)]
+    fn reset<E: SimdEngine<Vec = V>>(self, eng: E, x: V, start: V) -> V {
+        self.reset_to(eng, x, eng.add(start, self.keep))
+    }
+
+    /// [`reset`](Self::reset) with `start + keep` already added.
+    #[inline(always)]
+    fn reset_to<E: SimdEngine<Vec = V>>(self, eng: E, x: V, start_kept: V) -> V {
+        eng.max(eng.add(eng.add(x, self.stop), self.stop), start_kept)
+    }
+}
+
+/// One column of every lane: rows `1..=m` of `h` / `e` updated in
+/// place from the top value `h_up` and the previous column's top
+/// `h_diag`; returns the last row. With `RESET`, the lanes of `hand`
+/// first take the column-0 state — `H` the boundary column, `E`
+/// `NEG_INF` (a local `E` just some negative value, as good there) —
+/// so their new subject starts here.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn column<E: SimdEngine, const LOCAL: bool, const RESET: bool>(
+    eng: E,
+    g: &Rows<E::Vec>,
+    hand: Handoff<E::Vec>,
+    idx: E::Vec,
+    mut h_diag: E::Vec,
+    mut h_up: E::Vec,
+    h_rows: &mut [E::Elem],
+    e_rows: &mut [E::Elem],
+    scores: &[E::Elem],
+    local_max: &mut E::Vec,
+) -> E::Vec {
+    let lanes = E::LANES;
+    let mut v_f = g.neg_inf;
+    // The resetting lanes' column-0 values, `keep` added: `H` row by
+    // row, `E` throughout.
+    let mut h_start = eng.add(g.start, hand.keep);
+    let e_start = eng.add(g.neg_inf, hand.keep);
+    let rows = h_rows
+        .chunks_exact_mut(lanes)
+        .zip(e_rows.chunks_exact_mut(lanes))
+        .zip(scores.chunks_exact(LOOKUP_ENTRIES));
+    for ((h_j, e_j), scores) in rows {
+        let mut h_left = eng.load(h_j);
+        let mut e_left = eng.load(e_j);
+        if RESET && LOCAL {
+            // A local `H` is never negative and its boundary is 0, so
+            // one `stop` and a max with 0 reset it. A local `E` only
+            // counts where it beats 0: one `stop` makes it negative,
+            // and from there it stays negative or meets the exact
+            // value, so no `H` it feeds can tell.
+            h_left = eng.max(eng.add(h_left, hand.stop), g.zero);
+            e_left = eng.add(e_left, hand.stop);
+        } else if RESET {
+            h_left = hand.reset_to(eng, h_left, h_start);
+            h_start = eng.add(h_start, g.start_step);
+            e_left = hand.reset_to(eng, e_left, e_start);
+        }
+        let v_e = eng.max(eng.add(e_left, g.gle), eng.add(h_left, g.gl));
+        eng.store(e_j, v_e);
+        v_f = eng.max(eng.add(v_f, g.gue), eng.add(h_up, g.gu));
+        let mut v = eng.max(eng.add(h_diag, eng.lookup32(scores, idx)), v_e);
+        if LOCAL {
+            v = eng.max(v, g.zero);
+        }
+        v = eng.max(v, v_f);
+        if LOCAL {
+            *local_max = eng.max(*local_max, v);
+        }
+        h_diag = h_left;
+        eng.store(h_j, v);
+        h_up = v;
+    }
+    h_up
+}
+
+/// Align the query of `prof` against any number of subjects, one lane
+/// per subject at a time, at any element width. Lanes start on the
+/// first `E::LANES` subjects; when a lane's subject ends, the lane takes
+/// the next one not yet started (the refill schedule), so no
+/// lane idles while subjects are left. Longest first, the lanes also
+/// end together.
 ///
 /// Forced inline: the body has to be compiled inside the
 /// target-feature entry [`with_engine`] calls it from.
 ///
 /// # Panics
-/// Panics if `subjects.len() > E::LANES` or a subject uses a different
-/// alphabet than the profile.
+/// Panics if a subject uses a different alphabet than the profile.
 #[inline(always)]
 pub fn inter_align_batch<E: SimdEngine>(
     eng: E,
@@ -215,19 +367,26 @@ fn batch<E: SimdEngine, const LOCAL: bool>(
 ) -> InterBatchResult {
     type T<E> = <E as SimdEngine>::Elem;
     let lanes = E::LANES;
-    assert!(
-        subjects.len() <= lanes,
-        "batch of {} exceeds {lanes} lanes",
-        subjects.len()
-    );
     for s in subjects {
         assert!(
             core::ptr::eq(s.alphabet(), prof.alphabet),
             "alphabet mismatch"
         );
     }
+    // Every placement as (start, end, lane, subject), in start order
+    // (the schedule's), and as its hand-off, in end order.
+    let mut placed = Vec::with_capacity(subjects.len());
+    let columns = schedule(subjects, lanes, |k, lane, start| {
+        placed.push((start, start + subjects[k].len(), lane, k));
+    });
+    let mut handoffs: Vec<(usize, usize, usize)> = placed
+        .iter()
+        .map(|&(_, end, lane, k)| (end, lane, k))
+        .collect();
+    handoffs.sort_unstable();
+    let end_at = |next: usize| handoffs.get(next).map_or(usize::MAX, |h| h.0);
+
     let m = prof.len;
-    let n_max = subjects.iter().map(|s| s.len()).max().unwrap_or(0);
     let splat = |x: i32| eng.splat(T::<E>::from_i32_sat(x));
     let neg_inf = eng.splat(T::<E>::NEG_INF);
 
@@ -242,114 +401,162 @@ fn batch<E: SimdEngine, const LOCAL: bool>(
         eng.store(e_j, neg_inf);
     }
 
-    let v_gl = splat(t2.gap_left);
-    let v_gle = splat(t2.gap_left_ext);
-    let v_gu = splat(t2.gap_up);
-    let v_gue = splat(t2.gap_up_ext);
-    let v_zero = eng.splat(T::<E>::ZERO);
+    let g = Rows {
+        gl: splat(t2.gap_left),
+        gle: splat(t2.gap_left_ext),
+        gu: splat(t2.gap_up),
+        gue: splat(t2.gap_up_ext),
+        zero: eng.splat(T::<E>::ZERO),
+        neg_inf,
+        start: splat(t2.init_col(0)),
+        start_step: splat(t2.init_col(1) - t2.init_col(0)),
+    };
+    // Each lane's top boundary for the coming column, `INIT_T` of the
+    // lane's own column index: one step a column, reset with the lane.
+    let v_top_start = splat(t2.init_t(1));
+    let v_top_step = splat(t2.init_t(2) - t2.init_t(1));
+    let mut v_top = v_top_start;
 
-    // The boundary column's last row: final for zero-length subjects
-    // (global) and the i = 0 term of the semi-global maximum.
+    // The boundary column's last row: the score of an empty subject and
+    // the i = 0 term of the semi-global maximum.
     let v_boundary = eng.load(&h[m * lanes..]);
     let mut v_local_max = neg_inf;
     let mut v_semi = v_boundary;
-    // Global scores sit in each lane's own end column; `next_end` is
-    // the nearest one still ahead, so a column costs one compare.
-    // Sized for the widest supported engine (i8×64).
-    let mut lane_buf = [T::<E>::ZERO; 64];
-    eng.store(&mut lane_buf, v_boundary);
-    let mut finals = lane_buf[..subjects.len()].to_vec();
-    let end_after = |done: usize| {
-        subjects
-            .iter()
-            .map(|s| s.len())
-            .filter(|&n| n > done)
-            .min()
-            .unwrap_or(usize::MAX)
+    let (h_0, h_rows) = h.split_at_mut(lanes);
+    let e_rows = &mut e[lanes..];
+    let last_row = (m - 1) * lanes;
+    let mut finals = vec![T::<E>::from_i32_sat(t2.init_col(m - 1)); subjects.len()];
+    let mut lane_buf = [T::<E>::ZERO; MAX_LANES];
+    // Each lane's result so far: its running maximum (local), its
+    // last-row maximum (semi-global), its last row (global).
+    let result = |last_row: &[T<E>], v_local_max, v_semi| match t2.kind {
+        AlignKind::Local => v_local_max,
+        AlignKind::SemiGlobal => v_semi,
+        AlignKind::Global => eng.load(last_row),
     };
-    let mut next_end = end_after(0);
+    // The next hand-off, and its column.
+    let (mut next, mut next_end) = (0, end_at(0));
+    // The placements the current tile reads, and how many of `placed`
+    // have started.
+    let mut live: Vec<(usize, usize, usize, usize)> = Vec::with_capacity(2 * lanes);
+    let mut started = 0;
+    // Each lane's mask entries, `stop` / `keep` outside a hand-off.
+    let mut stop = [T::<E>::ZERO; MAX_LANES];
+    let mut keep = [T::<E>::NEG_INF; MAX_LANES];
 
     let pad = T::<E>::from_i32(prof.alphabet.len() as i32);
     // Whole tiles, however short the batch: the scratch has one size.
     ws.tile.resize(TILE_COLUMNS * lanes, pad);
-    for tile_start in (0..n_max).step_by(TILE_COLUMNS) {
-        // Transpose this tile of the batch: column c of the scratch
-        // holds residue `tile_start + c` of every subject, lanes past
-        // a subject's end (and unused lanes) the pad index.
-        let width = TILE_COLUMNS.min(n_max - tile_start);
+    for tile_start in (0..columns).step_by(TILE_COLUMNS) {
+        // Transpose this tile of the schedule: column c of the scratch
+        // holds, in each lane, the residue that lane reads in column
+        // `tile_start + c`; lanes past their last subject (and unused
+        // lanes) the pad index.
+        let width = TILE_COLUMNS.min(columns - tile_start);
         let tile = &mut ws.tile[..width * lanes];
         tile.fill(pad);
-        for (l, s) in subjects.iter().enumerate() {
-            let residues = s.indices().get(tile_start..).unwrap_or(&[]);
-            for (column, &r) in tile.chunks_exact_mut(lanes).zip(residues) {
-                column[l] = T::<E>::from_i32(i32::from(r));
+        let tile_end = tile_start + width;
+        live.retain(|&(_, end, ..)| end > tile_start);
+        while let Some(&p) = placed.get(started).filter(|p| p.0 < tile_end) {
+            live.push(p);
+            started += 1;
+        }
+        for &(start, end, lane, k) in &live {
+            let (from, to) = (start.max(tile_start), end.min(tile_end));
+            let residues = &subjects[k].indices()[from - start..to - start];
+            let cells = tile[(from - tile_start) * lanes..].chunks_exact_mut(lanes);
+            for (column, &r) in cells.zip(residues) {
+                column[lane] = T::<E>::from_i32(i32::from(r));
             }
         }
 
-        for (c, column) in tile.chunks_exact(lanes).enumerate() {
+        for (c, column_idx) in tile.chunks_exact(lanes).enumerate() {
             let i = tile_start + c;
-            let idx = eng.load(column);
-            let (h_0, h_rows) = h.split_at_mut(lanes);
+            let idx = eng.load(column_idx);
+            // The previous column's top boundary.
             let mut h_diag = eng.load(h_0);
-            let mut h_up = splat(t2.init_t(i + 1));
-            eng.store(h_0, h_up);
-            let mut v_f = neg_inf;
-            let rows = h_rows
-                .chunks_exact_mut(lanes)
-                .zip(e[lanes..].chunks_exact_mut(lanes))
-                .zip(prof.rows.chunks_exact(LOOKUP_ENTRIES));
-            for ((h_j, e_j), scores) in rows {
-                let h_left = eng.load(h_j);
-                let v_e = eng.max(eng.add(eng.load(e_j), v_gle), eng.add(h_left, v_gl));
-                eng.store(e_j, v_e);
-                v_f = eng.max(eng.add(v_f, v_gue), eng.add(h_up, v_gu));
-                let mut v = eng.max(eng.add(h_diag, eng.lookup32(scores, idx)), v_e);
-                if LOCAL {
-                    v = eng.max(v, v_zero);
+            let handoff = i == next_end;
+            let mut hand = Handoff {
+                stop: neg_inf,
+                keep: neg_inf,
+            };
+            if handoff {
+                // The lanes whose subject ended with the last column
+                // hand their result over and start afresh.
+                eng.store(
+                    &mut lane_buf,
+                    result(&h_rows[last_row..], v_local_max, v_semi),
+                );
+                let first = next;
+                while next_end == i {
+                    let (_, lane, k) = handoffs[next];
+                    finals[k] = lane_buf[lane];
+                    (stop[lane], keep[lane]) = (T::<E>::NEG_INF, T::<E>::ZERO);
+                    next += 1;
+                    next_end = end_at(next);
                 }
-                v = eng.max(v, v_f);
-                if LOCAL {
-                    v_local_max = eng.max(v_local_max, v);
+                hand = Handoff {
+                    stop: eng.load(&stop),
+                    keep: eng.load(&keep),
+                };
+                for &(_, lane, _) in &handoffs[first..next] {
+                    (stop[lane], keep[lane]) = (T::<E>::ZERO, T::<E>::NEG_INF);
                 }
-                h_diag = h_left;
-                eng.store(h_j, v);
-                h_up = v;
+                h_diag = hand.reset(eng, h_diag, splat(t2.init_t(0)));
+                v_top = hand.reset(eng, v_top, v_top_start);
+                v_local_max = hand.reset(eng, v_local_max, neg_inf);
+                v_semi = hand.reset(eng, v_semi, v_boundary);
             }
-
-            // `h_up` is now this column's last row. A lane past its
-            // subject's end only decays from its own earlier columns
-            // (pad scores are NEG_INF, gaps cost), so the semi-global
-            // running maximum needs no mask.
-            match t2.kind {
-                AlignKind::Local => {}
-                AlignKind::SemiGlobal => v_semi = eng.max(v_semi, h_up),
-                AlignKind::Global => {
-                    if i + 1 == next_end {
-                        eng.store(&mut lane_buf, h_up);
-                        for (l, s) in subjects.iter().enumerate() {
-                            if s.len() == i + 1 {
-                                finals[l] = lane_buf[l];
-                            }
-                        }
-                        next_end = end_after(i + 1);
-                    }
-                }
+            let h_up = v_top;
+            eng.store(h_0, h_up);
+            v_top = eng.add(v_top, v_top_step);
+            let scores = &prof.rows[..];
+            let last = if handoff {
+                column::<E, LOCAL, true>(
+                    eng,
+                    &g,
+                    hand,
+                    idx,
+                    h_diag,
+                    h_up,
+                    h_rows,
+                    e_rows,
+                    scores,
+                    &mut v_local_max,
+                )
+            } else {
+                column::<E, LOCAL, false>(
+                    eng,
+                    &g,
+                    hand,
+                    idx,
+                    h_diag,
+                    h_up,
+                    h_rows,
+                    e_rows,
+                    scores,
+                    &mut v_local_max,
+                )
+            };
+            // Every lane's maximum is read where its subject ends, so
+            // the columns a lane runs past its last subject need no mask.
+            if t2.kind == AlignKind::SemiGlobal {
+                v_semi = eng.max(v_semi, last);
             }
         }
     }
-
-    match t2.kind {
-        AlignKind::Local => {
-            eng.store(&mut lane_buf, v_local_max);
-            for (fin, &best) in finals.iter_mut().zip(&lane_buf) {
-                *fin = best.max2(T::<E>::ZERO);
-            }
+    // The subjects that ran to the last column.
+    eng.store(
+        &mut lane_buf,
+        result(&h_rows[last_row..], v_local_max, v_semi),
+    );
+    for &(_, lane, k) in &handoffs[next..] {
+        finals[k] = lane_buf[lane];
+    }
+    if LOCAL {
+        for fin in &mut finals {
+            *fin = fin.max2(T::<E>::ZERO);
         }
-        AlignKind::SemiGlobal => {
-            eng.store(&mut lane_buf, v_semi);
-            finals.copy_from_slice(&lane_buf[..subjects.len()]);
-        }
-        AlignKind::Global => {}
     }
     // The striped kernels' headroom, so a lane is flagged here exactly
     // when its striped run would be.
@@ -373,8 +580,8 @@ fn batch<E: SimdEngine, const LOCAL: bool>(
 }
 
 /// Convenience: align a query against any number of subjects with the
-/// widest available i32 engine, batching internally. Subjects should
-/// be pre-sorted by length (longest first) so batches stay dense.
+/// widest available i32 engine, in one refilled batch. Longest first,
+/// its lanes end together.
 ///
 /// ```
 /// use aalign_core::{inter_align_all, AlignConfig, GapModel};
@@ -524,17 +731,170 @@ mod tests {
         assert!(got.saturated[0], "34100 > i16::MAX must be flagged");
     }
 
+    /// More subjects than lanes, longest first as a sweep hands them
+    /// over: a 50×-median subject, mixed lengths, duplicates, and empty
+    /// subjects at the tail.
+    fn refill_subjects(rng: &mut rand::rngs::StdRng, alphabet: &'static Alphabet) -> Vec<Sequence> {
+        const MEDIAN: usize = 12;
+        let mut subjects = vec![named_query(rng, 50 * MEDIAN)];
+        subjects.extend((0..37).map(|i| named_query(rng, 1 + (i * 7) % (2 * MEDIAN))));
+        subjects.push(subjects[5].clone());
+        subjects.push(Sequence::from_indices("empty", alphabet, Vec::new()));
+        subjects.push(Sequence::from_indices("empty2", alphabet, Vec::new()));
+        subjects.sort_by_key(|s| std::cmp::Reverse(s.len()));
+        subjects
+    }
+
+    /// Every subject the batch did not flag equals the scalar reference,
+    /// and at a width whose bounds hold for a subject it is not flagged.
+    fn check_refilled(
+        cfg: &AlignConfig,
+        q: &Sequence,
+        subjects: &[Sequence],
+        bits: u32,
+        got: &InterBatchResult,
+        ctx: &str,
+    ) {
+        assert_eq!(got.scores.len(), subjects.len(), "{ctx}");
+        for (k, s) in subjects.iter().enumerate() {
+            let exact =
+                cfg.kind == AlignKind::Local || cfg.score_bounds(q.len(), s.len()).fits(bits);
+            let want = paradigm_dp(cfg, q, s).score;
+            if exact && !got.saturated[k] {
+                assert_eq!(
+                    got.scores[k],
+                    want,
+                    "{ctx}: subject {k} ({}, len {})",
+                    s.id(),
+                    s.len()
+                );
+            }
+            if bits == 32 || (bits == 16 && exact) {
+                assert!(!got.saturated[k], "{ctx}: subject {k} flagged");
+            }
+        }
+    }
+
+    fn emulated_refill<T: ScoreElem, const L: usize>(
+        cfg: &AlignConfig,
+        q: &Sequence,
+        refs: &[&Sequence],
+        subjects: &[Sequence],
+    ) {
+        let got = inter_align_batch(
+            EmuEngine::<T, L>::new(),
+            cfg.table2(),
+            &LaneProfile::build(q, &BLOSUM62),
+            refs,
+            &mut InterWorkspace::new(),
+        );
+        check_refilled(
+            cfg,
+            q,
+            subjects,
+            T::BITS,
+            &got,
+            &format!("{} emu i{}x{L}", cfg.label(), T::BITS),
+        );
+    }
+
+    /// The host's table row for `T`, as a sweep resolves it.
+    fn hardware_refill<T: aalign_vec::DispatchElem>(
+        cfg: &AlignConfig,
+        q: &Sequence,
+        refs: &[&Sequence],
+        subjects: &[Sequence],
+    ) {
+        let backend = resolve(IsaSupport::detect(), None, T::BITS);
+        let batch = InterBatches {
+            t2: cfg.table2(),
+            prof: &LaneProfile::<T>::build(q, &BLOSUM62),
+            subjects: refs,
+            ws: &mut InterWorkspace::new(),
+        };
+        let got = with_engine(backend, batch);
+        check_refilled(
+            cfg,
+            q,
+            subjects,
+            T::BITS,
+            &got,
+            &format!("{} {backend:?}", cfg.label()),
+        );
+    }
+
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn oversized_batch_rejected() {
-        let mut rng = seeded_rng(504);
-        let q = named_query(&mut rng, 10);
-        let subjects: Vec<Sequence> = (0..5).map(|_| named_query(&mut rng, 8)).collect();
+    fn refilled_lanes_match_the_scalar_reference() {
+        let mut rng = seeded_rng(506);
+        let q = named_query(&mut rng, 21);
+        let subjects = refill_subjects(&mut rng, q.alphabet());
         let refs: Vec<&Sequence> = subjects.iter().collect();
-        let cfg = AlignConfig::local(GapModel::linear(-2), &BLOSUM62);
-        let eng = EmuEngine::<i32, 4>::new();
-        let mut ws = InterWorkspace::new();
-        let prof = LaneProfile::build(&q, &BLOSUM62);
-        let _ = inter_align_batch(eng, cfg.table2(), &prof, &refs, &mut ws);
+        for cfg in all_configs() {
+            emulated_refill::<i32, 4>(&cfg, &q, &refs, &subjects);
+            emulated_refill::<i32, 8>(&cfg, &q, &refs, &subjects);
+            emulated_refill::<i16, 16>(&cfg, &q, &refs, &subjects);
+            emulated_refill::<i8, 16>(&cfg, &q, &refs, &subjects);
+            hardware_refill::<i8>(&cfg, &q, &refs, &subjects);
+            hardware_refill::<i16>(&cfg, &q, &refs, &subjects);
+            hardware_refill::<i32>(&cfg, &q, &refs, &subjects);
+        }
+    }
+
+    #[test]
+    fn the_schedule_refills_the_lane_that_frees_first() {
+        let alphabet = BLOSUM62.alphabet();
+        let subjects: Vec<Sequence> = [5, 3, 0, 3, 2, 1]
+            .iter()
+            .map(|&n| Sequence::from_indices("s", alphabet, vec![0; n]))
+            .collect();
+        let refs: Vec<&Sequence> = subjects.iter().collect();
+        let mut placed = Vec::new();
+        let columns = schedule(&refs, 2, |k, lane, start| placed.push((k, lane, start)));
+        // Lane 1 frees first (column 3) and takes the next subject,
+        // lane 0 (free at 5) the one after; lane 1 frees again at 6
+        // for the last. The empty subject takes no lane.
+        assert_eq!(
+            placed,
+            [(0, 0, 0), (1, 1, 0), (3, 1, 3), (4, 0, 5), (5, 1, 6)]
+        );
+        assert_eq!(columns, 7);
+        assert_eq!(lane_columns(&refs, 2), 14);
+        // A tie goes to the lower lane.
+        let even: Vec<&Sequence> = vec![refs[1], refs[1], refs[5]];
+        let mut lanes = Vec::new();
+        schedule(&even, 2, |_, lane, start| lanes.push((lane, start)));
+        assert_eq!(lanes, [(0, 0), (1, 0), (0, 3)]);
+    }
+
+    #[test]
+    fn a_short_subject_after_a_saturating_one_in_its_lane_is_exact() {
+        let mut rng = seeded_rng(507);
+        let alphabet = BLOSUM62.alphabet();
+        let w = |n| Sequence::from_indices("w", alphabet, vec![17u8; n]); // all W
+        let q = w(30);
+        // Lane 0 saturates i8 on 40 W (30 × 11 > 127) and frees first;
+        // the short subject then starts in it.
+        let mut subjects = vec![w(40)];
+        subjects.extend((0..3).map(|_| named_query(&mut rng, 50)));
+        subjects.push(named_query(&mut rng, 10));
+        let refs: Vec<&Sequence> = subjects.iter().collect();
+        let mut lanes = Vec::new();
+        schedule(&refs, 4, |k, lane, _| lanes.push((k, lane)));
+        let (heavy, short) = (0, 4);
+        assert_eq!(
+            lanes[heavy].1, lanes[short].1,
+            "the short subject follows in the W lane"
+        );
+        let cfg = AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62);
+        let got = inter_align_batch(
+            EmuEngine::<i8, 4>::new(),
+            cfg.table2(),
+            &LaneProfile::build(&q, &BLOSUM62),
+            &refs,
+            &mut InterWorkspace::new(),
+        );
+        assert!(got.saturated[heavy], "40 W against 30 W saturates i8");
+        assert!(!got.saturated[short], "the lane starts afresh");
+        assert_eq!(got.scores[short], paradigm_dp(&cfg, &q, refs[short]).score);
     }
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use crate::certify::{config_fingerprint, CertificateStore};
 use crate::config::{AlignConfig, AlignKind, TableII};
-use crate::inter::{InterBatches, InterWorkspace, LaneProfile};
+use crate::inter::{lane_columns, InterBatches, InterWorkspace, LaneProfile};
 use crate::scalar::scalar_column_align;
 use crate::striped::{
     hybrid_align_sink, iterate_align_sink, scan_align_sink, HybridPolicy, HybridReport, Workspace,
@@ -513,9 +513,11 @@ impl<T: ScoreElem> EngineFn<T> for NativeLookup {
 pub const LANE_QUERY_CAP: usize = 500;
 
 /// Least share of a batch's lane-columns that must be subject residues
-/// (Σ len / Σ longest × lanes, in percent) for the lanes to be used: a
-/// lane whose subject has ended is paid for to the longest one's end.
-/// Same tables, one 32-lane vector against the per-subject kernels:
+/// (Σ len / (lanes × the columns of the refill schedule), in percent)
+/// for the lanes to be used: a lane with no subject left is paid for to
+/// the batch's end, and one subject longer than all the others together
+/// share out sets that end alone. Measured before refill, same tables,
+/// one 32-lane vector against the per-subject kernels:
 /// at i8 (avx2/i8x32) lanes break even near 10 % and win ×2.1 at 29 %;
 /// at i16 (avx512/i16x32) they break even at 31–36 % and are ×0.95 at
 /// 29 %. One constant serves both widths, so it sits where byte lanes
@@ -568,9 +570,9 @@ impl PreparedQuery {
         self.query_len
     }
 
-    /// Most subjects [`Aligner::align_batch_prepared`] scores in one
-    /// vector for this query — the widest vector of any rung its walk
-    /// can reach, what a sweep rounds its claims to — or 0 when it
+    /// Most subjects [`Aligner::align_batch_prepared`] scores side by
+    /// side for this query — the widest vector of any rung its walk can
+    /// reach, what a sweep rounds its claims to — or 0 when it
     /// declines every batch (a pinned strategy, no engine with a native
     /// lookup at a reachable width, or a query above
     /// [`LANE_QUERY_CAP`] with no byte lanes to run).
@@ -812,9 +814,9 @@ impl Aligner {
         Ok(pq)
     }
 
-    /// Score a batch of subjects — at most
-    /// [`batch_lanes`](PreparedQuery::batch_lanes) of them, longest
-    /// first — one lane per subject ([`crate::inter`]), or decline
+    /// Score a batch of subjects — any number of them, longest first —
+    /// one lane per subject at a time, a lane refilled when its subject
+    /// ends ([`crate::inter`]), or decline
     /// (`Ok(None)`), in which case nothing was computed and
     /// [`align_prepared`](Self::align_prepared) is the way to score
     /// them. Scores are the ones `align_prepared` returns, bit for bit.
@@ -830,7 +832,8 @@ impl Aligner {
     ///   bits — the query is at most [`LANE_QUERY_CAP`] residues:
     ///   beyond the cap 16-bit stripes are full and as fast;
     /// * at least [`LANE_MIN_FILL_PERCENT`] of the lane-columns the
-    ///   batch would compute are subject residues.
+    ///   batch would compute, on its refill schedule, are subject
+    ///   residues.
     ///
     /// The width is the one the per-subject path would run for the
     /// batch's *longest* subject — the first of the plan whose bound
@@ -910,12 +913,8 @@ impl Aligner {
         subjects: &[&Sequence],
         ws: &mut InterWorkspace<T>,
     ) -> Option<BatchOutput> {
-        let lanes = backend.lanes();
         let residues: usize = subjects.iter().map(|s| s.len()).sum();
-        let lane_columns: usize = subjects
-            .chunks(lanes)
-            .map(|vector| lanes * vector.iter().map(|s| s.len()).max().unwrap_or(0))
-            .sum();
+        let lane_columns = lane_columns(subjects, backend.lanes());
         if residues == 0 || residues * 100 < LANE_MIN_FILL_PERCENT * lane_columns {
             return None;
         }

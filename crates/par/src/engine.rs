@@ -6,18 +6,19 @@
 //! hot loop of every subsequent query touches no allocator and no
 //! thread-creation syscall. Queries are fed to the pool through the
 //! same dynamic binding the paper uses: an atomic work index over the
-//! length-sorted database, claimed one subject at a time — or one
-//! vector of subjects at a time where the sweep scores them lane per
-//! subject.
+//! length-sorted database, claimed one subject at a time — or, where
+//! the sweep scores subjects lane per subject, up to four vectors of
+//! them at a time (fewer where that would leave a worker idle).
 //!
 //! The sweep has two ways to score what a worker claims: subject by
-//! subject through the striped kernels (`score_subject`), or — for a
-//! short query on an engine with a native score lookup — a whole
-//! vector of subjects at once, one lane each
+//! subject through the striped kernels (`score_subject`), or — on an
+//! engine with a native score lookup — the whole claim as one batch,
+//! one lane per subject and a lane refilled as its subject ends
 //! ([`Aligner::align_batch_prepared`], which holds the rule and
-//! declines everything else). Which one ran is stamped on
-//! [`RunStats`]: `iterate + scan + inter` columns add up to the
-//! database's residues.
+//! declines everything else). A declined claim gives its longest
+//! subject to the per-subject path and is offered again. Which path
+//! ran is stamped on [`RunStats`]: `iterate + scan + inter` columns add
+//! up to the database's residues.
 //!
 //! Three engine-grade facilities ride on top:
 //!
@@ -73,6 +74,12 @@ use crate::protocol::{ProgressCounters, SharedBatch, WorkIndex};
 use crate::search::{Hit, SearchOptions, SearchReport};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
+
+/// Most lane vectors in one claim on the work index (EXPERIMENTS.md,
+/// "Lane refill"): a refilled batch of four vectors covers a
+/// 125-subject shard in one claim, and pads ≈ 1.08 lane-columns per
+/// residue on gamma-length subjects where one vector pads 1.35.
+const CLAIM_VECTORS: usize = 4;
 
 /// Microseconds elapsed since `t0`, saturating into `u64`.
 fn elapsed_us(t0: Instant) -> u64 {
@@ -260,12 +267,14 @@ struct SweepShared<'a> {
     /// ([`ProgressCounters`], loom-checked in
     /// `tests/loom_progress.rs`).
     completed: &'a ProgressCounters,
-    /// Subjects per lane-per-subject batch, or 0 when every subject
-    /// is scored on its own: the sweep is traced (column events
-    /// describe the striped kernels), the aligner would decline every
-    /// batch, or the database is smaller than one vector. A claim on
-    /// the work index is one vector of subjects, or one subject.
+    /// Subjects per lane vector, or 0 when every subject is scored on
+    /// its own: the sweep is traced (column events describe the
+    /// striped kernels), the aligner would decline every batch, or the
+    /// database is smaller than one vector.
     lanes: usize,
+    /// Work slots per claim on the work index: one subject where lanes
+    /// do not run, up to [`CLAIM_VECTORS`] vectors where they do.
+    claim: usize,
     top_n: usize,
     cancel: Option<&'a CancelToken>,
     progress: Option<&'a ProgressFn>,
@@ -548,16 +557,26 @@ impl<'a> WorkerSweep<'a> {
         }
     }
 
-    /// Score `slots`: as one batch when lanes run and the aligner
-    /// takes it, slot by slot otherwise.
+    /// Score `slots`: as one refilled batch when lanes run and the
+    /// aligner takes it, slot by slot otherwise. A batch the aligner
+    /// declines peels its longest subject off to the per-subject path
+    /// and is offered again, so one outlier costs one subject, not its
+    /// claim.
     fn score(
         &mut self,
         shared: &SweepShared<'a>,
         scratch: &mut AlignScratch,
-        slots: std::ops::Range<usize>,
+        mut slots: std::ops::Range<usize>,
     ) -> Result<(), AlignError> {
-        if shared.lanes > 0 && self.batch(shared, scratch, slots.clone())? {
-            return Ok(());
+        while shared.lanes > 0 && !slots.is_empty() {
+            match self.batch(shared, scratch, slots.clone())? {
+                Offer::Taken => return Ok(()),
+                Offer::Declined => {
+                    self.slot(shared, scratch, slots.start, true)?;
+                    slots.start += 1;
+                }
+                Offer::Panicked => break,
+            }
         }
         for slot in slots {
             self.slot(shared, scratch, slot, true)?;
@@ -565,11 +584,9 @@ impl<'a> WorkerSweep<'a> {
         Ok(())
     }
 
-    /// Offer `slots` — one vector's worth, longest subject first — to
-    /// the lane kernel. `Ok(false)`: not taken, nothing was recorded
-    /// and every slot is still to be scored on its own — the aligner
-    /// declined, or the batch panicked (the per-subject pass then
-    /// names the subject that does, by its database index).
+    /// Offer `slots` — a run of the claim, longest subject first — to
+    /// the lane kernel. Unless [`Offer::Taken`], nothing was recorded
+    /// and every slot is still to be scored.
     ///
     /// A lane still flagged saturated when the batch's walk ends is
     /// scored again through `score_subject`, so what a saturating
@@ -580,7 +597,7 @@ impl<'a> WorkerSweep<'a> {
         shared: &SweepShared<'a>,
         scratch: &mut AlignScratch,
         slots: std::ops::Range<usize>,
-    ) -> Result<bool, AlignError> {
+    ) -> Result<Offer, AlignError> {
         let t_batch = Instant::now();
         self.batch.clear();
         self.batch
@@ -603,11 +620,11 @@ impl<'a> WorkerSweep<'a> {
         }));
         let out = match scored {
             Ok(Ok(Some(out))) => out,
-            Ok(Ok(None)) => return Ok(false),
+            Ok(Ok(None)) => return Ok(Offer::Declined),
             Ok(Err(e)) => return Err(e),
             Err(_) => {
                 *scratch = AlignScratch::new();
-                return Ok(false);
+                return Ok(Offer::Panicked);
             }
         };
 
@@ -656,8 +673,19 @@ impl<'a> WorkerSweep<'a> {
                 }
             }
         }
-        Ok(true)
+        Ok(Offer::Taken)
     }
+}
+
+/// How the lane kernel answered [`WorkerSweep::batch`].
+enum Offer {
+    /// Scored: every slot is recorded.
+    Taken,
+    /// The aligner declined the batch.
+    Declined,
+    /// The batch panicked: the per-subject pass names the subject that
+    /// does, by its database index.
+    Panicked,
 }
 
 /// The dispatch loop every worker runs for one query: pull claims off
@@ -677,7 +705,7 @@ fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> Wo
         soft: Vec::new(),
         claim_subjects: 0,
         claim_residues: 0,
-        batch: Vec::with_capacity(shared.lanes),
+        batch: Vec::with_capacity(shared.claim),
     };
     let mut subjects = 0usize;
     let mut residues = 0usize;
@@ -696,7 +724,7 @@ fn run_sweep_worker<'a>(shared: &SweepShared<'a>, state: &mut WorkerState) -> Wo
                 break;
             }
         }
-        let Some((start, end)) = shared.index.claim(shared.lanes.max(1), shared.order.len()) else {
+        let Some((start, end)) = shared.index.claim(shared.claim, shared.order.len()) else {
             break;
         };
         sweep.claim_subjects = 0;
@@ -942,11 +970,19 @@ impl SearchEngine {
 
         let order = db.length_order();
         // Lanes per subject where the aligner takes batches, the
-        // sweep is not traced, and the database fills a vector; claims
-        // are then whole vectors.
+        // sweep is not traced, and the database fills a vector.
         let lanes = match prepared.batch_lanes() {
             lanes if opts.trace || order.len() < lanes => 0,
             lanes => lanes,
+        };
+        // One worker per subject at most; an empty database still
+        // engages one so errors surface.
+        let active = self.threads.min(order.len().max(1));
+        // A claim is whole vectors where lanes run: up to
+        // `CLAIM_VECTORS`, fewer where that would leave a worker idle.
+        let claim = match lanes {
+            0 => 1,
+            lanes => lanes * CLAIM_VECTORS.min(order.len().div_ceil(lanes).div_ceil(active)),
         };
         let deadline = opts
             .deadline
@@ -960,6 +996,7 @@ impl SearchEngine {
             index: &shared_ctx.0,
             completed: &shared_ctx.1,
             lanes,
+            claim,
             top_n: opts.top_n,
             cancel: opts.cancel.as_ref(),
             progress: opts.progress.as_ref(),
@@ -969,9 +1006,6 @@ impl SearchEngine {
             fault: opts.fault_plan.as_deref(),
         };
 
-        // One worker per subject at most; an empty database still
-        // engages one so errors surface.
-        let active = self.threads.min(order.len().max(1));
         if let Some(tc) = &trace {
             tc.push(TraceEvent::SpanBegin {
                 span: "sweep".to_string(),
@@ -1265,7 +1299,8 @@ mod tests {
     fn cancellation_stops_the_sweep_early() {
         let mut rng = seeded_rng(9500);
         let q = named_query(&mut rng, 80);
-        let db = swissprot_like_db(9501, 120);
+        // Several claims even where one is four lane vectors.
+        let db = swissprot_like_db(9501, 600);
         let a = aligner(AlignKind::Local);
         let engine = SearchEngine::new(1);
         let token = CancelToken::new();

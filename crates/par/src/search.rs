@@ -33,8 +33,8 @@ pub struct Hit {
 ///
 /// What a query asks for, not how the engine runs it: the pool size
 /// is the engine's ([`SearchEngine::new`](crate::SearchEngine::new)),
-/// and each claim is one subject, or one vector of subjects where the
-/// sweep scores them lane per subject.
+/// and each claim is one subject, or up to four vectors of subjects
+/// where the sweep scores them lane per subject.
 ///
 /// `#[non_exhaustive]`: construct through [`SearchOptions::new`] so
 /// the engine can grow fields (cancellation, progress, and deadlines

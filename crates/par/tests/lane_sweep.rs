@@ -157,9 +157,11 @@ fn lanes_and_per_subject_sweeps_agree_with_the_sequential_kernel() {
                             }
                             if lanes > 0 && size == 300 {
                                 assert!(inter > 0, "{ctx}: 300 subjects fill vectors");
-                                // The vector holding the 50× subject is
-                                // all padding: declined, scored striped.
-                                assert!(striped >= 50 * MEDIAN_LEN, "{ctx}");
+                                // The claim holding the 50× subject is
+                                // mostly padding: declined, it peels
+                                // that subject off to the striped path
+                                // and the rest go in lanes.
+                                assert_eq!(striped, 50 * MEDIAN_LEN, "{ctx}");
                                 took_lanes += 1;
                             }
                         }
@@ -215,8 +217,9 @@ fn saturating_lanes_report_what_the_per_subject_path_reports() {
     }
 }
 
-/// Claims are whole vectors when lanes run, and cancellation, the
-/// deadline and progress are looked at between claims, as ever.
+/// Claims are four whole vectors when lanes run (fewer where that
+/// would leave a worker idle), and cancellation, the deadline and
+/// progress are looked at between claims, as ever.
 #[test]
 fn progress_and_cancellation_are_seen_at_claim_boundaries() {
     use std::sync::{Arc, Mutex};
@@ -233,7 +236,10 @@ fn progress_and_cancellation_are_seen_at_claim_boundaries() {
         SearchOptions::new().on_progress(move |p| sink.lock().unwrap().push(p.subjects_done));
     let report = engine.search(&aligner, &q, &db, &opts).unwrap();
     assert_eq!(report.subjects, db.len());
-    let claim = lanes.max(1);
+    let claim = match lanes {
+        0 => 1,
+        lanes => lanes * db.len().div_ceil(lanes).min(4),
+    };
     let seen = seen.lock().unwrap().clone();
     let want: Vec<usize> = (1..=db.len().div_ceil(claim))
         .map(|k| (k * claim).min(db.len()))
@@ -251,7 +257,86 @@ fn progress_and_cancellation_are_seen_at_claim_boundaries() {
     });
     let err = engine.search(&aligner, &q, &db, &opts).unwrap_err();
     assert_eq!(err, aalign_core::AlignError::Cancelled);
-    assert_eq!(*done.lock().unwrap(), lanes.max(1));
+    assert_eq!(*done.lock().unwrap(), claim);
+}
+
+/// Lane-columns a sweep paid per residue it scored in lanes.
+fn padding(report: &SearchReport) -> f64 {
+    let k = &report.metrics.kernel_stats;
+    k.inter_lane_columns as f64 / k.inter_columns as f64
+}
+
+/// Lane refill: a lane whose subject ends takes the next one, so a
+/// gamma-length database pads at most 10 % — in one process, and over
+/// each half as two shards sweep it, where a half's claim pads more
+/// only where its longest subject alone sets the schedule (a lane runs
+/// it while the others share the rest).
+#[test]
+fn refilled_lanes_pad_little_whole_and_in_halves() {
+    let engine = SearchEngine::new(1);
+    let mut rng = seeded_rng(4700);
+    let q = named_query(&mut rng, 60);
+    let aligner = Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62));
+    let lanes = aligner.prepare(&q).unwrap().batch_lanes();
+    if lanes == 0 {
+        return; // no native lookup on this host: nothing runs in lanes
+    }
+    for seed in [4701, 4702, 4703] {
+        let db = swissprot_like_db(seed, 250);
+        let report = engine
+            .search(&aligner, &q, &db, &SearchOptions::new())
+            .unwrap();
+        assert!(
+            padding(&report) <= 1.10,
+            "seed {seed}: {:.3}",
+            padding(&report)
+        );
+        let (first, second) = db.sequences().split_at(125);
+        for half in [first, second] {
+            let half = SeqDatabase::new(half.to_vec());
+            let report = engine
+                .search(&aligner, &q, &half, &SearchOptions::new())
+                .unwrap();
+            let k = &report.metrics.kernel_stats;
+            let longest = half.sequences().iter().map(Sequence::len).max().unwrap();
+            let bound = (1.10 * k.inter_columns as f64).max((lanes * longest) as f64);
+            let ctx = format!("seed {seed} half: {:.3}", padding(&report));
+            assert!(k.inter_lane_columns as f64 <= bound, "{ctx}");
+        }
+    }
+}
+
+/// A claim is a contiguous run of slots however many vectors it
+/// holds: a panic scripted in the middle of one is the one subject
+/// the report loses, by its database index.
+#[test]
+fn a_panic_inside_a_refilled_claim_loses_one_subject() {
+    let engine = SearchEngine::new(1);
+    let mut rng = seeded_rng(4800);
+    let q = named_query(&mut rng, 60);
+    let db = swissprot_like_db(4801, 250);
+    let aligner = Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62));
+    let clean = engine
+        .search(&aligner, &q, &db, &SearchOptions::new())
+        .unwrap();
+    let slot = 70; // inside the first claim of four vectors
+    let plan = aalign_par::FaultPlan::new().panic_on_slot(slot);
+    let opts = SearchOptions::new().fault_plan(std::sync::Arc::new(plan));
+    let faulted = engine.search(&aligner, &q, &db, &opts).unwrap();
+    let victim = db.length_order()[slot];
+    assert!(faulted.partial);
+    assert_eq!(faulted.errors.len(), 1, "{:?}", faulted.errors);
+    assert!(matches!(
+        faulted.errors[0],
+        aalign_core::AlignError::WorkerPanicked { db_index, .. } if db_index == victim
+    ));
+    let want: Vec<Hit> = clean
+        .hits
+        .iter()
+        .filter(|h| h.db_index != victim)
+        .copied()
+        .collect();
+    assert_eq!(faulted.hits, want);
 }
 
 /// `count` subjects of 50–70 residues, `homologs` of them (spread

@@ -346,6 +346,20 @@ fn warn_partial(report: &aalign::par::SearchReport) {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let flags = Flags::new("serve", args)?;
+    // `--shards N` turns this daemon into a shard supervisor: the
+    // same front ends and dispatcher, but every sweep fans out to N
+    // child processes (spawned from this same binary, each with
+    // `--threads` workers) instead of a local engine pool. A fault
+    // plan's slots are one engine's, so each door takes its own plan.
+    let shards = flags.get_usize("--shards", 0)?;
+    if shards > 0 && flags.has("--fault-plan") {
+        return Err(
+            "serve --shards: --fault-plan scripts one engine's slots; use --shard-fault".into(),
+        );
+    }
+    if shards == 0 && flags.has("--shard-fault") {
+        return Err("serve: --shard-fault needs --shards N; use --fault-plan".into());
+    }
     let db = load_db(&flags)?;
     let aligner = build_aligner(&flags)?;
 
@@ -380,11 +394,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .drain_timeout(std::time::Duration::from_millis(drain_ms));
 
     let threads = flags.get_usize("--threads", 0)?;
-    // `--shards N` turns this daemon into a shard supervisor: the
-    // same front ends and dispatcher, but every sweep fans out to N
-    // child processes (spawned from this same binary, each with
-    // `--threads` workers) instead of a local engine pool.
-    let shards = flags.get_usize("--shards", 0)?;
     let exit = if shards > 0 {
         let sup = launch_supervisor(&flags, &db, shards)?;
         drop(db); // the children hold the slices

@@ -901,6 +901,41 @@ fn forced_narrow_global_run_is_flagged_and_rescued() {
     assert!(searched.contains("score    108"), "{searched}");
 }
 
+/// `serve` with the fault flag of the other door: refused, naming the
+/// flag that door takes, before any child or engine starts.
+fn serve_refuses(extra: &[&str], needle: &str) {
+    let dir = std::env::temp_dir().join("aalign_cli_serve_fault_door");
+    std::fs::create_dir_all(&dir).unwrap();
+    write_fasta(&dir.join("db.fa"), &[("a", "PAWHEAE"), ("b", "HEAGAWGHEE")]);
+    let out = aalign()
+        .args([
+            "serve",
+            "--db",
+            dir.join("db.fa").to_str().unwrap(),
+            "--stdio",
+        ])
+        .args(extra)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(!out.status.success(), "{extra:?} accepted: {err}");
+    assert!(err.contains(needle), "{extra:?}: {err}");
+}
+
+#[test]
+fn sharded_serve_refuses_an_engine_fault_plan() {
+    serve_refuses(
+        &["--shards", "2", "--threads", "1", "--fault-plan", "kill@0"],
+        "use --shard-fault",
+    );
+}
+
+#[test]
+fn unsharded_serve_refuses_a_shard_fault_plan() {
+    serve_refuses(&["--shard-fault", "kill@0"], "use --fault-plan");
+}
+
 #[test]
 fn fault_plan_flag_runs_a_valid_spec_and_rejects_a_bad_one() {
     let dir = std::env::temp_dir().join("aalign_cli_faultplan");
