@@ -848,8 +848,8 @@ impl Aligner {
     /// flagged in [`BatchOutput::saturated`], for the per-subject path
     /// to score from its first width as it always has.
     ///
-    /// It emits no column events: a caller tracing a sweep scores per
-    /// subject.
+    /// It emits no column events: a traced sweep records each subject
+    /// it keeps as an envelope whose `inter_columns` are its residues.
     pub fn align_batch_prepared(
         &self,
         pq: &PreparedQuery,

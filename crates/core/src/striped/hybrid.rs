@@ -18,7 +18,6 @@ use aalign_vec::SimdEngine;
 
 use crate::config::TableII;
 use crate::striped::columns::{ColumnEngine, KernelResult, Workspace};
-use crate::striped::emit_col;
 
 /// Tuning of the hybrid switcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,16 +122,13 @@ pub fn hybrid_align_sink<E: SimdEngine, const LOCAL: bool, const AFFINE: bool, S
         if iterating {
             let sweeps = cols.iterate_column(subject[i]);
             let switched = sweeps > policy.threshold;
-            emit_col(
-                sink,
-                HybridEvent {
-                    column: i as u64,
-                    strategy: StrategyKind::Iterate,
-                    lazy_sweeps: sweeps,
-                    switched,
-                    probe: ProbeOutcome::NotProbe,
-                },
-            );
+            sink.on_hybrid(HybridEvent {
+                column: i as u64,
+                strategy: StrategyKind::Iterate,
+                lazy_sweeps: sweeps,
+                switched,
+                probe: ProbeOutcome::NotProbe,
+            });
             i += 1;
             if switched {
                 iterating = false;
@@ -143,36 +139,30 @@ pub fn hybrid_align_sink<E: SimdEngine, const LOCAL: bool, const AFFINE: bool, S
             let burst_end = (i + policy.probe_stride).min(n);
             while i < burst_end && !cols.saturated() {
                 cols.scan_column(subject[i]);
-                emit_col(
-                    sink,
-                    HybridEvent {
-                        column: i as u64,
-                        strategy: StrategyKind::Scan,
-                        lazy_sweeps: 0,
-                        switched: false,
-                        probe: ProbeOutcome::NotProbe,
-                    },
-                );
+                sink.on_hybrid(HybridEvent {
+                    column: i as u64,
+                    strategy: StrategyKind::Scan,
+                    lazy_sweeps: 0,
+                    switched: false,
+                    probe: ProbeOutcome::NotProbe,
+                });
                 i += 1;
             }
             // …then a probe column decides the next mode.
             if i < n && !cols.saturated() {
                 let sweeps = cols.iterate_column(subject[i]);
                 let stayed = sweeps <= policy.threshold;
-                emit_col(
-                    sink,
-                    HybridEvent {
-                        column: i as u64,
-                        strategy: StrategyKind::Iterate,
-                        lazy_sweeps: sweeps,
-                        switched: !stayed,
-                        probe: if stayed {
-                            ProbeOutcome::Stayed
-                        } else {
-                            ProbeOutcome::Returned
-                        },
+                sink.on_hybrid(HybridEvent {
+                    column: i as u64,
+                    strategy: StrategyKind::Iterate,
+                    lazy_sweeps: sweeps,
+                    switched: !stayed,
+                    probe: if stayed {
+                        ProbeOutcome::Stayed
+                    } else {
+                        ProbeOutcome::Returned
                     },
-                );
+                });
                 i += 1;
                 if stayed {
                     iterating = true;

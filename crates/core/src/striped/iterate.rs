@@ -7,7 +7,6 @@ use aalign_vec::SimdEngine;
 
 use crate::config::TableII;
 use crate::striped::columns::{ColumnEngine, KernelResult, Workspace};
-use crate::striped::emit_col;
 
 /// Align `subject` (as alphabet indices) against a striped profile
 /// using the striped-iterate strategy.
@@ -37,16 +36,13 @@ pub fn iterate_align_sink<E: SimdEngine, const LOCAL: bool, const AFFINE: bool, 
     let mut cols = ColumnEngine::<E, LOCAL, AFFINE>::new(eng, prof, t2, ws);
     for (i, &s) in subject.iter().enumerate() {
         let sweeps = cols.iterate_column(s);
-        emit_col(
-            sink,
-            HybridEvent {
-                column: i as u64,
-                strategy: StrategyKind::Iterate,
-                lazy_sweeps: sweeps,
-                switched: false,
-                probe: ProbeOutcome::NotProbe,
-            },
-        );
+        sink.on_hybrid(HybridEvent {
+            column: i as u64,
+            strategy: StrategyKind::Iterate,
+            lazy_sweeps: sweeps,
+            switched: false,
+            probe: ProbeOutcome::NotProbe,
+        });
         // A saturated run's scores are untrusted whatever the
         // remaining columns hold; stop early so the width-retry (or
         // the engine's overflow rescue) pays a prefix, not a sweep.

@@ -20,23 +20,6 @@ pub use hybrid::{hybrid_align, hybrid_align_sink, HybridPolicy, HybridReport};
 pub use iterate::{iterate_align, iterate_align_sink};
 pub use scan::{scan_align, scan_align_sink};
 
-/// Forward one per-column [`aalign_obs::HybridEvent`] to the sink.
-///
-/// Compiled out entirely when the `trace` cargo feature is off; with
-/// it on, the sink's `enabled()` gate (constant `false` for
-/// [`aalign_obs::NullSink`]) still deletes the call at monomorphization
-/// time, so untraced kernels pay nothing either way.
-#[cfg(feature = "trace")]
-#[inline(always)]
-pub(crate) fn emit_col<S: aalign_obs::TraceSink>(sink: &mut S, ev: aalign_obs::HybridEvent) {
-    sink.on_hybrid(ev);
-}
-
-/// Trace feature disabled: the emission site vanishes.
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub(crate) fn emit_col<S: aalign_obs::TraceSink>(_sink: &mut S, _ev: aalign_obs::HybridEvent) {}
-
 #[cfg(test)]
 mod tests;
 

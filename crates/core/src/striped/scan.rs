@@ -7,7 +7,6 @@ use aalign_vec::SimdEngine;
 
 use crate::config::TableII;
 use crate::striped::columns::{ColumnEngine, KernelResult, Workspace};
-use crate::striped::emit_col;
 
 /// Align `subject` (as alphabet indices) against a striped profile
 /// using the striped-scan strategy.
@@ -38,16 +37,13 @@ pub fn scan_align_sink<E: SimdEngine, const LOCAL: bool, const AFFINE: bool, S: 
     let mut cols = ColumnEngine::<E, LOCAL, AFFINE>::new(eng, prof, t2, ws);
     for (i, &s) in subject.iter().enumerate() {
         cols.scan_column(s);
-        emit_col(
-            sink,
-            HybridEvent {
-                column: i as u64,
-                strategy: StrategyKind::Scan,
-                lazy_sweeps: 0,
-                switched: false,
-                probe: ProbeOutcome::NotProbe,
-            },
-        );
+        sink.on_hybrid(HybridEvent {
+            column: i as u64,
+            strategy: StrategyKind::Scan,
+            lazy_sweeps: 0,
+            switched: false,
+            probe: ProbeOutcome::NotProbe,
+        });
         // Saturated: abandon the doomed narrow run early (see
         // `ColumnEngine::saturated`).
         if cols.saturated() {

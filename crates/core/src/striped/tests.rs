@@ -279,7 +279,6 @@ fn iterate_and_scan_agree_on_stats_columns() {
     assert_eq!(sc.lazy_iters, 0);
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn hybrid_trace_covers_every_column() {
     let mut rng = seeded_rng(13);

@@ -10,8 +10,6 @@
 //!    counts per strategy, switch counts, probe outcomes, and the
 //!    lazy-sweep total all match, and columns arrive in order.
 
-#![cfg(feature = "trace")]
-
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, nine_similarity_specs, seeded_rng};
 use aalign_core::striped::HybridPolicy;

@@ -208,7 +208,8 @@ pub struct HybridEvent {
 /// A structured trace event. One query produces one `QueryBegin` …
 /// `QueryEnd` envelope; inside it, engine stages emit span events and
 /// every aligned subject emits an `AlignBegin` … `AlignEnd` pair
-/// enclosing its per-column [`HybridEvent`]s.
+/// enclosing its per-column [`HybridEvent`]s — none for a subject the
+/// lane kernel scored.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A query entered the engine.
@@ -268,7 +269,12 @@ pub enum TraceEvent {
         iterate_columns: u64,
         /// Columns the final (kept) kernel run processed with scan.
         scan_columns: u64,
-        /// Wall time of the alignment in microseconds.
+        /// Columns the lane kernel scored: the subject's length when a
+        /// lane batch kept it (no column events precede it then), 0
+        /// when the striped kernels scored it.
+        inter_columns: u64,
+        /// Wall time of the alignment in microseconds (for a lane
+        /// subject, an equal share of its batch's).
         dur_us: u64,
     },
     /// The query finished.

@@ -86,6 +86,7 @@ pub fn event_to_json(event: &TraceEvent) -> String {
             score,
             iterate_columns,
             scan_columns,
+            inter_columns,
             dur_us,
         } => vec![
             ("ev", "align_end".into()),
@@ -93,6 +94,7 @@ pub fn event_to_json(event: &TraceEvent) -> String {
             ("score", (*score).into()),
             ("iterate_columns", (*iterate_columns).into()),
             ("scan_columns", (*scan_columns).into()),
+            ("inter_columns", (*inter_columns).into()),
             ("dur_us", (*dur_us).into()),
         ],
         TraceEvent::QueryEnd { at_us, hits } => vec![
@@ -253,6 +255,7 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
             score: i64_field(&doc, "score").map_err(missing("score"))?,
             iterate_columns: uint("iterate_columns")?,
             scan_columns: uint("scan_columns")?,
+            inter_columns: uint("inter_columns")?,
             dur_us: uint("dur_us")?,
         }),
         "query_end" => Ok(TraceEvent::QueryEnd {
@@ -333,6 +336,7 @@ mod tests {
                 score: -3,
                 iterate_columns: 30,
                 scan_columns: 10,
+                inter_columns: 0,
                 dur_us: 88,
             },
             TraceEvent::SpanEnd {
@@ -381,7 +385,7 @@ mod tests {
             r#"{"ev":"col","column":5,"strategy":"scan","sweeps":0,"switched":false,"probe":"returned"}"#,
             r#"{"ev":"col","column":6,"strategy":"iterate","sweeps":4,"switched":true,"probe":"none"}"#,
             r#"{"ev":"rescue","subject":0,"from_bits":8,"to_bits":16}"#,
-            r#"{"ev":"align_end","subject":0,"score":-3,"iterate_columns":30,"scan_columns":10,"dur_us":88}"#,
+            r#"{"ev":"align_end","subject":0,"score":-3,"iterate_columns":30,"scan_columns":10,"inter_columns":0,"dur_us":88}"#,
             r#"{"ev":"span_end","span":"sweep","at_us":100,"dur_us":88}"#,
             r#"{"ev":"query_end","at_us":101,"hits":3}"#,
             r#"{"ev":"stage","request":41,"stage":"batch_wait","at_us":207,"dur_us":88,"ref_request":40}"#,

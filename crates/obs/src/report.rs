@@ -4,10 +4,10 @@
 //! per-subject structure: runs of consecutive same-strategy columns
 //! become [`StrategySegment`]s, and the per-subject counters are
 //! cross-checked against the `align_end` summary the kernel reported
-//! ([`SubjectTimeline::reconciled`]). That check is the PR's
-//! acceptance gate: the per-column events must *exactly* explain the
-//! `RunStats` totals, or the trace is lying about what the kernel
-//! did.
+//! ([`SubjectTimeline::reconciled`]). That check is the trace's
+//! integrity gate: the per-column events must *exactly* explain the
+//! striped `RunStats` totals, and striped plus lane columns must cover
+//! the subject, or the trace is lying about what the kernels did.
 //!
 //! [`TraceReport::render`] is the backend of `aalign trace-report`.
 
@@ -64,6 +64,9 @@ pub struct SubjectTimeline {
     pub lazy_sweeps: u64,
     /// Iterate/scan totals the kernel reported in `align_end`.
     pub reported: (u64, u64),
+    /// Columns the lane kernel scored, from `align_end` (no column
+    /// events describe them).
+    pub inter_columns: u64,
     /// Overflow rescues observed, as `(from_bits, to_bits)` widening
     /// steps in stream order.
     pub rescues: Vec<(u64, u64)>,
@@ -71,10 +74,11 @@ pub struct SubjectTimeline {
 
 impl SubjectTimeline {
     /// True when the per-column events exactly explain the kernel's
-    /// own `align_end` summary — the trace's integrity invariant.
+    /// own `align_end` summary and, with the lane columns, cover the
+    /// subject — the trace's integrity invariant.
     pub fn reconciled(&self) -> bool {
         (self.iterate_columns, self.scan_columns) == self.reported
-            && self.iterate_columns + self.scan_columns == self.len
+            && self.iterate_columns + self.scan_columns + self.inter_columns == self.len
     }
 }
 
@@ -156,6 +160,7 @@ impl TraceReport {
                             scan_columns: 0,
                             lazy_sweeps: 0,
                             reported: (0, 0),
+                            inter_columns: 0,
                             rescues: Vec::new(),
                         },
                         prev_strategy: None,
@@ -227,6 +232,7 @@ impl TraceReport {
                     score,
                     iterate_columns,
                     scan_columns,
+                    inter_columns,
                     dur_us,
                 } => {
                     let cur = open
@@ -243,6 +249,7 @@ impl TraceReport {
                     t.score = *score;
                     t.dur_us = *dur_us;
                     t.reported = (*iterate_columns, *scan_columns);
+                    t.inter_columns = *inter_columns;
                     report.timelines.push(t);
                 }
             }
@@ -345,6 +352,9 @@ impl TraceReport {
                     },
                 );
             }
+            if t.inter_columns > 0 {
+                let _ = write!(line, "[lanes x{}]", t.inter_columns);
+            }
             let _ = writeln!(out, "{}", line.trim_end());
         }
         out
@@ -405,6 +415,7 @@ mod tests {
                 score: 42,
                 iterate_columns: 4,
                 scan_columns: 2,
+                inter_columns: 0,
                 dur_us: 17,
             },
             TraceEvent::SpanEnd {
@@ -484,6 +495,7 @@ mod tests {
                 score: 200,
                 iterate_columns: 2,
                 scan_columns: 0,
+                inter_columns: 0,
                 dur_us: 5,
             },
         ];
@@ -503,6 +515,33 @@ mod tests {
         assert!(TraceReport::from_events(&orphan)
             .unwrap_err()
             .contains("outside align envelope"));
+    }
+
+    #[test]
+    fn a_lane_envelope_reconciles_on_its_inter_columns() {
+        let lane = |inter_columns| {
+            vec![
+                TraceEvent::AlignBegin {
+                    subject: 9,
+                    len: 40,
+                    worker: 1,
+                },
+                TraceEvent::AlignEnd {
+                    subject: 9,
+                    score: 31,
+                    iterate_columns: 0,
+                    scan_columns: 0,
+                    inter_columns,
+                    dur_us: 2,
+                },
+            ]
+        };
+        let report = TraceReport::from_events(&lane(40)).unwrap();
+        assert_eq!(report.timelines[0].inter_columns, 40);
+        assert!(report.reconciled());
+        assert!(report.render(5).contains("[lanes x40]"));
+        let short = TraceReport::from_events(&lane(39)).unwrap();
+        assert_eq!(short.unreconciled(), vec![9]);
     }
 
     #[test]
@@ -532,6 +571,7 @@ mod tests {
                 score: 0,
                 iterate_columns: 0,
                 scan_columns: 0,
+                inter_columns: 0,
                 dur_us: 0,
             },
         ];

@@ -15,7 +15,7 @@ use aalign_obs::{parse_line, JsonValue};
 const SEEDS: [&str; 6] = [
     r#"{"ev":"query_begin","query":"Q\"1\"\né","subjects":3}"#,
     r#"{"ev":"col","column":6,"strategy":"iterate","sweeps":4,"switched":true,"probe":"none"}"#,
-    r#"{"ev":"align_end","subject":0,"score":-3,"iterate_columns":30,"scan_columns":10,"dur_us":88}"#,
+    r#"{"ev":"align_end","subject":0,"score":-3,"iterate_columns":30,"scan_columns":10,"inter_columns":0,"dur_us":88}"#,
     r#"{"schema_version":1,"id":"a😀zé","hits":[{"db_index":7,"score":-12}],"gcups":3.5e-1}"#,
     r#"{"error":{"code":"bad_request","message":"tab\there \\ 😀"},"buckets":[[1,2],[18446744073709551615,1]]}"#,
     r#"[null,true,false,0,-0,1.0,"",{},[]]"#,

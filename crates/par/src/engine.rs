@@ -53,8 +53,8 @@
 //!   wall clock; on expiry the report comes back `partial` with a
 //!   verified ranking of the subjects that completed.
 //! * **Overflow rescue** — a fixed-width kernel run that saturates
-//!   its lanes is transparently re-aligned on the next wider rung of
-//!   the query's width ladder ([`SearchOptions::rescue`]).
+//!   its lanes is re-aligned on the next wider rung of the query's
+//!   width ladder, always: no option keeps a clamped score.
 //!
 //! [`RunStats`]: aalign_core::RunStats
 
@@ -268,9 +268,8 @@ struct SweepShared<'a> {
     /// `tests/loom_progress.rs`).
     completed: &'a ProgressCounters,
     /// Subjects per lane vector, or 0 when every subject is scored on
-    /// its own: the sweep is traced (column events describe the
-    /// striped kernels), the aligner would decline every batch, or the
-    /// database is smaller than one vector.
+    /// its own: the aligner would decline every batch, or the database
+    /// is smaller than one vector.
     lanes: usize,
     /// Work slots per claim on the work index: one subject where lanes
     /// do not run, up to [`CLAIM_VECTORS`] vectors where they do.
@@ -287,9 +286,6 @@ struct SweepShared<'a> {
     /// Wall-clock deadline, polled at claim boundaries alongside
     /// cancellation.
     deadline: Option<&'a DeadlineGuard>,
-    /// Re-align saturated runs up the query's width ladder
-    /// ([`SearchOptions::rescue`]).
-    rescue: bool,
     /// Scripted slot-level faults (stalls, panics, forced
     /// saturation), when a plan is attached.
     fault: Option<&'a FaultPlan>,
@@ -301,14 +297,15 @@ struct SweepShared<'a> {
 /// failure), if one did.
 type WorkerOut = (SearchReport, Option<AlignError>);
 
-/// The trace plumbing [`WorkerSweep::score_subject`] writes through.
+/// The trace plumbing [`WorkerSweep::score_subject`] and
+/// [`WorkerSweep::batch`] write through.
 #[derive(Default)]
 struct Tallies {
     /// Pool-local id of the worker running this sweep, stamped by
     /// [`run_sweep_worker`] so trace events can be tagged with it.
     worker_id: usize,
     /// Per-worker trace buffer: each scored subject appends a complete
-    /// `AlignBegin` … `AlignEnd` batches; the sweep loop drains it
+    /// `AlignBegin` … `AlignEnd` envelope; the sweep loop drains it
     /// into the shared collector once per claim.
     sink: CollectorSink,
 }
@@ -463,7 +460,7 @@ impl<'a> WorkerSweep<'a> {
         // wholesale — stats, trace columns and score all describe it,
         // behind one `Rescue` marker per step.
         let saturated = out.saturated;
-        while out.saturated && shared.rescue {
+        while out.saturated {
             let (from_bits, mark) = (out.elem_bits, self.tallies.sink.events.len());
             let sink: &mut dyn TraceSink = if tracing {
                 &mut self.tallies.sink
@@ -495,6 +492,7 @@ impl<'a> WorkerSweep<'a> {
                 score: i64::from(out.score),
                 iterate_columns: out.stats.iterate_columns as u64,
                 scan_columns: out.stats.scan_columns as u64,
+                inter_columns: 0,
                 dur_us: elapsed_us(t_align),
             });
         }
@@ -590,8 +588,13 @@ impl<'a> WorkerSweep<'a> {
     ///
     /// A lane still flagged saturated when the batch's walk ends is
     /// scored again through `score_subject`, so what a saturating
-    /// subject reports — `rescued`, the ladder's widths, a rescue-off
-    /// score — is what it always reported.
+    /// subject reports — `rescued`, the ladder's widths — is what it
+    /// always reported.
+    ///
+    /// A traced sweep records each subject the batch keeps as an
+    /// `AlignBegin` / `AlignEnd` envelope with no column events: its
+    /// residues are `inter_columns`, its time an equal share of the
+    /// batch's.
     fn batch(
         &mut self,
         shared: &SweepShared<'a>,
@@ -665,6 +668,30 @@ impl<'a> WorkerSweep<'a> {
             self.metrics
                 .latency
                 .record(u64::try_from(share).unwrap_or(u64::MAX));
+        }
+        if shared.trace.is_some() {
+            let dur_us = u64::try_from(share / 1000).unwrap_or(u64::MAX);
+            for (lane, slot) in slots.clone().enumerate() {
+                if redo(lane, slot) {
+                    continue;
+                }
+                let (subject, len) = (shared.order[slot] as u64, self.batch[lane].len() as u64);
+                self.tallies.sink.events.extend([
+                    TraceEvent::AlignBegin {
+                        subject,
+                        len,
+                        worker: self.tallies.worker_id as u64,
+                    },
+                    TraceEvent::AlignEnd {
+                        subject,
+                        score: i64::from(out.scores[lane]),
+                        iterate_columns: 0,
+                        scan_columns: 0,
+                        inter_columns: len,
+                        dur_us,
+                    },
+                ]);
+            }
         }
         if kept < slots.len() {
             for (lane, slot) in slots.enumerate() {
@@ -932,9 +959,12 @@ impl SearchEngine {
     }
 
     /// Align `query` against every subject of `db` using the pooled
-    /// workers and the striped kernels. This is the workspace's one
-    /// database sweep; [`pipeline`](Self::pipeline) is the only other
-    /// entry point, and it calls this one.
+    /// workers: a claim of whole vectors lane per subject where the
+    /// aligner takes it ([`Aligner::align_batch_prepared`]), subject by
+    /// subject through the striped kernels otherwise. Options bound or
+    /// observe the sweep and never pick its path. This is the
+    /// workspace's one database sweep; [`pipeline`](Self::pipeline) is
+    /// the only other entry point, and it calls this one.
     ///
     /// The sweep engages `min(pool size, subjects)` workers (one for an
     /// empty database, so errors surface); build the engine with the
@@ -969,10 +999,10 @@ impl SearchEngine {
         }
 
         let order = db.length_order();
-        // Lanes per subject where the aligner takes batches, the
-        // sweep is not traced, and the database fills a vector.
+        // Lanes per subject where the aligner takes batches and the
+        // database fills a vector.
         let lanes = match prepared.batch_lanes() {
-            lanes if opts.trace || order.len() < lanes => 0,
+            lanes if order.len() < lanes => 0,
             lanes => lanes,
         };
         // One worker per subject at most; an empty database still
@@ -1002,7 +1032,6 @@ impl SearchEngine {
             progress: opts.progress.as_ref(),
             trace: trace.as_ref(),
             deadline: deadline.as_ref(),
-            rescue: opts.rescue,
             fault: opts.fault_plan.as_deref(),
         };
 

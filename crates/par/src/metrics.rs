@@ -173,10 +173,8 @@ pub struct SearchMetrics {
     /// one escalation (8→16 on a certified plan, 16→32, …).
     pub width_retries: u64,
     /// Subjects whose fixed-width kernel run saturated and were
-    /// transparently re-aligned at a wider element width (see
-    /// [`SearchOptions::rescue`]).
-    ///
-    /// [`SearchOptions::rescue`]: crate::SearchOptions::rescue
+    /// re-aligned at a wider element width (every sweep rescues; no
+    /// option keeps a clamped score).
     pub rescued: u64,
     /// Histogram of the element widths (in bits) that saturated and
     /// triggered a rescue — one sample per rescue attempt, keyed by
@@ -220,10 +218,6 @@ pub struct SearchMetrics {
     /// started. Always empty for direct engine calls; `aalign-serve`
     /// stamps the leader's wait here before fanning the report out.
     pub queue_wait: Histogram,
-    /// Log2 histogram (nanoseconds) of time coalesced follower
-    /// requests spent waiting on this query's sweep. Always empty
-    /// for direct engine calls; stamped by a serving dispatcher.
-    pub batch_wait: Histogram,
     /// Log2 histogram (nanoseconds) of dispatcher-side end-to-end
     /// request latency (admission through report publication).
     /// Always empty for direct engine calls; stamped by a serving
@@ -273,7 +267,6 @@ impl SearchMetrics {
             shards: _,
             peak_hits_buffered,
             queue_wait,
-            batch_wait,
             request_e2e,
             latency,
             worker_load,
@@ -295,7 +288,6 @@ impl SearchMetrics {
         self.workers_respawned += workers_respawned;
         self.peak_hits_buffered += peak_hits_buffered;
         self.queue_wait.merge(&queue_wait);
-        self.batch_wait.merge(&batch_wait);
         self.request_e2e.merge(&request_e2e);
         self.latency.merge(&latency);
         self.worker_load.merge(&worker_load);
@@ -563,11 +555,6 @@ impl SearchMetrics {
         );
         s.push_str(
             &self
-                .batch_wait
-                .prom_lines("aalign_batch_wait_seconds", 1e-9),
-        );
-        s.push_str(
-            &self
                 .request_e2e
                 .prom_lines("aalign_request_e2e_seconds", 1e-9),
         );
@@ -799,7 +786,6 @@ mod tests {
             "\"shards\"",
             "\"timed_out\"",
             "\"queue_wait_ns\"",
-            "\"batch_wait_ns\"",
             "\"request_e2e_ns\"",
             "\"latency_ns\"",
             "\"worker_load_residues\"",
@@ -833,7 +819,6 @@ mod tests {
             "aalign_work_item_seconds_count 4",
             "aalign_worker_load_residues_count 2",
             "aalign_queue_wait_seconds_count",
-            "aalign_batch_wait_seconds_count",
             "aalign_request_e2e_seconds_count",
             "le=\"+Inf\"",
         ] {

@@ -34,12 +34,16 @@ pub struct Hit {
 /// What a query asks for, not how the engine runs it: the pool size
 /// is the engine's ([`SearchEngine::new`](crate::SearchEngine::new)),
 /// and each claim is one subject, or up to four vectors of subjects
-/// where the sweep scores them lane per subject.
+/// where the sweep scores them lane per subject. An option bounds the
+/// query (`top_n`, `deadline`, `cancel`) or observes it (`trace`,
+/// `progress`, `fault_plan`); none picks the kernel a subject runs on
+/// or whether its score is exact — a run that saturates its lanes is
+/// always scored again on a wider width.
 ///
 /// `#[non_exhaustive]`: construct through [`SearchOptions::new`] so
 /// the engine can grow fields (cancellation, progress, and deadlines
 /// were added this way) without breaking callers.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 #[non_exhaustive]
 pub struct SearchOptions {
     /// Keep only the best `top_n` hits (0 = keep every hit). When
@@ -51,23 +55,16 @@ pub struct SearchOptions {
     /// Progress callback, invoked (on worker threads) as claims
     /// complete.
     pub progress: Option<ProgressFn>,
-    /// Collect a structured trace of the query: engine span framing,
-    /// one `AlignBegin`/`AlignEnd` envelope per subject, and (with
-    /// the `trace` feature on) the kernel's per-column hybrid
-    /// decisions. Events surface on
-    /// [`SearchReport::trace_events`]; off by default — untraced
-    /// sweeps route the kernels through their no-op-sink
-    /// monomorphization.
+    /// Collect a structured trace of the query: engine span framing
+    /// and one `AlignBegin`/`AlignEnd` envelope per subject. A subject
+    /// the striped kernels score carries their per-column hybrid
+    /// decisions (and a `Rescue` marker per widening step); one the
+    /// lanes score carries none, its `inter_columns` stating its
+    /// residues. Tracing observes the sweep and never changes it: a
+    /// traced query runs the kernels, widths and batches the untraced
+    /// one runs. Events surface on [`SearchReport::trace_events`]; off
+    /// by default.
     pub trace: bool,
-    /// Automatically re-align a subject whose fixed-width kernel run
-    /// saturated its lanes at the next wider element width (on by
-    /// default). Each rescue is counted in
-    /// [`SearchMetrics::rescued`] and, when tracing, surfaces as a
-    /// `rescue` event inside the subject's align envelope. Costs one
-    /// branch per subject on the non-saturating path.
-    ///
-    /// [`SearchMetrics::rescued`]: crate::SearchMetrics::rescued
-    pub rescue: bool,
     /// Wall-clock budget for the query, measured from entry into the
     /// search call. When it expires mid-sweep the engine stops
     /// binding new subjects and returns a [`SearchReport`] with
@@ -81,22 +78,8 @@ pub struct SearchOptions {
     pub fault_plan: Option<std::sync::Arc<crate::fault::FaultPlan>>,
 }
 
-impl Default for SearchOptions {
-    fn default() -> Self {
-        Self {
-            top_n: 0,
-            cancel: None,
-            progress: None,
-            trace: false,
-            rescue: true,
-            deadline: None,
-            fault_plan: None,
-        }
-    }
-}
-
 impl SearchOptions {
-    /// Default options: every hit, saturation rescue on, no deadline.
+    /// Default options: every hit, no deadline.
     pub fn new() -> Self {
         Self::default()
     }
@@ -129,12 +112,6 @@ impl SearchOptions {
         self
     }
 
-    /// Enable or disable automatic saturation rescue (on by default).
-    pub fn rescue(mut self, on: bool) -> Self {
-        self.rescue = on;
-        self
-    }
-
     /// Give the query a wall-clock budget; on expiry the report comes
     /// back [`partial`](SearchReport::partial) instead of erroring.
     pub fn deadline(mut self, budget: std::time::Duration) -> Self {
@@ -156,7 +133,6 @@ impl std::fmt::Debug for SearchOptions {
             .field("cancel", &self.cancel.is_some())
             .field("progress", &self.progress.is_some())
             .field("trace", &self.trace)
-            .field("rescue", &self.rescue)
             .field("deadline", &self.deadline)
             .field("fault_plan", &self.fault_plan.is_some())
             .finish()
@@ -357,22 +333,17 @@ mod tests {
             .cancel(token)
             .on_progress(|_| {})
             .trace(true)
-            .rescue(false)
             .deadline(std::time::Duration::from_millis(250))
             .fault_plan(std::sync::Arc::new(crate::FaultPlan::new()));
         assert_eq!(opts.top_n, 20);
         assert!(opts.cancel.is_some());
         assert!(opts.progress.is_some());
         assert!(opts.trace);
-        assert!(!opts.rescue);
         assert_eq!(opts.deadline, Some(std::time::Duration::from_millis(250)));
         let dbg = format!("{opts:?}");
         assert!(dbg.contains("top_n: 20"), "{dbg}");
-        assert!(dbg.contains("rescue: false"), "{dbg}");
         assert!(dbg.contains("fault_plan: true"), "{dbg}");
         assert!(format!("{:?}", SearchOptions::new()).contains("fault_plan: false"));
-        // Rescue is on unless explicitly turned off.
-        assert!(SearchOptions::new().rescue);
         assert_eq!(SearchOptions::new().deadline, None);
     }
 }

@@ -356,7 +356,6 @@ pub fn metrics_to_wire(m: &SearchMetrics) -> JsonValue {
         ),
         ("peak_hits_buffered", m.peak_hits_buffered.into()),
         ("queue_wait_ns", histogram_to_wire(&m.queue_wait)),
-        ("batch_wait_ns", histogram_to_wire(&m.batch_wait)),
         ("request_e2e_ns", histogram_to_wire(&m.request_e2e)),
         ("latency_ns", histogram_to_wire(&m.latency)),
         ("worker_load_residues", histogram_to_wire(&m.worker_load)),
@@ -423,7 +422,6 @@ pub fn metrics_from_wire(v: &JsonValue) -> Result<SearchMetrics, WireError> {
         shards: optional_shards(v)?,
         peak_hits_buffered: u64_field(v, "peak_hits_buffered")? as usize,
         queue_wait: optional_histogram(v, "queue_wait_ns")?,
-        batch_wait: optional_histogram(v, "batch_wait_ns")?,
         request_e2e: optional_histogram(v, "request_e2e_ns")?,
         latency: histogram_from_wire(field(v, "latency_ns")?)?,
         worker_load: histogram_from_wire(field(v, "worker_load_residues")?)?,

@@ -16,6 +16,9 @@ use aalign_core::{AlignConfig, AlignError, Aligner, GapModel, Strategy, WidthPol
 use aalign_obs::{Histogram, TraceEvent};
 use aalign_par::{SearchEngine, SearchOptions, SearchReport};
 
+mod common;
+use common::traced_and_untraced;
+
 fn cfg() -> AlignConfig {
     AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62)
 }
@@ -97,28 +100,32 @@ fn samples(bits: impl IntoIterator<Item = u64>) -> Histogram {
     h
 }
 
-/// Search untraced and traced, and check every rescue step exactly:
-/// `rescued` subjects, one `rescue_widths` sample per step (the width
-/// it widened from), and one `TraceEvent::Rescue { from_bits, to_bits }`
-/// per step, in stream order — so a ladder that skips or repeats a rung
-/// fails. Returns the untraced report.
+/// Search untraced, traced (which must count the same), and pinned to
+/// the per-subject path (the lane rule declines a pinned strategy), and
+/// check every rescue step exactly: `rescued` subjects, one
+/// `rescue_widths` sample per step (the width it widened from), and one
+/// `TraceEvent::Rescue { from_bits, to_bits }` per step, in stream
+/// order — so a ladder that skips or repeats a rung fails. Returns the
+/// untraced report.
 fn assert_rescues(
     engine: &SearchEngine,
     a: &Aligner,
     (q, db): (&Sequence, &SeqDatabase),
     (rescued, steps): Rescues,
 ) -> SearchReport {
-    let report = engine.search(a, q, db, &SearchOptions::new()).unwrap();
-    let traced = engine
-        .search(a, q, db, &SearchOptions::new().trace(true))
+    let (report, traced) =
+        traced_and_untraced(engine, a, (q, db), &SearchOptions::new(), &format!("{a:?}"));
+    let per_subject = a.clone().with_strategy(Strategy::StripedIterate);
+    let striped = engine
+        .search(&per_subject, q, db, &SearchOptions::new())
         .unwrap();
     let from = samples(steps.iter().map(|&(from, _)| from));
-    for r in [&report, &traced] {
+    for r in [&report, &striped] {
         assert_eq!(r.metrics.rescued, rescued, "{a:?}");
         assert_eq!(r.metrics.rescue_widths, from, "{a:?}");
         assert!(!r.partial, "a rescue is recovery, not failure");
     }
-    assert_eq!(traced.hits, report.hits);
+    assert_eq!(striped.hits, report.hits);
     let traced_steps: Vec<(u64, u64)> = traced
         .trace_events
         .iter()
@@ -157,19 +164,6 @@ fn saturating_fixed8_pair_is_rescued_bit_exactly() {
         let hit = report.hits.iter().find(|h| h.db_index == w_index).unwrap();
         assert_eq!(hit.score, exact, "rescue must recover the exact score");
     }
-    // Rescue off: the saturated narrow score stays clamped below the
-    // true value — proof the rescue path did the recovering.
-    let narrow = aligner().with_width(WidthPolicy::Fixed8);
-    let unrescued = engine
-        .search(&narrow, &w, &db, &SearchOptions::new().rescue(false))
-        .unwrap();
-    let clamped = unrescued
-        .hits
-        .iter()
-        .find(|h| h.db_index == w_index)
-        .unwrap();
-    assert!(clamped.score < exact, "{} vs {exact}", clamped.score);
-    assert_eq!(unrescued.metrics.rescued, 0);
 }
 
 /// A forced narrow width on a semi-global run outside the width's
@@ -315,12 +309,7 @@ mod scripted {
         let plain = engine.search(&a, &q, &db, &SearchOptions::new()).unwrap();
         let plan = Arc::new(FaultPlan::new().saturate_slot(2).saturate_slot(5));
         let report = engine
-            .search(
-                &a,
-                &q,
-                &db,
-                &SearchOptions::new().fault_plan(Arc::clone(&plan)),
-            )
+            .search(&a, &q, &db, &SearchOptions::new().fault_plan(plan))
             .unwrap();
         // Forced saturation on a healthy subject: the rescue re-aligns
         // wider and lands on the identical score.
@@ -330,19 +319,6 @@ mod scripted {
         // to i32 each took them back.
         assert_eq!(report.metrics.rescue_widths, samples([16, 16]));
         assert!(!report.partial);
-        // With rescue disabled the forced flag is simply ignored (no
-        // ladder, no retries) and scores are unchanged too — the flag
-        // only marks the output as saturated.
-        let off = engine
-            .search(
-                &a,
-                &q,
-                &db,
-                &SearchOptions::new().fault_plan(plan).rescue(false),
-            )
-            .unwrap();
-        assert_eq!(off.metrics.rescued, 0);
-        assert_eq!(off.hits, plain.hits);
     }
 
     #[test]

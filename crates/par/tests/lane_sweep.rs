@@ -2,11 +2,12 @@
 //! per subject, or subject by subject through the striped kernels —
 //! give one answer.
 //!
-//! A traced sweep never takes a batch (column events describe the
-//! striped kernels), so the same query traced and untraced *is* the
-//! two paths side by side; `Strategy::Sequential` per subject is the
-//! reference both must equal, and goes through the sweep itself too.
-//! `inter_columns` says which path ran.
+//! The lane rule declines a pinned strategy, so the same query as is
+//! and pinned to `Strategy::StripedIterate` *is* the two paths side by
+//! side; `Strategy::Sequential` per subject is the reference both must
+//! equal, and goes through the sweep itself too. `inter_columns` says
+//! which path ran. A traced sweep runs the path the untraced one runs
+//! and must equal it in everything the sweep counts.
 
 use rand::RngExt;
 
@@ -16,6 +17,9 @@ use aalign_bio::{SeqDatabase, Sequence, SubstMatrix};
 use aalign_core::{AlignConfig, AlignKind, Aligner, GapModel, Strategy, WidthPolicy};
 use aalign_par::{rank_hits, Hit, SearchEngine, SearchOptions, SearchReport};
 use aalign_vec::detect::Isa;
+
+mod common;
+use common::traced_and_untraced;
 
 /// Subjects per vector on the widest engines (i8x32, i16x32).
 const LANES: usize = 32;
@@ -79,6 +83,18 @@ fn columns(report: &SearchReport) -> (usize, usize) {
     (k.iterate_columns + k.scan_columns, k.inter_columns)
 }
 
+/// The same sweep pinned to the per-subject path.
+fn per_subject(
+    engine: &SearchEngine,
+    aligner: &Aligner,
+    q: &Sequence,
+    db: &SeqDatabase,
+    opts: &SearchOptions,
+) -> SearchReport {
+    let striped = aligner.clone().with_strategy(Strategy::StripedIterate);
+    engine.search(&striped, q, db, opts).unwrap()
+}
+
 #[test]
 fn lanes_and_per_subject_sweeps_agree_with_the_sequential_kernel() {
     let engine = SearchEngine::new(2);
@@ -136,11 +152,10 @@ fn lanes_and_per_subject_sweeps_agree_with_the_sequential_kernel() {
                                 "{kind:?} {gap:?} {mode} db={size} pin={pin:?} top_n={top_n}"
                             );
                             let opts = SearchOptions::new().top_n(top_n);
-                            let plain = engine.search(&aligner, q, &db, &opts).unwrap();
-                            let traced = engine
-                                .search(&aligner, q, &db, &opts.clone().trace(true))
-                                .unwrap();
-                            assert_eq!(plain.hits, traced.hits, "{ctx}");
+                            let (plain, _) =
+                                traced_and_untraced(&engine, &aligner, (q, &db), &opts, &ctx);
+                            let pinned = per_subject(&engine, &aligner, q, &db, &opts);
+                            assert_eq!(plain.hits, pinned.hits, "{ctx}");
                             let keep = if top_n == 0 { want.len() } else { top_n };
                             assert_eq!(plain.hits, want[..keep.min(want.len())], "{ctx}");
 
@@ -148,7 +163,7 @@ fn lanes_and_per_subject_sweeps_agree_with_the_sequential_kernel() {
                             // for every residue either way.
                             let (striped, inter) = columns(&plain);
                             assert_eq!(striped + inter, residues, "{ctx}");
-                            assert_eq!(columns(&traced), (residues, 0), "{ctx}");
+                            assert_eq!(columns(&pinned), (residues, 0), "{ctx}");
                             if lanes == 0 || size < lanes {
                                 assert_eq!(inter, 0, "{ctx}: no batch can have run");
                             }
@@ -179,8 +194,8 @@ fn lanes_and_per_subject_sweeps_agree_with_the_sequential_kernel() {
 /// a saturating subject reports is what it always reported.
 #[test]
 fn saturating_lanes_report_what_the_per_subject_path_reports() {
-    // `rescue_overhead`'s hot database: an all-W subject every 20th
-    // against an all-W query blows through 8-bit lanes.
+    // A hot database: an all-W subject every 20th against an all-W
+    // query blows through 8-bit lanes.
     let mut seqs = swissprot_like_db(4300, 200).sequences().to_vec();
     for (i, s) in seqs.iter_mut().enumerate().step_by(20) {
         *s = Sequence::protein(format!("hot_{i}"), &[b'W'; 120]).unwrap();
@@ -191,30 +206,19 @@ fn saturating_lanes_report_what_the_per_subject_path_reports() {
         .with_width(WidthPolicy::Fixed8);
     let lanes = narrow.prepare(&wq).unwrap().batch_lanes();
     let engine = SearchEngine::new(2);
-    for rescue in [true, false] {
-        let opts = SearchOptions::new().rescue(rescue);
-        let plain = engine.search(&narrow, &wq, &db, &opts).unwrap();
-        let traced = engine
-            .search(&narrow, &wq, &db, &opts.clone().trace(true))
-            .unwrap();
-        assert_eq!(plain.hits, traced.hits, "rescue={rescue}");
-        assert_eq!(plain.metrics.rescued, traced.metrics.rescued);
-        assert_eq!(plain.metrics.width_retries, traced.metrics.width_retries);
-        assert_eq!(
-            plain.metrics.rescue_widths.count(),
-            traced.metrics.rescue_widths.count()
-        );
-        assert_eq!(
-            plain.metrics.rescued > 0,
-            rescue,
-            "the hot subjects saturate"
-        );
-        // The hot subjects went back to the striped path (which drops
-        // a doomed narrow run early, so not all their columns show).
-        let (striped, inter) = columns(&plain);
-        assert_eq!(inter > 0, lanes > 0, "rescue={rescue}");
-        assert!(striped > 0, "rescue={rescue}");
-    }
+    let opts = SearchOptions::new();
+    let (plain, _) = traced_and_untraced(&engine, &narrow, (&wq, &db), &opts, "hot");
+    let pinned = per_subject(&engine, &narrow, &wq, &db, &opts);
+    assert_eq!(plain.hits, pinned.hits);
+    assert_eq!(plain.metrics.rescued, pinned.metrics.rescued);
+    assert_eq!(plain.metrics.width_retries, pinned.metrics.width_retries);
+    assert_eq!(plain.metrics.rescue_widths, pinned.metrics.rescue_widths);
+    assert!(plain.metrics.rescued > 0, "the hot subjects saturate");
+    // The hot subjects went back to the striped path (which drops a
+    // doomed narrow run early, so not all their columns show).
+    let (striped, inter) = columns(&plain);
+    assert_eq!(inter > 0, lanes > 0);
+    assert!(striped > 0);
 }
 
 /// Claims are four whole vectors when lanes run (fewer where that
@@ -365,8 +369,9 @@ fn planted_db(seed: u64, q: &Sequence, count: usize, homologs: usize) -> SeqData
 
 /// Byte lanes first: a local `Auto` sweep scores every vector at i8,
 /// walks the flagged lanes on to i16 together, and hands what that
-/// declines or flags to the per-subject path — which reports what the
-/// traced (per-subject) sweep reports, whatever share saturates.
+/// declines or flags to the per-subject path — and reports what the
+/// sweep pinned to the per-subject path reports, whatever share
+/// saturates.
 #[test]
 fn byte_lanes_first_report_what_the_per_subject_path_reports() {
     let engine = SearchEngine::new(2);
@@ -386,51 +391,47 @@ fn byte_lanes_first_report_what_the_per_subject_path_reports() {
             Some(Isa::Emulated),
         ] {
             let aligner = pin.map_or_else(|| base.clone(), |isa| base.clone().with_isa(isa));
-            for rescue in [true, false] {
-                let ctx = format!("homologs={homologs} pin={pin:?} rescue={rescue}");
-                let opts = SearchOptions::new().rescue(rescue);
-                let plain = engine.search(&aligner, &q, &db, &opts).unwrap();
-                let traced = engine
-                    .search(&aligner, &q, &db, &opts.clone().trace(true))
-                    .unwrap();
-                assert_eq!(plain.hits, want, "{ctx}");
-                assert_eq!(traced.hits, want, "{ctx}");
-                let (m, t) = (&plain.metrics, &traced.metrics);
-                assert_eq!(m.rescued, t.rescued, "{ctx}");
-                assert_eq!(m.width_retries, t.width_retries, "{ctx}");
-                assert_eq!(m.rescue_widths, t.rescue_widths, "{ctx}");
-                let (striped, inter) = columns(&plain);
-                assert_eq!(striped + inter, residues, "{ctx}");
+            let ctx = format!("homologs={homologs} pin={pin:?}");
+            let opts = SearchOptions::new();
+            let (plain, _) = traced_and_untraced(&engine, &aligner, (&q, &db), &opts, &ctx);
+            let pinned = per_subject(&engine, &aligner, &q, &db, &opts);
+            assert_eq!(plain.hits, want, "{ctx}");
+            assert_eq!(pinned.hits, want, "{ctx}");
+            let (m, p) = (&plain.metrics, &pinned.metrics);
+            assert_eq!(m.rescued, p.rescued, "{ctx}");
+            assert_eq!(m.width_retries, p.width_retries, "{ctx}");
+            assert_eq!(m.rescue_widths, p.rescue_widths, "{ctx}");
+            let (striped, inter) = columns(&plain);
+            assert_eq!(striped + inter, residues, "{ctx}");
 
-                // The lanes the first pass flagged: those whose striped
-                // run at the same width saturates.
-                let k = &m.kernel_stats;
-                let flagged = match m.lane_width {
-                    0 => 0,
-                    bits => {
-                        let width = if bits == 8 {
-                            WidthPolicy::Fixed8
-                        } else {
-                            WidthPolicy::Fixed16
-                        };
-                        let striped = aligner.clone().with_width(width);
-                        let flags = db
-                            .sequences()
-                            .iter()
-                            .filter(|s| striped.align(&q, s).unwrap().saturated);
-                        flags.count()
-                    }
-                };
-                assert_eq!(k.inter_saturated, flagged, "{ctx}");
-                assert_eq!(m.lane_width > 0, inter > 0, "{ctx}");
-                if m.lane_width == 8 {
-                    byte_lanes_ran = true;
-                    assert_eq!(flagged, homologs, "{ctx}");
-                    // Walk-on: a quarter or all of them flagged fill
-                    // vectors at i16; one alone goes per subject.
-                    let per_subject = if homologs == 1 { 60 } else { 0 };
-                    assert!(striped <= per_subject, "{ctx}: {striped} striped columns");
+            // The lanes the first pass flagged: those whose striped
+            // run at the same width saturates.
+            let k = &m.kernel_stats;
+            let flagged = match m.lane_width {
+                0 => 0,
+                bits => {
+                    let width = if bits == 8 {
+                        WidthPolicy::Fixed8
+                    } else {
+                        WidthPolicy::Fixed16
+                    };
+                    let striped = aligner.clone().with_width(width);
+                    let flags = db
+                        .sequences()
+                        .iter()
+                        .filter(|s| striped.align(&q, s).unwrap().saturated);
+                    flags.count()
                 }
+            };
+            assert_eq!(k.inter_saturated, flagged, "{ctx}");
+            assert_eq!(m.lane_width > 0, inter > 0, "{ctx}");
+            if m.lane_width == 8 {
+                byte_lanes_ran = true;
+                assert_eq!(flagged, homologs, "{ctx}");
+                // Walk-on: a quarter or all of them flagged fill
+                // vectors at i16; one alone goes per subject.
+                let per_subject = if homologs == 1 { 60 } else { 0 };
+                assert!(striped <= per_subject, "{ctx}: {striped} striped columns");
             }
         }
     }

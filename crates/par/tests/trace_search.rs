@@ -3,17 +3,16 @@
 //! The kernel-level guarantees (see `aalign-core`'s `trace_events`
 //! tests) must survive the trip through the multithreaded engine:
 //!
-//! 1. **Equivalence** — a traced sweep returns exactly the hits of an
-//!    untraced one, and accounts for the same columns.
+//! 1. **Equivalence** — a traced sweep runs the kernels the untraced
+//!    one runs: the same hits, and every counter the sweep keeps equal.
 //! 2. **Framing** — the event stream is one well-formed query
 //!    envelope: `QueryBegin` first, `QueryEnd` last, the three engine
 //!    stages spanned in order.
 //! 3. **Reconciliation** — despite per-worker buffering and dynamic
 //!    binding, every subject's events arrive contiguously and the
 //!    reconstructed timelines exactly explain the reported
-//!    `RunStats`.
-
-#![cfg(feature = "trace")]
+//!    `RunStats` — column events for the striped kernels, an
+//!    `inter_columns` count for the lanes.
 
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
@@ -21,6 +20,9 @@ use aalign_bio::{SeqDatabase, Sequence};
 use aalign_core::{AlignConfig, Aligner, GapModel, Strategy, WidthPolicy};
 use aalign_obs::{TraceEvent, TraceReport};
 use aalign_par::{PipelineOptions, SearchEngine, SearchOptions};
+
+mod common;
+use common::traced_and_untraced;
 
 fn cfg() -> AlignConfig {
     AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62)
@@ -37,25 +39,17 @@ fn traced_sweep_is_result_identical_to_untraced() {
     let db = swissprot_like_db(3101, 60);
     let a = aligner();
     let engine = SearchEngine::new(4);
-    let plain = engine.search(&a, &q, &db, &SearchOptions::new()).unwrap();
-    let traced = engine
-        .search(&a, &q, &db, &SearchOptions::new().trace(true))
-        .unwrap();
-    assert_eq!(traced.hits, plain.hits);
-    // A traced sweep scores every subject with the striped kernels
-    // (column events describe those); the untraced one may have run
-    // vectors of subjects lane per subject. Either way every residue
-    // is a column of exactly one kernel.
-    let (t, p) = (&traced.metrics.kernel_stats, &plain.metrics.kernel_stats);
-    assert_eq!(t.inter_columns, 0);
+    let (plain, traced) = traced_and_untraced(&engine, &a, (&q, &db), &SearchOptions::new(), "Q90");
+    // Every residue is a column of exactly one kernel, traced or not;
+    // 60 subjects fill vectors, so where the host has lanes they ran.
+    let k = &plain.metrics.kernel_stats;
     assert_eq!(
-        t.iterate_columns + t.scan_columns,
-        p.iterate_columns + p.scan_columns + p.inter_columns
+        k.iterate_columns + k.scan_columns + k.inter_columns,
+        plain.total_residues
     );
-    assert_eq!(traced.metrics.width_retries, plain.metrics.width_retries);
-    assert!(
-        plain.trace_events.is_empty(),
-        "untraced sweeps collect nothing"
+    assert_eq!(
+        k.inter_columns > 0,
+        a.prepare(&q).unwrap().batch_lanes() > 0
     );
     assert!(!traced.trace_events.is_empty());
 }
@@ -129,24 +123,30 @@ fn timelines_reconcile_across_workers() {
     let mut rng = seeded_rng(3300);
     let q = named_query(&mut rng, 110);
     let db = swissprot_like_db(3301, 80);
-    let report = SearchEngine::new(4)
-        .search(&aligner(), &q, &db, &SearchOptions::new().trace(true))
-        .unwrap();
+    let (_, report) = traced_and_untraced(
+        &SearchEngine::new(4),
+        &aligner(),
+        (&q, &db),
+        &SearchOptions::new(),
+        "Q110",
+    );
     let tr = TraceReport::from_events(&report.trace_events).unwrap();
     assert_eq!(tr.timelines.len(), db.len());
-    assert!(tr.reconciled(), "unreconciled: {:?}", tr.unreconciled());
     // The per-subject column totals partition the database.
     let cols: u64 = tr
         .timelines
         .iter()
-        .map(|t| t.iterate_columns + t.scan_columns)
+        .map(|t| t.iterate_columns + t.scan_columns + t.inter_columns)
         .sum();
     assert_eq!(cols, report.total_residues as u64);
     // And agree with the aggregated kernel counters.
+    let k = &report.metrics.kernel_stats;
     let iterate: u64 = tr.timelines.iter().map(|t| t.iterate_columns).sum();
-    assert_eq!(iterate, report.metrics.kernel_stats.iterate_columns as u64);
+    assert_eq!(iterate, k.iterate_columns as u64);
+    let inter: u64 = tr.timelines.iter().map(|t| t.inter_columns).sum();
+    assert_eq!(inter, k.inter_columns as u64);
     let sweeps: u64 = tr.timelines.iter().map(|t| t.lazy_sweeps).sum();
-    assert_eq!(sweeps, report.metrics.kernel_stats.lazy_sweeps);
+    assert_eq!(sweeps, k.lazy_sweeps);
 }
 
 #[test]
@@ -189,15 +189,22 @@ fn pipeline_forwards_the_sweep_trace() {
     assert!(silent.trace_events.is_empty());
 }
 
+/// Enough subjects to fill lane vectors, so the stream holds both
+/// kinds of envelope: striped subjects' column events and lane
+/// subjects' bare `inter_columns` counts.
 #[test]
 fn traced_round_trips_through_jsonl() {
     let mut rng = seeded_rng(3700);
     let q = named_query(&mut rng, 60);
-    let db = swissprot_like_db(3701, 15);
+    let db = swissprot_like_db(3701, 80);
     let engine = SearchEngine::new(2);
     let report = engine
         .search(&aligner(), &q, &db, &SearchOptions::new().trace(true))
         .unwrap();
+    assert_eq!(
+        report.metrics.kernel_stats.inter_columns > 0,
+        aligner().prepare(&q).unwrap().batch_lanes() > 0
+    );
     let mut buf = Vec::new();
     let mut w = aalign_obs::TraceWriter::new(&mut buf);
     w.write_all(&report.trace_events).unwrap();
@@ -227,13 +234,8 @@ fn traced_topk_matches_untraced_topk() {
     let engine = SearchEngine::new(3);
     let a = aligner();
     for top_n in [1usize, 6, 20] {
-        let plain = engine
-            .search(&a, &q, &db, &SearchOptions::new().top_n(top_n))
-            .unwrap();
-        let traced = engine
-            .search(&a, &q, &db, &SearchOptions::new().top_n(top_n).trace(true))
-            .unwrap();
-        assert_eq!(plain.hits, traced.hits, "top_n={top_n}");
+        let opts = SearchOptions::new().top_n(top_n);
+        traced_and_untraced(&engine, &a, (&q, &db), &opts, &format!("top_n={top_n}"));
     }
 }
 
@@ -252,16 +254,9 @@ fn rescued_sweep_traces_identically_and_reconciles() {
     let db = SeqDatabase::new(seqs);
     let narrow = aligner().with_width(WidthPolicy::Fixed8);
     let engine = SearchEngine::new(2);
-    let plain = engine
-        .search(&narrow, &w, &db, &SearchOptions::new())
-        .unwrap();
-    let traced = engine
-        .search(&narrow, &w, &db, &SearchOptions::new().trace(true))
-        .unwrap();
-    assert!(plain.metrics.rescued >= 1 && traced.metrics.rescued >= 1);
-    assert_eq!(traced.hits, plain.hits, "rescue must not break equivalence");
-    assert_eq!(traced.metrics.kernel_stats, plain.metrics.kernel_stats);
-    assert_eq!(traced.metrics.rescued, plain.metrics.rescued);
+    let (plain, traced) =
+        traced_and_untraced(&engine, &narrow, (&w, &db), &SearchOptions::new(), "W100");
+    assert!(plain.metrics.rescued >= 1);
     let w_subject = (db.len() - 1) as u64;
     let rescue = traced
         .trace_events

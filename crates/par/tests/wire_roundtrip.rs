@@ -52,7 +52,6 @@ fn real_search_report_round_trips_losslessly() {
     assert_eq!(b.certified_width, m.certified_width);
     assert_eq!(b.lane_width, m.lane_width);
     assert_eq!(b.queue_wait, m.queue_wait);
-    assert_eq!(b.batch_wait, m.batch_wait);
     assert_eq!(b.request_e2e, m.request_e2e);
     assert_eq!(b.per_worker.len(), m.per_worker.len());
     for (bw, mw) in b.per_worker.iter().zip(&m.per_worker) {
@@ -108,8 +107,6 @@ fn metrics_schema_v1_is_pinned() {
         "\"peak_hits_buffered\":0,",
         "\"queue_wait_ns\":{\"count\":0,\"sum\":0,\"max\":0,\"mean\":0,",
         "\"p50\":0,\"p90\":0,\"p99\":0,\"p999\":0,\"buckets\":[]},",
-        "\"batch_wait_ns\":{\"count\":0,\"sum\":0,\"max\":0,\"mean\":0,",
-        "\"p50\":0,\"p90\":0,\"p99\":0,\"p999\":0,\"buckets\":[]},",
         "\"request_e2e_ns\":{\"count\":0,\"sum\":0,\"max\":0,\"mean\":0,",
         "\"p50\":0,\"p90\":0,\"p99\":0,\"p999\":0,\"buckets\":[]},",
         "\"latency_ns\":{\"count\":0,\"sum\":0,\"max\":0,\"mean\":0,",
@@ -123,12 +120,11 @@ fn metrics_schema_v1_is_pinned() {
 
 #[test]
 fn pre_stage_histogram_documents_still_decode() {
-    // The stage-wait histograms (queue_wait_ns / batch_wait_ns /
-    // request_e2e_ns) were added within schema v1: a document written
-    // before they existed must still decode, with the new fields
-    // coming back empty.
+    // The stage-wait histograms (queue_wait_ns / request_e2e_ns) were
+    // added within schema v1: a document written before they existed
+    // must still decode, with the new fields coming back empty.
     let mut doc = metrics_to_wire(&aalign_par::SearchMetrics::default()).render();
-    for key in ["queue_wait_ns", "batch_wait_ns", "request_e2e_ns"] {
+    for key in ["queue_wait_ns", "request_e2e_ns"] {
         let needle = format!(
             "\"{key}\":{{\"count\":0,\"sum\":0,\"max\":0,\"mean\":0,\
              \"p50\":0,\"p90\":0,\"p99\":0,\"p999\":0,\"buckets\":[]}},"
@@ -138,7 +134,6 @@ fn pre_stage_histogram_documents_still_decode() {
     }
     let back = metrics_from_wire(&JsonValue::parse(&doc).unwrap()).unwrap();
     assert!(back.queue_wait.is_empty());
-    assert!(back.batch_wait.is_empty());
     assert!(back.request_e2e.is_empty());
 }
 

@@ -36,8 +36,7 @@ fn main() {
     };
     let prof = StripedProfile::<i32>::build(&query, &cfg.matrix, 16);
     let mut ws = Workspace::new();
-    // The sink records one event per column (with the default `trace`
-    // feature on).
+    // The sink records one event per column.
     let mut sink = CollectorSink::new();
     let rep = hybrid_align_sink::<_, true, true, _>(
         EmuEngine::<i32, 16>::new(),

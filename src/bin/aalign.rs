@@ -77,7 +77,7 @@ const USAGE: &str = "usage:
                  [--global|--semi-global] [--linear] [--open N] [--ext N]
                  [--strategy ...] [--width ...] [--stats]
                  [--trace-out <jsonl>] [--metrics-format text|json|prom]
-                 [--timeout MS] [--no-rescue] [--fault-plan <spec>]
+                 [--timeout MS] [--fault-plan <spec>]
   aalign serve   --db <fa> [--addr HOST:PORT] [--stdio] [--threads N]
                  [--global|--semi-global] [--linear] [--open N] [--ext N]
                  [--strategy ...] [--width ...]
@@ -95,7 +95,10 @@ const USAGE: &str = "usage:
   aalign trace-report --trace <jsonl> [--subjects N]
   aalign gen-db  --count N [--seed N] --out <fa>
   aalign codegen --input <file> [--open N] [--ext N] [--out <rs>]
-  aalign info";
+  aalign info
+
+pair, search, serve and shard-search read every FASTA file as protein
+and score it with BLOSUM62, so a DNA file is searched as protein.";
 
 /// Tiny flag parser: `--name value` and boolean `--name`.
 struct Flags<'a> {
@@ -238,8 +241,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     let trace_out = flags.get("--trace-out");
     let mut opts = SearchOptions::new()
         .top_n(flags.get_usize("--top", 10)?)
-        .trace(trace_out.is_some())
-        .rescue(!flags.has("--no-rescue"));
+        .trace(trace_out.is_some());
     if let Some(ms) = flags.get("--timeout") {
         let ms: u64 = ms.parse().map_err(|_| "--timeout expects milliseconds")?;
         opts = opts.deadline(std::time::Duration::from_millis(ms));

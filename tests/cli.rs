@@ -184,7 +184,6 @@ fn search_with_stats_prints_metrics_block() {
     assert_eq!(text.matches(" bits ").count(), 2, "{text}");
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn search_trace_out_then_trace_report_round_trip() {
     let dir = std::env::temp_dir().join("aalign_cli_trace");
@@ -835,12 +834,12 @@ fn search_rescues_a_saturating_subject_at_fixed8() {
     // 1100, far past i8 — only the rescue path can print it.
     assert!(text.contains("rescued 1 lane-saturated subject"), "{text}");
     assert!(text.contains("score   1100"), "{text}");
-    // Opting out keeps the clamped narrow score and says nothing.
+    // Rescue is not an option: there is no flag that keeps the
+    // clamped narrow score.
     let out = aalign().args(common).arg("--no-rescue").output().unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(!text.contains("rescued"), "{text}");
-    assert!(!text.contains("score   1100"), "{text}");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag"), "{stderr}");
 }
 
 /// A forced narrow width on a global alignment outside the width's
