@@ -4,16 +4,29 @@
 //! striped orchestration) as a design choice; this bench compares it
 //! against the O(m) sequential recurrence across column lengths and
 //! engines, isolating the module the striped-scan strategy stands on.
+//!
+//! A scan call takes 10–100 ns, so each sample times a fixed loop of
+//! calls; a row is the minimum over samples, in ns per call.
+//!
+//! Usage: `cargo bench -p aalign-bench --bench ablation_scan`
 
-use std::time::Duration;
+use std::hint::black_box;
 
-use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
-
+use aalign_bench::harness::{ns_per_call, print_banner, Table};
 use aalign_vec::detect::Isa;
 use aalign_vec::scan::{wgt_max_scan_scalar, wgt_max_scan_striped, ScanParams};
 use aalign_vec::{
     resolve, with_engine, DispatchElem, EngineFn, IsaSupport, ScoreElem, SimdEngine, StripedLayout,
 };
+
+const WARMUP: usize = 3;
+const REPS: usize = 20;
+
+/// Calls per sample: about four million scanned elements, a
+/// millisecond or so at every column length.
+fn calls(m: usize) -> usize {
+    (1 << 22) / m
+}
 
 fn input(m: usize) -> Vec<i32> {
     (0..m)
@@ -40,10 +53,31 @@ impl<T: ScoreElem> EngineFn<T> for ScanOnce<'_, T> {
     }
 }
 
-/// Bench the striped scan of `linear` on the engine each pin resolves
+fn row(table: &mut Table, name: String, m: usize, ns: f64) {
+    table.row(vec![
+        name,
+        m.to_string(),
+        format!("{ns:.1}"),
+        format!("{:.3}", ns / m as f64),
+    ]);
+}
+
+fn scalar_row<T: ScoreElem>(table: &mut Table, name: &str, linear: &[T], params: ScanParams<T>) {
+    let m = linear.len();
+    let mut out = vec![T::ZERO; m];
+    let ns = ns_per_call(
+        || wgt_max_scan_scalar(black_box(linear), params, black_box(&mut out[..])),
+        calls(m),
+        WARMUP,
+        REPS,
+    );
+    row(table, name.to_string(), m, ns);
+}
+
+/// Time the striped scan of `linear` on the engine each pin resolves
 /// to on this host; rows are named after the engine that really ran.
-fn striped_cases<T: DispatchElem>(
-    group: &mut BenchmarkGroup<'_>,
+fn striped_rows<T: DispatchElem>(
+    table: &mut Table,
     pins: &[Isa],
     linear: &[T],
     params: ScanParams<T>,
@@ -55,57 +89,49 @@ fn striped_cases<T: DispatchElem>(
         let mut striped_in = Vec::new();
         layout.stripe(linear, T::NEG_INF, &mut striped_in);
         let mut striped_out = vec![T::ZERO; layout.padded_len()];
-        let id = BenchmarkId::new(format!("striped-{}", backend.name()), m);
-        group.bench_with_input(id, &m, |b, _| {
-            b.iter(|| {
+        let ns = ns_per_call(
+            || {
                 with_engine(
                     backend,
                     ScanOnce {
                         layout,
-                        input: &striped_in,
-                        out: &mut striped_out,
+                        input: black_box(&striped_in),
+                        out: black_box(&mut striped_out),
                         params,
                     },
                 );
-            });
-        });
+            },
+            calls(m),
+            WARMUP,
+            REPS,
+        );
+        row(table, format!("striped-{}", backend.name()), m, ns);
     }
 }
 
-fn bench_scan(c: &mut Criterion) {
+fn main() {
+    print_banner("ablation_scan — wgt_max_scan, striped vs scalar (min-of-k, ns per call)");
+
+    println!("## wgt_max_scan (i32)\n");
+    let mut table = Table::new(vec!["row", "m", "ns/call", "ns/elem"]);
     let params = ScanParams {
         init: 0,
         open: -12,
         ext: -2,
     };
-    let mut group = c.benchmark_group("ablation/wgt_max_scan");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
-
     for m in [256usize, 1024, 4096, 16384] {
         let linear = input(m);
-        let mut out = vec![0i32; m];
-        group.bench_with_input(BenchmarkId::new("scalar", m), &m, |b, _| {
-            b.iter(|| wgt_max_scan_scalar(&linear, params, &mut out));
-        });
+        scalar_row(&mut table, "scalar", &linear, params);
         let pins = [Isa::Emulated, Isa::Avx2, Isa::Avx512];
-        striped_cases(&mut group, &pins, &linear, params);
+        striped_rows(&mut table, &pins, &linear, params);
     }
-    group.finish();
-}
+    println!("{}", table.render());
 
-/// The short-query geometry (`prot_short`'s Q60, `dna_i8`'s 48-nt
-/// reads): one to four segments on the narrow engines, where a scan
-/// call is all cross-lane work and its fixed cost is the whole cost.
-fn bench_scan_short(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/wgt_max_scan_short");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600));
-
+    // The short-query geometry (`prot_short`'s Q60, `dna_i8`'s 48-nt
+    // reads): one to four segments on the narrow engines, where a scan
+    // call is all cross-lane work and its fixed cost is the whole cost.
+    println!("## wgt_max_scan_short (i16, i8)\n");
+    let mut table = Table::new(vec!["row", "m", "ns/call", "ns/elem"]);
     for m in [48usize, 60] {
         let linear = input(m);
         let params = ScanParams {
@@ -114,23 +140,17 @@ fn bench_scan_short(c: &mut Criterion) {
             ext: -2,
         };
         let linear16: Vec<i16> = linear.iter().map(|&x| x as i16).collect();
-        let mut out = vec![0i16; m];
-        group.bench_with_input(BenchmarkId::new("scalar-i16", m), &m, |b, _| {
-            b.iter(|| wgt_max_scan_scalar(&linear16, params, &mut out));
-        });
+        scalar_row(&mut table, "scalar-i16", &linear16, params);
 
         let narrow16: Vec<i16> = linear.iter().map(|&x| x.clamp(-100, 100) as i16).collect();
-        striped_cases(&mut group, &[Isa::Avx512, Isa::Avx2], &narrow16, params);
+        striped_rows(&mut table, &[Isa::Avx512, Isa::Avx2], &narrow16, params);
         let narrow8: Vec<i8> = linear.iter().map(|&x| x.clamp(-100, 100) as i8).collect();
         let params8 = ScanParams {
             init: 0i8,
             open: -12,
             ext: -2,
         };
-        striped_cases(&mut group, &[Isa::Avx2], &narrow8, params8);
+        striped_rows(&mut table, &[Isa::Avx2], &narrow8, params8);
     }
-    group.finish();
+    println!("{}", table.render());
 }
-
-criterion_group!(benches, bench_scan, bench_scan_short);
-criterion_main!(benches);

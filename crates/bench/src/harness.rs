@@ -1,10 +1,12 @@
-//! Shared machinery for the paper-figure harness binaries.
+//! Shared machinery for the paper-figure harness binaries and the
+//! benches: the crate's one timing harness.
 //!
 //! Each `fig*` binary regenerates one table/figure of the paper's
 //! evaluation. They share: wall-clock timing with warmup and
-//! min-of-k repeats, GCUPS (billions of DP cell updates per second),
-//! the two "platforms" (CPU = AVX2 shape, MIC = 512-bit shape, per
-//! the DESIGN.md substitution), and markdown table rendering.
+//! min-of-k repeats (per call, for calls too short to time alone),
+//! GCUPS (billions of DP cell updates per second), the two
+//! "platforms" (CPU = AVX2 shape, MIC = 512-bit shape, per the
+//! DESIGN.md substitution), and markdown table rendering.
 
 use std::time::{Duration, Instant};
 
@@ -26,6 +28,23 @@ pub fn time_min<F: FnMut()>(mut f: F, warmup: usize, reps: usize) -> Duration {
         best = best.min(t0.elapsed());
     }
     best
+}
+
+/// Nanoseconds per call of a closure too short to time alone: each
+/// sample times `calls` back-to-back calls, and [`time_min`]'s warmup
+/// and minimum apply to whole samples.
+pub fn ns_per_call<F: FnMut()>(mut f: F, calls: usize, warmup: usize, reps: usize) -> f64 {
+    let calls = calls.max(1);
+    let d = time_min(
+        || {
+            for _ in 0..calls {
+                f();
+            }
+        },
+        warmup,
+        reps,
+    );
+    d.as_secs_f64() * 1e9 / calls as f64
 }
 
 /// Billions of cell updates per second for an `m × n` table.
@@ -202,5 +221,12 @@ mod tests {
         let mut count = 0;
         let _ = time_min(|| count += 1, 2, 3);
         assert_eq!(count, 5);
+    }
+
+    #[test]
+    fn ns_per_call_loops_inside_each_sample() {
+        let mut count = 0;
+        let _ = ns_per_call(|| count += 1, 10, 2, 3);
+        assert_eq!(count, 50);
     }
 }

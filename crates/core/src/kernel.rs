@@ -244,8 +244,9 @@ pub struct AlignOutput {
 ///
 /// The sink is a type parameter: a disabled sink runs the
 /// [`NullSink`] instantiation (bit-for-bit the pre-observability
-/// kernel — no per-column calls, no branches), which is what the
-/// `obs_overhead` bench holds to <1% overhead.
+/// kernel — no per-column calls, no branches), and that instantiation
+/// is what [`Aligner::align_prepared`] runs: there is no second
+/// untraced kernel.
 struct Attempt<'a, T: ScoreElem, S: TraceSink> {
     prof: &'a StripedProfile<T>,
     subject: &'a [u8],
@@ -962,8 +963,8 @@ impl Aligner {
     ///
     /// A disabled sink (`sink.enabled() == false`, e.g. a
     /// [`NullSink`]) routes to the null-monomorphized kernels after a
-    /// single check — that path is what `align_prepared` itself uses
-    /// and what the `obs_overhead` bench holds to <1% overhead.
+    /// single check — `align_prepared` is this call with a `NullSink`,
+    /// so the untraced path and this one are the same code.
     pub fn align_prepared_sink(
         &self,
         pq: &PreparedQuery,

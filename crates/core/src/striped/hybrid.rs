@@ -95,9 +95,8 @@ pub fn hybrid_align<E: SimdEngine, const LOCAL: bool, const AFFINE: bool>(
 /// iterate or sent the kernel back to scan.
 ///
 /// Monomorphized against [`NullSink`] (which is what [`hybrid_align`]
-/// does) the emission sites compile away and this is exactly the
-/// untraced kernel; the `obs_overhead` bench in `crates/bench` guards
-/// that equivalence at <1% measured overhead.
+/// does) the emission sites compile away: the untraced kernel *is*
+/// that instantiation, not a second copy.
 #[inline(always)]
 pub fn hybrid_align_sink<E: SimdEngine, const LOCAL: bool, const AFFINE: bool, S: TraceSink>(
     eng: E,

@@ -5,9 +5,9 @@
 //! a dirty drain, a worker panic, a quarantine-respawn — when the
 //! question is "what was the daemon doing just now?" and the trace
 //! feature may well have been disabled. It therefore has to be cheap
-//! enough to leave on unconditionally (the `obs_overhead` bench pins
-//! the cost at <1% of the alignment hot path) and readable at any
-//! instant without stopping writers.
+//! enough to leave on unconditionally (the `obs_overhead` bench
+//! guards the recorder: a request's records must cost <1% of its
+//! sweep) and readable at any instant without stopping writers.
 //!
 //! ## Protocol
 //!

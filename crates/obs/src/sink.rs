@@ -13,9 +13,9 @@
 //! `false` — deletes the whole site at compile time. The dispatch
 //! layer in `aalign-core` checks `enabled()` **once per alignment**
 //! and routes disabled runs to the `NullSink` instantiation, which is
-//! the exact pre-observability kernel code; the
-//! `bench obs_overhead` guard in `crates/bench` holds that path to
-//! <1% overhead.
+//! the exact pre-observability kernel code: `Aligner::align_prepared`
+//! *is* that instantiation, so "off" is not a second path that could
+//! drift.
 
 use crate::event::{HybridEvent, TraceEvent};
 

@@ -664,12 +664,17 @@ fn one_build() {
 
 /// One measurement system: `benchmark/` (declared by `BENCHMARK.json`)
 /// is the only thing that judges a number. The paper's figures are
-/// regenerated by the `fig*` bins into `results/*.txt`, and the
-/// `obs_overhead` `< 1 %` guard asserts in-process. The envelope system that ran
-/// beside them — `BENCH_*.json` writers, a checked-in latency baseline
-/// with `p50 == p99`, the bin that compared against it under an 8×
-/// band, and criterion copies of the figure bins — answered "which
-/// number counts" a second way, and must not grow back.
+/// regenerated by the `fig*` bins into `results/*.txt`, the two
+/// ablation tables print beside them, and `obs_overhead` asserts
+/// in-process that the flight recorder's records stay under 1 % of a
+/// served request's sweep. All of them time with
+/// `aalign_bench::harness`. The envelope system that ran beside them —
+/// `BENCH_*.json` writers, a checked-in latency baseline with
+/// `p50 == p99`, the bin that compared against it under an 8× band,
+/// and criterion copies of the figure bins — answered "which number
+/// counts" a second way, and must not grow back; nor may a second
+/// timing harness (the criterion shim) or a second ISA × width table
+/// (the `throughput` bin).
 #[test]
 fn one_measurement_system() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -712,6 +717,25 @@ fn one_measurement_system() {
         benches,
         ["ablation_scan", "ablation_backend", "obs_overhead"],
         "a figure is reproduced by its `fig*` bin alone"
+    );
+
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for dir in ["crates", "shims"] {
+        let mut all = Vec::new();
+        files(&root.join(dir), &mut all);
+        manifests.extend(all.into_iter().filter(|p| p.ends_with("Cargo.toml")));
+    }
+    for manifest in manifests {
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        assert!(
+            !text.contains("criterion"),
+            "{}: names `criterion`; the benches time with `aalign_bench::harness`",
+            manifest.display()
+        );
+    }
+    assert!(
+        !root.join("crates/bench/src/bin/throughput.rs").exists(),
+        "the ISA × width GCUPS table is `ablation_backend`'s"
     );
 
     let cli = std::fs::read_to_string(root.join("src/bin/aalign.rs")).unwrap();
