@@ -6,17 +6,18 @@
 //! widths, under both striped strategies, quantifying what each
 //! ISA/width step is worth — the portability claim of the
 //! vector-module design. The scalar `Sequential` row is the baseline.
-//! A second table runs the certified-i8 DNA path (48-nt read ×
-//! 1000-nt subject), where the width certificate keeps the byte
-//! kernels rescue-free.
+//! A second table runs the certified-i8 DNA path (a 48-nt read against
+//! 64 distinct 1000-nt subjects per sample), where the width
+//! certificate keeps the byte kernels rescue-free.
 //!
 //! All cases go through the `Aligner`, hence through
 //! `aalign_vec::with_engine`, so hardware engines run inside their
 //! `#[target_feature]` entry (the fast path a real caller gets). Rows
 //! are named by the backend that ran: a pin falls back to emulation on
 //! a host lacking the ISA. Each GCUPS figure is the minimum-time run
-//! of one pair. A kernel chain that lost its `#[inline(always)]` shows
-//! here as a 20–40× drop.
+//! of one pair (protein) or of the read against every subject (DNA).
+//! A kernel chain that lost its `#[inline(always)]` shows here as a
+//! 20–40× drop.
 //!
 //! Usage: `cargo bench -p aalign-bench --bench ablation_backend`
 
@@ -30,26 +31,33 @@ use aalign_core::{
 use aalign_vec::detect::Isa;
 use rand::RngExt;
 
-/// One pair through `al`: the first run's output (which backend ran,
-/// whether it saturated) and the GCUPS of the fastest of `reps` runs.
-fn time_pair(
+/// The query against each of `subjects` through `al`: the first
+/// run's outputs (which backend ran, whether it saturated) and the
+/// GCUPS, over all cells, of the fastest of `reps` runs of the set.
+fn time_pairs(
     al: &Aligner,
     q: &Sequence,
-    s: &Sequence,
+    subjects: &[Sequence],
     warmup: usize,
     reps: usize,
-) -> (AlignOutput, f64) {
+) -> (Vec<AlignOutput>, f64) {
     let pq = al.prepare(q).unwrap();
     let mut scratch = AlignScratch::new();
-    let out = al.align_prepared(&pq, s, &mut scratch).unwrap();
+    let outs = subjects
+        .iter()
+        .map(|s| al.align_prepared(&pq, s, &mut scratch).unwrap())
+        .collect();
     let t = time_min(
         || {
-            let _ = al.align_prepared(&pq, s, &mut scratch).unwrap();
+            for s in subjects {
+                let _ = al.align_prepared(&pq, s, &mut scratch).unwrap();
+            }
         },
         warmup,
         reps,
     );
-    (out, gcups(q.len(), s.len(), t))
+    let residues = subjects.iter().map(Sequence::len).sum();
+    (outs, gcups(q.len(), residues, t))
 }
 
 fn main() {
@@ -91,9 +99,9 @@ fn main() {
                 .with_strategy(strat)
                 .with_isa(isa)
                 .with_width(width);
-            let (out, g) = time_pair(&al, &q, &s, warmup, reps);
+            let (outs, g) = time_pairs(&al, &q, std::slice::from_ref(&s), warmup, reps);
             table.row(vec![
-                format!("pin {} -> {}", isa.name(), out.backend),
+                format!("pin {} -> {}", isa.name(), outs[0].backend),
                 strat.short().to_string(),
                 format!("{g:.2}"),
             ]);
@@ -105,8 +113,13 @@ fn main() {
     // subject 1000 carries an i8 width certificate (`aalign-analyzer
     // certify`), so the 8-bit kernels run with the rescue ladder
     // provably dead. Fixed8 rows pin the kernels themselves; the Auto
-    // row shows the certificate steering the width ladder to i8.
-    print_banner("ablation_backend — certified-i8 SW-affine DNA (48 x 1000)");
+    // row shows the certificate steering the width ladder to i8. One
+    // 48 x 1000 pair takes ~16 us, too short to time alone, so a sample
+    // is the read against DNA_SUBJECTS distinct subjects (~1 ms).
+    const DNA_SUBJECTS: usize = 64;
+    print_banner(&format!(
+        "ablation_backend — certified-i8 SW-affine DNA (48 x {DNA_SUBJECTS} x 1000)"
+    ));
     let dna = SubstMatrix::dna(2, -3);
     let dcfg = AlignConfig::local(GapModel::affine(-5, -2), &dna);
     let dna_seq = |rng: &mut rand::StdRng, id: &str, len: usize| {
@@ -116,7 +129,9 @@ fn main() {
         Sequence::dna(id, &text).unwrap()
     };
     let dq = dna_seq(&mut rng, "dq", 48);
-    let ds = dna_seq(&mut rng, "ds", 1000);
+    let subjects: Vec<Sequence> = (0..DNA_SUBJECTS)
+        .map(|i| dna_seq(&mut rng, &format!("ds{i}"), 1000))
+        .collect();
     let mut dna_table = Table::new(vec!["case", "width", "GCUPS"]);
     for (isa, width, label) in [
         (Isa::Avx2, WidthPolicy::Fixed16, "i16"),
@@ -131,10 +146,13 @@ fn main() {
             .with_strategy(Strategy::StripedIterate)
             .with_isa(isa)
             .with_width(width);
-        let (out, g) = time_pair(&al, &dq, &ds, 8, 20);
-        assert!(!out.saturated, "certified width saturated in the bench");
+        let (outs, g) = time_pairs(&al, &dq, &subjects, 8, 100);
+        assert!(
+            outs.iter().all(|out| !out.saturated),
+            "certified width saturated in the bench"
+        );
         dna_table.row(vec![
-            format!("pin {} -> {}", isa.name(), out.backend),
+            format!("pin {} -> {}", isa.name(), outs[0].backend),
             label.to_string(),
             format!("{g:.2}"),
         ]);

@@ -12,13 +12,12 @@
 //! | `GET /metrics`      | —                            | Prometheus text               |
 //! | `GET /debug/flight` | —                            | flight-recorder dump (JSONL)  |
 //! | `POST /v1/search`   | [`SearchRequest`] JSON       | versioned report / error      |
-//! | `POST /v1/cancel`   | `{"id": "…"}`                | `{"cancelled": "…"}` / 404    |
-//! | `POST /v1/shutdown` | —                            | `{"draining": true}`          |
+//! | `POST /v1/cancel`   | `{"id": "…"}`                | versioned `cancelled` / 404   |
+//! | `POST /v1/shutdown` | —                            | versioned `draining: true`    |
 //!
-//! Every search is traced: the connection thread allocates the
-//! request id before parsing, so `parse` and `respond` stage timings
-//! land in the flight recorder alongside the dispatcher's own
-//! queue/sweep stages.
+//! Each route is an operation of the request table the JSON-RPC front
+//! end ([`crate::rpc`]) serves too; it traces a search's `parse` and
+//! `respond` stages beside the dispatcher's queue and sweep stages.
 //!
 //! [`SearchRequest`]: crate::wire::SearchRequest
 
@@ -26,14 +25,14 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use aalign_obs::wire::{versioned, JsonValue};
-use aalign_obs::StageKind;
+use aalign_obs::wire::JsonValue;
 
 use crate::backend::SearchBackend;
 use crate::dispatch::Dispatcher;
-use crate::wire::{SearchRequest, ServeError};
+use crate::rpc::{self, Reply};
+use crate::wire::ServeError;
 
 /// Largest accepted request body; larger bodies get `413`.
 const MAX_BODY: usize = 1 << 20;
@@ -169,126 +168,54 @@ fn handle_connection<B: SearchBackend>(stream: TcpStream, d: &Dispatcher<B>) -> 
 
     let (method, path, body) = match read_request(&mut reader) {
         Ok(parts) => parts,
-        Err(RequestError::TooLarge) => {
+        // Framing refusals: the status names what was too long or broken.
+        Err(refused) => {
+            let (code, reason, msg) = match refused {
+                RequestError::TooLarge => (
+                    413,
+                    "Payload Too Large",
+                    format!("request body exceeds {MAX_BODY} bytes"),
+                ),
+                RequestError::HeadersTooLarge => (
+                    431,
+                    "Request Header Fields Too Large",
+                    format!("request line or headers exceed {MAX_HEADER_BYTES} bytes"),
+                ),
+                RequestError::Malformed(msg) => (400, "Bad Request", msg),
+                RequestError::Io(e) => return Err(e),
+            };
             d.note_bad_request();
-            return write_error(
-                &mut out,
-                413,
-                "Payload Too Large",
-                &ServeError::BadRequest(format!("request body exceeds {MAX_BODY} bytes")),
-            );
+            let refusal = ServeError::BadRequest(msg).to_wire().render();
+            return write_json(&mut out, code, reason, &refusal);
         }
-        Err(RequestError::HeadersTooLarge) => {
-            d.note_bad_request();
-            return write_error(
-                &mut out,
-                431,
-                "Request Header Fields Too Large",
-                &ServeError::BadRequest(format!(
-                    "request line or headers exceed {MAX_HEADER_BYTES} bytes"
-                )),
-            );
-        }
-        Err(RequestError::Malformed(msg)) => {
-            d.note_bad_request();
-            return write_error(&mut out, 400, "Bad Request", &ServeError::BadRequest(msg));
-        }
-        Err(RequestError::Io(e)) => return Err(e),
     };
 
-    match (method.as_str(), path.as_str()) {
-        ("GET", "/v1/health") => write_json(&mut out, 200, "OK", &d.health().render()),
-        ("GET", "/metrics") => write_body(
-            &mut out,
-            200,
-            "OK",
-            "text/plain; version=0.0.4",
-            d.prometheus().as_bytes(),
-        ),
-        ("GET", "/debug/flight") => write_body(
-            &mut out,
-            200,
-            "OK",
-            "application/x-ndjson",
-            d.flight().dump_jsonl().as_bytes(),
-        ),
-        ("POST", "/v1/search") => {
-            let rid = d.next_request_id();
-            let parse_started = Instant::now();
-            match parse_search(&body) {
-                Ok(req) => {
-                    d.record_stage(rid, StageKind::Parse, parse_started.elapsed(), 0);
-                    match d.search_traced(&req, rid) {
-                        Ok(resp) => {
-                            let respond_started = Instant::now();
-                            let outcome = write_json(&mut out, 200, "OK", &resp.to_wire().render());
-                            d.record_stage(rid, StageKind::Respond, respond_started.elapsed(), 0);
-                            outcome
-                        }
-                        Err(e) => {
-                            let (code, reason) = e.http_status();
-                            write_error(&mut out, code, reason, &e)
-                        }
-                    }
-                }
-                Err(e) => {
-                    d.note_bad_request();
-                    let (code, reason) = e.http_status();
-                    write_error(&mut out, code, reason, &e)
-                }
-            }
+    let op = match (method.as_str(), path.as_str()) {
+        ("POST", "/v1/search") => "search",
+        ("POST", "/v1/cancel") => "cancel",
+        ("POST", "/v1/shutdown") => "shutdown",
+        ("GET", "/v1/health") => "health",
+        ("GET", "/metrics") => "metrics",
+        ("GET", "/debug/flight") => "flight",
+        // No operation has this name, so the table answers `None`.
+        _ => "",
+    };
+    rpc::operate(d, op, body_json(&body), |reply| match reply {
+        Ok(Reply::Json(doc)) => write_json(&mut out, 200, "OK", &doc.render()),
+        Ok(Reply::Text { mime, body, .. }) => {
+            write_body(&mut out, 200, "OK", mime, body.as_bytes())
         }
-        ("POST", "/v1/cancel") => match parse_cancel(&body) {
-            Ok(id) => match d.cancel(&id) {
-                Ok(()) => write_json(
-                    &mut out,
-                    200,
-                    "OK",
-                    &versioned(vec![("cancelled", id.as_str().into())]).render(),
-                ),
-                Err(e) => {
-                    let (code, reason) = e.http_status();
-                    write_error(&mut out, code, reason, &e)
-                }
-            },
-            Err(e) => {
-                d.note_bad_request();
-                let (code, reason) = e.http_status();
-                write_error(&mut out, code, reason, &e)
-            }
-        },
-        ("POST", "/v1/shutdown") => {
-            d.begin_drain();
-            write_json(
-                &mut out,
-                200,
-                "OK",
-                &versioned(vec![("draining", true.into())]).render(),
-            )
-        }
-        _ => {
-            let e = ServeError::NotFound(format!("{method} {path}"));
-            let (code, reason) = e.http_status();
-            write_error(&mut out, code, reason, &e)
-        }
-    }
+        Err(e) => write_error(&mut out, &e),
+    })
+    .unwrap_or_else(|| write_error(&mut out, &ServeError::NotFound(format!("{method} {path}"))))
 }
 
-fn parse_search(body: &[u8]) -> Result<SearchRequest, ServeError> {
+/// The request body as the operation's params: a JSON document, or
+/// the typed `400` an operation that reads its params answers with.
+fn body_json(body: &[u8]) -> Result<JsonValue, ServeError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| ServeError::BadRequest("request body is not UTF-8".to_string()))?;
-    let doc = JsonValue::parse(text).map_err(|e| ServeError::BadRequest(e.to_string()))?;
-    Ok(SearchRequest::from_wire(&doc)?)
-}
-
-fn parse_cancel(body: &[u8]) -> Result<String, ServeError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| ServeError::BadRequest("request body is not UTF-8".to_string()))?;
-    let doc = JsonValue::parse(text).map_err(|e| ServeError::BadRequest(e.to_string()))?;
-    doc.get("id")
-        .and_then(|v| v.as_str())
-        .map(str::to_string)
-        .ok_or_else(|| ServeError::BadRequest("missing string field \"id\"".to_string()))
+    JsonValue::parse(text).map_err(|e| ServeError::BadRequest(e.to_string()))
 }
 
 #[derive(Debug)]
@@ -394,7 +321,9 @@ fn write_json(out: &mut impl Write, code: u16, reason: &str, body: &str) -> io::
     write_body(out, code, reason, "application/json", body.as_bytes())
 }
 
-fn write_error(out: &mut impl Write, code: u16, reason: &str, err: &ServeError) -> io::Result<()> {
+/// A refusal, under the HTTP status its kind maps to.
+fn write_error(out: &mut impl Write, err: &ServeError) -> io::Result<()> {
+    let (code, reason) = err.http_status();
     write_json(out, code, reason, &err.to_wire().render())
 }
 

@@ -8,8 +8,8 @@
 //!
 //! - **HTTP/JSON** ([`http::serve_http`]) — hand-rolled HTTP/1.1
 //!   over `std::net`, one thread per connection, no framework.
-//! - **stdio JSON-RPC** ([`rpc::serve_stdio`]) — line-delimited
-//!   JSON-RPC 2.0 for embedding under a supervisor or pipe.
+//! - **stdio JSON-RPC** ([`run_daemon`] over [`rpc::respond_line`]) —
+//!   line-delimited JSON-RPC 2.0 for embedding under a supervisor.
 //!
 //! The dispatcher is where service semantics live, identically for
 //! both transports:

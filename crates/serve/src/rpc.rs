@@ -1,25 +1,25 @@
 //! Line-delimited JSON-RPC 2.0 front end, normally bound to
-//! stdin/stdout (`aalign serve --stdio`).
+//! stdin/stdout (`aalign serve --stdio`), over the one request table
+//! (`operate`) that the HTTP front end routes to as well.
 //!
 //! One request object per line in, one response object per line out,
-//! in request order. Methods: `search` (params = the same
-//! [`SearchRequest`] object the HTTP front end takes), `health`,
-//! `metrics`, `cancel` (`{"id": …}`), and `shutdown` (begins drain;
-//! after the reply the stdio daemon flushes stdout and exits on its
-//! own — a supervisor always reads the complete final line and never
-//! has to close the pipe first).
+//! in request order. Methods: `search` (params = the [`SearchRequest`]
+//! object), `cancel` (`{"id": …}`), `shutdown` (begins drain; after the
+//! reply the stdio daemon flushes stdout and exits on its own, so a
+//! supervisor never has to close the pipe first), `health`, and
+//! `metrics` and `flight`, whose text HTTP serves bare and JSON-RPC as
+//! `{"format": …, "body": …}`. Any other `result` is HTTP's body.
 //!
 //! Service refusals map onto implementation-defined error codes:
 //! `overloaded` −32001, `draining` −32002, `quota_exhausted` −32003,
-//! engine failures −32004, unknown cancel id −32005. The full typed
-//! envelope rides in `error.data`.
+//! engine failures −32004, unknown cancel id −32005, bad params −32602.
+//! The full typed envelope rides in `error.data`.
 //!
 //! [`SearchRequest`]: crate::wire::SearchRequest
 
-use std::io::{self, BufRead, Write};
 use std::time::Instant;
 
-use aalign_obs::wire::{obj, JsonValue};
+use aalign_obs::wire::{obj, versioned, JsonValue};
 use aalign_obs::StageKind;
 
 use crate::backend::SearchBackend;
@@ -43,21 +43,81 @@ fn rpc_code(e: &ServeError) -> i64 {
     }
 }
 
-/// Serve JSON-RPC over any line-oriented transport until EOF.
-/// Requests are handled sequentially on the calling thread.
-pub fn serve_stdio<R: BufRead, W: Write, B: SearchBackend>(
-    input: R,
-    mut out: W,
+/// What an operation answers with.
+pub(crate) enum Reply {
+    /// A JSON document: the HTTP body, the JSON-RPC `result`.
+    Json(JsonValue),
+    /// Text that HTTP serves bare as content type `mime` and JSON-RPC
+    /// wraps as `{"format": format, "body": body}`.
+    Text {
+        mime: &'static str,
+        format: &'static str,
+        body: String,
+    },
+}
+
+/// Run operation `op` for either front end; `None` if there is no
+/// operation of that name. `params` is the request's JSON document, or
+/// why the front end could not read one. `emit` turns the reply or
+/// refusal into the front end's output; a search times its decode as
+/// the `parse` stage and `emit` as the `respond` stage.
+pub(crate) fn operate<B: SearchBackend, T>(
     d: &Dispatcher<B>,
-) -> io::Result<()> {
-    for line in input.lines() {
-        if let Some(response) = respond_line(&line?, d) {
-            out.write_all(response.as_bytes())?;
-            out.write_all(b"\n")?;
-            out.flush()?;
+    op: &str,
+    params: Result<JsonValue, ServeError>,
+    emit: impl FnOnce(Result<Reply, ServeError>) -> T,
+) -> Option<T> {
+    // Params that do not decode are a bad request, counted here.
+    let bad = |e| {
+        d.note_bad_request();
+        e
+    };
+    let reply = match op {
+        "search" => {
+            let rid = d.next_request_id();
+            let parse_started = Instant::now();
+            let req = params.and_then(|p| Ok(SearchRequest::from_wire(&p)?));
+            let resp = match req.map_err(bad).and_then(|req| {
+                d.record_stage(rid, StageKind::Parse, parse_started.elapsed(), 0);
+                d.search_traced(&req, rid)
+            }) {
+                Ok(resp) => resp,
+                Err(e) => return Some(emit(Err(e))),
+            };
+            let respond_started = Instant::now();
+            let out = emit(Ok(Reply::Json(resp.to_wire())));
+            d.record_stage(rid, StageKind::Respond, respond_started.elapsed(), 0);
+            return Some(out);
         }
-    }
-    Ok(())
+        "cancel" => {
+            let missing = || ServeError::BadRequest("missing string field \"id\"".to_string());
+            let id = params.and_then(|p| {
+                let id = p.get("id").and_then(JsonValue::as_str);
+                id.map(str::to_string).ok_or_else(missing)
+            });
+            id.map_err(bad).and_then(|id| {
+                d.cancel(&id)?;
+                Ok(Reply::Json(versioned(vec![("cancelled", id.into())])))
+            })
+        }
+        "shutdown" => {
+            d.begin_drain();
+            Ok(Reply::Json(versioned(vec![("draining", true.into())])))
+        }
+        "health" => Ok(Reply::Json(d.health())),
+        "metrics" => Ok(Reply::Text {
+            mime: "text/plain; version=0.0.4",
+            format: "prometheus",
+            body: d.prometheus(),
+        }),
+        "flight" => Ok(Reply::Text {
+            mime: "application/x-ndjson",
+            format: "jsonl",
+            body: d.flight().dump_jsonl(),
+        }),
+        _ => return None,
+    };
+    Some(emit(reply))
 }
 
 /// Handle one line of a JSON-RPC session: `None` for blank lines,
@@ -68,101 +128,52 @@ pub fn respond_line<B: SearchBackend>(line: &str, d: &Dispatcher<B>) -> Option<S
     if line.trim().is_empty() {
         return None;
     }
-    Some(handle_line(line, d).render())
-}
-
-fn handle_line<B: SearchBackend>(line: &str, d: &Dispatcher<B>) -> JsonValue {
     let doc = match JsonValue::parse(line) {
         Ok(doc) => doc,
         Err(e) => {
             d.note_bad_request();
-            return error_response(JsonValue::Null, PARSE_ERROR, &e.to_string(), None);
+            let unparsed = error(PARSE_ERROR, &e.to_string(), None);
+            return Some(envelope(JsonValue::Null, Err(unparsed)));
         }
     };
     let id = doc.get("id").cloned().unwrap_or(JsonValue::Null);
-    let Some(method) = doc.get("method").and_then(|m| m.as_str()) else {
+    let Some(method) = doc.get("method").and_then(JsonValue::as_str) else {
         d.note_bad_request();
-        return error_response(id, INVALID_REQUEST, "missing string field \"method\"", None);
+        let missing = error(INVALID_REQUEST, "missing string field \"method\"", None);
+        return Some(envelope(id, Err(missing)));
     };
     let params = doc.get("params").cloned().unwrap_or(JsonValue::Null);
-
-    match method {
-        "search" => {
-            let rid = d.next_request_id();
-            let parse_started = Instant::now();
-            match SearchRequest::from_wire(&params).map_err(ServeError::from) {
-                Ok(req) => {
-                    d.record_stage(rid, StageKind::Parse, parse_started.elapsed(), 0);
-                    match d.search_traced(&req, rid) {
-                        Ok(resp) => {
-                            // The respond stage here is response
-                            // serialization; the line write happens
-                            // on the daemon loop.
-                            let respond_started = Instant::now();
-                            let wire = resp.to_wire();
-                            d.record_stage(rid, StageKind::Respond, respond_started.elapsed(), 0);
-                            result_response(id, wire)
-                        }
-                        Err(e) => serve_error_response(id, &e),
-                    }
-                }
-                Err(e) => {
-                    d.note_bad_request();
-                    serve_error_response(id, &e)
-                }
-            }
-        }
-        "health" => result_response(id, d.health()),
-        "metrics" => result_response(
-            id,
-            obj(vec![
-                ("format", "prometheus".into()),
-                ("body", d.prometheus().as_str().into()),
-            ]),
-        ),
-        "cancel" => match params.get("id").and_then(|v| v.as_str()) {
-            Some(target) => match d.cancel(target) {
-                Ok(()) => result_response(id, obj(vec![("cancelled", target.into())])),
-                Err(e) => serve_error_response(id, &e),
-            },
-            None => {
-                d.note_bad_request();
-                error_response(id, INVALID_PARAMS, "missing string field \"id\"", None)
-            }
-        },
-        "shutdown" => {
-            d.begin_drain();
-            result_response(id, obj(vec![("draining", true.into())]))
-        }
-        other => error_response(
-            id,
+    // `respond` times the result's serialisation; the daemon writes it.
+    let outcome = operate(d, method, Ok(params), |reply| match reply {
+        Ok(Reply::Json(result)) => Ok(result),
+        Ok(Reply::Text { format, body, .. }) => Ok(obj(vec![
+            ("format", format.into()),
+            ("body", body.as_str().into()),
+        ])),
+        Err(e) => Err(error(rpc_code(&e), &e.to_string(), Some(e.to_wire()))),
+    });
+    let outcome = outcome.unwrap_or_else(|| {
+        Err(error(
             METHOD_NOT_FOUND,
-            &format!("unknown method {other:?}"),
+            &format!("unknown method {method:?}"),
             None,
-        ),
-    }
+        ))
+    });
+    Some(envelope(id, outcome))
 }
 
-fn result_response(id: JsonValue, result: JsonValue) -> JsonValue {
-    obj(vec![
-        ("jsonrpc", "2.0".into()),
-        ("id", id),
-        ("result", result),
-    ])
+/// The rendered response object: a `result`, or an `error` object.
+fn envelope(id: JsonValue, outcome: Result<JsonValue, JsonValue>) -> String {
+    let body = match outcome {
+        Ok(result) => ("result", result),
+        Err(error) => ("error", error),
+    };
+    obj(vec![("jsonrpc", "2.0".into()), ("id", id), body]).render()
 }
 
-fn serve_error_response(id: JsonValue, e: &ServeError) -> JsonValue {
-    error_response(id, rpc_code(e), &e.to_string(), Some(e.to_wire()))
-}
-
-fn error_response(id: JsonValue, code: i64, message: &str, data: Option<JsonValue>) -> JsonValue {
+/// A JSON-RPC error object; a refusal's typed envelope rides in `data`.
+fn error(code: i64, message: &str, data: Option<JsonValue>) -> JsonValue {
     let mut err = vec![("code", code.into()), ("message", message.into())];
-    if let Some(data) = data {
-        err.push(("data", data));
-    }
-    obj(vec![
-        ("jsonrpc", "2.0".into()),
-        ("id", id),
-        ("error", obj(err)),
-    ])
+    err.extend(data.map(|data| ("data", data)));
+    obj(err)
 }

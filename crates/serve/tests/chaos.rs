@@ -5,7 +5,7 @@
 //! Every blocking step runs under a watchdog (`recv_timeout`), so a
 //! regression that hangs fails the suite instead of wedging it.
 
-use std::io::{BufReader, Cursor, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -158,12 +158,8 @@ fn rpc_front_end_returns_partial_result_under_faults() {
         r#"{{"jsonrpc":"2.0","id":1,"method":"search","params":{{"query":"{}"}}}}"#,
         query_text(6)
     );
-    let out = bounded(move || {
-        let mut out = Vec::new();
-        aalign_serve::rpc::serve_stdio(BufReader::new(Cursor::new(line)), &mut out, &d).unwrap();
-        String::from_utf8(out).unwrap()
-    });
-    let resp = JsonValue::parse(out.lines().next().unwrap()).unwrap();
+    let out = bounded(move || aalign_serve::rpc::respond_line(&line, &d).unwrap());
+    let resp = JsonValue::parse(&out).unwrap();
     let report = resp
         .get("result")
         .expect("partial is a result, not an error");

@@ -1,7 +1,7 @@
 //! Front-end conformance: the HTTP and stdio JSON-RPC transports
 //! speak the same versioned wire schema over one dispatcher.
 
-use std::io::{BufReader, Cursor, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -13,7 +13,7 @@ use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
 use aalign_core::{AlignConfig, Aligner, GapModel};
 use aalign_obs::wire::JsonValue;
 use aalign_serve::http::serve_http;
-use aalign_serve::rpc::serve_stdio;
+use aalign_serve::rpc::respond_line;
 use aalign_serve::{Dispatcher, DispatcherConfig};
 
 fn dispatcher() -> Arc<Dispatcher> {
@@ -82,16 +82,13 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16,
     (status, payload)
 }
 
-/// Drive the JSON-RPC loop with a scripted session; returns one
-/// parsed response per request line.
+/// Drive a scripted JSON-RPC session one line at a time, as the stdio
+/// daemon does; returns one parsed response per request line.
 fn rpc(d: &Dispatcher, lines: &[String]) -> Vec<JsonValue> {
-    let input = lines.join("\n");
-    let mut out = Vec::new();
-    serve_stdio(BufReader::new(Cursor::new(input)), &mut out, d).unwrap();
-    String::from_utf8(out)
-        .unwrap()
-        .lines()
-        .map(|l| JsonValue::parse(l).expect("every response line is JSON"))
+    lines
+        .iter()
+        .filter_map(|line| respond_line(line, d))
+        .map(|l| JsonValue::parse(&l).expect("every response is JSON"))
         .collect()
 }
 
@@ -303,68 +300,227 @@ fn http_shutdown_drains_and_refuses_new_requests() {
     server.shutdown();
 }
 
+/// One operation asked of both doors: the HTTP request, the JSON-RPC
+/// method and params, and what each door must answer.
+struct Row {
+    http: (&'static str, &'static str, Option<String>),
+    method: &'static str,
+    params: Option<String>,
+    status: u16,
+    /// The JSON-RPC error code, or `None` for a `result`.
+    rpc_error: Option<i64>,
+}
+
+/// `doc` with the values that measure time or load — never equal
+/// across two dispatchers — replaced by `null`.
+fn unmeasured(doc: &JsonValue) -> JsonValue {
+    const MEASURED: [&str; 5] = ["metrics", "stages", "uptime_ms", "at_us", "dur_us"];
+    match doc {
+        JsonValue::Object(fields) => JsonValue::Object(
+            fields
+                .iter()
+                .map(|(k, v)| {
+                    let v = if MEASURED.contains(&k.as_str()) {
+                        JsonValue::Null
+                    } else {
+                        unmeasured(v)
+                    };
+                    (k.clone(), v)
+                })
+                .collect(),
+        ),
+        JsonValue::Array(items) => JsonValue::Array(items.iter().map(unmeasured).collect()),
+        other => other.clone(),
+    }
+}
+
+/// A text body without its measured values: Prometheus latency
+/// quantiles and sums lose their value, flight-recorder lines their
+/// timestamps and durations (and are sorted: stages of one request
+/// may be recorded by different threads).
+fn unmeasured_text(text: &str) -> Vec<String> {
+    let mut lines: Vec<String> = text
+        .lines()
+        .map(|line| match JsonValue::parse(line) {
+            Ok(doc) => unmeasured(&doc).render(),
+            Err(_) if line.contains("_seconds{") || line.contains("_seconds_sum") => {
+                line.rsplit_once(' ').unwrap().0.to_string()
+            }
+            Err(_) => line.to_string(),
+        })
+        .collect();
+    lines.sort();
+    lines
+}
+
+/// The cross-door check, one row per operation: two dispatchers in
+/// the same state, one behind each door, get the same request; the
+/// HTTP body must equal the JSON-RPC `result` (or, for a refusal, its
+/// `error.data`), measured values aside.
 #[test]
 fn rpc_session_mirrors_http_semantics() {
-    let d = dispatcher();
     let q = query_text();
+    let post = |path, body: &str| ("POST", path, Some(body.to_string()));
+    let rows = [
+        Row {
+            http: post("/v1/search", &format!(r#"{{"query":"{q}","top_n":5}}"#)),
+            method: "search",
+            params: Some(format!(r#"{{"query":"{q}","top_n":5}}"#)),
+            status: 200,
+            rpc_error: None,
+        },
+        Row {
+            http: post("/v1/search", r#"{"query":""}"#),
+            method: "search",
+            params: Some(r#"{"query":""}"#.to_string()),
+            status: 422,
+            rpc_error: Some(-32004),
+        },
+        Row {
+            http: post("/v1/cancel", r#"{"id":"ghost"}"#),
+            method: "cancel",
+            params: Some(r#"{"id":"ghost"}"#.to_string()),
+            status: 404,
+            rpc_error: Some(-32005),
+        },
+        Row {
+            http: post("/v1/cancel", "{}"),
+            method: "cancel",
+            params: Some("{}".to_string()),
+            status: 400,
+            rpc_error: Some(-32602),
+        },
+        Row {
+            http: ("GET", "/v1/health", None),
+            method: "health",
+            params: None,
+            status: 200,
+            rpc_error: None,
+        },
+        Row {
+            http: ("GET", "/metrics", None),
+            method: "metrics",
+            params: None,
+            status: 200,
+            rpc_error: None,
+        },
+        Row {
+            http: ("GET", "/debug/flight", None),
+            method: "flight",
+            params: None,
+            status: 200,
+            rpc_error: None,
+        },
+        Row {
+            http: ("GET", "/nope", None),
+            method: "nope",
+            params: None,
+            status: 404,
+            rpc_error: Some(-32601),
+        },
+        Row {
+            http: post("/v1/shutdown", ""),
+            method: "shutdown",
+            params: None,
+            status: 200,
+            rpc_error: None,
+        },
+        // After shutdown: the draining refusal.
+        Row {
+            http: post("/v1/search", &format!(r#"{{"query":"{q}"}}"#)),
+            method: "search",
+            params: Some(format!(r#"{{"query":"{q}"}}"#)),
+            status: 503,
+            rpc_error: Some(-32002),
+        },
+    ];
+
+    let (behind_http, behind_rpc) = (dispatcher(), dispatcher());
+    let server = HttpServer::start(Arc::clone(&behind_http));
+    for (n, row) in rows.iter().enumerate() {
+        let (verb, path, body) = &row.http;
+        let (status, http_body) = http(server.addr, verb, path, body.as_deref());
+        let params = row
+            .params
+            .as_ref()
+            .map_or(String::new(), |p| format!(r#","params":{p}"#));
+        let line = format!(
+            r#"{{"jsonrpc":"2.0","id":{n},"method":"{}"{params}}}"#,
+            row.method
+        );
+        let response = &rpc(&behind_rpc, &[line])[0];
+        let what = format!("{verb} {path} / {}", row.method);
+        assert_eq!(status, row.status, "{what}: {http_body}");
+        assert_eq!(
+            response.get("id").and_then(JsonValue::as_u64),
+            Some(n as u64),
+            "{what}"
+        );
+
+        let error = response.get("error");
+        assert_eq!(
+            error
+                .and_then(|e| e.get("code"))
+                .and_then(JsonValue::as_i64),
+            row.rpc_error,
+            "{what}: {}",
+            response.render()
+        );
+        // The JSON-RPC door's own refusal (no such method) has no
+        // typed envelope to compare.
+        if row.rpc_error == Some(-32601) {
+            assert!(error.and_then(|e| e.get("data")).is_none(), "{what}");
+            continue;
+        }
+        let answer = match error {
+            Some(e) => e
+                .get("data")
+                .unwrap_or_else(|| panic!("{what}: no error.data")),
+            None => response.get("result").unwrap(),
+        };
+        match answer.get("body").and_then(JsonValue::as_str) {
+            Some(text) => {
+                assert_eq!(unmeasured_text(&http_body), unmeasured_text(text), "{what}");
+                assert!(answer.get("format").and_then(|f| f.as_str()).is_some());
+            }
+            None => {
+                let http_doc = JsonValue::parse(&http_body).unwrap();
+                assert_eq!(unmeasured(&http_doc), unmeasured(answer), "{what}");
+            }
+        }
+        // The HTTP connection thread records a search's `respond`
+        // stage after the client has its body; wait for it, so both
+        // dispatchers enter the next row in the same state.
+        let started = Instant::now();
+        while behind_http.flight().recorded() != behind_rpc.flight().recorded() {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "{what}: stages differ"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    server.shutdown();
+
+    // The report itself decodes through the shared wire layer, and the
+    // malformed lines only the JSON-RPC door can receive are typed.
     let responses = rpc(
-        &d,
+        &dispatcher(),
         &[
-            r#"{"jsonrpc":"2.0","id":1,"method":"health"}"#.to_string(),
-            format!(
-                r#"{{"jsonrpc":"2.0","id":2,"method":"search","params":{{"query":"{q}","top_n":5}}}}"#
-            ),
-            r#"{"jsonrpc":"2.0","id":3,"method":"search","params":{"query":""}}"#.to_string(),
-            r#"{"jsonrpc":"2.0","id":4,"method":"nope"}"#.to_string(),
+            format!(r#"{{"jsonrpc":"2.0","id":1,"method":"search","params":{{"query":"{q}"}}}}"#),
             "{garbage".to_string(),
-            r#"{"jsonrpc":"2.0","id":5,"method":"cancel","params":{"id":"ghost"}}"#.to_string(),
-            r#"{"jsonrpc":"2.0","id":6,"method":"shutdown"}"#.to_string(),
-            format!(r#"{{"jsonrpc":"2.0","id":7,"method":"search","params":{{"query":"{q}"}}}}"#),
+            r#"{"jsonrpc":"2.0","id":2}"#.to_string(),
         ],
     );
-    assert_eq!(responses.len(), 8);
-
-    let result = |i: usize| responses[i].get("result").unwrap();
-    let error_code = |i: usize| {
+    aalign_par::wire::report_from_wire(responses[0].get("result").unwrap()).unwrap();
+    let code = |i: usize| {
         responses[i]
             .get("error")
             .and_then(|e| e.get("code"))
             .and_then(JsonValue::as_i64)
-            .unwrap()
     };
-
-    assert_eq!(result(0).get("status").and_then(|s| s.as_str()), Some("ok"));
-
-    let report = result(1);
-    assert_eq!(
-        report.get("schema_version").and_then(JsonValue::as_u64),
-        Some(1)
-    );
-    assert_eq!(
-        report.get("hits").and_then(|h| h.as_array()).unwrap().len(),
-        5
-    );
-    aalign_par::wire::report_from_wire(report).unwrap();
-
-    assert_eq!(error_code(2), -32004, "engine failure");
-    assert_eq!(error_code(3), -32601, "method not found");
-    assert_eq!(error_code(4), -32700, "parse error");
-    assert_eq!(error_code(5), -32005, "unknown cancel id");
-    assert_eq!(
-        result(6).get("draining").and_then(JsonValue::as_bool),
-        Some(true)
-    );
-    assert_eq!(error_code(7), -32002, "draining refusal");
-    // The typed envelope rides along in error.data.
-    assert_eq!(
-        responses[7]
-            .get("error")
-            .and_then(|e| e.get("data"))
-            .and_then(|d| d.get("error"))
-            .and_then(|e| e.get("code"))
-            .and_then(|c| c.as_str()),
-        Some("draining")
-    );
+    assert_eq!(code(1), Some(-32700), "parse error");
+    assert_eq!(code(2), Some(-32600), "invalid request");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 mod common;
 
-use std::io::{BufReader, Cursor, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use aalign_obs::jsonl::read_events;
 use aalign_obs::wire::{histogram_from_wire, JsonValue};
 use aalign_obs::{StageKind, TraceEvent};
 use aalign_serve::http::serve_http;
-use aalign_serve::rpc::serve_stdio;
+use aalign_serve::rpc::respond_line;
 use aalign_serve::{Dispatcher, DispatcherConfig, Local, SearchRequest};
 
 use common::{wait_inflight, Held};
@@ -291,9 +291,7 @@ fn rpc_search_is_traced_too() {
     let q = query_text(4, 60);
     let input =
         format!(r#"{{"jsonrpc":"2.0","id":1,"method":"search","params":{{"query":"{q}"}}}}"#);
-    let mut out = Vec::new();
-    serve_stdio(BufReader::new(Cursor::new(input)), &mut out, &d).unwrap();
-    let response = JsonValue::parse(String::from_utf8(out).unwrap().trim()).unwrap();
+    let response = JsonValue::parse(&respond_line(&input, &d).unwrap()).unwrap();
     let rid = response
         .get("result")
         .and_then(|r| r.get("request_id"))

@@ -408,6 +408,49 @@ fn one_backend_seam_and_one_request_schema() {
     );
 }
 
+/// Both serve doors run one request table: each operation's work —
+/// decoding the request, the traced search, a cancel, the start of a
+/// drain — is written once, in `rpc::operate`, and HTTP only frames
+/// and routes to it. (The daemon's own drain on EOF or a signal lives
+/// in daemon.rs, outside the doors.) The test-only stdio loop and the
+/// HTTP door's private request parsers stay deleted; the shard
+/// worker's `WorkerCommand::serve_stdio` (a child's command line) is
+/// another thing, so only the serve crate is searched for that name.
+#[test]
+fn one_request_table() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let serve = root.join("crates/serve");
+    let doors: String = ["http.rs", "rpc.rs"]
+        .iter()
+        .map(|file| std::fs::read_to_string(serve.join("src").join(file)).unwrap())
+        .collect();
+    for needle in [
+        "SearchRequest::from_wire",
+        "search_traced(",
+        "d.cancel(",
+        "begin_drain()",
+    ] {
+        assert_eq!(
+            doors.matches(needle).count(),
+            1,
+            "`{needle}` in crates/serve/src/{{http,rpc}}.rs: once, in rpc::operate"
+        );
+    }
+
+    assert_absent(
+        &all_sources(root),
+        &["rpc::serve_stdio", "parse_search", "parse_cancel"],
+        "both doors hand the request to rpc::operate; tests drive rpc::respond_line",
+    );
+    let mut serve_sources = Vec::new();
+    rust_sources(&serve, &mut serve_sources);
+    assert_absent(
+        &serve_sources,
+        &["serve_stdio"],
+        "the stdio daemon is run_daemon over rpc::respond_line",
+    );
+}
+
 /// A served request costs its work, not a poll period: the accept loop
 /// parks on the listener's descriptor, so a connection is picked up
 /// when it arrives. With a fixed sleep there instead, every op of a
