@@ -15,9 +15,11 @@
 //!    a `#[target_feature]` caller). When `#[target_feature(enable)]`
 //!    is present, the intrinsic families used must be covered by the
 //!    enabled feature — `_mm512_*` inside an `avx2` wrapper is a bug.
-//! 3. **Unsafe doesn't creep.** Per-file `unsafe` counts are pinned to
-//!    a checked-in baseline; a count above baseline fails, below
-//!    passes with a note to tighten the baseline.
+//! 3. **Unsafe is pinned.** Per-file `unsafe` counts are an exact
+//!    [`Inventory`] checked in as `audit_baseline.txt`: a count that
+//!    grows or shrinks, a new file and a vanished one are all drift,
+//!    so every change to the unsafe surface is a deliberate baseline
+//!    edit — the rule the other three pinned passes follow.
 //!
 //! The lexical approach has known limits (it reads line comments, not
 //! the full grammar; `unsafe` inside a string literal would be
@@ -25,8 +27,9 @@
 //! backends, where those constructs don't occur, and it keeps the
 //! analyzer free of syn-style dependencies so it runs fully offline.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+use crate::inventory::Inventory;
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,48 +72,14 @@ impl AuditReport {
         self.findings.is_empty()
     }
 
-    /// The baseline text this report would pin (rule 3 format).
-    pub fn baseline_text(&self) -> String {
-        let mut out = String::new();
+    /// The unsafe-count inventory (rule 3): each file's count under
+    /// its name, pinned in `audit_baseline.txt`.
+    pub fn inventory(&self) -> Inventory {
+        let mut inventory = Inventory::default();
         for f in &self.files {
-            let _ = writeln!(out, "{} {}", f.file, f.unsafe_count);
+            inventory.add(f.file.as_str(), f.unsafe_count);
         }
-        out
-    }
-
-    /// Compare against a checked-in baseline (`<file> <count>` lines).
-    /// Returns violations: count regressions and unknown files.
-    pub fn check_baseline(&self, baseline: &str) -> Vec<String> {
-        let mut pinned = std::collections::BTreeMap::new();
-        for line in baseline.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some((name, count)) = line.rsplit_once(' ') {
-                if let Ok(count) = count.parse::<usize>() {
-                    pinned.insert(name.to_string(), count);
-                }
-            }
-        }
-        let mut problems = Vec::new();
-        for f in &self.files {
-            match pinned.get(&f.file) {
-                None if f.unsafe_count > 0 => problems.push(format!(
-                    "{}: {} unsafe usages but the file is not in the baseline — \
-                     audit it and add `{} {}`",
-                    f.file, f.unsafe_count, f.file, f.unsafe_count
-                )),
-                None => {}
-                Some(&allowed) if f.unsafe_count > allowed => problems.push(format!(
-                    "{}: unsafe count grew {} → {} — justify the new unsafe and \
-                     update the baseline deliberately",
-                    f.file, allowed, f.unsafe_count
-                )),
-                Some(_) => {}
-            }
-        }
-        problems
+        inventory
     }
 }
 
@@ -462,44 +431,53 @@ mod tests {
         let src = std::fs::read_to_string(&path).unwrap();
         let (count, findings) = audit_source("avx512.rs", &src);
         assert!(findings.is_empty(), "{findings:?}");
-        let pinned = VEC_BASELINE
-            .lines()
-            .find_map(|l| l.strip_prefix("avx512.rs "))
-            .and_then(|c| c.trim().parse::<usize>().ok())
-            .expect("avx512.rs must be pinned in the baseline");
-        assert_eq!(count, pinned, "avx512.rs unsafe count drifted off baseline");
+        let mut alone = Inventory::default();
+        alone.add("avx512.rs", count);
+        let drift = alone.drift(VEC_BASELINE);
+        assert!(
+            !drift.iter().any(|p| p.contains("avx512.rs")),
+            "avx512.rs unsafe count drifted off baseline: {drift:?}"
+        );
         assert!(count > 0, "the avx512 backend is intrinsics code");
+    }
+
+    fn one_file(file: &str, unsafe_count: usize) -> AuditReport {
+        AuditReport {
+            files: vec![FileAudit {
+                file: file.into(),
+                unsafe_count,
+            }],
+            findings: vec![],
+        }
     }
 
     #[test]
     fn baseline_regression_detected() {
-        let report = AuditReport {
-            files: vec![FileAudit {
-                file: "avx2.rs".into(),
-                unsafe_count: 30,
-            }],
-            findings: vec![],
-        };
-        let problems = report.check_baseline("avx2.rs 26\n");
+        let report = one_file("avx2.rs", 30);
+        let problems = report.inventory().drift("avx2.rs 26\n");
         assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("grew"));
-        assert!(report.check_baseline("avx2.rs 30\n").is_empty());
-        // Below baseline is fine.
-        assert!(report.check_baseline("avx2.rs 31\n").is_empty());
+        assert!(
+            problems[0].contains("count changed 26 → 30"),
+            "{problems:?}"
+        );
+        assert!(report.inventory().drift("avx2.rs 30\n").is_empty());
+        // Below baseline is drift too: the pin is exact.
+        let problems = report.inventory().drift("avx2.rs 31\n");
+        assert_eq!(problems.len(), 1);
+        assert!(
+            problems[0].contains("count changed 31 → 30"),
+            "{problems:?}"
+        );
     }
 
     #[test]
     fn unknown_file_with_unsafe_detected() {
-        let report = AuditReport {
-            files: vec![FileAudit {
-                file: "newbackend.rs".into(),
-                unsafe_count: 3,
-            }],
-            findings: vec![],
-        };
-        let problems = report.check_baseline("avx2.rs 26\n");
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("not in the baseline"));
+        let problems = one_file("newbackend.rs", 3)
+            .inventory()
+            .drift("avx2.rs 26\n");
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(problems[0].contains("new entry `newbackend.rs 3`"));
+        assert!(problems[1].contains("`avx2.rs 26` vanished"));
     }
 
     /// The real backends must pass the lint and match the baseline —
@@ -517,7 +495,7 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        let problems = report.check_baseline(VEC_BASELINE);
-        assert!(problems.is_empty(), "baseline violations: {problems:?}");
+        let problems = report.inventory().drift(VEC_BASELINE);
+        assert!(problems.is_empty(), "baseline drift: {problems:?}");
     }
 }

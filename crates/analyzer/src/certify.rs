@@ -16,8 +16,8 @@
 //! guards keep the prover honest:
 //!
 //! * the certificate inventory over the shipped configurations is
-//!   pinned in `certify_baseline.txt` (same exact-pin discipline as
-//!   the conformance and atomics baselines);
+//!   pinned in `certify_baseline.txt`, an exact [`Inventory`] like
+//!   every pinned pass;
 //! * a seeded mutation self-test ([`CertMutation`]) perturbs a
 //!   certified configuration (matrix entry at the lane cap, scaled
 //!   entries, blown-up lengths, extreme gap extension) and *requires*
@@ -25,7 +25,6 @@
 //! * the differential gate in `aalign-par` runs searches at certified
 //!   widths and asserts the rescue ladder never fires.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use aalign_bio::SubstMatrix;
@@ -35,6 +34,8 @@ use aalign_codegen::interpret::BindError;
 use aalign_codegen::{analyze, parse_program, spec_to_config, KernelSpec};
 use aalign_core::certify::{certify, lane_cap, CertTerm, WidthCertificate};
 use aalign_core::{AlignConfig, GapModel};
+
+use crate::inventory::Inventory;
 
 /// The result of the certify pass for one kernel configuration: one
 /// certificate per lane width, plus everything needed to render
@@ -312,66 +313,24 @@ impl CertifyPass {
         self.reports.iter().all(CertifyReport::is_certifiable)
     }
 
-    /// The baseline text this pass pins: one line per (config, width)
-    /// verdict — `<label> <matrix> q<max> s<max> i<bits> <verdict> 1`
-    /// — sorted, the same `<key> <count>` shape as the other
-    /// analyzer baselines.
-    pub fn baseline_text(&self) -> String {
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+    /// The inventory this pass pins in `certify_baseline.txt`: one
+    /// entry per (config, width) verdict —
+    /// `<label> <matrix> q<max> s<max> i<bits> <verdict> 1`.
+    pub fn inventory(&self) -> Inventory {
+        let mut inventory = Inventory::default();
         for r in &self.reports {
             for c in &r.certificates {
                 let verdict = if c.granted { "granted" } else { "denied" };
-                *counts
-                    .entry(format!(
+                inventory.add(
+                    format!(
                         "{} {} q{} s{} i{} {verdict}",
                         r.label, r.matrix, r.max_query, r.max_subject, c.lane_bits
-                    ))
-                    .or_default() += 1;
+                    ),
+                    1,
+                );
             }
         }
-        let mut out = String::new();
-        for (key, count) in counts {
-            let _ = writeln!(out, "{key} {count}");
-        }
-        out
-    }
-
-    /// Exact two-way comparison against the checked-in baseline:
-    /// missing, new, and changed entries are all drift.
-    pub fn check_baseline(&self, baseline: &str) -> Vec<String> {
-        let parse = |text: &str| -> BTreeMap<String, usize> {
-            let mut m = BTreeMap::new();
-            for line in text.lines() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                if let Some((key, count)) = line.rsplit_once(' ') {
-                    if let Ok(count) = count.parse::<usize>() {
-                        m.insert(key.to_string(), count);
-                    }
-                }
-            }
-            m
-        };
-        let actual = parse(&self.baseline_text());
-        let expected = parse(baseline);
-        let mut problems = Vec::new();
-        for (key, count) in &actual {
-            match expected.get(key) {
-                None => problems.push(format!("new entry not in baseline: {key} {count}")),
-                Some(want) if want != count => {
-                    problems.push(format!("{key}: count {count} != baseline {want}"));
-                }
-                Some(_) => {}
-            }
-        }
-        for (key, count) in &expected {
-            if !actual.contains_key(key) {
-                problems.push(format!("baseline entry vanished: {key} {count}"));
-            }
-        }
-        problems
+        inventory
     }
 }
 
@@ -573,13 +532,13 @@ mod tests {
     fn shipped_inventory_certifies_and_matches_baseline() {
         let p = pass();
         assert!(p.is_certified(), "a shipped config lost all widths");
-        let drift = p.check_baseline(CERTIFY_BASELINE);
+        let inventory = p.inventory();
+        let drift = inventory.drift(CERTIFY_BASELINE);
         assert!(
             drift.is_empty(),
             "certificate inventory drift (regenerate with `aalign-analyzer certify \
-             --print-baseline`):\n{}\n\ncurrent baseline text:\n{}",
+             --print-baseline`):\n{}\n\ncurrent baseline text:\n{inventory}",
             drift.join("\n"),
-            p.baseline_text()
         );
     }
 
@@ -631,27 +590,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn baseline_detects_drift_both_ways() {
-        let p = pass();
-        let mut plus = p.baseline_text();
-        plus.push_str("ghost-kernel dna q1 s1 i8 granted 1\n");
-        assert!(p
-            .check_baseline(&plus)
-            .iter()
-            .any(|m| m.contains("vanished")));
-        let minus = p
-            .baseline_text()
-            .lines()
-            .skip(1)
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(p
-            .check_baseline(&minus)
-            .iter()
-            .any(|m| m.contains("not in baseline")));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!    edge, so either the ordering or the claim is wrong.
 //! 4. **The inventory is pinned.** The full set of atomic sites —
 //!    `(file, operation, ordering)` with counts — must exactly match
-//!    a checked-in baseline, so any new atomic, removed atomic, or
-//!    ordering change shows up in review as a deliberate baseline
-//!    edit.
+//!    a checked-in baseline (the [`Inventory`] rule every pinned pass
+//!    shares), so any new atomic, removed atomic, or ordering change
+//!    shows up in review as a deliberate baseline edit.
 //!
 //! This static pass is the deliberate complement of the loom suites
 //! in `crates/par/tests/loom_*.rs`: the vendored model checker
@@ -35,9 +35,9 @@
 //! assertions routinely use `Relaxed` probes whose orderings are
 //! irrelevant.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+use crate::inventory::Inventory;
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,67 +85,14 @@ impl ConcurrencyReport {
         self.findings.is_empty()
     }
 
-    /// The baseline text this report would pin (rule 4 format:
-    /// `<file> <op> <ordering> <count>` lines, sorted).
-    pub fn baseline_text(&self) -> String {
-        let mut counts: BTreeMap<(String, String, String), usize> = BTreeMap::new();
+    /// The atomics inventory (rule 4): sites counted per
+    /// `<file> <op> <ordering>`, pinned in `concurrency_baseline.txt`.
+    pub fn inventory(&self) -> Inventory {
+        let mut inventory = Inventory::default();
         for s in &self.sites {
-            *counts
-                .entry((s.file.clone(), s.op.clone(), s.ordering.clone()))
-                .or_default() += 1;
+            inventory.add(format!("{} {} {}", s.file, s.op, s.ordering), 1);
         }
-        let mut out = String::new();
-        for ((file, op, ordering), count) in counts {
-            let _ = writeln!(out, "{file} {op} {ordering} {count}");
-        }
-        out
-    }
-
-    /// Compare against a checked-in baseline. Unlike the unsafe-count
-    /// baseline (a one-sided ceiling), the atomics inventory is an
-    /// **exact** pin: new sites, vanished sites, moved orderings and
-    /// changed counts are all drift.
-    pub fn check_baseline(&self, baseline: &str) -> Vec<String> {
-        let parse = |text: &str| -> BTreeMap<String, usize> {
-            let mut m = BTreeMap::new();
-            for line in text.lines() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                if let Some((key, count)) = line.rsplit_once(' ') {
-                    if let Ok(count) = count.parse::<usize>() {
-                        m.insert(key.to_string(), count);
-                    }
-                }
-            }
-            m
-        };
-        let pinned = parse(baseline);
-        let actual = parse(&self.baseline_text());
-        let mut problems = Vec::new();
-        for (key, &count) in &actual {
-            match pinned.get(key) {
-                None => problems.push(format!(
-                    "new atomic site class `{key}` ({count} site(s)) not in the baseline — \
-                     justify the ordering and add `{key} {count}`"
-                )),
-                Some(&allowed) if allowed != count => problems.push(format!(
-                    "atomic site class `{key}` count changed {allowed} → {count} — \
-                     update the baseline deliberately"
-                )),
-                Some(_) => {}
-            }
-        }
-        for key in pinned.keys() {
-            if !actual.contains_key(key) {
-                problems.push(format!(
-                    "baseline entry `{key}` no longer exists — remove it so the \
-                     inventory stays exact"
-                ));
-            }
-        }
-        problems
+        inventory
     }
 }
 
@@ -496,31 +443,25 @@ mod tests {
     }
 
     #[test]
-    fn baseline_drift_is_detected_both_ways() {
+    fn the_inventory_counts_sites_per_file_op_and_ordering() {
+        let site = |file: &str, op: &str| AtomicSite {
+            file: file.into(),
+            line: 1,
+            op: op.into(),
+            ordering: "Relaxed".into(),
+        };
         let report = ConcurrencyReport {
-            sites: vec![AtomicSite {
-                file: "par/a.rs".into(),
-                line: 1,
-                op: "load".into(),
-                ordering: "Relaxed".into(),
-            }],
+            sites: vec![
+                site("par/a.rs", "load"),
+                site("par/a.rs", "load"),
+                site("obs/b.rs", "swap"),
+            ],
             findings: vec![],
         };
-        assert!(report
-            .check_baseline("par/a.rs load Relaxed 1\n")
-            .is_empty());
-        // New site class.
-        let drift = report.check_baseline("");
-        assert_eq!(drift.len(), 1);
-        assert!(drift[0].contains("new atomic site class"), "{drift:?}");
-        // Count change.
-        let drift = report.check_baseline("par/a.rs load Relaxed 2\n");
-        assert_eq!(drift.len(), 1);
-        assert!(drift[0].contains("count changed"), "{drift:?}");
-        // Vanished site.
-        let drift = report.check_baseline("par/a.rs load Relaxed 1\npar/b.rs store Release 1\n");
-        assert_eq!(drift.len(), 1);
-        assert!(drift[0].contains("no longer exists"), "{drift:?}");
+        assert_eq!(
+            report.inventory().to_string(),
+            "obs/b.rs swap Relaxed 1\npar/a.rs load Relaxed 2\n"
+        );
     }
 
     /// The real concurrent crates must pass the lint and match the
@@ -539,12 +480,12 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        let problems = report.check_baseline(CONCURRENCY_BASELINE);
+        let inventory = report.inventory();
+        let problems = inventory.drift(CONCURRENCY_BASELINE);
         assert!(
             problems.is_empty(),
-            "baseline drift:\n{}\nactual inventory:\n{}",
+            "baseline drift:\n{}\nactual inventory:\n{inventory}",
             problems.join("\n"),
-            report.baseline_text()
         );
     }
 }

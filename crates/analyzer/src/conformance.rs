@@ -46,7 +46,8 @@
 //! a **failed** obligation with a caret diagnostic pointing at the
 //! offending statement, not a panic. The full obligation inventory and
 //! the harness's variant coverage are pinned in
-//! `conformance_baseline.txt` exactly like the atomics inventory.
+//! `conformance_baseline.txt`, an exact [`Inventory`] like every
+//! pinned pass.
 //!
 //! [`ScoreBounds::fits`]: aalign_core::ScoreBounds::fits
 
@@ -58,6 +59,8 @@ use aalign_codegen::emit::GapBindings;
 use aalign_codegen::{analyze, parse_program, spec_to_config, KernelSpec};
 use aalign_core::conformance::{run_harness, ConformanceReport, HarnessOptions};
 use aalign_core::ScoreBounds;
+
+use crate::inventory::Inventory;
 
 /// Unroll depth for the Eq. (2) family check. Four steps pins the
 /// base case, two induction steps, and the residual — enough to
@@ -1139,68 +1142,22 @@ impl ConformancePass {
         self.proofs.iter().all(KernelProof::is_discharged) && self.harness.is_bit_exact()
     }
 
-    /// The baseline text this pass pins: the obligation inventory
-    /// (`<kernel> <obligation> <status> 1`) plus the harness's variant
-    /// coverage (`harness <variant> <config-count>`), sorted — the
-    /// same `<key> <count>` shape as the atomics baseline, and the
-    /// same exact-pin discipline.
-    pub fn baseline_text(&self) -> String {
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+    /// The inventory this pass pins in `conformance_baseline.txt`:
+    /// the obligations (`<kernel> <obligation> <status> 1`) plus the
+    /// harness's variant coverage (`harness <variant> <config-count>`).
+    pub fn inventory(&self) -> Inventory {
+        let mut inventory = Inventory::default();
         for p in &self.proofs {
             for o in &p.obligations {
-                *counts
-                    .entry(format!("{} {} {}", p.kernel, o.id, o.status.word()))
-                    .or_default() += 1;
+                inventory.add(format!("{} {} {}", p.kernel, o.id, o.status.word()), 1);
             }
         }
         for c in &self.harness.configs {
             for s in &c.stats {
-                *counts.entry(format!("harness {}", s.variant)).or_default() += 1;
+                inventory.add(format!("harness {}", s.variant), 1);
             }
         }
-        let mut out = String::new();
-        for (key, count) in counts {
-            let _ = writeln!(out, "{key} {count}");
-        }
-        out
-    }
-
-    /// Exact two-way comparison against the checked-in baseline:
-    /// missing, new, and changed entries are all drift.
-    pub fn check_baseline(&self, baseline: &str) -> Vec<String> {
-        let parse = |text: &str| -> BTreeMap<String, usize> {
-            let mut m = BTreeMap::new();
-            for line in text.lines() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                if let Some((key, count)) = line.rsplit_once(' ') {
-                    if let Ok(count) = count.parse::<usize>() {
-                        m.insert(key.to_string(), count);
-                    }
-                }
-            }
-            m
-        };
-        let actual = parse(&self.baseline_text());
-        let expected = parse(baseline);
-        let mut problems = Vec::new();
-        for (key, count) in &actual {
-            match expected.get(key) {
-                None => problems.push(format!("new entry not in baseline: {key} {count}")),
-                Some(want) if want != count => {
-                    problems.push(format!("{key}: count {count} != baseline {want}"));
-                }
-                Some(_) => {}
-            }
-        }
-        for (key, count) in &expected {
-            if !actual.contains_key(key) {
-                problems.push(format!("baseline entry vanished: {key} {count}"));
-            }
-        }
-        problems
+        inventory
     }
 }
 
@@ -1392,38 +1349,13 @@ mod tests {
             .collect();
         let pass = run_conformance_pass(&sources).unwrap();
         assert!(pass.is_clean());
-        let drift = pass.check_baseline(CONFORMANCE_BASELINE);
+        let inventory = pass.inventory();
+        let drift = inventory.drift(CONFORMANCE_BASELINE);
         assert!(
             drift.is_empty(),
             "conformance inventory drift (regenerate with `aalign-analyzer conformance \
-             --print-baseline`):\n{}\n\ncurrent baseline text:\n{}",
+             --print-baseline`):\n{}\n\ncurrent baseline text:\n{inventory}",
             drift.join("\n"),
-            pass.baseline_text()
         );
-    }
-
-    #[test]
-    fn baseline_detects_drift_both_ways() {
-        let sources: Vec<(String, String)> = builtin_sources()
-            .into_iter()
-            .map(|(n, s)| (n.to_string(), s.to_string()))
-            .collect();
-        let pass = run_conformance_pass(&sources).unwrap();
-        let mut plus = pass.baseline_text();
-        plus.push_str("ghost-kernel diag-term proved 1\n");
-        assert!(pass
-            .check_baseline(&plus)
-            .iter()
-            .any(|p| p.contains("vanished")));
-        let minus = pass
-            .baseline_text()
-            .lines()
-            .skip(1)
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(pass
-            .check_baseline(&minus)
-            .iter()
-            .any(|p| p.contains("not in baseline")));
     }
 }

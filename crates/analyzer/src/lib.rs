@@ -1,6 +1,6 @@
 //! # aalign-analyzer — static verification for AAlign kernels
 //!
-//! Three passes that check properties *before* anything runs:
+//! Six passes that check properties *before* anything runs:
 //!
 //! * [`range`] — interval arithmetic over the generalized recurrences
 //!   (Eq. 2–6): given a [`KernelSpec`](aalign_codegen::KernelSpec),
@@ -21,7 +21,8 @@
 //!   SIMD backends: every `unsafe` needs a `// SAFETY:` comment,
 //!   intrinsic-using functions need a matching `#[target_feature]`
 //!   (or the engine-method `#[inline(always)]` pattern), and
-//!   per-backend unsafe counts are pinned to a checked-in baseline.
+//!   per-backend unsafe counts are pinned exactly to a checked-in
+//!   baseline.
 //! * [`concurrency`] — the atomics-discipline lint over the
 //!   concurrent crates (`aalign-par`, `aalign-obs`): every atomic
 //!   operation needs an `// ORDER:` justification, `SeqCst` must be
@@ -56,6 +57,13 @@
 //!   `certify_baseline.txt`, and a seeded mutation self-test keeps
 //!   the prover honest.
 //!
+//! The last four passes pin what they prove the same way: each builds
+//! an [`Inventory`] (a count per key), `--print-baseline` prints it as
+//! sorted `<key> <count>` lines, and the one exact drift check
+//! ([`Inventory::drift`]) names every new, changed, vanished or
+//! unreadable baseline line against the checked-in
+//! `audit`/`concurrency`/`conformance`/`certify_baseline.txt`.
+//!
 //! The `aalign-analyzer` binary exposes the passes as `check`,
 //! `range`, `audit`, `concurrency`, `conformance` and `certify`
 //! subcommands (all support `--json` for machine-readable output);
@@ -67,6 +75,7 @@ pub mod certify;
 pub mod concurrency;
 pub mod conformance;
 pub mod dataflow;
+pub mod inventory;
 pub mod range;
 
 pub use audit::{audit_dir, audit_source, AuditReport};
@@ -80,4 +89,5 @@ pub use conformance::{
     ObligationStatus, ProveError,
 };
 pub use dataflow::{verify_dataflow, DataflowReport, Diagnostic};
+pub use inventory::Inventory;
 pub use range::{analyze_range, RangeReport};

@@ -21,21 +21,23 @@
 //! Exit codes: 0 = all checks pass, 1 = a pass rejected something,
 //! 2 = usage error.
 
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use aalign_analyzer::audit::{audit_dir, default_vec_src_dir, VEC_BASELINE};
 use aalign_analyzer::certify::{
-    analyze_certify, run_certify_pass, run_mutation_self_test, CertMutation, CertifyReport,
-    CERTIFY_BASELINE,
+    analyze_certify, run_certify_pass, run_mutation_self_test, shipped_configs, shipped_matrix,
+    CertMutation, CertifyReport, CERTIFY_BASELINE,
 };
 use aalign_analyzer::concurrency::{default_concurrency_dirs, scan_dirs, CONCURRENCY_BASELINE};
 use aalign_analyzer::conformance::{run_conformance_pass, ConformancePass, CONFORMANCE_BASELINE};
 use aalign_analyzer::range::analyze_range;
-use aalign_analyzer::{verify_dataflow, DataflowReport};
-use aalign_bio::matrices::BLOSUM62;
+use aalign_analyzer::{verify_dataflow, DataflowReport, Inventory};
 use aalign_bio::SubstMatrix;
 use aalign_codegen::emit::GapBindings;
+use aalign_codegen::interpret::BindError;
 use aalign_codegen::{analyze, parse_program, KernelSpec};
 use aalign_core::conformance::{run_harness, ConformanceReport, HarnessOptions, Mutation};
 use aalign_obs::wire::{obj, JsonValue};
@@ -160,26 +162,6 @@ fn check_kernel(name: &str, src: &str) -> Result<(KernelSpec, DataflowReport), S
     }
 }
 
-/// Text-mode wrapper: prints the outcome, returns pass/fail.
-fn check_one(name: &str, src: &str) -> bool {
-    match check_kernel(name, src) {
-        Ok((spec, report)) => {
-            println!(
-                "{name}: OK — {} ({} tables, {} dependencies, all within the \
-                 anti-diagonal wavefront)",
-                spec.label(),
-                report.tables.len(),
-                report.deps.len()
-            );
-            true
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            false
-        }
-    }
-}
-
 fn exit(ok: bool) -> ExitCode {
     if ok {
         ExitCode::SUCCESS
@@ -203,142 +185,134 @@ fn failed_kernel(name: &str, error: &str) -> JsonValue {
     ])
 }
 
-fn cmd_check(args: &[String], as_json: bool) -> Result<ExitCode, String> {
-    let (sources, _) = resolve_sources(args)?;
-    let mut ok = true;
-    let mut kernels = Vec::new();
-    for (name, src) in &sources {
-        if as_json {
-            kernels.push(match check_kernel(name, src) {
-                Ok((spec, report)) => obj(vec![
-                    ("name", name.as_str().into()),
-                    ("ok", true.into()),
-                    ("label", spec.label().into()),
-                    ("tables", report.tables.len().into()),
-                    ("dependencies", report.deps.len().into()),
-                ]),
-                Err(msg) => {
-                    ok = false;
-                    failed_kernel(name, &msg)
-                }
-            });
-        } else {
-            ok &= check_one(name, src);
-        }
-    }
-    if as_json {
-        println!(
-            "{}",
-            obj(vec![
-                ("pass", "check".into()),
-                ("ok", ok.into()),
-                ("kernels", kernels.into()),
-            ])
-        );
-    }
-    Ok(exit(ok))
+/// Remove every `flag` from `args`; true if there was one.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() != before
 }
 
-fn cmd_range(args: &[String], as_json: bool) -> Result<ExitCode, String> {
-    let mut matrix_name = "blosum62".to_string();
-    let mut open = -12i32;
-    let mut ext = -2i32;
-    let mut max_query = 1024usize;
-    let mut max_subject = 1024usize;
-    let mut rest = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |j: usize| -> Result<&String, String> {
-            args.get(j)
-                .ok_or_else(|| format!("{} needs a value", args[j - 1]))
-        };
-        match args[i].as_str() {
-            "--matrix" => {
-                matrix_name = take(i + 1)?.clone();
-                i += 2;
-            }
-            "--open" => {
-                open = take(i + 1)?.parse().map_err(|_| "--open: not an integer")?;
-                i += 2;
-            }
-            "--ext" => {
-                ext = take(i + 1)?.parse().map_err(|_| "--ext: not an integer")?;
-                i += 2;
-            }
-            "--max-query" => {
-                max_query = take(i + 1)?
-                    .parse()
-                    .map_err(|_| "--max-query: not a length")?;
-                i += 2;
-            }
-            "--max-subject" => {
-                max_subject = take(i + 1)?
-                    .parse()
-                    .map_err(|_| "--max-subject: not a length")?;
-                i += 2;
-            }
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-            }
+/// Remove every `flag VALUE` pair from `args` and parse the last
+/// value; `what` names the kind of value the flag takes.
+fn take_value<T: FromStr>(
+    args: &mut Vec<String>,
+    flag: &str,
+    what: &str,
+) -> Result<Option<T>, String> {
+    let mut value = None;
+    while let Some(i) = args.iter().position(|a| a == flag) {
+        if i + 1 == args.len() {
+            return Err(format!("{flag} needs {what}"));
         }
+        let raw = args.remove(i + 1);
+        args.remove(i);
+        value = Some(
+            raw.parse()
+                .map_err(|_| format!("{flag}: `{raw}` is not {what}"))?,
+        );
+    }
+    Ok(value)
+}
+
+/// The directories named in what is left of `args` once a lint's own
+/// flags are taken; any other flag is a usage error.
+fn dir_args(args: Vec<String>) -> Result<Vec<PathBuf>, String> {
+    args.into_iter()
+        .map(|a| {
+            if a.starts_with("--") {
+                Err(format!("unknown flag `{a}`"))
+            } else {
+                Ok(PathBuf::from(a))
+            }
+        })
+        .collect()
+}
+
+/// The configuration `range` and ad-hoc `certify` bind a kernel to.
+struct Config {
+    matrix: SubstMatrix,
+    bind: GapBindings,
+    max_query: usize,
+    max_subject: usize,
+}
+
+impl Config {
+    /// Take `--matrix/--open/--ext/--max-query/--max-subject` out of
+    /// `args`; a flag left out keeps its default (BLOSUM62, −12/−2,
+    /// 1024 × 1024).
+    fn take(args: &mut Vec<String>) -> Result<Self, String> {
+        let name: String =
+            take_value(args, "--matrix", "a matrix name")?.unwrap_or_else(|| "blosum62".into());
+        let matrix = shipped_matrix(&name)
+            .ok_or_else(|| format!("unknown matrix `{name}` (blosum62|dna)"))?;
+        Ok(Self {
+            matrix,
+            bind: GapBindings {
+                gap_open: take_value(args, "--open", "an integer")?.unwrap_or(-12),
+                gap_ext: take_value(args, "--ext", "an integer")?.unwrap_or(-2),
+            },
+            max_query: take_value(args, "--max-query", "a length")?.unwrap_or(1024),
+            max_subject: take_value(args, "--max-subject", "a length")?.unwrap_or(1024),
+        })
     }
 
-    let dna;
-    let matrix: &SubstMatrix = match matrix_name.as_str() {
-        "blosum62" => &BLOSUM62,
-        "dna" => {
-            dna = SubstMatrix::dna(2, -3);
-            &dna
-        }
-        other => return Err(format!("unknown matrix `{other}` (blosum62|dna)")),
-    };
+    /// Run `analysis` (`analyze_range`, `analyze_certify`) on `spec`
+    /// under this configuration.
+    fn bind<R>(
+        &self,
+        analysis: fn(&KernelSpec, GapBindings, &SubstMatrix, usize, usize) -> Result<R, BindError>,
+        spec: &KernelSpec,
+    ) -> Result<R, String> {
+        analysis(
+            spec,
+            self.bind,
+            &self.matrix,
+            self.max_query,
+            self.max_subject,
+        )
+        .map_err(|e| format!("cannot bind gap constants: {e}"))
+    }
+}
 
-    let (sources, _) = resolve_sources(&rest)?;
+/// One kernel's outcome: whether it passed, its JSON row, its text.
+type Row = (bool, JsonValue, String);
+
+/// Check each source's kernel, hand each one that checks to `row`,
+/// and print the `{"pass", "ok", "kernels"}` document or the rows'
+/// text. A kernel that fails its check, or that `row` cannot analyze,
+/// is reported as failed (on stderr in text mode).
+fn report_kernels(
+    pass: &str,
+    sources: &[(String, String)],
+    as_json: bool,
+    mut row: impl FnMut(&str, &str, &KernelSpec, &DataflowReport) -> Result<Row, String>,
+) -> ExitCode {
     let mut ok = true;
     let mut kernels = Vec::new();
-    for (name, src) in &sources {
-        let checked = check_kernel(name, src);
-        let (spec, _) = match checked {
-            Ok(pair) => pair,
-            Err(msg) => {
-                ok = false;
-                if as_json {
-                    kernels.push(failed_kernel(name, &msg));
-                } else {
-                    eprintln!("{msg}");
-                }
-                continue;
+    for (name, src) in sources {
+        // A failure's (text line, JSON error): a check failure's
+        // message names its kernel already.
+        let outcome = match check_kernel(name, src) {
+            Ok((spec, dataflow)) => {
+                row(name, src, &spec, &dataflow).map_err(|e| (format!("{name}: {e}"), e))
             }
+            Err(msg) => Err((msg.clone(), msg)),
         };
-        let bind = GapBindings {
-            gap_open: open,
-            gap_ext: ext,
-        };
-        match analyze_range(&spec, bind, matrix, max_query, max_subject) {
-            Ok(report) => {
-                let fits = !report.overflows_i32();
-                ok &= fits;
+        match outcome {
+            Ok((passed, json, text)) => {
+                ok &= passed;
                 if as_json {
-                    kernels.push(obj(vec![
-                        ("name", name.as_str().into()),
-                        ("ok", fits.into()),
-                        ("report", report.to_string().into()),
-                    ]));
+                    kernels.push(json);
                 } else {
-                    println!("{report}");
+                    println!("{text}");
                 }
             }
-            Err(e) => {
+            Err((text, error)) => {
                 ok = false;
                 if as_json {
-                    kernels.push(failed_kernel(
-                        name,
-                        &format!("cannot bind gap constants: {e}"),
-                    ));
+                    kernels.push(failed_kernel(name, &error));
                 } else {
-                    eprintln!("{name}: cannot bind gap constants: {e}");
+                    eprintln!("{text}");
                 }
             }
         }
@@ -347,165 +321,220 @@ fn cmd_range(args: &[String], as_json: bool) -> Result<ExitCode, String> {
         println!(
             "{}",
             obj(vec![
-                ("pass", "range".into()),
+                ("pass", pass.into()),
                 ("ok", ok.into()),
                 ("kernels", kernels.into()),
             ])
         );
     }
-    Ok(exit(ok))
+    exit(ok)
 }
 
-fn cmd_audit(args: &[String], as_json: bool) -> Result<ExitCode, String> {
-    let mut dir: Option<PathBuf> = None;
-    let mut print_baseline = false;
-    for a in args {
-        match a.as_str() {
-            "--offline" => {} // the audit never touches the network; accepted for CI clarity
-            "--print-baseline" => print_baseline = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            path => dir = Some(PathBuf::from(path)),
-        }
-    }
-    let is_default = dir.is_none();
-    let dir = dir.unwrap_or_else(default_vec_src_dir);
-    let report = audit_dir(&dir).map_err(|e| format!("cannot audit {}: {e}", dir.display()))?;
+/// What a pinned pass hands the report flow all four share.
+struct Pinned<'a> {
+    pass: &'static str,
+    /// The pass's own verdict, before its baseline is looked at.
+    clean: bool,
+    inventory: &'a Inventory,
+    /// The checked-in baseline, or `None` on a target other than the
+    /// pass's default, which nothing pins.
+    baseline: Option<&'static str>,
+    /// The closing `<pass>: <done>` line's words, for the passes that
+    /// print one (`FAILED` when the pass fails).
+    done: Option<&'static str>,
+}
 
+/// The flow every pinned pass shares. `--print-baseline` prints the
+/// inventory and succeeds. Otherwise the pass succeeds when it is
+/// clean and its inventory has no drift from its baseline; the JSON
+/// document is `pass`, `ok`, the pass's own `fields`, then
+/// `baseline_problems`, and the text is the pass's own `text`, then
+/// the baseline's verdict, then the `done` line.
+fn report_pinned(
+    pinned: Pinned<'_>,
+    print_baseline: bool,
+    as_json: bool,
+    fields: impl FnOnce() -> Vec<(&'static str, JsonValue)>,
+    text: impl FnOnce(),
+) -> ExitCode {
     if print_baseline {
-        print!("{}", report.baseline_text());
-        return Ok(ExitCode::SUCCESS);
+        print!("{}", pinned.inventory);
+        return ExitCode::SUCCESS;
     }
-
-    let mut ok = report.is_clean();
-    let baseline_problems = if is_default {
-        report.check_baseline(VEC_BASELINE)
-    } else {
-        Vec::new()
-    };
-    ok &= baseline_problems.is_empty();
-
+    let problems = pinned
+        .baseline
+        .map_or_else(Vec::new, |baseline| pinned.inventory.drift(baseline));
+    let ok = pinned.clean && problems.is_empty();
     if as_json {
+        let mut doc = vec![("pass", pinned.pass.into()), ("ok", ok.into())];
+        doc.extend(fields());
+        doc.push(("baseline_problems", strings(&problems)));
+        println!("{}", obj(doc));
+        return exit(ok);
+    }
+    text();
+    if pinned.baseline.is_some() {
+        if problems.is_empty() {
+            println!("baseline: OK");
+        } else {
+            eprintln!("\nbaseline drift:");
+            for p in &problems {
+                eprintln!("  {p}");
+            }
+        }
+    }
+    if let Some(done) = pinned.done {
+        println!("{}: {}", pinned.pass, if ok { done } else { "FAILED" });
+    }
+    exit(ok)
+}
+
+/// A lint's findings: a JSON array of their lines.
+fn findings_json<F: Display>(findings: &[F]) -> JsonValue {
+    strings(findings.iter().map(ToString::to_string))
+}
+
+/// A lint's findings, on stderr.
+fn print_findings<F: Display>(findings: &[F]) {
+    if !findings.is_empty() {
+        eprintln!("\n{} finding(s):", findings.len());
+        for f in findings {
+            eprintln!("  {f}");
+        }
+    }
+}
+
+fn cmd_check(args: Vec<String>, as_json: bool) -> Result<ExitCode, String> {
+    let (sources, _) = resolve_sources(&args)?;
+    Ok(report_kernels(
+        "check",
+        &sources,
+        as_json,
+        |name, _, spec, dataflow| {
+            let json = obj(vec![
+                ("name", name.into()),
+                ("ok", true.into()),
+                ("label", spec.label().into()),
+                ("tables", dataflow.tables.len().into()),
+                ("dependencies", dataflow.deps.len().into()),
+            ]);
+            let text = format!(
+                "{name}: OK — {} ({} tables, {} dependencies, all within the \
+             anti-diagonal wavefront)",
+                spec.label(),
+                dataflow.tables.len(),
+                dataflow.deps.len()
+            );
+            Ok((true, json, text))
+        },
+    ))
+}
+
+fn cmd_range(mut args: Vec<String>, as_json: bool) -> Result<ExitCode, String> {
+    let config = Config::take(&mut args)?;
+    let (sources, _) = resolve_sources(&args)?;
+    Ok(report_kernels(
+        "range",
+        &sources,
+        as_json,
+        |name, _, spec, _| {
+            let report = config.bind(analyze_range, spec)?;
+            let fits = !report.overflows_i32();
+            let text = report.to_string();
+            let json = obj(vec![
+                ("name", name.into()),
+                ("ok", fits.into()),
+                ("report", text.as_str().into()),
+            ]);
+            Ok((fits, json, text))
+        },
+    ))
+}
+
+fn cmd_audit(mut args: Vec<String>, as_json: bool) -> Result<ExitCode, String> {
+    let print_baseline = take_flag(&mut args, "--print-baseline");
+    // The audit never touches the network; accepted for CI clarity.
+    take_flag(&mut args, "--offline");
+    let target = dir_args(args)?.pop();
+    let baseline = target.is_none().then_some(VEC_BASELINE);
+    let dir = target.unwrap_or_else(default_vec_src_dir);
+    let report = audit_dir(&dir).map_err(|e| format!("cannot audit {}: {e}", dir.display()))?;
+    let pinned = Pinned {
+        pass: "audit",
+        clean: report.is_clean(),
+        inventory: &report.inventory(),
+        baseline,
+        done: None,
+    };
+    let fields = || {
         let files = report.files.iter().map(|f| {
             obj(vec![
                 ("file", f.file.as_str().into()),
                 ("unsafe", f.unsafe_count.into()),
             ])
         });
-        println!(
-            "{}",
-            obj(vec![
-                ("pass", "audit".into()),
-                ("ok", ok.into()),
-                ("files", JsonValue::Array(files.collect())),
-                (
-                    "findings",
-                    strings(report.findings.iter().map(ToString::to_string)),
-                ),
-                ("baseline_problems", strings(&baseline_problems)),
-            ])
-        );
-        return Ok(exit(ok));
-    }
-
-    for f in &report.files {
-        println!("{:14} {:3} unsafe", f.file, f.unsafe_count);
-    }
-    if !report.is_clean() {
-        eprintln!("\n{} finding(s):", report.findings.len());
-        for f in &report.findings {
-            eprintln!("  {f}");
-        }
-    }
-    if is_default {
-        if baseline_problems.is_empty() {
-            println!("baseline: OK");
-        } else {
-            eprintln!("\nbaseline violations:");
-            for p in &baseline_problems {
-                eprintln!("  {p}");
+        vec![
+            ("files", JsonValue::Array(files.collect())),
+            ("findings", findings_json(&report.findings)),
+        ]
+    };
+    Ok(report_pinned(
+        pinned,
+        print_baseline,
+        as_json,
+        fields,
+        || {
+            for f in &report.files {
+                println!("{:14} {:3} unsafe", f.file, f.unsafe_count);
             }
-        }
-    }
-    Ok(exit(ok))
+            print_findings(&report.findings);
+        },
+    ))
 }
 
-fn cmd_concurrency(args: &[String], as_json: bool) -> Result<ExitCode, String> {
-    let mut dirs: Vec<(String, PathBuf)> = Vec::new();
-    let mut print_baseline = false;
-    for a in args {
-        match a.as_str() {
-            "--print-baseline" => print_baseline = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            path => {
-                let p = PathBuf::from(path);
-                let label = p
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .unwrap_or("dir")
-                    .to_string();
-                dirs.push((label, p));
-            }
-        }
-    }
-    let is_default = dirs.is_empty();
-    if is_default {
+fn cmd_concurrency(mut args: Vec<String>, as_json: bool) -> Result<ExitCode, String> {
+    let print_baseline = take_flag(&mut args, "--print-baseline");
+    let mut dirs: Vec<(String, PathBuf)> = dir_args(args)?
+        .into_iter()
+        .map(|p| {
+            let label = p.file_name().and_then(|n| n.to_str()).unwrap_or("dir");
+            (label.to_string(), p)
+        })
+        .collect();
+    let baseline = dirs.is_empty().then_some(CONCURRENCY_BASELINE);
+    if dirs.is_empty() {
         dirs = default_concurrency_dirs();
     }
     let report = scan_dirs(&dirs).map_err(|e| format!("cannot scan: {e}"))?;
-
-    if print_baseline {
-        print!("{}", report.baseline_text());
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let mut ok = report.is_clean();
-    let baseline_problems = if is_default {
-        report.check_baseline(CONCURRENCY_BASELINE)
-    } else {
-        Vec::new()
+    let inventory = report.inventory();
+    let pinned = Pinned {
+        pass: "concurrency",
+        clean: report.is_clean(),
+        inventory: &inventory,
+        baseline,
+        done: None,
     };
-    ok &= baseline_problems.is_empty();
-
-    if as_json {
-        println!(
-            "{}",
-            obj(vec![
-                ("pass", "concurrency".into()),
-                ("ok", ok.into()),
-                ("sites", report.sites.len().into()),
-                (
-                    "findings",
-                    strings(report.findings.iter().map(ToString::to_string)),
-                ),
-                ("baseline_problems", strings(&baseline_problems)),
-            ])
-        );
-        return Ok(exit(ok));
-    }
-
-    println!(
-        "{} atomic site(s) across {} dir(s)",
-        report.sites.len(),
-        dirs.len()
-    );
-    print!("{}", report.baseline_text());
-    if !report.is_clean() {
-        eprintln!("\n{} finding(s):", report.findings.len());
-        for f in &report.findings {
-            eprintln!("  {f}");
-        }
-    }
-    if is_default {
-        if baseline_problems.is_empty() {
-            println!("baseline: OK");
-        } else {
-            eprintln!("\nbaseline drift:");
-            for p in &baseline_problems {
-                eprintln!("  {p}");
-            }
-        }
-    }
-    Ok(exit(ok))
+    let fields = || {
+        vec![
+            ("sites", report.sites.len().into()),
+            ("findings", findings_json(&report.findings)),
+        ]
+    };
+    Ok(report_pinned(
+        pinned,
+        print_baseline,
+        as_json,
+        fields,
+        || {
+            println!(
+                "{} atomic site(s) across {} dir(s)",
+                report.sites.len(),
+                dirs.len()
+            );
+            print!("{inventory}");
+            print_findings(&report.findings);
+        },
+    ))
 }
 
 /// One harness report as a JSON object.
@@ -556,32 +585,10 @@ fn proofs_json(pass: &ConformancePass) -> JsonValue {
     JsonValue::Array(kernels.collect())
 }
 
-fn cmd_conformance(args: &[String], as_json: bool) -> Result<ExitCode, String> {
-    let mut print_baseline = false;
-    let mut mutate: Option<u64> = None;
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--print-baseline" => {
-                print_baseline = true;
-                i += 1;
-            }
-            "--mutate" => {
-                let seed = args.get(i + 1).ok_or("--mutate needs a seed (u64)")?;
-                mutate = Some(
-                    seed.parse()
-                        .map_err(|_| format!("--mutate: `{seed}` is not a u64 seed"))?,
-                );
-                i += 2;
-            }
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-            }
-        }
-    }
-    let (sources, is_default) = resolve_sources(&rest)?;
+fn cmd_conformance(mut args: Vec<String>, as_json: bool) -> Result<ExitCode, String> {
+    let print_baseline = take_flag(&mut args, "--print-baseline");
+    let mutate = take_value(&mut args, "--mutate", "a u64 seed")?;
+    let (sources, is_default) = resolve_sources(&args)?;
 
     // Mutation self-test: perturb one max/gap term on the kernel side
     // and *require* the harness to catch it.
@@ -625,74 +632,45 @@ fn cmd_conformance(args: &[String], as_json: bool) -> Result<ExitCode, String> {
         return Ok(exit(caught));
     }
 
-    let pass = match run_conformance_pass(&sources) {
-        Ok(p) => p,
-        Err((name, e)) => return Err(format!("{name}: {e}")),
+    let pass = run_conformance_pass(&sources).map_err(|(name, e)| format!("{name}: {e}"))?;
+    let pinned = Pinned {
+        pass: "conformance",
+        clean: pass.is_clean(),
+        inventory: &pass.inventory(),
+        baseline: is_default.then_some(CONFORMANCE_BASELINE),
+        done: Some("all obligations discharged"),
     };
-
-    if print_baseline {
-        print!("{}", pass.baseline_text());
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let mut ok = pass.is_clean();
-    let baseline_problems = if is_default {
-        pass.check_baseline(CONFORMANCE_BASELINE)
-    } else {
-        Vec::new()
+    let fields = || {
+        vec![
+            ("kernels", proofs_json(&pass)),
+            ("harness", harness_json(&pass.harness)),
+        ]
     };
-    ok &= baseline_problems.is_empty();
-
-    if as_json {
-        println!(
-            "{}",
-            obj(vec![
-                ("pass", "conformance".into()),
-                ("ok", ok.into()),
-                ("kernels", proofs_json(&pass)),
-                ("harness", harness_json(&pass.harness)),
-                ("baseline_problems", strings(&baseline_problems)),
-            ])
-        );
-        return Ok(exit(ok));
-    }
-
-    for (proof, (_, src)) in pass.proofs.iter().zip(&sources) {
-        println!("{} ({}):", proof.kernel, proof.label);
-        for o in &proof.obligations {
-            for (k, line) in o.render(src).lines().enumerate() {
-                println!("  {}{line}", if k == 0 { "" } else { "  " });
+    Ok(report_pinned(
+        pinned,
+        print_baseline,
+        as_json,
+        fields,
+        || {
+            for (proof, (_, src)) in pass.proofs.iter().zip(&sources) {
+                println!("{} ({}):", proof.kernel, proof.label);
+                for o in &proof.obligations {
+                    for (k, line) in o.render(src).lines().enumerate() {
+                        println!("  {}{line}", if k == 0 { "" } else { "  " });
+                    }
+                }
             }
-        }
-    }
-    println!("{}", pass.harness.summary());
-    for c in &pass.harness.configs {
-        for m in &c.mismatches {
-            eprintln!("  mismatch: {m}");
-        }
-        for v in &c.violations {
-            eprintln!("  violation: {v}");
-        }
-    }
-    if is_default {
-        if baseline_problems.is_empty() {
-            println!("baseline: OK");
-        } else {
-            eprintln!("\nbaseline drift:");
-            for p in &baseline_problems {
-                eprintln!("  {p}");
+            println!("{}", pass.harness.summary());
+            for c in &pass.harness.configs {
+                for m in &c.mismatches {
+                    eprintln!("  mismatch: {m}");
+                }
+                for v in &c.violations {
+                    eprintln!("  violation: {v}");
+                }
             }
-        }
-    }
-    println!(
-        "conformance: {}",
-        if ok {
-            "all obligations discharged"
-        } else {
-            "FAILED"
-        }
-    );
-    Ok(exit(ok))
+        },
+    ))
 }
 
 /// One certify report as a JSON object.
@@ -755,65 +733,10 @@ fn certify_json(r: &CertifyReport, src: Option<&str>) -> JsonValue {
     obj(fields)
 }
 
-fn cmd_certify(args: &[String], as_json: bool) -> Result<ExitCode, String> {
-    let mut matrix_name = "blosum62".to_string();
-    let mut open = -12i32;
-    let mut ext = -2i32;
-    let mut max_query = 1024usize;
-    let mut max_subject = 1024usize;
-    let mut print_baseline = false;
-    let mut mutate: Option<u64> = None;
-    let mut rest = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |j: usize| -> Result<&String, String> {
-            args.get(j)
-                .ok_or_else(|| format!("{} needs a value", args[j - 1]))
-        };
-        match args[i].as_str() {
-            "--matrix" => {
-                matrix_name = take(i + 1)?.clone();
-                i += 2;
-            }
-            "--open" => {
-                open = take(i + 1)?.parse().map_err(|_| "--open: not an integer")?;
-                i += 2;
-            }
-            "--ext" => {
-                ext = take(i + 1)?.parse().map_err(|_| "--ext: not an integer")?;
-                i += 2;
-            }
-            "--max-query" => {
-                max_query = take(i + 1)?
-                    .parse()
-                    .map_err(|_| "--max-query: not a length")?;
-                i += 2;
-            }
-            "--max-subject" => {
-                max_subject = take(i + 1)?
-                    .parse()
-                    .map_err(|_| "--max-subject: not a length")?;
-                i += 2;
-            }
-            "--print-baseline" => {
-                print_baseline = true;
-                i += 1;
-            }
-            "--mutate" => {
-                let seed = take(i + 1)?;
-                mutate = Some(
-                    seed.parse()
-                        .map_err(|_| format!("--mutate: `{seed}` is not a u64 seed"))?,
-                );
-                i += 2;
-            }
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-            }
-        }
-    }
+fn cmd_certify(mut args: Vec<String>, as_json: bool) -> Result<ExitCode, String> {
+    let config = Config::take(&mut args)?;
+    let print_baseline = take_flag(&mut args, "--print-baseline");
+    let mutate = take_value(&mut args, "--mutate", "a u64 seed")?;
 
     // Mutation self-test: perturb every certified shipped config and
     // *require* the prover to deny the mutant.
@@ -863,140 +786,60 @@ fn cmd_certify(args: &[String], as_json: bool) -> Result<ExitCode, String> {
     // Ad-hoc mode: a source selector plus config flags certifies one
     // configuration. Default mode proves the shipped inventory and
     // checks the pinned baseline.
-    if !rest.is_empty() {
-        let dna;
-        let matrix: &SubstMatrix = match matrix_name.as_str() {
-            "blosum62" => &BLOSUM62,
-            "dna" => {
-                dna = SubstMatrix::dna(2, -3);
-                &dna
-            }
-            other => return Err(format!("unknown matrix `{other}` (blosum62|dna)")),
-        };
-        let (sources, _) = resolve_sources(&rest)?;
-        let mut ok = true;
-        let mut kernels = Vec::new();
-        for (name, src) in &sources {
-            let (spec, _) = match check_kernel(name, src) {
-                Ok(pair) => pair,
-                Err(msg) => {
-                    ok = false;
-                    if as_json {
-                        kernels.push(failed_kernel(name, &msg));
-                    } else {
-                        eprintln!("{msg}");
-                    }
-                    continue;
-                }
-            };
-            let bind = GapBindings {
-                gap_open: open,
-                gap_ext: ext,
-            };
-            match analyze_certify(&spec, bind, matrix, max_query, max_subject) {
-                Ok(report) => {
-                    ok &= report.is_certifiable();
-                    if as_json {
-                        kernels.push(certify_json(&report, Some(src)));
-                    } else {
-                        println!("{}", report.render(src));
-                    }
-                }
-                Err(e) => {
-                    ok = false;
-                    if as_json {
-                        kernels.push(failed_kernel(
-                            name,
-                            &format!("cannot bind gap constants: {e}"),
-                        ));
-                    } else {
-                        eprintln!("{name}: cannot bind gap constants: {e}");
-                    }
-                }
-            }
-        }
-        if as_json {
-            println!(
-                "{}",
-                obj(vec![
-                    ("pass", "certify".into()),
-                    ("ok", ok.into()),
-                    ("kernels", kernels.into()),
-                ])
-            );
-        }
-        return Ok(exit(ok));
+    if !args.is_empty() {
+        let (sources, _) = resolve_sources(&args)?;
+        return Ok(report_kernels(
+            "certify",
+            &sources,
+            as_json,
+            |_, src, spec, _| {
+                let report = config.bind(analyze_certify, spec)?;
+                let json = certify_json(&report, Some(src));
+                Ok((report.is_certifiable(), json, report.render(src)))
+            },
+        ));
     }
 
     let pass = run_certify_pass().map_err(|e| e.to_string())?;
-
-    if print_baseline {
-        print!("{}", pass.baseline_text());
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let mut ok = pass.is_certified();
-    let baseline_problems = pass.check_baseline(CERTIFY_BASELINE);
-    ok &= baseline_problems.is_empty();
-
-    if as_json {
+    let pinned = Pinned {
+        pass: "certify",
+        clean: pass.is_certified(),
+        inventory: &pass.inventory(),
+        baseline: Some(CERTIFY_BASELINE),
+        done: Some("every shipped configuration has a proven rescue-free width"),
+    };
+    let fields = || {
         let reports = pass.reports.iter().map(|r| certify_json(r, None));
-        println!(
-            "{}",
-            obj(vec![
-                ("pass", "certify".into()),
-                ("ok", ok.into()),
-                ("configs", JsonValue::Array(reports.collect())),
-                ("baseline_problems", strings(&baseline_problems)),
-            ])
-        );
-        return Ok(exit(ok));
-    }
-
-    for (report, ship) in pass
-        .reports
-        .iter()
-        .zip(aalign_analyzer::certify::shipped_configs())
-    {
-        println!("{}\n", report.render(ship.source));
-    }
-    if baseline_problems.is_empty() {
-        println!("baseline: OK");
-    } else {
-        eprintln!("baseline drift:");
-        for p in &baseline_problems {
-            eprintln!("  {p}");
-        }
-    }
-    println!(
-        "certify: {}",
-        if ok {
-            "every shipped configuration has a proven rescue-free width"
-        } else {
-            "FAILED"
-        }
-    );
-    Ok(exit(ok))
+        vec![("configs", JsonValue::Array(reports.collect()))]
+    };
+    Ok(report_pinned(
+        pinned,
+        print_baseline,
+        as_json,
+        fields,
+        || {
+            for (report, ship) in pass.reports.iter().zip(shipped_configs()) {
+                println!("{}\n", report.render(ship.source));
+            }
+        },
+    ))
 }
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let as_json = args.iter().any(|a| a == "--json");
-    args.retain(|a| a != "--json");
-    let (cmd, rest) = match args.split_first() {
-        Some((c, r)) => (c.as_str(), r),
-        None => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let result = match cmd {
-        "check" => cmd_check(rest, as_json),
-        "range" => cmd_range(rest, as_json),
-        "audit" => cmd_audit(rest, as_json),
-        "concurrency" => cmd_concurrency(rest, as_json),
-        "conformance" => cmd_conformance(rest, as_json),
-        "certify" => cmd_certify(rest, as_json),
+    let as_json = take_flag(&mut args, "--json");
+    if args.is_empty() {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    }
+    let cmd = args.remove(0);
+    let result = match cmd.as_str() {
+        "check" => cmd_check(args, as_json),
+        "range" => cmd_range(args, as_json),
+        "audit" => cmd_audit(args, as_json),
+        "concurrency" => cmd_concurrency(args, as_json),
+        "conformance" => cmd_conformance(args, as_json),
+        "certify" => cmd_certify(args, as_json),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;

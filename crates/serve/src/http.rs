@@ -165,9 +165,39 @@ fn handle_connection<B: SearchBackend>(stream: TcpStream, d: &Dispatcher<B>) -> 
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
+    exchange(&mut reader, &mut out, d)
+}
 
-    let (method, path, body) = match read_request(&mut reader) {
-        Ok(parts) => parts,
+/// One request and its response. The response is rendered whole by
+/// the request table and written only once the table has returned, so
+/// a search's `respond` stage (its serialisation) is on record before
+/// the client can read a byte of it; head and body leave in one
+/// `write` — formatted straight onto the socket the head alone is nine
+/// small segments, on a connection without `TCP_NODELAY`.
+fn exchange<B: SearchBackend>(
+    reader: &mut impl BufRead,
+    out: &mut impl Write,
+    d: &Dispatcher<B>,
+) -> io::Result<()> {
+    let response = match read_request(reader) {
+        Ok((method, path, body)) => {
+            let op = match (method.as_str(), path.as_str()) {
+                ("POST", "/v1/search") => "search",
+                ("POST", "/v1/cancel") => "cancel",
+                ("POST", "/v1/shutdown") => "shutdown",
+                ("GET", "/v1/health") => "health",
+                ("GET", "/metrics") => "metrics",
+                ("GET", "/debug/flight") => "flight",
+                // No operation has this name, so the table answers `None`.
+                _ => "",
+            };
+            rpc::operate(d, op, body_json(&body), |reply| match reply {
+                Ok(Reply::Json(doc)) => json_response(200, "OK", &doc.render()),
+                Ok(Reply::Text { mime, body, .. }) => response(200, "OK", mime, body.as_bytes()),
+                Err(e) => error_response(&e),
+            })
+            .unwrap_or_else(|| error_response(&ServeError::NotFound(format!("{method} {path}"))))
+        }
         // Framing refusals: the status names what was too long or broken.
         Err(refused) => {
             let (code, reason, msg) = match refused {
@@ -186,28 +216,11 @@ fn handle_connection<B: SearchBackend>(stream: TcpStream, d: &Dispatcher<B>) -> 
             };
             d.note_bad_request();
             let refusal = ServeError::BadRequest(msg).to_wire().render();
-            return write_json(&mut out, code, reason, &refusal);
+            json_response(code, reason, &refusal)
         }
     };
-
-    let op = match (method.as_str(), path.as_str()) {
-        ("POST", "/v1/search") => "search",
-        ("POST", "/v1/cancel") => "cancel",
-        ("POST", "/v1/shutdown") => "shutdown",
-        ("GET", "/v1/health") => "health",
-        ("GET", "/metrics") => "metrics",
-        ("GET", "/debug/flight") => "flight",
-        // No operation has this name, so the table answers `None`.
-        _ => "",
-    };
-    rpc::operate(d, op, body_json(&body), |reply| match reply {
-        Ok(Reply::Json(doc)) => write_json(&mut out, 200, "OK", &doc.render()),
-        Ok(Reply::Text { mime, body, .. }) => {
-            write_body(&mut out, 200, "OK", mime, body.as_bytes())
-        }
-        Err(e) => write_error(&mut out, &e),
-    })
-    .unwrap_or_else(|| write_error(&mut out, &ServeError::NotFound(format!("{method} {path}"))))
+    out.write_all(&response)?;
+    out.flush()
 }
 
 /// The request body as the operation's params: a JSON document, or
@@ -317,42 +330,41 @@ fn read_request(reader: &mut impl BufRead) -> Result<(String, String, Vec<u8>), 
     Ok((method, path, body))
 }
 
-fn write_json(out: &mut impl Write, code: u16, reason: &str, body: &str) -> io::Result<()> {
-    write_body(out, code, reason, "application/json", body.as_bytes())
+fn json_response(code: u16, reason: &str, body: &str) -> Vec<u8> {
+    response(code, reason, "application/json", body.as_bytes())
 }
 
 /// A refusal, under the HTTP status its kind maps to.
-fn write_error(out: &mut impl Write, err: &ServeError) -> io::Result<()> {
+fn error_response(err: &ServeError) -> Vec<u8> {
     let (code, reason) = err.http_status();
-    write_json(out, code, reason, &err.to_wire().render())
+    json_response(code, reason, &err.to_wire().render())
 }
 
-fn write_body(
-    out: &mut impl Write,
-    code: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    // Head and body leave in one `write`: formatted straight onto the
-    // socket the head alone is nine small segments, on a connection
-    // without `TCP_NODELAY`.
+/// The response's bytes, head and body.
+fn response(code: u16, reason: &str, content_type: &str, body: &[u8]) -> Vec<u8> {
     let mut response = Vec::with_capacity(128 + body.len());
     write!(
         response,
         "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )?;
+    )
+    .expect("writing to a Vec cannot fail");
     response.extend_from_slice(body);
-    out.write_all(&response)?;
-    out.flush()
+    response
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    use aalign_bio::matrices::BLOSUM62;
+    use aalign_bio::synth::swissprot_like_db;
+    use aalign_core::{AlignConfig, Aligner, GapModel};
+    use aalign_obs::StageKind;
+
+    use crate::DispatcherConfig;
 
     fn parse(raw: &[u8]) -> Result<(String, String, Vec<u8>), RequestError> {
         read_request(&mut BufReader::new(Cursor::new(raw.to_vec())))
@@ -402,14 +414,23 @@ mod tests {
         assert!(msg.contains("Transfer-Encoding"), "{msg}");
     }
 
-    /// Counts the `write` calls that reach it, as a socket would see them.
-    struct CountingWriter {
+    /// The client's side of one [`exchange`]: the bytes, the `write`
+    /// calls that delivered them, and whether the dispatcher had
+    /// recorded a `respond` stage when the first of them arrived.
+    struct Client<'a> {
+        d: &'a Dispatcher,
         bytes: Vec<u8>,
         writes: usize,
+        responded_before_first_byte: Option<bool>,
     }
 
-    impl Write for CountingWriter {
+    impl Write for Client<'_> {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.bytes.is_empty() {
+                let events = self.d.flight().snapshot();
+                let responded = events.iter().any(|e| e.stage == StageKind::Respond);
+                self.responded_before_first_byte = Some(responded);
+            }
             self.writes += 1;
             self.bytes.extend_from_slice(buf);
             Ok(buf.len())
@@ -420,19 +441,66 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_response_is_these_bytes_in_one_write() {
-        let mut out = CountingWriter {
+    fn dispatcher() -> Dispatcher {
+        let aligner = Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62));
+        Dispatcher::new(
+            aligner,
+            swissprot_like_db(7, 8),
+            1,
+            DispatcherConfig::default(),
+        )
+    }
+
+    /// `request` through [`exchange`] as one client sees it.
+    fn exchange_with<'a>(d: &'a Dispatcher, request: &str) -> Client<'a> {
+        let mut client = Client {
+            d,
             bytes: Vec::new(),
             writes: 0,
+            responded_before_first_byte: None,
         };
-        write_json(&mut out, 200, "OK", "{\"draining\":true}").unwrap();
-        assert_eq!(
-            String::from_utf8(out.bytes).unwrap(),
-            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
-             Content-Length: 17\r\nConnection: close\r\n\r\n{\"draining\":true}"
+        exchange(&mut Cursor::new(request.as_bytes()), &mut client, d).unwrap();
+        client
+    }
+
+    #[test]
+    fn a_response_is_these_bytes_in_one_write() {
+        let d = dispatcher();
+        let client = exchange_with(
+            &d,
+            "POST /v1/shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
         );
-        assert_eq!(out.writes, 1);
+        let body = r#"{"schema_version":1,"draining":true}"#;
+        assert_eq!(
+            String::from_utf8(client.bytes).unwrap(),
+            format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            )
+        );
+        assert_eq!(client.writes, 1);
+    }
+
+    /// A client that stops reading at `Content-Length` and asks for
+    /// `/debug/flight` or `/metrics` next must find its search's
+    /// `respond` stage there: no byte of the response may leave before
+    /// that stage is recorded.
+    #[test]
+    fn a_search_is_recorded_as_responded_before_its_first_byte_leaves() {
+        let d = dispatcher();
+        let body = r#"{"query":"MKVLAARNDWHEAGAWGHEE","top_n":2}"#;
+        let request = format!(
+            "POST /v1/search HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let client = exchange_with(&d, &request);
+        assert!(client.bytes.starts_with(b"HTTP/1.1 200 OK"));
+        assert_eq!(
+            client.responded_before_first_byte,
+            Some(true),
+            "a search response's first byte was written before its `respond` stage was recorded"
+        );
     }
 
     /// `head`, then `tail` over and over (an empty `tail` is EOF): a

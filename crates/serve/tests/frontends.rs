@@ -488,17 +488,13 @@ fn rpc_session_mirrors_http_semantics() {
                 assert_eq!(unmeasured(&http_doc), unmeasured(answer), "{what}");
             }
         }
-        // The HTTP connection thread records a search's `respond`
-        // stage after the client has its body; wait for it, so both
-        // dispatchers enter the next row in the same state.
-        let started = Instant::now();
-        while behind_http.flight().recorded() != behind_rpc.flight().recorded() {
-            assert!(
-                started.elapsed() < Duration::from_secs(5),
-                "{what}: stages differ"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // Both doors record a search's `respond` stage before its reply
+        // leaves, so both dispatchers enter the next row in one state.
+        assert_eq!(
+            behind_http.flight().recorded(),
+            behind_rpc.flight().recorded(),
+            "{what}: stages differ"
+        );
     }
     server.shutdown();
 

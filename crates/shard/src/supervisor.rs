@@ -264,7 +264,10 @@ pub struct Supervisor {
     /// Temp directory holding the per-shard FASTA files.
     dir: PathBuf,
     slots: Vec<ShardSlot>,
-    recorder: Arc<FlightRecorder>,
+    /// Shard spawn / exit / retry / breaker events. The ring reaches
+    /// stderr through [`dump_flight`](Self::dump_flight), on a breaker
+    /// trip or a dirty drain; nothing serves it yet (ROADMAP item 6(b)).
+    recorder: FlightRecorder,
     started: Instant,
     stats: Mutex<SupervisorStats>,
     monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -331,7 +334,7 @@ impl Supervisor {
             opts,
             dir,
             slots,
-            recorder: Arc::new(FlightRecorder::new()),
+            recorder: FlightRecorder::new(),
             started: Instant::now(),
             stats: Mutex::new(SupervisorStats::default()),
             monitor: Mutex::new(None),
@@ -411,13 +414,6 @@ impl Supervisor {
     pub fn shard_pid(&self, shard: usize) -> Option<u32> {
         let st = self.slots.get(shard)?.state.lock().expect("slot state");
         st.worker.as_ref().map(Worker::pid)
-    }
-
-    /// The supervisor's flight-recorder ring (shard spawn / exit /
-    /// retry / breaker events) — servable alongside a dispatcher's
-    /// own ring on `/debug/flight`.
-    pub fn recorder(&self) -> &Arc<FlightRecorder> {
-        &self.recorder
     }
 
     /// Dump the flight ring to stderr, labelled with why — same

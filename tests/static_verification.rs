@@ -8,8 +8,9 @@
 //! main suite, not just the analyzer's. Source guards ride along: one
 //! JSON codec and one database sweep; one backend seam and one request
 //! schema; one engine table; one width ladder; one home per setting;
-//! no per-lane scalar work in a striped column; served requests wait
-//! on descriptors, not on the clock.
+//! one pinned inventory behind the analyzer's four baselines; no
+//! per-lane scalar work in a striped column; served requests wait on
+//! descriptors, not on the clock.
 
 use aalign_analyzer::audit::{audit_dir, audit_source, default_vec_src_dir, VEC_BASELINE};
 use aalign_analyzer::concurrency::{default_concurrency_dirs, scan_dirs, CONCURRENCY_BASELINE};
@@ -142,7 +143,7 @@ fn runtime_scores_obey_analyzer_bounds() {
 }
 
 /// The SIMD backends stay audited: SAFETY comments, target-feature
-/// contracts, and the pinned unsafe-count baseline.
+/// contracts, and the unsafe counts pinned exactly to their baseline.
 #[test]
 fn vec_backends_stay_audited() {
     let report = audit_dir(&default_vec_src_dir()).unwrap();
@@ -156,7 +157,12 @@ fn vec_backends_stay_audited() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(report.check_baseline(VEC_BASELINE).is_empty());
+    let drift = report.inventory().drift(VEC_BASELINE);
+    assert!(
+        drift.is_empty(),
+        "unsafe inventory drift:\n{}",
+        drift.join("\n")
+    );
 }
 
 /// The concurrent crates stay disciplined: every atomic site carries
@@ -177,7 +183,7 @@ fn concurrent_crates_stay_disciplined() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    let problems = report.check_baseline(CONCURRENCY_BASELINE);
+    let problems = report.inventory().drift(CONCURRENCY_BASELINE);
     assert!(
         problems.is_empty(),
         "atomics inventory drift:\n{}",
@@ -216,7 +222,7 @@ fn conformance_obligations_discharge_and_harness_is_bit_exact() {
         "harness mismatches: {}",
         pass.harness.summary()
     );
-    let drift = pass.check_baseline(CONFORMANCE_BASELINE);
+    let drift = pass.inventory().drift(CONFORMANCE_BASELINE);
     assert!(
         drift.is_empty(),
         "conformance inventory drift (regenerate with `aalign-analyzer conformance \
@@ -789,6 +795,33 @@ fn one_measurement_system() {
     assert!(
         !loadgen.contains("--out"),
         "loadgen prints its document on stdout; nothing stores it"
+    );
+}
+
+/// One pinned inventory: the analyzer's four baselines (`audit`,
+/// `concurrency`, `conformance`, `certify`) are read by one
+/// `<key> <count>` parser and checked by one exact drift check, in
+/// `crates/analyzer/src/inventory.rs`. Four hand-copied parsers, one of
+/// them a one-sided ceiling and all of them skipping a malformed line
+/// without a word, is what it replaced.
+#[test]
+fn one_pinned_inventory() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let analyzer = root.join("crates/analyzer/src");
+    let inventory = analyzer.join("inventory.rs");
+    let mut sources = Vec::new();
+    rust_sources(&analyzer, &mut sources);
+    assert!(sources.contains(&inventory), "the inventory module is gone");
+    assert_absent(
+        sources.iter().filter(|p| **p != inventory),
+        &[
+            "rsplit_once(' ')",
+            "parse::<usize>()",
+            "BTreeMap<String, usize>",
+            ".contains_key(",
+            "fn check_baseline",
+        ],
+        "baselines are parsed and drift-checked by crates/analyzer/src/inventory.rs only",
     );
 }
 
