@@ -126,9 +126,8 @@ impl CertifyReport {
                     w.len, w.query_letter as char, w.len, w.subject_letter as char, w.min_score
                 );
             }
-            if let Some(span) = term_anchor(src, d.term) {
-                out.push_str(&render_caret(src, span, d.term.name()));
-                out.push('\n');
+            if let Some(excerpt) = term_anchor(src, d.term).and_then(|span| span.excerpt(src)) {
+                let _ = writeln!(out, "{excerpt} {}", d.term.name());
             }
         }
         match self.narrowest_granted() {
@@ -160,22 +159,6 @@ fn term_anchor(src: &str, term: CertTerm) -> Option<Span> {
         // The `0` operand of the local max.
         CertTerm::LocalZero => find("max(0").map(|s| Span::new(s.start + 4, s.start + 5)),
     }
-}
-
-/// Compiler-style caret excerpt (mirrors
-/// [`Obligation::render`](crate::conformance::Obligation::render)).
-fn render_caret(src: &str, span: Span, label: &str) -> String {
-    let (line, col) = span.line_col(src);
-    let line_text = src.lines().nth(line - 1).unwrap_or("");
-    let width = span
-        .end
-        .saturating_sub(span.start)
-        .clamp(1, line_text.len().saturating_sub(col - 1).max(1));
-    format!(
-        "  --> {line}:{col}\n   |\n{line:3}| {line_text}\n   | {}{} {label}",
-        " ".repeat(col - 1),
-        "^".repeat(width)
-    )
 }
 
 /// Run the certify pass for one bound kernel: prove (or refute) every

@@ -54,7 +54,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use aalign_codegen::ast::{BinOp, Expr, ExprKind, Span, Stmt, StmtKind};
+use aalign_codegen::ast::{main_nest, BinOp, Expr, ExprKind, Span, Stmt, StmtKind};
 use aalign_codegen::emit::GapBindings;
 use aalign_codegen::{analyze, parse_program, spec_to_config, KernelSpec};
 use aalign_core::conformance::{run_harness, ConformanceReport, HarnessOptions};
@@ -273,21 +273,8 @@ impl Obligation {
             return head;
         }
         let mut out = format!("{head}\nerror: {}", self.detail);
-        if let Some(span) = self.span {
-            if span.start <= src.len() {
-                let (line, col) = span.line_col(src);
-                let line_text = src.lines().nth(line - 1).unwrap_or("");
-                let width = span
-                    .end
-                    .saturating_sub(span.start)
-                    .clamp(1, line_text.len().saturating_sub(col - 1).max(1));
-                let _ = write!(
-                    out,
-                    "\n  --> {line}:{col}\n   |\n{line:3}| {line_text}\n   | {}{}",
-                    " ".repeat(col - 1),
-                    "^".repeat(width)
-                );
-            }
+        if let Some(excerpt) = self.span.and_then(|span| span.excerpt(src)) {
+            let _ = write!(out, "\n{excerpt}");
         }
         out
     }
@@ -360,29 +347,10 @@ struct RuleCtx {
 }
 
 fn extract_rules(prog: &[Stmt], spec: &KernelSpec) -> Result<RuleCtx, ProveError> {
-    // Find the doubly nested main loop (same walk as the classifier).
-    let mut found = None;
-    'outer: for st in prog {
-        if let StmtKind::For { var, body, .. } = &st.kind {
-            for inner in body {
-                if let StmtKind::For {
-                    var: ivar,
-                    body: ibody,
-                    ..
-                } = &inner.kind
-                {
-                    found = Some((var.clone(), ivar.clone(), ibody));
-                    break 'outer;
-                }
-            }
-        }
-    }
-    let (outer_var, inner_var, body) =
-        found.ok_or_else(|| ProveError::Structure("no main loop nest".into()))?;
-
+    let nest = main_nest(prog).ok_or_else(|| ProveError::Structure("no main loop nest".into()))?;
     let mut rules = BTreeMap::new();
     let mut d_table = None;
-    for st in body {
+    for st in nest.body {
         if let StmtKind::Assign { table, value, .. } = &st.kind {
             // The diagonal rule is the assignment whose RHS contains
             // the matrix access; remember which table holds it.
@@ -393,8 +361,8 @@ fn extract_rules(prog: &[Stmt], spec: &KernelSpec) -> Result<RuleCtx, ProveError
         }
     }
     Ok(RuleCtx {
-        outer_var,
-        inner_var,
+        outer_var: nest.outer.to_string(),
+        inner_var: nest.inner.to_string(),
         spec: spec.clone(),
         rules,
         d_table,

@@ -11,7 +11,7 @@
 //! paper's Sec. IV argument rests on, so it is reported, with a span,
 //! instead of silently vectorized wrong.
 
-use aalign_codegen::ast::{Expr, ExprKind, Span, Stmt, StmtKind};
+use aalign_codegen::ast::{main_nest, Expr, ExprKind, MainNest, Span, Stmt, StmtKind};
 
 /// One dataflow violation, anchored to the source.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,22 +26,10 @@ impl Diagnostic {
     /// Compiler-style rendering against the original source: message,
     /// location, source line and caret underline.
     pub fn render(&self, src: &str) -> String {
-        if self.span.start > src.len() {
-            return format!("error: {}", self.message);
+        match self.span.excerpt(src) {
+            Some(excerpt) => format!("error: {}\n{excerpt}", self.message),
+            None => format!("error: {}", self.message),
         }
-        let (line, col) = self.span.line_col(src);
-        let line_text = src.lines().nth(line - 1).unwrap_or("");
-        let width = self
-            .span
-            .end
-            .saturating_sub(self.span.start)
-            .clamp(1, line_text.len().saturating_sub(col - 1).max(1));
-        format!(
-            "error: {}\n  --> {line}:{col}\n   |\n{line:3}| {line_text}\n   | {}{}",
-            self.message,
-            " ".repeat(col - 1),
-            "^".repeat(width)
-        )
     }
 }
 
@@ -79,7 +67,7 @@ impl DataflowReport {
 /// assert!(report.reads_prev_row() && report.reads_prev_col());
 /// ```
 pub fn verify_dataflow(prog: &[Stmt]) -> Result<DataflowReport, Vec<Diagnostic>> {
-    let Some(nest) = find_main_nest(prog) else {
+    let Some(nest) = main_nest(prog) else {
         return Err(vec![Diagnostic {
             span: prog.first().map(|s| s.span).unwrap_or_default(),
             message: "no doubly nested main loop to verify".into(),
@@ -116,8 +104,8 @@ pub fn verify_dataflow(prog: &[Stmt]) -> Result<DataflowReport, Vec<Diagnostic>>
         // The write itself must be to (i, j): anything else reorders
         // the wavefront.
         if subs.len() == 2 {
-            let wi = subs[0].index_offset(&nest.outer);
-            let wj = subs[1].index_offset(&nest.inner);
+            let wi = subs[0].index_offset(nest.outer);
+            let wj = subs[1].index_offset(nest.inner);
             if wi != Some(0) || wj != Some(0) {
                 diags.push(Diagnostic {
                     span: st.span,
@@ -146,37 +134,9 @@ pub fn verify_dataflow(prog: &[Stmt]) -> Result<DataflowReport, Vec<Diagnostic>>
     }
 }
 
-struct Nest<'a> {
-    outer: String,
-    inner: String,
-    body: &'a [Stmt],
-}
-
-fn find_main_nest(prog: &[Stmt]) -> Option<Nest<'_>> {
-    for st in prog {
-        if let StmtKind::For { var, body, .. } = &st.kind {
-            for inner in body {
-                if let StmtKind::For {
-                    var: ivar,
-                    body: ibody,
-                    ..
-                } = &inner.kind
-                {
-                    return Some(Nest {
-                        outer: var.clone(),
-                        inner: ivar.clone(),
-                        body: ibody,
-                    });
-                }
-            }
-        }
-    }
-    None
-}
-
 fn check_expr(
     e: &Expr,
-    nest: &Nest<'_>,
+    nest: &MainNest<'_>,
     tables: &[String],
     assigned: &[&str],
     deps: &mut Vec<(String, i64, i64)>,
@@ -194,13 +154,13 @@ fn check_expr(
                 });
                 return;
             }
-            let di = subs[0].index_offset(&nest.outer);
-            let dj = subs[1].index_offset(&nest.inner);
+            let di = subs[0].index_offset(nest.outer);
+            let dj = subs[1].index_offset(nest.inner);
             let (Some(di), Some(dj)) = (di, dj) else {
                 // Distinguish the common transposition mistake from a
                 // genuinely unresolvable subscript.
-                let transposed = subs[0].index_offset(&nest.inner).is_some()
-                    && subs[1].index_offset(&nest.outer).is_some();
+                let transposed = subs[0].index_offset(nest.inner).is_some()
+                    && subs[1].index_offset(nest.outer).is_some();
                 diags.push(Diagnostic {
                     span: e.span,
                     message: if transposed {
@@ -250,8 +210,8 @@ fn check_expr(
                         "illegal dependency: {base}[{}][{}] reads a cell the \
                          wavefront has not computed yet; vectorization requires \
                          dependencies only on ({o}-1,{n}), ({o},{n}-1), ({o}-1,{n}-1)",
-                        dir(di, &nest.outer),
-                        dir(dj, &nest.inner),
+                        dir(di, nest.outer),
+                        dir(dj, nest.inner),
                         o = nest.outer,
                         n = nest.inner
                     ),

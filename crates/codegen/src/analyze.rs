@@ -9,7 +9,7 @@
 //! 4. vector-organization info — table/array/constant names feeding
 //!    the Table II expressions.
 
-use crate::ast::{BinOp, Expr, ExprKind, Span, Stmt, StmtKind};
+use crate::ast::{main_nest, BinOp, Expr, ExprKind, Span, Stmt, StmtKind};
 use crate::spec::KernelSpec;
 
 /// What went wrong during analysis.
@@ -89,28 +89,10 @@ impl AnalyzeError {
     /// underline. Falls back to the bare message when the error has no
     /// span (or an out-of-range one).
     pub fn render(&self, src: &str) -> String {
-        let Some(span) = self.span else {
-            return format!("error: {}", self.kind);
-        };
-        if span.start > src.len() {
-            return format!("error: {}", self.kind);
+        match self.span.and_then(|span| span.excerpt(src)) {
+            Some(excerpt) => format!("error: {}\n{excerpt}", self.kind),
+            None => format!("error: {}", self.kind),
         }
-        let (line, col) = span.line_col(src);
-        let line_text = src.lines().nth(line - 1).unwrap_or("");
-        let width = span
-            .end
-            .saturating_sub(span.start)
-            .clamp(1, line_text.len().saturating_sub(col - 1).max(1));
-        let mut out = String::new();
-        out.push_str(&format!("error: {}\n", self.kind));
-        out.push_str(&format!("  --> {line}:{col}\n"));
-        out.push_str(&format!("   |\n{line:3}| {line_text}\n"));
-        out.push_str(&format!(
-            "   | {}{}",
-            " ".repeat(col - 1),
-            "^".repeat(width)
-        ));
-        out
     }
 }
 
@@ -136,11 +118,11 @@ impl std::error::Error for AnalyzeError {}
 /// ```
 pub fn analyze(prog: &[Stmt]) -> Result<KernelSpec, AnalyzeError> {
     // --- find the main (doubly nested) loop ---
-    let nest = find_main_nest(prog).ok_or_else(|| AnalyzeErrorKind::NoMainLoopNest.bare())?;
-    let (outer_var, inner_var, inner_body) = (nest.outer_var, nest.inner_var, nest.body);
+    let nest = main_nest(prog).ok_or_else(|| AnalyzeErrorKind::NoMainLoopNest.bare())?;
+    let (outer_var, inner_var, inner_body) = (nest.outer, nest.inner, nest.body);
 
     // --- the diagonal rule names the matrix, T and the sequences ---
-    let diag = find_diag(inner_body, &outer_var, &inner_var)
+    let diag = find_diag(inner_body, outer_var, inner_var)
         .ok_or_else(|| AnalyzeErrorKind::NoDiagonalRule.at(nest.inner_span))?;
 
     // --- the result rule: T[i][j] = max(...) ---
@@ -150,8 +132,8 @@ pub fn analyze(prog: &[Stmt]) -> Result<KernelSpec, AnalyzeError> {
         .find_map(|st| match &st.kind {
             StmtKind::Assign { table, subs, value } if *table == diag.t_table => {
                 let ok = subs.len() == 2
-                    && subs[0].index_offset(&outer_var) == Some(0)
-                    && subs[1].index_offset(&inner_var) == Some(0);
+                    && subs[0].index_offset(outer_var) == Some(0)
+                    && subs[1].index_offset(inner_var) == Some(0);
                 ok.then_some(value)
             }
             _ => None,
@@ -177,7 +159,7 @@ pub fn analyze(prog: &[Stmt]) -> Result<KernelSpec, AnalyzeError> {
             // Direct linear-gap operand: T[i-1][j] + C or T[i][j-1] + C —
             // or the inlined diagonal expression itself.
             ExprKind::Bin { .. } => {
-                if diag_from_expr(arg, &outer_var, &inner_var).is_some() {
+                if diag_from_expr(arg, outer_var, inner_var).is_some() {
                     continue; // the inlined D term
                 }
                 if let Some((base_expr, cname)) = arg.as_plus_const() {
@@ -209,9 +191,9 @@ pub fn analyze(prog: &[Stmt]) -> Result<KernelSpec, AnalyzeError> {
                 .ok_or_else(|| AnalyzeErrorKind::BadHelperRule(href.clone()).at(nest.inner_span))?;
             // Direction: which variable is offset by -1 in the
             // self-reference subscripts.
-            if rule.inner_dir(&inner_var) {
+            if rule.inner_dir(inner_var) {
                 u_info = Some(rule);
-            } else if rule.outer_dir(&outer_var) {
+            } else if rule.outer_dir(outer_var) {
                 l_info = Some(rule);
             } else {
                 return Err(AnalyzeErrorKind::BadHelperRule(href.clone()).at(rule.span));
@@ -262,38 +244,6 @@ pub fn analyze(prog: &[Stmt]) -> Result<KernelSpec, AnalyzeError> {
         validate_local_boundaries(prog, &spec.t_table)?;
     }
     Ok(spec)
-}
-
-struct MainNest<'a> {
-    outer_var: String,
-    inner_var: String,
-    body: &'a [Stmt],
-    /// Span of the inner `for`, for "nothing matched inside here"
-    /// diagnostics.
-    inner_span: Span,
-}
-
-fn find_main_nest(prog: &[Stmt]) -> Option<MainNest<'_>> {
-    for st in prog {
-        if let StmtKind::For { var, body, .. } = &st.kind {
-            for inner in body {
-                if let StmtKind::For {
-                    var: ivar,
-                    body: ibody,
-                    ..
-                } = &inner.kind
-                {
-                    return Some(MainNest {
-                        outer_var: var.clone(),
-                        inner_var: ivar.clone(),
-                        body: ibody,
-                        inner_span: inner.span,
-                    });
-                }
-            }
-        }
-    }
-    None
 }
 
 struct DiagInfo {

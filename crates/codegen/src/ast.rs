@@ -54,6 +54,27 @@ impl Span {
         let col = 1 + upto.iter().rev().take_while(|&&b| b != b'\n').count();
         (line, col)
     }
+
+    /// The compiler-style excerpt every diagnostic prints under its
+    /// message: `  --> line:col`, the source line, and a caret
+    /// underline of the span (clipped to that line, at least one
+    /// caret). `None` when the span starts past the end of `src`.
+    pub fn excerpt(&self, src: &str) -> Option<String> {
+        if self.start > src.len() {
+            return None;
+        }
+        let (line, col) = self.line_col(src);
+        let line_text = src.lines().nth(line - 1).unwrap_or("");
+        let width = self
+            .end
+            .saturating_sub(self.start)
+            .clamp(1, line_text.len().saturating_sub(col - 1).max(1));
+        Some(format!(
+            "  --> {line}:{col}\n   |\n{line:3}| {line_text}\n   | {}{}",
+            " ".repeat(col - 1),
+            "^".repeat(width)
+        ))
+    }
 }
 
 impl core::fmt::Display for Span {
@@ -138,6 +159,44 @@ pub enum StmtKind {
         hi: Expr,
         body: Vec<Stmt>,
     },
+}
+
+/// The main loop nest: the first `for` directly inside a top-level
+/// `for` — the doubly nested DP sweep the classifier and every
+/// analyzer pass start from.
+#[derive(Debug, Clone, Copy)]
+pub struct MainNest<'a> {
+    /// The outer loop's variable (`i`).
+    pub outer: &'a str,
+    /// The inner loop's variable (`j`).
+    pub inner: &'a str,
+    /// The inner loop's body.
+    pub body: &'a [Stmt],
+    /// Span of the inner `for`, for "nothing matched inside here"
+    /// diagnostics.
+    pub inner_span: Span,
+}
+
+/// Find the program's [`MainNest`], if it has one.
+pub fn main_nest(prog: &[Stmt]) -> Option<MainNest<'_>> {
+    prog.iter().find_map(|st| {
+        let StmtKind::For { var, body, .. } = &st.kind else {
+            return None;
+        };
+        body.iter().find_map(|inner| match &inner.kind {
+            StmtKind::For {
+                var: ivar,
+                body: ibody,
+                ..
+            } => Some(MainNest {
+                outer: var,
+                inner: ivar,
+                body: ibody,
+                inner_span: inner.span,
+            }),
+            StmtKind::Assign { .. } => None,
+        })
+    })
 }
 
 impl Expr {

@@ -249,6 +249,20 @@ impl FlightRecorder {
         }
         out
     }
+
+    /// Write the retained events to stderr under a one-line header
+    /// naming the owner (`prefix`, e.g. `aalign-serve`) and why — the
+    /// post-mortem dump on a dirty drain, a worker respawn or a
+    /// breaker trip.
+    pub fn dump_to_stderr(&self, prefix: &str, why: &str) {
+        let dump = self.dump_jsonl();
+        eprintln!(
+            "{prefix}: flight recorder dump ({why}; {} event(s) retained, {} recorded):",
+            dump.lines().count(),
+            self.recorded(),
+        );
+        eprint!("{dump}");
+    }
 }
 
 impl Default for FlightRecorder {

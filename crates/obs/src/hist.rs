@@ -26,6 +26,13 @@ fn bucket_of(value: u64) -> usize {
     }
 }
 
+/// Write a Prometheus metric family's `# HELP` and `# TYPE` lines
+/// (`kind` is `counter`, `gauge`, `summary`, …); the samples follow.
+pub fn prom_header(out: &mut String, name: &str, kind: &str, help: &str) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
+}
+
 /// A log2-bucketed histogram of `u64` samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {

@@ -47,7 +47,7 @@ pub mod wire;
 
 pub use event::{HybridEvent, ProbeOutcome, StageKind, StrategyKind, TraceEvent};
 pub use flight::{FlightEvent, FlightRecorder};
-pub use hist::Histogram;
+pub use hist::{prom_header, Histogram};
 pub use jsonl::{event_to_json, parse_line, read_events, ParseError, TraceWriter};
 pub use report::{StrategySegment, SubjectTimeline, TraceReport};
 pub use sink::{CollectorSink, NullSink, TraceSink};

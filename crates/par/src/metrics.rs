@@ -14,7 +14,7 @@ use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::Arc as SyncArc;
 
 use aalign_core::RunStats;
-use aalign_obs::Histogram;
+use aalign_obs::{prom_header, Histogram};
 
 /// Cooperative cancellation handle for an in-flight search.
 ///
@@ -124,11 +124,14 @@ pub struct ShardOutcome {
     /// contributes an `AlignError::ShardLost` naming its uncovered
     /// range.
     pub failed: u64,
-    /// Shards whose request was re-sent once on a respawned child.
-    /// A retried shard still counts under `ok` or `failed`.
+    /// Shards whose request was re-sent once on a respawned child
+    /// (written to it, not merely attempted). A retried shard still
+    /// counts under `ok` or `failed`.
     pub retried: u64,
     /// Shards (a subset of `failed`) that missed the query deadline
-    /// rather than dying.
+    /// rather than dying: the budget was spent before the request (or
+    /// its resend) was written, or no reply came by the deadline plus
+    /// the supervisor's grace.
     pub timed_out: u64,
 }
 
@@ -414,14 +417,12 @@ impl SearchMetrics {
     /// the scalar counters, cumulative `_bucket` series for the
     /// histograms). The CLI's `--metrics-format prom`.
     pub fn to_prometheus(&self) -> String {
-        fn gauge_into(s: &mut String, name: &str, help: &str, value: f64) {
-            use std::fmt::Write as _;
-            let _ = writeln!(s, "# HELP {name} {help}");
-            let _ = writeln!(s, "# TYPE {name} gauge");
-            let _ = writeln!(s, "{name} {value}");
-        }
+        use std::fmt::Write as _;
         let mut s = String::new();
-        let mut gauge = |name: &str, help: &str, value: f64| gauge_into(&mut s, name, help, value);
+        let mut gauge = |name: &str, help: &str, value: f64| {
+            prom_header(&mut s, name, "gauge", help);
+            let _ = writeln!(s, "{name} {value}");
+        };
         gauge(
             "aalign_prepare_seconds",
             "Query profile construction wall time.",

@@ -198,39 +198,22 @@ impl SearchBackend for Supervisor {
     }
 
     fn status(&self) -> BackendStatus {
-        let (count, live, dead) = (self.shards(), self.shards_live(), self.shards_dead());
-        let respawns = Supervisor::respawns(self);
+        // (health `shards` key, gauge name after `aalign_serve_`, help, value)
+        #[rustfmt::skip]
+        let rows = [
+            ("count", "shards_total", "Database shards this daemon dispatches to.", self.shards() as u64),
+            ("live", "shards_live", "Shards with a live child process right now.", self.shards_live() as u64),
+            ("dead", "shards_dead", "Shards whose circuit breaker has tripped.", self.shards_dead() as u64),
+            ("respawns", "shard_respawns", "Shard children respawned after a death.", Supervisor::respawns(self)),
+        ];
         BackendStatus {
             queries_served: self.queries_served(),
             certified: JsonValue::Null,
-            shards: obj(vec![
-                ("count", count.into()),
-                ("live", live.into()),
-                ("dead", dead.into()),
-                ("respawns", respawns.into()),
-            ]),
-            gauges: vec![
-                (
-                    "shards_total",
-                    "Database shards this daemon dispatches to.",
-                    count as u64,
-                ),
-                (
-                    "shards_live",
-                    "Shards with a live child process right now.",
-                    live as u64,
-                ),
-                (
-                    "shards_dead",
-                    "Shards whose circuit breaker has tripped.",
-                    dead as u64,
-                ),
-                (
-                    "shard_respawns",
-                    "Shard children respawned after a death.",
-                    respawns,
-                ),
-            ],
+            shards: obj(rows.iter().map(|&(key, _, _, v)| (key, v.into())).collect()),
+            gauges: rows
+                .iter()
+                .map(|&(_, name, help, v)| (name, help, v))
+                .collect(),
         }
     }
 }

@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 use aalign_bio::{SeqDatabase, Sequence};
 use aalign_core::{AlignError, Aligner};
 use aalign_obs::wire::{histogram_to_wire, obj, versioned, JsonValue};
-use aalign_obs::{FlightEvent, FlightRecorder, Histogram, StageKind};
+use aalign_obs::{prom_header, FlightEvent, FlightRecorder, Histogram, StageKind};
 use aalign_par::{CancelToken, EngineHandle, SearchReport};
 
 use crate::backend::{Local, SearchBackend};
@@ -132,33 +132,54 @@ impl DispatcherConfig {
     }
 }
 
-/// Service-level counters, all monotonic.
+/// One service counter: an index into [`COUNTERS`] and into the
+/// dispatcher's counter array.
+#[derive(Debug, Clone, Copy)]
+enum Counter {
+    Requests,
+    Ok,
+    Partial,
+    Overloaded,
+    Draining,
+    Quota,
+    Cancelled,
+    Coalesced,
+    BadRequests,
+}
+
+/// Every service counter once, in [`Counter`] order: its key in the
+/// health document's `counters` block, its `/metrics` name after
+/// `aalign_serve_`, and its help text.
+#[rustfmt::skip]
+const COUNTERS: [(&str, &str, &str); 9] = [
+    ("requests_total", "requests_total", "Requests received across all front ends."),
+    ("ok", "requests_ok", "Requests answered with a complete report."),
+    ("partial", "requests_partial", "Requests answered with a partial report (deadline or fault)."),
+    ("overloaded", "refused_overloaded", "Requests refused by admission control."),
+    ("draining_refused", "refused_draining", "Requests refused because the daemon was draining."),
+    ("quota_refused", "refused_quota", "Requests refused by per-tenant quotas."),
+    ("cancelled", "cancelled_total", "Requests cancelled by the caller."),
+    ("coalesced_total", "coalesced_total", "Requests coalesced onto another request's sweep."),
+    ("bad_requests", "bad_requests_total", "Malformed requests."),
+];
+
+/// Service-level counters, all monotonic, indexed by [`Counter`].
 ///
 /// Every counter is read and written with `Relaxed` loads/stores:
 /// they are statistics, never used to synchronize memory.
 #[derive(Debug, Default)]
-struct Counters {
-    requests_total: AtomicU64,
-    ok: AtomicU64,
-    partial: AtomicU64,
-    overloaded: AtomicU64,
-    draining_refused: AtomicU64,
-    quota_refused: AtomicU64,
-    cancelled: AtomicU64,
-    coalesced_total: AtomicU64,
-    bad_requests: AtomicU64,
-}
+struct Counters([AtomicU64; COUNTERS.len()]);
 
 impl Counters {
-    fn bump(counter: &AtomicU64) {
+    fn add(&self, counter: Counter, n: u64) {
         // ORDER: Relaxed — independent statistic; no other data
         // depends on this counter's value.
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.0[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    fn read(counter: &AtomicU64) -> u64 {
-        // ORDER: Relaxed — monotonic statistic read for reporting.
-        counter.load(Ordering::Relaxed)
+    fn read(&self) -> impl Iterator<Item = u64> + '_ {
+        // ORDER: Relaxed — monotonic statistics read for reporting.
+        self.0.iter().map(|c| c.load(Ordering::Relaxed))
     }
 }
 
@@ -170,35 +191,20 @@ struct AdmitState {
     queued: usize,
 }
 
-/// Service-level per-stage latency aggregates (nanoseconds), one
-/// histogram per lifecycle stage plus end-to-end. Leaf-level lock:
-/// recorded after a stage completes, never held across anything.
-#[derive(Debug, Default)]
-struct StageHists {
-    parse: Histogram,
-    queue: Histogram,
-    batch_wait: Histogram,
-    sweep: Histogram,
-    merge: Histogram,
-    respond: Histogram,
-    e2e: Histogram,
-}
-
-impl StageHists {
-    fn for_stage(&mut self, stage: StageKind) -> Option<&mut Histogram> {
-        match stage {
-            StageKind::Parse => Some(&mut self.parse),
-            StageKind::Queue => Some(&mut self.queue),
-            StageKind::BatchWait => Some(&mut self.batch_wait),
-            StageKind::Sweep => Some(&mut self.sweep),
-            StageKind::Merge => Some(&mut self.merge),
-            StageKind::Respond => Some(&mut self.respond),
-            // Shard-supervisor lifecycle events ride the flight ring
-            // but are not per-request latency stages — no histogram.
-            _ => None,
-        }
-    }
-}
+/// The per-request latency stages in lifecycle order, end-to-end last
+/// (it has no [`StageKind`]; shard-supervisor lifecycle events ride
+/// the flight ring but are not latency stages). Each name is health's
+/// `stages.<name>_ns` and the `aalign_serve_stage_<name>_seconds`
+/// summary.
+const STAGES: [(Option<StageKind>, &str); 7] = [
+    (Some(StageKind::Parse), "parse"),
+    (Some(StageKind::Queue), "queue_wait"),
+    (Some(StageKind::BatchWait), "batch_wait"),
+    (Some(StageKind::Sweep), "sweep"),
+    (Some(StageKind::Merge), "merge"),
+    (Some(StageKind::Respond), "respond"),
+    (None, "e2e"),
+];
 
 /// Saturating nanosecond reading for histogram recording.
 fn dur_ns(d: Duration) -> u64 {
@@ -318,7 +324,9 @@ pub struct Dispatcher<B = Local> {
     started: Instant,
     request_seq: AtomicU64,
     flight_rec: FlightRecorder,
-    stage_hists: Mutex<StageHists>,
+    /// Nanosecond aggregates, one per [`STAGES`] row. Leaf-level lock:
+    /// recorded after a stage completes, never held across anything.
+    stage_hists: Mutex<[Histogram; STAGES.len()]>,
 }
 
 impl<B: SearchBackend> std::fmt::Debug for Dispatcher<B> {
@@ -372,7 +380,7 @@ impl<B: SearchBackend> Dispatcher<B> {
             started: Instant::now(),
             request_seq: AtomicU64::new(0),
             flight_rec: FlightRecorder::new(),
-            stage_hists: Mutex::new(StageHists::default()),
+            stage_hists: Mutex::default(),
         }
     }
 
@@ -403,22 +411,21 @@ impl<B: SearchBackend> Dispatcher<B> {
             dur_us: u64::try_from(dur.as_micros()).unwrap_or(u64::MAX),
             ref_request,
         });
-        let mut hists = self.stage_hists.lock().expect("stage histograms poisoned");
-        if let Some(h) = hists.for_stage(stage) {
-            h.record(dur_ns(dur));
+        self.observe(Some(stage), dur);
+    }
+
+    /// Aggregate one duration into its [`STAGES`] histogram (`None`:
+    /// end-to-end); a stage with no row is not aggregated.
+    fn observe(&self, stage: Option<StageKind>, dur: Duration) {
+        if let Some(row) = STAGES.iter().position(|&(kind, _)| kind == stage) {
+            self.stage_hists.lock().expect("stage histograms poisoned")[row].record(dur_ns(dur));
         }
     }
 
     /// Dump the flight recorder to stderr, labelled with why. Called
     /// on dirty drain and when a request provoked a worker respawn.
     pub fn dump_flight(&self, why: &str) {
-        let dump = self.flight_rec.dump_jsonl();
-        eprintln!(
-            "aalign-serve: flight recorder dump ({why}; {} event(s) retained, {} recorded):",
-            dump.lines().count(),
-            self.flight_rec.recorded(),
-        );
-        eprint!("{dump}");
+        self.flight_rec.dump_to_stderr("aalign-serve", why);
     }
 
     /// Run one search request end to end: drain gate, quota,
@@ -443,32 +450,25 @@ impl<B: SearchBackend> Dispatcher<B> {
         req: &SearchRequest,
         request_id: u64,
     ) -> Result<SearchResponse, ServeError> {
-        Counters::bump(&self.counters.requests_total);
+        self.counters.add(Counter::Requests, 1);
         let e2e_start = Instant::now();
         let respawned_before = self.backend.respawns();
         let outcome = self.search_inner(req, request_id);
-        {
-            let mut hists = self.stage_hists.lock().expect("stage histograms poisoned");
-            hists.e2e.record(dur_ns(e2e_start.elapsed()));
-        }
+        self.observe(None, e2e_start.elapsed());
         if self.backend.respawns() > respawned_before {
             self.dump_flight(&format!("worker respawned during request {request_id}"));
         }
-        match &outcome {
-            Ok(resp) => Counters::bump(if resp.report.partial {
-                &self.counters.partial
-            } else {
-                &self.counters.ok
-            }),
-            Err(ServeError::Overloaded { .. }) => Counters::bump(&self.counters.overloaded),
-            Err(ServeError::Draining) => Counters::bump(&self.counters.draining_refused),
-            Err(ServeError::QuotaExhausted { .. }) => Counters::bump(&self.counters.quota_refused),
-            Err(ServeError::Engine(AlignError::Cancelled)) => {
-                Counters::bump(&self.counters.cancelled);
-            }
-            Err(ServeError::BadRequest(_)) => Counters::bump(&self.counters.bad_requests),
-            Err(_) => {}
-        }
+        let counter = match &outcome {
+            Ok(resp) if resp.report.partial => Counter::Partial,
+            Ok(_) => Counter::Ok,
+            Err(ServeError::Overloaded { .. }) => Counter::Overloaded,
+            Err(ServeError::Draining) => Counter::Draining,
+            Err(ServeError::QuotaExhausted { .. }) => Counter::Quota,
+            Err(ServeError::Engine(AlignError::Cancelled)) => Counter::Cancelled,
+            Err(ServeError::BadRequest(_)) => Counter::BadRequests,
+            Err(_) => return outcome,
+        };
+        self.counters.add(counter, 1);
         outcome
     }
 
@@ -581,8 +581,8 @@ impl<B: SearchBackend> Dispatcher<B> {
     /// Record a request the front end rejected before dispatch
     /// (unparseable body, bad route) so `/metrics` still sees it.
     pub fn note_bad_request(&self) {
-        Counters::bump(&self.counters.requests_total);
-        Counters::bump(&self.counters.bad_requests);
+        self.counters.add(Counter::Requests, 1);
+        self.counters.add(Counter::BadRequests, 1);
     }
 
     /// Versioned health document for `GET /v1/health` and the
@@ -617,199 +617,121 @@ impl<B: SearchBackend> Dispatcher<B> {
             ),
             (
                 "counters",
-                obj(vec![
-                    (
-                        "requests_total",
-                        Counters::read(&self.counters.requests_total).into(),
-                    ),
-                    ("ok", Counters::read(&self.counters.ok).into()),
-                    ("partial", Counters::read(&self.counters.partial).into()),
-                    (
-                        "overloaded",
-                        Counters::read(&self.counters.overloaded).into(),
-                    ),
-                    (
-                        "draining_refused",
-                        Counters::read(&self.counters.draining_refused).into(),
-                    ),
-                    (
-                        "quota_refused",
-                        Counters::read(&self.counters.quota_refused).into(),
-                    ),
-                    ("cancelled", Counters::read(&self.counters.cancelled).into()),
-                    (
-                        "coalesced_total",
-                        Counters::read(&self.counters.coalesced_total).into(),
-                    ),
-                    (
-                        "bad_requests",
-                        Counters::read(&self.counters.bad_requests).into(),
-                    ),
-                ]),
+                obj(COUNTERS
+                    .iter()
+                    .zip(self.counters.read())
+                    .map(|(&(key, _, _), n)| (key, n.into()))
+                    .collect()),
             ),
             // Lossless per-stage aggregates (nanoseconds): the same
             // histogram wire shape the metrics documents use, so a
             // client (e.g. `aalign loadgen`) can decode them with
             // `histogram_from_wire` and read exact quantiles.
             ("stages", {
-                let h = self.stage_hists.lock().expect("stage histograms poisoned");
-                obj(vec![
-                    ("parse_ns", histogram_to_wire(&h.parse)),
-                    ("queue_wait_ns", histogram_to_wire(&h.queue)),
-                    ("batch_wait_ns", histogram_to_wire(&h.batch_wait)),
-                    ("sweep_ns", histogram_to_wire(&h.sweep)),
-                    ("merge_ns", histogram_to_wire(&h.merge)),
-                    ("respond_ns", histogram_to_wire(&h.respond)),
-                    ("e2e_ns", histogram_to_wire(&h.e2e)),
-                ])
+                let hists = self.stage_hists.lock().expect("stage histograms poisoned");
+                JsonValue::Object(
+                    STAGES
+                        .iter()
+                        .zip(hists.iter())
+                        .map(|(&(_, name), h)| (format!("{name}_ns"), histogram_to_wire(h)))
+                        .collect(),
+                )
             }),
         ])
     }
 
     /// Prometheus exposition text for `GET /metrics`.
     pub fn prometheus(&self) -> String {
+        use std::fmt::Write as _;
+        fn sample(out: &mut String, kind: &str, (name, help, v): (&str, &str, u64)) {
+            let name = format!("aalign_serve_{name}");
+            prom_header(out, &name, kind, help);
+            let _ = writeln!(out, "{name} {v}");
+        }
         let backend = self.backend.status();
         let mut out = String::new();
-        let mut counter = |name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP aalign_serve_{name} {help}\n# TYPE aalign_serve_{name} counter\naalign_serve_{name} {v}\n"
-            ));
-        };
-        counter(
-            "requests_total",
-            "Requests received across all front ends.",
-            Counters::read(&self.counters.requests_total),
-        );
-        counter(
-            "requests_ok",
-            "Requests answered with a complete report.",
-            Counters::read(&self.counters.ok),
-        );
-        counter(
-            "requests_partial",
-            "Requests answered with a partial report (deadline or fault).",
-            Counters::read(&self.counters.partial),
-        );
-        counter(
-            "refused_overloaded",
-            "Requests refused by admission control.",
-            Counters::read(&self.counters.overloaded),
-        );
-        counter(
-            "refused_draining",
-            "Requests refused because the daemon was draining.",
-            Counters::read(&self.counters.draining_refused),
-        );
-        counter(
-            "refused_quota",
-            "Requests refused by per-tenant quotas.",
-            Counters::read(&self.counters.quota_refused),
-        );
-        counter(
-            "cancelled_total",
-            "Requests cancelled by the caller.",
-            Counters::read(&self.counters.cancelled),
-        );
-        counter(
-            "coalesced_total",
-            "Requests coalesced onto another request's sweep.",
-            Counters::read(&self.counters.coalesced_total),
-        );
-        counter(
-            "bad_requests_total",
-            "Malformed requests.",
-            Counters::read(&self.counters.bad_requests),
-        );
-        counter(
-            "engine_queries_served",
-            "Sweeps completed by the backend.",
-            backend.queries_served,
-        );
-        counter(
-            "engine_workers_respawned",
-            "Workers respawned after a panic or kill.",
-            self.backend.respawns(),
-        );
-        counter(
-            "flight_events_recorded",
-            "Stage events written to the flight recorder.",
-            self.flight_rec.recorded(),
-        );
+        let counters = COUNTERS
+            .iter()
+            .zip(self.counters.read())
+            .map(|(&(_, name, help), n)| (name, help, n));
+        for row in counters.chain([
+            (
+                "engine_queries_served",
+                "Sweeps completed by the backend.",
+                backend.queries_served,
+            ),
+            (
+                "engine_workers_respawned",
+                "Workers respawned after a panic or kill.",
+                self.backend.respawns(),
+            ),
+            (
+                "flight_events_recorded",
+                "Stage events written to the flight recorder.",
+                self.flight_rec.recorded(),
+            ),
+        ]) {
+            sample(&mut out, "counter", row);
+        }
 
         // Point-in-time gauges.
         let (inflight, queued) = {
             let st = self.admit.lock().expect("admission lock poisoned");
-            (st.inflight, st.queued)
+            (st.inflight as u64, st.queued as u64)
         };
-        let mut gauge = |name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP aalign_serve_{name} {help}\n# TYPE aalign_serve_{name} gauge\naalign_serve_{name} {v}\n"
-            ));
-        };
-        gauge(
-            "inflight",
-            "Requests currently holding an in-flight slot.",
-            inflight as u64,
-        );
-        gauge(
-            "queued",
-            "Requests currently parked in the admission queue.",
-            queued as u64,
-        );
+        for row in [
+            (
+                "inflight",
+                "Requests currently holding an in-flight slot.",
+                inflight,
+            ),
+            (
+                "queued",
+                "Requests currently parked in the admission queue.",
+                queued,
+            ),
+        ] {
+            sample(&mut out, "gauge", row);
+        }
         {
             let tenants = self.tenants.lock().expect("tenant lock poisoned");
             let mut rows: Vec<(&String, &usize)> = tenants.iter().collect();
             rows.sort();
-            out.push_str(
-                "# HELP aalign_serve_tenant_inflight Requests in flight per tenant label.\n\
-                 # TYPE aalign_serve_tenant_inflight gauge\n",
+            prom_header(
+                &mut out,
+                "aalign_serve_tenant_inflight",
+                "gauge",
+                "Requests in flight per tenant label.",
             );
             for (tenant, n) in rows {
                 let label = tenant.replace('\\', "\\\\").replace('"', "\\\"");
-                out.push_str(&format!(
-                    "aalign_serve_tenant_inflight{{tenant=\"{label}\"}} {n}\n"
-                ));
+                let _ = writeln!(
+                    out,
+                    "aalign_serve_tenant_inflight{{tenant=\"{label}\"}} {n}"
+                );
             }
         }
-
         // The backend's own gauges (shard liveness, on sharded daemons).
-        // The `gauge` closure's borrow of `out` ended at the tenant rows
-        // above, so these are pushed directly.
-        for (name, help, v) in backend.gauges {
-            out.push_str(&format!(
-                "# HELP aalign_serve_{name} {help}\n# TYPE aalign_serve_{name} gauge\naalign_serve_{name} {v}\n"
-            ));
+        for row in backend.gauges {
+            sample(&mut out, "gauge", row);
         }
 
         // Per-stage latency summaries (seconds, from the nanosecond
         // log2 histograms — quantiles are bucket upper bounds).
-        let h = self.stage_hists.lock().expect("stage histograms poisoned");
-        let stages: [(&str, &Histogram); 7] = [
-            ("parse", &h.parse),
-            ("queue_wait", &h.queue),
-            ("batch_wait", &h.batch_wait),
-            ("sweep", &h.sweep),
-            ("merge", &h.merge),
-            ("respond", &h.respond),
-            ("e2e", &h.e2e),
-        ];
-        for (stage, hist) in stages {
+        let hists = self.stage_hists.lock().expect("stage histograms poisoned");
+        for (&(_, stage), hist) in STAGES.iter().zip(hists.iter()) {
             let name = format!("aalign_serve_stage_{stage}_seconds");
-            out.push_str(&format!(
-                "# HELP {name} Stage latency for the {stage} request stage.\n# TYPE {name} summary\n"
-            ));
+            let help = format!("Stage latency for the {stage} request stage.");
+            prom_header(&mut out, &name, "summary", &help);
             for (label, v) in [
                 ("0.5", hist.p50()),
                 ("0.99", hist.p99()),
                 ("0.999", hist.p999()),
             ] {
-                out.push_str(&format!(
-                    "{name}{{quantile=\"{label}\"}} {}\n",
-                    v as f64 * 1e-9
-                ));
+                let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {}", v as f64 * 1e-9);
             }
-            out.push_str(&format!("{name}_sum {}\n", hist.sum() as f64 * 1e-9));
-            out.push_str(&format!("{name}_count {}\n", hist.count()));
+            let _ = writeln!(out, "{name}_sum {}", hist.sum() as f64 * 1e-9);
+            let _ = writeln!(out, "{name}_count {}", hist.count());
         }
         out
     }
@@ -1067,11 +989,7 @@ impl<B: SearchBackend> Dispatcher<B> {
         *state = FlightState::Done(shared.clone());
         drop(state);
         flight.cv.notify_all();
-        if followers > 0 {
-            let coalesced = &self.counters.coalesced_total;
-            // ORDER: Relaxed — statistic only.
-            coalesced.fetch_add(followers, Ordering::Relaxed);
-        }
+        self.counters.add(Counter::Coalesced, followers);
         shared.map_err(ServeError::Engine)
     }
 

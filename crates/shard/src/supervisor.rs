@@ -9,17 +9,24 @@
 //! schedule). Every query locks the slots in index order, dispatches
 //! to all live shards (deadline decremented by elapsed supervisor
 //! time), then collects in index order while the children compute
-//! concurrently.
+//! concurrently. Every request to a child goes through one `send`
+//! and every reply through one `recv`, which count a failed write, a
+//! closed pipe or a read error as the child's death. Status
+//! ([`shards_live`](Supervisor::shards_live) and friends) reads a
+//! record kept beside the counters, never a slot lock, so it does not
+//! wait behind a query.
 //!
 //! ## Retry / degradation state machine, per shard per query
 //!
 //! ```text
 //!          dispatch ──► answered ──────────────────────► ok
 //!             │
-//!             ├─ child died (EOF/reap) ─► respawn (backoff)
-//!             │        │                        │
-//!             │        │ breaker tripped        ├─ resend once
-//!             │        ▼ or no budget           ▼ (same request id)
+//!             ├─ budget spent before the write ─► failed (timed_out)
+//!             │
+//!             ├─ child died (write/EOF/reap) ─► dispatch again:
+//!             │        │                 respawn (backoff), resend
+//!             │        │ breaker tripped once, same request id
+//!             │        ▼ or no budget     (retried once written)
 //!             │      failed ◄────────── died/timed out again
 //!             │
 //!             └─ no reply by deadline+grace ─► kill child,
@@ -165,37 +172,35 @@ impl ShardOptions {
 
 /// One query, supervisor-level.
 #[derive(Debug, Clone)]
-#[non_exhaustive]
 pub struct ShardQuery {
-    /// Query residues (protein, one-letter code).
-    pub query: String,
-    /// Query label (rides to the children as `query_id`).
-    pub query_id: String,
-    /// Keep the best `top_n` hits (0 = every hit).
-    pub top_n: usize,
+    /// The request every shard is sent (`no_batch`: a child never
+    /// coalesces a shard's request away); each send stamps the
+    /// idempotent id `q<qid>` and the remaining `deadline_ms`.
+    request: SearchRequest,
     /// Wall-clock budget; `None` means 30 s.
-    pub deadline: Option<Duration>,
+    deadline: Option<Duration>,
     /// Trips to abandon the query mid-fan-out: the search returns
     /// [`AlignError::Cancelled`] and leaves the children alone.
-    pub cancel: CancelToken,
+    cancel: CancelToken,
 }
 
 impl ShardQuery {
-    /// Query with defaults (every hit, the 30 s default deadline).
+    /// Query over `query`'s residues (protein, one-letter code) with
+    /// defaults: label `query`, every hit, the 30 s default deadline.
     pub fn new(query: impl Into<String>) -> Self {
+        let mut request = SearchRequest::new(query);
+        request.no_batch = true;
         ShardQuery {
-            query: query.into(),
-            query_id: "query".to_string(),
-            top_n: 0,
+            request,
             deadline: None,
             cancel: CancelToken::new(),
         }
     }
 
-    /// Set the hit budget.
+    /// Set the hit budget (0 = every hit).
     #[must_use]
     pub fn top_n(mut self, n: usize) -> Self {
-        self.top_n = n;
+        self.request.top_n = n;
         self
     }
 
@@ -206,10 +211,10 @@ impl ShardQuery {
         self
     }
 
-    /// Set the query label.
+    /// Set the query label (rides to the children as `query_id`).
     #[must_use]
     pub fn query_id(mut self, id: impl Into<String>) -> Self {
-        self.query_id = id.into();
+        self.request.query_id = id.into();
         self
     }
 
@@ -219,6 +224,25 @@ impl ShardQuery {
         self.cancel = token;
         self
     }
+
+    /// The `search` params one send writes: the same [`SearchRequest`]
+    /// document the HTTP front end takes, under the idempotent request
+    /// id `q<qid>` and with the supervisor's remaining budget as the
+    /// deadline.
+    fn to_wire(&self, qid: u64, remaining: Duration) -> JsonValue {
+        let mut req = self.request.clone();
+        req.id = Some(format!("q{qid}"));
+        req.deadline_ms = Some(u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX));
+        req.to_wire()
+    }
+}
+
+/// One query's fan-out: what every send carries and when its budget
+/// runs out.
+struct Fanout<'q> {
+    q: &'q ShardQuery,
+    qid: u64,
+    deadline_at: Instant,
 }
 
 /// Mutable per-shard state, behind the slot's mutex.
@@ -234,8 +258,6 @@ struct SlotState {
     backoff: Backoff,
     /// Children spawned into this slot over its lifetime.
     spawned: u64,
-    /// JSON-RPC id counter for this slot's connection(s).
-    rpc_seq: u64,
 }
 
 /// One contiguous database shard.
@@ -249,10 +271,18 @@ struct ShardSlot {
     state: Mutex<SlotState>,
 }
 
+/// Counters, and what status reads of the shards: written wherever a
+/// slot gains or loses its child, so status never takes a slot lock
+/// (a query holds those from dispatch to merge).
 #[derive(Debug, Default)]
 struct SupervisorStats {
     queries: u64,
     respawns: u64,
+    /// Per shard: the pid of its child once that child passed
+    /// readiness, `None` while it has none.
+    pids: Vec<Option<u32>>,
+    /// Shards whose circuit breaker tripped (a slot trips once).
+    tripped: usize,
 }
 
 /// The shard supervisor. See the [module docs](self) for the
@@ -324,7 +354,6 @@ impl Supervisor {
                         opts.backoff_seed.wrapping_add(i as u64),
                     ),
                     spawned: 0,
-                    rpc_seq: 0,
                 }),
             });
         }
@@ -336,7 +365,10 @@ impl Supervisor {
             slots,
             recorder: FlightRecorder::new(),
             started: Instant::now(),
-            stats: Mutex::new(SupervisorStats::default()),
+            stats: Mutex::new(SupervisorStats {
+                pids: vec![None; ranges.len()],
+                ..SupervisorStats::default()
+            }),
             monitor: Mutex::new(None),
             monitor_stop: Arc::new((Mutex::new(false), Condvar::new())),
             shut: Mutex::new(false),
@@ -380,23 +412,16 @@ impl Supervisor {
         self.total_subjects
     }
 
-    /// Shards with a live child right now.
+    /// Shards with a live child right now. Never waits behind a
+    /// query.
     pub fn shards_live(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| {
-                let st = s.state.lock().expect("slot state poisoned");
-                !st.dead && st.worker.is_some()
-            })
-            .count()
+        let stats = self.stats.lock().expect("stats poisoned");
+        stats.pids.iter().flatten().count()
     }
 
-    /// Circuit-broken shards.
+    /// Circuit-broken shards. Never waits behind a query.
     pub fn shards_dead(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.state.lock().expect("slot state poisoned").dead)
-            .count()
+        self.stats.lock().expect("stats poisoned").tripped
     }
 
     /// Children respawned over the supervisor's lifetime (excludes
@@ -410,23 +435,18 @@ impl Supervisor {
         self.stats.lock().expect("stats poisoned").queries
     }
 
-    /// Current child pid for a shard (tests / external chaos).
+    /// Current child pid for a shard (tests / external chaos). Never
+    /// waits behind a query.
     pub fn shard_pid(&self, shard: usize) -> Option<u32> {
-        let st = self.slots.get(shard)?.state.lock().expect("slot state");
-        st.worker.as_ref().map(Worker::pid)
+        let stats = self.stats.lock().expect("stats poisoned");
+        stats.pids.get(shard).copied().flatten()
     }
 
     /// Dump the flight ring to stderr, labelled with why — same
     /// format as the serve dispatcher's dump. Called automatically on
     /// circuit-breaker trips and dirty drains.
     pub fn dump_flight(&self, why: &str) {
-        let dump = self.recorder.dump_jsonl();
-        eprintln!(
-            "aalign-shard: flight recorder dump ({why}; {} event(s) retained, {} recorded):",
-            dump.lines().count(),
-            self.recorder.recorded(),
-        );
-        eprint!("{dump}");
+        self.recorder.dump_to_stderr("aalign-shard", why);
     }
 
     fn event(&self, request: u64, stage: StageKind, dur: Duration, shard: usize) {
@@ -450,14 +470,15 @@ impl Supervisor {
     /// under its own deadline, and their late replies are discarded by
     /// rpc id, as a retried call's are.
     pub fn search(&self, q: &ShardQuery) -> Result<SearchReport, AlignError> {
-        if q.query.is_empty() {
+        let (query, query_id) = (&q.request.query, &q.request.query_id);
+        if query.is_empty() {
             return Err(AlignError::EmptyQuery);
         }
         // Validate locally so a deterministic bad query never counts
         // against shard health (every child would refuse it anyway).
-        Sequence::protein(q.query_id.as_str(), q.query.as_bytes()).map_err(|_| {
+        Sequence::protein(query_id.as_str(), query.as_bytes()).map_err(|_| {
             AlignError::AlphabetMismatch {
-                id: q.query_id.clone(),
+                id: query_id.clone(),
             }
         })?;
         let qid = {
@@ -466,8 +487,11 @@ impl Supervisor {
             stats.queries
         };
         let started = Instant::now();
-        let deadline_at = started + q.deadline.unwrap_or(DEFAULT_DEADLINE);
-        let hard_deadline = deadline_at + REQUEST_GRACE;
+        let fan = Fanout {
+            q,
+            qid,
+            deadline_at: started + q.deadline.unwrap_or(DEFAULT_DEADLINE),
+        };
 
         // Lock every slot in index order for the whole query: one
         // child serves one request at a time, so responses need no
@@ -477,156 +501,173 @@ impl Supervisor {
             .iter()
             .map(|s| s.state.lock().expect("slot state poisoned"))
             .collect();
+        let mut shards: Vec<PerShard> = self
+            .slots
+            .iter()
+            .map(|slot| PerShard {
+                index: slot.index,
+                start: slot.start,
+                end: slot.end,
+                answer: None,
+                timed_out: false,
+                retried: false,
+            })
+            .collect();
 
         // Phase 1: dispatch to every live shard; children compute
         // concurrently while we collect in order below.
-        let mut pending: Vec<Option<u64>> = Vec::with_capacity(self.slots.len());
-        for (slot, st) in self.slots.iter().zip(guards.iter_mut()) {
-            pending.push(self.dispatch(slot, st, q, qid, deadline_at));
-        }
+        let sent: Vec<Option<u64>> = self
+            .slots
+            .iter()
+            .zip(guards.iter_mut())
+            .zip(shards.iter_mut())
+            .map(|((slot, st), shard)| self.dispatch(slot, st, &fan, shard, false))
+            .collect();
 
         // Phase 2: collect, retrying each lost shard once.
-        let mut per_shard = Vec::with_capacity(self.slots.len());
-        for ((slot, st), rpc_id) in self.slots.iter().zip(guards.iter_mut()).zip(pending) {
-            per_shard.push(self.collect(slot, st, q, qid, rpc_id, deadline_at, hard_deadline)?);
+        let all = self.slots.iter().zip(guards.iter_mut());
+        for (((slot, st), shard), rpc_id) in all.zip(shards.iter_mut()).zip(sent) {
+            self.collect(slot, st, &fan, rpc_id, shard)?;
         }
         drop(guards);
 
-        let merge_started = Instant::now();
-        Ok(merge_reports(per_shard, q.top_n, started, merge_started))
+        Ok(merge_reports(
+            shards,
+            q.request.top_n,
+            started,
+            Instant::now(),
+        ))
     }
 
-    /// Dispatch the query to one shard. Returns the in-flight RPC id,
-    /// or `None` when the shard is unavailable (dead, could not
-    /// respawn inside the budget, or the budget is already spent).
+    /// Write the query to one shard, (re)spawning its child first when
+    /// it has none; `resend` marks the one retry after a death, which
+    /// [`PerShard::retried`] counts once written. Returns the RPC id to
+    /// wait on, or `None` when nothing was written: the shard is dead,
+    /// could not respawn inside the budget, or its budget was spent
+    /// first (`timed_out`). A child that dies taking the first send is
+    /// resent to at once.
     fn dispatch(
         &self,
         slot: &ShardSlot,
         st: &mut SlotState,
-        q: &ShardQuery,
-        qid: u64,
-        deadline_at: Instant,
+        fan: &Fanout<'_>,
+        shard: &mut PerShard,
+        resend: bool,
     ) -> Option<u64> {
-        if !self.ensure_worker(slot, st, deadline_at) {
+        if !self.ensure_worker(slot, st, fan.deadline_at) {
             return None;
         }
-        let remaining = deadline_at.saturating_duration_since(Instant::now());
+        let remaining = fan.deadline_at.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
+            shard.timed_out = true;
             return None;
         }
-        st.rpc_seq += 1;
-        let rpc_id = st.rpc_seq;
-        let line = Worker::request_line(rpc_id, "search", search_params(q, qid, remaining));
-        let sent = st
-            .worker
-            .as_mut()
-            .expect("ensure_worker guarantees a worker")
-            .send_line(&line)
-            .is_ok();
-        if !sent {
-            // Write failure is a death; the collect phase retries.
-            self.record_death(slot, st, qid);
-            return Some(rpc_id);
+        if resend {
+            self.event(fan.qid, StageKind::ShardRetry, remaining, slot.index);
         }
+        let params = fan.q.to_wire(fan.qid, remaining);
+        let Some(rpc_id) = self.send(slot, st, fan.qid, "search", params) else {
+            // The child died taking the first send: resend at once.
+            return if resend {
+                None
+            } else {
+                self.dispatch(slot, st, fan, shard, true)
+            };
+        };
+        shard.retried |= resend;
         self.maybe_inject_kill(slot, st);
         Some(rpc_id)
     }
 
-    /// Collect one shard's answer, taking the retry-once path on
-    /// child death. `rpc_id == None` means dispatch already failed.
-    /// `Err` only when the query's cancel token tripped.
-    #[allow(clippy::too_many_arguments)]
+    /// Collect one shard's answer to `rpc_id` (`None`: nothing was
+    /// sent), resending once on a respawned child after a death. `Err`
+    /// only when the query's cancel token tripped.
     fn collect(
         &self,
         slot: &ShardSlot,
         st: &mut SlotState,
-        q: &ShardQuery,
-        qid: u64,
-        rpc_id: Option<u64>,
-        deadline_at: Instant,
-        hard_deadline: Instant,
-    ) -> Result<PerShard, AlignError> {
-        let mut shard = PerShard {
-            index: slot.index,
-            start: slot.start,
-            end: slot.end,
-            answer: None,
-            timed_out: false,
-            retried: false,
-        };
-        let Some(mut rpc_id) = rpc_id else {
-            return Ok(shard); // failed (unavailable / no budget)
-        };
-        let mut attempt = 0;
-        loop {
-            if q.cancel.is_cancelled() {
+        fan: &Fanout<'_>,
+        mut rpc_id: Option<u64>,
+        shard: &mut PerShard,
+    ) -> Result<(), AlignError> {
+        let hard_deadline = fan.deadline_at + REQUEST_GRACE;
+        while let Some(id) = rpc_id {
+            if fan.q.cancel.is_cancelled() {
                 return Err(AlignError::Cancelled);
             }
             let slice_end = hard_deadline.min(Instant::now() + CANCEL_SLICE);
-            let outcome = match st.worker.as_mut() {
-                Some(w) => w.recv_matching(rpc_id, slice_end),
-                // Dispatch-time death: fall straight to the retry arm.
-                None => Err(RecvError::Closed),
-            };
-            match outcome {
+            match self.recv(slot, st, fan.qid, id, slice_end) {
                 // Only the slice ran out: look at the token, wait on.
                 Err(RecvError::TimedOut) if slice_end < hard_deadline => {}
                 Ok(doc) => {
-                    if let Some(result) = doc.get("result") {
-                        if let Ok(report) = report_from_wire(result) {
-                            shard.answer = Some(report);
-                            return Ok(shard);
-                        }
-                    }
                     // A JSON-RPC error (or undecodable result) is a
                     // deterministic refusal — no point retrying the
                     // same request on a fresh child.
-                    return Ok(shard);
+                    shard.answer = doc.get("result").and_then(|r| report_from_wire(r).ok());
+                    return Ok(());
                 }
                 Err(RecvError::TimedOut) => {
                     // No reply even after the grace period: the child
                     // is wedged (its own deadline handling would have
                     // produced a partial reply by now). Kill it; no
                     // budget remains for a retry.
-                    self.record_death(slot, st, qid);
+                    self.record_death(slot, st, fan.qid);
                     shard.timed_out = true;
-                    return Ok(shard);
+                    return Ok(());
                 }
-                Err(_) => {
-                    // Child died. Retry once on a respawned child,
-                    // idempotent by request id.
-                    if st.worker.is_some() {
-                        self.record_death(slot, st, qid);
-                    }
-                    if attempt >= 1 || !self.ensure_worker(slot, st, deadline_at) {
-                        return Ok(shard);
-                    }
-                    attempt += 1;
-                    shard.retried = true;
-                    let remaining = deadline_at.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        shard.timed_out = true;
-                        return Ok(shard);
-                    }
-                    st.rpc_seq += 1;
-                    rpc_id = st.rpc_seq;
-                    self.event(qid, StageKind::ShardRetry, remaining, slot.index);
-                    let line =
-                        Worker::request_line(rpc_id, "search", search_params(q, qid, remaining));
-                    if st
-                        .worker
-                        .as_mut()
-                        .expect("ensure_worker guarantees a worker")
-                        .send_line(&line)
-                        .is_err()
-                    {
-                        self.record_death(slot, st, qid);
-                        return Ok(shard);
-                    }
-                    self.maybe_inject_kill(slot, st);
-                }
+                // The child died (`recv` counted it): resend once,
+                // idempotent by request id.
+                Err(_) if !shard.retried => rpc_id = self.dispatch(slot, st, fan, shard, true),
+                Err(_) => return Ok(()),
             }
         }
+        Ok(())
+    }
+
+    /// Write one JSON-RPC request to the slot's child. `None` when
+    /// nothing was written: the slot has no child, or the write failed
+    /// — the child's death, counted here.
+    fn send(
+        &self,
+        slot: &ShardSlot,
+        st: &mut SlotState,
+        qid: u64,
+        method: &str,
+        params: JsonValue,
+    ) -> Option<u64> {
+        let written = st.worker.as_mut()?.send(method, params);
+        if written.is_err() {
+            self.record_death(slot, st, qid);
+        }
+        written.ok()
+    }
+
+    /// Wait until `until` for the child's reply to `rpc_id`. A closed
+    /// pipe or a read error is the child's death, counted here; a
+    /// timeout is the caller's to judge.
+    fn recv(
+        &self,
+        slot: &ShardSlot,
+        st: &mut SlotState,
+        qid: u64,
+        rpc_id: u64,
+        until: Instant,
+    ) -> Result<JsonValue, RecvError> {
+        let reply = st
+            .worker
+            .as_mut()
+            .map_or(Err(RecvError::Closed), |w| w.recv_matching(rpc_id, until));
+        if reply.as_ref().is_err_and(RecvError::is_fatal) {
+            self.record_death(slot, st, qid);
+        }
+        reply
+    }
+
+    /// One `health` round trip: true when the child answered by
+    /// `until`.
+    fn ping(&self, slot: &ShardSlot, st: &mut SlotState, until: Instant) -> bool {
+        self.send(slot, st, 0, "health", obj(vec![]))
+            .is_some_and(|rpc_id| self.recv(slot, st, 0, rpc_id, until).is_ok())
     }
 
     /// Make sure the slot has a live child: respects the breaker,
@@ -648,34 +689,34 @@ impl Supervisor {
                 std::thread::sleep(at - now);
             }
         }
-        if self.spawn_into(slot, st, deadline_at) {
-            true
-        } else {
-            self.record_death(slot, st, 0);
-            false
-        }
+        self.spawn_into(slot, st, deadline_at)
     }
 
     /// Spawn a child into the slot and confirm readiness with a
     /// `health` round trip (bounded by both the spawn budget and
-    /// `deadline_cap`).
+    /// `deadline_cap`). A failed spawn or readiness ping is a death,
+    /// counted here.
     fn spawn_into(&self, slot: &ShardSlot, st: &mut SlotState, deadline_cap: Instant) -> bool {
         let begun = Instant::now();
-        let Ok(mut w) = Worker::spawn(&self.cmd, &slot.db_path) else {
+        let Ok(w) = Worker::spawn(&self.cmd, &slot.db_path) else {
+            self.record_death(slot, st, 0);
             return false;
         };
-        st.rpc_seq += 1;
-        let ping_deadline = (begun + SPAWN_TIMEOUT).min(deadline_cap);
-        if w.call(st.rpc_seq, "health", obj(vec![]), ping_deadline)
-            .is_err()
-        {
-            return false; // dropping `w` kills and reaps the child
+        st.worker = Some(w);
+        if !self.ping(slot, st, (begun + SPAWN_TIMEOUT).min(deadline_cap)) {
+            // `send`/`recv` counted a closed pipe; a child too slow to
+            // answer is counted here.
+            if st.worker.is_some() {
+                self.record_death(slot, st, 0);
+            }
+            return false;
         }
         st.spawned += 1;
-        if st.spawned > 1 {
-            self.stats.lock().expect("stats poisoned").respawns += 1;
+        {
+            let mut stats = self.stats.lock().expect("stats poisoned");
+            stats.respawns += u64::from(st.spawned > 1);
+            stats.pids[slot.index] = st.worker.as_ref().map(Worker::pid);
         }
-        st.worker = Some(w);
         st.next_respawn_at = None;
         self.event(0, StageKind::ShardSpawn, begun.elapsed(), slot.index);
         true
@@ -700,7 +741,13 @@ impl Supervisor {
         let delay = st.backoff.next().unwrap_or_default();
         st.next_respawn_at = Some(now + delay);
         self.event(qid, StageKind::ShardExit, delay, slot.index);
-        if !st.dead && st.deaths.len() >= self.opts.breaker_deaths as usize {
+        let trips = !st.dead && st.deaths.len() >= self.opts.breaker_deaths as usize;
+        {
+            let mut stats = self.stats.lock().expect("stats poisoned");
+            stats.pids[slot.index] = None;
+            stats.tripped += usize::from(trips);
+        }
+        if trips {
             st.dead = true;
             self.event(qid, StageKind::ShardBreaker, Duration::ZERO, slot.index);
             self.dump_flight(&format!(
@@ -730,7 +777,7 @@ impl Supervisor {
     /// One liveness pass: reap dead children, respawn when the
     /// backoff window has passed, and `health`-ping idle children (a
     /// busy child simply doesn't answer in time, which is not fatal —
-    /// only a closed pipe is).
+    /// only a closed pipe is, and `send`/`recv` count that).
     fn monitor_tick(&self, ping_timeout: Duration) {
         for slot in &self.slots {
             // A held lock means a query is using this shard; skip.
@@ -740,35 +787,18 @@ impl Supervisor {
             if st.dead {
                 continue;
             }
-            match st.worker.take() {
-                Some(mut w) => {
-                    if !w.is_alive() {
-                        st.worker = Some(w);
-                        self.record_death(slot, &mut st, 0);
-                        continue;
-                    }
-                    st.rpc_seq += 1;
-                    let rpc_id = st.rpc_seq;
-                    let pinged =
-                        w.call(rpc_id, "health", obj(vec![]), Instant::now() + ping_timeout);
-                    st.worker = Some(w);
-                    match pinged {
-                        Ok(_) => {
-                            if st.deaths.is_empty() {
-                                st.backoff.reset();
-                            }
-                        }
-                        Err(e) if e.is_fatal() => self.record_death(slot, &mut st, 0),
-                        Err(_) => {} // slow, not dead
-                    }
+            let Some(w) = st.worker.as_mut() else {
+                if st.next_respawn_at.is_none_or(|at| Instant::now() >= at) {
+                    self.spawn_into(slot, &mut st, Instant::now() + SPAWN_TIMEOUT);
                 }
-                None => {
-                    if st.next_respawn_at.is_none_or(|at| Instant::now() >= at)
-                        && !self.spawn_into(slot, &mut st, Instant::now() + SPAWN_TIMEOUT)
-                    {
-                        self.record_death(slot, &mut st, 0);
-                    }
-                }
+                continue;
+            };
+            if !w.is_alive() {
+                self.record_death(slot, &mut st, 0);
+            } else if self.ping(slot, &mut st, Instant::now() + ping_timeout)
+                && st.deaths.is_empty()
+            {
+                st.backoff.reset();
             }
         }
     }
@@ -797,17 +827,18 @@ impl Supervisor {
         let mut clean = true;
         for slot in &self.slots {
             let mut st = slot.state.lock().expect("slot state poisoned");
-            if let Some(mut w) = st.worker.take() {
-                st.rpc_seq += 1;
-                // Best effort: the stdio daemon replies, flushes, and
-                // exits on shutdown; SIGTERM covers a child wedged
-                // mid-request.
-                let _ = w.send_line(&Worker::request_line(st.rpc_seq, "shutdown", obj(vec![])));
-                w.sigterm();
-                if !w.wait_with_grace(DRAIN_GRACE) {
-                    w.kill_and_reap();
-                    clean = false;
-                }
+            let Some(mut w) = st.worker.take() else {
+                continue;
+            };
+            self.stats.lock().expect("stats poisoned").pids[slot.index] = None;
+            // Best effort, and no death counted: the stdio daemon
+            // replies, flushes, and exits on shutdown; SIGTERM covers a
+            // child wedged mid-request or already gone.
+            let _ = w.send("shutdown", obj(vec![]));
+            w.sigterm();
+            if !w.wait_with_grace(DRAIN_GRACE) {
+                w.kill_and_reap();
+                clean = false;
             }
         }
         if !clean {
@@ -842,19 +873,6 @@ fn monitor_loop(sup: &Weak<Supervisor>, stop: &Arc<(Mutex<bool>, Condvar)>, peri
         };
         sup.monitor_tick(ping_timeout);
     }
-}
-
-/// The per-shard `search` params: the same [`SearchRequest`] document
-/// the HTTP front end takes, with the supervisor's remaining budget
-/// as the deadline and `q<qid>` as the idempotent request id.
-fn search_params(q: &ShardQuery, qid: u64, remaining: Duration) -> JsonValue {
-    let mut req = SearchRequest::new(q.query.as_str());
-    req.query_id.clone_from(&q.query_id);
-    req.id = Some(format!("q{qid}"));
-    req.top_n = q.top_n;
-    req.deadline_ms = Some(u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX));
-    req.no_batch = true;
-    req.to_wire()
 }
 
 /// One shard's outcome for one query, pre-merge.
@@ -1217,7 +1235,7 @@ mod tests {
     #[test]
     fn search_params_carry_the_idempotent_request_id() {
         let q = ShardQuery::new("MKVLA").top_n(5).query_id("q-test");
-        let params = search_params(&q, 42, Duration::from_millis(750));
+        let params = q.to_wire(42, Duration::from_millis(750));
         let doc = params.render();
         for needle in [
             "\"query\":\"MKVLA\"",

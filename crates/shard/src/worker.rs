@@ -24,7 +24,7 @@ pub enum RecvError {
     /// The child's stdout reached EOF: the process died or closed
     /// its pipe. Always fatal for the worker.
     Closed,
-    /// Transport I/O failure (write or read). Fatal for the worker.
+    /// Reading the child's stdout failed. Fatal for the worker.
     Io(io::Error),
 }
 
@@ -88,6 +88,9 @@ pub struct Worker {
     stdin: ChildStdin,
     rx: mpsc::Receiver<io::Result<String>>,
     reaped: bool,
+    /// JSON-RPC id of the last request written: ids only have to be
+    /// unique on this child's pipe.
+    rpc_seq: u64,
 }
 
 impl Worker {
@@ -123,6 +126,7 @@ impl Worker {
             stdin,
             rx,
             reaped: false,
+            rpc_seq: 0,
         })
     }
 
@@ -131,38 +135,43 @@ impl Worker {
         self.child.id()
     }
 
-    /// Write one line (request) to the child.
-    pub fn send_line(&mut self, line: &str) -> io::Result<()> {
+    /// Write one JSON-RPC request line for (`method`, `params`) under
+    /// this child's next id, and return that id.
+    pub fn send(&mut self, method: &str, params: JsonValue) -> io::Result<u64> {
+        self.rpc_seq += 1;
+        let line = obj(vec![
+            ("jsonrpc", "2.0".into()),
+            ("id", self.rpc_seq.into()),
+            ("method", method.into()),
+            ("params", params),
+        ])
+        .render();
         self.stdin.write_all(line.as_bytes())?;
         self.stdin.write_all(b"\n")?;
-        self.stdin.flush()
+        self.stdin.flush()?;
+        Ok(self.rpc_seq)
     }
 
-    /// Receive the next response line, waiting no later than
-    /// `deadline`.
-    pub fn recv_line(&mut self, deadline: Instant) -> Result<String, RecvError> {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(RecvError::TimedOut);
-        }
-        match self.rx.recv_timeout(deadline - now) {
-            Ok(Ok(line)) => Ok(line),
-            Ok(Err(e)) => Err(RecvError::Io(e)),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvError::TimedOut),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
-        }
-    }
-
-    /// Receive until the response whose `id` equals `rpc_id` arrives
-    /// (stale responses from abandoned earlier calls are discarded —
-    /// retries are idempotent by request id).
+    /// Receive until the response whose `id` equals `rpc_id` arrives,
+    /// waiting no later than `deadline` (stale responses from abandoned
+    /// earlier calls are discarded — retries are idempotent by request
+    /// id).
     pub fn recv_matching(
         &mut self,
         rpc_id: u64,
         deadline: Instant,
     ) -> Result<JsonValue, RecvError> {
         loop {
-            let line = self.recv_line(deadline)?;
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(RecvError::TimedOut);
+            }
+            let line = match self.rx.recv_timeout(deadline - now) {
+                Ok(Ok(line)) => line,
+                Ok(Err(e)) => return Err(RecvError::Io(e)),
+                Err(mpsc::RecvTimeoutError::Timeout) => return Err(RecvError::TimedOut),
+                Err(mpsc::RecvTimeoutError::Disconnected) => return Err(RecvError::Closed),
+            };
             let Ok(doc) = JsonValue::parse(&line) else {
                 continue;
             };
@@ -170,31 +179,6 @@ impl Worker {
                 return Ok(doc);
             }
         }
-    }
-
-    /// Render the JSON-RPC request line for (`rpc_id`, `method`,
-    /// `params`).
-    pub fn request_line(rpc_id: u64, method: &str, params: JsonValue) -> String {
-        obj(vec![
-            ("jsonrpc", "2.0".into()),
-            ("id", rpc_id.into()),
-            ("method", method.into()),
-            ("params", params),
-        ])
-        .render()
-    }
-
-    /// One full JSON-RPC round trip.
-    pub fn call(
-        &mut self,
-        rpc_id: u64,
-        method: &str,
-        params: JsonValue,
-        deadline: Instant,
-    ) -> Result<JsonValue, RecvError> {
-        let line = Self::request_line(rpc_id, method, params);
-        self.send_line(&line).map_err(RecvError::Io)?;
-        self.recv_matching(rpc_id, deadline)
     }
 
     /// Non-blocking liveness check (`try_wait` reaping: a zombie is

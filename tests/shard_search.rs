@@ -447,4 +447,73 @@ mod chaos {
             sup.shutdown();
         });
     }
+
+    /// Status never waits behind a search: `health` and the shard
+    /// gauges read the supervisor's own record, not the slot locks a
+    /// fan-out holds until it merges. Each child stalls its first
+    /// subject for 2 s, so the search is still in flight when they
+    /// are read.
+    #[test]
+    fn status_answers_while_a_search_is_in_flight() {
+        with_watchdog(120, || {
+            let db = swissprot_like_db(7, 40);
+            let mut rng = seeded_rng(5);
+            let q = String::from_utf8(named_query(&mut rng, 40).text()).unwrap();
+            let args = ["--threads", "1", "--fault-plan", "stall@0:2000ms"].map(String::from);
+            let cmd = WorkerCommand::serve_stdio(env!("CARGO_BIN_EXE_aalign"), &args);
+            let sup = Supervisor::launch(&db, cmd, ShardOptions::new(2)).unwrap();
+            let search = {
+                let sup = Arc::clone(&sup);
+                thread::spawn(move || sup.search(&ShardQuery::new(q)))
+            };
+            thread::sleep(Duration::from_millis(200));
+
+            let d = Dispatcher::with_backend(Arc::clone(&sup), DispatcherConfig::default());
+            let asked = Instant::now();
+            let health = d.health();
+            let took = asked.elapsed();
+            assert!(took < Duration::from_millis(500), "health() took {took:?}");
+            let live = health.get("shards").and_then(|s| s.get("live"));
+            assert_eq!(
+                live.and_then(JsonValue::as_u64),
+                Some(2),
+                "{}",
+                health.render()
+            );
+
+            let asked = Instant::now();
+            assert_eq!(sup.shards_live(), 2);
+            let took = asked.elapsed();
+            assert!(
+                took < Duration::from_millis(500),
+                "shards_live() took {took:?}"
+            );
+
+            let report = search.join().unwrap().unwrap();
+            assert!(!report.partial, "{:?}", report.errors);
+            assert!(sup.shutdown());
+        });
+    }
+
+    /// A shard whose budget is spent before its request is written
+    /// missed the deadline: it is `failed` and `timed_out`, as the
+    /// `ShardOutcome` docs say, and no child dies for it.
+    #[test]
+    fn a_spent_budget_times_out_every_shard() {
+        with_watchdog(120, || {
+            let db = swissprot_like_db(7, 40);
+            let mut rng = seeded_rng(5);
+            let q = String::from_utf8(named_query(&mut rng, 40).text()).unwrap();
+            let sup = Supervisor::launch(&db, worker_cmd(), ShardOptions::new(2)).unwrap();
+            let report = sup
+                .search(&ShardQuery::new(q).deadline(Duration::ZERO))
+                .unwrap();
+            assert!(report.partial);
+            let shards = report.metrics.shards;
+            assert_eq!((shards.ok, shards.failed, shards.timed_out), (0, 2, 2));
+            assert_eq!(shards.retried, 0);
+            assert_eq!(sup.shards_live(), 2, "a spent budget kills no child");
+            assert!(sup.shutdown());
+        });
+    }
 }

@@ -8,9 +8,10 @@
 //! main suite, not just the analyzer's. Source guards ride along: one
 //! JSON codec and one database sweep; one backend seam and one request
 //! schema; one engine table; one width ladder; one home per setting;
-//! one pinned inventory behind the analyzer's four baselines; no
-//! per-lane scalar work in a striped column; served requests wait on
-//! descriptors, not on the clock.
+//! one pinned inventory behind the analyzer's four baselines; one
+//! status table and one shard round trip; no per-lane scalar work in a
+//! striped column; served requests wait on descriptors, not on the
+//! clock.
 
 use aalign_analyzer::audit::{audit_dir, audit_source, default_vec_src_dir, VEC_BASELINE};
 use aalign_analyzer::concurrency::{default_concurrency_dirs, scan_dirs, CONCURRENCY_BASELINE};
@@ -823,6 +824,92 @@ fn one_pinned_inventory() {
         ],
         "baselines are parsed and drift-checked by crates/analyzer/src/inventory.rs only",
     );
+}
+
+/// One status table and one shard round trip. Each dispatcher counter
+/// is named once, in one `(health key, /metrics name, help)` row that
+/// renders both documents; `# HELP` lines come from one writer in
+/// `aalign-obs`. The supervisor reads every child reply through one
+/// `recv` (the readiness ping, the heartbeat, the search and its retry
+/// each had their own), the request it sends is the `ShardQuery`'s own,
+/// and status reads a record the supervisor keeps, never a slot lock:
+/// a search holds those from dispatch to merge, and `health` waited
+/// behind it for seconds.
+#[test]
+fn one_status_table_and_one_shard_round_trip() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let helps: Vec<_> = product_sources(root)
+        .into_iter()
+        .filter(|p| std::fs::read_to_string(p).unwrap().contains("# HELP"))
+        .collect();
+    assert_eq!(
+        helps,
+        [root.join("crates/obs/src/hist.rs")],
+        "`# HELP` is written by aalign_obs::prom_header only"
+    );
+
+    let mut serve = Vec::new();
+    rust_sources(&root.join("crates/serve/src"), &mut serve);
+    let serve: String = serve
+        .iter()
+        .map(|p| std::fs::read_to_string(p).unwrap())
+        .collect::<String>()
+        .split_whitespace()
+        .collect();
+    let pairs = [
+        ("requests_total", "requests_total"),
+        ("ok", "requests_ok"),
+        ("partial", "requests_partial"),
+        ("overloaded", "refused_overloaded"),
+        ("draining_refused", "refused_draining"),
+        ("quota_refused", "refused_quota"),
+        ("cancelled", "cancelled_total"),
+        ("coalesced_total", "coalesced_total"),
+        ("bad_requests", "bad_requests_total"),
+    ];
+    for (key, name) in pairs {
+        assert!(
+            serve.contains(&format!("(\"{key}\",\"{name}\",")),
+            "counter `{name}` has no `(health key, /metrics name, help)` row"
+        );
+        // `ok`, `overloaded` and `cancelled` also name the health
+        // status and two wire error codes.
+        let words = if ["ok", "overloaded", "cancelled"].contains(&key) {
+            vec![name]
+        } else {
+            vec![key, name]
+        };
+        for word in words {
+            let in_row = usize::from(key == word) + usize::from(name == word);
+            assert_eq!(
+                serve.matches(&format!("\"{word}\"")).count(),
+                in_row,
+                "`{word}` in crates/serve/src outside its counter row"
+            );
+        }
+    }
+
+    let shard = root.join("crates/shard/src");
+    let mut shard_sources = Vec::new();
+    rust_sources(&shard, &mut shard_sources);
+    assert_absent(
+        &shard_sources,
+        &["fn call(", "fn search_params("],
+        "the supervisor sends through `send`, receives through `recv`, and ships the ShardQuery's request",
+    );
+    let supervisor = std::fs::read_to_string(shard.join("supervisor.rs")).unwrap();
+    assert_eq!(
+        supervisor.matches("recv_matching(").count(),
+        1,
+        "every child reply is read through Supervisor::recv"
+    );
+    for status in ["shards_live", "shards_dead", "shard_pid"] {
+        let body = fn_body(&supervisor, status);
+        assert!(
+            !body.contains("state"),
+            "Supervisor::{status} takes a slot lock: it waits behind any search"
+        );
+    }
 }
 
 /// The text of `fn name`'s body in `src` (brace-matched).
