@@ -81,7 +81,8 @@ proves the shipped configuration inventory (pinned baseline); with a
 source and gap/matrix/length flags it certifies that one config per
 lane width, rendering caret diagnostics for denials; --mutate SEED
 perturbs every certified config and requires the prover to deny the
-mutant at the previously granted width.";
+mutant at the previously granted width. Each certify mode refuses the
+flags it would ignore (exit 2).";
 
 fn builtin(name: &str) -> Option<(&'static str, &'static str)> {
     match name {
@@ -237,6 +238,15 @@ struct Config {
 }
 
 impl Config {
+    /// The flags [`take`](Self::take) reads.
+    const FLAGS: [&'static str; 5] = [
+        "--matrix",
+        "--open",
+        "--ext",
+        "--max-query",
+        "--max-subject",
+    ];
+
     /// Take `--matrix/--open/--ext/--max-query/--max-subject` out of
     /// `args`; a flag left out keeps its default (BLOSUM62, −12/−2,
     /// 1024 × 1024).
@@ -734,9 +744,28 @@ fn certify_json(r: &CertifyReport, src: Option<&str>) -> JsonValue {
 }
 
 fn cmd_certify(mut args: Vec<String>, as_json: bool) -> Result<ExitCode, String> {
+    let config_flag = Config::FLAGS
+        .into_iter()
+        .find(|flag| args.iter().any(|a| a == flag));
     let config = Config::take(&mut args)?;
     let print_baseline = take_flag(&mut args, "--print-baseline");
     let mutate = take_value(&mut args, "--mutate", "a u64 seed")?;
+
+    // Each mode refuses the flags it would ignore: a source certifies
+    // one config (no baseline, no mutation), `--mutate` perturbs the
+    // shipped configs (no config, no baseline), and no source proves
+    // the shipped configs (no config).
+    let pinned = print_baseline.then_some("--print-baseline");
+    let (mode, ignored) = if !args.is_empty() {
+        ("a source", pinned.or(mutate.map(|_| "--mutate")))
+    } else if mutate.is_some() {
+        ("--mutate", config_flag.or(pinned))
+    } else {
+        ("the shipped inventory", config_flag)
+    };
+    if let Some(flag) = ignored {
+        return Err(format!("certify: {flag} does not apply to {mode}"));
+    }
 
     // Mutation self-test: perturb every certified shipped config and
     // *require* the prover to deny the mutant.

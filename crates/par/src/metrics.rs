@@ -331,14 +331,15 @@ impl SearchMetrics {
         let _ = writeln!(
             s,
             "kernel: {} iterate / {} scan / {} inter columns ({} lane-columns, {} lanes \
-             saturated), {} switches, {} lazy iters, {} lazy sweeps, {} width retries, \
-             {} rescued, peak {} hits buffered",
+             saturated), {} switches, {} probes stayed, {} lazy iters, {} lazy sweeps, \
+             {} width retries, {} rescued, peak {} hits buffered",
             k.iterate_columns,
             k.scan_columns,
             k.inter_columns,
             k.inter_lane_columns,
             k.inter_saturated,
             k.switches_to_scan,
+            k.probes_stayed,
             k.lazy_iters,
             k.lazy_sweeps,
             self.width_retries,
@@ -490,6 +491,11 @@ impl SearchMetrics {
             k.probes_stayed as f64,
         );
         gauge(
+            "aalign_kernel_lazy_iters_total",
+            "Lazy-loop segment re-computations in iterate columns.",
+            k.lazy_iters as f64,
+        );
+        gauge(
             "aalign_kernel_lazy_sweeps_total",
             "Lazy-loop whole-column sweeps.",
             k.lazy_sweeps as f64,
@@ -560,6 +566,11 @@ impl SearchMetrics {
                 .prom_lines("aalign_request_e2e_seconds", 1e-9),
         );
         s.push_str(&self.latency.prom_lines("aalign_work_item_seconds", 1e-9));
+        s.push_str(
+            &self
+                .rescue_widths
+                .prom_lines("aalign_rescue_width_bits", 1.0),
+        );
         s.push_str(
             &self
                 .worker_load
@@ -827,5 +838,42 @@ mod tests {
         }
         // Every exposed family is typed.
         assert!(p.contains("# TYPE aalign_work_item_seconds histogram"));
+    }
+
+    /// The text renderings name every kernel counter the wire document
+    /// carries: one Prometheus gauge per `kernel_to_wire` key, and its
+    /// value on the `--stats` block's `kernel:` line.
+    #[test]
+    fn renderings_cover_every_wire_kernel_counter() {
+        let mut m = populated();
+        m.kernel_stats = RunStats {
+            lazy_iters: 7001,
+            lazy_sweeps: 7002,
+            iterate_columns: 7003,
+            scan_columns: 7004,
+            switches_to_scan: 7005,
+            probes_stayed: 7006,
+            inter_columns: 7007,
+            inter_lane_columns: 7008,
+            inter_saturated: 7009,
+        };
+        m.rescue_widths.record(16);
+        let (prom, summary) = (m.to_prometheus(), m.summary());
+        let wire = crate::wire::kernel_to_wire(&m.kernel_stats);
+        let keys = wire.as_object().expect("kernel block is an object");
+        assert_eq!(keys.len(), 9, "{}", wire.render());
+        for (key, value) in keys {
+            let value = value.as_u64().expect("kernel counters are integers");
+            let gauge = format!("aalign_kernel_{key}_total {value}\n");
+            assert!(prom.contains(&gauge), "{gauge} missing from:\n{prom}");
+            assert!(
+                summary
+                    .split(|c: char| !c.is_ascii_digit())
+                    .any(|word| word == value.to_string()),
+                "{key} = {value} missing from:\n{summary}"
+            );
+        }
+        assert!(prom.contains("# TYPE aalign_rescue_width_bits histogram"));
+        assert!(prom.contains("aalign_rescue_width_bits_count 1"), "{prom}");
     }
 }

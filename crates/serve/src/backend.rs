@@ -12,7 +12,7 @@ use std::time::Duration;
 use aalign_bio::{SeqDatabase, Sequence};
 use aalign_core::{AlignError, Aligner};
 use aalign_obs::wire::{obj, JsonValue};
-use aalign_par::{CancelToken, EngineHandle, SearchOptions, SearchReport};
+use aalign_par::{CancelToken, EngineHandle, FaultPlan, SearchOptions, SearchReport};
 use aalign_shard::{ShardQuery, Supervisor};
 
 /// A point-in-time description of a backend for `health()` and
@@ -71,7 +71,7 @@ pub struct Local {
     pub(crate) aligner: Aligner,
     pub(crate) db: SeqDatabase,
     /// Chaos harness: applied to every sweep.
-    pub(crate) fault_plan: Option<Arc<aalign_par::FaultPlan>>,
+    fault_plan: Option<Arc<FaultPlan>>,
 }
 
 impl Local {
@@ -100,6 +100,14 @@ impl Local {
             db,
             fault_plan: None,
         }
+    }
+
+    /// Apply a deterministic fault plan (worker kills, panics, stalls)
+    /// to every sweep: the chaos harness of a live daemon under test.
+    #[must_use]
+    pub fn fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
+        self.fault_plan = Some(plan);
+        self
     }
 }
 

@@ -81,10 +81,6 @@ pub struct DispatcherConfig {
     /// Deadline applied to requests that do not carry their own
     /// `deadline_ms`.
     pub default_deadline: Option<Duration>,
-    /// Chaos harness: a scripted fault plan [`Dispatcher::new`] hands
-    /// to its [`Local`] backend, applied to every sweep (worker kills,
-    /// panics, stalls).
-    pub fault_plan: Option<Arc<aalign_par::FaultPlan>>,
 }
 
 impl Default for DispatcherConfig {
@@ -94,7 +90,6 @@ impl Default for DispatcherConfig {
             max_queued: 16,
             tenant_quota: 0,
             default_deadline: None,
-            fault_plan: None,
         }
     }
 }
@@ -121,13 +116,6 @@ impl DispatcherConfig {
     /// Set the deadline for requests that do not specify one.
     pub fn default_deadline(mut self, d: Duration) -> Self {
         self.default_deadline = Some(d);
-        self
-    }
-
-    /// Apply a deterministic fault plan to every request (chaos
-    /// harness).
-    pub fn fault_plan(mut self, plan: Arc<aalign_par::FaultPlan>) -> Self {
-        self.fault_plan = Some(plan);
         self
     }
 }
@@ -342,13 +330,12 @@ impl<B: SearchBackend> std::fmt::Debug for Dispatcher<B> {
 
 impl Dispatcher {
     /// Build a dispatcher over its own [`Local`] engine pool of
-    /// `threads` workers (0 = available parallelism).
+    /// `threads` workers (0 = available parallelism), with no fault
+    /// plan; a chaos run builds its `Local` with
+    /// [`Local::fault_plan`] and hands it to
+    /// [`with_backend`](Dispatcher::with_backend).
     pub fn new(aligner: Aligner, db: SeqDatabase, threads: usize, cfg: DispatcherConfig) -> Self {
-        let local = Local {
-            fault_plan: cfg.fault_plan.clone(),
-            ..Local::new(aligner, db, threads)
-        };
-        Self::with_backend(Arc::new(local), cfg)
+        Self::with_backend(Arc::new(Local::new(aligner, db, threads)), cfg)
     }
 
     /// The engine this dispatcher sweeps with.

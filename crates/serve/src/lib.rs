@@ -32,11 +32,10 @@
 //! fault-injected worker kills produce `partial: true` reports in
 //! the same versioned wire schema the CLI emits
 //! (`aalign_par::wire`); refusals are typed [`ServeError`]
-//! envelopes. [`DispatcherConfig::fault_plan`] hands the engine's
-//! deterministic chaos harness to every sweep, so kill/stall plans
-//! can be applied to a live daemon under test.
-//!
-//! [`DispatcherConfig::fault_plan`]: dispatch::DispatcherConfig::fault_plan
+//! envelopes. [`Local::fault_plan`] hands the engine's deterministic
+//! chaos harness to every sweep of the backend it scripts, so
+//! kill/stall plans can be applied to a live daemon under test; a
+//! shard supervisor takes its own plan (`ShardOptions::fault`).
 
 pub mod backend;
 pub mod daemon;

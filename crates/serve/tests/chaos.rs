@@ -16,17 +16,16 @@ use aalign_bio::synth::{named_query, seeded_rng, swissprot_like_db};
 use aalign_core::{AlignConfig, AlignError, Aligner, GapModel};
 use aalign_obs::wire::JsonValue;
 use aalign_par::FaultPlan;
-use aalign_serve::{Dispatcher, DispatcherConfig, SearchRequest};
+use aalign_serve::{Dispatcher, DispatcherConfig, Local, SearchRequest};
 
 const WATCHDOG: Duration = Duration::from_secs(60);
 
 fn chaos_dispatcher(plan: FaultPlan) -> Arc<Dispatcher> {
     let aligner = Aligner::new(AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62));
-    Arc::new(Dispatcher::new(
-        aligner,
-        swissprot_like_db(7, 60),
-        2,
-        DispatcherConfig::default().fault_plan(Arc::new(plan)),
+    let local = Local::new(aligner, swissprot_like_db(7, 60), 2).fault_plan(Arc::new(plan));
+    Arc::new(Dispatcher::with_backend(
+        Arc::new(local),
+        DispatcherConfig::default(),
     ))
 }
 

@@ -23,7 +23,10 @@
 //!   ([`aalign_core::retry::Backoff`]), a K-deaths-in-window circuit
 //!   breaker, and graceful degradation: the merged report is
 //!   `partial: true` with a [`ShardOutcome`] and one
-//!   `AlignError::ShardLost` naming each uncovered range.
+//!   `AlignError::ShardLost` naming each uncovered range. The policy
+//!   (50 ms → 2 s backoff, 3 deaths in 60 s, a 1 s heartbeat) is
+//!   constants; [`ShardOptions`] carries only the shard count and a
+//!   chaos plan.
 //! * `fault` — deterministic chaos ([`ShardOptions::fault`]):
 //!   SIGKILL a chosen shard's child right after dispatch, so the
 //!   retry/breaker/degradation ladder is testable end to end.

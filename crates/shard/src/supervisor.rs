@@ -37,11 +37,19 @@
 //! merged report is `partial: true`, carries an
 //! [`AlignError::ShardLost`] naming the exact uncovered `[start,
 //! end)` range, and accounts the outcome in
-//! [`SearchMetrics::shards`]. A shard that dies
-//! [`breaker_deaths`](ShardOptions::breaker_deaths) times inside
-//! [`breaker_window`](ShardOptions::breaker_window) is circuit-broken
+//! [`SearchMetrics::shards`]. A shard that dies `BREAKER_DEATHS`
+//! (3) times inside `BREAKER_WINDOW` (60 s) is circuit-broken
 //! (marked dead, flight ring dumped) and the search continues on the
 //! survivors.
+//!
+//! ## Policy
+//!
+//! The supervision policy is constants, not options: respawn backoff
+//! from `BACKOFF_BASE` (50 ms) doubling to `BACKOFF_CAP` (2 s),
+//! jittered by a stream seeded with the shard index; the breaker
+//! above; and a liveness monitor that runs every `HEARTBEAT` (1 s)
+//! for the supervisor's lifetime. [`ShardOptions`] carries only the
+//! shard count and a chaos plan.
 //!
 //! ## Bit-exactness
 //!
@@ -95,71 +103,44 @@ const SPAWN_TIMEOUT: Duration = Duration::from_secs(30);
 /// SIGKILL when it expires).
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
-/// Supervisor policy knobs. Construct with [`ShardOptions::new`] and
-/// adjust with the builder methods.
+/// First respawn backoff delay; each death doubles it up to
+/// [`BACKOFF_CAP`], jittered by a stream seeded with the shard index.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+
+/// Respawn backoff delay cap.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
+/// Deaths inside `BREAKER_WINDOW` that trip a shard's circuit
+/// breaker.
+const BREAKER_DEATHS: usize = 3;
+
+/// Sliding window for [`BREAKER_DEATHS`].
+const BREAKER_WINDOW: Duration = Duration::from_secs(60);
+
+/// Liveness monitor period (`try_wait` reap + idle `health` ping +
+/// background respawn), and the ping's reply budget.
+const HEARTBEAT: Duration = Duration::from_secs(1);
+
+/// What a [`Supervisor`] is launched with: the shard count and an
+/// optional chaos plan. The supervision policy (backoff, breaker,
+/// heartbeat) is fixed; the [module docs](self) state it.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ShardOptions {
     /// Number of contiguous shards (clamped to the database size).
     pub shards: usize,
-    /// First respawn backoff delay.
-    pub backoff_base: Duration,
-    /// Backoff delay cap.
-    pub backoff_cap: Duration,
-    /// Seed for the deterministic backoff jitter stream.
-    pub backoff_seed: u64,
-    /// Deaths inside [`breaker_window`](Self::breaker_window) that
-    /// trip a shard's circuit breaker.
-    pub breaker_deaths: u32,
-    /// Sliding window for [`breaker_deaths`](Self::breaker_deaths).
-    pub breaker_window: Duration,
-    /// Liveness monitor period (`try_wait` reap + idle `health`
-    /// ping + background respawn); `None` disables the monitor
-    /// thread — deaths are then detected on the query path only.
-    pub heartbeat: Option<Duration>,
     /// Deterministic chaos plan (kills a chosen shard's child right
     /// after dispatch).
     pub fault: Option<ShardFaultPlan>,
 }
 
 impl ShardOptions {
-    /// Defaults for `shards` shards: 50 ms → 2 s backoff, breaker at
-    /// 3 deaths / 60 s, 1 s heartbeat.
+    /// `shards` shards, no chaos plan.
     pub fn new(shards: usize) -> Self {
         ShardOptions {
             shards: shards.max(1),
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
-            backoff_seed: 0,
-            breaker_deaths: 3,
-            breaker_window: Duration::from_secs(60),
-            heartbeat: Some(Duration::from_secs(1)),
             fault: None,
         }
-    }
-
-    /// Set the respawn backoff policy.
-    #[must_use]
-    pub fn backoff(mut self, base: Duration, cap: Duration, seed: u64) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self.backoff_seed = seed;
-        self
-    }
-
-    /// Set the circuit-breaker policy.
-    #[must_use]
-    pub fn breaker(mut self, deaths: u32, window: Duration) -> Self {
-        self.breaker_deaths = deaths.max(1);
-        self.breaker_window = window;
-        self
-    }
-
-    /// Set the liveness monitor period (`None` disables it).
-    #[must_use]
-    pub fn heartbeat(mut self, period: Option<Duration>) -> Self {
-        self.heartbeat = period;
-        self
     }
 
     /// Install a deterministic chaos plan.
@@ -290,7 +271,6 @@ struct SupervisorStats {
 #[derive(Debug)]
 pub struct Supervisor {
     cmd: WorkerCommand,
-    opts: ShardOptions,
     /// Temp directory holding the per-shard FASTA files.
     dir: PathBuf,
     slots: Vec<ShardSlot>,
@@ -321,11 +301,10 @@ impl Supervisor {
     /// Partition `db`, write one FASTA per shard into a fresh temp
     /// directory, spawn one child per shard, and confirm each with a
     /// readiness `health` round trip. Fails fast if any child cannot
-    /// start within 30 s. Starts the liveness monitor unless
-    /// [`ShardOptions::heartbeat`] is `None`.
+    /// start within 30 s. Starts the liveness monitor.
     ///
-    /// `opts` is the supervision policy only: a query's time budget
-    /// rides on the query ([`ShardQuery::deadline`], 30 s when unset).
+    /// A query's time budget rides on the query
+    /// ([`ShardQuery::deadline`], 30 s when unset).
     pub fn launch(
         db: &SeqDatabase,
         cmd: WorkerCommand,
@@ -348,19 +327,13 @@ impl Supervisor {
                     dead: false,
                     deaths: VecDeque::new(),
                     next_respawn_at: None,
-                    backoff: Backoff::seeded(
-                        opts.backoff_base,
-                        opts.backoff_cap,
-                        opts.backoff_seed.wrapping_add(i as u64),
-                    ),
+                    backoff: Backoff::seeded(BACKOFF_BASE, BACKOFF_CAP, i as u64),
                     spawned: 0,
                 }),
             });
         }
-        let fault = opts.fault.clone().map(Mutex::new);
         let sup = Arc::new(Supervisor {
             cmd,
-            opts,
             dir,
             slots,
             recorder: FlightRecorder::new(),
@@ -373,7 +346,7 @@ impl Supervisor {
             monitor_stop: Arc::new((Mutex::new(false), Condvar::new())),
             shut: Mutex::new(false),
             total_subjects: db.len(),
-            fault,
+            fault: opts.fault.map(Mutex::new),
         });
         for slot in &sup.slots {
             let mut st = slot.state.lock().expect("slot state poisoned");
@@ -386,14 +359,12 @@ impl Supervisor {
                 )));
             }
         }
-        if let Some(period) = sup.opts.heartbeat {
-            let weak = Arc::downgrade(&sup);
-            let stop = Arc::clone(&sup.monitor_stop);
-            let handle = std::thread::Builder::new()
-                .name("aalign-shard-monitor".to_string())
-                .spawn(move || monitor_loop(&weak, &stop, period))?;
-            *sup.monitor.lock().expect("monitor handle poisoned") = Some(handle);
-        }
+        let weak = Arc::downgrade(&sup);
+        let stop = Arc::clone(&sup.monitor_stop);
+        let handle = std::thread::Builder::new()
+            .name("aalign-shard-monitor".to_string())
+            .spawn(move || monitor_loop(&weak, &stop))?;
+        *sup.monitor.lock().expect("monitor handle poisoned") = Some(handle);
         Ok(sup)
     }
 
@@ -732,7 +703,7 @@ impl Supervisor {
         let now = Instant::now();
         st.deaths.push_back(now);
         while let Some(&front) = st.deaths.front() {
-            if now.duration_since(front) > self.opts.breaker_window {
+            if now.duration_since(front) > BREAKER_WINDOW {
                 st.deaths.pop_front();
             } else {
                 break;
@@ -741,7 +712,7 @@ impl Supervisor {
         let delay = st.backoff.next().unwrap_or_default();
         st.next_respawn_at = Some(now + delay);
         self.event(qid, StageKind::ShardExit, delay, slot.index);
-        let trips = !st.dead && st.deaths.len() >= self.opts.breaker_deaths as usize;
+        let trips = !st.dead && st.deaths.len() >= BREAKER_DEATHS;
         {
             let mut stats = self.stats.lock().expect("stats poisoned");
             stats.pids[slot.index] = None;
@@ -754,7 +725,7 @@ impl Supervisor {
                 "circuit breaker tripped: shard {} died {} time(s) within {:?}",
                 slot.index,
                 st.deaths.len(),
-                self.opts.breaker_window
+                BREAKER_WINDOW
             ));
         }
     }
@@ -778,7 +749,7 @@ impl Supervisor {
     /// backoff window has passed, and `health`-ping idle children (a
     /// busy child simply doesn't answer in time, which is not fatal —
     /// only a closed pipe is, and `send`/`recv` count that).
-    fn monitor_tick(&self, ping_timeout: Duration) {
+    fn monitor_tick(&self) {
         for slot in &self.slots {
             // A held lock means a query is using this shard; skip.
             let Ok(mut st) = slot.state.try_lock() else {
@@ -795,9 +766,7 @@ impl Supervisor {
             };
             if !w.is_alive() {
                 self.record_death(slot, &mut st, 0);
-            } else if self.ping(slot, &mut st, Instant::now() + ping_timeout)
-                && st.deaths.is_empty()
-            {
+            } else if self.ping(slot, &mut st, Instant::now() + HEARTBEAT) && st.deaths.is_empty() {
                 st.backoff.reset();
             }
         }
@@ -855,14 +824,13 @@ impl Drop for Supervisor {
     }
 }
 
-fn monitor_loop(sup: &Weak<Supervisor>, stop: &Arc<(Mutex<bool>, Condvar)>, period: Duration) {
-    let ping_timeout = period.min(Duration::from_secs(1));
+fn monitor_loop(sup: &Weak<Supervisor>, stop: &Arc<(Mutex<bool>, Condvar)>) {
     loop {
         {
             let (lock, cv) = &**stop;
             let guard = lock.lock().expect("monitor stop poisoned");
             let (guard, _) = cv
-                .wait_timeout_while(guard, period, |stopped| !*stopped)
+                .wait_timeout_while(guard, HEARTBEAT, |stopped| !*stopped)
                 .expect("monitor stop poisoned");
             if *guard {
                 return;
@@ -871,7 +839,7 @@ fn monitor_loop(sup: &Weak<Supervisor>, stop: &Arc<(Mutex<bool>, Condvar)>, peri
         let Some(sup) = sup.upgrade() else {
             return;
         };
-        sup.monitor_tick(ping_timeout);
+        sup.monitor_tick();
     }
 }
 

@@ -3,9 +3,9 @@
 //! Subcommands:
 //!
 //! * `pair`         — align two FASTA sequences (scores + optional traceback)
-//! * `search`       — align a query against a FASTA database, multithreaded
+//! * `search`       — align a query against a FASTA database, in process or
+//!   (`--shards N`) over N supervised child processes
 //! * `serve`        — run the alignment daemon (HTTP/JSON or stdio JSON-RPC)
-//! * `shard-search` — fan a query out over N supervised child processes
 //! * `loadgen`      — drive a running daemon and report latency quantiles
 //! * `trace-report` — render the hybrid decision timeline from a trace
 //! * `gen-db`       — generate a synthetic swiss-prot-like database
@@ -17,6 +17,7 @@
 //! aalign pair --query q.fa --subject s.fa --open -10 --ext -2 --traceback
 //! aalign search --query q.fa --db swissprot.fa --top 10 --threads 8
 //! aalign search --query q.fa --db db.fa --stats --trace-out trace.jsonl
+//! aalign search --query q.fa --db db.fa --shards 4 --top 5
 //! aalign trace-report --trace trace.jsonl --subjects 5
 //! aalign gen-db --count 10000 --seed 7 --out db.fa
 //! aalign codegen --input kernel.seq --open -12 --ext -2
@@ -48,7 +49,6 @@ fn main() -> ExitCode {
         "pair" => cmd_pair(rest),
         "search" => cmd_search(rest),
         "serve" => cmd_serve(rest),
-        "shard-search" => cmd_shard_search(rest),
         "loadgen" => cmd_loadgen(rest),
         "trace-report" => cmd_trace_report(rest),
         "gen-db" => cmd_gen_db(rest),
@@ -76,19 +76,15 @@ const USAGE: &str = "usage:
   aalign search  --query <fa> --db <fa> [--top N] [--threads N]
                  [--global|--semi-global] [--linear] [--open N] [--ext N]
                  [--strategy ...] [--width ...] [--stats]
-                 [--trace-out <jsonl>] [--metrics-format text|json|prom]
-                 [--timeout MS] [--fault-plan <spec>]
+                 [--trace-out <jsonl>] [--metrics-format json|prom]
+                 [--timeout MS] [--fault-plan <spec>] [--shards N]
+                 [--shard-fault kill@SHARD[:N]]
   aalign serve   --db <fa> [--addr HOST:PORT] [--stdio] [--threads N]
                  [--global|--semi-global] [--linear] [--open N] [--ext N]
                  [--strategy ...] [--width ...]
                  [--max-inflight N] [--max-queued N] [--tenant-quota N]
                  [--default-timeout MS] [--drain-timeout MS]
                  [--fault-plan <spec>] [--shards N]
-                 [--shard-fault kill@SHARD[:N]]
-  aalign shard-search --query <fa> --db <fa> --shards N [--top N]
-                 [--threads N] [--global|--semi-global] [--linear]
-                 [--open N] [--ext N] [--strategy ...] [--width ...]
-                 [--timeout MS] [--stats] [--metrics-format text|json|prom]
                  [--shard-fault kill@SHARD[:N]]
   aalign loadgen --addr HOST:PORT [--concurrency N] [--duration-ms N]
                  [--seed N] [--top N] [--queries N]
@@ -97,8 +93,10 @@ const USAGE: &str = "usage:
   aalign codegen --input <file> [--open N] [--ext N] [--out <rs>]
   aalign info
 
-pair, search, serve and shard-search read every FASTA file as protein
-and score it with BLOSUM62, so a DNA file is searched as protein.";
+pair, search and serve read every FASTA file as protein and score it
+with BLOSUM62, so a DNA file is searched as protein. search and serve
+run in this process unless --shards N (N > 0) spreads the database
+over N child processes, each with --threads workers.";
 
 /// Tiny flag parser: `--name value` and boolean `--name`.
 struct Flags<'a> {
@@ -235,28 +233,51 @@ fn cmd_pair(args: &[String]) -> Result<(), String> {
 
 fn cmd_search(args: &[String]) -> Result<(), String> {
     let flags = Flags::new("search", args)?;
+    let shards = shard_count("search", &flags)?;
+    let format = flags.get("--metrics-format");
+    if let Some(other) = format.filter(|f| !["json", "prom"].contains(f)) {
+        return Err(format!(
+            "unknown metrics format {other:?} (expected json or prom; --stats prints text)"
+        ));
+    }
     let query = load_first_seq(flags.get("--query").ok_or("--query required")?)?;
     let db = load_db(&flags)?;
     let aligner = build_aligner(&flags)?;
+    let top_n = flags.get_usize("--top", 10)?;
+    let deadline = match flags.get("--timeout") {
+        None => None,
+        Some(ms) => Some(std::time::Duration::from_millis(
+            ms.parse().map_err(|_| "--timeout expects milliseconds")?,
+        )),
+    };
     let trace_out = flags.get("--trace-out");
-    let mut opts = SearchOptions::new()
-        .top_n(flags.get_usize("--top", 10)?)
-        .trace(trace_out.is_some());
-    if let Some(ms) = flags.get("--timeout") {
-        let ms: u64 = ms.parse().map_err(|_| "--timeout expects milliseconds")?;
-        opts = opts.deadline(std::time::Duration::from_millis(ms));
-    }
-    if let Some(spec) = flags.get("--fault-plan") {
-        let plan = aalign::par::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
-        opts = opts.fault_plan(std::sync::Arc::new(plan));
-    }
-    // The CLI shares the server's construction path: an
-    // `EngineHandle` of `--threads` workers, of which the sweep engages
-    // at most one per subject.
-    let threads = flags.get_usize("--threads", 0)?;
-    let report = EngineHandle::new(threads)
-        .search(&aligner, &query, &db, &opts)
-        .map_err(|e| e.to_string())?;
+    let (report, sup) = if shards > 0 {
+        let text = String::from_utf8(query.text()).map_err(|e| format!("query: {e}"))?;
+        let mut q = aalign::shard::ShardQuery::new(text)
+            .query_id(query.id())
+            .top_n(top_n);
+        if let Some(d) = deadline {
+            q = q.deadline(d);
+        }
+        let sup = launch_supervisor(&flags, &db, shards)?;
+        (sup.search(&q).map_err(|e| e.to_string())?, Some(sup))
+    } else {
+        let mut opts = SearchOptions::new().top_n(top_n).trace(trace_out.is_some());
+        if let Some(d) = deadline {
+            opts = opts.deadline(d);
+        }
+        if let Some(plan) = fault_plan(&flags)? {
+            opts = opts.fault_plan(plan);
+        }
+        // The CLI shares the server's construction path: an
+        // `EngineHandle` of `--threads` workers, of which the sweep
+        // engages at most one per subject.
+        let threads = flags.get_usize("--threads", 0)?;
+        let report = EngineHandle::new(threads)
+            .search(&aligner, &query, &db, &opts)
+            .map_err(|e| e.to_string())?;
+        (report, None)
+    };
     if let Some(path) = trace_out {
         let f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
         let mut writer = aalign::obs::TraceWriter::new(std::io::BufWriter::new(f));
@@ -267,11 +288,14 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         writer.finish().map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote {events} trace events to {path}");
     }
+    let ran_on = match &sup {
+        Some(sup) => format!("across {} shards", sup.shards()),
+        None => format!("on {} threads", report.threads_used),
+    };
     println!(
-        "searched {} subjects ({} residues) on {} threads in {:.2}s ({:.2} GCUPS)",
+        "searched {} subjects ({} residues) {ran_on} in {:.2}s ({:.2} GCUPS)",
         report.subjects,
         report.total_residues,
-        report.threads_used,
         report.metrics.total.as_secs_f64(),
         report.metrics.gcups
     );
@@ -281,33 +305,25 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
             report.metrics.rescued
         );
     }
-    print_report(&flags, &report, &query, &db)
-}
-
-/// What `search` and `shard-search` print below their header lines:
-/// the partial-result warning, the metrics in the requested format,
-/// and the hit table.
-fn print_report(
-    flags: &Flags<'_>,
-    report: &aalign::par::SearchReport,
-    query: &Sequence,
-    db: &aalign::bio::SeqDatabase,
-) -> Result<(), String> {
-    warn_partial(report);
-    match flags.get("--metrics-format") {
-        None => {
-            if flags.has("--stats") {
-                print!("{}", report.metrics.summary());
-            }
-        }
-        Some("text") => print!("{}", report.metrics.summary()),
+    if let Some(sup) = &sup {
+        let so = report.metrics.shards;
+        println!(
+            "shards: {} ok, {} failed ({} timed out), {} retried; {} respawn(s) total",
+            so.ok,
+            so.failed,
+            so.timed_out,
+            so.retried,
+            sup.respawns()
+        );
+    }
+    warn_partial(&report);
+    if flags.has("--stats") {
+        print!("{}", report.metrics.summary());
+    }
+    match format {
         Some("json") => println!("{}", report.metrics.to_json()),
-        Some("prom") => print!("{}", report.metrics.to_prometheus()),
-        Some(other) => {
-            return Err(format!(
-                "unknown metrics format {other:?} (expected text, json, or prom)"
-            ))
-        }
+        Some(_) => print!("{}", report.metrics.to_prometheus()),
+        None => {}
     }
     // Bit scores / E-values with the standard BLOSUM62 gapped pair
     // (report raw scores for other configurations).
@@ -324,6 +340,9 @@ fn print_report(
             bits,
             ev
         );
+    }
+    if sup.is_some_and(|sup| !sup.shutdown()) {
+        eprintln!("warning: dirty drain — a shard child outlived the grace period");
     }
     Ok(())
 }
@@ -350,18 +369,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let flags = Flags::new("serve", args)?;
     // `--shards N` turns this daemon into a shard supervisor: the
     // same front ends and dispatcher, but every sweep fans out to N
-    // child processes (spawned from this same binary, each with
-    // `--threads` workers) instead of a local engine pool. A fault
-    // plan's slots are one engine's, so each door takes its own plan.
-    let shards = flags.get_usize("--shards", 0)?;
-    if shards > 0 && flags.has("--fault-plan") {
-        return Err(
-            "serve --shards: --fault-plan scripts one engine's slots; use --shard-fault".into(),
-        );
-    }
-    if shards == 0 && flags.has("--shard-fault") {
-        return Err("serve: --shard-fault needs --shards N; use --fault-plan".into());
-    }
+    // child processes instead of a local engine pool.
+    let shards = shard_count("serve", &flags)?;
     let db = load_db(&flags)?;
     let aligner = build_aligner(&flags)?;
 
@@ -374,10 +383,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .parse()
             .map_err(|_| "--default-timeout expects milliseconds")?;
         cfg = cfg.default_deadline(std::time::Duration::from_millis(ms));
-    }
-    if let Some(spec) = flags.get("--fault-plan") {
-        let plan = aalign::par::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
-        cfg = cfg.fault_plan(std::sync::Arc::new(plan));
     }
 
     let drain_ms: u64 = match flags.get("--drain-timeout") {
@@ -402,13 +407,53 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         let dispatcher = aalign::serve::Dispatcher::with_backend(sup, cfg);
         aalign::serve::run_daemon(std::sync::Arc::new(dispatcher), &opts)
     } else {
-        let dispatcher = aalign::serve::Dispatcher::new(aligner, db, threads, cfg);
+        let mut local = aalign::serve::Local::new(aligner, db, threads);
+        if let Some(plan) = fault_plan(&flags)? {
+            local = local.fault_plan(plan);
+        }
+        let dispatcher = aalign::serve::Dispatcher::with_backend(std::sync::Arc::new(local), cfg);
         aalign::serve::run_daemon(std::sync::Arc::new(dispatcher), &opts)
     };
     match exit.map_err(|e| e.to_string())? {
         0 => Ok(()),
         _ => Err("drain timeout expired with requests still in flight".to_string()),
     }
+}
+
+/// `--shards N` of `search` and `serve`: 0, the default, sweeps in
+/// this process; N > 0 spreads the database over N child processes.
+/// A fault plan's slots are one engine's, so each placement takes its
+/// own plan flag, and a trace records one engine's sweep.
+fn shard_count(cmd: &str, flags: &Flags<'_>) -> Result<usize, String> {
+    let shards = flags.get_usize("--shards", 0)?;
+    if shards > 0 && flags.has("--fault-plan") {
+        return Err(format!(
+            "{cmd} --shards: --fault-plan scripts one engine's slots; use --shard-fault"
+        ));
+    }
+    if shards == 0 && flags.has("--shard-fault") {
+        return Err(format!(
+            "{cmd}: --shard-fault needs --shards N; use --fault-plan"
+        ));
+    }
+    if shards > 0 && flags.has("--trace-out") {
+        return Err(format!(
+            "{cmd} --shards: --trace-out records an in-process sweep; drop --shards"
+        ));
+    }
+    Ok(shards)
+}
+
+/// The engine fault plan `--fault-plan` scripts, if any.
+fn fault_plan(flags: &Flags<'_>) -> Result<Option<std::sync::Arc<aalign::par::FaultPlan>>, String> {
+    flags
+        .get("--fault-plan")
+        .map(|spec| {
+            aalign::par::FaultPlan::parse(spec)
+                .map(std::sync::Arc::new)
+                .map_err(|e| format!("--fault-plan: {e}"))
+        })
+        .transpose()
 }
 
 /// Flags a shard child must inherit so every child scores exactly
@@ -445,50 +490,6 @@ fn launch_supervisor(
         sopts = sopts.fault(plan);
     }
     aalign::shard::Supervisor::launch(db, cmd, sopts).map_err(|e| e.to_string())
-}
-
-/// Fan one query out over a fresh shard supervisor and print the
-/// merged report in the same shape `search` prints a single-process
-/// one — same hit lines, same metrics formats — plus the shard
-/// outcome accounting.
-fn cmd_shard_search(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new("shard-search", args)?;
-    let query = load_first_seq(flags.get("--query").ok_or("--query required")?)?;
-    let db = load_db(&flags)?;
-    let shards = flags.get_usize("--shards", 2)?;
-    let text = String::from_utf8(query.text()).map_err(|e| format!("query: {e}"))?;
-    let mut q = aalign::shard::ShardQuery::new(text)
-        .query_id(query.id())
-        .top_n(flags.get_usize("--top", 10)?);
-    if let Some(ms) = flags.get("--timeout") {
-        let ms: u64 = ms.parse().map_err(|_| "--timeout expects milliseconds")?;
-        q = q.deadline(std::time::Duration::from_millis(ms));
-    }
-    let sup = launch_supervisor(&flags, &db, shards)?;
-    let report = sup.search(&q).map_err(|e| e.to_string())?;
-
-    println!(
-        "searched {} subjects ({} residues) across {} shards in {:.2}s ({:.2} GCUPS)",
-        report.subjects,
-        report.total_residues,
-        sup.shards(),
-        report.metrics.total.as_secs_f64(),
-        report.metrics.gcups
-    );
-    let so = report.metrics.shards;
-    println!(
-        "shards: {} ok, {} failed ({} timed out), {} retried; {} respawn(s) total",
-        so.ok,
-        so.failed,
-        so.timed_out,
-        so.retried,
-        sup.respawns()
-    );
-    print_report(&flags, &report, &query, &db)?;
-    if !sup.shutdown() {
-        eprintln!("warning: dirty drain — a shard child outlived the grace period");
-    }
-    Ok(())
 }
 
 /// Drive a running daemon with a deterministic seeded query mix and

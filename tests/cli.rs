@@ -340,6 +340,28 @@ fn search_metrics_formats() {
         "{}",
         String::from_utf8_lossy(&bad.stderr)
     );
+
+    // `--stats` is the one text rendering, and it prints beside a
+    // machine format instead of being dropped.
+    let text = run("text");
+    assert!(!text.status.success());
+    let both = aalign()
+        .args([
+            "search",
+            "--query",
+            dir.join("q.fa").to_str().unwrap(),
+            "--db",
+            dir.join("db.fa").to_str().unwrap(),
+            "--stats",
+            "--metrics-format",
+            "json",
+        ])
+        .output()
+        .unwrap();
+    assert!(both.status.success());
+    let out = String::from_utf8(both.stdout).unwrap();
+    assert!(out.contains("stats: prepare"), "{out}");
+    assert!(out.contains("\"gcups\":"), "{out}");
 }
 
 #[test]
@@ -663,7 +685,7 @@ fn serve_stdio_shutdown_flushes_reply_with_stdin_still_open() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("drained cleanly"));
 }
 
-/// End-to-end chaos pin at the CLI layer: `shard-search` with an
+/// End-to-end chaos pin at the CLI layer: `search --shards` with an
 /// unlimited kill plan degrades to a partial answer naming the dead
 /// shard's exact uncovered range, and still exits zero.
 #[test]
@@ -689,7 +711,7 @@ fn shard_search_cli_degrades_with_exact_uncovered_range_under_kill_plan() {
 
     let out = aalign()
         .args([
-            "shard-search",
+            "search",
             "--query",
             query.to_str().unwrap(),
             "--db",
@@ -778,7 +800,7 @@ fn shard_search_zero_timeout_degrades_every_shard() {
     seed5_db_and_query(&dir, "40");
     let out = aalign()
         .args([
-            "shard-search",
+            "search",
             "--query",
             dir.join("q.fa").to_str().unwrap(),
             "--db",
@@ -920,6 +942,36 @@ fn serve_refuses(extra: &[&str], needle: &str) {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(!out.status.success(), "{extra:?} accepted: {err}");
     assert!(err.contains(needle), "{extra:?}: {err}");
+}
+
+/// `search --shards` takes the same fault flag as `serve --shards`,
+/// and no trace: the children's sweeps are not recorded.
+#[test]
+fn sharded_search_refuses_an_engine_fault_plan_and_a_trace() {
+    let dir = std::env::temp_dir().join("aalign_cli_search_shard_door");
+    seed5_db_and_query(&dir, "4");
+    let refused = |extra: &[&str], needle: &str| {
+        let out = aalign()
+            .args([
+                "search",
+                "--query",
+                dir.join("q.fa").to_str().unwrap(),
+                "--db",
+                dir.join("db.fa").to_str().unwrap(),
+            ])
+            .args(extra)
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(!out.status.success(), "{extra:?} accepted: {err}");
+        assert!(err.contains(needle), "{extra:?}: {err}");
+    };
+    refused(
+        &["--shards", "2", "--fault-plan", "kill@0"],
+        "use --shard-fault",
+    );
+    refused(&["--shard-fault", "kill@0"], "use --fault-plan");
+    refused(&["--shards", "2", "--trace-out", "t.jsonl"], "--trace-out");
 }
 
 #[test]

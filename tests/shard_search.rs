@@ -334,12 +334,10 @@ mod chaos {
             let mut rng = seeded_rng(11);
             let q = String::from_utf8(named_query(&mut rng, 50).text()).unwrap();
             let victim = 1usize;
-            let opts = ShardOptions::new(4)
-                .fault(ShardFaultPlan {
-                    shard: victim,
-                    remaining: None,
-                })
-                .backoff(Duration::from_millis(5), Duration::from_millis(50), 7);
+            let opts = ShardOptions::new(4).fault(ShardFaultPlan {
+                shard: victim,
+                remaining: None,
+            });
             let sup = Supervisor::launch(&db, worker_cmd(), opts).unwrap();
             let (lost_start, lost_end) = sup.ranges()[victim];
 
@@ -380,9 +378,7 @@ mod chaos {
             let expected = reference_hits(&db, &q, 0);
 
             for victim in 0..3usize {
-                let opts = ShardOptions::new(3)
-                    .fault(ShardFaultPlan::kill_first(victim, 1))
-                    .backoff(Duration::from_millis(5), Duration::from_millis(50), 3);
+                let opts = ShardOptions::new(3).fault(ShardFaultPlan::kill_first(victim, 1));
                 let sup = Supervisor::launch(&db, worker_cmd(), opts).unwrap();
                 let report = sup.search(&ShardQuery::new(q.clone())).unwrap();
                 assert!(
@@ -408,21 +404,25 @@ mod chaos {
             let db = swissprot_like_db(17, 24);
             let mut rng = seeded_rng(41);
             let q = String::from_utf8(named_query(&mut rng, 40).text()).unwrap();
-            let opts = ShardOptions::new(2)
-                .fault(ShardFaultPlan {
-                    shard: 0,
-                    remaining: None,
-                })
-                .backoff(Duration::from_millis(5), Duration::from_millis(50), 1)
-                .breaker(2, Duration::from_secs(60))
-                .heartbeat(None); // deaths counted on the query path only
+            let opts = ShardOptions::new(2).fault(ShardFaultPlan {
+                shard: 0,
+                remaining: None,
+            });
             let sup = Supervisor::launch(&db, worker_cmd(), opts).unwrap();
 
-            // First query: dispatch kill + retry kill = 2 deaths →
-            // breaker trips during collection.
+            // First query: dispatch kill + retry kill = 2 deaths, one
+            // short of the breaker's 3.
             let first = sup.search(&ShardQuery::new(q.clone())).unwrap();
             assert!(first.partial);
+            assert_eq!(first.metrics.shards.retried, 1);
+            assert_eq!(sup.shards_dead(), 0, "two deaths must not trip");
+
+            // Second query: the third death trips the breaker, so the
+            // shard is not retried.
+            let second = sup.search(&ShardQuery::new(q.clone())).unwrap();
+            assert!(second.partial);
             assert_eq!(sup.shards_dead(), 1, "breaker must have tripped");
+            assert_eq!(second.metrics.shards.retried, 0);
 
             // Later queries skip the dead shard without waiting on it.
             let later = sup.search(&ShardQuery::new(q.clone())).unwrap();

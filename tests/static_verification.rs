@@ -603,7 +603,11 @@ fn one_width_ladder() {
 /// (`SearchEngine::new` / `EngineHandle::new`), a claim is one subject
 /// or one vector of them, and a shard query's budget rides on the
 /// `ShardQuery`. Values no caller set are named constants beside their
-/// one use. Each of these had a second home, or none that was used.
+/// one use: the supervisor's backoff, breaker and heartbeat among them.
+/// An engine fault plan lives on the `Local` backend it scripts, and
+/// the CLI has one door per job: `search --shards N` is the sharded
+/// one-shot search, and `--stats` the one text rendering of the
+/// metrics. Each of these had a second home, or none that was used.
 #[test]
 fn one_home_per_setting() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -637,6 +641,26 @@ fn one_home_per_setting() {
         &["default_deadline"],
         "a shard query's budget is ShardQuery::deadline",
     );
+    assert_absent(
+        &shard_crate,
+        &[
+            "fn backoff(",
+            "fn breaker(",
+            "fn heartbeat(",
+            "backoff_seed",
+        ],
+        "the supervision policy is constants in supervisor.rs",
+    );
+    assert_absent(
+        [&root.join("crates/serve/src/dispatch.rs")],
+        &["pub fault_plan:"],
+        "an engine fault plan is Local::fault_plan, on the backend it scripts",
+    );
+    assert_absent(
+        [&root.join("src/bin/aalign.rs")],
+        &["shard-search", "Some(\"text\")"],
+        "a sharded search is `search --shards N`; --stats prints the text block",
+    );
 }
 
 /// One fold for partial results: a pool worker and a shard each hand
@@ -668,7 +692,7 @@ fn one_fold() {
 }
 
 /// One build: a fault plan is a runtime option every build compiles
-/// in (`SearchOptions::fault_plan`, `DispatcherConfig::fault_plan`,
+/// in (`SearchOptions::fault_plan`, `Local::fault_plan`,
 /// `ShardOptions::fault`), so the chaos suites run on every `cargo
 /// test`. A cargo feature that compiled the hooks away doubled the
 /// configurations to cover, and the default one ran none of them.
