@@ -14,6 +14,7 @@ use aalign_bench::harness::{print_banner, time_min, Platform, Table};
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, random_protein, seeded_rng};
 use aalign_bio::Sequence;
+use aalign_core::striped::{align_columns, Columns};
 use aalign_core::{AlignConfig, Aligner, GapModel, HybridPolicy, Strategy, WidthPolicy};
 use aalign_obs::{CollectorSink, StrategyKind, TraceEvent};
 
@@ -39,17 +40,17 @@ fn main() {
         probe_stride: 64,
     };
 
-    // Trace via the core hybrid API: one column event per subject
+    // Trace via the core striped driver: one column event per subject
     // character.
     let prof = aalign_bio::StripedProfile::<i32>::build(&query, &cfg.matrix, 16);
     let mut ws = aalign_core::Workspace::new();
     let mut sink = CollectorSink::new();
-    let rep = aalign_core::striped::hybrid_align_sink::<_, true, true, _>(
+    let rep = align_columns(
         aalign_vec::EmuEngine::<i32, 16>::new(),
         &prof,
         subject.indices(),
         cfg.table2(),
-        policy,
+        Columns::Hybrid(policy),
         &mut ws,
         &mut sink,
     );

@@ -36,13 +36,14 @@
 //! mismatches.
 
 use aalign_bio::{Sequence, StripedProfile, SubstMatrix};
+use aalign_obs::NullSink;
 use aalign_vec::{EmuEngine, ScoreElem};
 
 use crate::banded::banded_align_certified;
 use crate::config::{AlignConfig, AlignKind, GapModel};
 use crate::inter::{inter_align_batch, InterWorkspace, LaneProfile};
 use crate::paradigm::paradigm_dp;
-use crate::striped::{hybrid_align, iterate_align, scan_align, HybridPolicy, Workspace};
+use crate::striped::{align_columns, Columns, HybridPolicy, Workspace};
 use crate::traceback::traceback_align;
 
 /// Enumeration bounds: all sequences over the first `alphabet_size`
@@ -108,27 +109,13 @@ pub fn enumerate_indices(alphabet_size: u8, min_len: usize, max_len: usize) -> V
     out
 }
 
-/// Which striped strategy a [`Variant`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StripedStrat {
-    /// Alg. 2: lower-bound pass + lazy correction loop.
-    Iterate,
-    /// Alg. 3: tentative pass + weighted max-scan + correction.
-    Scan,
-    /// The runtime switcher (forced to switch often: threshold 1,
-    /// probe stride 2, so tiny inputs still exercise both paths).
-    Hybrid,
-}
-
-impl StripedStrat {
-    fn name(self) -> &'static str {
-        match self {
-            StripedStrat::Iterate => "striped-iterate",
-            StripedStrat::Scan => "striped-scan",
-            StripedStrat::Hybrid => "striped-hybrid",
-        }
-    }
-}
+/// The hybrid's policy in the grid: aggressive switching (threshold
+/// 1, probe stride 2) so it exercises both strategies even on
+/// length-3 subjects.
+const HYBRID: Columns = Columns::Hybrid(HybridPolicy {
+    threshold: 1,
+    probe_stride: 2,
+});
 
 /// One kernel shape under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,8 +124,8 @@ pub enum Variant {
     /// (run on [`EmuEngine`], the semantics oracle every hardware
     /// backend is property-tested against).
     Striped {
-        /// Which strategy.
-        strat: StripedStrat,
+        /// Which strategy the driver runs.
+        strat: Columns,
         /// Element bits: 8, 16 or 32.
         bits: u8,
         /// Lane count (2 forces multi-segment stripes even at tiny
@@ -161,7 +148,12 @@ impl Variant {
     pub fn name(&self) -> String {
         match self {
             Variant::Striped { strat, bits, lanes } => {
-                format!("{}/i{bits}x{lanes}", strat.name())
+                let strat = match strat {
+                    Columns::Iterate => "striped-iterate",
+                    Columns::Scan => "striped-scan",
+                    Columns::Hybrid(_) => "striped-hybrid",
+                };
+                format!("{strat}/i{bits}x{lanes}")
             }
             Variant::Inter { bits } => format!("inter/i{bits}x{INTER_LANES}"),
             Variant::Banded => "banded-certified".to_string(),
@@ -178,11 +170,7 @@ const INTER_LANES: usize = 4;
 /// pinned by `conformance_baseline.txt`.
 pub fn all_variants() -> Vec<Variant> {
     let mut v = Vec::new();
-    for strat in [
-        StripedStrat::Iterate,
-        StripedStrat::Scan,
-        StripedStrat::Hybrid,
-    ] {
+    for strat in [Columns::Iterate, Columns::Scan, HYBRID] {
         for (bits, lanes) in [(8u8, 2u8), (16, 2), (16, 4), (32, 4)] {
             v.push(Variant::Striped { strat, bits, lanes });
         }
@@ -578,7 +566,7 @@ fn run_striped_variant(
     queries: &[Sequence],
     subjects: &[Sequence],
     want: &[Vec<i32>],
-    strat: StripedStrat,
+    strat: Columns,
     bits: u8,
     lanes: u8,
     stat: &mut VariantStat,
@@ -598,7 +586,7 @@ fn striped_elem<T: ScoreElem, const LANES: usize>(
     queries: &[Sequence],
     subjects: &[Sequence],
     want: &[Vec<i32>],
-    strat: StripedStrat,
+    strat: Columns,
     stat: &mut VariantStat,
     report: &mut ConfigReport,
 ) {
@@ -610,40 +598,12 @@ fn striped_elem<T: ScoreElem, const LANES: usize>(
     }
     .name();
     let eng = EmuEngine::<T, LANES>::new();
-    // Aggressive switching so the hybrid exercises both strategies
-    // even on length-3 subjects.
-    let policy = HybridPolicy {
-        threshold: 1,
-        probe_stride: 2,
-    };
     let mut ws = Workspace::new();
     for (qi, q) in queries.iter().enumerate() {
         let prof = StripedProfile::<T>::build(q, &kernel_cfg.matrix, LANES);
         for (si, s) in subjects.iter().enumerate() {
-            let res = match strat {
-                StripedStrat::Iterate => run_iterate::<T, LANES>(
-                    eng,
-                    &prof,
-                    s.indices(),
-                    t2,
-                    &mut ws,
-                    t2.local,
-                    t2.affine,
-                ),
-                StripedStrat::Scan => {
-                    run_scan::<T, LANES>(eng, &prof, s.indices(), t2, &mut ws, t2.local, t2.affine)
-                }
-                StripedStrat::Hybrid => run_hybrid::<T, LANES>(
-                    eng,
-                    &prof,
-                    s.indices(),
-                    t2,
-                    policy,
-                    &mut ws,
-                    t2.local,
-                    t2.affine,
-                ),
-            };
+            let res =
+                align_columns(eng, &prof, s.indices(), t2, strat, &mut ws, &mut NullSink).result;
             // Lazy-F sweep bound (the analyzer's derived ≤ P): each
             // iterate column corrects in at most LANES sweeps.
             let sweep_cap = res.iterate_columns as u64 * LANES as u64;
@@ -677,61 +637,6 @@ fn striped_elem<T: ScoreElem, const LANES: usize>(
             record(report, &variant, q, s, res.score, want[qi][si]);
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_iterate<T: ScoreElem, const LANES: usize>(
-    eng: EmuEngine<T, LANES>,
-    prof: &StripedProfile<T>,
-    subject: &[u8],
-    t2: crate::config::TableII,
-    ws: &mut Workspace<T>,
-    local: bool,
-    affine: bool,
-) -> crate::striped::KernelResult {
-    match (local, affine) {
-        (true, true) => iterate_align::<_, true, true>(eng, prof, subject, t2, ws),
-        (true, false) => iterate_align::<_, true, false>(eng, prof, subject, t2, ws),
-        (false, true) => iterate_align::<_, false, true>(eng, prof, subject, t2, ws),
-        (false, false) => iterate_align::<_, false, false>(eng, prof, subject, t2, ws),
-    }
-}
-
-fn run_scan<T: ScoreElem, const LANES: usize>(
-    eng: EmuEngine<T, LANES>,
-    prof: &StripedProfile<T>,
-    subject: &[u8],
-    t2: crate::config::TableII,
-    ws: &mut Workspace<T>,
-    local: bool,
-    affine: bool,
-) -> crate::striped::KernelResult {
-    match (local, affine) {
-        (true, true) => scan_align::<_, true, true>(eng, prof, subject, t2, ws),
-        (true, false) => scan_align::<_, true, false>(eng, prof, subject, t2, ws),
-        (false, true) => scan_align::<_, false, true>(eng, prof, subject, t2, ws),
-        (false, false) => scan_align::<_, false, false>(eng, prof, subject, t2, ws),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_hybrid<T: ScoreElem, const LANES: usize>(
-    eng: EmuEngine<T, LANES>,
-    prof: &StripedProfile<T>,
-    subject: &[u8],
-    t2: crate::config::TableII,
-    policy: HybridPolicy,
-    ws: &mut Workspace<T>,
-    local: bool,
-    affine: bool,
-) -> crate::striped::KernelResult {
-    let rep = match (local, affine) {
-        (true, true) => hybrid_align::<_, true, true>(eng, prof, subject, t2, policy, ws),
-        (true, false) => hybrid_align::<_, true, false>(eng, prof, subject, t2, policy, ws),
-        (false, true) => hybrid_align::<_, false, true>(eng, prof, subject, t2, policy, ws),
-        (false, false) => hybrid_align::<_, false, false>(eng, prof, subject, t2, policy, ws),
-    };
-    rep.result
 }
 
 fn run_inter_variant(

@@ -26,9 +26,7 @@ use crate::certify::{config_fingerprint, CertificateStore};
 use crate::config::{AlignConfig, AlignKind, TableII};
 use crate::inter::{lane_columns, InterBatches, InterWorkspace, LaneProfile};
 use crate::scalar::scalar_column_align;
-use crate::striped::{
-    hybrid_align_sink, iterate_align_sink, scan_align_sink, HybridPolicy, HybridReport, Workspace,
-};
+use crate::striped::{align_columns, Columns, HybridPolicy, HybridReport, Workspace};
 
 /// Vectorization strategy selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -238,9 +236,10 @@ pub struct AlignOutput {
 /// One striped run of one subject at one element width: the
 /// computation [`with_engine`] instantiates per engine. Everything
 /// from [`call`](EngineFn::call) down to the engine methods is
-/// `#[inline(always)]`, so each (engine × `LOCAL` × `AFFINE` ×
-/// strategy) is one fully inlined function compiled with the engine's
-/// target features — the artifact the paper's code generator emits.
+/// `#[inline(always)]`, so each (engine × `LOCAL` × `AFFINE`) is one
+/// fully inlined column loop compiled with the engine's target
+/// features — the artifact the paper's code generator emits. The
+/// strategy is the loop's [`Columns`] mode, fixed once per attempt.
 ///
 /// The sink is a type parameter: a disabled sink runs the
 /// [`NullSink`] instantiation (bit-for-bit the pre-observability
@@ -251,8 +250,7 @@ struct Attempt<'a, T: ScoreElem, S: TraceSink> {
     prof: &'a StripedProfile<T>,
     subject: &'a [u8],
     t2: TableII,
-    strategy: Strategy,
-    policy: HybridPolicy,
+    columns: Columns,
     ws: &'a mut Workspace<T>,
     sink: &'a mut S,
 }
@@ -260,47 +258,17 @@ struct Attempt<'a, T: ScoreElem, S: TraceSink> {
 impl<T: ScoreElem, S: TraceSink> EngineFn<T> for Attempt<'_, T, S> {
     type Out = HybridReport;
 
-    /// Turn the `LOCAL`/`AFFINE` runtime flags into const parameters.
     #[inline(always)]
     fn call<E: SimdEngine<Elem = T>>(self, eng: E) -> HybridReport {
-        match (self.t2.local, self.t2.affine) {
-            (true, true) => self.run::<E, true, true>(eng),
-            (true, false) => self.run::<E, true, false>(eng),
-            (false, true) => self.run::<E, false, true>(eng),
-            (false, false) => self.run::<E, false, false>(eng),
-        }
-    }
-}
-
-impl<T: ScoreElem, S: TraceSink> Attempt<'_, T, S> {
-    #[inline(always)]
-    fn run<E: SimdEngine<Elem = T>, const L: bool, const A: bool>(self, eng: E) -> HybridReport {
-        let Attempt {
-            prof,
-            subject,
-            t2,
-            strategy,
-            policy,
-            ws,
-            sink,
-        } = self;
-        let only = |result| HybridReport {
-            result,
-            switches_to_scan: 0,
-            probes_stayed: 0,
-        };
-        match strategy {
-            Strategy::StripedIterate => only(iterate_align_sink::<E, L, A, S>(
-                eng, prof, subject, t2, ws, sink,
-            )),
-            Strategy::StripedScan => only(scan_align_sink::<E, L, A, S>(
-                eng, prof, subject, t2, ws, sink,
-            )),
-            Strategy::Hybrid => {
-                hybrid_align_sink::<E, L, A, S>(eng, prof, subject, t2, policy, ws, sink)
-            }
-            Strategy::Sequential => unreachable!("sequential handled before dispatch"),
-        }
+        align_columns(
+            eng,
+            self.prof,
+            self.subject,
+            self.t2,
+            self.columns,
+            self.ws,
+            self.sink,
+        )
     }
 }
 
@@ -1077,14 +1045,20 @@ impl Aligner {
         ws: &mut Workspace<T>,
         sink: &mut S,
     ) -> HybridReport {
+        let columns = match self.strategy {
+            Strategy::StripedIterate => Columns::Iterate,
+            Strategy::StripedScan => Columns::Scan,
+            Strategy::Hybrid => Columns::Hybrid(
+                self.hybrid
+                    .unwrap_or_else(|| HybridPolicy::for_lanes(backend.lanes())),
+            ),
+            Strategy::Sequential => unreachable!("sequential handled before dispatch"),
+        };
         let attempt = Attempt {
             prof,
             subject: subject.indices(),
             t2: self.cfg.table2(),
-            strategy: self.strategy,
-            policy: self
-                .hybrid
-                .unwrap_or_else(|| HybridPolicy::for_lanes(backend.lanes())),
+            columns,
             ws,
             sink,
         };

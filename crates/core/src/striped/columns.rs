@@ -4,7 +4,8 @@
 //! (the `arr_T1`/`arr_T2`/`arr_L`/`arr_scan` buffers of Alg. 2/3, the
 //! running maximum, and the boundary trackers) and advances it one
 //! subject character at a time with either vectorization strategy.
-//! The iterate/scan/hybrid entry points are thin loops over it.
+//! The one driver ([`super::driver::column_loop`]) walks a subject
+//! over it, choosing the strategy per column.
 //!
 //! Type parameters `LOCAL` and `AFFINE` compile the four paradigm
 //! configurations separately — the moral equivalent of the paper's
@@ -474,10 +475,5 @@ impl<'a, E: SimdEngine, const LOCAL: bool, const AFFINE: bool> ColumnEngine<'a, 
             iterate_columns: self.iterate_columns,
             scan_columns: self.scan_columns,
         }
-    }
-
-    /// Subject characters consumed so far.
-    pub fn columns_done(&self) -> usize {
-        self.col
     }
 }

@@ -7,11 +7,23 @@
 use aalign_bio::matrices::BLOSUM62;
 use aalign_bio::synth::{named_query, nine_similarity_specs, seeded_rng};
 use aalign_bio::{Sequence, StripedProfile};
+use aalign_obs::{CollectorSink, NullSink};
 use aalign_vec::{EmuEngine, SimdEngine};
 
 use crate::config::{AlignConfig, AlignKind, GapModel};
 use crate::paradigm::paradigm_dp;
-use crate::striped::{hybrid_align, iterate_align, scan_align, HybridPolicy, Workspace};
+use crate::striped::{align_columns, Columns, HybridPolicy, HybridReport, Workspace};
+
+/// Striped-iterate throughout, untraced.
+fn iterate<E: SimdEngine>(
+    eng: E,
+    prof: &StripedProfile<E::Elem>,
+    subject: &[u8],
+    t2: crate::config::TableII,
+    ws: &mut Workspace<E::Elem>,
+) -> crate::striped::KernelResult {
+    align_columns(eng, prof, subject, t2, Columns::Iterate, ws, &mut NullSink).result
+}
 
 fn all_configs() -> Vec<AlignConfig> {
     let mut out = Vec::new();
@@ -27,7 +39,7 @@ fn all_configs() -> Vec<AlignConfig> {
     out
 }
 
-/// Run iterate, scan and hybrid on engine `E` and compare all three
+/// Run the driver's three modes on engine `E` and compare each
 /// against the scalar DP.
 fn check_engine<E: SimdEngine<Elem = i32>>(eng: E, q: &Sequence, s: &Sequence, label: &str) {
     for cfg in all_configs() {
@@ -36,72 +48,25 @@ fn check_engine<E: SimdEngine<Elem = i32>>(eng: E, q: &Sequence, s: &Sequence, l
         let prof = StripedProfile::<i32>::build(q, &cfg.matrix, E::LANES);
         let mut ws = Workspace::new();
 
-        macro_rules! check4 {
-            ($call:ident) => {
-                match (t2.local, t2.affine) {
-                    (true, true) => $call!(true, true),
-                    (true, false) => $call!(true, false),
-                    (false, true) => $call!(false, true),
-                    (false, false) => $call!(false, false),
-                }
-            };
+        let hybrid = Columns::Hybrid(HybridPolicy {
+            threshold: 1,
+            probe_stride: 3,
+        });
+        for (mode, columns) in [
+            ("iterate", Columns::Iterate),
+            ("scan", Columns::Scan),
+            ("hybrid", hybrid),
+        ] {
+            let got = align_columns(eng, &prof, s.indices(), t2, columns, &mut ws, &mut NullSink);
+            assert_eq!(
+                got.result.score,
+                want,
+                "[{label}] {mode} {} q={} s={}",
+                cfg.label(),
+                q.id(),
+                s.id()
+            );
         }
-
-        macro_rules! run_iterate {
-            ($l:literal, $a:literal) => {
-                iterate_align::<E, $l, $a>(eng, &prof, s.indices(), t2, &mut ws).score
-            };
-        }
-        macro_rules! run_scan {
-            ($l:literal, $a:literal) => {
-                scan_align::<E, $l, $a>(eng, &prof, s.indices(), t2, &mut ws).score
-            };
-        }
-        macro_rules! run_hybrid {
-            ($l:literal, $a:literal) => {
-                hybrid_align::<E, $l, $a>(
-                    eng,
-                    &prof,
-                    s.indices(),
-                    t2,
-                    HybridPolicy {
-                        threshold: 1,
-                        probe_stride: 3,
-                    },
-                    &mut ws,
-                )
-                .result
-                .score
-            };
-        }
-
-        let got_it = check4!(run_iterate);
-        assert_eq!(
-            got_it,
-            want,
-            "[{label}] iterate {} q={} s={}",
-            cfg.label(),
-            q.id(),
-            s.id()
-        );
-        let got_sc = check4!(run_scan);
-        assert_eq!(
-            got_sc,
-            want,
-            "[{label}] scan {} q={} s={}",
-            cfg.label(),
-            q.id(),
-            s.id()
-        );
-        let got_hy = check4!(run_hybrid);
-        assert_eq!(
-            got_hy,
-            want,
-            "[{label}] hybrid {} q={} s={}",
-            cfg.label(),
-            q.id(),
-            s.id()
-        );
     }
 }
 
@@ -233,14 +198,7 @@ fn i16_kernels_match_dp_when_in_range() {
         let prof = StripedProfile::<i16>::build(&q, &cfg.matrix, 16);
         let mut ws = Workspace::<i16>::new();
         let eng = EmuEngine::<i16, 16>::new();
-        let got = match (t2.local, t2.affine) {
-            (true, true) => iterate_align::<_, true, true>(eng, &prof, s.indices(), t2, &mut ws),
-            (true, false) => iterate_align::<_, true, false>(eng, &prof, s.indices(), t2, &mut ws),
-            (false, true) => iterate_align::<_, false, true>(eng, &prof, s.indices(), t2, &mut ws),
-            (false, false) => {
-                iterate_align::<_, false, false>(eng, &prof, s.indices(), t2, &mut ws)
-            }
-        };
+        let got = iterate(eng, &prof, s.indices(), t2, &mut ws);
         assert_eq!(got.score, want, "{}", cfg.label());
         assert!(!got.saturated);
     }
@@ -256,7 +214,7 @@ fn i8_local_saturation_is_flagged() {
     let prof = StripedProfile::<i8>::build(&q, &cfg.matrix, 32);
     let mut ws = Workspace::<i8>::new();
     let eng = EmuEngine::<i8, 32>::new();
-    let got = iterate_align::<_, true, true>(eng, &prof, q.indices(), t2, &mut ws);
+    let got = iterate(eng, &prof, q.indices(), t2, &mut ws);
     assert!(got.saturated, "score {} must be flagged", got.score);
 }
 
@@ -270,10 +228,20 @@ fn iterate_and_scan_agree_on_stats_columns() {
     let prof = StripedProfile::<i32>::build(&q, &cfg.matrix, 8);
     let mut ws = Workspace::new();
     let eng = EmuEngine::<i32, 8>::new();
-    let it = iterate_align::<_, true, true>(eng, &prof, s.indices(), t2, &mut ws);
+    let it = iterate(eng, &prof, s.indices(), t2, &mut ws);
     assert_eq!(it.iterate_columns, 35);
     assert_eq!(it.scan_columns, 0);
-    let sc = scan_align::<_, true, true>(eng, &prof, s.indices(), t2, &mut ws);
+    let sc = align_columns(
+        eng,
+        &prof,
+        s.indices(),
+        t2,
+        Columns::Scan,
+        &mut ws,
+        &mut NullSink,
+    );
+    assert_eq!((sc.switches_to_scan, sc.probes_stayed), (0, 0));
+    let sc = sc.result;
     assert_eq!(sc.scan_columns, 35);
     assert_eq!(sc.iterate_columns, 0);
     assert_eq!(sc.lazy_iters, 0);
@@ -289,16 +257,16 @@ fn hybrid_trace_covers_every_column() {
     let prof = StripedProfile::<i32>::build(&q, &cfg.matrix, 8);
     let mut ws = Workspace::new();
     let eng = EmuEngine::<i32, 8>::new();
-    let mut sink = aalign_obs::CollectorSink::new();
-    let rep = crate::striped::hybrid_align_sink::<_, true, true, _>(
+    let mut sink = CollectorSink::new();
+    let rep = align_columns(
         eng,
         &prof,
         s.indices(),
         t2,
-        HybridPolicy {
+        Columns::Hybrid(HybridPolicy {
             threshold: 0,
             probe_stride: 10,
-        },
+        }),
         &mut ws,
         &mut sink,
     );
@@ -324,8 +292,8 @@ fn similar_pairs_need_more_lazy_sweeps_than_dissimilar() {
     let prof = StripedProfile::<i32>::build(&q, &cfg.matrix, 8);
     let mut ws = Workspace::new();
     let eng = EmuEngine::<i32, 8>::new();
-    let sim = iterate_align::<_, true, true>(eng, &prof, similar.indices(), t2, &mut ws);
-    let dis = iterate_align::<_, true, true>(eng, &prof, dissimilar.indices(), t2, &mut ws);
+    let sim = iterate(eng, &prof, similar.indices(), t2, &mut ws);
+    let dis = iterate(eng, &prof, dissimilar.indices(), t2, &mut ws);
     assert!(
         sim.lazy_iters > dis.lazy_iters * 2,
         "similar {} vs dissimilar {}",
@@ -400,22 +368,144 @@ fn avx2_i16_matches_i32_in_range() {
             let p32 = StripedProfile::<i32>::build(&q, &cfg.matrix, 8);
             let mut w16 = Workspace::<i16>::new();
             let mut w32 = Workspace::<i32>::new();
-
-            macro_rules! both {
-                ($l:literal, $a:literal) => {{
-                    let r16 = iterate_align::<_, $l, $a>(e16, &p16, s.indices(), t2, &mut w16);
-                    let r32 = iterate_align::<_, $l, $a>(e32, &p32, s.indices(), t2, &mut w32);
-                    (r16, r32)
-                }};
-            }
-            let (r16, r32) = match (t2.local, t2.affine) {
-                (true, true) => both!(true, true),
-                (true, false) => both!(true, false),
-                (false, true) => both!(false, true),
-                (false, false) => both!(false, false),
-            };
+            let r16 = iterate(e16, &p16, s.indices(), t2, &mut w16);
+            let r32 = iterate(e32, &p32, s.indices(), t2, &mut w32);
             assert!(!r16.saturated, "75-residue scores fit i16");
             assert_eq!(r16.score, r32.score, "{} {}", cfg.label(), spec.label());
         }
     }
+}
+
+/// Folds a run's per-column events, then its report counters, into one
+/// FNV-1a digest.
+#[derive(Debug)]
+struct DigestSink {
+    hash: u64,
+    events: u64,
+}
+
+impl DigestSink {
+    fn new() -> Self {
+        Self {
+            hash: 0xcbf2_9ce4_8422_2325,
+            events: 0,
+        }
+    }
+
+    fn mix(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.hash = (self.hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn report(&mut self, rep: &HybridReport) {
+        let r = &rep.result;
+        for word in [
+            r.score as u64,
+            u64::from(r.saturated),
+            r.lazy_iters,
+            r.lazy_sweeps,
+            r.iterate_columns as u64,
+            r.scan_columns as u64,
+            rep.switches_to_scan as u64,
+            rep.probes_stayed as u64,
+        ] {
+            self.mix(word);
+        }
+    }
+}
+
+impl aalign_obs::TraceSink for DigestSink {
+    fn record(&mut self, event: aalign_obs::TraceEvent) {
+        let aalign_obs::TraceEvent::Hybrid(ev) = event else {
+            panic!("the striped driver emits column events only: {event:?}");
+        };
+        self.events += 1;
+        for word in [
+            ev.column,
+            ev.strategy as u64,
+            u64::from(ev.lazy_sweeps),
+            u64::from(ev.switched),
+            ev.probe as u64,
+        ] {
+            self.mix(word);
+        }
+    }
+}
+
+/// The per-column decisions, not just the scores, are pinned: each
+/// mode's event stream and report counters over a fixed grid — i16×8
+/// and i32×4 emulated engines, local/global × affine/linear, the nine
+/// similarity classes, and for the hybrid thresholds 0/1/`u32::MAX` ×
+/// probe strides 1/3/10 000 — fold into digests recorded when
+/// iterate, scan and the hybrid were three separate loops.
+#[test]
+fn column_trace_digests_are_pinned() {
+    let mut rng = seeded_rng(4545);
+    let q = named_query(&mut rng, 100);
+    let subjects: Vec<Sequence> = nine_similarity_specs()
+        .iter()
+        .map(|spec| spec.generate(&mut rng, &q).subject)
+        .collect();
+    let configs = [
+        AlignConfig::local(GapModel::affine(-10, -2), &BLOSUM62),
+        AlignConfig::local(GapModel::linear(-3), &BLOSUM62),
+        AlignConfig::global(GapModel::affine(-10, -2), &BLOSUM62),
+        AlignConfig::global(GapModel::linear(-3), &BLOSUM62),
+    ];
+    let mut hybrids = Vec::new();
+    for threshold in [0, 1, u32::MAX] {
+        for probe_stride in [1, 3, 10_000] {
+            hybrids.push(Columns::Hybrid(HybridPolicy {
+                threshold,
+                probe_stride,
+            }));
+        }
+    }
+
+    fn run<E: SimdEngine>(
+        eng: E,
+        cfg: &AlignConfig,
+        q: &Sequence,
+        s: &Sequence,
+        columns: Columns,
+        sink: &mut DigestSink,
+    ) {
+        let prof = StripedProfile::<E::Elem>::build(q, &cfg.matrix, E::LANES);
+        let mut ws = Workspace::new();
+        let rep = align_columns(
+            eng,
+            &prof,
+            s.indices(),
+            cfg.table2(),
+            columns,
+            &mut ws,
+            sink,
+        );
+        sink.report(&rep);
+    }
+
+    let mut got = Vec::new();
+    for (name, modes) in [
+        ("iterate", &[Columns::Iterate][..]),
+        ("scan", &[Columns::Scan][..]),
+        ("hybrid", &hybrids[..]),
+    ] {
+        let mut sink = DigestSink::new();
+        for cfg in &configs {
+            for s in &subjects {
+                for &columns in modes {
+                    run(EmuEngine::<i16, 8>::new(), cfg, &q, s, columns, &mut sink);
+                    run(EmuEngine::<i32, 4>::new(), cfg, &q, s, columns, &mut sink);
+                }
+            }
+        }
+        got.push((name, sink.events, sink.hash));
+    }
+    let want = [
+        ("iterate", 7200, 0xa682_8ffe_d54d_b525),
+        ("scan", 7200, 0x2621_601f_d3de_2731),
+        ("hybrid", 64800, 0x47d3_369f_0f15_8a42),
+    ];
+    assert_eq!(got, want);
 }

@@ -10,7 +10,7 @@
 use aalign::bio::matrices::BLOSUM62;
 use aalign::bio::synth::{named_query, random_protein, seeded_rng};
 use aalign::bio::{Sequence, StripedProfile};
-use aalign::core::striped::hybrid_align_sink;
+use aalign::core::striped::{align_columns, Columns};
 use aalign::core::{HybridPolicy, Workspace};
 use aalign::obs::{CollectorSink, StrategyKind, TraceEvent};
 use aalign::vec::EmuEngine;
@@ -38,12 +38,12 @@ fn main() {
     let mut ws = Workspace::new();
     // The sink records one event per column.
     let mut sink = CollectorSink::new();
-    let rep = hybrid_align_sink::<_, true, true, _>(
+    let rep = align_columns(
         EmuEngine::<i32, 16>::new(),
         &prof,
         subject.indices(),
         cfg.table2(),
-        policy,
+        Columns::Hybrid(policy),
         &mut ws,
         &mut sink,
     );

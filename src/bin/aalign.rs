@@ -30,13 +30,14 @@ use std::process::ExitCode;
 use aalign::bio::alphabet::PROTEIN;
 use aalign::bio::fasta::{read_fasta, write_fasta};
 use aalign::bio::matrices::BLOSUM62;
+use aalign::bio::stats;
 use aalign::bio::synth::swissprot_like_db;
 use aalign::bio::Sequence;
 use aalign::codegen::emit::GapBindings;
 use aalign::core::traceback::traceback_align;
 use aalign::par::{EngineHandle, SearchOptions};
 use aalign::vec::IsaSupport;
-use aalign::{AlignConfig, Aligner, GapModel, Strategy, WidthPolicy};
+use aalign::{AlignConfig, AlignKind, Aligner, GapModel, Strategy, WidthPolicy};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -325,20 +326,27 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         Some(_) => print!("{}", report.metrics.to_prometheus()),
         None => {}
     }
-    // Bit scores / E-values with the standard BLOSUM62 gapped pair
-    // (report raw scores for other configurations).
-    let stats_params = aalign::bio::stats::BLOSUM62_GAPPED_11_1;
+    // Bit scores / E-values need a (λ, K) pair fitted for the scheme,
+    // and the one shipped is local BLOSUM62 with gap open 11 / extend 1;
+    // any other configuration prints `-` in both columns.
+    let cfg = aligner.config();
+    let fitted = cfg.kind == AlignKind::Local
+        && cfg.gap == GapModel::affine(-11, -1)
+        && cfg.matrix.name() == BLOSUM62.name();
     for (rank, hit) in report.hits.iter().enumerate() {
-        let bits = aalign::bio::stats::bit_score(hit.score, stats_params);
-        let ev = aalign::bio::stats::evalue(bits, query.len(), report.total_residues);
+        let (bits, ev) = if fitted {
+            let bits = stats::bit_score(hit.score, stats::BLOSUM62_GAPPED_11_1);
+            let ev = stats::evalue(bits, query.len(), report.total_residues);
+            (format!("{bits:>7.1}"), format!("{ev:.2e}"))
+        } else {
+            (format!("{:>7}", "-"), "-".to_string())
+        };
         println!(
-            "{:>3}. {:<24} len {:>6}  score {:>6}  bits {:>7.1}  E {:.2e}",
+            "{:>3}. {:<24} len {:>6}  score {:>6}  bits {bits}  E {ev}",
             rank + 1,
             db.id(hit.db_index),
             hit.len,
             hit.score,
-            bits,
-            ev
         );
     }
     if sup.is_some_and(|sup| !sup.shutdown()) {

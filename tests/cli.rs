@@ -1019,3 +1019,61 @@ fn fault_plan_flag_runs_a_valid_spec_and_rejects_a_bad_one() {
     assert!(!out.status.success());
     assert!(err.contains("--fault-plan: unknown fault verb"), "{err}");
 }
+
+/// Bit scores and E-values come from the one fitted (λ, K) pair — local
+/// BLOSUM62 with gap open 11 / extend 1 — and any other configuration
+/// prints `-` in both columns instead of numbers fitted for another
+/// scheme (a global search once printed `bits -22.4  E 1.17e12`).
+#[test]
+fn search_prints_evalues_only_for_the_fitted_scheme() {
+    let dir = std::env::temp_dir().join("aalign_cli_evalue");
+    seed5_db_and_query(&dir, "10");
+    let columns = |extra: &[&str]| -> Vec<(String, String)> {
+        let out = aalign()
+            .args([
+                "search",
+                "--query",
+                dir.join("q.fa").to_str().unwrap(),
+                "--db",
+                dir.join("db.fa").to_str().unwrap(),
+                "--top",
+                "3",
+            ])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        let hits: Vec<_> = text
+            .lines()
+            .filter(|l| l.contains(" bits "))
+            .map(|l| {
+                let words: Vec<&str> = l.split_whitespace().collect();
+                let after = |label| {
+                    let at = words.iter().position(|w| *w == label).unwrap();
+                    words[at + 1].to_string()
+                };
+                (after("bits"), after("E"))
+            })
+            .collect();
+        assert_eq!(hits.len(), 3, "{text}");
+        hits
+    };
+    for extra in [
+        &["--global"][..],
+        &[],
+        &["--open", "-11", "--ext", "-1", "--linear"],
+    ] {
+        for (bits, e) in columns(extra) {
+            assert_eq!((bits.as_str(), e.as_str()), ("-", "-"), "{extra:?}");
+        }
+    }
+    for (bits, e) in columns(&["--open", "-11", "--ext", "-1"]) {
+        assert!(bits.parse::<f64>().unwrap() > 0.0, "bits {bits}");
+        assert!(e.parse::<f64>().unwrap() >= 0.0, "E {e}");
+    }
+}

@@ -598,6 +598,46 @@ fn one_width_ladder() {
     }
 }
 
+/// One striped driver: striped-iterate, striped-scan and the hybrid are
+/// modes of one column loop (`aalign_core::striped::driver`), and its
+/// entry is the one place the runtime `local`/`affine` flags become
+/// const parameters. There were three copies of the loop, and four
+/// hand-written `(local, affine)` matches in shipped code.
+#[test]
+fn one_striped_driver() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for gone in ["iterate.rs", "scan.rs"] {
+        let path = root.join("crates/core/src/striped").join(gone);
+        assert!(!path.exists(), "{}: a second striped loop", path.display());
+    }
+    assert_absent(
+        &product_sources(root),
+        &["iterate_align", "scan_align"],
+        "every strategy runs through striped::align_columns",
+    );
+    let mut crates = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        rust_sources(&krate.unwrap().path().join("src"), &mut crates);
+    }
+    // A `#[cfg(test)] mod` file (`tests.rs`, `*_tests.rs`) is test code
+    // throughout; any other file is shipped up to its first
+    // `#[cfg(test)]`.
+    let dispatches: Vec<_> = crates
+        .iter()
+        .filter(|path| !path.to_str().unwrap().ends_with("tests.rs"))
+        .flat_map(|path| {
+            let text = std::fs::read_to_string(path).unwrap();
+            let shipped = text.split("#[cfg(test)]").next().unwrap();
+            vec![path.display().to_string(); shipped.matches("(true, true) =>").count()]
+        })
+        .collect();
+    assert_eq!(
+        dispatches.len(),
+        1,
+        "the (local, affine) const dispatch lives in striped::align_columns only: {dispatches:?}"
+    );
+}
+
 /// One home per setting. A search has two entry points,
 /// `SearchEngine::{search, pipeline}`; the pool size is the engine's
 /// (`SearchEngine::new` / `EngineHandle::new`), a claim is one subject
